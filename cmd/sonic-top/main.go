@@ -202,8 +202,9 @@ func render(w *os.File, addr string, s telemetry.Snapshot) {
 	// --- server + carousel -------------------------------------------------
 	hits, misses := s.Counters["server_render_cache_hits_total"], s.Counters["server_render_cache_misses_total"]
 	if hits+misses > 0 {
-		fmt.Fprintf(w, "\nrender cache: %.1f%% hit rate (%d hits / %d misses), %g entries\n",
-			100*float64(hits)/float64(hits+misses), hits, misses, s.Gauges["server_render_cache_size"])
+		fmt.Fprintf(w, "\nrender cache: %.1f%% hit rate (%d hits / %d misses); artifact cache %g entries, %.1f MB\n",
+			100*float64(hits)/float64(hits+misses), hits, misses,
+			s.Gauges["artifact_cache_entries"], s.Gauges["artifact_cache_bytes"]/1e6)
 	}
 	if depth := s.Gauges["carousel_depth_pages"]; depth > 0 {
 		fmt.Fprintf(w, "carousel: %.0f pages in rotation, max re-air period %s, schedule horizon %s\n",

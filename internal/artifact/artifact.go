@@ -1,11 +1,12 @@
 // Package artifact is the fleet-wide content-addressed artifact cache:
-// every derived form of a broadcast page — the marshaled SIC bundle
-// blob, the FEC-framed coded stream, and the modulated audio burst — is
-// keyed by (URL, effective hour, pipeline-config digest) and computed at
-// most once no matter how many transmitters carry the page. The paper's
-// deployment is exactly this shape: one national corpus, many regional
-// FM towers, byte-identical artifacts everywhere, so N towers airing the
-// same page must not render, encode, FEC-frame, or modulate it N times.
+// every form of a broadcast page — the rendered SIC bundle, its
+// marshaled blob, the FEC-framed coded stream, and the modulated audio
+// burst — is keyed by (URL, effective hour, pipeline-config digest) and
+// computed at most once no matter how many transmitters carry the page.
+// The paper's deployment is exactly this shape: one national corpus,
+// many regional FM towers, byte-identical artifacts everywhere, so N
+// towers airing the same page must not render, encode, FEC-frame, or
+// modulate it N times.
 //
 // Three mechanisms:
 //
@@ -25,9 +26,10 @@
 // Values returned from the chain are shared across callers and MUST be
 // treated as immutable.
 //
-// The first chain stage delegates to the caller's render function —
-// raster production (and its own LRU plus pooled buffers) stays in the
-// server/webrender layer; the chain caches everything downstream of it.
+// Stage 0 runs the caller's render function — raster production and its
+// pooled buffers stay in the server/webrender layer — and caches the
+// bundle it returns, so the chain is the only page cache: each later
+// stage derives from the one before it.
 package artifact
 
 import (
@@ -59,7 +61,8 @@ type Stage int
 
 // The chain stages, in production order.
 const (
-	StageBlob   Stage = iota // marshaled bundle (SIC image + clickmap)
+	StageRender Stage = iota // rendered bundle (SIC image + clickmap)
+	StageBlob                // marshaled bundle
 	StageStream              // FEC-framed coded byte stream
 	StageAudio               // modulated audio burst
 	numStages
@@ -68,6 +71,8 @@ const (
 // String names a stage for telemetry labels.
 func (s Stage) String() string {
 	switch s {
+	case StageRender:
+		return "render"
 	case StageBlob:
 		return "blob"
 	case StageStream:
@@ -79,7 +84,7 @@ func (s Stage) String() string {
 }
 
 // RenderFunc produces the bundle for a key's URL at its content epoch —
-// typically server.RenderPage behind the server's own render LRU.
+// the render stage's compute, run once per key fleet-wide.
 type RenderFunc func() (core.Bundle, error)
 
 // DefaultMaxBytes bounds the cache when NewChain is given 0. Modulated
@@ -99,12 +104,14 @@ type ckey struct {
 }
 
 // entry is one cached artifact. val and bytes are immutable once the
-// entry is published; used is the second-chance bit.
+// entry is published; used is the second-chance bit; el is the entry's
+// slot in the clock ring.
 type entry struct {
 	ck    ckey
 	val   any
 	bytes int64
 	used  atomic.Bool
+	el    *list.Element
 }
 
 // StageStats is one stage's counters in a Stats snapshot.
@@ -116,6 +123,7 @@ type StageStats struct {
 
 // Stats is a point-in-time snapshot of the chain's accounting.
 type Stats struct {
+	Render    StageStats `json:"render"`
 	Blob      StageStats `json:"blob"`
 	Stream    StageStats `json:"stream"`
 	Audio     StageStats `json:"audio"`
@@ -126,9 +134,10 @@ type Stats struct {
 }
 
 // Dedup returns how many stage computations the chain absorbed per one
-// it ran: (hits + coalesced + misses) / misses across all stages. 1.0
-// means no sharing; a 64-tower fleet airing one corpus approaches the
-// tower count.
+// it ran: (hits + coalesced + misses) / misses across the three per-tower
+// stages (blob, stream, audio; the render stage is asked for by requests,
+// not towers). 1.0 means no sharing; a 64-tower fleet airing one corpus
+// approaches the tower count.
 func (s Stats) Dedup() float64 {
 	var asked, ran int64
 	for _, st := range []StageStats{s.Blob, s.Stream, s.Audio} {
@@ -224,6 +233,7 @@ func (ch *Chain) Stats() Stats {
 		}
 	}
 	return Stats{
+		Render:    stage(StageRender),
 		Blob:      stage(StageBlob),
 		Stream:    stage(StageStream),
 		Audio:     stage(StageAudio),
@@ -234,11 +244,28 @@ func (ch *Chain) Stats() Stats {
 	}
 }
 
-// Blob returns the marshaled bundle blob for k, rendering via render on
-// a fleet-wide miss. The returned slice is shared; do not mutate.
+// Render returns the rendered bundle for k — stage 0, which every later
+// stage derives from — running render on a fleet-wide miss. The bundle's
+// slices are shared; do not mutate.
+func (ch *Chain) Render(k Key, render RenderFunc) (core.Bundle, error) {
+	v, err := ch.stage(StageRender, k, func() (any, int64, error) {
+		b, err := render()
+		if err != nil {
+			return nil, 0, err
+		}
+		return b, int64(len(b.Image) + len(b.ClickMap)), nil
+	})
+	if err != nil {
+		return core.Bundle{}, err
+	}
+	return v.(core.Bundle), nil
+}
+
+// Blob returns the marshaled bundle blob for k. The returned slice is
+// shared; do not mutate.
 func (ch *Chain) Blob(k Key, render RenderFunc) ([]byte, error) {
 	v, err := ch.stage(StageBlob, k, func() (any, int64, error) {
-		b, err := render()
+		b, err := ch.Render(k, render)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -355,7 +382,7 @@ func (ch *Chain) put(ck ckey, val any, bytes int64) {
 	e := &entry{ck: ck, val: val, bytes: bytes}
 	e.used.Store(true)
 	ch.entries[ck] = e
-	ch.ring.PushBack(e)
+	e.el = ch.ring.PushBack(e)
 	ch.bytes += bytes
 	evicted := 0
 	for ch.maxB > 0 && ch.bytes > ch.maxB && ch.ring.Len() > 1 {
@@ -392,11 +419,37 @@ func (ch *Chain) evictOne(keep *entry) {
 		if e.used.Swap(false) {
 			continue
 		}
-		ch.ring.Remove(el)
-		delete(ch.entries, e.ck)
-		ch.bytes -= e.bytes
+		ch.remove(e)
 		return
 	}
+}
+
+// remove unlinks one entry, stepping the clock hand off it first.
+// Callers hold ch.mu.
+func (ch *Chain) remove(e *entry) {
+	if ch.hand == e.el {
+		ch.hand = e.el.Next()
+	}
+	ch.ring.Remove(e.el)
+	delete(ch.entries, e.ck)
+	ch.bytes -= e.bytes
+}
+
+// Forget drops every cached stage of k — the owner's way to retire a
+// content epoch nobody will ask for again, so dead epochs do not sit in
+// the byte budget until the clock sweep finds them. A computation in
+// flight for k still publishes when it finishes.
+func (ch *Chain) Forget(k Key) {
+	ch.mu.Lock()
+	for st := Stage(0); st < numStages; st++ {
+		if e, ok := ch.entries[ckey{key: k, stage: st}]; ok {
+			ch.remove(e)
+		}
+	}
+	bytesNow, entriesNow := ch.bytes, len(ch.entries)
+	ch.mu.Unlock()
+	ch.gBytes.Set(float64(bytesNow))
+	ch.gEntries.Set(float64(entriesNow))
 }
 
 // Flush drops every cached artifact (benchmarks use it to re-measure
@@ -410,18 +463,4 @@ func (ch *Chain) Flush() {
 	ch.mu.Unlock()
 	ch.gBytes.Set(0)
 	ch.gEntries.Set(0)
-}
-
-// Len reports the number of cached artifacts across all stages.
-func (ch *Chain) Len() int {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return len(ch.entries)
-}
-
-// Bytes reports the cached artifact bytes.
-func (ch *Chain) Bytes() int64 {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.bytes
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sonic/internal/core"
+	"sonic/internal/frame"
 	"sonic/internal/telemetry"
 )
 
@@ -34,8 +35,8 @@ func newTestChain(t *testing.T, maxBytes int64) (*Chain, *core.Pipeline) {
 }
 
 // TestChainMatchesSerialPath pins every cached stage byte-identical to
-// the pre-existing serial per-tower path: MarshalBundle for the blob,
-// EncodePageStream for the coded stream, EncodePageAudio for the audio.
+// the serial per-tower path: MarshalBundle for the blob, chunk + FEC
+// framing for the coded stream, EncodePageAudio for the audio.
 func TestChainMatchesSerialPath(t *testing.T) {
 	ch, pipe := newTestChain(t, 0)
 	for i := 0; i < 4; i++ {
@@ -55,12 +56,12 @@ func TestChainMatchesSerialPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Stream: %v", err)
 		}
-		want, err := pipe.EncodePageStream(k.PageID, b)
+		want, err := pipe.Codec().EncodeStream(frame.Chunk(k.PageID, core.MarshalBundle(b)))
 		if err != nil {
-			t.Fatalf("EncodePageStream: %v", err)
+			t.Fatalf("EncodeStream: %v", err)
 		}
 		if !bytes.Equal(stream, want) {
-			t.Fatalf("page %d: stream differs from EncodePageStream", i)
+			t.Fatalf("page %d: stream differs from the serial chunk + FEC framing", i)
 		}
 
 		audio, err := ch.Audio(k, render)
@@ -155,7 +156,7 @@ func TestChainByteCapSecondChance(t *testing.T) {
 	}
 	for i := 0; i < 12; i++ {
 		get(i)
-		if b := ch.Bytes(); b > cap {
+		if b := ch.Stats().Bytes; b > cap {
 			t.Fatalf("after insert %d: %d cached bytes exceed cap %d", i, b, cap)
 		}
 	}
@@ -187,41 +188,42 @@ func TestChainSecondChanceKeepsHotEntry(t *testing.T) {
 		return func() (core.Bundle, error) { return testBundle(int64(i), 1000), nil }
 	}
 	// Learn the exact per-entry byte cost, then size the cap to hold
-	// three entries (all seeds are single-digit, so all blobs match).
+	// three entries (all seeds are single-digit, so all bundles match).
+	// The render stage keeps it to one entry per key.
 	probe, pipe := newTestChain(t, 0)
-	if _, err := probe.Blob(probe.Key("probe.pk/", 0, 1), compute(1)); err != nil {
+	if _, err := probe.Render(probe.Key("probe.pk/", 0, 1), compute(1)); err != nil {
 		t.Fatal(err)
 	}
-	size := probe.Bytes()
+	size := probe.Stats().Bytes
 	ch := NewChain(pipe, 3*size+size/2)
 
-	blob := func(i int) Key {
+	put := func(i int) Key {
 		k := ch.Key(fmt.Sprintf("k%d.pk/", i), 0, uint16(i))
-		if _, err := ch.Blob(k, compute(i)); err != nil {
+		if _, err := ch.Render(k, compute(i)); err != nil {
 			t.Fatal(err)
 		}
 		return k
 	}
-	blob(1) // A
-	b := blob(2)
-	c := blob(3)
+	put(1) // A
+	b := put(2)
+	c := put(3)
 	// D overflows: the sweep clears every used bit, laps, and evicts A.
-	blob(4)
-	if ch.Len() != 3 || ch.Stats().Evictions != 1 {
-		t.Fatalf("after first wave: %d entries, %d evictions (want 3, 1)", ch.Len(), ch.Stats().Evictions)
+	put(4)
+	if ch.Stats().Entries != 3 || ch.Stats().Evictions != 1 {
+		t.Fatalf("after first wave: %d entries, %d evictions (want 3, 1)", ch.Stats().Entries, ch.Stats().Evictions)
 	}
 	// Re-air B: its used bit is set again. C stays cold.
-	if _, ok := ch.get(ckey{key: b, stage: StageBlob}); !ok {
+	if _, ok := ch.get(ckey{key: b, stage: StageRender}); !ok {
 		t.Fatalf("B missing before second wave")
 	}
 	// E overflows again: the hand passes B (second chance), evicts C.
-	blob(5)
-	misses := ch.Stats().Blob.Misses
-	blob(2) // B must still be cached…
-	if got := ch.Stats().Blob.Misses; got != misses {
+	put(5)
+	misses := ch.Stats().Render.Misses
+	put(2) // B must still be cached…
+	if got := ch.Stats().Render.Misses; got != misses {
 		t.Fatalf("touched entry was evicted despite its second chance (misses %d -> %d)", misses, got)
 	}
-	if _, ok := ch.get(ckey{key: c, stage: StageBlob}); ok {
+	if _, ok := ch.get(ckey{key: c, stage: StageRender}); ok {
 		t.Fatalf("cold entry C survived the wave that should have taken it")
 	}
 }
@@ -249,6 +251,155 @@ func TestChainErrorNotCached(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("render called %d times, want 2", calls)
+	}
+}
+
+// TestRenderStageHerd pins stage 0's singleflight: a 32-goroutine herd
+// on one cold key runs the render once, and everyone shares the one
+// cached bundle. Run under -race.
+func TestRenderStageHerd(t *testing.T) {
+	ch, _ := newTestChain(t, 0)
+	k := ch.Key("herd.pk/", 1, 3)
+	var computes atomic.Int64
+	const herd = 32
+	got := make([]core.Bundle, herd)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < herd; i++ {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			start.Wait()
+			b, err := ch.Render(k, func() (core.Bundle, error) {
+				computes.Add(1)
+				return testBundle(5, 800), nil
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = b
+		}(i)
+	}
+	start.Done()
+	done.Wait()
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("herd rendered %d times, want 1", n)
+	}
+	st := ch.Stats().Render
+	if st.Misses != 1 || st.Hits+st.Coalesced != herd-1 {
+		t.Fatalf("render stage = %+v, want 1 miss and %d hits+coalesced", st, herd-1)
+	}
+	for i := 1; i < herd; i++ {
+		if &got[i].Image[0] != &got[0].Image[0] {
+			t.Fatalf("caller %d received a private bundle; renders must be shared", i)
+		}
+	}
+}
+
+// TestRenderStageEvictionAndErrors pins the rest of stage 0's contract:
+// a bundle the byte cap evicted is rendered again, byte-identical, and a
+// render that failed is not cached — the next ask renders afresh.
+func TestRenderStageEvictionAndErrors(t *testing.T) {
+	const cap = 4500 // holds ~4 of the ~1 KB bundles
+	ch, _ := newTestChain(t, cap)
+	var computes int
+	get := func(i int) core.Bundle {
+		b, err := ch.Render(ch.Key(fmt.Sprintf("p%02d.pk/", i), 0, uint16(i+1)), func() (core.Bundle, error) {
+			computes++
+			return testBundle(int64(i), 1000), nil
+		})
+		if err != nil {
+			t.Fatalf("Render(%d): %v", i, err)
+		}
+		return b
+	}
+	first := get(0)
+	for i := 1; i < 12; i++ {
+		get(i)
+		if b := ch.Stats().Bytes; b > cap {
+			t.Fatalf("after insert %d: %d cached bytes exceed cap %d", i, b, cap)
+		}
+	}
+	if ch.Stats().Evictions == 0 {
+		t.Fatal("no evictions under byte pressure")
+	}
+	before := computes
+	again := get(0)
+	if computes != before+1 {
+		t.Fatal("evicted bundle was not rendered again")
+	}
+	if !bytes.Equal(again.Image, first.Image) || !bytes.Equal(again.ClickMap, first.ClickMap) {
+		t.Fatal("re-rendered bundle differs")
+	}
+
+	k := ch.Key("flaky.pk/", 0, 99)
+	boom := errors.New("render down")
+	if _, err := ch.Render(k, func() (core.Bundle, error) { return core.Bundle{}, boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	b, err := ch.Render(k, func() (core.Bundle, error) { return testBundle(2, 300), nil })
+	if err != nil || len(b.Image) != 300 {
+		t.Fatalf("render after a failure: %d image bytes, err %v (the failure was cached)", len(b.Image), err)
+	}
+}
+
+// TestChainForget pins Forget: every stage of the key goes, nothing else
+// does, the byte accounting follows, and the clock hand survives losing
+// the entry it points at.
+func TestChainForget(t *testing.T) {
+	ch, _ := newTestChain(t, -1)
+	render := func(seed int64) RenderFunc {
+		return func() (core.Bundle, error) { return testBundle(seed, 300), nil }
+	}
+	old, kept := ch.Key("a.pk/", 1, 1), ch.Key("a.pk/", 2, 1)
+	for seed, k := range map[int64]Key{1: old, 2: kept} {
+		if _, err := ch.Audio(k, render(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ch.Stats().Entries; got != 2*int(numStages) {
+		t.Fatalf("%d entries cached, want %d", got, 2*int(numStages))
+	}
+	full := ch.Stats().Bytes
+	ch.Forget(old)
+	st := ch.Stats()
+	if st.Entries != int(numStages) || st.Bytes >= full || st.Bytes <= 0 {
+		t.Fatalf("after Forget: %d entries, %d of %d bytes", st.Entries, st.Bytes, full)
+	}
+	for stage := Stage(0); stage < numStages; stage++ {
+		if _, ok := ch.get(ckey{key: old, stage: stage}); ok {
+			t.Fatalf("stage %s of the forgotten key is still cached", stage)
+		}
+		if _, ok := ch.get(ckey{key: kept, stage: stage}); !ok {
+			t.Fatalf("stage %s of another epoch went with it", stage)
+		}
+	}
+	ch.Forget(old) // forgetting what is not there is a no-op
+	if got := ch.Stats(); got.Entries != st.Entries || got.Bytes != st.Bytes {
+		t.Fatalf("second Forget changed the cache: %+v -> %+v", st, got)
+	}
+
+	// Park the clock hand on an entry, forget that entry, keep evicting.
+	small, _ := newTestChain(t, 3500) // holds three of the ~1 KB bundles
+	key := func(i int) Key { return small.Key(fmt.Sprintf("h%d.pk/", i), 0, uint16(i)) }
+	put := func(i int) {
+		if _, err := small.Render(key(i), func() (core.Bundle, error) { return testBundle(int64(i), 1000), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 4; i++ { // the 4th insert evicts the 1st; the hand rests on the 2nd
+		put(i)
+	}
+	if small.hand == nil || small.hand.Value.(*entry).ck.key != key(2) {
+		t.Fatal("the clock hand is not where this test needs it")
+	}
+	small.Forget(key(2))
+	for i := 5; i <= 12; i++ {
+		put(i)
+		if b := small.Stats().Bytes; b > 3500 {
+			t.Fatalf("after insert %d: %d bytes over the cap", i, b)
+		}
 	}
 }
 

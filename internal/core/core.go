@@ -232,27 +232,19 @@ func (p *Pipeline) EncodePageAudio(pageID uint16, b Bundle) ([]float64, error) {
 	return p.modulateStream(sp, stream), nil
 }
 
-// EncodePageStream runs the transmit chain up to (not including) the
-// modem: the marshaled bundle is chunked into frames and FEC-framed into
-// the coded byte stream the modem would broadcast. It is the middle
-// stage of the artifact chain — callers that fan one page out to many
-// transmitters cache this stream once and modulate (or hand it to
-// hardware) per carrier.
-func (p *Pipeline) EncodePageStream(pageID uint16, b Bundle) ([]byte, error) {
-	sp := p.tel.StartSpan("core.encode_page_stream")
-	defer sp.End()
-	return p.encodeStream(sp, pageID, MarshalBundle(b))
-}
-
-// BlobStream is EncodePageStream over an already-marshaled bundle blob —
-// the allocation the artifact chain's blob stage has already paid.
+// BlobStream runs the transmit chain up to (not including) the modem
+// over a marshaled bundle blob: the blob is chunked into frames and
+// FEC-framed into the coded byte stream the modem would broadcast. It
+// is the middle stage of the artifact chain — callers that fan one page
+// out to many transmitters cache this stream once and modulate (or hand
+// it to hardware) per carrier.
 func (p *Pipeline) BlobStream(pageID uint16, blob []byte) ([]byte, error) {
 	sp := p.tel.StartSpan("core.encode_page_stream")
 	defer sp.End()
 	return p.encodeStream(sp, pageID, blob)
 }
 
-// ModulateStream turns a FEC-framed stream (EncodePageStream) into the
+// ModulateStream turns a FEC-framed stream (BlobStream) into the
 // broadcast audio burst — the final artifact stage. The result is
 // byte-identical to EncodePageAudio of the same bundle.
 func (p *Pipeline) ModulateStream(stream []byte) []float64 {

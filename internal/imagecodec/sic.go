@@ -2,7 +2,6 @@ package imagecodec
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -265,28 +264,9 @@ func aanFdct8(v *[8]float64) {
 	v[7] = z11 - z4
 }
 
-// fdctBlock applies the separable 2-D DCT to an 8x8 block.
-func fdctBlock(b *[64]float64) {
-	var row [8]float64
-	for y := 0; y < 8; y++ {
-		copy(row[:], b[y*8:y*8+8])
-		fdct8(&row)
-		copy(b[y*8:y*8+8], row[:])
-	}
-	for x := 0; x < 8; x++ {
-		for y := 0; y < 8; y++ {
-			row[y] = b[y*8+x]
-		}
-		fdct8(&row)
-		for y := 0; y < 8; y++ {
-			b[y*8+x] = row[y]
-		}
-	}
-}
-
-// idctBlock inverts fdctBlock. All-zero columns are left untouched: the
-// transform of a zero vector is +0 everywhere, which is what the block
-// already holds.
+// idctBlock applies the separable 2-D inverse DCT to an 8x8 block.
+// All-zero columns are left untouched: the transform of a zero vector is
+// +0 everywhere, which is what the block already holds.
 func idctBlock(b *[64]float64) {
 	var row [8]float64
 	for x := 0; x < 8; x++ {
@@ -316,10 +296,6 @@ func idctBlock(b *[64]float64) {
 type plane struct {
 	w, h int
 	pix  []float64
-}
-
-func newPlane(w, h int) *plane {
-	return &plane{w: w, h: h, pix: make([]float64, w*h)}
 }
 
 // planePool recycles plane backing stores across codec calls. Callers
@@ -366,16 +342,6 @@ func getBlocks(n int) []sicBlock {
 
 func putBlocks(b []sicBlock) {
 	blocksPool.Put(&b)
-}
-
-func (p *plane) at(x, y int) float64 {
-	if x >= p.w {
-		x = p.w - 1
-	}
-	if y >= p.h {
-		y = p.h - 1
-	}
-	return p.pix[y*p.w+x]
 }
 
 // blockSource feeds 8x8 centered blocks to the encoder. The two
@@ -736,153 +702,19 @@ func storeFlat(p *plane, v float64, bx, by int) {
 	}
 }
 
-// parseBlock unwinds one block's tokens into b (whose q must be zero on
-// entry for indices it does not set), returning the new DC predictor and
-// the number of non-zero AC coefficients.
-func parseBlock(c *byteCursor, b *sicBlock, prevDC int) (dc, nzAC int, err error) {
-	d, err := c.readVarint()
-	if err != nil {
-		return 0, 0, fmt.Errorf("imagecodec: truncated DC: %w", err)
-	}
-	dc = prevDC + d
-	b.q[0] = int32(dc)
-	idx := 1
-	for {
-		rb, err := c.readByte()
-		if err != nil {
-			return 0, 0, fmt.Errorf("imagecodec: truncated AC: %w", err)
-		}
-		if rb == 0xFF {
-			break
-		}
-		v, err := c.readVarint()
-		if err != nil {
-			return 0, 0, fmt.Errorf("imagecodec: truncated AC value: %w", err)
-		}
-		idx += int(rb)
-		if idx > 63 {
-			return 0, 0, errors.New("imagecodec: AC index overflow")
-		}
-		b.q[idx] = int32(v)
-		if v != 0 {
-			nzAC++
-		}
-		idx++
-	}
-	b.flat = nzAC == 0
-	return dc, nzAC, nil
-}
-
-// decodePlane reverses encodePlaneTokens. The DC prediction chain must
-// be unwound in order; with workers <= 1 parse, dequantize, IDCT, and
-// store are fused into one pass over a single scratch block, and with
-// workers > 1 the serial parse fills a block buffer whose
-// dequantize/IDCT/store stage runs in parallel — each block writes a
-// disjoint pixel region, so the reconstruction is identical for any
-// worker count. The returned plane comes from planePool.
-func decodePlane(c *byteCursor, w, h int, qt *[64]int, workers int) (*plane, error) {
-	bw := (w + 7) / 8
-	bh := (h + 7) / 8
-	var qz [64]int
-	for i := 0; i < 64; i++ {
-		qz[i] = qt[zigzag[i]]
-	}
-	p := getPlane(w, h)
-	if workers > 1 && bw*bh >= minParallelBlocks {
-		blocks := getBlocks(bw * bh)
-		prevDC := 0
-		for bi := range blocks {
-			b := &blocks[bi]
-			b.q = [64]int32{}
-			dc, _, err := parseBlock(c, b, prevDC)
-			if err != nil {
-				putBlocks(blocks)
-				putPlane(p)
-				return nil, err
-			}
-			prevDC = dc
-		}
-		dequantStoreBlocks(p, blocks, bw, qt, &qz, workers)
-		putBlocks(blocks)
-		return p, nil
-	}
-	// Fused serial path: tokens dequantize straight into one scratch
-	// block (zero coefficients write nothing, so the block stays all-zero
-	// between uses), re-zeroed only after a non-flat block dirties it.
-	var blk [64]float64
-	prevDC := 0
-	fail := func(err error) (*plane, error) {
-		putPlane(p)
-		return nil, err
-	}
-	for bi := 0; bi < bw*bh; bi++ {
-		by, bx := bi/bw, bi%bw
-		d, err := c.readVarint()
-		if err != nil {
-			return fail(fmt.Errorf("imagecodec: truncated DC: %w", err))
-		}
-		dc := prevDC + d
-		prevDC = dc
-		idx := 1
-		nzAC := 0
-		for {
-			rb, err := c.readByte()
-			if err != nil {
-				return fail(fmt.Errorf("imagecodec: truncated AC: %w", err))
-			}
-			if rb == 0xFF {
-				break
-			}
-			v, err := c.readVarint()
-			if err != nil {
-				return fail(fmt.Errorf("imagecodec: truncated AC value: %w", err))
-			}
-			idx += int(rb)
-			if idx > 63 {
-				return fail(errors.New("imagecodec: AC index overflow"))
-			}
-			if v != 0 {
-				blk[zigzag[idx]] = float64(v * qz[idx])
-				nzAC++
-			}
-			idx++
-		}
-		if nzAC == 0 {
-			// DC-only block: constant value, no inverse transform.
-			storeFlat(p, float64(dc*qt[0])/8+128, bx, by)
-			continue
-		}
-		blk[0] = float64(dc * qz[0])
-		idctBlock(&blk)
-		storeBlock(p, &blk, bx, by)
-		blk = [64]float64{}
-	}
-	return p, nil
-}
-
 // EncodeSIC compresses the raster at the given quality (0-95) using the
 // package-default worker count (SetWorkers, GOMAXPROCS if unset).
 func EncodeSIC(r *Raster, quality int) ([]byte, error) {
 	return EncodeSICWorkers(r, quality, 0)
 }
 
-type flateResetReader interface {
-	io.ReadCloser
-	flate.Resetter
-}
-
-var flateReaderPool = sync.Pool{New: func() any {
-	return flate.NewReader(bytes.NewReader(nil)).(flateResetReader)
-}}
-
 // EncodeSICWorkers is EncodeSIC with an explicit worker count for the
 // data-parallel stages (color conversion, per-plane token emission,
 // per-block DCT/quantize). workers <= 0 selects the package default. The
 // output is byte-identical for every worker count: each plane's DC
 // prediction chain restarts at zero, so the three planes encode
-// independently in a fixed order. Since bitstream v2 the emitted stream
-// is the packed per-plane layout described in sicv2.go; DecodeSIC
-// accepts both v1 and v2 streams.
+// independently in a fixed order. The emitted stream is bitstream v2,
+// the packed per-plane layout described in sicv2.go.
 func EncodeSICWorkers(r *Raster, quality, workers int) ([]byte, error) {
 	if r == nil || r.W < 1 || r.H < 1 {
 		return nil, ErrEmptyRaster
@@ -902,15 +734,15 @@ func DecodeSIC(data []byte) (*Raster, error) {
 // DecodeSICWorkers is DecodeSIC with an explicit worker count for the
 // data-parallel stages (dequantize/IDCT, color reassembly). workers <= 0
 // selects the package default. The reconstruction is identical for every
-// worker count. Both bitstream versions are accepted: v1 ("SIC1",
-// whole-stream flate over run-length tokens) and v2 ("SIC2", per-plane
-// flate over the packed layout in sicv2.go); any other version byte is
-// rejected explicitly.
+// worker count. The version byte is validated: only the emitted
+// generation — v2 ("SIC2", per-plane flate over the packed layout in
+// sicv2.go) — is decoded, and any other version byte, the retired v1
+// included, is rejected explicitly.
 func DecodeSICWorkers(data []byte, workers int) (*Raster, error) {
 	if len(data) < 13 || string(data[0:3]) != sicMagic[:3] {
 		return nil, errors.New("imagecodec: not a SIC stream")
 	}
-	if data[3] != '1' && data[3] != '2' {
+	if data[3] != '2' {
 		return nil, fmt.Errorf("imagecodec: unsupported SIC version %q", data[3])
 	}
 	w := int(binary.BigEndian.Uint32(data[4:8]))
@@ -919,68 +751,5 @@ func DecodeSICWorkers(data []byte, workers int) (*Raster, error) {
 	if w < 1 || h < 1 || w > 1<<15 || h > 1<<20 {
 		return nil, errors.New("imagecodec: implausible SIC dimensions")
 	}
-	workers = resolveWorkers(workers)
-	if data[3] == '2' {
-		return decodeSICV2(data[13:], w, h, quality, workers)
-	}
-	fr := flateReaderPool.Get().(flateResetReader)
-	if err := fr.Reset(bytes.NewReader(data[13:]), nil); err != nil {
-		flateReaderPool.Put(fr)
-		return nil, fmt.Errorf("imagecodec: flate: %w", err)
-	}
-	tp := getBytes()
-	tokens := (*tp)[:0]
-	var rerr error
-	for {
-		if len(tokens) == cap(tokens) {
-			tokens = append(tokens, 0)[:len(tokens)]
-		}
-		n, err := fr.Read(tokens[len(tokens):cap(tokens)])
-		tokens = tokens[:len(tokens)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			rerr = err
-			break
-		}
-	}
-	flateReaderPool.Put(fr)
-	if rerr != nil {
-		*tp = tokens
-		putBytes(tp)
-		return nil, fmt.Errorf("imagecodec: flate: %w", rerr)
-	}
-	c := &byteCursor{b: tokens}
-	finish := func() {
-		*tp = tokens
-		putBytes(tp)
-	}
-	lumaQT := quantTable(lumaQBase, quality)
-	chromaQT := quantTable(chromaQBase, quality)
-	yp, err := decodePlane(c, w, h, &lumaQT, workers)
-	if err != nil {
-		finish()
-		return nil, err
-	}
-	cw, ch := (w+1)/2, (h+1)/2
-	cbp, err := decodePlane(c, cw, ch, &chromaQT, workers)
-	if err != nil {
-		finish()
-		putPlane(yp)
-		return nil, err
-	}
-	crp, err := decodePlane(c, cw, ch, &chromaQT, workers)
-	if err != nil {
-		finish()
-		putPlane(yp)
-		putPlane(cbp)
-		return nil, err
-	}
-	finish()
-	out := fromYCbCr(yp, cbp, crp, workers)
-	putPlane(yp)
-	putPlane(cbp)
-	putPlane(crp)
-	return out, nil
+	return decodeSICV2(data[13:], w, h, quality, resolveWorkers(workers))
 }

@@ -9,47 +9,44 @@ import (
 	"testing"
 )
 
-// Cross-version compatibility suite. testdata/sic_v1 and testdata/sic_v2
-// hold golden bitstreams (one per equivalence raster × quality) with the
-// raw RGB pixels each must decode to. The v1 streams were produced by
-// the frozen v1 reference encoder before the v2 bump; the decoder must
-// keep accepting them bit-identically forever — receivers in the field
-// cache pages across server upgrades. The v2 streams pin the current
-// format against the frozen v2 reference. Regenerate (only after a
-// deliberate format change, alongside its version bump) with:
+// Bitstream compatibility suite. testdata/sic_v2 holds golden bitstreams
+// of the live format (one per equivalence raster × quality) with the raw
+// RGB pixels each must decode to, produced by the frozen v2 reference.
+// Only emitted generations are decoded: v1, which no encoder has emitted
+// since the v2 bump and nothing persists, is rejected by the version
+// gate like any unknown byte. Regenerate (only after a deliberate format
+// change, alongside its version bump) with:
 //
 //	SIC_GOLDEN_REGEN=1 go test ./internal/imagecodec -run TestSICGolden
 
 var goldenQualities = []int{0, 10, 50, 95}
 
-// goldenStream returns the checked-in paths for one (version, raster,
-// quality) cell.
-func goldenStream(version, name string, q int) (sicPath, pixPath string) {
-	dir := filepath.Join("testdata", "sic_"+version)
+// goldenStream returns the checked-in paths for one (raster, quality)
+// cell.
+func goldenStream(name string, q int) (sicPath, pixPath string) {
+	dir := filepath.Join("testdata", "sic_v2")
 	return filepath.Join(dir, fmt.Sprintf("%s_q%d.sic", name, q)),
 		filepath.Join(dir, fmt.Sprintf("%s_q%d.pix", name, q))
 }
 
-// regenGolden rewrites one version's golden set from the frozen
-// reference codec pair, never from the live one.
-func regenGolden(t *testing.T, version string,
-	enc func(*Raster, int) ([]byte, error), dec func([]byte) (*Raster, error)) {
+// regenGolden rewrites the golden set from the frozen reference codec
+// pair, never from the live one.
+func regenGolden(t *testing.T) {
 	t.Helper()
-	dir := filepath.Join("testdata", "sic_"+version)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join("testdata", "sic_v2"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	for name, src := range equivRasters() {
 		for _, q := range goldenQualities {
-			blob, err := enc(src, q)
+			blob, err := refEncodeSICv2(src, q)
 			if err != nil {
-				t.Fatalf("%s %s q=%d: encode: %v", version, name, q, err)
+				t.Fatalf("%s q=%d: encode: %v", name, q, err)
 			}
-			pix, err := dec(blob)
+			pix, err := refDecodeSICv2(blob)
 			if err != nil {
-				t.Fatalf("%s %s q=%d: decode: %v", version, name, q, err)
+				t.Fatalf("%s q=%d: decode: %v", name, q, err)
 			}
-			sicPath, pixPath := goldenStream(version, name, q)
+			sicPath, pixPath := goldenStream(name, q)
 			if err := os.WriteFile(sicPath, blob, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -58,31 +55,30 @@ func regenGolden(t *testing.T, version string,
 			}
 		}
 	}
-	t.Logf("regenerated testdata/sic_%s", version)
+	t.Log("regenerated testdata/sic_v2")
 }
 
 // regenFuzzCorpus writes the FuzzSICDecode seed corpus in Go's corpus
-// file format: intact streams of both generations plus the mutations
-// most likely to probe the version gate and framing, so a CI fuzz smoke
-// starts from real bitstreams rather than rediscovering the header.
+// file format: an intact stream plus the mutations most likely to probe
+// the version gate and framing, so a CI fuzz smoke starts from a real
+// bitstream rather than rediscovering the header.
 func regenFuzzCorpus(t *testing.T) {
 	t.Helper()
 	dir := filepath.Join("testdata", "fuzz", "FuzzSICDecode")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	entries := map[string][]byte{}
-	for _, version := range []string{"v1", "v2"} {
-		sicPath, _ := goldenStream(version, "odd", 10)
-		blob, err := os.ReadFile(sicPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries[version+"_odd_q10"] = blob
-		entries[version+"_truncated"] = blob[:len(blob)/3]
-		mut := bytes.Clone(blob)
-		mut[3] = '9'
-		entries[version+"_badversion"] = mut
+	sicPath, _ := goldenStream("odd", 10)
+	blob, err := os.ReadFile(sicPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut := bytes.Clone(blob)
+	mut[3] = '9'
+	entries := map[string][]byte{
+		"v2_odd_q10":    blob,
+		"v2_truncated":  blob[:len(blob)/3],
+		"v2_badversion": mut,
 	}
 	for name, data := range entries {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
@@ -93,45 +89,37 @@ func regenFuzzCorpus(t *testing.T) {
 	t.Logf("regenerated %s (%d entries)", dir, len(entries))
 }
 
-// TestSICGoldenStreams decodes every checked-in stream of both bitstream
-// generations through the live decoder (serial and parallel) and demands
-// the exact golden pixels.
+// TestSICGoldenStreams decodes every checked-in stream through the live
+// decoder (serial and parallel) and demands the exact golden pixels.
 func TestSICGoldenStreams(t *testing.T) {
 	if os.Getenv("SIC_GOLDEN_REGEN") != "" {
-		regenGolden(t, "v1",
-			func(r *Raster, q int) ([]byte, error) { return refEncodeSIC(r, q) },
-			refDecodeSIC)
-		regenGolden(t, "v2",
-			func(r *Raster, q int) ([]byte, error) { return refEncodeSICv2(r, q) },
-			refDecodeSICv2)
+		regenGolden(t)
 		regenFuzzCorpus(t)
 	}
-	for _, version := range []string{"v1", "v2"} {
-		for name := range equivRasters() {
-			for _, q := range goldenQualities {
-				sicPath, pixPath := goldenStream(version, name, q)
-				blob, err := os.ReadFile(sicPath)
+	for name := range equivRasters() {
+		for _, q := range goldenQualities {
+			sicPath, pixPath := goldenStream(name, q)
+			blob, err := os.ReadFile(sicPath)
+			if err != nil {
+				t.Fatalf("golden stream missing (run SIC_GOLDEN_REGEN=1 after a format change): %v", err)
+			}
+			wantPix, err := os.ReadFile(pixPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if blob[3] != '2' {
+				t.Fatalf("%s: version byte %q, want '2'", sicPath, blob[3])
+			}
+			for _, wk := range []int{1, 4} {
+				r, err := DecodeSICWorkers(blob, wk)
 				if err != nil {
-					t.Fatalf("golden stream missing (run SIC_GOLDEN_REGEN=1 after a format change): %v", err)
+					t.Fatalf("%s (workers=%d): decode: %v", sicPath, wk, err)
 				}
-				wantPix, err := os.ReadFile(pixPath)
-				if err != nil {
-					t.Fatal(err)
+				if len(r.Pix) != 3*r.W*r.H {
+					t.Fatalf("%s: inconsistent raster %dx%d with %d pixel bytes", sicPath, r.W, r.H, len(r.Pix))
 				}
-				if got, want := blob[3], version[1]; got != want {
-					t.Fatalf("%s: version byte %q, want %q", sicPath, got, want)
-				}
-				for _, wk := range []int{1, 4} {
-					r, err := DecodeSICWorkers(blob, wk)
-					if err != nil {
-						t.Fatalf("%s (workers=%d): decode: %v", sicPath, wk, err)
-					}
-					if len(r.Pix) != 3*r.W*r.H {
-						t.Fatalf("%s: inconsistent raster %dx%d with %d pixel bytes", sicPath, r.W, r.H, len(r.Pix))
-					}
-					if !bytes.Equal(r.Pix, wantPix) {
-						t.Fatalf("%s (workers=%d): decoded pixels differ from golden", sicPath, wk)
-					}
+				if !bytes.Equal(r.Pix, wantPix) {
+					t.Fatalf("%s (workers=%d): decoded pixels differ from golden", sicPath, wk)
 				}
 			}
 		}
@@ -139,9 +127,10 @@ func TestSICGoldenStreams(t *testing.T) {
 }
 
 // TestSICVersionByteValidation pins the decoder's version gate: only the
-// '1' and '2' generation bytes are accepted, and everything else fails
-// up front with the unsupported-version error rather than being parsed
-// as some other generation's body.
+// emitted generation byte '2' is accepted, and everything else — the
+// retired '1' included — fails closed up front with the
+// unsupported-version error rather than being parsed as some other
+// generation's body.
 func TestSICVersionByteValidation(t *testing.T) {
 	src := equivRasters()["noise"]
 	enc, err := EncodeSIC(src, 50)
@@ -151,43 +140,31 @@ func TestSICVersionByteValidation(t *testing.T) {
 	if enc[3] != '2' {
 		t.Fatalf("current encoder emitted version byte %q, want '2'", enc[3])
 	}
-	for _, bad := range []byte{'0', '3', 'A', 0x00, 0xFF} {
+	for _, bad := range []byte{'0', '1', '3', 'A', 0x00, 0xFF} {
 		mut := bytes.Clone(enc)
 		mut[3] = bad
-		if _, err := DecodeSIC(mut); err == nil {
-			t.Fatalf("version byte %#x: decode accepted an unknown generation", bad)
-		} else if !strings.Contains(err.Error(), "version") {
-			t.Fatalf("version byte %#x: error %q does not name the version gate", bad, err)
-		}
-	}
-	// A v1 body mislabeled as v2 (and vice versa) must fail or decode —
-	// never panic — even though the framing is nonsense for the claimed
-	// generation; crossGen exists to exercise that path deterministically.
-	v1Blob, _ := refEncodeSIC(src, 50)
-	for _, crossGen := range [][]byte{v1Blob, enc} {
-		mut := bytes.Clone(crossGen)
-		if mut[3] == '1' {
-			mut[3] = '2'
-		} else {
-			mut[3] = '1'
-		}
-		if _, err := DecodeSIC(mut); err == nil {
-			t.Logf("cross-generation body decoded by accident (legal but surprising)")
+		for _, wk := range []int{1, 3} {
+			if _, err := DecodeSICWorkers(mut, wk); err == nil {
+				t.Fatalf("version byte %#x (workers=%d): decode accepted an unknown generation", bad, wk)
+			} else if !strings.Contains(err.Error(), "version") {
+				t.Fatalf("version byte %#x (workers=%d): error %q does not name the version gate", bad, wk, err)
+			}
 		}
 	}
 }
 
-// FuzzSICDecode throws arbitrary bytes at the version-dispatching SIC
-// decoder. The seed corpus spans both bitstream generations (every
-// golden stream) plus degenerate headers. The decoder must never panic,
+// FuzzSICDecode throws arbitrary bytes at the SIC decoder. The seed
+// corpus is golden streams of the live format at two qualities plus
+// degenerate headers (a bare v1 header among them: the retired
+// generation must fail closed). The decoder must never panic,
 // must return consistent raster geometry on success, and the parallel
 // decoder must agree with the serial one on both the verdict and the
 // pixels — the fuzzer doubles as a differential harness for the two
 // implementations.
 func FuzzSICDecode(f *testing.F) {
-	for _, version := range []string{"v1", "v2"} {
+	for _, q := range []int{10, 50} {
 		for name := range equivRasters() {
-			sicPath, _ := goldenStream(version, name, 10)
+			sicPath, _ := goldenStream(name, q)
 			if blob, err := os.ReadFile(sicPath); err == nil {
 				f.Add(blob)
 			}

@@ -161,6 +161,27 @@ func TestSICTruncatedStream(t *testing.T) {
 	}
 }
 
+// fdctBlock applies the separable 2-D forward DCT to an 8x8 block — the
+// inverse of idctBlock, which is all the decoder needs; the encoder runs
+// the integer AAN transform instead.
+func fdctBlock(b *[64]float64) {
+	var row [8]float64
+	for y := 0; y < 8; y++ {
+		copy(row[:], b[y*8:y*8+8])
+		fdct8(&row)
+		copy(b[y*8:y*8+8], row[:])
+	}
+	for x := 0; x < 8; x++ {
+		for y := 0; y < 8; y++ {
+			row[y] = b[y*8+x]
+		}
+		fdct8(&row)
+		for y := 0; y < 8; y++ {
+			b[y*8+x] = row[y]
+		}
+	}
+}
+
 func TestDCTRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var blk, orig [64]float64

@@ -18,8 +18,8 @@ import (
 // decoder is float and untouched: the quantizer emits plain integers
 // and the bitstream cannot tell which arithmetic produced them. The v2
 // encoder is pinned byte-identical to the frozen reference copy in
-// sic_equiv_test.go, and statistically (PSNR/size) against the v1 float
-// reference, per the PR 4 precedent.
+// sic_equiv_test.go, and statistically (PSNR/size) against the recorded
+// figures of the v1 float reference, per the PR 4 precedent.
 
 // lumaFixShift is the color-transform fixed-point scale (16.16).
 const lumaFixShift = 16

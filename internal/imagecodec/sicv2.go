@@ -41,9 +41,9 @@ import (
 // A block whose quantized ACs are all zero is flat *for entropy
 // purposes* regardless of how it was loaded: the decoder reconstructs a
 // DC-only block as a constant fill either way, so v2 folds those blocks
-// into the flat-run alphabet. The quantized coefficients are produced by
-// exactly the same load/DCT/quantize code as v1, so a v2 stream decodes
-// to pixels bit-identical to its v1 counterpart's.
+// into the flat-run alphabet. The quantized coefficients are the ones v1
+// carried — the bump changed the entropy stage only — and v1 itself is
+// retired: DecodeSIC rejects its version byte.
 const sicMagicV2 = "SIC2"
 
 const (
@@ -429,9 +429,9 @@ func uvarintLen(u uint64) int {
 }
 
 // dequantStoreBlocks runs the data-parallel back half of plane decoding
-// — dequantize, inverse DCT, store — over parsed blocks. Shared by the
-// v1 and v2 parallel decode paths; each block writes a disjoint pixel
-// region, so reconstruction is identical for any worker count.
+// — dequantize, inverse DCT, store — over parsed blocks. Each block
+// writes a disjoint pixel region, so reconstruction is identical for any
+// worker count.
 func dequantStoreBlocks(p *plane, blocks []sicBlock, bw int, qt *[64]int, qz *[64]int, workers int) {
 	parallelFor(workers, len(blocks), func(lo, hi int) {
 		var blk [64]float64
@@ -692,6 +692,15 @@ func decodePlaneV2(c *byteCursor, w, h int, qt *[64]int, workers int) (*plane, e
 	}
 	return p, nil
 }
+
+type flateResetReader interface {
+	io.ReadCloser
+	flate.Resetter
+}
+
+var flateReaderPool = sync.Pool{New: func() any {
+	return flate.NewReader(bytes.NewReader(nil)).(flateResetReader)
+}}
 
 // inflatePlaneV2 inflates one plane segment into a pooled buffer.
 func inflatePlaneV2(comp []byte) (*[]byte, error) {

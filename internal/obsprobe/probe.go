@@ -64,7 +64,7 @@ func Run(reg *telemetry.Registry) error {
 	if _, err := srv.EnqueuePage(url, 24.87, 67.01, now); err != nil {
 		return fmt.Errorf("obsprobe: enqueue: %w", err)
 	}
-	if _, _, _, ok := srv.DequeuePage("tx-probe"); !ok {
+	if _, _, _, ok := srv.DequeuePageAt("tx-probe", now); !ok {
 		return fmt.Errorf("obsprobe: dequeue returned empty queue")
 	}
 
@@ -115,7 +115,7 @@ func Run(reg *telemetry.Registry) error {
 		return fmt.Errorf("obsprobe: sms request: %w", err)
 	}
 	smsc.Advance(now.Add(3 * time.Second)) // deliver request; server queues + acks
-	gotURL, _, reqBundle, ok := srv.DequeuePage("tx-probe")
+	gotURL, _, reqBundle, ok := srv.DequeuePageAt("tx-probe", now.Add(3*time.Second))
 	if !ok || gotURL != reqURL {
 		return fmt.Errorf("obsprobe: sms-requested page not queued (got %q ok=%v)", gotURL, ok)
 	}

@@ -55,7 +55,7 @@ func TestAdmissionHerdRendersOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.Admit(url, 24.87, 67.01, now); err != nil {
+			if _, err := s.EnqueuePage(url, 24.87, 67.01, now); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -104,11 +104,11 @@ func TestAdmissionAttachToPending(t *testing.T) {
 
 	now := time.Unix(0, 0)
 	url := corpus.Pages()[0].URL
-	if _, err := s.Admit(url, 24.87, 67.01, now); err != nil {
+	if _, err := s.EnqueuePage(url, 24.87, 67.01, now); err != nil {
 		t.Fatal(err)
 	}
 	s.FlushAdmission()
-	if _, err := s.Admit(url, 24.87, 67.01, now.Add(time.Second)); err != nil {
+	if _, err := s.EnqueuePage(url, 24.87, 67.01, now.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	s.FlushAdmission()
@@ -171,7 +171,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			url := corpus.Pages()[i%len(corpus.Pages())].URL
-			_, err := s.Admit(url, 24.87, 67.01, t0)
+			_, err := s.EnqueuePage(url, 24.87, 67.01, t0)
 			if err != nil && !errors.Is(err, admission.ErrSaturated) {
 				t.Errorf("unexpected error: %v", err)
 			}
@@ -207,7 +207,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 
 	// Draining the shard reopens admission.
 	s.FlushAdmission()
-	if _, err := s.Admit("after.example/", 24.87, 67.01, t0.Add(time.Minute)); err != nil {
+	if _, err := s.EnqueuePage("after.example/", 24.87, 67.01, t0.Add(time.Minute)); err != nil {
 		t.Errorf("post-flush admit rejected: %v", err)
 	}
 }
@@ -223,7 +223,7 @@ func TestPushPopularTracksDemand(t *testing.T) {
 
 	// Karachi users hammer the cold page; Lahore stays quiet.
 	for i := 0; i < 5; i++ {
-		if _, err := s.Admit(coldURL, 24.87, 67.01, now); err != nil {
+		if _, err := s.EnqueuePage(coldURL, 24.87, 67.01, now); err != nil {
 			t.Fatal(err)
 		}
 	}

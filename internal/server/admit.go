@@ -9,13 +9,16 @@ import (
 	"sonic/internal/telemetry"
 )
 
-// The batched admission path. HandleSMS (and Admit, its API twin) hands
-// requests to the admission stage instead of rendering inline; the
-// stage coalesces identical (URL, tower, effective-hour) requests and
-// flushes batches into admitBatch, which renders once and queues once
-// for the whole herd. The caller's ack carries an estimated ETA built
-// from O(1) queue byte accounting plus the running mean bundle size —
-// no render on the reply path.
+// The request path. Every ingress — HandleSMS, EnqueuePage, PushPopular
+// — reaches a tower queue through admitBatch, the admission sink: one
+// render and one queue entry per (URL, tower, effective hour), however
+// many requests ride on it. With admission enabled, requests first wait
+// in the admission stage, which coalesces identical ones and flushes
+// batches into the sink off the caller's goroutine; the caller's ack
+// then carries an estimated ETA built from O(1) queue byte accounting
+// plus the running mean bundle size — no render on the reply path. With
+// admission off, each request is a batch of one flushed at once on the
+// caller's goroutine.
 
 // defaultBundleEstimate seeds the ETA estimate before any page has been
 // marshaled (roughly a mid-sized SIC bundle).
@@ -51,23 +54,13 @@ func (s *Server) estimateETA(tx Transmitter) time.Duration {
 	return time.Duration(sec * float64(time.Second))
 }
 
-// Admit routes a request through the batched admission stage: O(1),
-// never renders, returns an estimated ETA. A saturated shard returns a
-// *admission.SaturatedError (errors.Is admission.ErrSaturated) with a
-// retry-after hint. Without admission enabled it falls back to the
-// synchronous EnqueuePage path.
-func (s *Server) Admit(url string, lat, lon float64, now time.Time) (time.Duration, error) {
-	tr := s.lc.BeginAt(url, "api", now)
-	if s.admit == nil {
-		tr.StampAt(telemetry.StageAdmitted, now)
-		return s.enqueueTraced(url, lat, lon, now, tr)
-	}
-	return s.admitTraced(url, lat, lon, now, tr)
-}
-
-// admitTraced is Admit with the caller's lifecycle trace: routes the
-// tower, submits to the admission stage, and stamps admitted on accept
-// or aborts the trace on reject.
+// admitTraced is the front half of every request: route the tower,
+// resolve the content epoch, then either submit to the admission stage
+// (reply with an estimate; the batch flushes later) or, with admission
+// off, flush a batch of one through the sink right here. The trace is
+// stamped admitted on accept and aborted on reject. A saturated shard
+// returns a *admission.SaturatedError (errors.Is admission.ErrSaturated)
+// with a retry-after hint.
 func (s *Server) admitTraced(url string, lat, lon float64, now time.Time, tr *telemetry.Trace) (time.Duration, error) {
 	tx, ok := s.transmitterFor(lat, lon)
 	if !ok {
@@ -77,6 +70,14 @@ func (s *Server) admitTraced(url string, lat, lon float64, now time.Time, tr *te
 	}
 	s.noteNow(now)
 	eff := corpus.EffectiveHour(s.refFor(url), s.hourAt(now))
+	if s.admit == nil {
+		tr.StampAt(telemetry.StageAdmitted, now)
+		b := admission.Batch{URL: url, Tower: tx.ID, EffHour: eff, Now: now, Count: 1}
+		if tr != nil {
+			b.Traces = []*telemetry.Trace{tr}
+		}
+		return s.admitBatch(b)
+	}
 	if _, err := s.admit.Submit(admission.Request{
 		URL: url, Tower: tx.ID, EffHour: eff, Now: now, Trace: tr,
 	}); err != nil {
@@ -87,34 +88,39 @@ func (s *Server) admitTraced(url string, lat, lon float64, now time.Time, tr *te
 	return s.estimateETA(tx), nil
 }
 
-// admitBatch is the admission sink: one render + one queue entry for
-// every coalesced batch. It runs on an admission flush worker (or a
-// Flush caller) with no shard lock held during the render. If the
-// page is already waiting on the tower at the same content epoch, the
-// batch attaches to the queued entry — the second stage of
+// admitBatch is the admission sink, the only code that puts a page on a
+// tower queue: one render + one queue entry for every batch. It runs on
+// an admission flush worker, a Flush caller, or (admission off, and
+// PushPopular) the requesting goroutine, with no shard lock held during
+// the render. If the page is already waiting on the tower at the same
+// content epoch, the batch rides the queued entry — the second stage of
 // whole-request coalescing — instead of scheduling a duplicate
-// broadcast.
-func (s *Server) admitBatch(b admission.Batch) {
+// broadcast. It returns the time until the page has been fully
+// broadcast: airtime of everything queued ahead plus the page itself
+// (for a rider, of the queue as it stands), divided across the
+// station's parallel frequencies.
+func (s *Server) admitBatch(b admission.Batch) (time.Duration, error) {
 	tx, ok := s.topo.Load().byID[b.Tower]
 	if !ok {
 		for _, tr := range b.Traces {
 			tr.Abort(b.Now, "transmitter removed")
 		}
-		return
+		return 0, ErrNoCoverage
 	}
 	for _, tr := range b.Traces {
 		tr.StampAt(telemetry.StageRenderStart, b.Now)
 	}
 	renderT0 := time.Now()
-	bundle, err := s.RenderPage(b.URL, b.Now)
+	bundle, err := s.renderAt(b.URL, s.refFor(b.URL), s.hourAt(b.Now), b.EffHour)
 	if err != nil {
 		for _, tr := range b.Traces {
 			tr.Abort(b.Now, "render: "+err.Error())
 		}
-		return
+		return 0, err
 	}
 	// Wall-clock render cost projected into the batch's (possibly
-	// simulated) clock domain, same as the synchronous path.
+	// simulated) clock domain, so a simulated timeline still shows the
+	// real render cost.
 	rendered := b.Now.Add(time.Since(renderT0))
 	for _, tr := range b.Traces {
 		tr.StampAt(telemetry.StageRenderDone, rendered)
@@ -127,6 +133,7 @@ func (s *Server) admitBatch(b admission.Batch) {
 	sh.mu.Lock()
 	s.noteNow(b.Now)
 	tq := sh.queue(tx.ID)
+	airBytes := tq.bytes
 	if qp := tq.pending[b.URL]; qp != nil && qp.EffHour == b.EffHour {
 		qp.Count += b.Count
 		qp.Traces = append(qp.Traces, b.Traces...)
@@ -142,14 +149,19 @@ func (s *Server) admitBatch(b admission.Batch) {
 			Count:    b.Count,
 			Traces:   b.Traces,
 		})
+		airBytes += blobLen
 		s.mEnqueued.Inc()
 	}
-	sh.bumpDemand(tx.ID, b.URL, float64(b.Count))
+	if b.Count > 0 {
+		sh.bumpDemand(tx.ID, b.URL, float64(b.Count))
+	}
 	s.recordQueueDepth(sh, tx.ID)
 	sh.mu.Unlock()
 	for _, tr := range b.Traces {
 		tr.StampAt(telemetry.StageEnqueued, rendered)
 	}
+	eta := s.pipeline.AirtimeSeconds(airBytes) / float64(tx.FrequencyCount())
+	return time.Duration(eta * float64(time.Second)), nil
 }
 
 // FlushAdmission synchronously drains the admission stage on the
@@ -160,9 +172,8 @@ func (s *Server) FlushAdmission() {
 }
 
 // FlushAdmissionConcurrent drains the admission stage with the shards
-// spread over up to workers goroutines, so the batch sink (render +
-// enqueue, already safe under the background flush workers' shard
-// concurrency) can use multiple cores. The multi-core variant of
+// spread over up to workers goroutines, so the sink (render + enqueue,
+// safe under concurrent callers) can use multiple cores. The multi-core variant of
 // FlushAdmission for clock-driven simulations.
 func (s *Server) FlushAdmissionConcurrent(workers int) {
 	s.admit.FlushConcurrent(workers)

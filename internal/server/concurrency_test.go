@@ -48,7 +48,7 @@ func TestConcurrentServerUse(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				s.DequeuePage("khi-1")
+				s.DequeuePageAt("khi-1", now)
 				s.QueueDepth("khi-1")
 				reg.Snapshot()
 			}
@@ -65,15 +65,27 @@ func TestConcurrentServerUse(t *testing.T) {
 	if got < wantRenders {
 		t.Errorf("render counter total = %d, want >= %d", got, wantRenders)
 	}
-	if snap.Counters["server_pages_enqueued_total"] != int64(workers*20) {
-		t.Errorf("enqueued = %d, want %d", snap.Counters["server_pages_enqueued_total"], workers*20)
+	// A request for a page still pending on the tower rides that
+	// broadcast instead of queueing a duplicate, so pushes + rides add up
+	// to the requests.
+	if got := snap.Counters["server_pages_enqueued_total"] + snap.Counters["server_enqueue_coalesced_total"]; got != int64(workers*20) {
+		t.Errorf("enqueued + coalesced = %d, want %d", got, workers*20)
 	}
 	if requests, hits := snap.Counters["server_sms_requests_total"], snap.Counters["server_render_cache_hits_total"]; requests != 0 || hits < int64(len(urls)) {
 		t.Errorf("counters = (%d, %d) inconsistent with workload", requests, hits)
 	}
-	// Every enqueue began a lifecycle trace and every dequeue stamped it
-	// on-air; under -race this also proves trace stamping is thread-safe.
+	// Every enqueue began a lifecycle trace and every dequeue stamped the
+	// traces riding it on-air; under -race this also proves trace
+	// stamping is thread-safe.
 	if snap.Counters["lifecycle_requests_total"] != int64(workers*20) {
 		t.Errorf("lifecycle requests = %d, want %d", snap.Counters["lifecycle_requests_total"], workers*20)
+	}
+	for {
+		if _, _, _, ok := s.DequeuePageAt("khi-1", now); !ok {
+			break
+		}
+	}
+	if got := reg.Snapshot().Counters["lifecycle_on_air_total"]; got != int64(workers*20) {
+		t.Errorf("on-air traces = %d, want %d (a rider lost its broadcast)", got, workers*20)
 	}
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
 	"sonic/internal/artifact"
@@ -10,7 +8,7 @@ import (
 	"sonic/internal/corpus"
 )
 
-// Fleet audio path: every transmitter drain resolves its downstream
+// Fleet audio path: every transmitter dequeue resolves its downstream
 // artifacts — marshaled blob, FEC-framed stream, modulated audio —
 // through the server's content-addressed artifact chain instead of
 // re-encoding per tower. The chain is keyed by (URL, effective hour,
@@ -23,21 +21,18 @@ import (
 // coalesced waiters per stage, byte/entry footprint, evictions).
 func (s *Server) ArtifactStats() artifact.Stats { return s.chain.Stats() }
 
-// FlushArtifacts drops every cached downstream artifact. Benchmarks use
-// it to re-measure the cold path; the render LRU is separate
-// (FlushRenderCache).
-func (s *Server) FlushArtifacts() { s.chain.Flush() }
-
 // PageAudio renders a URL at the given simulation time and returns its
 // modulated baseband audio via the fleet artifact chain. The returned
 // slice is shared across towers — callers must not mutate it.
 func (s *Server) PageAudio(url string, now time.Time) ([]float64, error) {
-	ref := s.refFor(url)
-	eff := corpus.EffectiveHour(ref, s.hourAt(now))
+	ref, hour := s.refFor(url), s.hourAt(now)
+	eff := corpus.EffectiveHour(ref, hour)
+	b, err := s.renderAt(url, ref, hour, eff)
+	if err != nil {
+		return nil, err
+	}
 	k := s.chain.Key(url, eff, s.pageIDFor(url))
-	return s.chain.Audio(k, func() (core.Bundle, error) {
-		return s.RenderPage(url, now)
-	})
+	return s.chain.Audio(k, func() (core.Bundle, error) { return b, nil })
 }
 
 // DequeueAudioAt pops the next page queued on a transmitter and
@@ -59,63 +54,4 @@ func (s *Server) DequeueAudioAt(transmitterID string, at time.Time) (url string,
 		return head.URL, nil, true, err
 	}
 	return head.URL, audio, true, nil
-}
-
-// FleetDrain summarizes one DrainAudio sweep.
-type FleetDrain struct {
-	Pages        int   // transmissions produced across the fleet
-	AudioSamples int64 // total baseband samples handed to towers
-}
-
-// DrainAudio drains every transmitter queue to exhaustion through the
-// artifact chain on a bounded worker pool — the fleet engine's server-
-// side entry point, replacing the serial per-tower drain loop. Each
-// tower's queue is drained in FIFO order on one goroutine (per-tower
-// order is preserved); towers proceed concurrently, and the chain's
-// per-stage singleflight pipelines the work so one tower can modulate
-// while another is still marshaling. workers <= 0 means GOMAXPROCS.
-func (s *Server) DrainAudio(workers int, at time.Time) (FleetDrain, error) {
-	towers := s.Transmitters()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(towers) && len(towers) > 0 {
-		workers = len(towers)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var drain FleetDrain
-	var firstErr error
-	for _, tx := range towers {
-		wg.Add(1)
-		go func(txID string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pages, samples := 0, int64(0)
-			for {
-				_, audio, ok, err := s.DequeueAudioAt(txID, at)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				if !ok {
-					break
-				}
-				pages++
-				samples += int64(len(audio))
-			}
-			mu.Lock()
-			drain.Pages += pages
-			drain.AudioSamples += samples
-			mu.Unlock()
-		}(tx.ID)
-	}
-	wg.Wait()
-	return drain, firstErr
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -19,8 +20,8 @@ func testPipeline() (*core.Pipeline, error) {
 // asserts the miss was coalesced into exactly one render: one
 // server_render_cache_misses_total, every other caller counted as a hit
 // (direct or coalesced), and every caller handed the same bundle. Run
-// under -race this also proves the singleflight + LRU path is data-race
-// free.
+// under -race this also proves the chain's singleflight + cache path is
+// data-race free.
 func TestRenderThunderingHerd(t *testing.T) {
 	s := testServer(t)
 	reg := telemetry.New()
@@ -58,8 +59,8 @@ func TestRenderThunderingHerd(t *testing.T) {
 	if got := snap.Counters["server_render_cache_hits_total"]; got != n-1 {
 		t.Errorf("hits = %d, want %d", got, n-1)
 	}
-	if co := snap.Counters["server_render_coalesced_total"]; co > n-1 {
-		t.Errorf("coalesced = %d, want <= %d", co, n-1)
+	if st := s.ArtifactStats().Render; st.Misses != 1 || st.Hits+st.Coalesced != n-1 {
+		t.Errorf("chain render stage = %+v, want 1 miss and %d hits+coalesced", st, n-1)
 	}
 	for i := 1; i < n; i++ {
 		if !bytes.Equal(bundles[i], bundles[0]) {
@@ -69,8 +70,8 @@ func TestRenderThunderingHerd(t *testing.T) {
 	if got := snap.Gauges["server_render_inflight"]; got != 0 {
 		t.Errorf("inflight gauge = %v after drain, want 0", got)
 	}
-	if got := snap.Gauges["server_render_cache_size"]; got != 1 {
-		t.Errorf("cache size gauge = %v, want 1", got)
+	if got := snap.Gauges["artifact_cache_entries"]; got != 1 {
+		t.Errorf("cache entries gauge = %v, want 1", got)
 	}
 }
 
@@ -115,54 +116,14 @@ func TestConcurrentColdServe(t *testing.T) {
 	if got := snap.Counters["server_render_cache_hits_total"]; got != wantHits {
 		t.Errorf("hits = %d, want %d", got, wantHits)
 	}
-	if got := s.RenderCacheLen(); got != len(urls) {
+	if got := s.ArtifactStats().Entries; got != len(urls) {
 		t.Errorf("cache holds %d entries, want %d", got, len(urls))
 	}
 }
 
-// TestRenderCacheLRUBound proves the replacement for the unbounded map
-// actually bounds memory: with capacity 2, a third URL evicts the least
-// recently used entry, and re-requesting the evicted URL is a fresh miss
-// while the retained one still hits.
-func TestRenderCacheLRUBound(t *testing.T) {
-	p, err := testPipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.RenderCachePages = 2
-	s := New(cfg, p)
-	reg := telemetry.New()
-	s.Instrument(reg)
-	now := time.Unix(0, 0)
-
-	u0, u1, u2 := corpus.Pages()[0].URL, corpus.Pages()[1].URL, corpus.Pages()[2].URL
-	for _, u := range []string{u0, u1, u2} { // u2 evicts u0
-		if _, err := s.RenderPage(u, now); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.RenderCacheLen(); got != 2 {
-		t.Fatalf("cache len = %d, want 2", got)
-	}
-	if _, err := s.RenderPage(u2, now); err != nil { // still cached
-		t.Fatal(err)
-	}
-	if _, err := s.RenderPage(u0, now); err != nil { // evicted: re-render
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["server_render_cache_misses_total"]; got != 4 {
-		t.Errorf("misses = %d, want 4 (3 cold + 1 evicted)", got)
-	}
-	if got := snap.Counters["server_render_cache_hits_total"]; got != 1 {
-		t.Errorf("hits = %d, want 1", got)
-	}
-}
-
-// TestRenderCacheEffectiveHourInvalidation proves the LRU honors the
-// §3.1 hourly content epochs: once a page's effective hour advances, the
-// cached render is stale and the server re-renders.
+// TestRenderCacheEffectiveHourInvalidation proves the render cache
+// honors the §3.1 hourly content epochs: once a page's effective hour
+// advances, the cached render is stale and the server re-renders.
 func TestRenderCacheEffectiveHourInvalidation(t *testing.T) {
 	s := testServer(t)
 	reg := telemetry.New()
@@ -198,66 +159,79 @@ func TestRenderCacheEffectiveHourInvalidation(t *testing.T) {
 	if got := snap.Counters["server_render_cache_hits_total"]; got != 1 {
 		t.Errorf("hits = %d, want 1", got)
 	}
-	if got := s.RenderCacheLen(); got != 1 {
+	if got := s.ArtifactStats().Entries; got != 1 {
 		t.Errorf("cache len = %d, want 1 (stale entry replaced, not kept)", got)
 	}
 }
 
-// --- renderCache unit tests (no rendering involved) ------------------------
+// TestRenderEpochForgets walks a simulated day of RenderPage over the
+// corpus's highest-churn pages and proves the one-epoch rule: the render
+// that moves a page to a new effective hour retires the old hour's
+// artifacts, so the chain never holds more than one epoch per URL and
+// its bytes track the live bundles instead of growing with the churn.
+// The cache is unbounded here, so only the forget can keep it flat.
+func TestRenderEpochForgets(t *testing.T) {
+	p, err := testPipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.ArtifactCacheBytes = -1
+	s := New(cfg, p)
 
-func TestRenderCacheUnit(t *testing.T) {
-	c := newRenderCache(2)
-	mk := func(eff int) renderedPage { return renderedPage{effectiveHour: eff} }
+	const hours, nPages = 24, 3
+	epochs := func(ref corpus.PageRef) int {
+		n := 1
+		for h := 1; h < hours; h++ {
+			if corpus.EffectiveHour(ref, h) == h {
+				n++
+			}
+		}
+		return n
+	}
+	refs := append([]corpus.PageRef(nil), corpus.Pages()...)
+	sort.SliceStable(refs, func(i, j int) bool { return epochs(refs[i]) > epochs(refs[j]) })
+	refs = refs[:nPages]
 
-	if _, ok := c.get("a", 0); ok {
-		t.Fatal("empty cache hit")
+	renders := 0
+	for h := 0; h < hours; h++ {
+		now := cfg.Epoch.Add(time.Duration(h) * time.Hour)
+		live := int64(0)
+		for _, ref := range refs {
+			b, err := s.RenderPage(ref.URL, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live += int64(len(b.Image) + len(b.ClickMap))
+		}
+		st := s.ArtifactStats()
+		if st.Entries != nPages {
+			t.Fatalf("hour %d: chain holds %d entries for %d URLs (a dead epoch survived)", h, st.Entries, nPages)
+		}
+		if st.Bytes != live {
+			t.Fatalf("hour %d: chain holds %d bytes, the live bundles are %d", h, st.Bytes, live)
+		}
+		renders = int(st.Render.Misses)
 	}
-	c.put("a", mk(0))
-	c.put("b", mk(0))
-	if _, ok := c.get("a", 0); !ok {
-		t.Fatal("a missing")
+	if renders < 2*nPages {
+		t.Fatalf("only %d renders in %d hours: the pages did not churn", renders, hours)
 	}
-	c.put("c", mk(0)) // a was just used, so b is LRU and gets evicted
-	if _, ok := c.get("b", 0); ok {
-		t.Fatal("b should have been evicted")
+	// The forget reaches every stage: audio derived from an epoch goes
+	// with it.
+	ref := refs[0]
+	last := cfg.Epoch.Add((hours - 1) * time.Hour)
+	if _, err := s.PageAudio(ref.URL, last); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.get("a", 0); !ok {
-		t.Fatal("a should survive (recently used)")
+	next := hours
+	for corpus.EffectiveHour(ref, next) != next {
+		next++
 	}
-	if _, ok := c.get("a", 5); ok {
-		t.Fatal("stale effective hour served")
+	if _, err := s.RenderPage(ref.URL, cfg.Epoch.Add(time.Duration(next)*time.Hour)); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.get("a", 0); ok {
-		t.Fatal("stale entry must be dropped, not kept")
-	}
-	if c.len() != 1 {
-		t.Fatalf("len = %d, want 1", c.len())
-	}
-	c.put("a", mk(5))
-	c.put("a", mk(6)) // refresh in place, no duplicate node
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
-	}
-	if _, ok := c.get("a", 5); ok {
-		t.Fatal("refresh did not replace the epoch")
-	}
-	c.put("a", mk(6))
-	if _, ok := c.get("a", 6); !ok {
-		t.Fatal("refreshed entry missing")
-	}
-	c.flush()
-	if c.len() != 0 {
-		t.Fatal("flush left entries")
-	}
-}
-
-func TestRenderCacheUnboundedWhenNegative(t *testing.T) {
-	c := newRenderCache(-1)
-	for i := 0; i < 500; i++ {
-		c.put(corpus.Pages()[i%len(corpus.Pages())].URL+string(rune('a'+i/100)), renderedPage{})
-	}
-	if c.len() < 400 {
-		t.Fatalf("negative capacity should not evict, len = %d", c.len())
+	if got := s.ArtifactStats().Entries; got != nPages {
+		t.Fatalf("after the epoch moved on, chain holds %d entries, want %d (derived stages kept)", got, nPages)
 	}
 }
 

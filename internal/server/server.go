@@ -10,8 +10,10 @@
 // The request path is built for fleet scale: transmitter routing goes
 // through an immutable spatial index (internal/routing) swapped
 // copy-on-write, per-transmitter queues are striped across lock shards
-// (shard.go), and an optional batched admission stage (admit.go,
-// internal/admission) coalesces identical requests before they render.
+// (shard.go), and every ingress — SMS, API, preemptive push — reaches
+// a queue through the one admission sink (admit.go), batched first when
+// admission is enabled. The artifact chain (internal/artifact) is the
+// only page cache: render, blob, FEC stream and audio.
 package server
 
 import (
@@ -28,7 +30,6 @@ import (
 	"sonic/internal/corpus"
 	"sonic/internal/imagecodec"
 	"sonic/internal/routing"
-	"sonic/internal/singleflight"
 	"sonic/internal/sms"
 	"sonic/internal/telemetry"
 	"sonic/internal/webrender"
@@ -90,33 +91,21 @@ type Config struct {
 	// pages. 0 means GOMAXPROCS; 1 forces the serial path. The encoded
 	// bitstream is identical for every value.
 	Workers int
-	// RenderWorkers bounds how many cache-miss renders run at once across
-	// RenderPage/EnqueuePage/PushPopular callers. 0 means GOMAXPROCS.
-	RenderWorkers int
-	// RenderCachePages caps the render LRU (entries). 0 means
-	// DefaultRenderCachePages; negative means unbounded.
-	RenderCachePages int
 	// Shards is the number of lock stripes the per-transmitter queues
 	// spread across; queue work on one stripe never contends with
 	// another. 0 means DefaultShards.
 	Shards int
 	// ArtifactCacheBytes caps the fleet-wide content-addressed artifact
-	// cache (blob -> FEC stream -> modulated audio; see
-	// internal/artifact). 0 means artifact.DefaultMaxBytes; negative
-	// means unbounded.
+	// cache, the server's only page cache (render -> blob -> FEC stream
+	// -> modulated audio; see internal/artifact). 0 means
+	// artifact.DefaultMaxBytes; negative means unbounded.
 	ArtifactCacheBytes int64
-	// Admission configures the batched SMS admission stage (see
-	// internal/admission). Admission.Enabled switches HandleSMS from
-	// synchronous render+enqueue onto the batching path; the default
-	// (off) keeps the original per-request behavior.
+	// Admission configures the batched admission stage (see
+	// internal/admission). With Admission.Enabled a request waits for
+	// its batch to flush; the default (off) flushes each request at once
+	// on the caller's goroutine, through the same sink.
 	Admission admission.Config
 }
-
-// DefaultRenderCachePages is the render-cache capacity when
-// Config.RenderCachePages is 0. It comfortably holds the whole corpus
-// (corpus.NumSites sites × a handful of pages each) while bounding what
-// ad-hoc URL traffic can pin in memory.
-const DefaultRenderCachePages = 256
 
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
@@ -146,18 +135,15 @@ type Server struct {
 	// resolves a PageRef in O(1) instead of scanning corpus.Pages().
 	refs map[string]corpus.PageRef
 
-	// cache and flight live outside every queue lock: render misses must
-	// not block SMS intake or queue ops, and flight coalesces concurrent
-	// misses on one URL into a single render.
-	cache     *renderCache
-	flight    singleflight.Group
+	// chain is the fleet-wide content-addressed artifact cache and the
+	// only page cache: the rendered bundle, its marshaled blob, the FEC
+	// stream and the modulated audio, each computed once fleet-wide (its
+	// per-stage singleflight coalesces concurrent misses). It lives
+	// outside every queue lock: a render miss must not block SMS intake
+	// or queue ops.
+	chain     *artifact.Chain
 	renderSem chan struct{} // bounds concurrent miss renders
 	inflight  atomic.Int64  // renders currently executing (gauge feed)
-
-	// chain is the fleet-wide content-addressed artifact cache: the
-	// downstream stages (marshaled blob, FEC stream, modulated audio)
-	// any tower drain resolves through, each computed once fleet-wide.
-	chain *artifact.Chain
 
 	// topo is the copy-on-write fleet snapshot; topoMu serializes
 	// writers only. transmitterFor never takes a lock.
@@ -167,9 +153,12 @@ type Server struct {
 	// shards stripe the per-transmitter queue state (see shard.go).
 	shards []*shard
 
+	// idMu guards what the server remembers per URL: its stable page ID
+	// and the content epoch of its latest render (see RenderPage).
 	idMu       sync.Mutex
 	nextPageID uint16
 	pageIDs    map[string]uint16
+	epochs     map[string]int
 
 	// admit is the batching admission stage, nil unless
 	// Config.Admission.Enabled.
@@ -197,11 +186,9 @@ type Server struct {
 	mNoCoverage  *telemetry.Counter // server_no_coverage_total
 	mCacheHits   *telemetry.Counter // server_render_cache_hits_total
 	mCacheMisses *telemetry.Counter // server_render_cache_misses_total
-	mCoalesced   *telemetry.Counter // server_render_coalesced_total
 	mEnqueued    *telemetry.Counter // server_pages_enqueued_total
 	mDequeued    *telemetry.Counter // server_pages_dequeued_total
 	mAttached    *telemetry.Counter // server_enqueue_coalesced_total
-	gCacheSize   *telemetry.Gauge   // server_render_cache_size
 	gInflight    *telemetry.Gauge   // server_render_inflight
 }
 
@@ -225,13 +212,10 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 	s.mNoCoverage = reg.Counter("server_no_coverage_total")
 	s.mCacheHits = reg.Counter("server_render_cache_hits_total")
 	s.mCacheMisses = reg.Counter("server_render_cache_misses_total")
-	s.mCoalesced = reg.Counter("server_render_coalesced_total")
 	s.mEnqueued = reg.Counter("server_pages_enqueued_total")
 	s.mDequeued = reg.Counter("server_pages_dequeued_total")
 	s.mAttached = reg.Counter("server_enqueue_coalesced_total")
-	s.gCacheSize = reg.Gauge("server_render_cache_size")
 	s.gInflight = reg.Gauge("server_render_inflight")
-	s.gCacheSize.Set(float64(s.cache.len()))
 	s.admit.Instrument(reg)
 	s.chain.Instrument(reg)
 }
@@ -283,14 +267,6 @@ func New(cfg Config, pipeline *core.Pipeline) *Server {
 	for _, ref := range corpus.Pages() {
 		refs[ref.URL] = ref
 	}
-	capacity := cfg.RenderCachePages
-	if capacity == 0 {
-		capacity = DefaultRenderCachePages
-	}
-	workers := cfg.RenderWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	nShards := cfg.Shards
 	if nShards <= 0 {
 		nShards = DefaultShards
@@ -304,11 +280,11 @@ func New(cfg Config, pipeline *core.Pipeline) *Server {
 		cfg:       cfg,
 		pipeline:  pipeline,
 		refs:      refs,
-		cache:     newRenderCache(capacity),
-		renderSem: make(chan struct{}, workers),
 		chain:     artifact.NewChain(pipeline, cfg.ArtifactCacheBytes),
+		renderSem: make(chan struct{}, runtime.GOMAXPROCS(0)),
 		shards:    make([]*shard, nShards),
 		pageIDs:   make(map[string]uint16),
+		epochs:    make(map[string]int),
 	}
 	for i := range s.shards {
 		s.shards[i] = &shard{
@@ -318,7 +294,9 @@ func New(cfg Config, pipeline *core.Pipeline) *Server {
 	}
 	s.topo.Store(&topology{idx: routing.Build(nil), byID: map[string]Transmitter{}})
 	if cfg.Admission.Enabled {
-		s.admit = admission.New(cfg.Admission, s.admitBatch)
+		// A flushed batch has nobody to return to: its requesters were
+		// acked with an estimate, and a failure aborts their traces.
+		s.admit = admission.New(cfg.Admission, func(b admission.Batch) { _, _ = s.admitBatch(b) })
 	}
 	return s
 }
@@ -389,50 +367,52 @@ func (s *Server) pageIDFor(url string) uint16 {
 // e.g., if recently requested by another user, or by directly accessing
 // it".
 //
-// Concurrency: the cache lookup is O(1) and lock-light; a miss is
-// coalesced per (url, effective hour) so N concurrent requests for one
-// cold URL render exactly once, and the render itself runs on a bounded
-// worker pool without holding any queue lock.
+// The cache is the artifact chain's render stage, keyed by the page's
+// effective hour, so a stale render never satisfies a request from a
+// later content epoch; N concurrent requests for one cold URL render
+// exactly once (a piggybacking caller counts as a hit), and the render
+// itself runs on a bounded worker pool without holding any queue lock.
 func (s *Server) RenderPage(url string, now time.Time) (core.Bundle, error) {
 	hour := s.hourAt(now)
 	ref := s.refFor(url)
-	eff := corpus.EffectiveHour(ref, hour)
+	return s.renderAt(url, ref, hour, corpus.EffectiveHour(ref, hour))
+}
 
-	if b, ok := s.cache.get(url, eff); ok {
-		s.noteCacheHit()
-		return b, nil
-	}
-
-	// The key carries the effective hour so a stale entry never satisfies
-	// a request from a later content epoch.
-	key := fmt.Sprintf("%s@%d", url, eff)
-	v, err, leader := s.flight.Do(key, func() (any, error) {
-		// Re-check under the flight: an earlier leader may have filled the
-		// cache between our miss and this call starting.
-		if b, ok := s.cache.get(url, eff); ok {
-			s.noteCacheHit()
-			return b, nil
-		}
+// renderAt is RenderPage for a caller that has already resolved the
+// page's effective hour (the request path computes it once, at routing).
+func (s *Server) renderAt(url string, ref corpus.PageRef, hour, eff int) (core.Bundle, error) {
+	id := s.pageIDFor(url)
+	rendered := false
+	b, err := s.chain.Render(s.chain.Key(url, eff, id), func() (core.Bundle, error) {
+		rendered = true
 		s.mCacheMisses.Inc()
-		return s.renderMiss(url, ref, hour, eff)
+		return s.renderMiss(url, ref, hour)
 	})
 	if err != nil {
 		return core.Bundle{}, err
 	}
-	if !leader {
-		// Followers piggybacked on the leader's render: for cache
-		// accounting that is a hit (§3.1 "recently requested by another
-		// user"), tracked separately so the coalescing rate is visible.
-		s.mCoalesced.Inc()
-		s.noteCacheHit()
+	if !rendered {
+		s.mCacheHits.Inc()
+		return b, nil
 	}
-	return v.(core.Bundle), nil
+	// One content epoch per URL (§3.1's hourly re-render as invalidation):
+	// the render that moves a page to a new effective hour retires the
+	// old hour's artifacts, so churn cannot fill the byte cap with epochs
+	// nobody will request again.
+	s.idMu.Lock()
+	prev, had := s.epochs[url]
+	s.epochs[url] = eff
+	s.idMu.Unlock()
+	if had && prev != eff {
+		s.chain.Forget(s.chain.Key(url, prev, id))
+	}
+	return b, nil
 }
 
 // renderMiss does the expensive miss work: generate → raster → SIC
 // encode → clickmap, each as a child span of server.render_page. It runs
 // on the bounded render pool with no queue lock held.
-func (s *Server) renderMiss(url string, ref corpus.PageRef, hour, eff int) (core.Bundle, error) {
+func (s *Server) renderMiss(url string, ref corpus.PageRef, hour int) (core.Bundle, error) {
 	s.renderSem <- struct{}{}
 	defer func() { <-s.renderSem }()
 	s.gInflight.Set(float64(s.inflight.Add(1)))
@@ -448,33 +428,22 @@ func (s *Server) renderMiss(url string, ref corpus.PageRef, hour, eff int) (core
 	rasterSp := sp.StartChild("raster")
 	rendered := webrender.RenderCropped(page, imagecodec.MaxPageHeight)
 	rasterSp.End()
+	defer rendered.Release()
 
 	encSp := sp.StartChild("encode_sic")
 	enc, err := imagecodec.EncodeSICWorkers(rendered.Image, s.cfg.Quality, s.cfg.Workers)
 	encSp.End()
 	if err != nil {
-		rendered.Release()
 		return core.Bundle{}, fmt.Errorf("server: encode %s: %w", url, err)
 	}
 
 	cmSp := sp.StartChild("clickmap")
 	cm, err := rendered.Clicks.MarshalJSON()
 	cmSp.End()
-	w, h := rendered.Image.W, rendered.Image.H
-	rendered.Release()
 	if err != nil {
 		return core.Bundle{}, err
 	}
-
-	b := core.Bundle{Image: enc, ClickMap: cm}
-	s.cache.put(url, renderedPage{bundle: b, effectiveHour: eff, width: w, height: h})
-	s.gCacheSize.Set(float64(s.cache.len()))
-	return b, nil
-}
-
-// noteCacheHit bumps the render-cache hit counter.
-func (s *Server) noteCacheHit() {
-	s.mCacheHits.Inc()
+	return core.Bundle{Image: enc, ClickMap: cm}, nil
 }
 
 // refFor maps any URL onto a corpus PageRef via the construction-time
@@ -487,102 +456,31 @@ func (s *Server) refFor(url string) corpus.PageRef {
 	return corpus.PageRef{URL: url, Site: url, Rank: corpus.NumSites, Internal: true}
 }
 
-// FlushRenderCache drops every cached render. Benchmarks use it to
-// measure the cold path; operators could use it to force a re-render.
-func (s *Server) FlushRenderCache() {
-	s.cache.flush()
-	s.gCacheSize.Set(0)
-}
-
-// RenderCacheLen reports how many rendered pages are cached.
-func (s *Server) RenderCacheLen() int { return s.cache.len() }
+// FlushRenderCache drops every cached render and everything derived
+// from it. Benchmarks use it to measure the cold path; operators could
+// use it to force a re-render.
+func (s *Server) FlushRenderCache() { s.chain.Flush() }
 
 // Errors from request handling.
 var (
 	ErrNoCoverage = errors.New("server: no transmitter covers the location")
 )
 
-// EnqueuePage renders a URL and appends it to the covering transmitter's
-// broadcast queue. It returns the estimated time until the page has been
-// fully broadcast (the ETA included in the SMS ack). With lifecycle
-// tracing on, the call opens its own trace (an API request, admitted on
-// arrival); SMS requests flow through HandleSMS, which traces from the
-// actual SMS delivery instead.
+// EnqueuePage requests a URL for the transmitter covering a location —
+// HandleSMS without the SMS. It returns the estimated time until the
+// page has been fully broadcast (the ETA included in the SMS ack). With
+// lifecycle tracing on, the call opens its own trace (an API request);
+// SMS requests trace from the actual SMS delivery instead.
 func (s *Server) EnqueuePage(url string, lat, lon float64, now time.Time) (time.Duration, error) {
-	tr := s.lc.BeginAt(url, "api", now)
-	tr.StampAt(telemetry.StageAdmitted, now)
-	return s.enqueueTraced(url, lat, lon, now, tr)
-}
-
-// enqueueTraced is EnqueuePage with the caller's lifecycle trace: stamps
-// render_start/render_done around the (possibly cached) render and
-// enqueued on the queue append, aborting the trace on failure. The
-// render is measured on the wall clock and projected into the caller's
-// clock domain, so a simulated timeline still shows the real render
-// cost. Unlike the admission path, this synchronous path always appends
-// its own queue entry — one call, one broadcast.
-func (s *Server) enqueueTraced(url string, lat, lon float64, now time.Time, tr *telemetry.Trace) (time.Duration, error) {
-	tx, ok := s.transmitterFor(lat, lon)
-	if !ok {
-		s.mNoCoverage.Inc()
-		tr.Abort(now, "no coverage")
-		return 0, ErrNoCoverage
-	}
-	tr.StampAt(telemetry.StageRenderStart, now)
-	renderT0 := time.Now()
-	b, err := s.RenderPage(url, now)
-	if err != nil {
-		tr.Abort(now, "render: "+err.Error())
-		return 0, err
-	}
-	rendered := now.Add(time.Since(renderT0))
-	tr.StampAt(telemetry.StageRenderDone, rendered)
-	blobLen := len(core.MarshalBundle(b))
-	s.noteBundleBytes(blobLen)
-	eff := corpus.EffectiveHour(s.refFor(url), s.hourAt(now))
-	page := &queuedPage{
-		URL:      url,
-		PageID:   s.pageIDFor(url),
-		Bundle:   b,
-		Bytes:    blobLen,
-		EffHour:  eff,
-		Enqueued: now,
-		Count:    1,
-	}
-	if tr != nil {
-		page.Traces = []*telemetry.Trace{tr}
-	}
-
-	sh := s.shardFor(tx.ID)
-	sh.mu.Lock()
-	s.noteNow(now)
-	tq := sh.queue(tx.ID)
-	// Queue delay = airtime of everything ahead plus this page, divided
-	// across the station's parallel frequencies.
-	pending := tq.bytes
-	tq.push(page)
-	sh.bumpDemand(tx.ID, url, 1)
-	s.mEnqueued.Inc()
-	s.recordQueueDepth(sh, tx.ID)
-	sh.mu.Unlock()
-	eta := s.pipeline.AirtimeSeconds(pending+blobLen) / float64(tx.FrequencyCount())
-	tr.StampAt(telemetry.StageEnqueued, rendered)
-	return time.Duration(eta * float64(time.Second)), nil
-}
-
-// DequeuePage pops the next page to broadcast on a transmitter at the
-// server's last observed caller timestamp. See DequeuePageAt.
-func (s *Server) DequeuePage(transmitterID string) (url string, pageID uint16, b core.Bundle, ok bool) {
-	return s.DequeuePageAt(transmitterID, s.lastNow())
+	return s.admitTraced(url, lat, lon, now, s.lc.BeginAt(url, "api", now))
 }
 
 // DequeuePageAt pops the next page to broadcast on a transmitter. With
 // lifecycle tracing on, dequeue is the handoff to the transmitter, so
 // every trace coalesced onto the page is stamped on_air_start at the
 // given timestamp and on_air_done at the projected end of its airtime
-// (the same channel model the SMS-ack ETA uses). Clock-driven
-// simulations pass their own timeline; DequeuePage uses the last caller
-// timestamp the server observed.
+// (the same channel model the SMS-ack ETA uses), on the caller's
+// timeline.
 func (s *Server) DequeuePageAt(transmitterID string, at time.Time) (url string, pageID uint16, b core.Bundle, ok bool) {
 	head := s.dequeueHead(transmitterID, at)
 	if head == nil {
@@ -640,12 +538,11 @@ func (s *Server) QueueDepth(transmitterID string) (int, int) {
 // morning"). Ranking is demand-weighted per tower: measured admission
 // counts (TowerDemand) dominate, static corpus popularity is the
 // cold-start fallback and tiebreaker, so the push tracks what each
-// region actually requests. Pages already queued on a transmitter are
-// skipped. Towers run concurrently on a bounded pool — each tower's
-// enqueue order stays its ranked order, so per-tower queue contents are
-// identical to the old serial walk — and renders plus bundle
-// marshalling dedup fleet-wide through the artifact chain with no shard
-// lock held: a page popular on 64 towers renders and marshals once.
+// region actually requests. A page already pending on a transmitter is
+// not queued twice. Towers run concurrently on a bounded pool — each
+// tower's enqueue order stays its ranked order, so per-tower queue
+// contents are identical to a serial walk — and a page popular on 64
+// towers renders once.
 func (s *Server) PushPopular(n int, now time.Time) error {
 	towers := s.Transmitters()
 	workers := runtime.GOMAXPROCS(0)
@@ -678,65 +575,32 @@ func (s *Server) PushPopular(n int, now time.Time) error {
 	return firstErr
 }
 
-// pushPopularTower is one tower's share of PushPopular: rank, skip
-// already-queued pages, render+marshal via the fleet artifact chain,
-// enqueue in ranked order.
+// pushPopularTower is one tower's share of PushPopular: rank, then hand
+// each page to the admission sink as a batch nobody requested (Count 0),
+// in ranked order.
 func (s *Server) pushPopularTower(tx Transmitter, n int, now time.Time) error {
 	ranked := rankByDemand(corpus.Pages(), s.TowerDemand(tx.ID))
-	m := n
-	if m > len(ranked) {
-		m = len(ranked)
+	if n > len(ranked) {
+		n = len(ranked)
 	}
-	sh := s.shardFor(tx.ID)
-	queued := map[string]bool{}
-	sh.mu.Lock()
-	s.noteNow(now)
-	if tq := sh.queues[tx.ID]; tq != nil {
-		for _, q := range tq.pages {
-			queued[q.URL] = true
-		}
-	}
-	sh.mu.Unlock()
-	for _, ref := range ranked[:m] {
-		if queued[ref.URL] {
-			continue
-		}
-		b, err := s.RenderPage(ref.URL, now)
-		if err != nil {
+	hour := s.hourAt(now)
+	for _, ref := range ranked[:n] {
+		if _, err := s.admitBatch(admission.Batch{
+			URL: ref.URL, Tower: tx.ID, EffHour: corpus.EffectiveHour(ref, hour), Now: now,
+		}); err != nil {
 			return err
 		}
-		eff := corpus.EffectiveHour(ref, s.hourAt(now))
-		blob, err := s.chain.Blob(s.chain.Key(ref.URL, eff, s.pageIDFor(ref.URL)), func() (core.Bundle, error) {
-			return b, nil
-		})
-		if err != nil {
-			return err
-		}
-		s.noteBundleBytes(len(blob))
-		page := &queuedPage{
-			URL:      ref.URL,
-			PageID:   s.pageIDFor(ref.URL),
-			Bundle:   b,
-			Bytes:    len(blob),
-			EffHour:  eff,
-			Enqueued: now,
-		}
-		sh.mu.Lock()
-		sh.queue(tx.ID).push(page)
-		s.mEnqueued.Inc()
-		s.recordQueueDepth(sh, tx.ID)
-		sh.mu.Unlock()
 	}
 	return nil
 }
 
-// HandleSMS is the uplink entry point: parse the request, admit or
-// enqueue the page, and reply with an ack (or error) through the SMSC.
-// With lifecycle tracing on, the request's trace opens at the SMS
-// delivery timestamp ("received") and is stamped "admitted" once it is
-// accepted. With admission enabled the reply is immediate (the render
-// happens when the batch flushes) and a saturated shard answers BUSY
-// with a retry-after hint instead of blocking the handler.
+// HandleSMS is the uplink entry point: parse the request, admit the
+// page, and reply with an ack (or error) through the SMSC. With
+// lifecycle tracing on, the request's trace opens at the SMS delivery
+// timestamp ("received") and is stamped "admitted" once it is accepted.
+// With admission enabled the reply is immediate (the render happens
+// when the batch flushes) and a saturated shard answers BUSY with a
+// retry-after hint instead of blocking the handler.
 func (s *Server) HandleSMS(smsc *sms.SMSC) sms.Handler {
 	return func(m sms.Message) {
 		sp := s.tel.StartSpan("server.handle_sms")
@@ -751,13 +615,7 @@ func (s *Server) HandleSMS(smsc *sms.SMSC) sms.Handler {
 			return
 		}
 		tr := s.lc.BeginAt(req.URL, m.From, m.DeliverAt)
-		var eta time.Duration
-		if s.admit != nil {
-			eta, err = s.admitTraced(req.URL, req.Lat, req.Lon, m.DeliverAt, tr)
-		} else {
-			tr.StampAt(telemetry.StageAdmitted, m.DeliverAt)
-			eta, err = s.enqueueTraced(req.URL, req.Lat, req.Lon, m.DeliverAt, tr)
-		}
+		eta, err := s.admitTraced(req.URL, req.Lat, req.Lon, m.DeliverAt, tr)
 		if err != nil {
 			s.mReplies.Inc()
 			var sat *admission.SaturatedError

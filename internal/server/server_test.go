@@ -93,7 +93,7 @@ func TestEnqueueAndDequeue(t *testing.T) {
 	if eta2 <= eta {
 		t.Errorf("eta2 %v should exceed eta1 %v", eta2, eta)
 	}
-	gotURL, pageID, b, ok := s.DequeuePage("khi-1")
+	gotURL, pageID, b, ok := s.DequeuePageAt("khi-1", now)
 	if !ok || gotURL != url || pageID == 0 || len(b.Image) == 0 {
 		t.Fatalf("dequeue: %q %d ok=%v", gotURL, pageID, ok)
 	}

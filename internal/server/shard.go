@@ -103,8 +103,8 @@ func (s *Server) shardFor(txID string) *shard {
 }
 
 // TowerDemand returns a copy of the measured request counts per URL for
-// one transmitter — admission (and the direct enqueue path) feed it,
-// PushPopular and broadcast.MeasuredCarousel consume it.
+// one transmitter — the admission sink feeds it, PushPopular and
+// broadcast.MeasuredCarousel consume it.
 func (s *Server) TowerDemand(txID string) map[string]float64 {
 	sh := s.shardFor(txID)
 	sh.mu.Lock()

@@ -96,7 +96,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if typ != msgPoll {
 			return
 		}
-		url, pageID, bundle, ok := s.DequeuePage(txID)
+		url, pageID, bundle, ok := s.DequeuePageAt(txID, s.lastNow())
 		if !ok {
 			if writeMsg(bw, msgEmpty, nil) != nil || bw.Flush() != nil {
 				return

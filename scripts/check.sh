@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # check.sh — the repo's full verification gate: build, vet, the
-# sonic-vet invariant analyzers, tests, the race detector, a short fuzz
-# smoke, and a one-iteration bench smoke over every package.
+# sonic-vet invariant analyzers, tests (the benchmark module's too), the
+# race detector, a short fuzz smoke, and a one-iteration bench smoke
+# over every package.
 # CI runs exactly this script; run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,6 +27,13 @@ go build -o /tmp/sonic-vet ./cmd/sonic-vet
 
 echo "==> go test ./..."
 go test ./...
+
+# The benchmark harness is a module of its own (benchmark/go.mod,
+# `replace sonic => ../`) that tier-1 does not compile. Vet and test it
+# against this tree, so an internal API break against it fails here
+# instead of in the benchmark driver.
+echo "==> benchmark module (go vet + go test against this tree)"
+(cd benchmark && go vet ./... && go test ./...)
 
 echo "==> go test -race ./..."
 go test -race ./...
@@ -53,7 +61,7 @@ GOMAXPROCS=1 go run ./cmd/sonic-bench -day 1 -workers 1
 # and the binary itself fails if any accepted request never airs.
 echo "==> loadgen smoke (10k requesters, 16 towers, coalescing + p99 SLOs)"
 go run ./cmd/sonic-loadgen -users 10000 -towers 16 -hours 0.25 \
-    -check -max-p99 14400 -min-dedup 2 -out loadgen-smoke.json
+    -check -max-p99 14400 -min-dedup 2 -out "${TMPDIR:-/tmp}/loadgen-smoke.json"
 
 # Fleet broadcast engine: a small tower fleet airing the same rotation
 # through the shared artifact chain, with a one-tower dedup-off
