@@ -8,7 +8,6 @@
 //	sonic-bench -exp fig4a          # one experiment
 //	sonic-bench -exp fig4b -quick   # reduced workload
 //	sonic-bench -exp fig1 -out dir  # also write Figure 1 PNG panels
-//	sonic-bench -perf out.json      # hot-path perf report (spans + kernels)
 //	sonic-bench -cpuprofile out.pprof -exp fig4a  # CPU profile
 package main
 
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -37,19 +35,7 @@ func main() {
 		out     = flag.String("out", "", "directory for image artifacts (fig1)")
 		csvDir  = flag.String("csv", "", "directory for plotting-ready CSV exports")
 		seed    = flag.Int64("seed", 1, "experiment seed")
-		perf    = flag.String("perf", "", "write a hot-path perf report (spans + kernel timings) to this JSON file and exit")
-		day     = flag.Int("day", 0, "replay N simulated hours of carousel broadcast through the real page path, report wall vs air time, and exit")
-		workers = flag.Int("workers", 0, "worker count for -perf/-day: sets GOMAXPROCS and the wN kernel variants (0 = current GOMAXPROCS)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-
-		fleet         = flag.Int("fleet", 0, "replay a fleet broadcast day on N towers through the shared artifact chain and exit")
-		fleetHours    = flag.Int("fleet-hours", 1, "simulated hours per tower for -fleet")
-		fleetPages    = flag.Int("fleet-pages", 8, "corpus pages in the fleet rotation for -fleet")
-		fleetProcs    = flag.String("fleet-procs", "", "comma-separated GOMAXPROCS matrix for -fleet (e.g. 1,2,4,8); each point reruns the replay cold")
-		fleetBaseline = flag.Int("fleet-baseline", 0, "also run the dedup-off baseline (private chain per tower) at N towers")
-		fleetCheckMin = flag.Float64("fleet-check", 0, "fail unless the procs matrix shows at least this speedup at its top entry (skipped when the host lacks the cores)")
-		fleetJSON     = flag.String("fleet-json", "", "write the -fleet report to this JSON file")
-		fleetCache    = flag.Int64("fleet-cache", -1, "artifact cache byte cap for -fleet (-1 = unbounded, 0 = package default)")
 	)
 	flag.Parse()
 
@@ -65,61 +51,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer pprof.StopCPUProfile()
-	}
-
-	if *perf != "" {
-		if err := runPerf(*perf, *seed, *workers); err != nil {
-			pprof.StopCPUProfile()
-			fmt.Fprintf(os.Stderr, "perf: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *fleet > 0 {
-		procs, err := parseProcsList(*fleetProcs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-			os.Exit(2)
-		}
-		rep, err := runFleetDay(*fleet, *fleetHours, *fleetPages, *fleetBaseline, procs, *fleetCache)
-		if err != nil {
-			pprof.StopCPUProfile()
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-			os.Exit(1)
-		}
-		printFleetReport(os.Stdout, rep)
-		if *fleetJSON != "" {
-			if err := writeFleetJSON(*fleetJSON, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote fleet report to %s\n", *fleetJSON)
-		}
-		if *fleetCheckMin > 0 {
-			if err := fleetCheck(os.Stdout, rep, *fleetCheckMin); err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *day > 0 {
-		if *workers > 0 {
-			runtime.GOMAXPROCS(*workers)
-		}
-		rep, err := runBroadcastDay(*day, *workers)
-		if err != nil {
-			pprof.StopCPUProfile()
-			fmt.Fprintf(os.Stderr, "day: %v\n", err)
-			os.Exit(1)
-		}
-		printDayReport(os.Stdout, rep)
-		if rep.Speedup <= 1 {
-			os.Exit(1)
-		}
-		return
 	}
 
 	run := func(name string, fn func() error) {

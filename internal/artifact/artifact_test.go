@@ -434,17 +434,12 @@ func TestChainKeySeparation(t *testing.T) {
 	}
 }
 
-// TestConfigDigest pins the digest contract: workers and the receive-
-// side soft-decision knob do not change emitted bytes and are excluded;
-// quality and the FEC stack are included.
+// TestConfigDigest pins the digest contract: the receive-side
+// soft-decision knob does not change emitted bytes and is excluded;
+// quality, cell tolerance, the FEC stack and the modem are included.
 func TestConfigDigest(t *testing.T) {
 	base := core.DefaultConfig()
 	d := base.Digest()
-	w := base
-	w.Workers = 7
-	if w.Digest() != d {
-		t.Fatalf("Workers changed the digest; parallel output is pinned byte-identical")
-	}
 	soft := base
 	soft.SoftDecision = true
 	if soft.Digest() != d {
@@ -454,6 +449,11 @@ func TestConfigDigest(t *testing.T) {
 	q.Quality = 20
 	if q.Digest() == d {
 		t.Fatalf("Quality did not change the digest")
+	}
+	tol := base
+	tol.CellTolerance = 8
+	if tol.Digest() == d {
+		t.Fatalf("CellTolerance did not change the digest")
 	}
 	rs := base
 	rs.UseRS = false

@@ -11,7 +11,6 @@ import (
 	"sonic/internal/artifact"
 	"sonic/internal/core"
 	"sonic/internal/corpus"
-	"sonic/internal/telemetry"
 )
 
 // Fleet is the multi-core broadcast engine: T towers replaying their
@@ -89,15 +88,6 @@ type FleetResult struct {
 	// DedupFactor is artifact requests per computation at the audio
 	// stage — ~Towers when every tower airs the same rotation.
 	DedupFactor float64 `json:"dedup_factor"`
-}
-
-// Speedup is simulated on-air seconds produced per wall-clock second,
-// summed over the fleet — the "can one box feed T transmitters" number.
-func (r *FleetResult) Speedup() float64 {
-	if r.WallSeconds <= 0 {
-		return 0
-	}
-	return r.AirSeconds / r.WallSeconds
 }
 
 // RunFleet replays cfg.Hours of carousel broadcasting on every tower.
@@ -235,20 +225,6 @@ replay:
 	}
 	tr.AirSeconds = simT
 	return tr, nil
-}
-
-// InstrumentFleet registers fleet gauges on reg from a finished result:
-// fleet_towers, fleet_transmissions_total, fleet_air_seconds, and
-// fleet_dedup_factor. The chain's own families (artifact_*) register
-// via Chain.Instrument.
-func InstrumentFleet(reg *telemetry.Registry, r *FleetResult) {
-	if reg == nil || r == nil {
-		return
-	}
-	reg.Gauge("fleet_towers").Set(float64(len(r.Towers)))
-	reg.Counter("fleet_transmissions_total").Add(int64(r.Transmissions))
-	reg.Gauge("fleet_air_seconds").Set(r.AirSeconds)
-	reg.Gauge("fleet_dedup_factor").Set(r.DedupFactor)
 }
 
 // TowerSpread summarizes per-tower transmission counts (min, median,

@@ -12,7 +12,6 @@ import (
 func cellsPipeline(t *testing.T) *Pipeline {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.CellTransport = true
 	cfg.CellTolerance = 8
 	p, err := NewPipeline(cfg)
 	if err != nil {

@@ -29,10 +29,8 @@ type Config struct {
 	// UseRS/InnerCode select the FEC stack (both on = the paper's stack).
 	UseRS     bool
 	InnerCode *fec.ConvCode // nil = no inner code
-	// CellTransport selects the loss-resilient column-cell transport
-	// instead of chunking the compressed bitstream.
-	CellTransport bool
-	// CellTolerance is the per-channel near-run tolerance in cell mode.
+	// CellTolerance is the per-channel near-run tolerance of the cell
+	// transport (EncodeImageCells / EncodeCellsAudio).
 	CellTolerance int
 	// Quality is the image quality for the SIC bitstream transport.
 	Quality int
@@ -40,19 +38,13 @@ type Config struct {
 	// from the demodulator instead of hard decisions (~2 dB gain, the
 	// way Quiet's decoder operates).
 	SoftDecision bool
-	// Workers bounds the worker pool used by the data-parallel image
-	// codec stages (cell packing, SIC block transforms). 0 means
-	// GOMAXPROCS; 1 forces the serial paths. Output is identical for
-	// every value — the knob trades cores for wall clock only.
-	Workers int
 }
 
 // Digest returns a stable fingerprint of every config field that can
 // change the bytes the transmit pipeline emits: the modem profile, the
-// FEC stack, the transport mode, and the image quality. Workers is
-// deliberately excluded — the parallel stages are pinned byte-identical
-// at every worker count — and so is SoftDecision, which only affects the
-// receive side. The artifact cache (internal/artifact) keys entries on
+// FEC stack, the cell tolerance, and the image quality. SoftDecision is
+// deliberately excluded: it only affects the receive side. The artifact
+// cache (internal/artifact) keys entries on
 // this digest so two pipelines share artifacts exactly when they would
 // emit identical bytes.
 func (c Config) Digest() uint64 {
@@ -69,7 +61,7 @@ func (c Config) Digest() uint64 {
 	if c.InnerCode != nil {
 		fmt.Fprintf(h, "|conv:%d,%g", c.InnerCode.ConstraintLength(), c.InnerCode.Rate())
 	}
-	fmt.Fprintf(h, "|cells:%t,%d|q:%d", c.CellTransport, c.CellTolerance, c.Quality)
+	fmt.Fprintf(h, "|celltol:%d|q:%d", c.CellTolerance, c.Quality)
 	return h.Sum64()
 }
 
@@ -229,6 +221,7 @@ func (p *Pipeline) EncodePageAudio(pageID uint16, b Bundle) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.pagesEncoded.Inc()
 	return p.modulateStream(sp, stream), nil
 }
 
@@ -250,6 +243,7 @@ func (p *Pipeline) BlobStream(pageID uint16, blob []byte) ([]byte, error) {
 func (p *Pipeline) ModulateStream(stream []byte) []float64 {
 	sp := p.tel.StartSpan("core.modulate_stream")
 	defer sp.End()
+	p.pagesEncoded.Inc()
 	return p.modulateStream(sp, stream)
 }
 
@@ -259,10 +253,7 @@ func (p *Pipeline) encodeStream(parent *telemetry.Span, pageID uint16, blob []by
 	chunkSp := parent.StartChild("chunk")
 	frames := frame.Chunk(pageID, blob)
 	chunkSp.End()
-
-	fecSp := parent.StartChild("fec_encode")
-	stream, err := p.codec.EncodeStream(frames)
-	fecSp.End()
+	stream, err := p.framesStream(parent, frames)
 	if err != nil {
 		return nil, err
 	}
@@ -270,12 +261,22 @@ func (p *Pipeline) encodeStream(parent *telemetry.Span, pageID uint16, blob []by
 	return stream, nil
 }
 
-// modulateStream is the modem stage with its span scoped under parent.
+// framesStream FEC-frames a frame list into the coded byte stream the
+// modem broadcasts — the one frames→stream step behind the page, cell
+// and probe transmit paths. Callers that broadcast content count the
+// frames in core_frames_tx_total; the channel probe does not.
+func (p *Pipeline) framesStream(parent *telemetry.Span, frames []*frame.Frame) ([]byte, error) {
+	fecSp := parent.StartChild("fec_encode")
+	defer fecSp.End()
+	return p.codec.EncodeStream(frames)
+}
+
+// modulateStream is the modem stage — stream→audio — with its span
+// scoped under parent (nil-safe).
 func (p *Pipeline) modulateStream(parent *telemetry.Span, stream []byte) []float64 {
 	modSp := parent.StartChild("modulate")
 	audio := p.modem.Modulate(stream)
 	modSp.End()
-	p.pagesEncoded.Inc()
 	return audio
 }
 
@@ -383,7 +384,7 @@ func (p *Pipeline) recordReceive(frames []*frame.Frame, lost int, snrDB float64)
 func (p *Pipeline) EncodeImageCells(pageID uint16, img *imagecodec.Raster) ([]*frame.Frame, error) {
 	sp := p.tel.StartSpan("core.encode_cells")
 	defer sp.End()
-	cells, err := imagecodec.EncodeColumnsTolWorkers(img, frame.PayloadSize, p.cfg.CellTolerance, p.cfg.Workers)
+	cells, err := imagecodec.EncodeColumnsTol(img, frame.PayloadSize, p.cfg.CellTolerance)
 	if err != nil {
 		return nil, err
 	}
@@ -451,17 +452,12 @@ func (p *Pipeline) EncodeCellsAudio(pageID uint16, img *imagecodec.Raster) ([]fl
 	}
 	sp := p.tel.StartSpan("core.encode_cells_audio")
 	defer sp.End()
-	fecSp := sp.StartChild("fec_encode")
-	stream, err := p.codec.EncodeStream(frames)
-	fecSp.End()
+	stream, err := p.framesStream(sp, frames)
 	if err != nil {
 		return nil, err
 	}
-	modSp := sp.StartChild("modulate")
-	audio := p.modem.Modulate(stream)
-	modSp.End()
 	p.framesTx.Add(int64(len(frames)))
-	return audio, nil
+	return p.modulateStream(sp, stream), nil
 }
 
 // DecodeCellsAudio demodulates a cell-transport burst and reconstructs
@@ -487,7 +483,7 @@ func (p *Pipeline) DecodeCellsAudio(audio []float64, w, h int) (*imagecodec.Rast
 // AirtimeSeconds of the compressed bitstream (the trade-off DESIGN.md
 // §5a quantifies).
 func (p *Pipeline) CellAirtimeSeconds(img *imagecodec.Raster) (float64, error) {
-	cells, err := imagecodec.EncodeColumnsTolWorkers(img, frame.PayloadSize, p.cfg.CellTolerance, p.cfg.Workers)
+	cells, err := imagecodec.EncodeColumnsTol(img, frame.PayloadSize, p.cfg.CellTolerance)
 	if err != nil {
 		return 0, err
 	}
@@ -514,12 +510,11 @@ func (p *Pipeline) FrameLossProbe(link fm.Link, nFrames int) (lossRate float64, 
 			Payload: payload,
 		}
 	}
-	stream, err := p.codec.EncodeStream(frames)
+	stream, err := p.framesStream(nil, frames)
 	if err != nil {
 		return 0, err
 	}
-	audio := p.modem.Modulate(stream)
-	rx := link.Transmit(audio, p.cfg.Modem.SampleRate)
+	rx := link.Transmit(p.modulateStream(nil, stream), p.cfg.Modem.SampleRate)
 	sp := p.tel.StartSpan("core.frame_loss_probe")
 	got, _, _, err := p.receiveFrames(sp, rx)
 	sp.End()

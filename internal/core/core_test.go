@@ -144,7 +144,6 @@ func TestFrameLossProbeBands(t *testing.T) {
 
 func TestCellTransportEndToEnd(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.CellTransport = true
 	cfg.CellTolerance = 8
 	p, err := NewPipeline(cfg)
 	if err != nil {

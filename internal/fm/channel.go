@@ -3,6 +3,7 @@ package fm
 import (
 	"math"
 	"math/rand"
+	"runtime"
 
 	"sonic/internal/telemetry"
 )
@@ -39,9 +40,6 @@ type FMLink struct {
 	DistanceM    float64
 	RSSIOverride float64
 	Rng          *rand.Rand
-	// Workers bounds the data-parallel stages of the chain; 0 uses the
-	// package default (SetWorkers / GOMAXPROCS).
-	Workers int
 	// Telemetry, when non-nil, records per-transmit metrics: the
 	// fm_cnr_db / fm_rssi_dbm gauges, fm_transmits_total, composite
 	// clipping events (fm_clipped_samples_total — samples that exceed
@@ -77,7 +75,7 @@ func (l *FMLink) Transmit(audio []float64, rate int) []float64 {
 	// The same chain as Broadcast, with clipping accounted inside the
 	// composite mix and per-stage child spans under fm.transmit.
 	return broadcastChain(audio, rate, cnr, rng, chainOpts{
-		workers: resolveWorkers(l.Workers),
+		workers: runtime.GOMAXPROCS(0),
 		reg:     reg,
 		span:    sp,
 	})

@@ -23,8 +23,10 @@ package fm
 import (
 	"math"
 	"math/rand"
+	"runtime"
 
 	"sonic/internal/dsp"
+	"sonic/internal/parallel"
 )
 
 // Standard broadcast-FM constants used throughout the package.
@@ -109,7 +111,7 @@ func (d *Demodulator) DemodulateInto(dst []float64, envelope []complex128, worke
 		dev = MaxDeviation
 	}
 	k := CompositeRate / (2 * math.Pi * dev)
-	parallelFor(workers, len(envelope), func(lo, hi int) {
+	parallel.For(workers, len(envelope), parallelBlockMin, func(lo, hi int) {
 		var prev complex128 = 1
 		if lo > 0 {
 			prev = envelope[lo-1]
@@ -142,12 +144,13 @@ func AddRFNoise(envelope []complex128, cnrDB float64, rng *rand.Rand) []complex1
 	return envelope
 }
 
-// addRFNoiseWorkers is AddRFNoise with optional data parallelism. With
-// workers <= 1 it preserves the exact serial rng draw order. With more
-// workers each block draws from its own rng seeded from the parent (one
-// Int63 per block, drawn in block order), so the realization differs from
-// the serial one but remains deterministic for a given seed and worker
-// count, with the same noise statistics.
+// addRFNoiseWorkers is AddRFNoise with a worker-count-dependent
+// realization. With workers <= 1 it preserves the exact serial rng draw
+// order. With more workers the envelope splits into one block per worker
+// and each block draws from its own rng seeded from the parent (one Int63
+// per block, drawn in block order), so the realization differs from the
+// serial one but remains deterministic for a given seed and worker count,
+// with the same noise statistics. The blocks run one after another.
 func addRFNoiseWorkers(envelope []complex128, cnrDB float64, rng *rand.Rand, workers int) {
 	if workers <= 1 || len(envelope) < 2*parallelBlockMin {
 		AddRFNoise(envelope, cnrDB, rng)
@@ -156,26 +159,12 @@ func addRFNoiseWorkers(envelope []complex128, cnrDB float64, rng *rand.Rand, wor
 	sigma := math.Sqrt(math.Pow(10, -cnrDB/10) / 2)
 	n := len(envelope)
 	chunk := (n + workers - 1) / workers
-	type blk struct {
-		lo, hi int
-		seed   int64
-	}
-	blocks := make([]blk, 0, workers)
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+		r := rand.New(rand.NewSource(rng.Int63()))
+		for i := lo; i < min(lo+chunk, n); i++ {
+			envelope[i] += complex(sigma*r.NormFloat64(), sigma*r.NormFloat64())
 		}
-		blocks = append(blocks, blk{lo, hi, rng.Int63()})
 	}
-	parallelFor(len(blocks), len(blocks), func(blo, bhi int) {
-		for _, b := range blocks[blo:bhi] {
-			r := rand.New(rand.NewSource(b.seed))
-			for i := b.lo; i < b.hi; i++ {
-				envelope[i] += complex(sigma*r.NormFloat64(), sigma*r.NormFloat64())
-			}
-		}
-	})
 }
 
 // monoDeviationFraction is the share of peak deviation given to the mono
@@ -188,7 +177,7 @@ const monoDeviationFraction = 0.85
 // program audio at the same rate. It is the paper's "FM transmitter +
 // radio receiver" pair with everything between antenna and speaker.
 func Broadcast(audio []float64, audioRate int, cnrDB float64, rng *rand.Rand) []float64 {
-	return broadcastChain(audio, audioRate, cnrDB, rng, chainOpts{workers: resolveWorkers(0)})
+	return broadcastChain(audio, audioRate, cnrDB, rng, chainOpts{workers: runtime.GOMAXPROCS(0)})
 }
 
 // BuildComposite assembles the FM composite baseband at CompositeRate from

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -258,17 +259,33 @@ func TestBroadcastMatchesReferenceCleanChannel(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	audio := toneAudio(24000, rng)
 	want := refBroadcast(audio, 48000, 40, rand.New(rand.NewSource(5)))
-	SetWorkers(1)
-	defer SetWorkers(0)
-	got := Broadcast(audio, 48000, 40, rand.New(rand.NewSource(5)))
+	serial := chainOpts{workers: 1}
+	got := broadcastChain(audio, 48000, 40, rand.New(rand.NewSource(5)), serial)
 	if d := maxAbsDiffF(t, got, want); d > 1e-6 {
 		t.Errorf("max diff %g at 40 dB CNR", d)
 	}
 	// Noiseless: +Inf CNR skips the noise stage entirely.
 	wantClean := refBroadcast(audio, 48000, math.Inf(1), nil)
-	gotClean := Broadcast(audio, 48000, math.Inf(1), nil)
+	gotClean := broadcastChain(audio, 48000, math.Inf(1), nil, serial)
 	if d := maxAbsDiffF(t, gotClean, wantClean); d > 1e-6 {
 		t.Errorf("max diff %g on noiseless chain", d)
+	}
+}
+
+// Broadcast sizes its pool from GOMAXPROCS. Every stage but the noise
+// draw writes dst[i] from src[i], so the noiseless chain must come out
+// byte-identical at any processor count.
+func TestBroadcastProcsIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	audio := toneAudio(24000, rng)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := Broadcast(audio, 48000, math.Inf(1), nil)
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := Broadcast(audio, 48000, math.Inf(1), nil)
+		if d := maxAbsDiffF(t, got, want); d != 0 {
+			t.Fatalf("GOMAXPROCS=%d: output differs from the serial chain by up to %g", procs, d)
+		}
 	}
 }
 
@@ -281,26 +298,23 @@ func TestBroadcastSNRParity(t *testing.T) {
 	clean := refBroadcast(audio, 48000, math.Inf(1), nil)
 	refSNR := snrDB(clean, refBroadcast(audio, 48000, 15, rand.New(rand.NewSource(9))))
 	for _, w := range []int{1, 2, 4} {
-		SetWorkers(w)
-		got := Broadcast(audio, 48000, 15, rand.New(rand.NewSource(9)))
+		got := broadcastChain(audio, 48000, 15, rand.New(rand.NewSource(9)), chainOpts{workers: w})
 		gotSNR := snrDB(clean, got)
 		if math.Abs(gotSNR-refSNR) > 1.0 {
 			t.Errorf("workers=%d: SNR %0.2f dB vs reference %0.2f dB", w, gotSNR, refSNR)
 		}
 	}
-	SetWorkers(0)
 }
 
 // --- regression guards ---
 
 func TestBroadcastAllocs(t *testing.T) {
-	SetWorkers(1)
-	defer SetWorkers(0)
 	rng := rand.New(rand.NewSource(16))
 	audio := toneAudio(4800, rng)
-	Broadcast(audio, 48000, 30, rng) // warm pools
+	serial := chainOpts{workers: 1}
+	broadcastChain(audio, 48000, 30, rng, serial) // warm pools
 	allocs := testing.AllocsPerRun(10, func() {
-		Broadcast(audio, 48000, 30, rng)
+		broadcastChain(audio, 48000, 30, rng, serial)
 	})
 	// Steady state: the returned audio slice plus a handful of fixed-size
 	// headers — independent of signal length. The old chain allocated a
@@ -333,11 +347,10 @@ func TestFMLinkTransmitChildSpans(t *testing.T) {
 }
 
 func TestBroadcastConcurrent(t *testing.T) {
-	SetWorkers(2)
-	defer SetWorkers(0)
+	two := chainOpts{workers: 2}
 	rng := rand.New(rand.NewSource(18))
 	audio := toneAudio(9600, rng)
-	want := Broadcast(audio, 48000, math.Inf(1), nil)
+	want := broadcastChain(audio, 48000, math.Inf(1), nil, two)
 	var wg sync.WaitGroup
 	errs := make(chan int, 8)
 	for g := 0; g < 8; g++ {
@@ -345,7 +358,7 @@ func TestBroadcastConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < 3; it++ {
-				got := Broadcast(audio, 48000, math.Inf(1), nil)
+				got := broadcastChain(audio, 48000, math.Inf(1), nil, two)
 				for i := range got {
 					if got[i] != want[i] {
 						errs <- i

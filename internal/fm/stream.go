@@ -6,8 +6,19 @@ import (
 	"sync/atomic"
 
 	"sonic/internal/dsp"
+	"sonic/internal/parallel"
 	"sonic/internal/telemetry"
 )
+
+// The chain's per-sample stages (noise injection, discriminator
+// demodulation, composite mixing) are data-parallel across contiguous
+// sample blocks; modulation is a serial phase recurrence and stays on
+// one goroutine. Broadcast and FMLink.Transmit size the pool from
+// GOMAXPROCS.
+
+// parallelBlockMin is the smallest per-worker block worth a goroutine;
+// below it the fixed spawn/join cost dwarfs the loop body.
+const parallelBlockMin = 4096
 
 // chainOpts carries the cross-cutting knobs of one chain run. The zero
 // value is valid: serial, untraced.
@@ -48,7 +59,7 @@ func broadcastChain(audio []float64, audioRate int, cnrDB float64, rng *rand.Ran
 	comp = monoConvolver().Apply(comp, comp)
 	pilot := pilotTable()
 	var clipped int64
-	parallelFor(o.workers, len(comp), func(lo, hi int) {
+	parallel.For(o.workers, len(comp), parallelBlockMin, func(lo, hi int) {
 		j := lo % len(pilot)
 		local := int64(0)
 		for i := lo; i < hi; i++ {
@@ -95,7 +106,7 @@ func broadcastChain(audio []float64, audioRate int, cnrDB float64, rng *rand.Ran
 	// is never run.
 	sp = o.span.StartChild("split_composite")
 	comp = monoConvolver().Apply(comp, comp)
-	parallelFor(o.workers, len(comp), func(lo, hi int) {
+	parallel.For(o.workers, len(comp), parallelBlockMin, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			comp[i] /= monoDeviationFraction
 		}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"sonic/internal/parallel"
 )
 
 // The paper's transmission scheme (§3.3) divides the rendered image
@@ -79,7 +81,7 @@ func EncodeColumnsTol(r *Raster, maxCellBytes, tol int) ([]Cell, error) {
 // count. Columns are independent, so each worker packs a contiguous
 // range of columns into cells; the per-column results are concatenated
 // in column order, giving the same cell list as the serial encoder for
-// any worker count. workers <= 0 selects the package default.
+// any worker count. workers <= 0 selects GOMAXPROCS.
 func EncodeColumnsTolWorkers(r *Raster, maxCellBytes, tol, workers int) ([]Cell, error) {
 	if r == nil || r.W < 1 || r.H < 1 {
 		return nil, ErrEmptyRaster
@@ -91,7 +93,7 @@ func EncodeColumnsTolWorkers(r *Raster, maxCellBytes, tol, workers int) ([]Cell,
 	if maxData < 6 {
 		return nil, fmt.Errorf("imagecodec: maxCellBytes %d too small", maxCellBytes)
 	}
-	workers = resolveWorkers(workers)
+	workers = poolSize(workers)
 	if workers <= 1 {
 		var enc columnEncoder
 		var cells []Cell
@@ -101,7 +103,7 @@ func EncodeColumnsTolWorkers(r *Raster, maxCellBytes, tol, workers int) ([]Cell,
 		return cells, nil
 	}
 	perCol := make([][]Cell, r.W)
-	parallelFor(workers, r.W, func(lo, hi int) {
+	parallel.For(workers, r.W, 1, func(lo, hi int) {
 		var enc columnEncoder
 		for x := lo; x < hi; x++ {
 			perCol[x] = enc.appendColumnCells(nil, r, x, maxData, tol)

@@ -90,18 +90,20 @@ func TestEncodeColumnsMatchesReference(t *testing.T) {
 		for _, tol := range []int{0, 8} {
 			for _, maxCell := range []int{16, 85, 300} {
 				want := refEncodeColumns(src, maxCell, tol)
-				for _, wk := range []int{1, 2, 7} {
-					got, err := EncodeColumnsTolWorkers(src, maxCell, tol, wk)
+				for _, row := range poolRows {
+					undo := row.pin()
+					got, err := EncodeColumnsTolWorkers(src, maxCell, tol, row.workers)
+					undo()
 					if err != nil {
-						t.Fatalf("%s tol=%d max=%d wk=%d: %v", name, tol, maxCell, wk, err)
+						t.Fatalf("%s tol=%d max=%d pool=%+v: %v", name, tol, maxCell, row, err)
 					}
 					if len(got) != len(want) {
-						t.Fatalf("%s tol=%d max=%d wk=%d: %d cells vs %d", name, tol, maxCell, wk, len(got), len(want))
+						t.Fatalf("%s tol=%d max=%d pool=%+v: %d cells vs %d", name, tol, maxCell, row, len(got), len(want))
 					}
 					for i := range got {
 						g, w := got[i], want[i]
 						if g.Col != w.Col || g.Y0 != w.Y0 || g.N != w.N || !bytes.Equal(g.Data, w.Data) {
-							t.Fatalf("%s tol=%d max=%d wk=%d: cell %d differs", name, tol, maxCell, wk, i)
+							t.Fatalf("%s tol=%d max=%d pool=%+v: cell %d differs", name, tol, maxCell, row, i)
 						}
 					}
 				}

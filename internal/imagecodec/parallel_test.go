@@ -74,33 +74,3 @@ func TestEncodeColumnsWorkersDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestSetWorkersResolution(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(3)
-	if got := Workers(); got != 3 {
-		t.Fatalf("Workers() = %d after SetWorkers(3)", got)
-	}
-	SetWorkers(0)
-	if got := Workers(); got < 1 {
-		t.Fatalf("Workers() = %d with default, want >= 1", got)
-	}
-}
-
-func TestParallelForCoversRange(t *testing.T) {
-	for _, workers := range []int{1, 2, 7} {
-		for _, n := range []int{0, 1, 5, 64} {
-			hits := make([]int32, n)
-			parallelFor(workers, n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					hits[i]++
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
-				}
-			}
-		}
-	}
-}

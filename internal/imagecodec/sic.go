@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sync"
+
+	"sonic/internal/parallel"
 )
 
 // SIC (Sonic Image Codec) is the WebP substitute: a lossy block-transform
@@ -398,7 +401,7 @@ func fromYCbCr(yp, cb, cr *plane, workers int) *Raster {
 	out := NewBlackRaster(yp.w, yp.h)
 	w, cw := yp.w, cb.w
 	pix := out.Pix
-	parallelFor(workers, yp.h, func(lo, hi int) {
+	parallel.For(workers, yp.h, 1, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
 			yrow := yp.pix[y*w : (y+1)*w]
 			crow := (y / 2) * cw
@@ -609,7 +612,7 @@ func newPlaneQuant(qt *[64]int, quality int) planeQuant {
 // fallback, and the flat memos only skip recomputing identical values,
 // so nothing depends on the worker split.
 func quantizeInto(blocks []sicBlock, src blockSource, pq *planeQuant, bw, workers int) {
-	parallelFor(workers, len(blocks), func(lo, hi int) {
+	parallel.For(workers, len(blocks), 1, func(lo, hi int) {
 		var iblk [64]int32
 		var info intLoadInfo
 		lastFlatI, lastFlatIDC, haveFlatI := int32(0), int32(0), false
@@ -702,15 +705,30 @@ func storeFlat(p *plane, v float64, bx, by int) {
 	}
 }
 
-// EncodeSIC compresses the raster at the given quality (0-95) using the
-// package-default worker count (SetWorkers, GOMAXPROCS if unset).
+// The codec's compute stages (per-block DCT/quantize, color conversion,
+// per-column cell packing) are data-parallel; the entropy stages (DC
+// prediction, token emission, DEFLATE) are serial chains. The *Workers
+// entry points split only the compute stages across goroutines, so the
+// emitted bytes do not depend on the worker count.
+
+// poolSize maps a *Workers argument to a pool size: a positive count is
+// taken as given, anything else means one worker per GOMAXPROCS.
+func poolSize(workers int) int {
+	if workers > 0 {
+		return workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// EncodeSIC compresses the raster at the given quality (0-95) on
+// GOMAXPROCS workers.
 func EncodeSIC(r *Raster, quality int) ([]byte, error) {
 	return EncodeSICWorkers(r, quality, 0)
 }
 
 // EncodeSICWorkers is EncodeSIC with an explicit worker count for the
 // data-parallel stages (color conversion, per-plane token emission,
-// per-block DCT/quantize). workers <= 0 selects the package default. The
+// per-block DCT/quantize). workers <= 0 selects GOMAXPROCS. The
 // output is byte-identical for every worker count: each plane's DC
 // prediction chain restarts at zero, so the three planes encode
 // independently in a fixed order. The emitted stream is bitstream v2,
@@ -722,18 +740,17 @@ func EncodeSICWorkers(r *Raster, quality, workers int) ([]byte, error) {
 	if quality < MinQuality || quality > MaxQuality {
 		return nil, fmt.Errorf("imagecodec: quality %d out of [%d,%d]", quality, MinQuality, MaxQuality)
 	}
-	return encodeSICV2(r, quality, resolveWorkers(workers))
+	return encodeSICV2(r, quality, poolSize(workers))
 }
 
-// DecodeSIC decompresses a SIC bitstream using the package-default
-// worker count.
+// DecodeSIC decompresses a SIC bitstream on GOMAXPROCS workers.
 func DecodeSIC(data []byte) (*Raster, error) {
 	return DecodeSICWorkers(data, 0)
 }
 
 // DecodeSICWorkers is DecodeSIC with an explicit worker count for the
 // data-parallel stages (dequantize/IDCT, color reassembly). workers <= 0
-// selects the package default. The reconstruction is identical for every
+// selects GOMAXPROCS. The reconstruction is identical for every
 // worker count. The version byte is validated: only the emitted
 // generation — v2 ("SIC2", per-plane flate over the packed layout in
 // sicv2.go) — is decoded, and any other version byte, the retired v1
@@ -751,5 +768,5 @@ func DecodeSICWorkers(data []byte, workers int) (*Raster, error) {
 	if w < 1 || h < 1 || w > 1<<15 || h > 1<<20 {
 		return nil, errors.New("imagecodec: implausible SIC dimensions")
 	}
-	return decodeSICV2(data[13:], w, h, quality, resolveWorkers(workers))
+	return decodeSICV2(data[13:], w, h, quality, poolSize(workers))
 }

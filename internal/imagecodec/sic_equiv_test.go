@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -889,6 +890,22 @@ func equivRasters() map[string]*Raster {
 	}
 }
 
+// poolRow is one row of a worker-parity table: an explicit worker count,
+// or workers 0 — what EncodeSIC, DecodeSIC and EncodeColumnsTol pass —
+// with GOMAXPROCS pinned to procs for the call.
+type poolRow struct{ workers, procs int }
+
+var poolRows = []poolRow{{1, 0}, {2, 0}, {3, 0}, {5, 0}, {8, 0}, {0, 1}, {0, 2}, {0, 4}}
+
+// pin applies the row's GOMAXPROCS, if it has one, and returns the undo.
+func (r poolRow) pin() (undo func()) {
+	if r.procs == 0 {
+		return func() {}
+	}
+	prev := runtime.GOMAXPROCS(r.procs)
+	return func() { runtime.GOMAXPROCS(prev) }
+}
+
 func TestSICDecoderMatchesReference(t *testing.T) {
 	// Streams produced by the live encoder must reconstruct exactly like
 	// refDecodeSICv2, at any worker count.
@@ -902,13 +919,15 @@ func TestSICDecoderMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s q=%d: ref decode: %v", name, q, err)
 			}
-			for _, wk := range []int{1, 2, 5} {
-				got, err := DecodeSICWorkers(enc, wk)
+			for _, row := range poolRows {
+				undo := row.pin()
+				got, err := DecodeSICWorkers(enc, row.workers)
+				undo()
 				if err != nil {
-					t.Fatalf("%s q=%d workers=%d: %v", name, q, wk, err)
+					t.Fatalf("%s q=%d pool=%+v: %v", name, q, row, err)
 				}
 				if got.W != want.W || got.H != want.H || !bytes.Equal(got.Pix, want.Pix) {
-					t.Fatalf("%s q=%d workers=%d: decoded pixels differ from reference", name, q, wk)
+					t.Fatalf("%s q=%d pool=%+v: decoded pixels differ from reference", name, q, row)
 				}
 			}
 		}
@@ -955,13 +974,15 @@ func TestSICEncoderWorkerIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s q=%d: %v", name, q, err)
 			}
-			for _, wk := range []int{2, 3, 8} {
-				enc, err := EncodeSICWorkers(src, q, wk)
+			for _, row := range poolRows {
+				undo := row.pin()
+				enc, err := EncodeSICWorkers(src, q, row.workers)
+				undo()
 				if err != nil {
-					t.Fatalf("%s q=%d workers=%d: %v", name, q, wk, err)
+					t.Fatalf("%s q=%d pool=%+v: %v", name, q, row, err)
 				}
 				if !bytes.Equal(enc, base) {
-					t.Fatalf("%s q=%d workers=%d: bitstream differs from workers=1", name, q, wk)
+					t.Fatalf("%s q=%d pool=%+v: bitstream differs from workers=1", name, q, row)
 				}
 			}
 		}

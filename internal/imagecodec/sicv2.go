@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"sonic/internal/parallel"
 )
 
 // SIC bitstream v2 is a codec-aware entropy stage over the same quantized
@@ -433,7 +435,7 @@ func uvarintLen(u uint64) int {
 // writes a disjoint pixel region, so reconstruction is identical for any
 // worker count.
 func dequantStoreBlocks(p *plane, blocks []sicBlock, bw int, qt *[64]int, qz *[64]int, workers int) {
-	parallelFor(workers, len(blocks), func(lo, hi int) {
+	parallel.For(workers, len(blocks), 1, func(lo, hi int) {
 		var blk [64]float64
 		for bi := lo; bi < hi; bi++ {
 			by, bx := bi/bw, bi%bw

@@ -2,6 +2,8 @@ package server
 
 import (
 	"errors"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -248,5 +250,81 @@ func TestPushPopularTracksDemand(t *testing.T) {
 	url, _, _, ok = s.DequeuePageAt("lhe-1", now)
 	if !ok || url != pages[0].URL {
 		t.Errorf("lhe-1 push = (%q, %v), want corpus-ranked %q", url, ok, pages[0].URL)
+	}
+}
+
+// TestAdmissionZipfStormCoalesces is a Zipf SMS storm at test size, all
+// on the simulated clock: requesters spread over both towers text for
+// Zipf-popular pages through the SMSC, admission flushes every simulated
+// second, and each tower airs one page at a time at its real airtime.
+// Airtime, not CPU, is the scarce resource, so requests pile onto the
+// broadcasts still waiting: every broadcast must serve at least two
+// requests on average, and every accepted request must go on air.
+func TestAdmissionZipfStormCoalesces(t *testing.T) {
+	s := admissionServer(t, admission.Config{MaxBatch: 512})
+	reg := telemetry.New()
+	telemetry.NewLifecycle(reg, telemetry.LifecycleConfig{})
+	s.Instrument(reg)
+	smsc := sms.NewSMSC(time.Second, 5*time.Second, 1)
+	smsc.Register(s.cfg.Number, s.HandleSMS(smsc))
+	queued := 0
+	smsc.Register("+user", func(m sms.Message) {
+		if _, _, err := sms.ParseAck(m.Body); err == nil {
+			queued++
+		}
+	})
+
+	const users, windowS = 400, 600.0
+	rng := rand.New(rand.NewSource(1))
+	pages := corpus.Pages()[:6]
+	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(pages)-1))
+	homes := [][2]float64{{24.87, 67.01}, {31.55, 74.34}}
+	atS := make([]float64, users)
+	for i := range atS {
+		atS[i] = rng.Float64() * windowS
+	}
+	sort.Float64s(atS)
+
+	towers := s.Transmitters()
+	busyUntil := make([]time.Time, len(towers))
+	for i := range busyUntil {
+		busyUntil[i] = s.cfg.Epoch
+	}
+	next := 0
+	for now, idle := s.cfg.Epoch.Add(time.Second), false; !idle; now = now.Add(time.Second) {
+		for ; next < users && atS[next] < now.Sub(s.cfg.Epoch).Seconds(); next++ {
+			home := homes[rng.Intn(len(homes))]
+			body := sms.FormatRequest(sms.Request{URL: pages[zipf.Uint64()].URL, Lat: home[0], Lon: home[1]})
+			if err := smsc.Submit(now.Add(-time.Second), "+user", s.cfg.Number, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		smsc.Advance(now)
+		s.FlushAdmission()
+		idle = next == users && smsc.Pending() == 0
+		for i, tx := range towers {
+			for !busyUntil[i].After(now) {
+				_, _, b, ok := s.DequeuePageAt(tx.ID, busyUntil[i])
+				if !ok {
+					busyUntil[i] = now
+					break
+				}
+				airS := s.pipeline.AirtimeSeconds(len(core.MarshalBundle(b)))
+				busyUntil[i] = busyUntil[i].Add(time.Duration(airS * float64(time.Second)))
+			}
+			idle = idle && !busyUntil[i].After(now)
+		}
+	}
+
+	snap := reg.Snapshot()
+	if queued != users {
+		t.Fatalf("%d of %d requests were acked QUEUED", queued, users)
+	}
+	if got := snap.Counters["lifecycle_on_air_total"]; got != users {
+		t.Errorf("%d of %d accepted requests went on air", got, users)
+	}
+	broadcasts := snap.Counters["server_pages_enqueued_total"]
+	if broadcasts == 0 || float64(users)/float64(broadcasts) < 2 {
+		t.Errorf("%d requests rode %d broadcasts: under 2 requests per broadcast", users, broadcasts)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -170,7 +171,15 @@ func TestRenderCacheEffectiveHourInvalidation(t *testing.T) {
 // artifacts, so the chain never holds more than one epoch per URL and
 // its bytes track the live bundles instead of growing with the churn.
 // The cache is unbounded here, so only the forget can keep it flat.
+//
+// The same walk is the keep-the-transmitter-fed check: every RenderPage
+// is one transmission whose bundle takes AirtimeSeconds to air, and on
+// one core the day's renders must cost less wall clock than the day's
+// airtime, or a server could not feed a tower in real time. These are
+// the pages that re-render most, so any carousel over the corpus has a
+// wider margin.
 func TestRenderEpochForgets(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p, err := testPipeline()
 	if err != nil {
 		t.Fatal(err)
@@ -194,6 +203,8 @@ func TestRenderEpochForgets(t *testing.T) {
 	refs = refs[:nPages]
 
 	renders := 0
+	airS := 0.0
+	t0 := time.Now()
 	for h := 0; h < hours; h++ {
 		now := cfg.Epoch.Add(time.Duration(h) * time.Hour)
 		live := int64(0)
@@ -203,6 +214,7 @@ func TestRenderEpochForgets(t *testing.T) {
 				t.Fatal(err)
 			}
 			live += int64(len(b.Image) + len(b.ClickMap))
+			airS += p.AirtimeSeconds(len(core.MarshalBundle(b)))
 		}
 		st := s.ArtifactStats()
 		if st.Entries != nPages {
@@ -215,6 +227,12 @@ func TestRenderEpochForgets(t *testing.T) {
 	}
 	if renders < 2*nPages {
 		t.Fatalf("only %d renders in %d hours: the pages did not churn", renders, hours)
+	}
+	wallS := time.Since(t0).Seconds()
+	t.Logf("%d renders, %.2f s wall for %.0f s of airtime (%.0fx real time)", renders, wallS, airS, airS/wallS)
+	if wallS >= airS {
+		t.Fatalf("%d renders behind %d transmissions took %.1f s of wall clock for %.0f s of airtime: slower than real time on one core",
+			renders, hours*nPages, wallS, airS)
 	}
 	// The forget reaches every stage: audio derived from an epoch goes
 	// with it.

@@ -87,14 +87,6 @@ type Config struct {
 	PageTTL time.Duration
 	// Epoch anchors simulation time to corpus hour 0.
 	Epoch time.Time
-	// Workers bounds the worker pool the SIC encoder uses when rendering
-	// pages. 0 means GOMAXPROCS; 1 forces the serial path. The encoded
-	// bitstream is identical for every value.
-	Workers int
-	// Shards is the number of lock stripes the per-transmitter queues
-	// spread across; queue work on one stripe never contends with
-	// another. 0 means DefaultShards.
-	Shards int
 	// ArtifactCacheBytes caps the fleet-wide content-addressed artifact
 	// cache, the server's only page cache (render -> blob -> FEC stream
 	// -> modulated audio; see internal/artifact). 0 means
@@ -267,22 +259,13 @@ func New(cfg Config, pipeline *core.Pipeline) *Server {
 	for _, ref := range corpus.Pages() {
 		refs[ref.URL] = ref
 	}
-	nShards := cfg.Shards
-	if nShards <= 0 {
-		nShards = DefaultShards
-	}
-	// The raster stage reads webrender's package-wide knob (RenderCropped
-	// has no per-call worker parameter); thread the config through so the
-	// photo lerp rows honor the same Workers setting as the encoder. The
-	// output is byte-identical at any count.
-	webrender.SetWorkers(cfg.Workers)
 	s := &Server{
 		cfg:       cfg,
 		pipeline:  pipeline,
 		refs:      refs,
 		chain:     artifact.NewChain(pipeline, cfg.ArtifactCacheBytes),
 		renderSem: make(chan struct{}, runtime.GOMAXPROCS(0)),
-		shards:    make([]*shard, nShards),
+		shards:    make([]*shard, DefaultShards),
 		pageIDs:   make(map[string]uint16),
 		epochs:    make(map[string]int),
 	}
@@ -431,7 +414,7 @@ func (s *Server) renderMiss(url string, ref corpus.PageRef, hour int) (core.Bund
 	defer rendered.Release()
 
 	encSp := sp.StartChild("encode_sic")
-	enc, err := imagecodec.EncodeSICWorkers(rendered.Image, s.cfg.Quality, s.cfg.Workers)
+	enc, err := imagecodec.EncodeSIC(rendered.Image, s.cfg.Quality)
 	encSp.End()
 	if err != nil {
 		return core.Bundle{}, fmt.Errorf("server: encode %s: %w", url, err)

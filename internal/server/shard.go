@@ -15,7 +15,8 @@ import (
 // encodes, and bundle marshalling happen before the lock is taken
 // (enforced by the lockscope analyzer).
 
-// DefaultShards is the queue-stripe count when Config.Shards is 0.
+// DefaultShards is the number of lock stripes the per-transmitter queues
+// spread across.
 const DefaultShards = 8
 
 // shard is one lock stripe of the queue state.

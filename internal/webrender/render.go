@@ -3,10 +3,12 @@ package webrender
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"sonic/internal/clickmap"
 	"sonic/internal/imagecodec"
+	"sonic/internal/parallel"
 )
 
 // Layout constants for the 1080-wide reference rendering (§3.2).
@@ -317,7 +319,7 @@ func photoNoiseKey(seed uint64, x, y int) uint64 {
 // blended pixels can never leave [0, 255] and the rows need no clamp.
 // Rows are pure functions of (seed, y): grain comes from photoNoise
 // rather than a shared rng stream, so the row loop is data-parallel
-// behind the Workers knob with byte-identical output at any count.
+// across GOMAXPROCS workers with byte-identical output at any count.
 func drawPseudoPhoto(img *imagecodec.Raster, x0, y0, w, h int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	// 4x4 control grid, bilinear interpolation between random colors.
@@ -382,7 +384,7 @@ func drawPseudoPhoto(img *imagecodec.Raster, x0, y0, w, h int, seed int64) {
 		return
 	}
 	base := uint64(seed)
-	parallelFor(resolveWorkers(0), yHi-yLo, func(lo, hi int) {
+	parallel.For(runtime.GOMAXPROCS(0), yHi-yLo, 1, func(lo, hi int) {
 		for yi := lo; yi < hi; yi++ {
 			y := yLo + yi
 			fy := y * grid << 16 / h

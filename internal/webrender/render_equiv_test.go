@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sonic/internal/clickmap"
@@ -355,11 +356,12 @@ func TestPseudoPhotoMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPseudoPhotoWorkerIdentity pins the data-parallel photo row loop:
-// every worker count must produce the raster the serial pass produces,
-// byte for byte, including clipped photos whose visible span is partial.
+// TestPseudoPhotoWorkerIdentity pins the data-parallel photo row loop,
+// which sizes its pool from GOMAXPROCS: at every processor count it must
+// produce the raster the serial pass produces, byte for byte, including
+// clipped photos whose visible span is partial.
 func TestPseudoPhotoWorkerIdentity(t *testing.T) {
-	defer SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cases := []struct {
 		x0, y0, w, h int
 		seed         int64
@@ -370,15 +372,15 @@ func TestPseudoPhotoWorkerIdentity(t *testing.T) {
 		{200, 10, 128, 64, 5},
 	}
 	for _, tc := range cases {
-		SetWorkers(1)
+		runtime.GOMAXPROCS(1)
 		want := imagecodec.NewRaster(256, 120)
 		drawPseudoPhoto(want, tc.x0, tc.y0, tc.w, tc.h, tc.seed)
-		for _, workers := range []int{2, 3, 5, 8, 16} {
-			SetWorkers(workers)
+		for _, procs := range []int{2, 3, 4, 8, 16} {
+			runtime.GOMAXPROCS(procs)
 			got := imagecodec.NewRaster(256, 120)
 			drawPseudoPhoto(got, tc.x0, tc.y0, tc.w, tc.h, tc.seed)
 			if d := firstPixelDiff(got, want); d != "" {
-				t.Fatalf("photo %+v workers=%d: %s", tc, workers, d)
+				t.Fatalf("photo %+v GOMAXPROCS=%d: %s", tc, procs, d)
 			}
 		}
 	}

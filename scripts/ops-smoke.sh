@@ -9,13 +9,14 @@
 #   * /trace/<id> reconstructs a request timeline from the event ring
 #   * sonic-top -once renders against the live endpoint
 #
-# The final snapshot is left at telemetry-final.json (CI uploads it as an
-# artifact). Fails loudly on any missing signal.
+# The final snapshot is left at ${TMPDIR:-/tmp}/telemetry-final.json,
+# outside the checkout (CI uploads it as an artifact). Fails loudly on
+# any missing signal.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ADDR="${SONIC_OPS_ADDR:-127.0.0.1:17379}"
-OUT="${SONIC_OPS_SNAPSHOT:-telemetry-final.json}"
+OUT="${SONIC_OPS_SNAPSHOT:-${TMPDIR:-/tmp}/telemetry-final.json}"
 
 echo "ops-smoke: building sonic-sim and sonic-top"
 go build -o /tmp/sonic-sim ./cmd/sonic-sim
