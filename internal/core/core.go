@@ -493,10 +493,9 @@ func (p *Pipeline) CellAirtimeSeconds(img *imagecodec.Raster) (float64, error) {
 
 // --- channel probes ----------------------------------------------------------
 
-// FrameLossProbe measures the frame loss rate of this pipeline across a
-// Link: it broadcasts nFrames dummy frames and counts survivors. This is
-// the instrument behind Figure 4(a) and the RSSI sweep.
-func (p *Pipeline) FrameLossProbe(link fm.Link, nFrames int) (lossRate float64, err error) {
+// probeAudio broadcasts nFrames dummy frames (page id 0xBEEF) across link
+// and returns what the receiver hears.
+func (p *Pipeline) probeAudio(link fm.Link, nFrames int) ([]float64, error) {
 	frames := make([]*frame.Frame, nFrames)
 	for i := range frames {
 		payload := make([]byte, frame.PayloadSize)
@@ -512,9 +511,19 @@ func (p *Pipeline) FrameLossProbe(link fm.Link, nFrames int) (lossRate float64, 
 	}
 	stream, err := p.framesStream(nil, frames)
 	if err != nil {
+		return nil, err
+	}
+	return link.Transmit(p.modulateStream(nil, stream), p.cfg.Modem.SampleRate), nil
+}
+
+// FrameLossProbe measures the frame loss rate of this pipeline across a
+// Link: it broadcasts nFrames dummy frames and counts survivors. This is
+// the instrument behind Figure 4(a) and the RSSI sweep.
+func (p *Pipeline) FrameLossProbe(link fm.Link, nFrames int) (lossRate float64, err error) {
+	rx, err := p.probeAudio(link, nFrames)
+	if err != nil {
 		return 0, err
 	}
-	rx := link.Transmit(p.modulateStream(nil, stream), p.cfg.Modem.SampleRate)
 	sp := p.tel.StartSpan("core.frame_loss_probe")
 	got, _, _, err := p.receiveFrames(sp, rx)
 	sp.End()

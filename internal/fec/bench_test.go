@@ -45,6 +45,21 @@ func BenchmarkViterbiHardV29(b *testing.B) {
 	}
 }
 
+// BenchmarkViterbiHardV29Clean is the same frame with no channel errors:
+// the zero-syndrome fast path, no trellis.
+func BenchmarkViterbiHardV29Clean(b *testing.B) {
+	c := NewV29()
+	coded := benchCoded(c, 264, 0)
+	b.SetBytes(264)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := c.DecodeBitsMetric(coded); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkViterbiHardV27(b *testing.B) {
 	c := NewV27()
 	coded := benchCoded(c, 264, 16)

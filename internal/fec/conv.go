@@ -9,7 +9,10 @@ import (
 )
 
 // ConvCode is a rate-1/2 binary convolutional code with constraint length
-// K and two generator polynomials, decoded with hard-decision Viterbi.
+// K and two generator polynomials. Hard decisions decode syndrome-first:
+// a received word that is already a terminated codeword is inverted
+// algebraically (see decodeClean), anything else walks the Viterbi
+// trellis; soft decisions always walk the trellis.
 //
 // The SONIC paper names its inner code "v29": the classic rate-1/2, K=9
 // code (generators 753/561 octal, as in IS-95 and the libfec v29 codec).
@@ -31,9 +34,17 @@ type ConvCode struct {
 	// distance between that output pair and the observed pair obs — the
 	// hard branch metric, pre-resolved so the ACS inner loop does only
 	// sequential loads instead of a double indirection through outPair.
-	tableOnce sync.Once
-	outPair   []uint8
-	hardBM    [4][]int32
+	//
+	// invA, invB are the code's feed-forward inverse: the Bezout pair
+	// invA·polyA ⊕ invB·polyB = 1 over GF(2)[D], which recovers the message
+	// from an error-free codeword. hasInverse is false for a code that has
+	// none (catastrophic, or neither generator of degree K-1); such a code
+	// decodes every word on the trellis.
+	tableOnce  sync.Once
+	outPair    []uint8
+	hardBM     [4][]int32
+	invA, invB uint32
+	hasInverse bool
 
 	wsPool sync.Pool // *Workspace
 }
@@ -81,8 +92,45 @@ func (c *ConvCode) tables() []uint8 {
 			}
 			c.hardBM[obs] = bm
 		}
+		gcd, a, b := gf2Bezout(c.polyA, c.polyB)
+		if gcd == 1 && (c.polyA|c.polyB)>>uint(c.k-1) == 1 {
+			c.invA, c.invB, c.hasInverse = a, b, true
+		}
 	})
 	return c.outPair
+}
+
+// gf2DivMod divides GF(2) polynomials (bit j = coefficient of D^j):
+// a = q·b ⊕ r with deg r < deg b. b must be non-zero.
+func gf2DivMod(a, b uint32) (q, r uint32) {
+	for db := bits.Len32(b); bits.Len32(a) >= db; {
+		s := uint(bits.Len32(a) - db)
+		q |= 1 << s
+		a ^= b << s
+	}
+	return q, a
+}
+
+// gf2Mul is the carry-less product of two GF(2) polynomials whose
+// degrees sum to less than 32.
+func gf2Mul(a, b uint32) (p uint32) {
+	for ; b != 0; b &= b - 1 {
+		p ^= a << uint(bits.TrailingZeros32(b))
+	}
+	return p
+}
+
+// gf2Bezout runs the extended Euclidean algorithm over GF(2)[D] and
+// returns gcd(a, b) with s·a ⊕ t·b = gcd.
+func gf2Bezout(a, b uint32) (gcd, s, t uint32) {
+	s, s1, t1 := uint32(1), uint32(0), uint32(1)
+	for b != 0 {
+		q, r := gf2DivMod(a, b)
+		a, b = b, r
+		s, s1 = s1, s^gf2Mul(q, s1)
+		t, t1 = t1, t^gf2Mul(q, t1)
+	}
+	return a, s, t
 }
 
 // EncodeBits encodes a bit slice (values 0/1) and returns 2*(len(bits)+K-1)
@@ -116,9 +164,10 @@ func (c *ConvCode) encodeBitsInto(dst []byte, bits []byte) []byte {
 // not consistent with the encoder output format.
 var ErrBadCodeLength = errors.New("fec: convolutional stream length invalid")
 
-// DecodeBits runs hard-decision Viterbi over a coded bit stream produced
-// by EncodeBits (possibly with bit errors) and returns the decoded message
-// bits. The stream length must be even and at least 2*(K-1).
+// DecodeBits hard-decodes a coded bit stream produced by EncodeBits
+// (possibly with bit errors) and returns the maximum-likelihood message
+// bits: what Viterbi returns, without the trellis walk when the stream is
+// already a codeword. The stream length must be even and at least 2*(K-1).
 func (c *ConvCode) DecodeBits(coded []byte) ([]byte, error) {
 	bits, _, err := c.DecodeBitsMetric(coded)
 	return bits, err
@@ -294,7 +343,11 @@ func (w *Workspace) DecodeBitsMetric(coded []byte) ([]byte, int, error) {
 		return nil, 0, ErrBadCodeLength
 	}
 	nStates := 1 << uint(c.k-1)
-	c.tables() // ensure hardBM is built
+	c.tables() // ensure hardBM and the inverse are built
+	msg := w.growBits(nSteps)
+	if w.decodeClean(coded, msg) {
+		return msg[:msgLen], 0, nil
+	}
 	surv := w.growSurv(nSteps)
 	stride := w.stride
 
@@ -360,7 +413,6 @@ func (w *Workspace) DecodeBitsMetric(coded []byte) ([]byte, int, error) {
 
 	// Traceback from the zero state (tail flush guarantees it). The input
 	// at each step is the LSB of the state it led to.
-	msg := w.growBits(nSteps)
 	state := uint32(0)
 	for step := nSteps - 1; step >= 0; step-- {
 		msg[step] = byte(state & 1)
@@ -368,6 +420,63 @@ func (w *Workspace) DecodeBitsMetric(coded []byte) ([]byte, int, error) {
 		state = state>>1 | uint32(b)<<uint(c.k-2)
 	}
 	return msg[:msgLen], int(metric[0]), nil
+}
+
+// decodeClean is the zero-syndrome fast path: it reports whether the
+// received pairs coded (one step per entry of msg) are exactly a
+// terminated codeword, and if so leaves the message that encodes to it
+// in msg.
+//
+// De-interleave coded into r_A(D), r_B(D). If r_A·g_B ⊕ r_B·g_A is zero in
+// all len(msg)+K-1 coefficients then, since gcd(g_A, g_B) = 1, r_A = m·g_A
+// and r_B = m·g_B for one m with deg m < len(msg)-(K-1): the trellis's
+// unique metric-0 path from state 0 to state 0, so m = invA·r_A ⊕ invB·r_B
+// is bit for bit what Viterbi returns, with path metric 0. Truncating the
+// syndrome to len(msg) coefficients would also accept words of the
+// unterminated code, which Viterbi does not. The polynomials are walked
+// 64 coefficients at a time and the walk stops at the first non-zero
+// syndrome word, so a noisy frame pays at most the clean frame's few
+// microseconds (under 1% of the trellis walk it then takes).
+func (w *Workspace) decodeClean(coded, msg []byte) bool {
+	c := w.c
+	if !c.hasInverse {
+		return false
+	}
+	nSteps := len(msg)
+	var pa, pb uint64 // the previous 64 coefficients of r_A and r_B
+	for lo := 0; lo < nSteps+c.k-1; lo += 64 {
+		var ra, rb uint64
+		hi := min(lo+64, nSteps) // past the last step r_A and r_B are zero
+		if lo < hi {
+			pairs := coded[2*lo : 2*hi]
+			for i := len(pairs) - 2; i >= 0; i -= 2 { // highest step first, shifted up as the rest arrive
+				ra = ra<<1 | uint64(pairs[i]&1)
+				rb = rb<<1 | uint64(pairs[i+1]&1)
+			}
+		}
+		if gf2MulWord(ra, pa, c.polyB)^gf2MulWord(rb, pb, c.polyA) != 0 {
+			return false
+		}
+		if lo < hi {
+			m := gf2MulWord(ra, pa, c.invA) ^ gf2MulWord(rb, pb, c.invB)
+			for i := range msg[lo:hi] {
+				msg[lo+i] = byte(m) & 1
+				m >>= 1
+			}
+		}
+		pa, pb = ra, rb
+	}
+	return true
+}
+
+// gf2MulWord returns 64 coefficients of r·g over GF(2): cur holds r's
+// coefficients at the word's own positions, prev the 64 below them.
+func gf2MulWord(cur, prev uint64, g uint32) (p uint64) {
+	for ; g != 0; g &= g - 1 {
+		j := uint(bits.TrailingZeros32(g))
+		p ^= cur<<j | prev>>(64-j)
+	}
+	return p
 }
 
 // DecodeBits is ConvCode.DecodeBits on this workspace (result aliases
@@ -532,7 +641,13 @@ func BytesToBits(data []byte) []byte {
 // unpackBitsInto fills bits (MSB first) from data; len(bits) may stop
 // short of len(data)*8.
 func unpackBitsInto(bits []byte, data []byte) {
-	for i := range bits {
+	full := len(bits) / 8
+	for i, b := range data[:full] {
+		o := bits[i*8 : i*8+8 : i*8+8]
+		o[0], o[1], o[2], o[3] = b>>7, b>>6&1, b>>5&1, b>>4&1
+		o[4], o[5], o[6], o[7] = b>>3&1, b>>2&1, b>>1&1, b&1
+	}
+	for i := full * 8; i < len(bits); i++ {
 		bits[i] = (data[i/8] >> uint(7-i%8)) & 1
 	}
 }
@@ -546,14 +661,16 @@ func BitsToBytes(bits []byte) []byte {
 }
 
 // packBitsInto packs bits (MSB first) into out, which must hold
-// (len(bits)+7)/8 bytes and be zeroed.
+// (len(bits)+7)/8 bytes; every byte of out is overwritten.
 func packBitsInto(out []byte, bits []byte) {
-	for i := range out {
-		out[i] = 0
+	full := len(bits) / 8
+	for i := range out[:full] {
+		b := bits[i*8 : i*8+8 : i*8+8]
+		out[i] = b[0]&1<<7 | b[1]&1<<6 | b[2]&1<<5 | b[3]&1<<4 |
+			b[4]&1<<3 | b[5]&1<<2 | b[6]&1<<1 | b[7]&1
 	}
-	for i, b := range bits {
-		if b&1 != 0 {
-			out[i/8] |= 1 << uint(7-i%8)
-		}
+	clear(out[full:])
+	for i, b := range bits[full*8:] {
+		out[full] |= b & 1 << uint(7-i)
 	}
 }

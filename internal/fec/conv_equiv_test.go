@@ -236,6 +236,132 @@ func TestViterbiSoftMatchesReference(t *testing.T) {
 	}
 }
 
+// checkHardMatchesReference decodes coded through the optimized entry
+// point and the frozen reference and requires the same bits, path metric
+// and error.
+func checkHardMatchesReference(t *testing.T, c *ConvCode, name string, coded []byte) {
+	t.Helper()
+	want, wantMetric, wantErr := refDecodeBitsMetric(c, coded)
+	got, gotMetric, gotErr := c.NewWorkspace().DecodeBitsMetric(coded)
+	if gotErr != wantErr {
+		t.Fatalf("K=%d %s: error %v, reference %v", c.k, name, gotErr, wantErr)
+	}
+	if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+		t.Fatalf("K=%d %s: decoded bits diverge from reference", c.k, name)
+	}
+	if gotMetric != wantMetric {
+		t.Fatalf("K=%d %s: path metric %d, reference %d", c.k, name, gotMetric, wantMetric)
+	}
+}
+
+// takesFastPath reports whether the zero-syndrome path accepts coded.
+func takesFastPath(c *ConvCode, coded []byte) bool {
+	c.tables()
+	return c.NewWorkspace().decodeClean(coded, make([]byte, len(coded)/2))
+}
+
+// TestCleanFastPathMatchesReference pins the zero-syndrome fast path to
+// the frozen Viterbi reference at its edges: it must take every clean
+// word, refuse everything else, and either way return the reference's
+// bits and metric.
+func TestCleanFastPathMatchesReference(t *testing.T) {
+	for _, c := range []*ConvCode{NewV27(), NewV29()} {
+		rng := rand.New(rand.NewSource(200 + int64(c.k)))
+		// Lengths straddle the 64-coefficient words the syndrome walks in;
+		// 2112 is one rs8+v29 frame.
+		for _, msgLen := range []int{0, 1, 7, 8, 55, 56, 57, 58, 59, 63, 64, 65, 119, 120, 121, 122, 123, 128, 1000, 2112} {
+			msg := make([]byte, msgLen)
+			for i := range msg {
+				msg[i] = byte(rng.Intn(2))
+			}
+			clean := c.EncodeBits(msg)
+			if !takesFastPath(c, clean) {
+				t.Fatalf("K=%d msgLen=%d: clean codeword not taken by the fast path", c.k, msgLen)
+			}
+			checkHardMatchesReference(t, c, "clean", clean)
+			if got, metric, _ := c.DecodeBitsMetric(clean); !bytes.Equal(got, msg) || metric != 0 {
+				t.Fatalf("K=%d msgLen=%d: clean decode changed the message (metric %d)", c.k, msgLen, metric)
+			}
+
+			// The decoder reads bit 0 of each entry only.
+			dirty := append([]byte(nil), clean...)
+			for i := range dirty {
+				dirty[i] |= byte(rng.Intn(128)) << 1
+			}
+			if !takesFastPath(c, dirty) {
+				t.Fatalf("K=%d msgLen=%d: high bits of the input changed the syndrome", c.k, msgLen)
+			}
+			checkHardMatchesReference(t, c, "clean, high bits set", dirty)
+
+			// One flip anywhere — first pair, last message pair, first and
+			// last tail pair — is a non-zero syndrome and goes to Viterbi.
+			for _, pos := range []int{0, 1, 2*msgLen - 1, 2 * msgLen, len(clean) - 2, len(clean) - 1} {
+				if pos < 0 {
+					continue
+				}
+				flipped := append([]byte(nil), clean...)
+				flipped[pos] ^= 1
+				if takesFastPath(c, flipped) {
+					t.Fatalf("K=%d msgLen=%d: fast path accepted a flip at %d", c.k, msgLen, pos)
+				}
+				checkHardMatchesReference(t, c, "one flip", flipped)
+			}
+
+			// A word of the unterminated code: the encoder is cut off with
+			// its register still loaded. The syndrome is zero in the first
+			// nSteps coefficients and only the full one tells it apart.
+			if msgLen > 0 {
+				open := append(append([]byte(nil), msg...), make([]byte, c.k-1)...)
+				open[len(open)-1] = 1
+				cut := c.EncodeBits(open)[:len(clean)]
+				if takesFastPath(c, cut) {
+					t.Fatalf("K=%d msgLen=%d: fast path accepted an unterminated word", c.k, msgLen)
+				}
+				checkHardMatchesReference(t, c, "unterminated", cut)
+			}
+		}
+		for _, n := range []int{0, 1, 2, 2*(c.k-1) - 2, 2*(c.k-1) - 1, 2*(c.k-1) + 1, 101} {
+			checkHardMatchesReference(t, c, "bad length", make([]byte, n))
+			if _, _, err := c.DecodeBitsMetric(make([]byte, n)); err != ErrBadCodeLength {
+				t.Fatalf("K=%d len %d: error %v, want ErrBadCodeLength", c.k, n, err)
+			}
+		}
+	}
+}
+
+// TestCodeWithoutInverseMatchesReference covers the codes the fast path
+// must leave alone: a catastrophic pair (common factor D+1) and a pair
+// whose degrees both fall short of K-1, where an error-free word need
+// not end in the zero state.
+func TestCodeWithoutInverseMatchesReference(t *testing.T) {
+	for _, c := range []*ConvCode{
+		{k: 3, polyA: 0b110, polyB: 0b011},
+		{k: 4, polyA: 0b0111, polyB: 0b0011},
+	} {
+		c.tables()
+		if c.hasInverse {
+			t.Fatalf("K=%d %b/%b: fast path enabled", c.k, c.polyA, c.polyB)
+		}
+		rng := rand.New(rand.NewSource(int64(c.polyA)))
+		for trial := 0; trial < 20; trial++ {
+			msg := make([]byte, 1+rng.Intn(80))
+			for i := range msg {
+				msg[i] = byte(rng.Intn(2))
+			}
+			coded := c.EncodeBits(msg)
+			checkHardMatchesReference(t, c, "clean", coded)
+			coded[rng.Intn(len(coded))] ^= 1
+			checkHardMatchesReference(t, c, "one flip", coded)
+		}
+	}
+	for _, c := range []*ConvCode{NewV27(), NewV29()} {
+		c.tables()
+		if !c.hasInverse || gf2Mul(c.invA, c.polyA)^gf2Mul(c.invB, c.polyB) != 1 {
+			t.Fatalf("K=%d: no feed-forward inverse (%b, %b)", c.k, c.invA, c.invB)
+		}
+	}
+}
+
 func TestViterbiWorkspaceZeroAlloc(t *testing.T) {
 	c := NewV29()
 	rng := rand.New(rand.NewSource(9))
@@ -250,22 +376,30 @@ func TestViterbiWorkspaceZeroAlloc(t *testing.T) {
 			soft[i] = -1
 		}
 	}
+	noisy := append([]byte(nil), coded...)
+	noisy[len(noisy)/2] ^= 0x10 // one channel error: the Viterbi path
 
 	ws := c.NewWorkspace()
 	// Warm up so the survivor memory has grown to steady state.
-	if _, _, err := ws.DecodeMetric(coded, codedBits); err != nil {
+	if _, _, err := ws.DecodeMetric(noisy, codedBits); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ws.DecodeSoftBytesMetric(soft); err != nil {
 		t.Fatal(err)
 	}
 
-	if n := testing.AllocsPerRun(20, func() {
-		if _, _, err := ws.DecodeMetric(coded, codedBits); err != nil {
-			t.Fatal(err)
+	for _, in := range []struct {
+		name   string
+		coded  []byte
+		metric int
+	}{{"clean (fast path)", coded, 0}, {"noisy (Viterbi)", noisy, 1}} {
+		if n := testing.AllocsPerRun(20, func() {
+			if _, metric, err := ws.DecodeMetric(in.coded, codedBits); err != nil || metric != in.metric {
+				t.Fatalf("%s: metric %d, err %v", in.name, metric, err)
+			}
+		}); n != 0 {
+			t.Errorf("Workspace.DecodeMetric, %s: %v allocs/run, want 0", in.name, n)
 		}
-	}); n != 0 {
-		t.Errorf("Workspace.DecodeMetric: %v allocs/run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(20, func() {
 		if _, _, err := ws.DecodeSoftBytesMetric(soft); err != nil {

@@ -54,3 +54,39 @@ func FuzzRSDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzConvDecode feeds arbitrary even-length streams to the hard inner
+// decoder and requires the optimized path (zero-syndrome fast path, then
+// Viterbi) to agree with the frozen reference in conv_equiv_test.go on
+// bits, path metric and error (checkHardMatchesReference). Random bytes are almost never a codeword,
+// so each input is also replayed as a message: encoded, decoded clean
+// (the fast path), then with one bit flipped at a position the input
+// picks (the fallback, one syndrome word in).
+func FuzzConvDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1})
+	f.Add([]byte("sonic fuzz seed"))
+	f.Add(bytes.Repeat([]byte{0x01}, 16))
+	f.Add(bytes.Repeat([]byte{0xA5, 0x5A}, 70))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 { // the reference allocates per trellis step
+			data = data[:256]
+		}
+		for _, c := range []*ConvCode{NewV27(), NewV29()} {
+			checkHardMatchesReference(t, c, "raw", data)
+			checkHardMatchesReference(t, c, "raw, even", data[:len(data)&^1])
+
+			msg := make([]byte, len(data))
+			pos := 0
+			for i, b := range data {
+				msg[i] = b & 1
+				pos = pos*31 + int(b)
+			}
+			coded := c.EncodeBits(msg)
+			checkHardMatchesReference(t, c, "clean", coded)
+			coded[uint(pos)%uint(len(coded))] ^= 1
+			checkHardMatchesReference(t, c, "one flip", coded)
+		}
+	})
+}

@@ -11,8 +11,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"sonic/internal/fec"
+	"sonic/internal/parallel"
 	"sonic/internal/telemetry"
 )
 
@@ -88,7 +91,27 @@ type Codec struct {
 	codedBits int
 	rsLen     int
 
+	wsPool sync.Pool // *fec.Workspace, one per decoding goroutine
+
 	m codecMetrics
+}
+
+// getWorkspace draws an inner-code decoder workspace (nil without an
+// inner code).
+func (c *Codec) getWorkspace() *fec.Workspace {
+	if c.conv == nil {
+		return nil
+	}
+	if ws, ok := c.wsPool.Get().(*fec.Workspace); ok {
+		return ws
+	}
+	return c.conv.NewWorkspace()
+}
+
+func (c *Codec) putWorkspace(ws *fec.Workspace) {
+	if ws != nil {
+		c.wsPool.Put(ws)
+	}
 }
 
 // codecMetrics holds the codec's telemetry handles. All fields are nil
@@ -178,12 +201,19 @@ func (c *Codec) EncodeFrame(f *Frame) ([]byte, error) {
 // DecodeFrame reverses EncodeFrame, correcting channel errors where the
 // FEC stack allows. A non-nil error means the frame is lost.
 func (c *Codec) DecodeFrame(coded []byte) (*Frame, error) {
+	ws := c.getWorkspace()
+	defer c.putWorkspace(ws)
+	return c.decodeFrame(ws, coded)
+}
+
+// decodeFrame is DecodeFrame on the caller's inner-code workspace.
+func (c *Codec) decodeFrame(ws *fec.Workspace, coded []byte) (*Frame, error) {
 	if len(coded) != c.codedLen {
 		return nil, ErrBadLength
 	}
 	buf := coded
 	if c.conv != nil {
-		dec, pathMetric, err := c.conv.DecodeMetric(coded, c.codedBits)
+		dec, pathMetric, err := ws.DecodeMetric(coded, c.codedBits)
 		if err != nil {
 			c.m.fecFailed.Inc()
 			return nil, err
@@ -285,17 +315,35 @@ func (c *Codec) EncodeStream(frames []*Frame) ([]byte, error) {
 // DecodeStream splits a coded stream back into frames. Frames that fail
 // FEC or CRC are counted as lost and omitted. Trailing partial data is
 // ignored (a truncated burst loses its tail frames).
+//
+// Frames are independent, so they decode on up to GOMAXPROCS goroutines,
+// each with its own inner-code workspace, into per-frame slots: the
+// result is the serial loop's whatever the scheduling.
 func (c *Codec) DecodeStream(stream []byte) (frames []*Frame, lost int) {
-	for off := 0; off+c.codedLen <= len(stream); off += c.codedLen {
-		f, err := c.DecodeFrame(stream[off : off+c.codedLen])
-		if err != nil {
-			lost++
-			continue
+	slots := make([]*Frame, len(stream)/c.codedLen)
+	parallel.For(runtime.GOMAXPROCS(0), len(slots), decodeMinFrames, func(lo, hi int) {
+		ws := c.getWorkspace()
+		defer c.putWorkspace(ws)
+		for i := lo; i < hi; i++ {
+			// A nil slot is a lost frame.
+			slots[i], _ = c.decodeFrame(ws, stream[i*c.codedLen:(i+1)*c.codedLen])
 		}
-		frames = append(frames, f)
+	})
+	kept := slots[:0]
+	for _, f := range slots {
+		if f != nil {
+			kept = append(kept, f)
+		}
 	}
-	return frames, lost
+	if len(kept) == 0 {
+		return nil, len(slots) // as the serial append loop: nil, not empty
+	}
+	return kept, len(slots) - len(kept)
 }
+
+// decodeMinFrames is the fewest frames worth a goroutine of their own in
+// DecodeStream: a clean frame decodes in ~10 µs, a goroutine costs a few.
+const decodeMinFrames = 8
 
 // Chunk splits a blob into frames for the given page id.
 func Chunk(pageID uint16, blob []byte) []*Frame {
@@ -389,6 +437,7 @@ func (r *Reassembler) Bytes() (blob []byte, ok bool) {
 	if !r.Complete() {
 		return nil, false
 	}
+	blob = make([]byte, 0, int(r.total)*PayloadSize)
 	for s := uint32(0); s < r.total; s++ {
 		blob = append(blob, r.payloads[s]...)
 	}

@@ -3,10 +3,13 @@ package frame
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"sonic/internal/fec"
+	"sonic/internal/telemetry"
 )
 
 func TestFrameMarshalRoundTrip(t *testing.T) {
@@ -219,6 +222,80 @@ func TestStreamRoundTripWithLostFrames(t *testing.T) {
 	miss := r.MissingSeqs()
 	if len(miss) != 1 || miss[0] != 2 {
 		t.Errorf("missing = %v, want [2]", miss)
+	}
+}
+
+// refDecodeStream is the serial DecodeStream this package had before the
+// frame loop went parallel, kept verbatim as the parity reference.
+func refDecodeStream(c *Codec, stream []byte) (frames []*Frame, lost int) {
+	for off := 0; off+c.codedLen <= len(stream); off += c.codedLen {
+		f, err := c.DecodeFrame(stream[off : off+c.codedLen])
+		if err != nil {
+			lost++
+			continue
+		}
+		frames = append(frames, f)
+	}
+	return frames, lost
+}
+
+// TestDecodeStreamParityAcrossGOMAXPROCS pins the parallel frame loop to
+// the serial reference — same frames in the same order, same lost count,
+// nil where the reference returns nil, same telemetry — at 1, 2 and 4
+// procs (under -race this is also what hits the codec's metric handles
+// from several goroutines).
+func TestDecodeStreamParityAcrossGOMAXPROCS(t *testing.T) {
+	c := NewCodec()
+	rng := rand.New(rand.NewSource(16))
+	blob := make([]byte, 60*PayloadSize-7)
+	rng.Read(blob)
+	clean, err := c.EncodeStream(Chunk(7, blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := c.CodedFrameSize()
+
+	damaged := append([]byte(nil), clean...)
+	for i := 0; i < 120; i++ { // scattered bit errors the FEC corrects
+		damaged[rng.Intn(len(damaged))] ^= 1 << uint(rng.Intn(8))
+	}
+	for _, lostFrame := range []int{0, 17, 18, 59} { // and frames it cannot
+		rng.Read(damaged[lostFrame*cl : (lostFrame+1)*cl])
+	}
+	garbage := make([]byte, 20*cl)
+	rng.Read(garbage)
+
+	streams := []struct {
+		name   string
+		stream []byte
+	}{
+		{"clean", clean},
+		{"bit errors and lost frames", damaged},
+		{"trailing partial frame", append(append([]byte(nil), damaged...), clean[:cl/2]...)},
+		{"below one worker's minimum", clean[:3*cl]},
+		{"every frame lost", garbage},
+		{"shorter than a frame", clean[:cl-1]},
+		{"empty", nil},
+	}
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, tc := range streams {
+			ref, got := NewCodec(), NewCodec()
+			refReg, gotReg := telemetry.New(), telemetry.New()
+			ref.Instrument(refReg)
+			got.Instrument(gotReg)
+			wantFrames, wantLost := refDecodeStream(ref, tc.stream)
+			frames, lost := got.DecodeStream(tc.stream)
+			if lost != wantLost || !reflect.DeepEqual(frames, wantFrames) {
+				t.Errorf("GOMAXPROCS=%d %s: %d frames/%d lost, reference %d/%d (or frames differ)",
+					procs, tc.name, len(frames), lost, len(wantFrames), wantLost)
+			}
+			a, b := gotReg.Snapshot(), refReg.Snapshot()
+			if !reflect.DeepEqual(a.Counters, b.Counters) || !reflect.DeepEqual(a.Histograms, b.Histograms) {
+				t.Errorf("GOMAXPROCS=%d %s: telemetry differs from the serial reference", procs, tc.name)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 

@@ -3,8 +3,11 @@ package modem
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/cmplx"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"sonic/internal/dsp"
@@ -106,7 +109,11 @@ func refFindPreamble(m *OFDM, samples []float64) int {
 }
 
 func TestModulateMatchesReference(t *testing.T) {
-	for _, prof := range []Profile{Sonic92(), Audible7k()} {
+	for _, pc := range []struct {
+		prof    Profile
+		noiseDB float64 // enough noise for bit errors, not enough to lose sync
+	}{{Sonic92(), 14}, {Audible7k(), 3}} {
+		prof := pc.prof
 		m, err := NewOFDM(prof)
 		if err != nil {
 			t.Fatal(err)
@@ -172,6 +179,102 @@ func TestFindPreambleMatchesReference(t *testing.T) {
 	}
 	if got, want := m.findPreamble(noise, sc), refFindPreamble(m, noise); got != want || got != -1 {
 		t.Fatalf("noise: findPreamble=%d, reference=%d, want -1", got, want)
+	}
+}
+
+// refDemodulate is Demodulate as it was before the symbol loop went
+// parallel (one scratch, bits appended symbol by symbol, SNR summed as it
+// goes), kept verbatim as the parity reference.
+func refDemodulate(m *OFDM, samples []float64) (*DemodResult, error) {
+	sc := m.getScratch()
+	defer m.putScratch(sc)
+	bh, err := m.decodePrologue(samples, sc)
+	if err != nil {
+		return nil, err
+	}
+	bps := m.p.DataCarriers * bh.c.Bits()
+	totalBits := bh.payloadLen * 8
+	nSym := (totalBits + bps - 1) / bps
+	bits := make([]byte, 0, nSym*bps)
+	pos := bh.pos
+	var snrSum float64
+	for s := 0; s < nSym; s++ {
+		if pos+bh.symLen > len(samples) {
+			return nil, fmt.Errorf("modem: burst truncated at symbol %d/%d", s, nSym)
+		}
+		vals, snr := m.eqSymbol(samples[pos:pos+bh.symLen], bh.h, sc)
+		snrSum += snr
+		bits = m.demapInto(bits, vals, bh.c)
+		pos += bh.symLen
+	}
+	payload := fec.BitsToBytes(bits)
+	if len(payload) > bh.payloadLen {
+		payload = payload[:bh.payloadLen]
+	}
+	res := &DemodResult{
+		Payload:  payload,
+		Symbols:  nSym,
+		StartIdx: bh.start,
+	}
+	if nSym > 0 {
+		res.SNRdB = snrSum / float64(nSym)
+	}
+	return res, nil
+}
+
+// TestDemodulateParityAcrossGOMAXPROCS pins the parallel symbol loop to
+// the serial reference at 1, 2 and 4 procs: same payload, bit-identical
+// SNR (the per-symbol estimates are summed in index order), same symbol
+// count and start, and the same error — text included — for a burst cut
+// off mid-symbol.
+func TestDemodulateParityAcrossGOMAXPROCS(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	payload := make([]byte, 8192) // ~119 payload symbols at 64-QAM
+	rng.Read(payload)
+	for _, pc := range []struct {
+		prof    Profile
+		noiseDB float64 // enough noise for bit errors, not enough to lose sync
+	}{{Sonic92(), 14}, {Audible7k(), 3}} {
+		prof := pc.prof
+		m, err := NewOFDM(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean := m.Modulate(payload)
+		symLen := prof.FFTSize + prof.CyclicPrefix
+		bursts := []struct {
+			name    string
+			samples []float64
+		}{
+			{"clean", clean},
+			{"scattered bit errors", addAWGN(clean, pc.noiseDB, 5)},
+			{"leading silence", append(make([]float64, 3001), clean...)},
+			{"truncated mid-symbol", clean[:len(clean)-guardSamples-40*symLen-symLen/3]},
+			{"truncated inside the first payload symbol", clean[:m.BurstSamples(0)-guardSamples+symLen/2]},
+			{"three symbols", m.Modulate(payload[:3*m.bitsPerSymbol()/8])},
+			{"empty payload", m.Modulate(nil)},
+		}
+		for _, procs := range []int{1, 2, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			for _, tc := range bursts {
+				want, wantErr := refDemodulate(m, tc.samples)
+				got, err := m.Demodulate(tc.samples)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Errorf("%s GOMAXPROCS=%d %s: error %q, reference %q", prof.Name, procs, tc.name, err, wantErr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s GOMAXPROCS=%d %s: result differs from the serial reference", prof.Name, procs, tc.name)
+				}
+			}
+			runtime.GOMAXPROCS(prev)
+		}
+		// The cases above must be what their names say.
+		if res, _ := m.Demodulate(bursts[1].samples); res == nil || bytes.Equal(res.Payload, payload) {
+			t.Errorf("%s: the noisy burst carries no bit errors (or did not sync)", prof.Name)
+		}
+		if _, err := m.Demodulate(bursts[3].samples); err == nil {
+			t.Errorf("%s: the truncated burst demodulated", prof.Name)
+		}
 	}
 }
 

@@ -6,10 +6,12 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"sonic/internal/dsp"
 	"sonic/internal/fec"
+	"sonic/internal/parallel"
 )
 
 // Profile describes an OFDM transmission profile. The zero value is not
@@ -475,26 +477,32 @@ func (m *OFDM) decodePrologue(samples []float64, sc *ofdmScratch) (*burstHeader,
 // succeeded but the header cannot be trusted.
 func (m *OFDM) Demodulate(samples []float64) (*DemodResult, error) {
 	sc := m.getScratch()
-	defer m.putScratch(sc)
 	bh, err := m.decodePrologue(samples, sc)
+	m.putScratch(sc)
 	if err != nil {
 		return nil, err
 	}
 	bps := m.p.DataCarriers * bh.c.Bits()
 	totalBits := bh.payloadLen * 8
 	nSym := (totalBits + bps - 1) / bps
-	bits := make([]byte, 0, nSym*bps)
-	pos := bh.pos
-	var snrSum float64
-	for s := 0; s < nSym; s++ {
-		if pos+bh.symLen > len(samples) {
-			return nil, fmt.Errorf("modem: burst truncated at symbol %d/%d", s, nSym)
-		}
-		vals, snr := m.eqSymbol(samples[pos:pos+bh.symLen], bh.h, sc)
-		snrSum += snr
-		bits = m.demapInto(bits, vals, bh.c)
-		pos += bh.symLen
+	if whole := (len(samples) - bh.pos) / bh.symLen; whole < nSym {
+		return nil, fmt.Errorf("modem: burst truncated at symbol %d/%d", whole, nSym)
 	}
+	// Symbols are independent once the channel estimate is fixed: each
+	// chunk equalizes with its own scratch and writes symbol s's bits at
+	// s*bps, so the payload is the serial loop's at any worker count.
+	bits := make([]byte, nSym*bps)
+	snrs := make([]float64, nSym)
+	parallel.For(runtime.GOMAXPROCS(0), nSym, demodMinSymbols, func(lo, hi int) {
+		sc := m.getScratch()
+		defer m.putScratch(sc)
+		for s := lo; s < hi; s++ {
+			pos := bh.pos + s*bh.symLen
+			vals, snr := m.eqSymbol(samples[pos:pos+bh.symLen], bh.h, sc)
+			snrs[s] = snr
+			m.demapInto(bits[s*bps:s*bps:(s+1)*bps], vals, bh.c)
+		}
+	})
 	payload := fec.BitsToBytes(bits)
 	if len(payload) > bh.payloadLen {
 		payload = payload[:bh.payloadLen]
@@ -505,10 +513,18 @@ func (m *OFDM) Demodulate(samples []float64) (*DemodResult, error) {
 		StartIdx: bh.start,
 	}
 	if nSym > 0 {
+		var snrSum float64
+		for _, snr := range snrs { // index order: the float sum must not depend on scheduling
+			snrSum += snr
+		}
 		res.SNRdB = snrSum / float64(nSym)
 	}
 	return res, nil
 }
+
+// demodMinSymbols is the fewest payload symbols worth a goroutine of
+// their own in Demodulate (a symbol is one FFT plus equalization, ~50 µs).
+const demodMinSymbols = 4
 
 // SoftDemodResult carries the soft-decision payload: one signed metric
 // per payload bit (positive = 1) for a soft-decision FEC decoder, plus

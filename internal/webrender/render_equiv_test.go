@@ -459,23 +459,32 @@ func TestRenderWarmAllocs(t *testing.T) {
 	Render(p).Release() // warm pools and the glyph atlas
 	// Steady state: the Rendered/Raster headers and the click map's
 	// regions — not the ~50 MB of raster, row, and photo-scratch slices
-	// the old renderer allocated per page. Under -race with the whole
-	// suite running, GC can shed sync.Pool items mid-measurement and
-	// charge the refill here; that is transient, so take the best of a
-	// few attempts rather than widening the budget.
-	best := math.Inf(1)
-	for attempt := 0; attempt < 3; attempt++ {
-		allocs := testing.AllocsPerRun(5, func() {
-			Render(p).Release()
-		})
-		if allocs < best {
-			best = allocs
-		}
-		if best <= 40 {
-			return
-		}
+	// the old renderer allocated per page.
+	//
+	// The bound is per build mode, from the measured spread of this very
+	// measurement (AllocsPerRun(5), 2-CPU host, whole package running):
+	//
+	//	plain  29 on 60 samples of 60          -> 40, 11 objects of headroom
+	//	-race  38..55, mean 45.6, sd 3.7 (96)  -> 57, mean + 3 sd
+	//
+	// Under -race sync.Pool.Put drops one Put in four by design, and each
+	// dropped renderBuf or photoScratch is refilled here (3 and 6 objects).
+	// That surcharge is a coin flip per Put, not a transient, so the race
+	// leg gets its own bound; one sample clears it 999 times in 1000 and
+	// the best of three fails only when warm Render really allocates more.
+	bound := 40.0
+	if raceEnabled {
+		bound = 57
 	}
-	t.Errorf("warm Render allocates %v objects per call, want <= 40", best)
+	best := math.Inf(1)
+	for attempt := 0; attempt < 3 && best > bound; attempt++ {
+		best = min(best, testing.AllocsPerRun(5, func() {
+			Render(p).Release()
+		}))
+	}
+	if best > bound {
+		t.Errorf("warm Render allocates %v objects per call, want <= %v", best, bound)
+	}
 }
 
 func BenchmarkRenderLandingPageWarm(b *testing.B) {

@@ -43,6 +43,7 @@ go test -race ./...
 echo "==> fuzz smoke (5s per harness)"
 go test ./internal/frame -run='^$' -fuzz=FuzzFrameDecode -fuzztime=5s
 go test ./internal/fec -run='^$' -fuzz=FuzzRSDecode -fuzztime=5s
+go test ./internal/fec -run='^$' -fuzz=FuzzConvDecode -fuzztime=5s
 go test ./internal/imagecodec -run='^$' -fuzz=FuzzSICDecode -fuzztime=5s
 
 # Serial leg: the parallel kernels size their pools from GOMAXPROCS and
@@ -50,8 +51,8 @@ go test ./internal/imagecodec -run='^$' -fuzz=FuzzSICDecode -fuzztime=5s
 # promise is cheapest to break (no real concurrency to hide behind).
 echo "==> GOMAXPROCS=1 leg: equivalence/parity suites"
 GOMAXPROCS=1 go test -run 'Equiv|Reference|Parity|Identity|Golden' -count=1 \
-    ./internal/dsp ./internal/fec ./internal/fm ./internal/imagecodec \
-    ./internal/modem ./internal/webrender
+    ./internal/dsp ./internal/fec ./internal/fm ./internal/frame \
+    ./internal/core ./internal/imagecodec ./internal/modem ./internal/webrender
 
 echo "==> bench smoke (one iteration per benchmark)"
 go test -run='^$' -bench=. -benchtime=1x ./...
