@@ -20,39 +20,12 @@ type Buffer struct {
 	Samples []float64 // nominal range [-1, 1]
 }
 
-// NewBuffer allocates an n-sample buffer at the given rate.
-func NewBuffer(rate, n int) *Buffer {
-	return &Buffer{Rate: rate, Samples: make([]float64, n)}
-}
-
 // Duration returns the buffer duration in seconds.
 func (b *Buffer) Duration() float64 {
 	if b.Rate <= 0 {
 		return 0
 	}
 	return float64(len(b.Samples)) / float64(b.Rate)
-}
-
-// Clone returns a deep copy of the buffer.
-func (b *Buffer) Clone() *Buffer {
-	s := make([]float64, len(b.Samples))
-	copy(s, b.Samples)
-	return &Buffer{Rate: b.Rate, Samples: s}
-}
-
-// Append concatenates other's samples (which must share the sample rate).
-func (b *Buffer) Append(other *Buffer) error {
-	if other.Rate != b.Rate {
-		return fmt.Errorf("audio: rate mismatch %d vs %d", other.Rate, b.Rate)
-	}
-	b.Samples = append(b.Samples, other.Samples...)
-	return nil
-}
-
-// AppendSilence appends d seconds of silence.
-func (b *Buffer) AppendSilence(d float64) {
-	n := int(d * float64(b.Rate))
-	b.Samples = append(b.Samples, make([]float64, n)...)
 }
 
 // FloatToInt16 converts a float sample in [-1,1] to int16 with clamping.
@@ -176,32 +149,4 @@ func ReadWAV(r io.Reader) (*Buffer, error) {
 			}
 		}
 	}
-}
-
-// Tone synthesizes a sine tone: frequency hz, duration seconds, amplitude
-// amp, at the given sample rate.
-func Tone(hz float64, duration float64, amp float64, rate int) *Buffer {
-	n := int(duration * float64(rate))
-	b := NewBuffer(rate, n)
-	for i := range b.Samples {
-		b.Samples[i] = amp * math.Sin(2*math.Pi*hz*float64(i)/float64(rate))
-	}
-	return b
-}
-
-// Chirp synthesizes a linear frequency sweep from f0 to f1 Hz over the
-// duration, useful as a sync preamble.
-func Chirp(f0, f1, duration, amp float64, rate int) *Buffer {
-	n := int(duration * float64(rate))
-	b := NewBuffer(rate, n)
-	if n == 0 {
-		return b
-	}
-	k := (f1 - f0) / duration
-	for i := range b.Samples {
-		t := float64(i) / float64(rate)
-		phase := 2 * math.Pi * (f0*t + 0.5*k*t*t)
-		b.Samples[i] = amp * math.Sin(phase)
-	}
-	return b
 }

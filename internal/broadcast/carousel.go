@@ -115,11 +115,6 @@ func NewCarousel(entries []CarouselEntry, policy CarouselPolicy) (*Carousel, err
 	return c, nil
 }
 
-// AirtimeShare returns the airtime fraction assigned to entry i.
-func (c *Carousel) AirtimeShare(i int) float64 {
-	return c.entries[i].share
-}
-
 // ExpectedWaitSeconds returns the demand-weighted mean time a listener
 // who starts waiting at a random instant needs before their page's next
 // transmission completes, at the given channel rate. For a page holding

@@ -39,7 +39,7 @@ func TestSharesNormalized(t *testing.T) {
 		}
 		var sum float64
 		for i := range c.Entries() {
-			s := c.AirtimeShare(i)
+			s := c.entries[i].share
 			if s <= 0 || s > 1 {
 				t.Errorf("policy %d share[%d] = %g", pol, i, s)
 			}
@@ -56,13 +56,13 @@ func TestSqrtPolicyFavorsDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.AirtimeShare(0) <= c.AirtimeShare(1) || c.AirtimeShare(1) <= c.AirtimeShare(2) {
+	if c.entries[0].share <= c.entries[1].share || c.entries[1].share <= c.entries[2].share {
 		t.Errorf("shares not demand-ordered: %g %g %g",
-			c.AirtimeShare(0), c.AirtimeShare(1), c.AirtimeShare(2))
+			c.entries[0].share, c.entries[1].share, c.entries[2].share)
 	}
 	// Flat ignores demand (equal sizes -> equal shares).
 	f, _ := NewCarousel(testEntries(), PolicyFlat)
-	if math.Abs(f.AirtimeShare(0)-f.AirtimeShare(2)) > 1e-9 {
+	if math.Abs(f.entries[0].share-f.entries[2].share) > 1e-9 {
 		t.Error("flat policy should ignore demand for equal sizes")
 	}
 }
@@ -115,7 +115,7 @@ func TestScheduleProportions(t *testing.T) {
 	// Byte-airtime proportions track shares within 10%.
 	for i := range testEntries() {
 		got := float64(counts[i]) / n // equal sizes: count share == byte share
-		want := c.AirtimeShare(i)
+		want := c.entries[i].share
 		if math.Abs(got-want) > 0.1*want+0.01 {
 			t.Errorf("entry %d airtime %.3f, want ~%.3f", i, got, want)
 		}
@@ -133,7 +133,7 @@ func TestScheduleProportions(t *testing.T) {
 			last = idx
 		}
 	}
-	expGap := int(1/c.AirtimeShare(0)) + 1
+	expGap := int(1/c.entries[0].share) + 1
 	if maxGap > 3*expGap {
 		t.Errorf("hot page max gap %d slots, expected ~%d", maxGap, expGap)
 	}
@@ -187,14 +187,14 @@ func TestMeasuredCarouselTracksDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range pages {
-		if math.Abs(baseline.AirtimeShare(i)-static.AirtimeShare(i)) > 1e-12 {
+		if math.Abs(baseline.entries[i].share-static.entries[i].share) > 1e-12 {
 			t.Fatalf("entry %d: measured-empty share %g != static share %g",
-				i, baseline.AirtimeShare(i), static.AirtimeShare(i))
+				i, baseline.entries[i].share, static.entries[i].share)
 		}
 	}
 	// Every unmeasured page keeps a positive share (cold-start floor).
 	for i := range pages {
-		if measured.AirtimeShare(i) <= 0 {
+		if measured.entries[i].share <= 0 {
 			t.Fatalf("entry %d starved", i)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -225,18 +224,4 @@ replay:
 	}
 	tr.AirSeconds = simT
 	return tr, nil
-}
-
-// TowerSpread summarizes per-tower transmission counts (min, median,
-// max) — the fleet balance check.
-func (r *FleetResult) TowerSpread() (min, median, max int) {
-	if len(r.Towers) == 0 {
-		return 0, 0, 0
-	}
-	counts := make([]int, len(r.Towers))
-	for i, t := range r.Towers {
-		counts[i] = t.Transmissions
-	}
-	sort.Ints(counts)
-	return counts[0], counts[len(counts)/2], counts[len(counts)-1]
 }

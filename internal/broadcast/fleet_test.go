@@ -160,9 +160,10 @@ func TestRunFleetDedup(t *testing.T) {
 	if res.DedupFactor < float64(towers)/2 {
 		t.Fatalf("dedup factor %.1f, want >= %.1f for %d homogeneous towers", res.DedupFactor, float64(towers)/2, towers)
 	}
-	min, _, max := res.TowerSpread()
-	if min == 0 || max == 0 {
-		t.Fatalf("tower spread reports idle towers: min %d max %d", min, max)
+	for i, tw := range res.Towers {
+		if tw.Transmissions == 0 {
+			t.Fatalf("tower %d is idle", i)
+		}
 	}
 }
 

@@ -3,6 +3,11 @@
 // indicated by the server", hyperlink navigation hits the cache before
 // falling back to the SMS uplink, and the catalog view lists what is
 // currently browsable offline.
+//
+// internal/client is its only user. It stays a package of its own because
+// expiry and popularity-then-age eviction are one policy behind one
+// interface (Put/Get/Catalog), not a fourth copy of the server's
+// byte-capped artifact cache.
 package cache
 
 import (
@@ -63,33 +68,11 @@ func (c *Cache) Get(url string, now time.Time) (*Entry, bool) {
 	return e, true
 }
 
-// Sweep drops every expired entry and returns how many were removed.
-func (c *Cache) Sweep(now time.Time) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for url, e := range c.entries {
-		if e.Expired(now) {
-			c.used -= len(e.Data) + len(e.ClickMap)
-			delete(c.entries, url)
-			n++
-		}
-	}
-	return n
-}
-
 // Len returns the number of cached entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// UsedBytes returns current page-data bytes held.
-func (c *Cache) UsedBytes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
 }
 
 // Catalog lists cached, fresh pages ordered by popularity then URL — the

@@ -37,23 +37,11 @@ func TestReplaceAccounting(t *testing.T) {
 	c := New(0)
 	c.Put(entry("a.pk/", 100, 0, 100, 1))
 	c.Put(entry("a.pk/", 40, 1, 100, 1))
-	if c.UsedBytes() != 40 {
-		t.Errorf("used = %d, want 40", c.UsedBytes())
+	if c.used != 40 {
+		t.Errorf("used = %d, want 40", c.used)
 	}
 	if c.Len() != 1 {
 		t.Errorf("len = %d", c.Len())
-	}
-}
-
-func TestSweep(t *testing.T) {
-	c := New(0)
-	c.Put(entry("a.pk/", 10, 0, 5, 1))
-	c.Put(entry("b.pk/", 10, 0, 500, 1))
-	if n := c.Sweep(at(10)); n != 1 {
-		t.Errorf("swept %d", n)
-	}
-	if c.Len() != 1 || c.UsedBytes() != 10 {
-		t.Errorf("after sweep: len=%d used=%d", c.Len(), c.UsedBytes())
 	}
 }
 
@@ -68,8 +56,8 @@ func TestEvictionOrder(t *testing.T) {
 	if _, ok := c.Get("popular.pk/", at(3)); !ok {
 		t.Error("popular entry evicted")
 	}
-	if c.UsedBytes() > 250 {
-		t.Errorf("used %d exceeds bound", c.UsedBytes())
+	if c.used > 250 {
+		t.Errorf("used %d exceeds bound", c.used)
 	}
 }
 

@@ -197,7 +197,9 @@ func UnmarshalBundle(blob []byte) (Bundle, error) {
 	}
 	il := int(binary.BigEndian.Uint32(blob[0:4]))
 	cl := int(binary.BigEndian.Uint32(blob[4:8]))
-	if il < 0 || cl < 0 || 8+il+cl > len(blob) {
+	// Compared against what is left, not summed: two hostile lengths
+	// cannot overflow an int on any platform.
+	if il < 0 || il > len(blob)-8 || cl < 0 || cl > len(blob)-8-il {
 		return Bundle{}, ErrBadBundle
 	}
 	return Bundle{
@@ -377,6 +379,12 @@ func (p *Pipeline) recordReceive(frames []*frame.Frame, lost int, snrDB float64)
 }
 
 // --- cell transport ----------------------------------------------------------
+//
+// No binary, example or benchmark workload reaches this section: the
+// system airs the bitstream transport above. It stays, pinned by
+// cells_audio_test.go, because it is the paper's own §3.3 mechanism (1-px
+// partitions, one independently decodable cell per frame) and the source
+// of EXPERIMENTS.md's ~30x byte-cost comparison.
 
 // EncodeImageCells converts a raster into per-frame cells (§3.3's 1-px
 // partition scheme): each frame payload carries exactly one

@@ -114,19 +114,6 @@ func DiurnalFactor(hour int) float64 {
 	return 0.3
 }
 
-// ChangedSince reports whether a page's content differs between two hours.
-// Landing pages of news-like sites churn nearly every hour; long-tail
-// sites and internal pages are stickier. This drives the Figure 4(c)
-// backlog: every changed page must be re-broadcast.
-func ChangedSince(ref PageRef, fromHour, toHour int) bool {
-	for h := fromHour + 1; h <= toHour; h++ {
-		if ChangedAt(ref, h) {
-			return true
-		}
-	}
-	return false
-}
-
 // churnRate returns the per-hour probability that a page's rendered
 // content changes.
 func churnRate(ref PageRef) float64 {

@@ -64,20 +64,6 @@ func TestGenerateRespectsChangeSchedule(t *testing.T) {
 	}
 }
 
-func TestChangedSinceComposition(t *testing.T) {
-	ref := Pages()[3]
-	for h := 1; h < 30; h++ {
-		ab := ChangedSince(ref, 0, h)
-		split := ChangedSince(ref, 0, h/2) || ChangedSince(ref, h/2, h)
-		if ab != split {
-			t.Fatalf("ChangedSince not compositional at h=%d", h)
-		}
-	}
-	if ChangedSince(ref, 5, 5) {
-		t.Error("empty interval should report no change")
-	}
-}
-
 func TestChurnRates(t *testing.T) {
 	pages := Pages()
 	// Popular landing pages churn much more than internal pages.

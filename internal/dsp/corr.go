@@ -51,9 +51,6 @@ func NewFFTCorrelator(needle []float64) *FFTCorrelator {
 	return &FFTCorrelator{lp: lp, n: n, plan: plan, spec: spec}
 }
 
-// NeedleLen returns the needle length the correlator was built for.
-func (c *FFTCorrelator) NeedleLen() int { return c.lp }
-
 // Correlate computes dst[i] = dot(needle, hay[i:i+len(needle)]) for
 // every valid window position — the same values as
 // CrossCorrelate(hay, needle), up to rounding. dst is reused if its

@@ -128,20 +128,6 @@ func Hamming(n int) []float64 {
 	return w
 }
 
-// Blackman returns an n-point Blackman window.
-func Blackman(n int) []float64 { //sonic:ignore equivpin scalar reference; no optimized variant to pin
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		t := 2 * math.Pi * float64(i) / float64(n-1)
-		w[i] = 0.42 - 0.5*math.Cos(t) + 0.08*math.Cos(2*t)
-	}
-	return w
-}
-
 // Sinc computes the normalized sinc function sin(pi x)/(pi x).
 func Sinc(x float64) float64 {
 	if x == 0 {
@@ -173,21 +159,6 @@ func LowpassFIR(cutoffHz, sampleRate float64, taps int) []float64 {
 			h[i] /= sum
 		}
 	}
-	return h
-}
-
-// HighpassFIR designs a high-pass FIR filter by spectral inversion of the
-// corresponding low-pass design. taps must be odd for the inversion to
-// preserve linear phase; even values are bumped to the next odd count.
-func HighpassFIR(cutoffHz, sampleRate float64, taps int) []float64 { //sonic:ignore equivpin scalar reference; no optimized variant to pin
-	if taps%2 == 0 {
-		taps++
-	}
-	h := LowpassFIR(cutoffHz, sampleRate, taps)
-	for i := range h {
-		h[i] = -h[i]
-	}
-	h[(taps-1)/2] += 1
 	return h
 }
 
@@ -621,22 +592,6 @@ func Normalize(x []float64, target float64) []float64 { //sonic:ignore equivpin 
 	return Scale(x, target/p)
 }
 
-// MixInto adds src into dst starting at offset, clamping to dst's length.
-// It returns the number of samples mixed.
-func MixInto(dst, src []float64, offset int) int { //sonic:ignore equivpin scalar reference; no optimized variant to pin
-	if offset < 0 || offset >= len(dst) {
-		return 0
-	}
-	n := len(src)
-	if offset+n > len(dst) {
-		n = len(dst) - offset
-	}
-	for i := 0; i < n; i++ {
-		dst[offset+i] += src[i]
-	}
-	return n
-}
-
 // LinearToDB converts a linear amplitude ratio to decibels. Zero or
 // negative input maps to -inf dB represented as -300.
 func LinearToDB(a float64) float64 { //sonic:ignore equivpin scalar reference; no optimized variant to pin
@@ -644,9 +599,4 @@ func LinearToDB(a float64) float64 { //sonic:ignore equivpin scalar reference; n
 		return -300
 	}
 	return 20 * math.Log10(a)
-}
-
-// DBToLinear converts decibels to a linear amplitude ratio.
-func DBToLinear(db float64) float64 { //sonic:ignore equivpin scalar reference; no optimized variant to pin
-	return math.Pow(10, db/20)
 }

@@ -157,7 +157,7 @@ func TestFFTLinearityProperty(t *testing.T) {
 
 func TestWindows(t *testing.T) {
 	for name, fn := range map[string]func(int) []float64{
-		"hann": Hann, "hamming": Hamming, "blackman": Blackman,
+		"hann": Hann, "hamming": Hamming,
 	} {
 		w := fn(64)
 		if len(w) != 64 {
@@ -223,28 +223,6 @@ func TestLowpassFIRResponse(t *testing.T) {
 	}
 	if g := gain(12000); g > 0.05 {
 		t.Errorf("stopband gain @12kHz = %g, want ~0", g)
-	}
-}
-
-func TestHighpassFIRResponse(t *testing.T) {
-	const sr = 48000.0
-	taps := HighpassFIR(8000, sr, 101)
-	run := func(hz float64) float64 {
-		f := NewFIRFilter(taps)
-		var peak float64
-		for i := 0; i < 4800; i++ {
-			y := f.Process(math.Sin(2 * math.Pi * hz * float64(i) / sr))
-			if i > len(taps) && math.Abs(y) > peak {
-				peak = math.Abs(y)
-			}
-		}
-		return peak
-	}
-	if g := run(1000); g > 0.05 {
-		t.Errorf("stopband gain @1kHz = %g, want ~0", g)
-	}
-	if g := run(16000); g < 0.8 {
-		t.Errorf("passband gain @16kHz = %g, want ~1", g)
 	}
 }
 
@@ -436,42 +414,17 @@ func TestScaleNormalizeMix(t *testing.T) {
 	if silent[0] != 0 {
 		t.Error("Normalize changed silence")
 	}
-
-	dst := make([]float64, 5)
-	n := MixInto(dst, []float64{1, 1, 1}, 3)
-	if n != 2 {
-		t.Errorf("MixInto clamped count = %d, want 2", n)
-	}
-	if dst[3] != 1 || dst[4] != 1 || dst[2] != 0 {
-		t.Errorf("MixInto wrote wrong region: %v", dst)
-	}
-	if MixInto(dst, []float64{1}, -1) != 0 || MixInto(dst, []float64{1}, 5) != 0 {
-		t.Error("out-of-range offset should mix nothing")
-	}
 }
 
 func TestDBConversions(t *testing.T) {
 	if got := LinearToDB(10); !almostEqual(got, 20, 1e-12) {
 		t.Errorf("LinearToDB(10) = %g", got)
 	}
-	if got := DBToLinear(-20); !almostEqual(got, 0.1, 1e-12) {
-		t.Errorf("DBToLinear(-20) = %g", got)
+	if got := LinearToDB(0.1); !almostEqual(got, -20, 1e-12) {
+		t.Errorf("LinearToDB(0.1) = %g", got)
 	}
 	if LinearToDB(0) != -300 {
 		t.Error("LinearToDB(0) should clamp")
-	}
-	// Round-trip property.
-	f := func(db float64) bool {
-		if math.IsNaN(db) || math.Abs(db) > 100 {
-			db = math.Mod(db, 100)
-			if math.IsNaN(db) {
-				db = 0
-			}
-		}
-		return almostEqual(LinearToDB(DBToLinear(db)), db, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -54,9 +54,6 @@ func NewFFTConvolver(taps []float64) *FFTConvolver {
 	return &FFTConvolver{nt: nt, n: n, plan: plan, spec: spec}
 }
 
-// TapCount returns the number of filter taps the convolver was built for.
-func (c *FFTConvolver) TapCount() int { return c.nt }
-
 // Apply filters x into dst and returns dst (reallocated when its
 // capacity is too small). dst may alias x exactly (dst == x filters in
 // place); partial overlaps are not supported. len(result) == len(x).

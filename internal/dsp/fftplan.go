@@ -74,15 +74,12 @@ func planTwiddles(n int, inverse bool) []complex128 {
 	return tw
 }
 
-// Size returns the transform size the plan was built for.
-func (p *FFTPlan) Size() int { return p.n }
-
 // Forward computes the in-place unnormalized FFT of x. len(x) must equal
-// Size().
+// the plan's size.
 func (p *FFTPlan) Forward(x []complex128) { p.transform(x, p.fwd) }
 
 // Inverse computes the in-place inverse FFT of x including the 1/N
-// normalization. len(x) must equal Size().
+// normalization. len(x) must equal the plan's size.
 func (p *FFTPlan) Inverse(x []complex128) {
 	p.transform(x, p.inv)
 	n := complex(float64(p.n), 0)

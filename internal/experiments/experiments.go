@@ -11,7 +11,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 
 	"sonic/internal/broadcast"
 	"sonic/internal/core"
@@ -768,14 +767,4 @@ func PrintFig1(w io.Writer, r *Fig1Result) {
 	t.AddRowf("10% loss", r.RawDamage.PixelLossRate, r.RawDamage.OverallDamage, r.RawDamage.TextDamage)
 	t.AddRowf("10% + interp", r.HealedDamage.PixelLossRate, r.HealedDamage.OverallDamage, r.HealedDamage.TextDamage)
 	t.Render(w)
-}
-
-// SortedKeys is a small helper for deterministic map printing.
-func SortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

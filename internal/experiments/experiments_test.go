@@ -301,10 +301,3 @@ func TestFig5Reduced(t *testing.T) {
 		t.Error("print missing conditions")
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	got := SortedKeys(map[string]int{"b": 1, "a": 2})
-	if len(got) != 2 || got[0] != "a" {
-		t.Errorf("SortedKeys = %v", got)
-	}
-}

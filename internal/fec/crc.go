@@ -20,8 +20,8 @@ func Verify32(data []byte, sum uint32) bool {
 }
 
 // Checksum16 returns a CRC-16/CCITT-FALSE checksum (poly 0x1021, init
-// 0xFFFF), used for short control records such as RDS-style groups and SMS
-// gateway headers where a 4-byte CRC would be disproportionate.
+// 0xFFFF), used for short control records such as the modem burst headers
+// where a 4-byte CRC would be disproportionate.
 func Checksum16(data []byte) uint16 {
 	crc := uint16(0xFFFF)
 	for _, b := range data {

@@ -58,11 +58,6 @@ func gfPow(n int) byte {
 	return gfExp[n]
 }
 
-// gfInv returns the multiplicative inverse of a (a must be non-zero).
-func gfInv(a byte) byte {
-	return gfExp[255-int(gfLog[a])]
-}
-
 // polyEval evaluates polynomial p (coefficients highest degree first) at x.
 func polyEval(p []byte, x byte) byte {
 	var y byte

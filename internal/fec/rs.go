@@ -406,9 +406,3 @@ func (r *RS) EncodedLen(msgLen int) int {
 	}
 	return n
 }
-
-// Overhead returns the code rate overhead factor (encoded/plain) for large
-// messages, e.g. 255/223 for rs8.
-func (r *RS) Overhead() float64 {
-	return float64(r.k+r.nroots) / float64(r.k)
-}

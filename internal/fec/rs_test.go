@@ -13,7 +13,7 @@ func TestGFFieldAxioms(t *testing.T) {
 		t.Errorf("alpha^255 = %d, want 1", gfPow(255))
 	}
 	for a := 1; a < 256; a++ {
-		if got := gfMul(byte(a), gfInv(byte(a))); got != 1 {
+		if got := gfMul(byte(a), gfDiv(1, byte(a))); got != 1 {
 			t.Fatalf("a * a^-1 = %d for a=%d", got, a)
 		}
 	}
@@ -52,9 +52,6 @@ func TestRS8Geometry(t *testing.T) {
 	if rs.DataLen() != 223 || rs.ParityLen() != 32 || rs.MaxErrors() != 16 {
 		t.Errorf("rs8 geometry wrong: k=%d parity=%d t=%d",
 			rs.DataLen(), rs.ParityLen(), rs.MaxErrors())
-	}
-	if rs.Overhead() < 1.14 || rs.Overhead() > 1.15 {
-		t.Errorf("rs8 overhead = %g, want ~255/223", rs.Overhead())
 	}
 }
 

@@ -82,17 +82,6 @@ func (a AcousticModel) MeanSNRAt(d float64) float64 {
 	return snr
 }
 
-// DrawSNR samples the SNR a single frame transmission experiences at
-// distance d, including alignment jitter.
-func (a AcousticModel) DrawSNR(d float64, rng *rand.Rand) float64 {
-	mean := a.MeanSNRAt(d)
-	if math.IsInf(mean, 1) {
-		return mean
-	}
-	sigma := a.AlignmentSigmaBase + a.AlignmentSigmaPerMeter*d
-	return mean + sigma*rng.NormFloat64()
-}
-
 // Transmit carries audio (at rate Hz) across d meters of air: speaker
 // rolloff, a room reflection, slow SNR wander from alignment drift, and
 // brief alignment dropouts. d <= 0 (cable) returns a copy of the input.
@@ -158,21 +147,6 @@ func (a AcousticModel) addTimeVaryingNoise(out []float64, rate int, d float64, r
 		sigma := math.Sqrt(p / math.Pow(10, snr/10))
 		out[i] += sigma * rng.NormFloat64()
 	}
-}
-
-// TransmitAtSNR is Transmit with an explicit SNR (dB) instead of a
-// distance draw — used when a caller has already sampled per-frame SNRs.
-func (a AcousticModel) TransmitAtSNR(audio []float64, rate int, snrDB float64, rng *rand.Rand) []float64 {
-	out := make([]float64, len(audio))
-	copy(out, audio)
-	if math.IsInf(snrDB, 1) {
-		return out
-	}
-	if a.SpeakerCutoffHz > 0 && a.SpeakerCutoffHz < float64(rate)/2 {
-		out = lowpassConvolver(a.SpeakerCutoffHz, float64(rate), speakerFilterTaps).Apply(out, out)
-	}
-	addNoise(out, snrDB, rng)
-	return out
 }
 
 // addNoise injects AWGN so the resulting SNR (vs current signal power)

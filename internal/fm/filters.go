@@ -7,61 +7,32 @@ import (
 	"sonic/internal/dsp"
 )
 
-// FIR design is pure function of (band edges, rate, tap count), yet the
-// pre-PR4 chain re-ran the windowed-sinc design — and paid the O(N·taps)
-// direct convolution — on every BuildComposite/SplitComposite call. Both
-// the designed taps and the FFT convolvers planned from them are
-// immutable, so they live in process-wide caches keyed by the design
-// parameters. Convolvers are safe for concurrent use (their scratch is
-// pooled internally), so one cached instance serves every goroutine.
+// FIR design is a pure function of (cutoff, rate, tap count), and both
+// the designed taps and the FFT convolver planned from them are
+// immutable, so convolvers live in a process-wide cache keyed by the
+// design parameters. Convolvers are safe for concurrent use (their
+// scratch is pooled internally), so one cached instance serves every
+// goroutine.
 
-// filterKey identifies one FIR design. kind is 'l' (lowpass, hi unused)
-// or 'b' (bandpass).
+// filterKey identifies one lowpass FIR design.
 type filterKey struct {
-	kind   byte
-	lo, hi float64
+	cutoff float64
 	rate   float64
 	taps   int
 }
 
-var (
-	tapsCache sync.Map // filterKey -> []float64
-	convCache sync.Map // filterKey -> *dsp.FFTConvolver
-)
+var convCache sync.Map // filterKey -> *dsp.FFTConvolver
 
-// cachedTaps returns the (shared, read-only) designed taps for key.
-func cachedTaps(key filterKey) []float64 {
-	if t, ok := tapsCache.Load(key); ok {
-		return t.([]float64)
-	}
-	var taps []float64
-	if key.kind == 'l' {
-		taps = dsp.LowpassFIR(key.lo, key.rate, key.taps)
-	} else {
-		taps = dsp.BandpassFIR(key.lo, key.hi, key.rate, key.taps)
-	}
-	t, _ := tapsCache.LoadOrStore(key, taps)
-	return t.([]float64)
-}
-
-// cachedConvolver returns the shared overlap-save convolver for key.
-func cachedConvolver(key filterKey) *dsp.FFTConvolver {
+// lowpassConvolver returns the shared overlap-save convolver for a
+// lowpass design.
+func lowpassConvolver(cutoff, rate float64, taps int) *dsp.FFTConvolver {
+	key := filterKey{cutoff: cutoff, rate: rate, taps: taps}
 	if c, ok := convCache.Load(key); ok {
 		return c.(*dsp.FFTConvolver)
 	}
-	conv := dsp.NewFFTConvolver(cachedTaps(key))
+	conv := dsp.NewFFTConvolver(dsp.LowpassFIR(cutoff, rate, taps))
 	c, _ := convCache.LoadOrStore(key, conv)
 	return c.(*dsp.FFTConvolver)
-}
-
-// lowpassConvolver returns a cached convolver for a lowpass design.
-func lowpassConvolver(cutoff, rate float64, taps int) *dsp.FFTConvolver {
-	return cachedConvolver(filterKey{kind: 'l', lo: cutoff, rate: rate, taps: taps})
-}
-
-// bandpassConvolver returns a cached convolver for a bandpass design.
-func bandpassConvolver(lo, hi, rate float64, taps int) *dsp.FFTConvolver {
-	return cachedConvolver(filterKey{kind: 'b', lo: lo, hi: hi, rate: rate, taps: taps})
 }
 
 // monoConvolver is the 127-tap mono-channel lowpass at CompositeRate used
@@ -70,15 +41,7 @@ func monoConvolver() *dsp.FFTConvolver {
 	return lowpassConvolver(MonoBandHigh, CompositeRate, monoFilterTaps)
 }
 
-// rdsConvolver is the 255-tap RDS-band bandpass at CompositeRate.
-func rdsConvolver() *dsp.FFTConvolver {
-	return bandpassConvolver(RDSCarrierHz-3000, RDSCarrierHz+3000, CompositeRate, rdsFilterTaps)
-}
-
-const (
-	monoFilterTaps = 127
-	rdsFilterTaps  = 255
-)
+const monoFilterTaps = 127
 
 // The 19 kHz pilot is exactly periodic in the 192 kHz composite clock:
 // gcd(19000, 192000) = 1000, so the waveform repeats every 192 samples.

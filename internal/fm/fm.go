@@ -1,7 +1,8 @@
 // Package fm simulates the FM radio infrastructure SONIC repurposes: a
 // software FM modulator/demodulator operating on the complex baseband
-// envelope, the composite FM baseband layout from the paper's Figure 2
-// (mono 30 Hz–15 kHz, 19 kHz stereo pilot, 57 kHz RDS subcarrier), a
+// envelope, the part of the composite FM baseband from the paper's
+// Figure 2 that SONIC uses (mono 30 Hz–15 kHz plus the 19 kHz stereo
+// pilot; no stereo difference or RDS subcarrier is generated), a
 // log-distance RSSI model for the radio hop, and an acoustic over-the-air
 // model for the speaker→microphone hop between a radio and a phone.
 //
@@ -25,7 +26,6 @@ import (
 	"math/rand"
 	"runtime"
 
-	"sonic/internal/dsp"
 	"sonic/internal/parallel"
 )
 
@@ -33,7 +33,7 @@ import (
 const (
 	// CompositeRate is the sample rate of the FM composite baseband and of
 	// the complex RF envelope. 192 kHz comfortably contains the 75 kHz
-	// deviation plus the 57 kHz RDS subcarrier.
+	// deviation.
 	CompositeRate = 192000
 
 	// MaxDeviation is the broadcast FM peak frequency deviation (Hz).
@@ -45,9 +45,6 @@ const (
 
 	// PilotHz is the stereo pilot tone.
 	PilotHz = 19000
-
-	// RDSCarrierHz is the RDS subcarrier (3x pilot).
-	RDSCarrierHz = 57000
 )
 
 // Modulator converts composite baseband samples (at CompositeRate) into a
@@ -56,13 +53,6 @@ type Modulator struct {
 	// Deviation is the peak frequency deviation in Hz applied to a
 	// full-scale (|x|=1) composite signal. Defaults to MaxDeviation.
 	Deviation float64
-}
-
-// Modulate frequency-modulates the composite signal.
-func (m *Modulator) Modulate(composite []float64) []complex128 {
-	out := make([]complex128, len(composite))
-	m.ModulateInto(out, composite)
-	return out
 }
 
 // ModulateInto frequency-modulates composite into dst, which must have
@@ -93,16 +83,9 @@ type Demodulator struct {
 	Deviation float64 // must match the modulator; defaults to MaxDeviation
 }
 
-// Demodulate returns the recovered composite signal. The first sample has
-// no phase predecessor and is emitted as zero.
-func (d *Demodulator) Demodulate(envelope []complex128) []float64 {
-	out := make([]float64, len(envelope))
-	d.DemodulateInto(out, envelope, 1)
-	return out
-}
-
 // DemodulateInto demodulates envelope into dst (same length), splitting
-// the work across up to workers goroutines. Each sample depends only on
+// the work across up to workers goroutines. The first sample has no phase
+// predecessor and is emitted as zero. Each sample depends only on
 // its immediate predecessor, so block boundaries just re-read one
 // neighbouring sample and the output is identical for every worker count.
 func (d *Demodulator) DemodulateInto(dst []float64, envelope []complex128, workers int) {
@@ -144,31 +127,8 @@ func AddRFNoise(envelope []complex128, cnrDB float64, rng *rand.Rand) []complex1
 	return envelope
 }
 
-// addRFNoiseWorkers is AddRFNoise with a worker-count-dependent
-// realization. With workers <= 1 it preserves the exact serial rng draw
-// order. With more workers the envelope splits into one block per worker
-// and each block draws from its own rng seeded from the parent (one Int63
-// per block, drawn in block order), so the realization differs from the
-// serial one but remains deterministic for a given seed and worker count,
-// with the same noise statistics. The blocks run one after another.
-func addRFNoiseWorkers(envelope []complex128, cnrDB float64, rng *rand.Rand, workers int) {
-	if workers <= 1 || len(envelope) < 2*parallelBlockMin {
-		AddRFNoise(envelope, cnrDB, rng)
-		return
-	}
-	sigma := math.Sqrt(math.Pow(10, -cnrDB/10) / 2)
-	n := len(envelope)
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		r := rand.New(rand.NewSource(rng.Int63()))
-		for i := lo; i < min(lo+chunk, n); i++ {
-			envelope[i] += complex(sigma*r.NormFloat64(), sigma*r.NormFloat64())
-		}
-	}
-}
-
 // monoDeviationFraction is the share of peak deviation given to the mono
-// channel in the composite mix (the rest is headroom for pilot/RDS),
+// channel in the composite mix (the rest is headroom for the pilot),
 // mirroring broadcast practice (~90% program, 10% pilot+subcarriers).
 const monoDeviationFraction = 0.85
 
@@ -178,46 +138,4 @@ const monoDeviationFraction = 0.85
 // radio receiver" pair with everything between antenna and speaker.
 func Broadcast(audio []float64, audioRate int, cnrDB float64, rng *rand.Rand) []float64 {
 	return broadcastChain(audio, audioRate, cnrDB, rng, chainOpts{workers: runtime.GOMAXPROCS(0)})
-}
-
-// BuildComposite assembles the FM composite baseband at CompositeRate from
-// mono program audio at audioRate, adding the 19 kHz pilot and, when rds
-// is non-nil, the RDS subcarrier samples (at CompositeRate, already
-// modulated around 57 kHz, unit scale).
-func BuildComposite(audio []float64, audioRate int, rds []float64) []float64 {
-	comp := dsp.Resample(audio, float64(audioRate), CompositeRate)
-	// Band-limit program audio to the mono channel.
-	comp = monoConvolver().Apply(comp, comp)
-	pilot := pilotTable()
-	j := 0
-	for i, v := range comp {
-		c := monoDeviationFraction*v + pilot[j]
-		if j++; j == len(pilot) {
-			j = 0
-		}
-		if rds != nil && i < len(rds) {
-			c += 0.05 * rds[i]
-		}
-		comp[i] = c
-	}
-	return comp
-}
-
-// SplitComposite extracts the mono program audio (resampled to audioRate)
-// and the raw 57 kHz RDS band (still at CompositeRate) from a received
-// composite signal.
-func SplitComposite(composite []float64, audioRate int) (audio []float64, rdsBand []float64) {
-	monoBuf := getF64(len(composite))
-	mono := monoConvolver().Apply(*monoBuf, composite)
-	for i := range mono {
-		mono[i] /= monoDeviationFraction
-	}
-	audio = dsp.ResampleInto(nil, mono, CompositeRate, float64(audioRate))
-	putF64(monoBuf)
-
-	rdsBand = rdsConvolver().Apply(nil, composite)
-	for i := range rdsBand {
-		rdsBand[i] /= 0.05
-	}
-	return audio, rdsBand
 }

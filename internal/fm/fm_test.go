@@ -22,13 +22,15 @@ func TestFMModDemodRoundTrip(t *testing.T) {
 	for i := range x {
 		x[i] *= 0.5
 	}
-	mod := (&Modulator{}).Modulate(x)
+	mod := make([]complex128, len(x))
+	(&Modulator{}).ModulateInto(mod, x)
 	for i, s := range mod {
 		if math.Abs(real(s)*real(s)+imag(s)*imag(s)-1) > 1e-9 {
 			t.Fatalf("envelope magnitude not 1 at %d", i)
 		}
 	}
-	rx := (&Demodulator{}).Demodulate(mod)
+	rx := make([]float64, len(mod))
+	(&Demodulator{}).DemodulateInto(rx, mod, 1)
 	// Skip the first samples (discriminator warmup), compare the rest.
 	var errSum, sigSum float64
 	for i := 100; i < len(x); i++ {
@@ -79,36 +81,6 @@ func TestFMThresholdEffect(t *testing.T) {
 	}
 }
 
-func TestBuildSplitComposite(t *testing.T) {
-	x := tone(2000, 9600, 48000)
-	comp := BuildComposite(x, 48000, nil)
-	if len(comp) != len(x)*CompositeRate/48000 {
-		t.Fatalf("composite length %d", len(comp))
-	}
-	// Pilot present at 19 kHz.
-	if p := dsp.Goertzel(comp, PilotHz, CompositeRate); p < 10 {
-		t.Errorf("pilot missing: %g", p)
-	}
-	audio, _ := SplitComposite(comp, 48000)
-	g2 := dsp.Goertzel(audio[200:], 2000, 48000)
-	gp := dsp.Goertzel(audio[200:], PilotHz-1000, 48000)
-	if g2 < 10*gp {
-		t.Errorf("mono extraction poor: 2k=%g 18k=%g", g2, gp)
-	}
-}
-
-func TestCompositeCarriesRDS(t *testing.T) {
-	// An RDS band injected at 57 kHz must come back out of SplitComposite.
-	rds := tone(RDSCarrierHz, 19200, CompositeRate)
-	comp := BuildComposite(make([]float64, 4800), 48000, rds)
-	_, band := SplitComposite(comp, 48000)
-	on := dsp.Goertzel(band[500:], RDSCarrierHz, CompositeRate)
-	off := dsp.Goertzel(band[500:], RDSCarrierHz-8000, CompositeRate)
-	if on < 10*off {
-		t.Errorf("RDS band not recovered: on=%g off=%g", on, off)
-	}
-}
-
 func TestRSSIModel(t *testing.T) {
 	m := DefaultRSSIModel()
 	// Monotone decreasing with distance.
@@ -120,21 +92,10 @@ func TestRSSIModel(t *testing.T) {
 		}
 		prev = r
 	}
-	// The paper's operating range (-65..-90 dB) maps to plausible distances.
-	d65 := m.DistanceForRSSI(-65)
-	d90 := m.DistanceForRSSI(-90)
-	if d65 >= d90 {
-		t.Errorf("distance inversion: %g !< %g", d65, d90)
-	}
-	if d90 > 5000 {
-		t.Errorf("-90 dB at %gm: beyond the TR508's km class", d90)
-	}
-	// Round trip.
-	for _, rssi := range []float64{-65, -75, -85} {
-		back := m.RSSIAtDistance(m.DistanceForRSSI(rssi))
-		if math.Abs(back-rssi) > 1e-6 {
-			t.Errorf("RSSI round trip %g -> %g", rssi, back)
-		}
+	// The paper's total-loss boundary (-90 dB) falls inside the TR508's
+	// km class.
+	if r := m.RSSIAtDistance(5000); r > -90 {
+		t.Errorf("RSSI at 5 km = %g, want below the -90 dB boundary", r)
 	}
 	// CNR at the paper's total-loss boundary (-90 dB) should be near the
 	// FM threshold (~11 dB).

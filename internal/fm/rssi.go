@@ -44,11 +44,6 @@ func (m RSSIModel) RSSIAtDistance(d float64) float64 {
 	return m.RefRSSI - 10*m.PathLossExponent*math.Log10(d/m.RefDistanceM)
 }
 
-// DistanceForRSSI inverts RSSIAtDistance.
-func (m RSSIModel) DistanceForRSSI(rssi float64) float64 {
-	return m.RefDistanceM * math.Pow(10, (m.RefRSSI-rssi)/(10*m.PathLossExponent))
-}
-
 // CNRForRSSI converts RSSI to the carrier-to-noise ratio fed into
 // AddRFNoise.
 func (m RSSIModel) CNRForRSSI(rssi float64) float64 {

@@ -10,11 +10,11 @@ import (
 	"sonic/internal/telemetry"
 )
 
-// The chain's per-sample stages (noise injection, discriminator
-// demodulation, composite mixing) are data-parallel across contiguous
-// sample blocks; modulation is a serial phase recurrence and stays on
-// one goroutine. Broadcast and FMLink.Transmit size the pool from
-// GOMAXPROCS.
+// The chain's per-sample stages (discriminator demodulation, composite
+// mixing) are data-parallel across contiguous sample blocks; modulation
+// is a serial phase recurrence and the noise draw a serial rng stream,
+// so both stay on one goroutine. Broadcast and FMLink.Transmit size the
+// pool from GOMAXPROCS.
 
 // parallelBlockMin is the smallest per-worker block worth a goroutine;
 // below it the fixed spawn/join cost dwarfs the loop body.
@@ -33,18 +33,16 @@ type chainOpts struct {
 }
 
 // broadcastChain is the fused modulator→channel→receiver pipeline behind
-// Broadcast and FMLink.Transmit. It differs from calling the exported
-// stages in sequence only in allocation behaviour, not math:
+// Broadcast and FMLink.Transmit:
 //
 //   - the composite, envelope and received-composite signals live in two
 //     pooled buffers (one real, one complex) reused across calls;
 //   - every stage between the resample-in and resample-out operates in
 //     place, so a call performs O(1) slice allocations regardless of
 //     signal length;
-//   - the receiver skips the 57 kHz RDS bandpass entirely: this path
-//     returns only the program audio, and the 255-tap bandpass was the
-//     single most expensive filter of the old chain, run only to be
-//     discarded.
+//   - the noise draw is serial (AddRFNoise's rng order is its contract)
+//     and every other stage writes dst[i] from src[i], so the output is
+//     a function of the seed alone, never of the worker count.
 func broadcastChain(audio []float64, audioRate int, cnrDB float64, rng *rand.Rand, o chainOpts) []float64 {
 	n := dsp.ResampleLen(len(audio), float64(audioRate), CompositeRate)
 	if n == 0 {
@@ -91,7 +89,7 @@ func broadcastChain(audio []float64, audioRate int, cnrDB float64, rng *rand.Ran
 	// add_noise: the RF hop.
 	if !math.IsInf(cnrDB, 1) {
 		sp = o.span.StartChild("add_noise")
-		addRFNoiseWorkers(env, cnrDB, rng, o.workers)
+		AddRFNoise(env, cnrDB, rng)
 		sp.End()
 	}
 
@@ -102,8 +100,7 @@ func broadcastChain(audio []float64, audioRate int, cnrDB float64, rng *rand.Ran
 	sp.End()
 
 	// split_composite: mono lowpass, de-emphasis of the deviation share,
-	// downsample. The RDS band is discarded by this path, so its bandpass
-	// is never run.
+	// downsample.
 	sp = o.span.StartChild("split_composite")
 	comp = monoConvolver().Apply(comp, comp)
 	parallel.For(o.workers, len(comp), parallelBlockMin, func(lo, hi int) {

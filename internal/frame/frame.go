@@ -169,11 +169,6 @@ func NewCodecWith(rs *fec.RS, conv *fec.ConvCode) *Codec {
 // CodedFrameSize returns the on-air bytes per frame after FEC.
 func (c *Codec) CodedFrameSize() int { return c.codedLen }
 
-// Overhead returns on-air bytes divided by payload bytes.
-func (c *Codec) Overhead() float64 {
-	return float64(c.codedLen) / float64(PayloadSize)
-}
-
 // EncodeFrame converts a frame to its on-air coded form.
 func (c *Codec) EncodeFrame(f *Frame) ([]byte, error) {
 	plain, err := f.Marshal()
@@ -419,20 +414,8 @@ func (r *Reassembler) LossRate() float64 {
 	return 1 - float64(len(r.payloads))/float64(r.total)
 }
 
-// MissingSeqs lists the sequence numbers not yet received.
-func (r *Reassembler) MissingSeqs() []uint32 {
-	var miss []uint32
-	for s := uint32(0); s < r.total; s++ {
-		if _, ok := r.payloads[s]; !ok {
-			miss = append(miss, s)
-		}
-	}
-	return miss
-}
-
 // Bytes concatenates the received payloads in sequence order. ok is false
-// if any frame is missing — callers that can tolerate holes (the cell
-// transport) should use Payloads instead.
+// if any frame is missing.
 func (r *Reassembler) Bytes() (blob []byte, ok bool) {
 	if !r.Complete() {
 		return nil, false
@@ -442,13 +425,4 @@ func (r *Reassembler) Bytes() (blob []byte, ok bool) {
 		blob = append(blob, r.payloads[s]...)
 	}
 	return blob, true
-}
-
-// Payloads returns the received (seq, payload) pairs in order.
-func (r *Reassembler) Payloads() map[uint32][]byte {
-	out := make(map[uint32][]byte, len(r.payloads))
-	for k, v := range r.payloads {
-		out[k] = v
-	}
-	return out
 }

@@ -62,8 +62,8 @@ func TestDecodeStreamGarbageBetweenFrames(t *testing.T) {
 
 func TestReassemblerHostileTotals(t *testing.T) {
 	r := NewReassembler(1)
-	// A frame claiming a huge total must not cause huge allocations on
-	// MissingSeqs (it allocates total entries — ensure Add bounds it by
+	// A frame claiming a huge total must not cause huge allocations in
+	// Bytes (it sizes its blob from the total — ensure Add bounds it by
 	// rejecting inconsistent totals after the first frame).
 	r.Add(&Frame{PageID: 1, Seq: 0, Total: 3, Payload: []byte("x")})
 	if r.Add(&Frame{PageID: 1, Seq: 1, Total: 1 << 30}) {

@@ -15,6 +15,10 @@ import (
 // interpolation. Cell is that unit: an independently decodable,
 // RLE-compressed run of pixels from a single column. One cell rides in
 // one SONIC frame payload.
+//
+// Nothing that ships encodes cells (the system airs the SIC bitstream);
+// this file is kept as the paper's mechanism, reached through
+// core.EncodeImageCells and pinned by the tests of both packages.
 type Cell struct {
 	Col  uint16 // column index (0-based partition number)
 	Y0   uint16 // first row covered

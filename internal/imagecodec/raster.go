@@ -13,7 +13,6 @@ package imagecodec
 
 import (
 	"errors"
-	"fmt"
 	"image"
 	"image/color"
 	"image/png"
@@ -122,17 +121,6 @@ func (r *Raster) FillRect(x0, y0, w, h int, c RGB) {
 	}
 }
 
-// Row returns the pixel bytes of row y (3 bytes per pixel), or nil when
-// y is out of bounds. The slice aliases the raster's storage; writing to
-// it writes the image. Scanline renderers use it to blit whole rows with
-// copy instead of per-pixel Set calls.
-func (r *Raster) Row(y int) []byte {
-	if y < 0 || y >= r.H {
-		return nil
-	}
-	return r.Pix[3*y*r.W : 3*(y+1)*r.W]
-}
-
 // Clone returns a deep copy.
 func (r *Raster) Clone() *Raster {
 	out := &Raster{W: r.W, H: r.H, Pix: make([]byte, len(r.Pix))}
@@ -216,23 +204,6 @@ func (r *Raster) WritePNG(w io.Writer) error {
 		}
 	}
 	return png.Encode(w, img)
-}
-
-// ReadPNG decodes a PNG into a Raster.
-func ReadPNG(rd io.Reader) (*Raster, error) { //sonic:ignore equivpin stdlib PNG ingestion, no optimized variant
-	img, err := png.Decode(rd)
-	if err != nil {
-		return nil, fmt.Errorf("imagecodec: %w", err)
-	}
-	b := img.Bounds()
-	out := NewBlackRaster(b.Dx(), b.Dy())
-	for y := 0; y < b.Dy(); y++ {
-		for x := 0; x < b.Dx(); x++ {
-			cr, cg, cb, _ := img.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			out.Set(x, y, RGB{uint8(cr >> 8), uint8(cg >> 8), uint8(cb >> 8)})
-		}
-	}
-	return out, nil
 }
 
 // ErrEmptyRaster is returned by codecs asked to encode a degenerate image.

@@ -2,8 +2,8 @@
 // pixels left by lost frames are replaced via nearest-neighbor value
 // interpolation, prioritizing the left neighbor "given that the webpage
 // consists mostly of text read from left to right". It also provides the
-// image-quality metrics (MSE/PSNR and text/content damage scores) that
-// drive the simulated user study for Figure 5.
+// text/content damage scores that drive the simulated user study for
+// Figure 5.
 package interp
 
 import (
@@ -54,29 +54,6 @@ func Interpolate(r *imagecodec.Raster, missing []bool) {
 			filled[i] = true
 		}
 	}
-}
-
-// MSE returns the mean squared pixel error between two same-size rasters.
-func MSE(a, b *imagecodec.Raster) float64 {
-	if a.W != b.W || a.H != b.H || len(a.Pix) == 0 {
-		return math.Inf(1)
-	}
-	var acc float64
-	for i := range a.Pix {
-		d := float64(a.Pix[i]) - float64(b.Pix[i])
-		acc += d * d
-	}
-	return acc / float64(len(a.Pix))
-}
-
-// PSNR returns the peak signal-to-noise ratio in dB (+Inf for identical
-// images).
-func PSNR(a, b *imagecodec.Raster) float64 {
-	m := MSE(a, b)
-	if m == 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(255*255/m)
 }
 
 // DamageReport quantifies visual damage after loss (and optional

@@ -66,22 +66,6 @@ func TestInterpolateBadMaskIsNoop(t *testing.T) {
 	}
 }
 
-func TestMSEAndPSNR(t *testing.T) {
-	a := imagecodec.NewRaster(4, 4)
-	b := a.Clone()
-	if MSE(a, b) != 0 || !math.IsInf(PSNR(a, b), 1) {
-		t.Error("identical images should be 0 MSE / +Inf PSNR")
-	}
-	b.Set(0, 0, imagecodec.RGB{})
-	if MSE(a, b) <= 0 {
-		t.Error("differing images should have positive MSE")
-	}
-	c := imagecodec.NewRaster(3, 3)
-	if !math.IsInf(MSE(a, c), 1) {
-		t.Error("size mismatch should be +Inf")
-	}
-}
-
 func TestSyntheticLossRate(t *testing.T) {
 	src := imagecodec.NewRaster(100, 100)
 	rng := rand.New(rand.NewSource(1))

@@ -140,15 +140,6 @@ func (c *Constellation) sliceAxis(v float64) int {
 	return idx ^ (idx >> 1)
 }
 
-// MinDistance returns the minimum distance between constellation points
-// (a proxy for noise tolerance).
-func (c *Constellation) MinDistance() float64 {
-	if c.bits == 1 {
-		return 2
-	}
-	return 2 * c.scale
-}
-
 // DemapSoft appends one signed soft metric per bit to dst: the sign is
 // the hard decision (positive means bit 1) and the magnitude grows with
 // reliability. It uses the classic recursive approximation for

@@ -34,11 +34,6 @@ type Tower struct {
 	RadiusKm float64
 }
 
-// Covers reports whether the tower's broadcast radius reaches the point.
-func (t Tower) Covers(lat, lon float64) bool {
-	return DistanceKm(t.Lat, t.Lon, lat, lon) <= t.RadiusKm
-}
-
 // kmPerDegLat is the great-circle length of one degree of latitude (and
 // of longitude at the equator).
 const kmPerDegLat = 111.194926645
@@ -125,11 +120,6 @@ func (x *Index) cellOf(lat, lon float64) cellKey {
 
 // Len returns the number of indexed towers.
 func (x *Index) Len() int { return len(x.towers) }
-
-// Towers returns a copy of the indexed fleet.
-func (x *Index) Towers() []Tower {
-	return append([]Tower(nil), x.towers...)
-}
 
 // Lookup returns the covering tower for a location: the closest one,
 // ties broken by smaller ID. ok is false when no tower covers the

@@ -55,16 +55,6 @@ func (t Transmitter) FrequencyCount() int {
 	return 1 + len(t.ExtraFreqsMHz)
 }
 
-// Covers reports whether the transmitter reaches the coordinates.
-func (t Transmitter) Covers(lat, lon float64) bool {
-	return haversineKm(t.Lat, t.Lon, lat, lon) <= t.RadiusKm
-}
-
-// haversineKm returns the great-circle distance between two points.
-func haversineKm(lat1, lon1, lat2, lon2 float64) float64 {
-	return routing.DistanceKm(lat1, lon1, lat2, lon2)
-}
-
 // queuedPage is one pending broadcast. Count and Traces carry every
 // coalesced request riding on the single broadcast: N users asking for
 // the page get N lifecycle traces stamped off one queue entry.

@@ -1,12 +1,16 @@
 package server
 
 import (
+	"math"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"sonic/internal/core"
 	"sonic/internal/corpus"
+	"sonic/internal/routing"
 	"sonic/internal/sms"
 	"sonic/internal/telemetry"
 )
@@ -27,23 +31,13 @@ func testServer(t *testing.T) *Server {
 	return s
 }
 
-func TestTransmitterCoverage(t *testing.T) {
-	tx := Transmitter{Lat: 24.86, Lon: 67.00, RadiusKm: 40}
-	if !tx.Covers(24.90, 67.05) {
-		t.Error("nearby point not covered")
-	}
-	if tx.Covers(31.55, 74.34) { // Lahore is ~1000 km away
-		t.Error("distant point covered")
-	}
-}
-
 func TestHaversineSanity(t *testing.T) {
 	// Karachi to Lahore is just over 1000 km.
-	d := haversineKm(24.86, 67.00, 31.55, 74.34)
+	d := routing.DistanceKm(24.86, 67.00, 31.55, 74.34)
 	if d < 900 || d > 1200 {
 		t.Errorf("karachi-lahore = %.0f km", d)
 	}
-	if haversineKm(10, 10, 10, 10) != 0 {
+	if routing.DistanceKm(10, 10, 10, 10) != 0 {
 		t.Error("zero distance wrong")
 	}
 }
@@ -213,4 +207,60 @@ func TestTransportRejectsGarbage(t *testing.T) {
 	}()
 	s := testServer(t)
 	s.handleConn(srv) // must return without panicking
+}
+
+// TestControlLinkBoundsPeerAllocation: the server reads from a peer that
+// has not identified itself, so a 5-byte header announcing 64 MiB must
+// close the connection instead of allocating (and waiting for) the
+// payload; the same holds for a poll that claims a body.
+func TestControlLinkBoundsPeerAllocation(t *testing.T) {
+	s := testServer(t)
+	for name, hdrs := range map[string][][]byte{
+		"huge hello": {{msgHello, 0x04, 0, 0, 0}},
+		"fat poll":   {{msgHello, 0, 0, 0, 2, 'k', 'h'}, {msgPoll, 0, 0, 0, 1}},
+	} {
+		srv, cli := net.Pipe()
+		t.Cleanup(func() { cli.Close() }) // unblocks the server side if the test gave up on it
+		done := make(chan uint64, 1)
+		go func() {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s.handleConn(srv)
+			runtime.ReadMemStats(&after)
+			done <- after.TotalAlloc - before.TotalAlloc
+		}()
+		for _, h := range hdrs {
+			if _, err := cli.Write(h); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		select {
+		case grew := <-done:
+			if grew > 16<<20 { // process-wide counter: leave room for bystanders
+				t.Errorf("%s: server allocated %d bytes for an unread payload", name, grew)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: server is waiting for the announced payload", name)
+		}
+	}
+}
+
+// TestControlLinkRefusesOversizeURL: PAGE carries the URL length in 16
+// bits; a longer URL closes the link rather than going out truncated.
+func TestControlLinkRefusesOversizeURL(t *testing.T) {
+	s := testServer(t)
+	long := "khabar.pk/" + strings.Repeat("a", math.MaxUint16)
+	if _, err := s.EnqueuePage(long, 24.87, 67.01, time.Unix(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	srv, cli := net.Pipe()
+	go s.handleConn(srv)
+	c, err := NewTransmitterClient(cli, "khi-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if url, _, _, ok, err := c.Poll(); err == nil {
+		t.Fatalf("poll returned ok=%v url of %d bytes, want the link closed", ok, len(url))
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 
@@ -25,8 +26,25 @@ const (
 	msgEmpty byte = 0x04 // payload: empty
 )
 
-// maxMsgSize bounds control-link messages (a page bundle plus slack).
-const maxMsgSize = 64 << 20
+// Payload bounds, by direction. A transmitter only ever sends its id and
+// empty polls, so the server — which reads from a peer before it has said
+// who it is — allocates at most maxHelloSize for it; the transmitter reads
+// page bundles from the server it dialled.
+const (
+	maxHelloSize = 256
+	maxMsgSize   = 64 << 20 // a page bundle plus slack
+)
+
+// fromTransmitter is the payload bound for messages the server reads.
+func fromTransmitter(typ byte) uint32 {
+	if typ == msgHello {
+		return maxHelloSize
+	}
+	return 0
+}
+
+// fromServer is the payload bound for messages a transmitter reads.
+func fromServer(byte) uint32 { return maxMsgSize }
 
 func writeMsg(w io.Writer, typ byte, payload []byte) error {
 	var hdr [5]byte
@@ -39,14 +57,16 @@ func writeMsg(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-func readMsg(r io.Reader) (byte, []byte, error) {
+// readMsg reads one message, refusing — before allocating — a payload
+// longer than limit allows for the announced type.
+func readMsg(r io.Reader, limit func(typ byte) uint32) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > maxMsgSize {
-		return 0, nil, fmt.Errorf("server: message of %d bytes exceeds limit", n)
+	if n > limit(hdr[0]) {
+		return 0, nil, fmt.Errorf("server: message %#x of %d bytes exceeds limit", hdr[0], n)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -82,14 +102,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 
-	typ, payload, err := readMsg(br)
+	typ, payload, err := readMsg(br, fromTransmitter)
 	if err != nil || typ != msgHello {
 		return
 	}
 	txID := string(payload)
 
 	for {
-		typ, _, err := readMsg(br)
+		typ, _, err := readMsg(br, fromTransmitter)
 		if err != nil {
 			return
 		}
@@ -102,6 +122,9 @@ func (s *Server) handleConn(conn net.Conn) {
 				return
 			}
 			continue
+		}
+		if len(url) > math.MaxUint16 {
+			return // the PAGE header cannot carry it; never send a truncated length
 		}
 		blob := core.MarshalBundle(bundle)
 		body := make([]byte, 4+len(url)+len(blob))
@@ -155,7 +178,7 @@ func (c *TransmitterClient) Poll() (url string, pageID uint16, b core.Bundle, ok
 	if err := c.bw.Flush(); err != nil {
 		return "", 0, core.Bundle{}, false, err
 	}
-	typ, payload, err := readMsg(c.br)
+	typ, payload, err := readMsg(c.br, fromServer)
 	if err != nil {
 		return "", 0, core.Bundle{}, false, err
 	}

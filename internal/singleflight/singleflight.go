@@ -1,9 +1,9 @@
 // Package singleflight coalesces duplicate concurrent calls: when N
 // goroutines ask for the same key at once, one runs the function and the
-// other N-1 block and share its result. The SONIC server uses it to stop
-// the render thundering herd — N concurrent cache misses for one URL
-// must render once, not N times (§3.1: the page comes "from its cache,
-// e.g., if recently requested by another user").
+// other N-1 block and share its result. The artifact chain uses it per
+// stage to stop the thundering herd — N concurrent cache misses for one
+// page must render once, not N times (§3.1: the page comes "from its
+// cache, e.g., if recently requested by another user").
 //
 // It is a minimal stdlib-only take on golang.org/x/sync/singleflight,
 // with one deliberate difference: Do reports whether the caller was the
@@ -55,47 +55,19 @@ func (g *Group) Do(key string, fn func() (any, error)) (v any, err error, leader
 	// The leader never blocks on followers. If fn panics, followers get
 	// ErrLeaderPanicked instead of being stranded (or silently handed a
 	// zero value), and the panic propagates on the leader's goroutine.
-	// The delete is guarded on call identity: Forget may already have
-	// dropped this generation and a fresh call may own the key now.
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		if r != nil {
 			c.err = ErrLeaderPanicked
-			g.forgetCall(key, c)
-			c.wg.Done()
+		}
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		c.wg.Done()
+		if r != nil {
 			panic(r)
 		}
-		g.forgetCall(key, c)
-		c.wg.Done()
 	}()
 	c.val, c.err = fn()
 	return c.val, c.err, true
-}
-
-// forgetCall removes key only if it still maps to c.
-func (g *Group) forgetCall(key string, c *call) {
-	g.mu.Lock()
-	if g.m[key] == c {
-		delete(g.m, key)
-	}
-	g.mu.Unlock()
-}
-
-// Forget detaches the in-flight call for key, if any: callers already
-// waiting on it still receive its result, but the next Do for the key
-// starts a fresh invocation instead of joining the old one. Use it when
-// an in-flight result is known to be doomed (e.g. a render against
-// state that just changed) so one bad flight cannot poison every caller
-// that arrives before it finishes.
-func (g *Group) Forget(key string) {
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-}
-
-// Inflight reports how many keys currently have an executing call —
-// exported for the server's inflight-renders gauge.
-func (g *Group) Inflight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.m)
 }

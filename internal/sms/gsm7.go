@@ -1,10 +1,10 @@
 // Package sms implements SONIC's uplink (§3.1): users with an SMS
 // subscription request webpages by texting a SONIC number with the URL
 // and their location; the server acknowledges with a delivery estimate.
-// The package provides the GSM 03.38 7-bit alphabet codec, septet
-// packing, concatenated-message segmentation (160 septets per single
-// SMS, 153 per concatenated part), the SONIC request/ack message grammar,
-// and an in-memory SMSC with configurable delivery latency.
+// The package provides the GSM 03.38 7-bit alphabet codec,
+// concatenated-message segmentation (160 septets per single SMS, 153 per
+// concatenated part), the SONIC request/ack message grammar, and an
+// in-memory SMSC with configurable delivery latency.
 package sms
 
 import (
@@ -73,45 +73,6 @@ func FromSeptets(septets []byte) string {
 	return b.String()
 }
 
-// Pack packs septets into octets (GSM 03.38 packing: 8 septets per 7
-// octets, LSB first).
-func Pack(septets []byte) []byte {
-	out := make([]byte, 0, (len(septets)*7+7)/8)
-	var acc uint
-	var bits uint
-	for _, s := range septets {
-		acc |= uint(s&0x7F) << bits
-		bits += 7
-		for bits >= 8 {
-			out = append(out, byte(acc&0xFF))
-			acc >>= 8
-			bits -= 8
-		}
-	}
-	if bits > 0 {
-		out = append(out, byte(acc&0xFF))
-	}
-	return out
-}
-
-// Unpack reverses Pack. n is the number of septets to extract (packing is
-// ambiguous about trailing zero septets without it).
-func Unpack(octets []byte, n int) []byte {
-	out := make([]byte, 0, n)
-	var acc uint
-	var bits uint
-	for _, o := range octets {
-		acc |= uint(o) << bits
-		bits += 8
-		for bits >= 7 && len(out) < n {
-			out = append(out, byte(acc&0x7F))
-			acc >>= 7
-			bits -= 7
-		}
-	}
-	return out
-}
-
 // Segment splits text into SMS parts: one part if it fits in 160
 // septets, otherwise concatenated parts of 153 septets each.
 func Segment(text string) ([]string, error) {
@@ -134,14 +95,4 @@ func Segment(text string) ([]string, error) {
 		return nil, errors.New("sms: message exceeds 255 concatenated parts")
 	}
 	return parts, nil
-}
-
-// Join reassembles segmented parts.
-func Join(parts []string) string {
-	return strings.Join(parts, "")
-}
-
-// SeptetLen returns the septet length of text (what the carrier bills).
-func SeptetLen(text string) int {
-	return len(ToSeptets(text))
 }

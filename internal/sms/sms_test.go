@@ -3,7 +3,6 @@ package sms
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -27,42 +26,6 @@ func TestGSM7Substitution(t *testing.T) {
 	}
 }
 
-func TestPackUnpack(t *testing.T) {
-	sept := ToSeptets("hello gsm packing")
-	packed := Pack(sept)
-	// 7 bits per septet: packed length must be ceil(n*7/8).
-	want := (len(sept)*7 + 7) / 8
-	if len(packed) != want {
-		t.Errorf("packed %d bytes, want %d", len(packed), want)
-	}
-	got := Unpack(packed, len(sept))
-	if FromSeptets(got) != "hello gsm packing" {
-		t.Errorf("unpack mismatch: %q", FromSeptets(got))
-	}
-}
-
-func TestPackUnpackQuick(t *testing.T) {
-	f := func(raw []byte) bool {
-		sept := make([]byte, len(raw))
-		for i, b := range raw {
-			sept[i] = b & 0x7F
-		}
-		got := Unpack(Pack(sept), len(sept))
-		if len(got) != len(sept) {
-			return false
-		}
-		for i := range sept {
-			if got[i] != sept[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSegment(t *testing.T) {
 	short := strings.Repeat("a", 160)
 	parts, err := Segment(short)
@@ -77,17 +40,11 @@ func TestSegment(t *testing.T) {
 	if len(parts[0]) != ConcatLimit {
 		t.Errorf("part 0 has %d septets, want %d", len(parts[0]), ConcatLimit)
 	}
-	if Join(parts) != long {
+	if strings.Join(parts, "") != long {
 		t.Error("join mismatch")
 	}
 	if _, err := Segment(""); err != ErrUnencodable {
 		t.Errorf("empty message err = %v", err)
-	}
-}
-
-func TestSeptetLen(t *testing.T) {
-	if SeptetLen("abc") != 3 {
-		t.Errorf("SeptetLen = %d", SeptetLen("abc"))
 	}
 }
 
@@ -120,9 +77,8 @@ func TestSMSCDeliveryOrderAndLatency(t *testing.T) {
 			t.Errorf("latency %v out of range", lat)
 		}
 	}
-	sub, del := smsc.Stats()
-	if sub != 2 || del != 2 {
-		t.Errorf("stats = %d,%d", sub, del)
+	if smsc.Pending() != 0 {
+		t.Errorf("pending = %d after delivery", smsc.Pending())
 	}
 }
 
@@ -159,7 +115,7 @@ func TestSMSCHandlerCanReply(t *testing.T) {
 func TestRequestGrammar(t *testing.T) {
 	r := Request{URL: "cnn.com/index.html", Lat: 24.8607, Lon: 67.0011}
 	body := FormatRequest(r)
-	if SeptetLen(body) > SingleLimit {
+	if len(ToSeptets(body)) > SingleLimit {
 		t.Errorf("request %q does not fit one SMS", body)
 	}
 	got, err := ParseRequest(body)
@@ -172,15 +128,26 @@ func TestRequestGrammar(t *testing.T) {
 	for _, bad := range []string{
 		"", "GET", "GET url", "GET url LOC", "GET url LOC abc",
 		"GET url LOC 1", "POST url LOC 1,2", "GET url XXX 1,2",
+		// Coordinates fail closed: ParseFloat accepts these spellings, and a
+		// NaN distance compares as "covered" downstream.
+		"GET url LOC NaN,NaN", "GET url LOC 1,nan", "GET url LOC Inf,2",
+		"GET url LOC 1,-infinity", "GET url LOC 90.0001,0", "GET url LOC -91,0",
+		"GET url LOC 0,180.5", "GET url LOC 0,-181", "GET url LOC 1e999,0",
 	} {
 		if _, err := ParseRequest(bad); err == nil {
 			t.Errorf("ParseRequest(%q) should fail", bad)
 		}
 	}
+	for _, edge := range []string{"GET url LOC 90,180", "GET url LOC -90,-180"} {
+		if _, err := ParseRequest(edge); err != nil {
+			t.Errorf("ParseRequest(%q) = %v, want accepted", edge, err)
+		}
+	}
 }
 
 func TestAckGrammar(t *testing.T) {
-	for _, bad := range []string{"", "QUEUED", "QUEUED u ETA", "QUEUED u ETA x", "NOPE u ETA 5"} {
+	for _, bad := range []string{"", "QUEUED", "QUEUED u ETA", "QUEUED u ETA x", "NOPE u ETA 5",
+		"QUEUED u ETA 9223372037"} { // seconds that overflow a Duration
 		if _, _, err := ParseAck(bad); err == nil {
 			t.Errorf("ParseAck(%q) should fail", bad)
 		}
@@ -189,14 +156,15 @@ func TestAckGrammar(t *testing.T) {
 
 func TestBusyGrammar(t *testing.T) {
 	body := FormatBusy("cnn.com/index.html", 30*time.Second)
-	if SeptetLen(body) > SingleLimit {
+	if len(ToSeptets(body)) > SingleLimit {
 		t.Errorf("busy reply %q does not fit one SMS", body)
 	}
 	url, retry, err := ParseBusy(body)
 	if err != nil || url != "cnn.com/index.html" || retry != 30*time.Second {
 		t.Errorf("busy = %q %v %v", url, retry, err)
 	}
-	for _, bad := range []string{"", "BUSY", "BUSY u RETRY", "BUSY u RETRY x", "BUSY u RETRY -1", "QUEUED u RETRY 5"} {
+	for _, bad := range []string{"", "BUSY", "BUSY u RETRY", "BUSY u RETRY x", "BUSY u RETRY -1", "QUEUED u RETRY 5",
+		"BUSY u RETRY 9223372037"} {
 		if _, _, err := ParseBusy(bad); err == nil {
 			t.Errorf("ParseBusy(%q) should fail", bad)
 		}

@@ -3,6 +3,7 @@ package sms
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -27,14 +28,12 @@ type Handler func(Message)
 // with per-message latency. SONIC's uplink rides on it. The zero value is
 // not usable; construct with NewSMSC.
 type SMSC struct {
-	mu        sync.Mutex
-	rng       *rand.Rand
-	minDelay  time.Duration
-	maxDelay  time.Duration
-	handlers  map[string]Handler
-	queue     []Message
-	delivered int
-	submitted int
+	mu       sync.Mutex
+	rng      *rand.Rand
+	minDelay time.Duration
+	maxDelay time.Duration
+	handlers map[string]Handler
+	queue    []Message
 }
 
 // NewSMSC builds a center whose deliveries take [minDelay, maxDelay]
@@ -82,7 +81,6 @@ func (s *SMSC) Submit(now time.Time, from, to, body string) error {
 		From: from, To: to, Body: body,
 		SubmitAt: now, DeliverAt: now.Add(worst),
 	})
-	s.submitted++
 	return nil
 }
 
@@ -105,7 +103,6 @@ func (s *SMSC) Advance(now time.Time) int {
 	for i, m := range due {
 		handlers[i] = s.handlers[m.To]
 	}
-	s.delivered += len(due)
 	s.mu.Unlock()
 	// Deliver outside the lock: handlers may submit replies.
 	for i, m := range due {
@@ -121,13 +118,6 @@ func (s *SMSC) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.queue)
-}
-
-// Stats returns lifetime (submitted, delivered) counts.
-func (s *SMSC) Stats() (submitted, delivered int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.submitted, s.delivered
 }
 
 // --- SONIC message grammar -------------------------------------------------
@@ -151,7 +141,8 @@ func FormatRequest(r Request) string {
 	return fmt.Sprintf("GET %s LOC %.4f,%.4f", r.URL, r.Lat, r.Lon)
 }
 
-// ParseRequest parses a request body.
+// ParseRequest parses a request body. Coordinates must be finite and on
+// the globe (lat in [-90, 90], lon in [-180, 180]).
 func ParseRequest(body string) (Request, error) {
 	fields := strings.Fields(body)
 	if len(fields) != 4 || fields[0] != "GET" || fields[2] != "LOC" {
@@ -164,6 +155,11 @@ func ParseRequest(body string) (Request, error) {
 	lat, err1 := strconv.ParseFloat(ll[0], 64)
 	lon, err2 := strconv.ParseFloat(ll[1], 64)
 	if err1 != nil || err2 != nil {
+		return Request{}, ErrBadRequest
+	}
+	// ParseFloat accepts "NaN" and "Inf"; the negated form rejects them
+	// too, since every comparison with NaN is false.
+	if !(lat >= -90 && lat <= 90 && lon >= -180 && lon <= 180) {
 		return Request{}, ErrBadRequest
 	}
 	return Request{URL: fields[1], Lat: lat, Lon: lon}, nil
@@ -182,11 +178,20 @@ func ParseAck(body string) (url string, eta time.Duration, err error) {
 	if len(fields) != 4 || fields[0] != "QUEUED" || fields[2] != "ETA" {
 		return "", 0, ErrBadRequest
 	}
-	secs, err := strconv.Atoi(fields[3])
-	if err != nil || secs < 0 {
-		return "", 0, ErrBadRequest
+	if eta, err = parseSeconds(fields[3]); err != nil {
+		return "", 0, err
 	}
-	return fields[1], time.Duration(secs) * time.Second, nil
+	return fields[1], eta, nil
+}
+
+// parseSeconds parses the non-negative whole-second count that ends an
+// ack or busy reply, rejecting counts a time.Duration cannot hold.
+func parseSeconds(field string) (time.Duration, error) {
+	secs, err := strconv.ParseInt(field, 10, 64)
+	if err != nil || secs < 0 || secs > int64(math.MaxInt64/time.Second) {
+		return 0, ErrBadRequest
+	}
+	return time.Duration(secs) * time.Second, nil
 }
 
 // FormatBusy renders the server's backpressure reply: the admission
@@ -201,9 +206,8 @@ func ParseBusy(body string) (url string, retry time.Duration, err error) {
 	if len(fields) != 4 || fields[0] != "BUSY" || fields[2] != "RETRY" {
 		return "", 0, ErrBadRequest
 	}
-	secs, err := strconv.Atoi(fields[3])
-	if err != nil || secs < 0 {
-		return "", 0, ErrBadRequest
+	if retry, err = parseSeconds(fields[3]); err != nil {
+		return "", 0, err
 	}
-	return fields[1], time.Duration(secs) * time.Second, nil
+	return fields[1], retry, nil
 }

@@ -37,31 +37,6 @@ func Percentile(xs []float64, p float64) float64 {
 // Median returns the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
-// Mean returns the arithmetic mean (NaN for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var acc float64
-	for _, v := range xs {
-		acc += v
-	}
-	return acc / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var acc float64
-	for _, v := range xs {
-		acc += (v - m) * (v - m)
-	}
-	return math.Sqrt(acc / float64(len(xs)))
-}
-
 // Box is a five-number boxplot summary, the shape of the paper's
 // Figure 4(a) and Figure 5 plots.
 type Box struct {

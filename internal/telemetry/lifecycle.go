@@ -152,22 +152,6 @@ func (lc *Lifecycle) Ring() *EventRing {
 	return lc.ring
 }
 
-// Config returns the lifecycle configuration (zero value when off).
-func (lc *Lifecycle) Config() LifecycleConfig {
-	if lc == nil {
-		return LifecycleConfig{}
-	}
-	return lc.cfg
-}
-
-// Begin opens a trace for a request on url at the registry clock's now.
-func (lc *Lifecycle) Begin(url, from string) *Trace {
-	if lc == nil {
-		return nil
-	}
-	return lc.BeginAt(url, from, lc.reg.now())
-}
-
 // BeginAt opens a trace stamped "received" at an explicit time (callers
 // in a simulated clock domain pass simulation timestamps). Returns nil —
 // a valid no-op trace — on a nil lifecycle.
@@ -234,16 +218,6 @@ func (lc *Lifecycle) openCount() int {
 	return lc.open
 }
 
-// Delivered closes every open trace on url at the registry clock's now.
-func (lc *Lifecycle) Delivered(url string) { lc.DeliveredAt(url, now(lc)) }
-
-func now(lc *Lifecycle) time.Time {
-	if lc == nil {
-		return time.Time{}
-	}
-	return lc.reg.now()
-}
-
 // DeliveredAt records decode-side receipt confirmation: every open trace
 // requesting url is stamped "delivered" at the given time and closed,
 // which is what closes the request loop end to end.
@@ -305,14 +279,6 @@ func (t *Trace) URL() string {
 		return ""
 	}
 	return t.url
-}
-
-// Stamp records stage at the registry clock's now.
-func (t *Trace) Stamp(stage Stage) {
-	if t == nil {
-		return
-	}
-	t.StampAt(stage, t.lc.reg.now())
 }
 
 // StampAt records stage at an explicit time: it appends a structured

@@ -220,20 +220,6 @@ func (g *Gauge) Set(v float64) {
 	atomic.StoreUint64(&g.bits, math.Float64bits(v))
 }
 
-// Add adds d to the gauge (CAS loop).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := atomic.LoadUint64(&g.bits)
-		v := math.Float64frombits(old) + d
-		if atomic.CompareAndSwapUint64(&g.bits, old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -368,15 +354,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	for i := 0; i < n; i++ {
 		out[i] = v
 		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n linearly spaced upper bounds start, start+step, ...
-func LinearBuckets(start, step float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = start + step*float64(i)
 	}
 	return out
 }

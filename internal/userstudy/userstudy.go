@@ -9,7 +9,6 @@
 package userstudy
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -185,19 +184,4 @@ func Run(shots []Screenshot, participants int, seed int64) *StudyResult {
 			stats.Median(perShotText[i]))
 	}
 	return res
-}
-
-// MinRatingsSatisfied checks the paper's "averaging at least 7 ratings
-// per screenshot" property for the given study size.
-func MinRatingsSatisfied(nShots, participants int) bool {
-	return participants*RatingsPerUser/nShots >= MinRatingsPerShot
-}
-
-// ConditionLabel formats a condition the way the harness prints Figure 5.
-func ConditionLabel(c Condition) string {
-	mode := "raw"
-	if c.Interp {
-		mode = "interp"
-	}
-	return fmt.Sprintf("%.0f%%/%s", c.LossRate*100, mode)
 }

@@ -416,13 +416,3 @@ func drawPseudoPhoto(img *imagecodec.Raster, x0, y0, w, h int, seed int64) {
 		}
 	})
 }
-
-func clampU8(v float64) uint8 {
-	if v < 0 {
-		return 0
-	}
-	if v > 255 {
-		return 255
-	}
-	return uint8(v)
-}

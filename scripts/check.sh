@@ -27,6 +27,18 @@ echo "==> sonic-vet (project invariant analyzers)"
 go build -o /tmp/sonic-vet ./cmd/sonic-vet
 /tmp/sonic-vet ./...
 
+# A package nothing ships is dead weight that still has to build, vet and
+# pass review: every internal package must be a dependency of a binary,
+# an example, the root API or the benchmark.
+echo "==> every internal package is reachable from something that ships"
+orphans=$(comm -23 <(go list ./internal/... | sort) \
+    <({ go list -deps . ./cmd/... ./examples/...; (cd benchmark && go list -deps .); } | sort -u))
+if [[ -n "$orphans" ]]; then
+    echo "internal packages no binary, example, root API or benchmark imports:" >&2
+    echo "$orphans" >&2
+    exit 1
+fi
+
 echo "==> go test ./..."
 go test ./...
 
@@ -45,6 +57,10 @@ go test ./internal/frame -run='^$' -fuzz=FuzzFrameDecode -fuzztime=5s
 go test ./internal/fec -run='^$' -fuzz=FuzzRSDecode -fuzztime=5s
 go test ./internal/fec -run='^$' -fuzz=FuzzConvDecode -fuzztime=5s
 go test ./internal/imagecodec -run='^$' -fuzz=FuzzSICDecode -fuzztime=5s
+go test ./internal/sms -run='^$' -fuzz='^FuzzParseRequest$' -fuzztime=5s
+go test ./internal/sms -run='^$' -fuzz='^FuzzParseAck$' -fuzztime=5s
+go test ./internal/sms -run='^$' -fuzz='^FuzzParseBusy$' -fuzztime=5s
+go test ./internal/core -run='^$' -fuzz='^FuzzUnmarshalBundle$' -fuzztime=5s
 
 # Serial leg: the parallel kernels size their pools from GOMAXPROCS and
 # promise byte-identical output at any count. GOMAXPROCS=1 is where that

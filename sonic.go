@@ -8,7 +8,7 @@
 //   - Pipeline: the end-to-end encoder/decoder (image -> SIC codec ->
 //     100-byte frames -> rs8+v29 FEC -> 92-subcarrier OFDM audio).
 //   - FM channel simulation: RSSI/path-loss radio links, acoustic
-//     speaker-to-microphone links, composite baseband with RDS.
+//     speaker-to-microphone links, composite baseband (mono + pilot).
 //   - Server and Client: the §3.1 workflow — SMS request intake,
 //     render+cache, transmitter selection, broadcast queues, click-map
 //     navigation, page cache with server-set expiry.
