@@ -32,7 +32,10 @@ func TestFFTPlanBitIdenticalToDirect(t *testing.T) {
 			}
 		}
 
-		// Inverse direction, including normalization.
+		// Inverse direction, including normalization: the plan scales by
+		// the reciprocal, the reference side keeps the complex division.
+		// N is a power of two, so the two are == component for component
+		// (only the sign of a zero can differ).
 		wantInv := append([]complex128(nil), x...)
 		if err := fftDirect(wantInv, true); err != nil {
 			t.Fatal(err)

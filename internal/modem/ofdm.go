@@ -115,14 +115,16 @@ type OFDM struct {
 }
 
 // ofdmScratch holds the per-call working buffers of one modulate or
-// demodulate pass: the FFT workspace, one symbol's occupied-bin values,
-// the preamble-search correlation window, and the padded tail bit chunk.
-// Pooling them makes steady-state synthesize/analyze allocation-free.
+// demodulate pass: the FFT workspace, the occupied-bin values of the two
+// symbols that share a transform, the preamble-search correlation
+// window, and the padded tail bit chunk. Pooling them makes steady-state
+// synthesize/analyze allocation-free.
 type ofdmScratch struct {
-	spec []complex128 // FFTSize FFT workspace
-	vals []complex128 // len(bins) occupied-bin values
-	cc   []float64    // preamble correlation outputs (one search window)
-	bits []byte       // padded final symbol chunk
+	spec  []complex128 // FFTSize FFT workspace
+	vals  []complex128 // len(bins) occupied-bin values, first symbol of a pair
+	valsB []complex128 // same, second symbol
+	cc    []float64    // preamble correlation outputs (one search window)
+	bits  []byte       // padded final symbol chunk
 }
 
 func (m *OFDM) getScratch() *ofdmScratch {
@@ -130,8 +132,9 @@ func (m *OFDM) getScratch() *ofdmScratch {
 		return sc
 	}
 	return &ofdmScratch{
-		spec: make([]complex128, m.p.FFTSize),
-		vals: make([]complex128, len(m.bins)),
+		spec:  make([]complex128, m.p.FFTSize),
+		vals:  make([]complex128, len(m.bins)),
+		valsB: make([]complex128, len(m.bins)),
 	}
 }
 
@@ -211,6 +214,13 @@ func NewOFDM(p Profile) (*OFDM, error) {
 // Profile returns the modem's profile.
 func (m *OFDM) Profile() Profile { return m.p }
 
+// headerSymbols returns the number of OFDM symbols the repetition-coded
+// header occupies.
+func (m *OFDM) headerSymbols() int {
+	bps := m.p.DataCarriers * m.header.Bits()
+	return (headerBytes*8*headerRep + bps - 1) / bps
+}
+
 // bitsPerSymbol returns payload bits carried by one OFDM symbol.
 func (m *OFDM) bitsPerSymbol() int {
 	return m.p.DataCarriers * m.p.Constellation.Bits()
@@ -230,60 +240,94 @@ func (m *OFDM) symbolGain() float64 {
 	return sectionRMS / raw
 }
 
-// synthesizeAppend converts one frequency-domain symbol (values for
+// synthesizePair converts two frequency-domain symbols (values for the
 // occupied bins, in bin order) into time-domain samples with cyclic
-// prefix, appended to out. spec is the caller's FFT workspace; when out
-// has capacity for the new section (Modulate preallocates via
-// BurstSamples) the call is allocation-free.
-func (m *OFDM) synthesizeAppend(out []float64, values, spec []complex128) []float64 {
+// prefix, through one complex transform: a real symbol has a Hermitian
+// spectrum, so loading A + iB on the occupied bins and conj(A) + i*conj(B)
+// on their mirrors brings symbol A out of the inverse transform's real
+// parts and symbol B out of its imaginary parts. dstA and dstB are one
+// symbol (CP + FFTSize samples) each; a lone symbol passes b == nil and
+// dstB == nil and the imaginary half stays zero. It returns the largest
+// sample magnitude written, for the burst's peak normalization.
+func (m *OFDM) synthesizePair(dstA, dstB []float64, a, b, spec []complex128) float64 {
 	n := m.p.FFTSize
 	for i := range spec {
 		spec[i] = 0
 	}
 	for i, bin := range m.bins {
-		spec[bin] = values[i]
-		// Hermitian mirror for a real time-domain signal.
-		spec[n-bin] = cmplx.Conj(values[i])
+		ar, ai := real(a[i]), imag(a[i])
+		var br, bi float64
+		if b != nil {
+			br, bi = real(b[i]), imag(b[i])
+		}
+		spec[bin] = complex(ar-bi, ai+br)
+		spec[n-bin] = complex(ar+bi, br-ai)
 	}
 	if err := dsp.IFFT(spec); err != nil {
 		panic("modem: FFT size not power of two despite validation")
 	}
 	g := m.symbolGain()
 	cp := m.p.CyclicPrefix
-	base := len(out)
-	if need := base + cp + n; need <= cap(out) {
-		out = out[:need] // every sample below is overwritten
-	} else {
-		out = append(out, make([]float64, cp+n)...)
+	var peak float64
+	for i, v := range spec {
+		x := g * real(v)
+		dstA[cp+i] = x
+		if x = math.Abs(x); x > peak {
+			peak = x
+		}
 	}
-	sect := out[base:]
-	for i := 0; i < n; i++ {
-		sect[cp+i] = g * real(spec[i])
+	copy(dstA, dstA[n:]) // cyclic prefix = tail of the symbol
+	if dstB != nil {
+		for i, v := range spec {
+			x := g * imag(v)
+			dstB[cp+i] = x
+			if x = math.Abs(x); x > peak {
+				peak = x
+			}
+		}
+		copy(dstB, dstB[n:])
 	}
-	copy(sect, sect[n:]) // cyclic prefix = tail of the symbol
-	return out
+	return peak
 }
 
-// analyzeInto extracts the occupied-bin values from one received symbol
-// into dst (len(bins) entries), using spec as the FFT workspace. The
-// samples must start at the beginning of the cyclic prefix. The FFT
-// window is pulled back by a quarter of the cyclic prefix so small timing
-// errors from preamble correlation stay inside the CP; the resulting
-// per-bin phase slope is absorbed by the channel estimate, which shares
-// the same offset.
-func (m *OFDM) analyzeInto(dst []complex128, samples []float64, spec []complex128) []complex128 {
+// analyzePair extracts the occupied-bin values of two received symbols
+// into dstA and dstB (len(bins) entries each) through one complex
+// transform of a + i*b, separated at the occupied bins by
+// A[k] = (Z[k] + conj(Z[n-k]))/2 and B[k] = (Z[k] - conj(Z[n-k]))/(2i).
+// A lone symbol passes b == nil and dstB == nil. Each symbol's samples
+// must start at the beginning of its cyclic prefix. The FFT window is
+// pulled back by a quarter of the cyclic prefix so small timing errors
+// from preamble correlation stay inside the CP; the resulting per-bin
+// phase slope is absorbed by the channel estimate, which shares the
+// same offset.
+func (m *OFDM) analyzePair(dstA, dstB []complex128, a, b []float64, spec []complex128) {
 	n := m.p.FFTSize
-	backoff := m.p.CyclicPrefix / 4
-	for i := 0; i < n; i++ {
-		spec[i] = complex(samples[m.p.CyclicPrefix-backoff+i], 0)
+	off := m.p.CyclicPrefix - m.p.CyclicPrefix/4
+	a = a[off : off+n]
+	if b == nil {
+		for i, v := range a {
+			spec[i] = complex(v, 0)
+		}
+	} else {
+		b = b[off : off+n]
+		for i, v := range a {
+			spec[i] = complex(v, b[i])
+		}
 	}
 	if err := dsp.FFT(spec); err != nil {
 		panic("modem: FFT size not power of two despite validation")
 	}
-	for i, bin := range m.bins {
-		dst[i] = spec[bin]
+	if b == nil {
+		for i, bin := range m.bins {
+			dstA[i] = spec[bin]
+		}
+		return
 	}
-	return dst[:len(m.bins)]
+	for i, bin := range m.bins {
+		z, zc := spec[bin], spec[n-bin]
+		dstA[i] = complex((real(z)+real(zc))/2, (imag(z)-imag(zc))/2)
+		dstB[i] = complex((imag(z)+imag(zc))/2, (real(zc)-real(z))/2)
+	}
 }
 
 // headerPayload encodes the burst header fields.
@@ -319,73 +363,104 @@ func parseHeader(h []byte) (payloadLen, constBits int, err error) {
 }
 
 // Modulate converts payload bytes into an audio burst:
-// [preamble][guard][reference symbol][header symbol][payload symbols].
-// The burst buffer is allocated once up front (BurstSamples sizes it
-// exactly), and symbol synthesis runs through pooled scratch, so the
-// call does a small constant number of allocations regardless of
-// payload size.
+// [preamble][guard][reference symbol][header symbols][payload symbols][guard].
+// The burst is allocated once (BurstSamples sizes it exactly) and filled
+// two symbols per transform on the GOMAXPROCS pool: every pair writes its
+// own index-addressed section, the chunks' peaks reduce with max, and the
+// peak normalization is per sample, so the burst is byte-identical at any
+// worker count and the call does a small constant number of allocations
+// regardless of payload size.
 func (m *OFDM) Modulate(payload []byte) []float64 {
-	sc := m.getScratch()
-	defer m.putScratch(sc)
+	out := make([]float64, m.BurstSamples(len(payload)))
+	copy(out, m.preamble)
 
-	out := make([]float64, 0, m.BurstSamples(len(payload)))
-	out = append(out, m.preamble...)
-	out = out[:len(out)+guardSamples] // zeros: backing array is fresh
-
-	// Reference symbol: known values on every occupied bin.
-	out = m.synthesizeAppend(out, m.refSym, sc.spec)
-
-	// Header symbol: repetition-coded QPSK on data carriers.
+	// Header symbols carry repetition-coded QPSK on the data carriers.
 	hdrBits := fec.BytesToBits(headerPayload(len(payload), m.p.Constellation.Bits()))
-	var repBits []byte
+	repBits := make([]byte, 0, headerRep*len(hdrBits))
 	for r := 0; r < headerRep; r++ {
 		repBits = append(repBits, hdrBits...)
 	}
-	out = m.modSymbolsAppend(out, repBits, m.header, sc)
+	payBits := fec.BytesToBits(payload)
 
-	// Payload symbols.
-	out = m.modSymbolsAppend(out, fec.BytesToBits(payload), m.p.Constellation, sc)
-
-	dsp.Normalize(out, m.p.Amplitude)
-	// Trailing guard so filters and channel tails flush cleanly.
-	out = out[:len(out)+guardSamples]
+	hdrSyms := m.headerSymbols()
+	symLen := m.p.FFTSize + m.p.CyclicPrefix
+	body := out[preambleSamples+guardSamples : len(out)-guardSamples]
+	nSym := len(body) / symLen
+	// values returns the occupied-bin values of burst symbol s.
+	values := func(dst []complex128, s int, sc *ofdmScratch) []complex128 {
+		switch {
+		case s == 0: // reference symbol: known values on every occupied bin
+			return m.refSym
+		case s <= hdrSyms:
+			return m.mapSymbol(dst, repBits, s-1, m.header, sc)
+		default:
+			return m.mapSymbol(dst, payBits, s-1-hdrSyms, m.p.Constellation, sc)
+		}
+	}
+	workers := runtime.GOMAXPROCS(0)
+	peak := dsp.Peak(m.preamble)
+	var mu sync.Mutex
+	parallel.For(workers, (nSym+1)/2, modMinPairs, func(lo, hi int) {
+		sc := m.getScratch()
+		defer m.putScratch(sc)
+		var p float64
+		for s := 2 * lo; s < 2*hi && s < nSym; s += 2 {
+			a := values(sc.vals, s, sc)
+			var b []complex128
+			var dstB []float64
+			if s+1 < nSym {
+				b = values(sc.valsB, s+1, sc)
+				dstB = body[(s+1)*symLen : (s+2)*symLen]
+			}
+			p = max(p, m.synthesizePair(body[s*symLen:(s+1)*symLen], dstB, a, b, sc.spec))
+		}
+		mu.Lock()
+		peak = max(peak, p)
+		mu.Unlock()
+	})
+	// The trailing guard stays silent so filters and channel tails flush
+	// cleanly.
+	live := out[:len(out)-guardSamples]
+	g := m.p.Amplitude / peak
+	parallel.For(workers, len(live), modMinScale, func(lo, hi int) {
+		dsp.Scale(live[lo:hi], g)
+	})
 	return out
 }
 
-// modSymbolsAppend maps a bit stream onto as many OFDM symbols as
-// needed, using the given constellation on data carriers and pilots on
-// pilot carriers, appending the synthesized samples to out.
-func (m *OFDM) modSymbolsAppend(out []float64, bits []byte, c *Constellation, sc *ofdmScratch) []float64 {
+// The fewest symbol pairs (one transform, ~20 µs) and the fewest samples
+// of the normalization pass worth a goroutine of their own in Modulate.
+const (
+	modMinPairs = 2
+	modMinScale = 1 << 15
+)
+
+// mapSymbol maps the idx-th symbol's worth of a bit stream onto dst: the
+// given constellation on data carriers, pilots on pilot carriers. A final
+// partial symbol is zero-padded.
+func (m *OFDM) mapSymbol(dst []complex128, bits []byte, idx int, c *Constellation, sc *ofdmScratch) []complex128 {
 	bps := m.p.DataCarriers * c.Bits()
-	for off := 0; off < len(bits); off += bps {
-		end := off + bps
-		var chunk []byte
-		if end <= len(bits) {
-			chunk = bits[off:end]
-		} else {
-			// Final partial symbol: zero-pad into scratch.
-			if cap(sc.bits) < bps {
-				sc.bits = make([]byte, bps)
-			}
-			chunk = sc.bits[:bps]
-			n := copy(chunk, bits[off:])
-			for i := n; i < bps; i++ {
-				chunk[i] = 0
-			}
+	chunk := bits[idx*bps:]
+	if len(chunk) >= bps {
+		chunk = chunk[:bps]
+	} else {
+		if cap(sc.bits) < bps {
+			sc.bits = make([]byte, bps)
 		}
-		values := sc.vals
-		bi := 0
-		for i := range m.bins {
-			if m.isPilot[i] {
-				values[i] = m.pilotVal[i]
-				continue
-			}
-			values[i] = c.Map(chunk[bi : bi+c.Bits()])
-			bi += c.Bits()
-		}
-		out = m.synthesizeAppend(out, values, sc.spec)
+		pad := sc.bits[:bps]
+		clear(pad[copy(pad, chunk):])
+		chunk = pad
 	}
-	return out
+	bi := 0
+	for i := range m.bins {
+		if m.isPilot[i] {
+			dst[i] = m.pilotVal[i]
+			continue
+		}
+		dst[i] = c.Map(chunk[bi : bi+c.Bits()])
+		bi += c.Bits()
+	}
+	return dst
 }
 
 // DemodResult carries demodulation diagnostics alongside the payload.
@@ -410,6 +485,7 @@ type burstHeader struct {
 	payloadLen int
 	c          *Constellation
 	h          []complex128
+	bps, nSym  int // payload bits per symbol, payload symbols announced
 }
 
 // decodePrologue synchronizes, estimates the channel, and reads the
@@ -426,7 +502,8 @@ func (m *OFDM) decodePrologue(samples []float64, sc *ofdmScratch) (*burstHeader,
 	}
 
 	// Channel estimate from the reference symbol.
-	ref := m.analyzeInto(sc.vals, samples[pos:pos+symLen], sc.spec)
+	ref := sc.vals
+	m.analyzePair(ref, nil, samples[pos:pos+symLen], nil, sc.spec)
 	h := make([]complex128, len(m.bins))
 	for i := range ref {
 		denom := m.refSym[i]
@@ -439,18 +516,15 @@ func (m *OFDM) decodePrologue(samples []float64, sc *ofdmScratch) (*burstHeader,
 	pos += symLen
 
 	// Header symbols (repetition-coded, possibly spanning several symbols).
-	hdrBitsTotal := headerBytes * 8 * headerRep
-	hdrBps := m.p.DataCarriers * m.header.Bits()
-	hdrSyms := (hdrBitsTotal + hdrBps - 1) / hdrBps
-	var hdrBits []byte
-	for s := 0; s < hdrSyms; s++ {
-		if pos+symLen > len(samples) {
-			return nil, ErrBadHeader
-		}
-		hdrVals, _ := m.eqSymbol(samples[pos:pos+symLen], h, sc)
-		hdrBits = m.demapInto(hdrBits, hdrVals, m.header)
-		pos += symLen
+	hdrSyms := m.headerSymbols()
+	if pos+hdrSyms*symLen > len(samples) {
+		return nil, ErrBadHeader
 	}
+	var hdrBits []byte
+	m.eqSymbols(samples[pos:], symLen, h, 0, hdrSyms, sc, func(_ int, vals []complex128, _ float64) {
+		hdrBits = m.demapInto(hdrBits, vals, m.header)
+	})
+	pos += hdrSyms * symLen
 	hdrPlain, ok := majorityVoteHeader(hdrBits)
 	if !ok {
 		return nil, ErrBadHeader
@@ -466,9 +540,11 @@ func (m *OFDM) decodePrologue(samples []float64, sc *ofdmScratch) (*burstHeader,
 	if payloadLen < 0 || payloadLen > 1<<26 {
 		return nil, ErrBadHeader
 	}
+	bps := m.p.DataCarriers * c.Bits()
 	return &burstHeader{
 		start: start, pos: pos, symLen: symLen,
 		payloadLen: payloadLen, c: c, h: h,
+		bps: bps, nSym: (payloadLen*8 + bps - 1) / bps,
 	}, nil
 }
 
@@ -476,55 +552,66 @@ func (m *OFDM) decodePrologue(samples []float64, sc *ofdmScratch) (*burstHeader,
 // returns ErrNoPreamble when no sync is found and ErrBadHeader when sync
 // succeeded but the header cannot be trusted.
 func (m *OFDM) Demodulate(samples []float64) (*DemodResult, error) {
+	bh, err := m.openBurst(samples)
+	if err != nil {
+		return nil, err
+	}
+	bits := make([]byte, bh.nSym*bh.bps)
+	snr := m.eqPayload(samples, bh, func(s int, vals []complex128) {
+		m.demapInto(bits[s*bh.bps:s*bh.bps:(s+1)*bh.bps], vals, bh.c)
+	})
+	payload := fec.BitsToBytes(bits)
+	if len(payload) > bh.payloadLen {
+		payload = payload[:bh.payloadLen]
+	}
+	return &DemodResult{Payload: payload, SNRdB: snr, Symbols: bh.nSym, StartIdx: bh.start}, nil
+}
+
+// openBurst decodes the prologue and checks that every payload symbol
+// the header announces is in samples, so nothing downstream sizes a
+// buffer from, or slices by, a count the audio does not back.
+func (m *OFDM) openBurst(samples []float64) (*burstHeader, error) {
 	sc := m.getScratch()
 	bh, err := m.decodePrologue(samples, sc)
 	m.putScratch(sc)
 	if err != nil {
 		return nil, err
 	}
-	bps := m.p.DataCarriers * bh.c.Bits()
-	totalBits := bh.payloadLen * 8
-	nSym := (totalBits + bps - 1) / bps
-	if whole := (len(samples) - bh.pos) / bh.symLen; whole < nSym {
-		return nil, fmt.Errorf("modem: burst truncated at symbol %d/%d", whole, nSym)
+	if whole := (len(samples) - bh.pos) / bh.symLen; whole < bh.nSym {
+		return nil, fmt.Errorf("modem: burst truncated at symbol %d/%d", whole, bh.nSym)
 	}
-	// Symbols are independent once the channel estimate is fixed: each
-	// chunk equalizes with its own scratch and writes symbol s's bits at
-	// s*bps, so the payload is the serial loop's at any worker count.
-	bits := make([]byte, nSym*bps)
-	snrs := make([]float64, nSym)
-	parallel.For(runtime.GOMAXPROCS(0), nSym, demodMinSymbols, func(lo, hi int) {
-		sc := m.getScratch()
-		defer m.putScratch(sc)
-		for s := lo; s < hi; s++ {
-			pos := bh.pos + s*bh.symLen
-			vals, snr := m.eqSymbol(samples[pos:pos+bh.symLen], bh.h, sc)
-			snrs[s] = snr
-			m.demapInto(bits[s*bps:s*bps:(s+1)*bps], vals, bh.c)
-		}
-	})
-	payload := fec.BitsToBytes(bits)
-	if len(payload) > bh.payloadLen {
-		payload = payload[:bh.payloadLen]
-	}
-	res := &DemodResult{
-		Payload:  payload,
-		Symbols:  nSym,
-		StartIdx: bh.start,
-	}
-	if nSym > 0 {
-		var snrSum float64
-		for _, snr := range snrs { // index order: the float sum must not depend on scheduling
-			snrSum += snr
-		}
-		res.SNRdB = snrSum / float64(nSym)
-	}
-	return res, nil
+	return bh, nil
 }
 
-// demodMinSymbols is the fewest payload symbols worth a goroutine of
-// their own in Demodulate (a symbol is one FFT plus equalization, ~50 µs).
-const demodMinSymbols = 4
+// eqPayload analyzes and equalizes the burst's payload symbols, two per
+// transform on the GOMAXPROCS pool, handing emit each symbol's index and
+// equalized values, and returns the mean pilot SNR. Symbols are
+// independent once the channel estimate is fixed: as long as emit writes
+// symbol s's output into slots addressed by s, the result is the serial
+// loop's at any worker count.
+func (m *OFDM) eqPayload(samples []float64, bh *burstHeader, emit func(s int, vals []complex128)) (snrDB float64) {
+	if bh.nSym == 0 {
+		return 0
+	}
+	snrs := make([]float64, bh.nSym)
+	parallel.For(runtime.GOMAXPROCS(0), (bh.nSym+1)/2, demodMinPairs, func(lo, hi int) {
+		sc := m.getScratch()
+		defer m.putScratch(sc)
+		m.eqSymbols(samples[bh.pos:], bh.symLen, bh.h, 2*lo, min(2*hi, bh.nSym), sc, func(s int, vals []complex128, snr float64) {
+			snrs[s] = snr
+			emit(s, vals)
+		})
+	})
+	var snrSum float64
+	for _, snr := range snrs { // index order: the float sum must not depend on scheduling
+		snrSum += snr
+	}
+	return snrSum / float64(bh.nSym)
+}
+
+// demodMinPairs is the fewest symbol pairs worth a goroutine of their
+// own on the receive side (a pair is one FFT plus two equalizations).
+const demodMinPairs = 2
 
 // SoftDemodResult carries the soft-decision payload: one signed metric
 // per payload bit (positive = 1) for a soft-decision FEC decoder, plus
@@ -540,33 +627,20 @@ type SoftDemodResult struct {
 // DemodulateSoft is Demodulate with per-bit soft outputs (the header is
 // still decoded by hard majority vote — it is repetition-protected).
 func (m *OFDM) DemodulateSoft(samples []float64) (*SoftDemodResult, error) {
-	sc := m.getScratch()
-	defer m.putScratch(sc)
-	bh, err := m.decodePrologue(samples, sc)
+	bh, err := m.openBurst(samples)
 	if err != nil {
 		return nil, err
 	}
-	bps := m.p.DataCarriers * bh.c.Bits()
-	totalBits := bh.payloadLen * 8
-	nSym := (totalBits + bps - 1) / bps
-	soft := make([]float64, 0, nSym*bps)
-	pos := bh.pos
-	var snrSum float64
-	for s := 0; s < nSym; s++ {
-		if pos+bh.symLen > len(samples) {
-			return nil, fmt.Errorf("modem: burst truncated at symbol %d/%d", s, nSym)
-		}
-		vals, snr := m.eqSymbol(samples[pos:pos+bh.symLen], bh.h, sc)
-		snrSum += snr
+	soft := make([]float64, bh.nSym*bh.bps)
+	snr := m.eqPayload(samples, bh, func(s int, vals []complex128) {
+		dst := soft[s*bh.bps : s*bh.bps : (s+1)*bh.bps]
 		for i := range vals {
-			if m.isPilot[i] {
-				continue
+			if !m.isPilot[i] {
+				dst = bh.c.DemapSoft(vals[i], dst)
 			}
-			soft = bh.c.DemapSoft(vals[i], soft)
 		}
-		pos += bh.symLen
-	}
-	if len(soft) > totalBits {
+	})
+	if totalBits := bh.payloadLen * 8; len(soft) > totalBits {
 		soft = soft[:totalBits]
 	}
 	bits := make([]byte, len(soft))
@@ -575,16 +649,7 @@ func (m *OFDM) DemodulateSoft(samples []float64) (*SoftDemodResult, error) {
 			bits[i] = 1
 		}
 	}
-	res := &SoftDemodResult{
-		Soft:     soft,
-		Payload:  fec.BitsToBytes(bits),
-		Symbols:  nSym,
-		StartIdx: bh.start,
-	}
-	if nSym > 0 {
-		res.SNRdB = snrSum / float64(nSym)
-	}
-	return res, nil
+	return &SoftDemodResult{Soft: soft, Payload: fec.BitsToBytes(bits), SNRdB: snr, Symbols: bh.nSym, StartIdx: bh.start}, nil
 }
 
 // findPreamble locates the chirp preamble by normalized cross-correlation
@@ -650,12 +715,28 @@ func (m *OFDM) findPreamble(samples []float64, sc *ofdmScratch) int {
 	return -1
 }
 
-// eqSymbol analyzes one symbol, equalizes with the channel estimate, and
-// applies common-phase correction from pilots. It returns the equalized
-// occupied-bin values (aliasing sc.vals — valid until the next symbol)
-// and a pilot-based SNR estimate in dB.
-func (m *OFDM) eqSymbol(samples []float64, h []complex128, sc *ofdmScratch) ([]complex128, float64) {
-	vals := m.analyzeInto(sc.vals, samples, sc.spec)
+// eqSymbols analyzes symbols [lo, hi) of body (symLen samples each,
+// symbol 0 first) two per transform — an odd one out goes alone — and
+// hands emit each symbol's equalized occupied-bin values (aliasing sc:
+// valid until emit returns) and pilot SNR estimate, in index order.
+func (m *OFDM) eqSymbols(body []float64, symLen int, h []complex128, lo, hi int, sc *ofdmScratch, emit func(s int, vals []complex128, snrDB float64)) {
+	for s := lo; s < hi; s += 2 {
+		a := body[s*symLen : (s+1)*symLen]
+		if s+1 == hi {
+			m.analyzePair(sc.vals, nil, a, nil, sc.spec)
+			emit(s, sc.vals, m.equalize(sc.vals, h))
+			return
+		}
+		m.analyzePair(sc.vals, sc.valsB, a, body[(s+1)*symLen:(s+2)*symLen], sc.spec)
+		emit(s, sc.vals, m.equalize(sc.vals, h))
+		emit(s+1, sc.valsB, m.equalize(sc.valsB, h))
+	}
+}
+
+// equalize divides one analyzed symbol's occupied-bin values by the
+// channel estimate in place, applies common-phase correction from the
+// pilots, and returns a pilot-based SNR estimate in dB.
+func (m *OFDM) equalize(vals, h []complex128) float64 {
 	for i := range vals {
 		if cmplx.Abs(h[i]) > 1e-9 {
 			vals[i] /= h[i]
@@ -688,7 +769,7 @@ func (m *OFDM) eqSymbol(samples []float64, h []complex128, sc *ofdmScratch) ([]c
 	if noise > 1e-12 {
 		snr = 10 * math.Log10(sig/noise)
 	}
-	return vals, snr
+	return snr
 }
 
 func (m *OFDM) demapInto(dst []byte, vals []complex128, c *Constellation) []byte {
@@ -726,11 +807,9 @@ func majorityVoteHeader(bits []byte) ([]byte, bool) {
 // for a payload of n bytes (useful for scheduling air time).
 func (m *OFDM) BurstSamples(n int) int {
 	symLen := m.p.FFTSize + m.p.CyclicPrefix
-	hdrBits := headerBytes * 8 * headerRep
-	hdrSyms := (hdrBits + m.p.DataCarriers*m.header.Bits() - 1) / (m.p.DataCarriers * m.header.Bits())
 	bps := m.bitsPerSymbol()
 	paySyms := (n*8 + bps - 1) / bps
-	return preambleSamples + 2*guardSamples + (1+hdrSyms+paySyms)*symLen
+	return preambleSamples + 2*guardSamples + (1+m.headerSymbols()+paySyms)*symLen
 }
 
 // BurstDuration returns the on-air duration for n payload bytes, seconds.

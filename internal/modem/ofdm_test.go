@@ -280,29 +280,3 @@ func TestOFDMAllConstellationsRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkOFDMModulate1KB(b *testing.B) {
-	m, _ := NewOFDM(Sonic92())
-	payload := make([]byte, 1024)
-	b.SetBytes(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Modulate(payload)
-	}
-}
-
-func BenchmarkOFDMDemodulate1KB(b *testing.B) {
-	m, _ := NewOFDM(Sonic92())
-	payload := make([]byte, 1024)
-	rand.New(rand.NewSource(1)).Read(payload)
-	audio := m.Modulate(payload)
-	b.SetBytes(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Demodulate(audio); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -61,6 +61,7 @@ go test ./internal/sms -run='^$' -fuzz='^FuzzParseRequest$' -fuzztime=5s
 go test ./internal/sms -run='^$' -fuzz='^FuzzParseAck$' -fuzztime=5s
 go test ./internal/sms -run='^$' -fuzz='^FuzzParseBusy$' -fuzztime=5s
 go test ./internal/core -run='^$' -fuzz='^FuzzUnmarshalBundle$' -fuzztime=5s
+go test ./internal/modem -run='^$' -fuzz='^FuzzDemodulate$' -fuzztime=5s
 
 # Serial leg: the parallel kernels size their pools from GOMAXPROCS and
 # promise byte-identical output at any count. GOMAXPROCS=1 is where that
