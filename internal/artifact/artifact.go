@@ -18,10 +18,14 @@
 //   - Per-stage singleflight. Each stage of each key coalesces
 //     concurrent misses: 64 tower drains hitting a cold page run one
 //     render, one FEC framing, one modulation, and 63 waiters per stage.
-//   - Bounded memory. Entries live in one byte-accounted cache with a
-//     second-chance (clock) eviction sweep, mirroring the dsp resample
-//     coefficient cache: a hot rotation stays resident, cold churn
-//     rotates out, and the cap holds regardless of corpus size.
+//   - Bounded memory, derived bytes first. Entries live in one
+//     byte-accounted cache; past the cap it evicts from the most-derived
+//     stage that has anything to give — audio, then stream, then blob,
+//     then render — with a second-chance (clock) sweep inside the stage.
+//     A later stage is rebuilt from the one before it, and a burst frees
+//     two orders of magnitude more bytes per millisecond of rebuilding
+//     than a render does, so audio churn never costs a re-render and the
+//     cap holds regardless of corpus size.
 //
 // Values returned from the chain are shared across callers and MUST be
 // treated as immutable.
@@ -105,7 +109,7 @@ type ckey struct {
 
 // entry is one cached artifact. val and bytes are immutable once the
 // entry is published; used is the second-chance bit; el is the entry's
-// slot in the clock ring.
+// slot in its stage's clock ring.
 type entry struct {
 	ck    ckey
 	val   any
@@ -160,8 +164,8 @@ type Chain struct {
 	maxB    int64
 	bytes   int64
 	entries map[ckey]*entry
-	ring    *list.List    // clock order, oldest-inserted first
-	hand    *list.Element // eviction sweep position
+	ring    [numStages]list.List     // per-stage clock order, oldest-inserted first
+	hand    [numStages]*list.Element // per-stage eviction sweep position
 
 	flight singleflight.Group
 
@@ -190,7 +194,6 @@ func NewChain(pipe *core.Pipeline, maxBytes int64) *Chain {
 		digest:  pipe.ConfigDigest(),
 		maxB:    maxBytes,
 		entries: make(map[ckey]*entry),
-		ring:    list.New(),
 	}
 }
 
@@ -382,11 +385,10 @@ func (ch *Chain) put(ck ckey, val any, bytes int64) {
 	e := &entry{ck: ck, val: val, bytes: bytes}
 	e.used.Store(true)
 	ch.entries[ck] = e
-	e.el = ch.ring.PushBack(e)
+	e.el = ch.ring[ck.stage].PushBack(e)
 	ch.bytes += bytes
 	evicted := 0
-	for ch.maxB > 0 && ch.bytes > ch.maxB && ch.ring.Len() > 1 {
-		ch.evictOne(e)
+	for ch.maxB > 0 && ch.bytes > ch.maxB && ch.evictOne(e) {
 		evicted++
 	}
 	bytesNow, entriesNow := ch.bytes, len(ch.entries)
@@ -399,38 +401,42 @@ func (ch *Chain) put(ck ckey, val any, bytes int64) {
 	ch.gEntries.Set(float64(entriesNow))
 }
 
-// evictOne advances the clock hand to the first cold entry (clearing
-// used bits as it passes hot ones) and drops it. keep is the entry just
+// evictOne drops one entry from the most-derived stage that has one to
+// give: audio before stream before blob before render, because a later
+// stage is rebuilt from the one before it and frees orders of magnitude
+// more bytes per millisecond of rebuilding. Within the stage it is the
+// second-chance sweep: the hand advances to the first cold entry,
+// clearing used bits as it passes hot ones. keep is the entry just
 // inserted — never the victim, so one oversized insert cannot evict
-// itself. Callers hold ch.mu.
-func (ch *Chain) evictOne(keep *entry) {
-	// At most two laps: the first clears used bits, the second must find
-	// a cold entry.
-	for lap := 0; lap < 2*ch.ring.Len()+1; lap++ {
-		if ch.hand == nil {
-			ch.hand = ch.ring.Front()
+// itself. It reports false when only keep is left. Callers hold ch.mu.
+func (ch *Chain) evictOne(keep *entry) bool {
+	for st := numStages - 1; st >= 0; st-- {
+		// At most two laps: the first clears used bits, the second must
+		// find a cold entry if the stage holds anything but keep.
+		for step := 2 * ch.ring[st].Len(); step > 0; step-- {
+			if ch.hand[st] == nil {
+				ch.hand[st] = ch.ring[st].Front()
+			}
+			e := ch.hand[st].Value.(*entry)
+			ch.hand[st] = ch.hand[st].Next()
+			if e == keep || e.used.Swap(false) {
+				continue
+			}
+			ch.remove(e)
+			return true
 		}
-		el := ch.hand
-		ch.hand = ch.hand.Next()
-		e := el.Value.(*entry)
-		if e == keep {
-			continue
-		}
-		if e.used.Swap(false) {
-			continue
-		}
-		ch.remove(e)
-		return
 	}
+	return false
 }
 
-// remove unlinks one entry, stepping the clock hand off it first.
-// Callers hold ch.mu.
+// remove unlinks one entry, stepping its stage's clock hand off it
+// first. Callers hold ch.mu.
 func (ch *Chain) remove(e *entry) {
-	if ch.hand == e.el {
-		ch.hand = e.el.Next()
+	st := e.ck.stage
+	if ch.hand[st] == e.el {
+		ch.hand[st] = e.el.Next()
 	}
-	ch.ring.Remove(e.el)
+	ch.ring[st].Remove(e.el)
 	delete(ch.entries, e.ck)
 	ch.bytes -= e.bytes
 }
@@ -457,8 +463,10 @@ func (ch *Chain) Forget(k Key) {
 func (ch *Chain) Flush() {
 	ch.mu.Lock()
 	ch.entries = make(map[ckey]*entry)
-	ch.ring.Init()
-	ch.hand = nil
+	for st := range ch.ring {
+		ch.ring[st].Init()
+		ch.hand[st] = nil
+	}
 	ch.bytes = 0
 	ch.mu.Unlock()
 	ch.gBytes.Set(0)

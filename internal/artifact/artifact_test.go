@@ -391,7 +391,7 @@ func TestChainForget(t *testing.T) {
 	for i := 1; i <= 4; i++ { // the 4th insert evicts the 1st; the hand rests on the 2nd
 		put(i)
 	}
-	if small.hand == nil || small.hand.Value.(*entry).ck.key != key(2) {
+	if small.hand[StageRender] == nil || small.hand[StageRender].Value.(*entry).ck.key != key(2) {
 		t.Fatal("the clock hand is not where this test needs it")
 	}
 	small.Forget(key(2))
@@ -400,6 +400,93 @@ func TestChainForget(t *testing.T) {
 		if b := small.Stats().Bytes; b > 3500 {
 			t.Fatalf("after insert %d: %d bytes over the cap", i, b)
 		}
+	}
+}
+
+// TestEvictionTakesDerivedFirst pins the eviction order: under byte
+// pressure the chain gives up audio before streams before blobs before
+// renders, because a later stage is rebuilt from the one before it. A
+// burst is two orders of magnitude larger than what it is made from, so
+// burst churn must never cost a render.
+func TestEvictionTakesDerivedFirst(t *testing.T) {
+	const n = 6
+	compute := func(i int) RenderFunc {
+		return func() (core.Bundle, error) { return testBundle(int64(i), 300), nil }
+	}
+	// Learn the byte cost of one key's upstream stages, its stream alone
+	// and its burst (single-digit seeds: every key weighs the same).
+	probe, pipe := newTestChain(t, -1)
+	pk := probe.Key("probe.pk/", 0, 1)
+	if _, err := probe.Blob(pk, compute(1)); err != nil {
+		t.Fatal(err)
+	}
+	stream := -probe.Stats().Bytes
+	if _, err := probe.Stream(pk, compute(1)); err != nil {
+		t.Fatal(err)
+	}
+	upstream := probe.Stats().Bytes
+	stream += upstream
+	audio, err := probe.Audio(pk, compute(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := probe.Stats().Bytes - upstream
+	if burst != int64(len(audio)*8) || burst < 10*upstream {
+		t.Fatalf("probe: burst %d bytes over %d upstream; the test needs audio to dominate", burst, upstream)
+	}
+	key := func(ch *Chain, i int) Key { return ch.Key(fmt.Sprintf("k%d.pk/", i), 0, uint16(i)) }
+	cached := func(ch *Chain, k Key, st Stage) bool { _, ok := ch.get(ckey{key: k, stage: st}); return ok }
+
+	// Every key's upstream fits beside two and a half bursts: n audio
+	// inserts push out n-2 bursts and nothing else.
+	limit := n*upstream + 2*burst + burst/2
+	ch := NewChain(pipe, limit)
+	for i := 1; i <= n; i++ {
+		if _, err := ch.Audio(key(ch, i), compute(i)); err != nil {
+			t.Fatal(err)
+		}
+		if b := ch.Stats().Bytes; b > limit {
+			t.Fatalf("after audio insert %d: %d cached bytes exceed cap %d", i, b, limit)
+		}
+	}
+	for i := 1; i <= n; i++ {
+		for st := StageRender; st < StageAudio; st++ {
+			if !cached(ch, key(ch, i), st) {
+				t.Errorf("key %d: the %s was evicted while bursts could still go", i, st)
+			}
+		}
+		if got, want := cached(ch, key(ch, i), StageAudio), i > n-2; got != want {
+			t.Errorf("key %d: burst cached = %v, want %v (the two newest stay)", i, got, want)
+		}
+	}
+	if st := ch.Stats(); st.Evictions != n-2 || st.Entries != 3*n+2 {
+		t.Fatalf("%d evictions, %d entries; want %d bursts gone and %d entries left", st.Evictions, st.Entries, n-2, 3*n+2)
+	}
+
+	// No audio to give: a cap that holds one stream and nothing beside it
+	// falls through stream -> blob -> render and still holds.
+	limit = stream + 1
+	ch = NewChain(pipe, limit)
+	for i := 1; i <= n; i++ {
+		if _, err := ch.Stream(key(ch, i), compute(i)); err != nil {
+			t.Fatal(err)
+		}
+		if b := ch.Stats().Bytes; b > limit {
+			t.Fatalf("after stream insert %d: %d cached bytes exceed cap %d", i, b, limit)
+		}
+	}
+	if st := ch.Stats(); st.Entries != 1 || st.Evictions != 3*n-1 || !cached(ch, key(ch, n), StageStream) {
+		t.Fatalf("upstream-only chain: %+v; want the newest stream alone after %d evictions", st, 3*n-1)
+	}
+
+	// An artifact larger than the whole cap is returned and not retained.
+	ch = NewChain(pipe, burst-1)
+	got, err := ch.Audio(key(ch, 1), compute(1))
+	if err != nil || int64(len(got)*8) != burst {
+		t.Fatalf("oversized burst: %d samples, err %v", len(got), err)
+	}
+	if cached(ch, key(ch, 1), StageAudio) || ch.Stats().Bytes > burst-1 {
+		t.Fatalf("oversized burst was retained: %+v", ch.Stats())
 	}
 }
 

@@ -3,26 +3,31 @@ package broadcast
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"sonic/internal/artifact"
 	"sonic/internal/core"
 	"sonic/internal/corpus"
+	"sonic/internal/parallel"
 )
 
 // Fleet is the multi-core broadcast engine: T towers replaying their
-// carousel rotations concurrently on a bounded worker pool, with every
-// per-page artifact — SIC bundle blob, FEC-framed stream, modulated
-// audio — resolved through a shared content-addressed artifact.Chain.
-// The paper's deployment is one national corpus aired by many regional
-// FM transmitters; the chain makes that shape cheap: N towers airing
-// the same page at the same content epoch compute each pipeline stage
-// exactly once fleet-wide, and per-stage singleflight pipelines the
-// work (tower A modulates page X while tower B's blob for page Y is
-// still encoding). Output is byte-identical to a serial per-tower
-// replay — pinned by TestRunFleetMatchesSerialTowers.
+// carousel rotations on one simulated clock, with every per-page
+// artifact — SIC bundle blob, FEC-framed stream, modulated audio —
+// resolved through a shared content-addressed artifact.Chain. The
+// paper's deployment is one national corpus aired simultaneously by many
+// regional FM transmitters, and the replay keeps that order: the next
+// airing fleet-wide is the one that starts earliest, and only airings
+// that overlap on the simulated clock are in flight together, so towers
+// airing the same page at the same moment ask for it together. A slot is
+// then modulated once at any cache size, and a page once when the
+// rotation fits the cache; per-stage singleflight pipelines the work
+// (tower A modulates page X while tower B's blob for page Y is still
+// encoding). Output is byte-identical to a serial per-tower replay —
+// pinned by TestRunFleetMatchesSerialTowers and
+// TestRunFleetAirsEachSlotOnce.
 
 // RenderFunc produces the rendered bundle for a page at a corpus hour —
 // the raster stage the artifact chain does not own. The fleet engine
@@ -39,8 +44,8 @@ type DemandFunc func(tower int) map[string]float64
 type FleetConfig struct {
 	// Towers is the transmitter count (the fleet width).
 	Towers int
-	// Workers bounds the pool draining towers concurrently; 0 means
-	// GOMAXPROCS, 1 is the serial reference.
+	// Workers bounds the airings in flight at once; 0 means GOMAXPROCS,
+	// 1 is the serial reference.
 	Workers int
 	// Hours is the simulated broadcast horizon per tower.
 	Hours int
@@ -90,9 +95,10 @@ type FleetResult struct {
 }
 
 // RunFleet replays cfg.Hours of carousel broadcasting on every tower.
-// Each tower walks its own deterministic schedule on its own simulated
-// clock; all artifact computation funnels through the shared chain. The
-// result is independent of Workers (pinned byte-identical in tests):
+// Each tower walks its own deterministic schedule and keeps its own
+// simulated time; the fleet airs them in the order of that time, and all
+// artifact computation funnels through the shared chain. The per-tower
+// results are independent of Workers (pinned byte-identical in tests):
 // parallelism changes wall time only.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if err := cfg.validate(); err != nil {
@@ -116,62 +122,91 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	// computed once through the chain and reused as the carousel size
 	// base. Parallel across pages on the same worker budget.
 	sizes := make([]int, len(cfg.Pages))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i := range cfg.Pages {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+	errs := make([]error, len(cfg.Pages))
+	parallel.For(workers, len(cfg.Pages), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			ref := cfg.Pages[i]
-			eff := corpus.EffectiveHour(ref, 0)
-			blob, err := cfg.Chain.Blob(cfg.Chain.Key(ref.URL, eff, ids[ref.URL]), func() (core.Bundle, error) {
-				return cfg.Render(ref, 0)
-			})
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("broadcast: cold build %s: %w", ref.URL, err)
-				}
-				mu.Unlock()
-				return
-			}
-			sizes[i] = len(blob)
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			k := cfg.Chain.Key(ref.URL, corpus.EffectiveHour(ref, 0), ids[ref.URL])
+			blob, err := cfg.Chain.Blob(k, func() (core.Bundle, error) { return cfg.Render(ref, 0) })
+			sizes[i], errs[i] = len(blob), err
+		}
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("broadcast: cold build %s: %w", cfg.Pages[i].URL, err)
+		}
 	}
 	size := func(ref corpus.PageRef, _ int) int { return sizes[ids[ref.URL]-1] }
 
-	res := &FleetResult{Towers: make([]FleetTower, cfg.Towers)}
-	for tower := 0; tower < cfg.Towers; tower++ {
-		wg.Add(1)
-		go func(tower int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			tr, err := runTower(cfg, pipe, ids, size, tower)
-			mu.Lock()
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("broadcast: tower %d: %w", tower, err)
-			}
-			res.Towers[tower] = tr
-			mu.Unlock()
-		}(tower)
+	// One carousel and one schedule per tower, all on the fleet's clock.
+	towers := make([]*fleetTower, cfg.Towers)
+	for i := range towers {
+		var demand map[string]float64
+		if cfg.Demand != nil {
+			demand = cfg.Demand(i)
+		}
+		car, err := MeasuredCarousel(cfg.Pages, size, demand, cfg.Policy)
+		if err != nil {
+			return nil, fmt.Errorf("broadcast: tower %d: %w", i, err)
+		}
+		towers[i] = &fleetTower{
+			FleetTower: FleetTower{Tower: i},
+			entries:    car.Entries(),
+			sched:      car.Schedule(4 * (cfg.Hours + 1) * len(cfg.Pages)),
+		}
 	}
-	wg.Wait()
+	horizon := float64(cfg.Hours) * 3600
+
+	// The shared clock. Airings are dispatched in the order they start on
+	// the simulated clock (ties to the lowest tower index), up to workers
+	// of them in flight, and one starts only while every airing in flight
+	// is still on air at that moment: the replay never runs ahead of an
+	// airing it has not finished, so the order the chain sees is the same
+	// at any worker count. The scheduling state belongs to this goroutine;
+	// a tower belongs to its airing's goroutine from dispatch until done.
+	done := make(chan *fleetTower)
+	var firstErr error
+	for inflight := 0; ; {
+		for inflight < workers && firstErr == nil {
+			var next *fleetTower
+			onAir := math.Inf(1) // the first airing in flight to end
+			for _, tw := range towers {
+				switch {
+				case tw.end > 0:
+					onAir = min(onAir, tw.end)
+				case tw.AirSeconds < horizon && (next == nil || tw.AirSeconds < next.AirSeconds):
+					next = tw
+				}
+			}
+			if next == nil || next.AirSeconds >= onAir {
+				break
+			}
+			next.end = next.AirSeconds + pipe.AirtimeSeconds(next.entry().Bytes)
+			inflight++
+			go func() {
+				next.err = next.airNext(cfg, pipe, ids)
+				done <- next
+			}()
+		}
+		if inflight == 0 {
+			break
+		}
+		tw := <-done
+		inflight--
+		tw.end = 0
+		if tw.err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("broadcast: tower %d: %w", tw.Tower, tw.err)
+		}
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	for _, tr := range res.Towers {
-		res.Transmissions += tr.Transmissions
-		res.PayloadBytes += tr.PayloadBytes
-		res.AirSeconds += tr.AirSeconds
+	res := &FleetResult{Towers: make([]FleetTower, cfg.Towers)}
+	for i, tw := range towers {
+		res.Towers[i] = tw.FleetTower
+		res.Transmissions += tw.Transmissions
+		res.PayloadBytes += tw.PayloadBytes
+		res.AirSeconds += tw.AirSeconds
 	}
 	res.WallSeconds = time.Since(t0).Seconds()
 	res.Cache = cfg.Chain.Stats()
@@ -179,49 +214,41 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	return res, nil
 }
 
-// runTower replays one tower's rotation to the horizon: demand-ranked
-// carousel, virtual-finish-time schedule, every slot modulated through
-// the shared chain at the slot's effective hour.
-func runTower(cfg FleetConfig, pipe *core.Pipeline, ids map[string]uint16, size SizeFunc, tower int) (FleetTower, error) {
-	var demand map[string]float64
-	if cfg.Demand != nil {
-		demand = cfg.Demand(tower)
-	}
-	car, err := MeasuredCarousel(cfg.Pages, size, demand, cfg.Policy)
-	if err != nil {
-		return FleetTower{}, err
-	}
-	entries := car.Entries()
-	sched := car.Schedule(4 * (cfg.Hours + 1) * len(cfg.Pages))
-	horizon := float64(cfg.Hours) * 3600
+// fleetTower is one tower's place on the fleet's clock: its demand-ranked
+// carousel, its virtual-finish-time schedule and how far through it the
+// tower is. AirSeconds is the tower's simulated time.
+type fleetTower struct {
+	FleetTower
+	entries []CarouselEntry
+	sched   []int
+	end     float64 // when the airing in flight ends, by its carousel size; 0 when idle
+	err     error   // of the last airing
+}
 
-	tr := FleetTower{Tower: tower}
-	simT := 0.0
-replay:
-	for {
-		for _, idx := range sched {
-			if simT >= horizon {
-				break replay
-			}
-			ref := entries[idx].Ref
-			hour := int(simT / 3600)
-			eff := corpus.EffectiveHour(ref, hour)
-			k := cfg.Chain.Key(ref.URL, eff, ids[ref.URL])
-			render := func() (core.Bundle, error) { return cfg.Render(ref, hour) }
-			blob, err := cfg.Chain.Blob(k, render)
-			if err != nil {
-				return tr, err
-			}
-			audio, err := cfg.Chain.Audio(k, render)
-			if err != nil {
-				return tr, err
-			}
-			simT += pipe.AirtimeSeconds(len(blob))
-			tr.Transmissions++
-			tr.PayloadBytes += int64(len(blob))
-			tr.AudioSamples += int64(len(audio))
-		}
+// entry is the carousel entry of the tower's next slot.
+func (tw *fleetTower) entry() CarouselEntry {
+	return tw.entries[tw.sched[tw.Transmissions%len(tw.sched)]]
+}
+
+// airNext airs the tower's next slot: the page is resolved through the
+// shared chain at the slot's effective hour and the tower's clock moves on
+// by the page's airtime.
+func (tw *fleetTower) airNext(cfg FleetConfig, pipe *core.Pipeline, ids map[string]uint16) error {
+	ref := tw.entry().Ref
+	hour := int(tw.AirSeconds / 3600)
+	k := cfg.Chain.Key(ref.URL, corpus.EffectiveHour(ref, hour), ids[ref.URL])
+	render := func() (core.Bundle, error) { return cfg.Render(ref, hour) }
+	blob, err := cfg.Chain.Blob(k, render)
+	if err != nil {
+		return err
 	}
-	tr.AirSeconds = simT
-	return tr, nil
+	audio, err := cfg.Chain.Audio(k, render)
+	if err != nil {
+		return err
+	}
+	tw.AirSeconds += pipe.AirtimeSeconds(len(blob))
+	tw.Transmissions++
+	tw.PayloadBytes += int64(len(blob))
+	tw.AudioSamples += int64(len(audio))
+	return nil
 }

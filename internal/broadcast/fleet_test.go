@@ -198,3 +198,170 @@ func TestRunFleetDemandSkew(t *testing.T) {
 		t.Fatal("empty fleet config validated")
 	}
 }
+
+// serialFleet is the reference the shared clock is pinned to: every tower
+// walked to the horizon on its own, one after the other, the way a lone
+// transmitter would replay its rotation. It returns the per-tower totals
+// and the keys tower 0 aired, in order.
+func serialFleet(t *testing.T, cfg FleetConfig) ([]FleetTower, []artifact.Key) {
+	t.Helper()
+	chain := artifact.NewChain(cfg.Chain.Pipeline(), -1)
+	pipe := chain.Pipeline()
+	ids := make(map[string]uint16, len(cfg.Pages))
+	sizes := make(map[string]int, len(cfg.Pages))
+	for i, ref := range cfg.Pages {
+		ids[ref.URL] = uint16(i + 1)
+		b, err := cfg.Render(ref, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[ref.URL] = len(core.MarshalBundle(b))
+	}
+	size := func(ref corpus.PageRef, _ int) int { return sizes[ref.URL] }
+	towers := make([]FleetTower, cfg.Towers)
+	var aired []artifact.Key
+	for tower := range towers {
+		var demand map[string]float64
+		if cfg.Demand != nil {
+			demand = cfg.Demand(tower)
+		}
+		car, err := MeasuredCarousel(cfg.Pages, size, demand, cfg.Policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := car.Entries()
+		sched := car.Schedule(4 * (cfg.Hours + 1) * len(cfg.Pages))
+		tr := FleetTower{Tower: tower}
+		for slot := 0; tr.AirSeconds < float64(cfg.Hours)*3600; slot++ {
+			ref := entries[sched[slot%len(sched)]].Ref
+			hour := int(tr.AirSeconds / 3600)
+			k := chain.Key(ref.URL, corpus.EffectiveHour(ref, hour), ids[ref.URL])
+			render := func() (core.Bundle, error) { return cfg.Render(ref, hour) }
+			blob, err := chain.Blob(k, render)
+			if err != nil {
+				t.Fatal(err)
+			}
+			audio, err := chain.Audio(k, render)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.AirSeconds += pipe.AirtimeSeconds(len(blob))
+			tr.Transmissions++
+			tr.PayloadBytes += int64(len(blob))
+			tr.AudioSamples += int64(len(audio))
+			if tower == 0 {
+				aired = append(aired, k)
+			}
+		}
+		towers[tower] = tr
+	}
+	return towers, aired
+}
+
+// TestRunFleetAirsEachSlotOnce pins "once per slot" where it can fail: a
+// chain that holds one burst, so no audio survives from one slot to the
+// next and only the towers' order on the shared clock can save a
+// modulation. Five towers with the same demand must then cost one audio
+// compute per slot of one tower's schedule — not towers × slots — at any
+// worker count, with per-tower results equal to the serial walk; and
+// because derived bytes go first, the burst churn never costs a render:
+// each (page, epoch) renders once, across an effective-hour boundary too.
+func TestRunFleetAirsEachSlotOnce(t *testing.T) {
+	// Without a surviving burst an aired hour is an hour of samples
+	// modulated, so the test runs the paper's profile at a quarter of the
+	// sample rate: same carriers, same airtime per byte, a quarter of the
+	// samples.
+	pcfg := core.DefaultConfig()
+	pcfg.Modem.SampleRate, pcfg.Modem.FFTSize, pcfg.Modem.CyclicPrefix, pcfg.Modem.CenterHz = 12000, 256, 32, 3000
+	pipe, err := core.NewPipeline(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Six pages, the last of which changes at the first hour boundary.
+	var pages []corpus.PageRef
+	var churner *corpus.PageRef
+	for _, ref := range corpus.Pages() {
+		if churner == nil && corpus.ChangedAt(ref, 1) {
+			churner = &ref
+		} else if len(pages) < 5 {
+			pages = append(pages, ref)
+		}
+	}
+	if churner == nil {
+		t.Fatal("no corpus page changes at hour 1; the two-hour case needs one")
+	}
+	pages = append(pages, *churner)
+	demand := map[string]float64{pages[1].URL: 3, pages[2].URL: 1}
+
+	// The cap: the largest burst plus every upstream artifact of both
+	// hours, and less than any two bursts.
+	var minBurst, maxBurst, upstream int64
+	for i, ref := range pages {
+		for hour := 0; hour < 2; hour++ {
+			b, err := fleetRender(nil)(ref, hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob := core.MarshalBundle(b)
+			stream, err := pipe.BlobStream(uint16(i+1), blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			upstream += int64(len(b.Image) + len(b.ClickMap) + len(blob) + len(stream))
+			n := int64(len(pipe.ModulateStream(stream)) * 8)
+			if minBurst == 0 || n < minBurst {
+				minBurst = n
+			}
+			maxBurst = max(maxBurst, n)
+		}
+	}
+	if 2*minBurst <= maxBurst+upstream {
+		t.Fatalf("bursts of %d..%d bytes over %d upstream: two would fit the one-burst cap", minBurst, maxBurst, upstream)
+	}
+
+	for _, tc := range []struct {
+		hours   int
+		workers []int
+	}{{1, []int{1, 2, 4}}, {2, []int{2}}} {
+		var renders atomic.Int64
+		cfg := fleetConfig(pipe, 5, 0, fleetRender(&renders))
+		cfg.Hours, cfg.Pages = tc.hours, pages
+		cfg.Demand = func(int) map[string]float64 { return demand }
+		want, aired := serialFleet(t, cfg)
+		// A slot that repeats the slot before it finds that burst still
+		// cached; every other slot must modulate, once.
+		epochs := map[artifact.Key]bool{}
+		slots := int64(0)
+		for i, k := range aired {
+			epochs[k] = true
+			if i == 0 || k != aired[i-1] {
+				slots++
+			}
+		}
+		if slots < int64(want[0].Transmissions)*3/4 {
+			t.Fatalf("only %d of %d slots change page; the rotation is too repetitive to show order", slots, want[0].Transmissions)
+		}
+		if tc.hours > 1 && len(epochs) <= len(pages) {
+			t.Fatalf("%d hours aired %d (page, epoch) pairs of %d pages; no epoch boundary crossed", tc.hours, len(epochs), len(pages))
+		}
+		for _, workers := range tc.workers {
+			renders.Store(0)
+			cfg.Workers = workers
+			cfg.Chain = artifact.NewChain(pipe, maxBurst+upstream)
+			res, err := RunFleet(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Towers, want) {
+				t.Fatalf("hours=%d workers=%d: towers diverged from the serial walk:\n got %+v\nwant %+v", tc.hours, workers, res.Towers, want)
+			}
+			if got := res.Cache.Audio.Misses; got != slots {
+				t.Errorf("hours=%d workers=%d: %d audio computes for %d slots x %d towers, want %d (stats %+v)",
+					tc.hours, workers, got, slots, cfg.Towers, slots, res.Cache)
+			}
+			if got := renders.Load(); got != int64(len(epochs)) {
+				t.Errorf("hours=%d workers=%d: %d renders for %d (page, epoch) pairs", tc.hours, workers, got, len(epochs))
+			}
+		}
+	}
+}

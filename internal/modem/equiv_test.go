@@ -540,11 +540,27 @@ func TestDemodulateAllocsFlat(t *testing.T) {
 	measure(bSmall) // warm the scratch pool
 	aSmall := measure(bSmall)
 	aLarge := measure(bLarge)
-	if aLarge > aSmall+3 {
+	// The bounds are per build mode, from the measured spread of this very
+	// measurement (2-CPU host):
+	//
+	//	plain  17 and 17 on 60 samples of 60
+	//	-race  large 17..25, mean 20.2, sd 1.2; large - small -3..7,
+	//	       mean 0.5, sd 1.6 (240 samples; 5 of them over small+3)
+	//
+	// Under -race sync.Pool.Put drops one Put in four by design and each
+	// dropped scratch is re-made here, a coin flip per chunk that lands on
+	// either measurement. Allocations that scaled with the 111 extra
+	// symbols would read 50 or more over, so the race leg's wider bounds
+	// (mean + 4.7 sd, mean + 8 sd) still fail on what the test is for.
+	slack, ceiling := 3.0, 25.0
+	if raceEnabled {
+		slack, ceiling = 8, 30
+	}
+	if aLarge > aSmall+slack {
 		t.Errorf("Demodulate allocations scale with symbols: %v (small) vs %v (large)", aSmall, aLarge)
 	}
-	if aLarge > 25 {
-		t.Errorf("Demodulate does %v allocs/run, want <= 25", aLarge)
+	if aLarge > ceiling {
+		t.Errorf("Demodulate does %v allocs/run, want <= %v", aLarge, ceiling)
 	}
 }
 
