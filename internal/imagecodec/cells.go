@@ -83,9 +83,9 @@ func EncodeColumnsTol(r *Raster, maxCellBytes, tol int) ([]Cell, error) {
 
 // EncodeColumnsTolWorkers is EncodeColumnsTol with an explicit worker
 // count. Columns are independent, so each worker packs a contiguous
-// range of columns into cells; the per-column results are concatenated
-// in column order, giving the same cell list as the serial encoder for
-// any worker count. workers <= 0 selects GOMAXPROCS.
+// range of columns into cells backed by its own arena; the ranges are
+// joined in column order, giving the same cell list for any worker
+// count. workers <= 0 selects GOMAXPROCS.
 func EncodeColumnsTolWorkers(r *Raster, maxCellBytes, tol, workers int) ([]Cell, error) {
 	if r == nil || r.W < 1 || r.H < 1 {
 		return nil, ErrEmptyRaster
@@ -97,28 +97,20 @@ func EncodeColumnsTolWorkers(r *Raster, maxCellBytes, tol, workers int) ([]Cell,
 	if maxData < 6 {
 		return nil, fmt.Errorf("imagecodec: maxCellBytes %d too small", maxCellBytes)
 	}
-	workers = poolSize(workers)
-	if workers <= 1 {
-		var enc columnEncoder
-		var cells []Cell
-		for x := 0; x < r.W; x++ {
-			cells = enc.appendColumnCells(cells, r, x, maxData, tol)
-		}
-		return cells, nil
-	}
-	perCol := make([][]Cell, r.W)
-	parallel.For(workers, r.W, 1, func(lo, hi int) {
+	// Each range leaves its cells at the slot of its first column.
+	parts := make([][]Cell, r.W)
+	parallel.For(poolSize(workers), r.W, 1, func(lo, hi int) {
 		var enc columnEncoder
 		for x := lo; x < hi; x++ {
-			perCol[x] = enc.appendColumnCells(nil, r, x, maxData, tol)
+			parts[lo] = enc.appendColumnCells(parts[lo], r, x, maxData, tol)
 		}
 	})
 	total := 0
-	for _, cs := range perCol {
+	for _, cs := range parts {
 		total += len(cs)
 	}
 	cells := make([]Cell, 0, total)
-	for _, cs := range perCol {
+	for _, cs := range parts {
 		cells = append(cells, cs...)
 	}
 	return cells, nil

@@ -2,6 +2,7 @@ package imagecodec
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -46,6 +47,57 @@ func TestDecodeSICWorkersDeterministic(t *testing.T) {
 		}
 		if got.W != want.W || got.H != want.H || !bytes.Equal(got.Pix, want.Pix) {
 			t.Fatalf("workers=%d: decoded raster differs from serial decoder", workers)
+		}
+	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin:
+// the mean runtime.MemStats.Mallocs delta over runs calls of fn, after
+// one warm-up call to fill the pools.
+func mallocsPerRun(t *testing.T, runs int, fn func() error) float64 {
+	t.Helper()
+	if err := fn(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// TestCodecMallocsAtTwoWorkers pins allocations on the path production
+// runs. testing.AllocsPerRun sets GOMAXPROCS to 1, so the *Allocs tests
+// only see one worker; this one counts heap objects at explicit workers
+// 2 on a 1080x400 page. Measured on a 2-vCPU box (mean of 10 calls, 11
+// runs at GOMAXPROCS 1, 2 and 4): encode 45-55, decode 80-98, cells
+// 44-45 objects per call — mostly one WaitGroup and one closure per
+// goroutine per band, and pool refills after a GC. The two-worker cell
+// packer used to allocate one slice per column: 3658 per call.
+func TestCodecMallocsAtTwoWorkers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are nondeterministic under the race detector (pool Puts randomly dropped)")
+	}
+	src := testPage(PageWidth, 400, 3)
+	enc, err := EncodeSICWorkers(src, 10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		max  float64
+		fn   func() error
+	}{
+		{"EncodeSICWorkers", 72, func() error { _, err := EncodeSICWorkers(src, 10, 2); return err }},
+		{"DecodeSICWorkers", 128, func() error { _, err := DecodeSICWorkers(enc, 2); return err }},
+		{"EncodeColumnsTolWorkers", 64, func() error { _, err := EncodeColumnsTolWorkers(src, 85, 0, 2); return err }},
+	} {
+		if got := mallocsPerRun(t, 10, c.fn); got > c.max {
+			t.Errorf("%s at 2 workers allocates %v objects per call, want <= %v", c.name, got, c.max)
 		}
 	}
 }

@@ -330,41 +330,34 @@ func getBytes() *[]byte { return bytesPool.Get().(*[]byte) }
 
 func putBytes(p *[]byte) { bytesPool.Put(p) }
 
-// blocksPool recycles the quantized-block scratch used by the parallel
-// encode/decode paths. Blocks are not zeroed on reuse; both producers
-// write every field they later read.
+// blocksPool recycles the band of quantized blocks the encoder and the
+// decoder work through. Blocks are not zeroed on reuse; both producers
+// write every field they later read. The pool holds the *[]sicBlock
+// itself, so a round trip allocates nothing.
 var blocksPool = sync.Pool{New: func() any { return new([]sicBlock) }}
 
-func getBlocks(n int) []sicBlock {
+func getBlocks(n int) *[]sicBlock {
 	p := blocksPool.Get().(*[]sicBlock)
 	if cap(*p) < n {
 		*p = make([]sicBlock, n)
 	}
-	return (*p)[:n]
+	*p = (*p)[:n]
+	return p
 }
 
-func putBlocks(b []sicBlock) {
-	blocksPool.Put(&b)
-}
+func putBlocks(p *[]sicBlock) { blocksPool.Put(p) }
 
-// blockSource feeds 8x8 centered blocks to the encoder. The two
-// implementations read the RGB raster directly, fusing the YCbCr color
-// transform into block loading so the encoder never materializes the
-// float planes the old two-stage pipeline wrote and immediately re-read.
-type blockSource interface {
-	dims() (w, h int)
-	// loadInt is the fixed-point block loader (sicint.go). Interior
-	// blocks classify (flat / two-valued / general); blocks touching
-	// the raster edge take the clamped-replicate path. info is an
-	// out-param (fully overwritten) so the 32-byte struct is not
-	// copied through the interface return.
-	loadInt(blk *[64]int32, info *intLoadInfo, bx, by int)
-}
-
-// lumaSource presents a raster's luma channel as encoder blocks.
-type lumaSource struct{ r *Raster }
-
-func (s lumaSource) dims() (int, int) { return s.r.W, s.r.H }
+// The per-block stages (load, classify, DCT and quantize on encode;
+// dequantize, IDCT and store on decode) work on a band of bandRows block
+// rows at a time, split across workers by parallel.For; the serial stages
+// (token emission, token parsing) walk each band in scan order between
+// them. Every block's result depends only on its own pixels or tokens, so
+// the output is the same at any worker count, and the block scratch is
+// one band (~0.6 MB for a 1080-wide page) however tall the page is.
+const (
+	bandRows       = 16
+	minChunkBlocks = 256 // fewest blocks worth a goroutine
+)
 
 // uniformRegion reports whether the w-pixel-wide, rows-deep RGB region
 // whose top-left byte offset is off is a single solid color. One
@@ -383,15 +376,6 @@ func uniformRegion(pix []byte, off, stride, w, rows int) bool {
 	}
 	return true
 }
-
-// chromaSource presents one of a raster's half-resolution chroma
-// channels (Cb, or Cr when cr is set) as encoder blocks.
-type chromaSource struct {
-	r  *Raster
-	cr bool
-}
-
-func (s chromaSource) dims() (int, int) { return (s.r.W + 1) / 2, (s.r.H + 1) / 2 }
 
 // fromYCbCr reassembles a raster from planes, parallel over rows. Each
 // chroma sample covers two output pixels, so the chroma products are
@@ -562,9 +546,13 @@ func (c *byteCursor) readVarint() (int, error) {
 
 // sicBlock is one 8x8 block's quantized coefficients in zigzag order.
 // flat marks constant blocks (encode) and DC-only blocks (decode), where
-// only q[0] is meaningful and the transform is skipped.
+// only q[0] is meaningful and the transform is skipped. On encode, a
+// two-valued block carries its glyph-cache entry in mv instead of q, so
+// the emitter reuses the entry's pre-rendered AC tokens; the decoder
+// never reads mv.
 type sicBlock struct {
 	flat bool
+	mv   *sicMaskVal
 	q    [64]int32
 }
 
@@ -602,50 +590,6 @@ func newPlaneQuant(qt *[64]int, quality int) planeQuant {
 	}
 	return pq
 }
-
-// quantizeInto runs the compute stage of the parallel encode path —
-// block load, flatness check, forward DCT, quantization — for every
-// block of src in parallel, one sicBlock per block in raster scan order.
-// The serial emission stage consumes them in order, so the token stream
-// is byte-identical to the fused single-threaded path: interior blocks
-// take the same fixed-point pipeline, edge blocks the same float
-// fallback, and the flat memos only skip recomputing identical values,
-// so nothing depends on the worker split.
-func quantizeInto(blocks []sicBlock, src blockSource, pq *planeQuant, bw, workers int) {
-	parallel.For(workers, len(blocks), 1, func(lo, hi int) {
-		var iblk [64]int32
-		var info intLoadInfo
-		lastFlatI, lastFlatIDC, haveFlatI := int32(0), int32(0), false
-		for bi := lo; bi < hi; bi++ {
-			by, bx := bi/bw, bi%bw
-			b := &blocks[bi]
-			src.loadInt(&iblk, &info, bx, by)
-			if info.flat {
-				b.flat = true
-				if !haveFlatI || info.first != lastFlatI {
-					lastFlatI = info.first
-					lastFlatIDC = int32(flatDCFix(info.first, info.centered, pq.qf0))
-					haveFlatI = true
-				}
-				b.q[0] = lastFlatIDC
-				continue
-			}
-			if info.two {
-				v := quantizeTwoValued(&iblk, &info, pq)
-				b.q = v.q
-				b.flat = v.nz == 0
-				continue
-			}
-			dc, nz := quantizeIntBlock(&iblk, &b.q, pq, info.dupRows)
-			b.q[0] = int32(dc)
-			b.flat = nz == 0
-		}
-	})
-}
-
-// minParallelBlocks gates the parallel quantize stage: below this many
-// blocks the fused serial pass wins on scheduling overhead alone.
-const minParallelBlocks = 256
 
 // storeBlock writes the reconstructed block (already centered back to
 // 0..255) into the plane, clipping to the plane bounds.
@@ -727,12 +671,12 @@ func EncodeSIC(r *Raster, quality int) ([]byte, error) {
 }
 
 // EncodeSICWorkers is EncodeSIC with an explicit worker count for the
-// data-parallel stages (color conversion, per-plane token emission,
-// per-block DCT/quantize). workers <= 0 selects GOMAXPROCS. The
-// output is byte-identical for every worker count: each plane's DC
-// prediction chain restarts at zero, so the three planes encode
-// independently in a fixed order. The emitted stream is bitstream v2,
-// the packed per-plane layout described in sicv2.go.
+// data-parallel stages (per-block load/DCT/quantize, per-plane
+// compression). workers <= 0 selects GOMAXPROCS. The output is
+// byte-identical for every worker count: tokens are emitted in scan
+// order, and each plane's DC prediction chain restarts at zero, so the
+// three planes compress independently. The emitted stream is bitstream
+// v2, the packed per-plane layout described in sicv2.go.
 func EncodeSICWorkers(r *Raster, quality, workers int) ([]byte, error) {
 	if r == nil || r.W < 1 || r.H < 1 {
 		return nil, ErrEmptyRaster
@@ -754,7 +698,10 @@ func DecodeSIC(data []byte) (*Raster, error) {
 // worker count. The version byte is validated: only the emitted
 // generation — v2 ("SIC2", per-plane flate over the packed layout in
 // sicv2.go) — is decoded, and any other version byte, the retired v1
-// included, is rejected explicitly.
+// included, is rejected explicitly. The header's dimensions are checked
+// before anything is sized from them: a raster larger than the largest
+// page the server renders (PageWidth x MaxPageHeight) is refused, so a
+// forged header cannot make the decoder allocate gigabytes.
 func DecodeSICWorkers(data []byte, workers int) (*Raster, error) {
 	if len(data) < 13 || string(data[0:3]) != sicMagic[:3] {
 		return nil, errors.New("imagecodec: not a SIC stream")
@@ -767,6 +714,9 @@ func DecodeSICWorkers(data []byte, workers int) (*Raster, error) {
 	quality := int(data[12])
 	if w < 1 || h < 1 || w > 1<<15 || h > 1<<20 {
 		return nil, errors.New("imagecodec: implausible SIC dimensions")
+	}
+	if w*h > PageWidth*MaxPageHeight {
+		return nil, fmt.Errorf("imagecodec: SIC raster %dx%d is larger than the largest page", w, h)
 	}
 	return decodeSICV2(data[13:], w, h, quality, poolSize(workers))
 }

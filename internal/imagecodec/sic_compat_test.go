@@ -2,6 +2,7 @@ package imagecodec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -90,7 +91,7 @@ func regenFuzzCorpus(t *testing.T) {
 }
 
 // TestSICGoldenStreams decodes every checked-in stream through the live
-// decoder (serial and parallel) and demands the exact golden pixels.
+// decoder (at one worker and at four) and demands the exact golden pixels.
 func TestSICGoldenStreams(t *testing.T) {
 	if os.Getenv("SIC_GOLDEN_REGEN") != "" {
 		regenGolden(t)
@@ -156,11 +157,14 @@ func TestSICVersionByteValidation(t *testing.T) {
 // FuzzSICDecode throws arbitrary bytes at the SIC decoder. The seed
 // corpus is golden streams of the live format at two qualities plus
 // degenerate headers (a bare v1 header among them: the retired
-// generation must fail closed). The decoder must never panic,
-// must return consistent raster geometry on success, and the parallel
-// decoder must agree with the serial one on both the verdict and the
-// pixels — the fuzzer doubles as a differential harness for the two
-// implementations.
+// generation must fail closed, and a forged 32768x32768 header must be
+// refused before anything is sized from it). The decoder must never
+// panic, must return consistent raster geometry on success, must give
+// the same verdict and pixels at one worker and at three, and must agree
+// with the frozen reference decoder on both — the fuzzer doubles as a
+// differential harness against refDecodeSICv2. The reference accepts
+// rasters larger than the largest page, which the live decoder refuses;
+// those inputs are only checked for the refusal.
 func FuzzSICDecode(f *testing.F) {
 	for _, q := range []int{10, 50} {
 		for name := range equivRasters() {
@@ -174,23 +178,40 @@ func FuzzSICDecode(f *testing.F) {
 	f.Add([]byte("SIC1"))
 	f.Add([]byte("SIC2\x00\x00\x00\x01\x00\x00\x00\x01\x0a"))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	f.Add(flatRunStream(f, 1<<15, 1<<15))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		serial, serr := DecodeSIC(data)
-		if serr == nil {
-			if serial == nil {
+		one, err1 := DecodeSICWorkers(data, 1)
+		if err1 == nil {
+			if one == nil {
 				t.Fatal("nil raster with nil error")
 			}
-			if len(serial.Pix) != 3*serial.W*serial.H || serial.W <= 0 || serial.H <= 0 {
-				t.Fatalf("inconsistent raster %dx%d with %d pixel bytes", serial.W, serial.H, len(serial.Pix))
+			if len(one.Pix) != 3*one.W*one.H || one.W <= 0 || one.H <= 0 {
+				t.Fatalf("inconsistent raster %dx%d with %d pixel bytes", one.W, one.H, len(one.Pix))
 			}
 		}
-		parallel, perr := DecodeSICWorkers(data, 3)
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("serial/parallel decoders disagree on validity: %v vs %v", serr, perr)
+		three, err3 := DecodeSICWorkers(data, 3)
+		if (err1 == nil) != (err3 == nil) {
+			t.Fatalf("decoders at 1 and 3 workers disagree on validity: %v vs %v", err1, err3)
 		}
-		if serr == nil && !bytes.Equal(serial.Pix, parallel.Pix) {
-			t.Fatal("serial and parallel decoders produced different pixels")
+		if err1 == nil && !bytes.Equal(one.Pix, three.Pix) {
+			t.Fatal("decoders at 1 and 3 workers produced different pixels")
+		}
+		if len(data) >= 13 {
+			w, h := binary.BigEndian.Uint32(data[4:8]), binary.BigEndian.Uint32(data[8:12])
+			if uint64(w)*uint64(h) > PageWidth*MaxPageHeight {
+				if err1 == nil {
+					t.Fatalf("accepted a %dx%d raster, larger than the largest page", w, h)
+				}
+				return
+			}
+		}
+		ref, rerr := refDecodeSICv2(data)
+		if (err1 == nil) != (rerr == nil) {
+			t.Fatalf("live and reference decoders disagree on validity: %v vs %v", err1, rerr)
+		}
+		if err1 == nil && (ref.W != one.W || ref.H != one.H || !bytes.Equal(ref.Pix, one.Pix)) {
+			t.Fatal("live decoder's pixels differ from the reference decoder's")
 		}
 	})
 }

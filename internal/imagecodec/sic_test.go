@@ -1,6 +1,7 @@
 package imagecodec
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -148,6 +149,59 @@ func TestSICNonMultipleOf8Dims(t *testing.T) {
 	}
 	if p := psnr(src, dec); p < 24 {
 		t.Errorf("PSNR %.1f at q75", p)
+	}
+}
+
+// flatRunStream builds the smallest well-formed SIC stream for a w x h
+// raster: each plane is one long flat-run tag, so the stream is a few
+// dozen bytes whatever size its header claims.
+func flatRunStream(tb testing.TB, w, h int) []byte {
+	tb.Helper()
+	out := []byte(sicMagicV2)
+	out = binary.BigEndian.AppendUint32(out, uint32(w))
+	out = binary.BigEndian.AppendUint32(out, uint32(h))
+	out = append(out, 10)
+	cw, ch := (w+1)/2, (h+1)/2
+	for _, d := range [3][2]int{{w, h}, {cw, ch}, {cw, ch}} {
+		blocks := ((d[0] + 7) / 8) * ((d[1] + 7) / 8)
+		comp, err := refV2Deflate(appendUvarint([]byte{v2TagLongRun}, uint64(blocks)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = appendUvarint(out, uint64(len(comp)))
+		out = append(out, comp...)
+	}
+	return out
+}
+
+// TestSICDecodeRefusesOversizeRasters: the phone decodes bytes from the
+// air, so a forged header must fail closed before the decoder sizes
+// anything from it. Before the PageWidth x MaxPageHeight bound, the
+// 49-byte 32768x32768 stream killed the process (runtime: out of memory
+// in getPlane) and the 46-byte 8192x8192 one decoded after allocating
+// 1.28 GB.
+func TestSICDecodeRefusesOversizeRasters(t *testing.T) {
+	for _, c := range []struct {
+		w, h int
+		ok   bool
+	}{
+		{1 << 15, 1 << 15, false},
+		{8192, 8192, false},
+		{PageWidth, MaxPageHeight + 1, false},
+		{PageWidth + 1, MaxPageHeight, false},
+		{2 * PageWidth, 64, true}, // the bound is on the pixel count, not the width
+		{64, 48, true},
+	} {
+		data := flatRunStream(t, c.w, c.h)
+		for _, wk := range []int{1, 3} {
+			img, err := DecodeSICWorkers(data, wk)
+			if c.ok != (err == nil) {
+				t.Fatalf("%dx%d (%d bytes, workers=%d): err = %v, want ok=%v", c.w, c.h, len(data), wk, err, c.ok)
+			}
+			if c.ok && (img.W != c.w || img.H != c.h) {
+				t.Fatalf("%dx%d: decoded %dx%d", c.w, c.h, img.W, img.H)
+			}
+		}
 	}
 }
 

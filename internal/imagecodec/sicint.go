@@ -154,13 +154,12 @@ func intFdctBlock(b *[64]int32, dupRows uint8) {
 // dupRows bit y (1..7) marks rows whose source bytes equal row y-1 —
 // their converted samples and row DCTs are identical by construction.
 type intLoadInfo struct {
-	first    int32
-	flat     bool
-	centered bool
-	two      bool
-	mask     uint64
-	a, b     int32
-	dupRows  uint8
+	first   int32
+	flat    bool
+	two     bool
+	mask    uint64
+	a, b    int32
+	dupRows uint8
 }
 
 // loadLumaIntEdge loads a luma block that overlaps the raster edge,
@@ -373,9 +372,8 @@ func loadChromaIntEdge(r *Raster, cr bool, blk *[64]int32, bx, by int) (first in
 }
 
 // loadChromaPairInt fills one Cb and one Cr block (16.16, centered) from
-// the shared source quads; regions overlapping the raster edge take the
-// clamped per-plane path. Integer adds are exact, so the fused pair and
-// the per-plane int loader agree bit for bit.
+// one pass over the shared source quads; regions overlapping the raster
+// edge take the clamped per-plane path.
 func loadChromaPairInt(r *Raster, cbBlk, crBlk *[64]int32, bx, by int) (fCb int32, flatCb bool, fCr int32, flatCr bool) {
 	w, h := r.W, r.H
 	x0, y0 := bx*8, by*8
@@ -425,63 +423,6 @@ func loadChromaPairInt(r *Raster, cbBlk, crBlk *[64]int32, bx, by int) (fCb int3
 	// Center after flatness: the chroma tables sum to the sample minus
 	// 128 already (no +128 bias was added), so the block is centered.
 	return fCb, flatCb, fCr, flatCr
-}
-
-// loadChromaInt is the per-plane loader used by the parallel quantize
-// stage; it computes exactly the sums loadChromaPairInt does for the
-// selected plane.
-func loadChromaInt(r *Raster, cr bool, blk *[64]int32, bx, by int) (first int32, flat bool) {
-	w, h := r.W, r.H
-	x0, y0 := bx*8, by*8
-	if 2*(x0+8) > w || 2*(y0+8) > h {
-		return loadChromaIntEdge(r, cr, blk, bx, by)
-	}
-	pix := r.Pix
-	i0 := 3 * (2*y0*w + 2*x0)
-	tR, tG, tB := &cbFixR, &cbFixG, &cbFixB
-	if cr {
-		tR, tG, tB = &crFixR, &crFixG, &crFixB
-	}
-	if uniformRegion(pix, i0, 3*w, 16, 16) {
-		sr, sg, sb := 4*int(pix[i0]), 4*int(pix[i0+1]), 4*int(pix[i0+2])
-		return tR[sr] + tG[sg] + tB[sb], true
-	}
-	if grayRegion(pix, i0, 3*w, 16, 16) {
-		return 0, true
-	}
-	flat = true
-	for y := 0; y < 8; y++ {
-		cy := y0 + y
-		o0 := 3 * (2*cy*w + 2*x0)
-		o1 := o0 + 3*w
-		row0 := (*[48]byte)(pix[o0 : o0+48])
-		row1 := (*[48]byte)(pix[o1 : o1+48])
-		for x := 0; x < 8; x++ {
-			i0 := 6 * x
-			i1 := i0 + 3
-			sr := int(row0[i0]) + int(row0[i1]) + int(row1[i0]) + int(row1[i1])
-			sg := int(row0[i0+1]) + int(row0[i1+1]) + int(row1[i0+1]) + int(row1[i1+1])
-			sb := int(row0[i0+2]) + int(row0[i1+2]) + int(row1[i0+2]) + int(row1[i1+2])
-			v := tR[sr] + tG[sg] + tB[sb]
-			blk[y*8+x] = v
-			if y == 0 && x == 0 {
-				first = v
-			}
-			if v != first {
-				flat = false
-			}
-		}
-	}
-	return first, flat
-}
-
-func (s lumaSource) loadInt(blk *[64]int32, info *intLoadInfo, bx, by int) {
-	loadLumaInt(s.r, blk, info, bx, by)
-}
-
-func (s chromaSource) loadInt(blk *[64]int32, info *intLoadInfo, bx, by int) {
-	first, flat := loadChromaInt(s.r, s.cr, blk, bx, by)
-	*info = intLoadInfo{first: first, flat: flat, centered: true}
 }
 
 // sicMaskKey identifies a two-valued block up to quantization: the
@@ -558,6 +499,21 @@ func flatDCFix(first int32, centered bool, qf0 float64) int {
 		v -= 128
 	}
 	return int(math.Round(v * 8 / qf0))
+}
+
+// flatMemo remembers the last flat block's sample value and DC: flat
+// blocks come in runs of one value, so flatDCFix's divide and round run
+// once per run.
+type flatMemo struct {
+	first, dc int32
+	have      bool
+}
+
+func (m *flatMemo) flatDC(first int32, centered bool, qf0 float64) int32 {
+	if !m.have || first != m.first {
+		m.first, m.dc, m.have = first, int32(flatDCFix(first, centered, qf0)), true
+	}
+	return m.dc
 }
 
 // quantQShift is the fixed-point quantizer reciprocal scale. 40 bits

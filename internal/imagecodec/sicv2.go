@@ -185,122 +185,109 @@ func (e *v2Emitter) emitCodedAC(dc int, ac []byte) {
 	e.dst = append(e.dst, ac...)
 }
 
-// emitQuantized routes one quantized block: blocks with no surviving AC
-// energy join the flat-run alphabet, everything else is coded.
-func (e *v2Emitter) emitQuantized(q *[64]int32) {
-	for i := 1; i < 64; i++ {
-		if q[i] != 0 {
-			e.emitCoded(int(q[0]), q)
-			return
-		}
+// emitBlock emits one quantized block: blocks with no surviving AC energy
+// join the flat-run alphabet, everything else is coded.
+func (e *v2Emitter) emitBlock(b *sicBlock) {
+	switch {
+	case b.mv != nil && b.mv.nz > 0:
+		e.emitCodedAC(int(b.mv.q[0]), b.mv.ac)
+	case b.mv != nil:
+		e.emitFlat(int(b.mv.q[0]))
+	case b.flat:
+		e.emitFlat(int(b.q[0]))
+	default:
+		e.emitCoded(int(b.q[0]), &b.q)
 	}
-	e.emitFlat(int(q[0]))
 }
 
-// encodePlaneTokensV2 appends one plane's packed v2 token stream to dst.
-// Per-block arithmetic (load, flatness, DCT, quantize) is byte-for-byte
-// the code v1 ran; only the emission alphabet differs. With workers > 1
-// and enough blocks the compute stage runs data-parallel first, exactly
-// like v1's split, so the stream is identical for every worker count.
-func encodePlaneTokensV2(dst []byte, src blockSource, qt *[64]int, quality, workers int) []byte {
-	w, h := src.dims()
-	bw := (w + 7) / 8
-	bh := (h + 7) / 8
+// quantizeBlock is the encoder's per-block stage after loading: a flat
+// block quantizes its DC directly (first is its sample value), anything
+// else runs the fixed-point DCT and quantizer.
+func quantizeBlock(b *sicBlock, blk *[64]int32, first int32, flat, centered bool, dupRows uint8, pq *planeQuant, memo *flatMemo) {
+	b.mv = nil
+	if flat {
+		b.flat, b.q[0] = true, memo.flatDC(first, centered, pq.qf0)
+		return
+	}
+	dc, nz := quantizeIntBlock(blk, &b.q, pq, dupRows)
+	b.flat, b.q[0] = nz == 0, int32(dc)
+}
+
+// encodeLumaTokensV2 appends the luma plane's packed v2 token stream to
+// dst, one band of blocks at a time: workers load (straight from the RGB
+// raster, so no float plane is built), classify and quantize the band,
+// then the emitter walks it in scan order.
+func encodeLumaTokensV2(dst []byte, r *Raster, qt *[64]int, quality, workers int) []byte {
+	bw, bh := (r.W+7)/8, (r.H+7)/8
 	pq := newPlaneQuant(qt, quality)
 	e := v2Emitter{dst: dst}
-	if workers > 1 && bw*bh >= minParallelBlocks {
-		blocks := getBlocks(bw * bh)
-		quantizeInto(blocks, src, &pq, bw, workers)
-		for bi := range blocks {
-			b := &blocks[bi]
-			if b.flat {
-				e.emitFlat(int(b.q[0]))
-				continue
-			}
-			e.emitQuantized(&b.q)
-		}
-		putBlocks(blocks)
-		e.flushRun()
-		return e.dst
-	}
-	var iblk [64]int32
-	var q [64]int32
-	var info intLoadInfo
-	lastFlatI, lastFlatIDC, haveFlatI := int32(0), 0, false
-	for by := 0; by < bh; by++ {
-		for bx := 0; bx < bw; bx++ {
-			src.loadInt(&iblk, &info, bx, by)
-			if info.flat {
-				if !haveFlatI || info.first != lastFlatI {
-					lastFlatI = info.first
-					lastFlatIDC = flatDCFix(info.first, info.centered, pq.qf0)
-					haveFlatI = true
-				}
-				e.emitFlat(lastFlatIDC)
-				continue
-			}
+	bp := getBlocks(bandRows * bw)
+	var band []sicBlock
+	by0 := 0
+	quantize := func(lo, hi int) {
+		var blk [64]int32
+		var info intLoadInfo
+		var memo flatMemo
+		bx, by := lo%bw, by0+lo/bw
+		for i := lo; i < hi; i++ {
+			loadLumaInt(r, &blk, &info, bx, by)
 			if info.two {
-				v := quantizeTwoValued(&iblk, &info, &pq)
-				if v.nz == 0 {
-					e.emitFlat(int(v.q[0]))
-					continue
-				}
-				e.emitCodedAC(int(v.q[0]), v.ac)
-				continue
+				band[i].mv = quantizeTwoValued(&blk, &info, &pq)
+			} else {
+				quantizeBlock(&band[i], &blk, info.first, info.flat, false, info.dupRows, &pq, &memo)
 			}
-			dc, nz := quantizeIntBlock(&iblk, &q, &pq, info.dupRows)
-			if nz == 0 {
-				e.emitFlat(dc)
-				continue
+			if bx++; bx == bw {
+				bx, by = 0, by+1
 			}
-			e.emitCoded(dc, &q)
 		}
 	}
+	for ; by0 < bh; by0 += bandRows {
+		band = (*bp)[:min(bandRows, bh-by0)*bw]
+		parallel.For(workers, len(band), minChunkBlocks, quantize)
+		for i := range band {
+			e.emitBlock(&band[i])
+		}
+	}
+	putBlocks(bp)
 	e.flushRun()
 	return e.dst
 }
 
-// encodeChromaTokensV2 is the fused Cb+Cr emitter: one pass over the
-// shared source quads, one v2Emitter per plane.
-func encodeChromaTokensV2(cbDst, crDst []byte, r *Raster, qt *[64]int, quality int) ([]byte, []byte) {
-	cw, ch := (r.W+1)/2, (r.H+1)/2
-	bw := (cw + 7) / 8
-	bh := (ch + 7) / 8
+// encodeChromaTokensPairV2 appends the Cb and Cr token streams to cbDst
+// and crDst. The planes share their source quads, so one load per block
+// position fills a Cb band and a Cr band together.
+func encodeChromaTokensPairV2(cbDst, crDst []byte, r *Raster, qt *[64]int, quality, workers int) ([]byte, []byte) {
+	bw, bh := ((r.W+1)/2+7)/8, ((r.H+1)/2+7)/8
 	pq := newPlaneQuant(qt, quality)
-	var cbIBlk, crIBlk [64]int32
-	var q [64]int32
-	cbE := v2Emitter{dst: cbDst}
-	crE := v2Emitter{dst: crDst}
-	type flatMemoI struct {
-		last int32
-		dc   int
-		have bool
-	}
-	var cbMemoI, crMemoI flatMemoI
-	emitInt := func(e *v2Emitter, blk *[64]int32, first int32, flat bool, memo *flatMemoI) {
-		if flat {
-			if !memo.have || first != memo.last {
-				memo.last = first
-				memo.dc = flatDCFix(first, true, pq.qf0)
-				memo.have = true
+	cbE, crE := v2Emitter{dst: cbDst}, v2Emitter{dst: crDst}
+	bp := getBlocks(2 * bandRows * bw)
+	var cbBand, crBand []sicBlock
+	by0 := 0
+	quantize := func(lo, hi int) {
+		var cbBlk, crBlk [64]int32
+		var cbMemo, crMemo flatMemo
+		bx, by := lo%bw, by0+lo/bw
+		for i := lo; i < hi; i++ {
+			fCb, flatCb, fCr, flatCr := loadChromaPairInt(r, &cbBlk, &crBlk, bx, by)
+			quantizeBlock(&cbBand[i], &cbBlk, fCb, flatCb, true, 0, &pq, &cbMemo)
+			quantizeBlock(&crBand[i], &crBlk, fCr, flatCr, true, 0, &pq, &crMemo)
+			if bx++; bx == bw {
+				bx, by = 0, by+1
 			}
-			e.emitFlat(memo.dc)
-			return
-		}
-		dc, nz := quantizeIntBlock(blk, &q, &pq, 0)
-		if nz == 0 {
-			e.emitFlat(dc)
-			return
-		}
-		e.emitCoded(dc, &q)
-	}
-	for by := 0; by < bh; by++ {
-		for bx := 0; bx < bw; bx++ {
-			fCb, flatCb, fCr, flatCr := loadChromaPairInt(r, &cbIBlk, &crIBlk, bx, by)
-			emitInt(&cbE, &cbIBlk, fCb, flatCb, &cbMemoI)
-			emitInt(&crE, &crIBlk, fCr, flatCr, &crMemoI)
 		}
 	}
+	for ; by0 < bh; by0 += bandRows {
+		n := min(bandRows, bh-by0) * bw
+		cbBand, crBand = (*bp)[:n], (*bp)[n:2*n]
+		parallel.For(workers, n, minChunkBlocks, quantize)
+		for i := range cbBand {
+			cbE.emitBlock(&cbBand[i])
+		}
+		for i := range crBand {
+			crE.emitBlock(&crBand[i])
+		}
+	}
+	putBlocks(bp)
 	cbE.flushRun()
 	crE.flushRun()
 	return cbE.dst, crE.dst
@@ -339,66 +326,35 @@ func deflatePlaneV2(dst, tokens []byte) ([]byte, error) {
 	return sw.b, nil
 }
 
-// encodeSICV2 is the v2 encoder behind EncodeSICWorkers. Emission and
-// per-plane compression run on the caller's goroutine when workers <= 1;
-// otherwise the chroma planes emit and compress on their own goroutines
-// while luma keeps the parallel quantize stage, mirroring v1's split.
+// encodeSICV2 is the v2 encoder behind EncodeSICWorkers: the three
+// planes' token streams (Y, then Cb and Cr together), then their flate
+// segments, one plane per worker.
 func encodeSICV2(r *Raster, quality, workers int) ([]byte, error) {
 	lumaQT := quantTable(lumaQBase, quality)
 	chromaQT := quantTable(chromaQBase, quality)
 
-	yTokP, cbTokP, crTokP := getBytes(), getBytes(), getBytes()
-	yCompP, cbCompP, crCompP := getBytes(), getBytes(), getBytes()
-	yTok, cbTok, crTok := (*yTokP)[:0], (*cbTokP)[:0], (*crTokP)[:0]
-	yComp, cbComp, crComp := (*yCompP)[:0], (*cbCompP)[:0], (*crCompP)[:0]
-	release := func() {
-		*yTokP, *cbTokP, *crTokP = yTok, cbTok, crTok
-		*yCompP, *cbCompP, *crCompP = yComp, cbComp, crComp
-		putBytes(yTokP)
-		putBytes(cbTokP)
-		putBytes(crTokP)
-		putBytes(yCompP)
-		putBytes(cbCompP)
-		putBytes(crCompP)
+	var tok, comp [3]*[]byte
+	for i := range tok {
+		tok[i], comp[i] = getBytes(), getBytes()
 	}
-
-	var yErr, cbErr, crErr error
-	if workers <= 1 {
-		yTok = encodePlaneTokensV2(yTok, lumaSource{r}, &lumaQT, quality, 1)
-		cbTok, crTok = encodeChromaTokensV2(cbTok, crTok, r, &chromaQT, quality)
-		yComp, yErr = deflatePlaneV2(yComp, yTok)
-		if yErr == nil {
-			cbComp, cbErr = deflatePlaneV2(cbComp, cbTok)
+	defer func() {
+		for i := range tok {
+			putBytes(tok[i])
+			putBytes(comp[i])
 		}
-		if yErr == nil && cbErr == nil {
-			crComp, crErr = deflatePlaneV2(crComp, crTok)
+	}()
+	*tok[0] = encodeLumaTokensV2((*tok[0])[:0], r, &lumaQT, quality, workers)
+	*tok[1], *tok[2] = encodeChromaTokensPairV2((*tok[1])[:0], (*tok[2])[:0], r, &chromaQT, quality, workers)
+	var errs [3]error
+	parallel.For(workers, len(tok), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			*comp[i], errs[i] = deflatePlaneV2((*comp[i])[:0], *tok[i])
 		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			cbTok = encodePlaneTokensV2(cbTok, chromaSource{r: r}, &chromaQT, quality, 1)
-			cbComp, cbErr = deflatePlaneV2(cbComp, cbTok)
-		}()
-		go func() {
-			defer wg.Done()
-			crTok = encodePlaneTokensV2(crTok, chromaSource{r: r, cr: true}, &chromaQT, quality, 1)
-			crComp, crErr = deflatePlaneV2(crComp, crTok)
-		}()
-		yTok = encodePlaneTokensV2(yTok, lumaSource{r}, &lumaQT, quality, workers)
-		yComp, yErr = deflatePlaneV2(yComp, yTok)
-		wg.Wait()
-	}
-	if yErr != nil || cbErr != nil || crErr != nil {
-		release()
-		if yErr != nil {
-			return nil, yErr
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		if cbErr != nil {
-			return nil, cbErr
-		}
-		return nil, crErr
 	}
 
 	var hdr [13]byte
@@ -407,16 +363,15 @@ func encodeSICV2(r *Raster, quality, workers int) ([]byte, error) {
 	binary.BigEndian.PutUint32(hdr[8:12], uint32(r.H))
 	hdr[12] = byte(quality)
 	total := len(hdr)
-	for _, comp := range [3][]byte{yComp, cbComp, crComp} {
-		total += uvarintLen(uint64(len(comp))) + len(comp)
+	for _, c := range comp {
+		total += uvarintLen(uint64(len(*c))) + len(*c)
 	}
 	out := make([]byte, 0, total)
 	out = append(out, hdr[:]...)
-	for _, comp := range [3][]byte{yComp, cbComp, crComp} {
-		out = appendUvarint(out, uint64(len(comp)))
-		out = append(out, comp...)
+	for _, c := range comp {
+		out = appendUvarint(out, uint64(len(*c)))
+		out = append(out, *c...)
 	}
-	release()
 	return out, nil
 }
 
@@ -428,29 +383,6 @@ func uvarintLen(u uint64) int {
 		n++
 	}
 	return n
-}
-
-// dequantStoreBlocks runs the data-parallel back half of plane decoding
-// — dequantize, inverse DCT, store — over parsed blocks. Each block
-// writes a disjoint pixel region, so reconstruction is identical for any
-// worker count.
-func dequantStoreBlocks(p *plane, blocks []sicBlock, bw int, qt *[64]int, qz *[64]int, workers int) {
-	parallel.For(workers, len(blocks), 1, func(lo, hi int) {
-		var blk [64]float64
-		for bi := lo; bi < hi; bi++ {
-			by, bx := bi/bw, bi%bw
-			b := &blocks[bi]
-			if b.flat {
-				storeFlat(p, float64(int(b.q[0])*qt[0])/8+128, bx, by)
-				continue
-			}
-			for i := 0; i < 64; i++ {
-				blk[zigzag[i]] = float64(int(b.q[i]) * qz[i])
-			}
-			idctBlock(&blk)
-			storeBlock(p, &blk, bx, by)
-		}
-	})
 }
 
 var (
@@ -513,108 +445,74 @@ func parseACv2(c *byteCursor, q *[64]int32) (int, error) {
 	}
 }
 
-// decodePlaneV2 reverses encodePlaneTokensV2 over one plane's inflated
-// token buffer. The fused serial path dequantizes straight into one
-// scratch block; with workers > 1 the serial parse fills a block buffer
-// whose dequantize/IDCT/store stage runs data-parallel. Flat runs repeat
-// the previous DC, so a run costs one storeFlat per block and no
-// arithmetic. The returned plane comes from planePool.
+// decodePlaneV2 reverses the encoder over one plane's inflated token
+// buffer. The serial parse fills a band of blocks; each full band, and
+// the last one, goes to the workers to dequantize, inverse transform and
+// store, every block into its own pixel region. A flat run repeats the
+// previous DC, so it costs its blocks a DC store each and no arithmetic.
+// The returned plane comes from planePool.
 func decodePlaneV2(c *byteCursor, w, h int, qt *[64]int, workers int) (*plane, error) {
-	bw := (w + 7) / 8
-	bh := (h + 7) / 8
+	bw, bh := (w+7)/8, (h+7)/8
 	nblocks := bw * bh
-	var qz [64]int
-	for i := 0; i < 64; i++ {
-		qz[i] = qt[zigzag[i]]
-	}
 	p := getPlane(w, h)
 	fail := func(err error) (*plane, error) {
 		putPlane(p)
 		return nil, err
 	}
-	if workers > 1 && nblocks >= minParallelBlocks {
-		blocks := getBlocks(nblocks)
-		prevDC := 0
-		bi := 0
-		for bi < nblocks {
-			tag, err := c.readByte()
-			if err != nil {
-				putBlocks(blocks)
-				return fail(fmt.Errorf("imagecodec: truncated block tag: %w", err))
-			}
-			switch {
-			case tag <= v2TagRunMax, tag == v2TagLongRun:
-				n := int(tag) + 1
-				if tag == v2TagLongRun {
-					u, err := c.readUvarint()
-					if err != nil {
-						putBlocks(blocks)
-						return fail(fmt.Errorf("imagecodec: truncated run length: %w", err))
-					}
-					if u == 0 || u > uint64(nblocks) {
-						putBlocks(blocks)
-						return fail(errV2Run)
-					}
-					n = int(u)
-				}
-				if bi+n > nblocks {
-					putBlocks(blocks)
-					return fail(errV2Run)
-				}
-				for ; n > 0; n-- {
-					b := &blocks[bi]
-					b.flat = true
-					b.q[0] = int32(prevDC)
-					bi++
-				}
-			case tag == v2TagFlatDC:
-				d, err := c.readVarint()
-				if err != nil {
-					putBlocks(blocks)
-					return fail(fmt.Errorf("imagecodec: truncated DC: %w", err))
-				}
-				prevDC += d
-				b := &blocks[bi]
-				b.flat = true
-				b.q[0] = int32(prevDC)
-				bi++
-			case tag == v2TagCoded:
-				d, err := c.readVarint()
-				if err != nil {
-					putBlocks(blocks)
-					return fail(fmt.Errorf("imagecodec: truncated DC: %w", err))
-				}
-				prevDC += d
-				b := &blocks[bi]
-				b.q = [64]int32{}
-				b.q[0] = int32(prevDC)
-				nz, err := parseACv2(c, &b.q)
-				if err != nil {
-					putBlocks(blocks)
-					return fail(err)
-				}
-				b.flat = nz == 0
-				bi++
-			default:
-				putBlocks(blocks)
-				return fail(errV2Tag)
-			}
-		}
-		if c.i != len(c.b) {
-			putBlocks(blocks)
-			return fail(errV2Extra)
-		}
-		dequantStoreBlocks(p, blocks, bw, qt, &qz, workers)
-		putBlocks(blocks)
-		return p, nil
+	bp := getBlocks(min(bandRows, bh) * bw)
+	defer putBlocks(bp)
+	band := *bp
+	// The workers learn where the band sits through cur, which the parse
+	// loop moves down the plane: one allocation per plane, not per band.
+	cur := &struct {
+		qz   [64]int // qt in zigzag order
+		base int     // plane index of band[0]
+	}{}
+	for i := range cur.qz {
+		cur.qz[i] = qt[zigzag[i]]
 	}
-	var blk [64]float64
+	store := func(lo, hi int) {
+		var blk [64]float64
+		qz := &cur.qz
+		bx, by := (cur.base+lo)%bw, (cur.base+lo)/bw
+		flatDC, flatVal := 0, float64(128) // the fill for a DC of 0
+		for i := lo; i < hi; i++ {
+			if b := &band[i]; b.flat {
+				if dc := int(b.q[0]); dc != flatDC {
+					flatDC, flatVal = dc, float64(dc*qz[0])/8+128
+				}
+				storeFlat(p, flatVal, bx, by)
+			} else {
+				blk[0] = float64(int(b.q[0]) * qz[0])
+				for k := 1; k < 64; k++ {
+					if b.q[k] != 0 {
+						blk[zigzag[k]] = float64(int(b.q[k]) * qz[k])
+					}
+				}
+				idctBlock(&blk)
+				storeBlock(p, &blk, bx, by)
+				blk = [64]float64{}
+			}
+			if bx++; bx == bw {
+				bx, by = 0, by+1
+			}
+		}
+	}
+	next := 0 // band slot of block bi
 	prevDC := 0
-	// flatVal memoizes the constant fill for the current DC (dc=0 -> 128).
-	flatVal := float64(128)
-	flatDC := 0
-	bi := 0
-	for bi < nblocks {
+	run := 0 // blocks of the current flat run still to place
+	for bi := 0; bi < nblocks; bi++ {
+		if next == len(band) {
+			parallel.For(workers, len(band), minChunkBlocks, store)
+			cur.base, next = bi, 0
+		}
+		b := &band[next]
+		next++
+		if run > 0 {
+			b.flat, b.q[0] = true, int32(prevDC)
+			run--
+			continue
+		}
 		tag, err := c.readByte()
 		if err != nil {
 			return fail(fmt.Errorf("imagecodec: truncated block tag: %w", err))
@@ -635,56 +533,28 @@ func decodePlaneV2(c *byteCursor, w, h int, qt *[64]int, workers int) (*plane, e
 			if bi+n > nblocks {
 				return fail(errV2Run)
 			}
-			if prevDC != flatDC {
-				flatDC = prevDC
-				flatVal = float64(flatDC*qt[0])/8 + 128
-			}
-			for ; n > 0; n-- {
-				storeFlat(p, flatVal, bi%bw, bi/bw)
-				bi++
-			}
+			b.flat, b.q[0] = true, int32(prevDC)
+			run = n - 1
 		case tag == v2TagFlatDC:
 			d, err := c.readVarint()
 			if err != nil {
 				return fail(fmt.Errorf("imagecodec: truncated DC: %w", err))
 			}
 			prevDC += d
-			if prevDC != flatDC {
-				flatDC = prevDC
-				flatVal = float64(flatDC*qt[0])/8 + 128
-			}
-			storeFlat(p, flatVal, bi%bw, bi/bw)
-			bi++
+			b.flat, b.q[0] = true, int32(prevDC)
 		case tag == v2TagCoded:
 			d, err := c.readVarint()
 			if err != nil {
 				return fail(fmt.Errorf("imagecodec: truncated DC: %w", err))
 			}
 			prevDC += d
-			var q [64]int32
-			nz, err := parseACv2(c, &q)
+			b.q = [64]int32{}
+			b.q[0] = int32(prevDC)
+			nz, err := parseACv2(c, &b.q)
 			if err != nil {
 				return fail(err)
 			}
-			if nz == 0 {
-				if prevDC != flatDC {
-					flatDC = prevDC
-					flatVal = float64(flatDC*qt[0])/8 + 128
-				}
-				storeFlat(p, flatVal, bi%bw, bi/bw)
-				bi++
-				continue
-			}
-			blk[0] = float64(prevDC * qz[0])
-			for i := 1; i < 64; i++ {
-				if q[i] != 0 {
-					blk[zigzag[i]] = float64(int(q[i]) * qz[i])
-				}
-			}
-			idctBlock(&blk)
-			storeBlock(p, &blk, bi%bw, bi/bw)
-			blk = [64]float64{}
-			bi++
+			b.flat = nz == 0
 		default:
 			return fail(errV2Tag)
 		}
@@ -692,6 +562,7 @@ func decodePlaneV2(c *byteCursor, w, h int, qt *[64]int, workers int) (*plane, e
 	if c.i != len(c.b) {
 		return fail(errV2Extra)
 	}
+	parallel.For(workers, next, minChunkBlocks, store)
 	return p, nil
 }
 

@@ -1,8 +1,11 @@
-// Package parallel holds the one data-parallel loop the kernels share
-// (SIC block stages and cell packing, photo rows, the FM chain's
-// per-sample stages). Callers size the pool themselves, normally from
-// runtime.GOMAXPROCS(0); every stage built on For writes dst[i] from
-// src[i], so its output is byte-identical at any worker count.
+// Package parallel holds the one data-parallel loop the kernels share:
+// the SIC block stages (a band of block rows at a time) and plane
+// compression, cell packing, photo rows, the FM chain's per-sample
+// stages, the OFDM modem's symbol pairs, frame decoding, and the
+// fleet's and server's per-page and per-tower work. Callers size the
+// pool themselves, normally from runtime.GOMAXPROCS(0); every stage
+// built on For writes dst[i] from src[i], so its output is
+// byte-identical at any worker count.
 package parallel
 
 import "sync"

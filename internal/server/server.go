@@ -29,6 +29,7 @@ import (
 	"sonic/internal/core"
 	"sonic/internal/corpus"
 	"sonic/internal/imagecodec"
+	"sonic/internal/parallel"
 	"sonic/internal/routing"
 	"sonic/internal/sms"
 	"sonic/internal/telemetry"
@@ -512,40 +513,25 @@ func (s *Server) QueueDepth(transmitterID string) (int, int) {
 // counts (TowerDemand) dominate, static corpus popularity is the
 // cold-start fallback and tiebreaker, so the push tracks what each
 // region actually requests. A page already pending on a transmitter is
-// not queued twice. Towers run concurrently on a bounded pool — each
+// not queued twice. Towers are split across GOMAXPROCS workers — each
 // tower's enqueue order stays its ranked order, so per-tower queue
 // contents are identical to a serial walk — and a page popular on 64
-// towers renders once.
+// towers renders once. Every tower is pushed; the error returned is the
+// first in tower order.
 func (s *Server) PushPopular(n int, now time.Time) error {
 	towers := s.Transmitters()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(towers) {
-		workers = len(towers)
+	errs := make([]error, len(towers))
+	parallel.For(runtime.GOMAXPROCS(0), len(towers), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			errs[i] = s.pushPopularTower(towers[i], n, now)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	for _, tx := range towers {
-		wg.Add(1)
-		go func(tx Transmitter) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := s.pushPopularTower(tx, n, now); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-		}(tx)
-	}
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // pushPopularTower is one tower's share of PushPopular: rank, then hand
