@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -28,9 +29,15 @@ import (
 	"sonic/internal/telemetry"
 )
 
+// experimentNames are the -exp values: "all" and each experiment's name.
+var experimentNames = []string{
+	"all", "fig1", "fig4a", "fig4b", "fig4c", "rssi", "fig5",
+	"rate", "baseline", "compression", "ablation",
+}
+
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: all|fig1|fig4a|fig4b|fig4c|rssi|fig5|rate|baseline|compression|ablation")
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|"))
 		quick   = flag.Bool("quick", false, "reduced workload for a fast pass")
 		out     = flag.String("out", "", "directory for image artifacts (fig1)")
 		csvDir  = flag.String("csv", "", "directory for plotting-ready CSV exports")
@@ -38,6 +45,11 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	)
 	flag.Parse()
+	if !slices.Contains(experimentNames, *exp) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -227,14 +239,6 @@ func main() {
 		return nil
 	})
 
-	if !flag.Parsed() {
-		flag.Usage()
-	}
-	if !strings.Contains("all fig1 fig4a fig4b fig4c rssi fig5 rate baseline compression ablation", *exp) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
-
 	// Alongside the CSV exports, drop a per-stage telemetry snapshot of
 	// one instrumented end-to-end run so stage latency breakdowns ride
 	// with the experiment data.
@@ -266,13 +270,6 @@ func writeTelemetrySnapshot(dir string) error {
 	}
 	fmt.Printf("wrote per-stage telemetry snapshot to %s\n", path)
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // writePNG saves a raster panel to disk.

@@ -65,25 +65,19 @@ func main() {
 		os.Exit(1)
 	}
 	pipe.Instrument(reg)
+	// -rate is the FEC-coded channel rate; framing takes its share on
+	// top, so a page's bytes air at the pipeline's net goodput scaled to
+	// that channel — the rate behind AirtimeSeconds and the server's ETAs.
+	payloadBps := pipe.NetGoodputBps() * *rate / pipe.TransportRateBps()
 	rng := rand.New(rand.NewSource(*seed))
 	pages := corpus.Pages()
-	size := func(ref corpus.PageRef, hour int) int {
-		h := 0
-		for _, c := range ref.URL {
-			h = h*31 + int(c)
-		}
-		if h < 0 {
-			h = -h
-		}
-		return 90*1024 + h%(65*1024)
-	}
 
-	car, err := broadcast.CorpusCarousel(pages, size, broadcast.PolicySqrt)
+	car, err := broadcast.CorpusCarousel(pages, broadcast.ModelSize, broadcast.PolicySqrt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	car.Instrument(reg, *rate)
+	car.Instrument(reg, payloadBps)
 
 	// Listener state: which page each listener last received and when.
 	type listener struct {
@@ -108,7 +102,7 @@ func main() {
 	}
 
 	// Broadcast loop: schedule pages with the carousel; each transmission
-	// takes airtime = bytes*8/rate seconds; listeners capture it if no
+	// takes airtime = bytes*8/payloadBps seconds; listeners capture it if no
 	// frame of the bitstream is lost (bitstream transport: all or
 	// nothing per page).
 	sched := car.Schedule(100000)
@@ -141,8 +135,8 @@ func main() {
 		}
 		e := entries[idx]
 		hour := int(simT / 3600)
-		bytes := size(e.Ref, hour)
-		air := float64(bytes) * 8 / *rate
+		bytes := broadcast.ModelSize(e.Ref, hour)
+		air := float64(bytes) * 8 / payloadBps
 		airStart := simT
 		simT += air
 		transmission++
@@ -195,7 +189,7 @@ func main() {
 
 	// --- report -----------------------------------------------------------
 	fmt.Printf("sonic-sim: %d h at %.0f kbps (net %.1f kbps page goodput), %d listeners (%d%% uplink)\n",
-		*hours, *rate/1000, pipe.NetGoodputBps()/1000, *listeners, *uplinkPct)
+		*hours, *rate/1000, payloadBps/1000, *listeners, *uplinkPct)
 	fmt.Printf("transmissions: %d pages aired (%.1f/hour)\n",
 		transmission, float64(transmission)/float64(*hours))
 	distinct := len(freshAt)
@@ -224,7 +218,7 @@ func main() {
 	} else {
 		fmt.Println("no uplink requests were satisfied in the horizon")
 	}
-	wait := car.ExpectedWaitSeconds(*rate)
+	wait := car.ExpectedWaitSeconds(payloadBps)
 	fmt.Printf("carousel expected wait for a random popular page: %s\n",
 		time.Duration(wait*float64(time.Second)).Round(time.Second))
 

@@ -15,25 +15,13 @@ import (
 )
 
 func main() {
-	sizeFn := func(ref corpus.PageRef, hour int) int {
-		// Q10/PH10k regime (~90-155 KB), deterministic per page.
-		h := 0
-		for _, c := range ref.URL {
-			h = h*31 + int(c)
-		}
-		if h < 0 {
-			h = -h
-		}
-		return 90*1024 + h%(65*1024)
-	}
-
 	for _, rate := range []float64{10000, 20000, 40000} {
 		res, err := sonic.SimulateBacklog(sonic.BacklogConfig{
 			Pages:       corpus.Pages(),
 			RateBps:     rate,
 			Hours:       48,
 			StepMinutes: 30,
-			Size:        sizeFn,
+			Size:        broadcast.ModelSize,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -17,9 +17,8 @@
 //     entry; a new key appends; a shard at MaxPending rejects with a
 //     *SaturatedError carrying a retry-after hint instead of queueing
 //     unboundedly or stalling the SMSC handler.
-//   - Flushes are triggered three ways: a shard reaching MaxBatch
-//     distinct keys kicks its worker; the wall-clock flusher fires
-//     every FlushEvery (when enabled); and Flush() drains synchronously
+//   - Flushes are triggered two ways: a shard reaching MaxBatch
+//     distinct keys kicks its worker, and Flush() drains synchronously
 //     for clock-driven simulations. Batches reach the sink in first-
 //     arrival order.
 //
@@ -47,35 +46,27 @@ type Config struct {
 	// The package itself ignores it; it lives here so server.Config can
 	// embed one knob.
 	Enabled bool
-	// Shards is the number of lock stripes (rounded up to 1).
-	Shards int
 	// MaxBatch flushes a shard once it holds this many distinct
 	// (URL, tower, hour) keys.
 	MaxBatch int
 	// MaxPending bounds the total requests (including coalesced
 	// duplicates) a shard may hold; beyond it Submit rejects.
 	MaxPending int
-	// FlushEvery is the wall-clock upper bound on how long an admitted
-	// request waits before its batch flushes. 0 disables the background
-	// flusher: batches then move on MaxBatch kicks and explicit Flush()
-	// calls only (the mode clock-driven simulations use).
-	FlushEvery time.Duration
 	// RetryAfter is the hint a rejected caller gets.
 	RetryAfter time.Duration
 }
 
+// numShards is the number of lock stripes a Queue holds.
+const numShards = 8
+
 // Defaults for Config's zero fields.
 const (
-	DefaultShards     = 8
 	DefaultMaxBatch   = 64
 	DefaultMaxPending = 4096
 	DefaultRetryAfter = 5 * time.Second
 )
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = DefaultShards
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
 	}
@@ -181,7 +172,7 @@ func New(cfg Config, sink Sink) *Queue {
 	q := &Queue{
 		cfg:    cfg,
 		sink:   sink,
-		shards: make([]*qshard, cfg.Shards),
+		shards: make([]*qshard, numShards),
 		stop:   make(chan struct{}),
 	}
 	for i := range q.shards {
@@ -208,7 +199,7 @@ func (q *Queue) Instrument(reg *telemetry.Registry) {
 	q.mRejected = reg.Counter("admission_rejected_total")
 	q.mBatches = reg.Counter("admission_batches_total")
 	q.mFlushed = reg.Counter("admission_flushed_requests_total")
-	q.hBatch = reg.Histogram("admission_batch_size", telemetry.ExpBuckets(1, 2, 14))
+	q.hBatch = reg.Histogram("admission_batch_size", telemetry.CountBuckets)
 	q.gPending = reg.Gauge("admission_pending_requests")
 	q.perShard = make([]*telemetry.Counter, len(q.shards))
 	for i := range q.shards {
@@ -318,24 +309,15 @@ func (q *Queue) Pending() int {
 	return n
 }
 
-// worker is one shard's flush loop: MaxBatch kicks plus the optional
-// wall-clock flusher.
+// worker is one shard's flush loop, woken by MaxBatch kicks.
 func (q *Queue) worker(sh *qshard) {
 	defer q.wg.Done()
-	var tick <-chan time.Time
-	if q.cfg.FlushEvery > 0 {
-		t := time.NewTicker(q.cfg.FlushEvery)
-		defer t.Stop()
-		tick = t.C
-	}
 	for {
 		select {
 		case <-q.stop:
 			q.flushShard(sh)
 			return
 		case <-sh.kick:
-			q.flushShard(sh)
-		case <-tick:
 			q.flushShard(sh)
 		}
 	}

@@ -36,7 +36,7 @@ func req(url, tower string, eff int) Request {
 
 func TestCoalescingAndFlushOrder(t *testing.T) {
 	var c collector
-	q := New(Config{Shards: 1, MaxBatch: 100}, c.sink)
+	q := New(Config{MaxBatch: 100}, c.sink)
 	defer q.Close()
 
 	for i := 0; i < 5; i++ {
@@ -79,7 +79,7 @@ func TestCoalescingAndFlushOrder(t *testing.T) {
 
 func TestCoalescedReturnValue(t *testing.T) {
 	var c collector
-	q := New(Config{Shards: 1}, c.sink)
+	q := New(Config{}, c.sink)
 	defer q.Close()
 	co, err := q.Submit(req("a.pk/", "tx-1", 0))
 	if err != nil || co {
@@ -93,7 +93,7 @@ func TestCoalescedReturnValue(t *testing.T) {
 
 func TestMaxBatchKicksFlush(t *testing.T) {
 	var c collector
-	q := New(Config{Shards: 1, MaxBatch: 4}, c.sink)
+	q := New(Config{MaxBatch: 4}, c.sink)
 	defer q.Close()
 	for i := 0; i < 4; i++ {
 		if _, err := q.Submit(req(fmt.Sprintf("p%d.pk/", i), "tx-1", 0)); err != nil {
@@ -110,26 +110,9 @@ func TestMaxBatchKicksFlush(t *testing.T) {
 	}
 }
 
-func TestFlushEveryBackgroundFlush(t *testing.T) {
-	var c collector
-	q := New(Config{Shards: 1, MaxBatch: 1000, FlushEvery: 5 * time.Millisecond}, c.sink)
-	defer q.Close()
-	if _, err := q.Submit(req("a.pk/", "tx-1", 0)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(5 * time.Second)
-	for len(c.snapshot()) == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("time-triggered flush never happened")
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
 func TestBackpressureRejectsWithRetryAfter(t *testing.T) {
 	var c collector
-	q := New(Config{Shards: 1, MaxBatch: 1000, MaxPending: 3, RetryAfter: 7 * time.Second}, c.sink)
+	q := New(Config{MaxBatch: 1000, MaxPending: 3, RetryAfter: 7 * time.Second}, c.sink)
 	defer q.Close()
 	for i := 0; i < 3; i++ {
 		if _, err := q.Submit(req(fmt.Sprintf("p%d.pk/", i), "tx-1", 0)); err != nil {
@@ -162,7 +145,7 @@ func TestBackpressureRejectsWithRetryAfter(t *testing.T) {
 // accepted request exactly once.
 func TestConcurrentHerdConservation(t *testing.T) {
 	var got atomic.Int64
-	q := New(Config{Shards: 4, MaxBatch: 8, MaxPending: 1 << 20}, func(b Batch) {
+	q := New(Config{MaxBatch: 8, MaxPending: 1 << 20}, func(b Batch) {
 		got.Add(int64(b.Count))
 	})
 	const workers = 16
@@ -208,7 +191,7 @@ func TestTracesRideTheBatch(t *testing.T) {
 	reg := telemetry.New()
 	lc := telemetry.NewLifecycle(reg, telemetry.LifecycleConfig{})
 	var c collector
-	q := New(Config{Shards: 1}, c.sink)
+	q := New(Config{}, c.sink)
 	defer q.Close()
 	for i := 0; i < 3; i++ {
 		r := req("a.pk/", "tx-1", 0)
@@ -227,7 +210,7 @@ func TestTracesRideTheBatch(t *testing.T) {
 func TestInstrumentCounters(t *testing.T) {
 	reg := telemetry.New()
 	var c collector
-	q := New(Config{Shards: 2, MaxBatch: 1000, MaxPending: 2}, c.sink)
+	q := New(Config{MaxBatch: 1000, MaxPending: 2}, c.sink)
 	q.Instrument(reg)
 	defer q.Close()
 
@@ -272,7 +255,7 @@ func TestInstrumentCounters(t *testing.T) {
 
 func TestCloseDrainsPending(t *testing.T) {
 	var c collector
-	q := New(Config{Shards: 2, MaxBatch: 1000}, c.sink)
+	q := New(Config{MaxBatch: 1000}, c.sink)
 	for i := 0; i < 10; i++ {
 		if _, err := q.Submit(req(fmt.Sprintf("p%d.pk/", i), fmt.Sprintf("tx-%d", i%3), 0)); err != nil {
 			t.Fatal(err)
@@ -294,7 +277,7 @@ func TestCloseDrainsPending(t *testing.T) {
 // pays for its entry and FIFO slot; every coalesced follower is a map
 // hit plus counter bumps.
 func TestSubmitCoalescedAllocFree(t *testing.T) {
-	q := New(Config{Shards: 1, MaxBatch: 1 << 30, MaxPending: 1 << 30}, func(Batch) {})
+	q := New(Config{MaxBatch: 1 << 30, MaxPending: 1 << 30}, func(Batch) {})
 	defer q.Close()
 	seed := req("page.pk/", "tx-0", 1)
 	if _, err := q.Submit(seed); err != nil {
@@ -336,7 +319,7 @@ func TestCloseIdempotentAndLeakFree(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for cycle := 0; cycle < 5; cycle++ {
 		var c collector
-		q := New(Config{Shards: 4, MaxBatch: 1000, FlushEvery: time.Millisecond}, c.sink)
+		q := New(Config{MaxBatch: 1000}, c.sink)
 		for i := 0; i < 8; i++ {
 			if _, err := q.Submit(req(fmt.Sprintf("p%d.pk/", i), fmt.Sprintf("tx-%d", i%3), 0)); err != nil {
 				t.Fatal(err)
@@ -372,7 +355,7 @@ func TestCloseIdempotentAndLeakFree(t *testing.T) {
 // first-arrival order, and the queue is empty afterwards.
 func TestFlushConcurrentMatchesFlush(t *testing.T) {
 	var c collector
-	q := New(Config{Shards: 8, MaxBatch: 1 << 30, MaxPending: 1 << 30}, c.sink)
+	q := New(Config{MaxBatch: 1 << 30, MaxPending: 1 << 30}, c.sink)
 	defer q.Close()
 
 	// 40 distinct keys over 10 towers, each submitted 1+i%3 times.

@@ -522,8 +522,8 @@ func TestChainKeySeparation(t *testing.T) {
 }
 
 // TestConfigDigest pins the digest contract: the receive-side
-// soft-decision knob does not change emitted bytes and is excluded;
-// quality, cell tolerance, the FEC stack and the modem are included.
+// soft-decision knob does not change emitted bytes and is excluded; the
+// FEC stack and the modem are included.
 func TestConfigDigest(t *testing.T) {
 	base := core.DefaultConfig()
 	d := base.Digest()
@@ -531,16 +531,6 @@ func TestConfigDigest(t *testing.T) {
 	soft.SoftDecision = true
 	if soft.Digest() != d {
 		t.Fatalf("SoftDecision (receive-only) changed the digest")
-	}
-	q := base
-	q.Quality = 20
-	if q.Digest() == d {
-		t.Fatalf("Quality did not change the digest")
-	}
-	tol := base
-	tol.CellTolerance = 8
-	if tol.Digest() == d {
-		t.Fatalf("CellTolerance did not change the digest")
 	}
 	rs := base
 	rs.UseRS = false

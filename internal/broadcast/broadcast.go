@@ -15,6 +15,20 @@ import (
 // SIC-encoded bundle size; the harness plugs in measured values).
 type SizeFunc func(ref corpus.PageRef, hour int) int
 
+// ModelSize is the SizeFunc the simulators use where no measured size is
+// at hand: 90–155 KB, the Q10/PH10k regime of Fig. 4(b), fixed per URL
+// by a string hash and the same at every hour.
+func ModelSize(ref corpus.PageRef, _ int) int {
+	h := 0
+	for _, c := range ref.URL {
+		h = h*31 + int(c)
+	}
+	if h < 0 {
+		h = -h
+	}
+	return 90*1024 + h%(65*1024)
+}
+
 // Config parameterizes one simulation run.
 type Config struct {
 	Pages       []corpus.PageRef

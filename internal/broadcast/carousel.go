@@ -52,7 +52,7 @@ func (c *Carousel) Instrument(reg *telemetry.Registry, rateBps float64) {
 	}
 	c.mDepth.Set(float64(len(c.entries)))
 	if rateBps > 0 {
-		h := reg.Histogram("broadcast_expected_wait_seconds", telemetry.SecondsBuckets)
+		h := reg.Histogram("broadcast_expected_wait_seconds", telemetry.WaitBuckets)
 		var worst float64
 		for _, e := range c.entries {
 			airSec := float64(e.Bytes) * 8 / rateBps

@@ -70,8 +70,7 @@ func TestSqrtPolicyFavorsDemand(t *testing.T) {
 func TestSqrtPolicyBeatsFlatOnExpectedWait(t *testing.T) {
 	// The broadcast-disk result: sqrt allocation lowers demand-weighted
 	// expected wait whenever demand is skewed.
-	size := func(ref corpus.PageRef, hour int) int { return modelSizeForTest(ref.URL) }
-	flat, opt, err := CompareCarouselPolicies(corpus.Pages(), size, 10000)
+	flat, opt, err := CompareCarouselPolicies(corpus.Pages(), ModelSize, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,17 +82,6 @@ func TestSqrtPolicyBeatsFlatOnExpectedWait(t *testing.T) {
 		t.Errorf("improvement only %.2fx on a Zipf corpus", improvement)
 	}
 	t.Logf("expected wait at 10kbps: flat %.0fs, sqrt %.0fs (%.1fx)", flat, opt, improvement)
-}
-
-func modelSizeForTest(url string) int {
-	h := 0
-	for _, c := range url {
-		h = h*31 + int(c)
-	}
-	if h < 0 {
-		h = -h
-	}
-	return 90*1024 + h%(65*1024)
 }
 
 func TestScheduleProportions(t *testing.T) {

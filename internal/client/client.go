@@ -8,10 +8,10 @@ package client
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
-	"sonic/internal/cache"
 	"sonic/internal/clickmap"
 	"sonic/internal/core"
 	"sonic/internal/imagecodec"
@@ -38,15 +38,27 @@ type Config struct {
 	ScreenWidth int     // pixels; drives the §3.2 scaling factor
 	Lat, Lon    float64 // reported with each request
 	Capability  Capability
-	CacheBytes  int // page cache bound (0 = unbounded)
 }
+
+// cachedPage is one received page: what the broadcast carried, the
+// expiry the server set (§3.1), and the server's popularity hint that
+// orders the catalog. It is never mutated once stored; a rebroadcast
+// replaces it.
+type cachedPage struct {
+	image, clickMap []byte
+	expires         time.Time
+	popularity      float64
+}
+
+// fresh reports whether the page may still be shown at now.
+func (p *cachedPage) fresh(now time.Time) bool { return !now.After(p.expires) }
 
 // Client is a SONIC end-user device.
 type Client struct {
 	cfg Config
 
 	mu      sync.Mutex
-	pages   *cache.Cache
+	pages   map[string]*cachedPage
 	pending map[string]time.Time // URL -> ack ETA deadline
 	smsc    *sms.SMSC
 
@@ -76,7 +88,7 @@ func New(cfg Config) *Client {
 	}
 	return &Client{
 		cfg:     cfg,
-		pages:   cache.New(cfg.CacheBytes),
+		pages:   make(map[string]*cachedPage),
 		pending: make(map[string]time.Time),
 	}
 }
@@ -109,14 +121,12 @@ func (c *Client) ScalingFactor() float64 {
 func (c *Client) HandleBroadcast(url string, b core.Bundle, now time.Time, ttl time.Duration, popularity float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.pages.Put(&cache.Entry{
-		URL:        url,
-		Data:       b.Image,
-		ClickMap:   b.ClickMap,
-		StoredAt:   now,
-		ExpiresAt:  now.Add(ttl),
-		Popularity: popularity,
-	})
+	c.pages[url] = &cachedPage{
+		image:      b.Image,
+		clickMap:   b.ClickMap,
+		expires:    now.Add(ttl),
+		popularity: popularity,
+	}
 	delete(c.pending, url)
 	c.mReceived.Inc()
 	c.lc.DeliveredAt(url, now)
@@ -140,18 +150,18 @@ var (
 // device screen.
 func (c *Client) Open(url string, now time.Time) (*Page, error) {
 	c.mu.Lock()
-	e, ok := c.pages.Get(url, now)
+	e, ok := c.pages[url]
 	c.mu.Unlock()
-	if !ok {
+	if !ok || !e.fresh(now) {
 		return nil, ErrNotCached
 	}
-	img, err := imagecodec.DecodeSIC(e.Data)
+	img, err := imagecodec.DecodeSIC(e.image)
 	if err != nil {
 		return nil, fmt.Errorf("client: decode %s: %w", url, err)
 	}
 	var cm clickmap.Map
-	if len(e.ClickMap) > 0 {
-		if err := cm.UnmarshalJSON(e.ClickMap); err != nil {
+	if len(e.clickMap) > 0 {
+		if err := cm.UnmarshalJSON(e.clickMap); err != nil {
 			return nil, err
 		}
 	}
@@ -164,14 +174,25 @@ func (c *Client) Open(url string, now time.Time) (*Page, error) {
 	}, nil
 }
 
-// Catalog lists cached, fresh pages (most popular first).
+// Catalog lists cached, fresh pages, most popular first and then by URL
+// — the browsable list the SONIC app shows (§3.1: "the app shows a
+// catalog of available webpages, organized by content, popularity...").
 func (c *Client) Catalog(now time.Time) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var urls []string
-	for _, e := range c.pages.Catalog(now) {
-		urls = append(urls, e.URL)
+	for url, e := range c.pages {
+		if e.fresh(now) {
+			urls = append(urls, url)
+		}
 	}
+	sort.Slice(urls, func(i, j int) bool {
+		pi, pj := c.pages[urls[i]].popularity, c.pages[urls[j]].popularity
+		if pi != pj {
+			return pi > pj
+		}
+		return urls[i] < urls[j]
+	})
 	return urls
 }
 

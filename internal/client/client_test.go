@@ -1,6 +1,7 @@
 package client
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -71,6 +72,63 @@ func TestCatalog(t *testing.T) {
 	cat := c.Catalog(now)
 	if len(cat) != 2 || cat[0] != "hot.pk/" {
 		t.Errorf("catalog = %v", cat)
+	}
+}
+
+// TestPageExpiry pins the server-set expiry (§3.1): a page is shown up to
+// and including its expiry instant and not after; an unknown URL is
+// never shown.
+func TestPageExpiry(t *testing.T) {
+	c := New(Config{})
+	t0 := time.Unix(0, 0)
+	c.HandleBroadcast("a.pk/", makeBundle(t, "a.pk/", "x"), t0, 100*time.Second, 1)
+	for _, tc := range []struct {
+		url  string
+		at   time.Duration
+		want error
+	}{
+		{"a.pk/", 50 * time.Second, nil},
+		{"a.pk/", 100 * time.Second, nil},
+		{"a.pk/", 101 * time.Second, ErrNotCached},
+		{"nope.pk/", 0, ErrNotCached},
+	} {
+		if _, err := c.Open(tc.url, t0.Add(tc.at)); err != tc.want {
+			t.Errorf("Open(%s, +%v) err = %v, want %v", tc.url, tc.at, err, tc.want)
+		}
+	}
+}
+
+// TestRebroadcastReplaces pins replace-on-receive: the newer bundle is
+// the one shown, and its expiry is the one honored.
+func TestRebroadcastReplaces(t *testing.T) {
+	c := New(Config{ScreenWidth: 1080})
+	t0 := time.Unix(0, 0)
+	c.HandleBroadcast("a.pk/", makeBundle(t, "a.pk/", "a.pk/old"), t0, time.Hour, 1)
+	c.HandleBroadcast("a.pk/", makeBundle(t, "a.pk/", "a.pk/new"), t0.Add(50*time.Minute), time.Hour, 1)
+	p, err := c.Open("a.pk/", t0.Add(90*time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Clicks.Regions) != 1 || p.Clicks.Regions[0].URL != "a.pk/new" {
+		t.Errorf("regions = %+v, want the rebroadcast's link", p.Clicks.Regions)
+	}
+	if got := c.Catalog(t0); len(got) != 1 {
+		t.Errorf("catalog = %v, want one entry per URL", got)
+	}
+}
+
+// TestCatalogOrder pins the catalog: fresh pages only, most popular
+// first, ties broken by URL.
+func TestCatalogOrder(t *testing.T) {
+	c := New(Config{})
+	t0 := time.Unix(0, 0)
+	c.HandleBroadcast("b.pk/", core.Bundle{}, t0, 100*time.Second, 2)
+	c.HandleBroadcast("a.pk/", core.Bundle{}, t0, 100*time.Second, 2)
+	c.HandleBroadcast("top.pk/", core.Bundle{}, t0, 100*time.Second, 8)
+	c.HandleBroadcast("stale.pk/", core.Bundle{}, t0, time.Second, 99)
+	got := fmt.Sprint(c.Catalog(t0.Add(50 * time.Second)))
+	if want := "[top.pk/ a.pk/ b.pk/]"; got != want {
+		t.Errorf("catalog = %s, want %s", got, want)
 	}
 }
 

@@ -1,24 +1,13 @@
 package core
 
 import (
-	"math"
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"sonic/internal/fm"
 	"sonic/internal/imagecodec"
 )
-
-func cellsPipeline(t *testing.T) *Pipeline {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.CellTolerance = 8
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
 
 func cellsTestImage() *imagecodec.Raster {
 	img := imagecodec.NewRaster(40, 120)
@@ -28,7 +17,7 @@ func cellsTestImage() *imagecodec.Raster {
 }
 
 func TestCellsAudioCleanRoundTrip(t *testing.T) {
-	p := cellsPipeline(t)
+	p := newDefault(t)
 	img := cellsTestImage()
 	audio, err := p.EncodeCellsAudio(9, img)
 	if err != nil {
@@ -41,11 +30,8 @@ func TestCellsAudioCleanRoundTrip(t *testing.T) {
 	if pixelLoss != 0 || frameLoss != 0 {
 		t.Errorf("clean channel: pixelLoss=%g frameLoss=%g", pixelLoss, frameLoss)
 	}
-	for i := range img.Pix {
-		d := math.Abs(float64(img.Pix[i]) - float64(got.Pix[i]))
-		if d > 8 {
-			t.Fatalf("pixel %d off by %g > tolerance", i, d)
-		}
+	if !bytes.Equal(got.Pix, img.Pix) {
+		t.Fatal("clean channel changed pixels")
 	}
 }
 
@@ -53,7 +39,7 @@ func TestCellsAudioSurvivesLossyChannel(t *testing.T) {
 	// The whole point of the cell transport: at a loss level where the
 	// bitstream transport would void the page, the cell path still
 	// yields a usable image with bounded pixel damage.
-	p := cellsPipeline(t)
+	p := newDefault(t)
 	img := cellsTestImage()
 	audio, err := p.EncodeCellsAudio(9, img)
 	if err != nil {
@@ -97,7 +83,7 @@ func TestCellsAudioSurvivesLossyChannel(t *testing.T) {
 }
 
 func TestCellAirtimeExceedsBitstream(t *testing.T) {
-	p := cellsPipeline(t)
+	p := newDefault(t)
 	// A page-like image: mostly flat with a photo block.
 	img := imagecodec.NewRaster(200, 400)
 	img.FillRect(0, 0, 200, 40, imagecodec.RGB{R: 10, G: 60, B: 120})

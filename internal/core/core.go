@@ -29,11 +29,6 @@ type Config struct {
 	// UseRS/InnerCode select the FEC stack (both on = the paper's stack).
 	UseRS     bool
 	InnerCode *fec.ConvCode // nil = no inner code
-	// CellTolerance is the per-channel near-run tolerance of the cell
-	// transport (EncodeImageCells / EncodeCellsAudio).
-	CellTolerance int
-	// Quality is the image quality for the SIC bitstream transport.
-	Quality int
 	// SoftDecision feeds the inner Viterbi decoder per-bit soft metrics
 	// from the demodulator instead of hard decisions (~2 dB gain, the
 	// way Quiet's decoder operates).
@@ -41,11 +36,10 @@ type Config struct {
 }
 
 // Digest returns a stable fingerprint of every config field that can
-// change the bytes the transmit pipeline emits: the modem profile, the
-// FEC stack, the cell tolerance, and the image quality. SoftDecision is
-// deliberately excluded: it only affects the receive side. The artifact
-// cache (internal/artifact) keys entries on
-// this digest so two pipelines share artifacts exactly when they would
+// change the bytes the transmit pipeline emits: the modem profile and
+// the FEC stack. SoftDecision is deliberately excluded: it only affects
+// the receive side. The artifact cache (internal/artifact) keys entries
+// on this digest so two pipelines share artifacts exactly when they would
 // emit identical bytes.
 func (c Config) Digest() uint64 {
 	h := fnv.New64a()
@@ -61,18 +55,16 @@ func (c Config) Digest() uint64 {
 	if c.InnerCode != nil {
 		fmt.Fprintf(h, "|conv:%d,%g", c.InnerCode.ConstraintLength(), c.InnerCode.Rate())
 	}
-	fmt.Fprintf(h, "|celltol:%d|q:%d", c.CellTolerance, c.Quality)
 	return h.Sum64()
 }
 
-// DefaultConfig is the paper's configuration: Sonic92 OFDM profile,
-// rs8+v29 FEC, SIC at quality 10 (§3.2, §3.3).
+// DefaultConfig is the paper's configuration: Sonic92 OFDM profile and
+// rs8+v29 FEC (§3.3).
 func DefaultConfig() Config {
 	return Config{
 		Modem:     modem.Sonic92(),
 		UseRS:     true,
 		InnerCode: fec.NewV29(),
-		Quality:   10,
 	}
 }
 
@@ -118,9 +110,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	var rs *fec.RS
 	if cfg.UseRS {
 		rs = fec.NewRS8()
-	}
-	if cfg.Quality < imagecodec.MinQuality || cfg.Quality > imagecodec.MaxQuality {
-		return nil, fmt.Errorf("core: quality %d out of range", cfg.Quality)
 	}
 	return &Pipeline{
 		cfg:   cfg,
@@ -392,7 +381,7 @@ func (p *Pipeline) recordReceive(frames []*frame.Frame, lost int, snrDB float64)
 func (p *Pipeline) EncodeImageCells(pageID uint16, img *imagecodec.Raster) ([]*frame.Frame, error) {
 	sp := p.tel.StartSpan("core.encode_cells")
 	defer sp.End()
-	cells, err := imagecodec.EncodeColumnsTol(img, frame.PayloadSize, p.cfg.CellTolerance)
+	cells, err := imagecodec.EncodeColumns(img, frame.PayloadSize)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +480,7 @@ func (p *Pipeline) DecodeCellsAudio(audio []float64, w, h int) (*imagecodec.Rast
 // AirtimeSeconds of the compressed bitstream (the trade-off DESIGN.md
 // §5a quantifies).
 func (p *Pipeline) CellAirtimeSeconds(img *imagecodec.Raster) (float64, error) {
-	cells, err := imagecodec.EncodeColumnsTol(img, frame.PayloadSize, p.cfg.CellTolerance)
+	cells, err := imagecodec.EncodeColumns(img, frame.PayloadSize)
 	if err != nil {
 		return 0, err
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -24,11 +23,6 @@ func newDefault(t *testing.T) *Pipeline {
 
 func TestPipelineValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Quality = 99
-	if _, err := NewPipeline(cfg); err == nil {
-		t.Error("bad quality should fail")
-	}
-	cfg = DefaultConfig()
 	cfg.Modem.FFTSize = 999
 	if _, err := NewPipeline(cfg); err == nil {
 		t.Error("bad modem profile should fail")
@@ -143,12 +137,7 @@ func TestFrameLossProbeBands(t *testing.T) {
 }
 
 func TestCellTransportEndToEnd(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CellTolerance = 8
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newDefault(t)
 	// Small page-like image.
 	img := imagecodec.NewRaster(48, 160)
 	img.FillRect(0, 0, 48, 20, imagecodec.RGB{R: 20, G: 40, B: 160})
@@ -173,7 +162,7 @@ func TestCellTransportEndToEnd(t *testing.T) {
 		t.Errorf("pixel loss rate = %.3f", rate)
 	}
 	_ = missing
-	// Healed image should be close to the original (tolerance + interp).
+	// Healed image should be close to the original (interpolation only).
 	var diff float64
 	for i := range img.Pix {
 		d := float64(img.Pix[i]) - float64(healed.Pix[i])
@@ -183,16 +172,13 @@ func TestCellTransportEndToEnd(t *testing.T) {
 	if mse > 900 {
 		t.Errorf("healed MSE = %.1f, interpolation too weak", mse)
 	}
-	// Full delivery must be near-perfect (tolerance-bounded).
+	// Full delivery is lossless.
 	full, _, rate0 := DecodeImageCells(frames, img.W, img.H)
 	if rate0 != 0 {
 		t.Errorf("full delivery rate = %g", rate0)
 	}
-	for i := range img.Pix {
-		d := math.Abs(float64(img.Pix[i]) - float64(full.Pix[i]))
-		if d > float64(cfg.CellTolerance) {
-			t.Fatalf("pixel %d off by %g > tolerance", i, d)
-		}
+	if !bytes.Equal(full.Pix, img.Pix) {
+		t.Fatal("full delivery changed pixels")
 	}
 }
 

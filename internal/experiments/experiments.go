@@ -196,7 +196,7 @@ func RunFig4c(hours int, sizes map[string]int) ([]Fig4cCurve, error) {
 			base, ok = lookupSize(sizes, ref.URL)
 		}
 		if !ok {
-			base = modelSize(ref.URL)
+			base = broadcast.ModelSize(ref, hour)
 		}
 		// Hourly content variation jitters the encoded size a little.
 		j := int64(hour)*1000003 ^ int64(len(ref.URL))
@@ -236,19 +236,6 @@ func lookupSize(sizes map[string]int, url string) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// modelSize is the fallback per-page size (bytes) in the measured
-// Q10/PH10k regime (~90-155 KB).
-func modelSize(url string) int {
-	h := 0
-	for _, c := range url {
-		h = h*31 + int(c)
-	}
-	if h < 0 {
-		h = -h
-	}
-	return 90*1024 + h%(65*1024)
 }
 
 // PrintFig4c renders the series summaries plus hourly samples.
@@ -703,10 +690,9 @@ func RunAblationSoftDecision(framesPerTrial, trials int, seed int64) ([]Ablation
 // policies for the preemptive-push rotation (§3.1), reporting the
 // demand-weighted expected wait at each channel rate.
 func RunAblationCarousel() ([]AblationRow, error) {
-	size := func(ref corpus.PageRef, hour int) int { return modelSize(ref.URL) }
 	var rows []AblationRow
 	for _, rate := range []float64{10000, 20000, 40000} {
-		flat, opt, err := broadcast.CompareCarouselPolicies(corpus.Pages(), size, rate)
+		flat, opt, err := broadcast.CompareCarouselPolicies(corpus.Pages(), broadcast.ModelSize, rate)
 		if err != nil {
 			return nil, err
 		}

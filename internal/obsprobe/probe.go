@@ -123,24 +123,11 @@ func Run(reg *telemetry.Registry) error {
 
 	// Broadcast: a carousel over the corpus, instrumented at the
 	// pipeline's net goodput, emitting one schedule round.
-	car, err := broadcast.CorpusCarousel(corpus.Pages(), probeSize, broadcast.PolicySqrt)
+	car, err := broadcast.CorpusCarousel(corpus.Pages(), broadcast.ModelSize, broadcast.PolicySqrt)
 	if err != nil {
 		return fmt.Errorf("obsprobe: carousel: %w", err)
 	}
 	car.Instrument(reg, pipe.NetGoodputBps())
 	car.Schedule(64)
 	return nil
-}
-
-// probeSize is a deterministic page-size model (same shape sonic-sim
-// uses): 90–155 KB keyed off the URL.
-func probeSize(ref corpus.PageRef, hour int) int {
-	h := 0
-	for _, c := range ref.URL {
-		h = h*31 + int(c)
-	}
-	if h < 0 {
-		h = -h
-	}
-	return 90*1024 + h%(65*1024)
 }

@@ -15,9 +15,9 @@ import (
 	"sonic/internal/telemetry"
 )
 
-// admissionServer builds a server on the batched admission path with a
-// synchronous-flush-only configuration (no wall-clock flusher) so tests
-// control exactly when batches move.
+// admissionServer builds a server on the batched admission path.
+// Admission has no wall-clock flusher, so tests control exactly when
+// batches move.
 func admissionServer(t *testing.T, acfg admission.Config) *Server {
 	t.Helper()
 	p, err := core.NewPipeline(core.DefaultConfig())
@@ -143,7 +143,6 @@ func TestAdmissionAttachToPending(t *testing.T) {
 func TestAdmissionBackpressure(t *testing.T) {
 	const maxPending = 8
 	s := admissionServer(t, admission.Config{
-		Shards:     1,
 		MaxBatch:   1 << 20,
 		MaxPending: maxPending,
 		RetryAfter: 30 * time.Second,

@@ -165,22 +165,28 @@ func (s *Server) admitBatch(b admission.Batch) (time.Duration, error) {
 }
 
 // FlushAdmission synchronously drains the admission stage on the
-// caller's goroutine — the deterministic hook clock-driven simulations
-// use instead of the wall-clock flusher. No-op with admission off.
+// caller's goroutine. No-op with admission off.
+//
+// FlushAdmission, FlushAdmissionConcurrent and AdmissionPending are the
+// seam for a caller that owns a simulated clock, not operator API:
+// admission has no wall-clock flusher, so between MaxBatch kicks such a
+// caller moves batches at the simulated instants it chooses. Only tests
+// and the benchmark harness call them.
 func (s *Server) FlushAdmission() {
 	s.admit.Flush()
 }
 
-// FlushAdmissionConcurrent drains the admission stage with the shards
-// spread over up to workers goroutines, so the sink (render + enqueue,
-// safe under concurrent callers) can use multiple cores. The multi-core variant of
-// FlushAdmission for clock-driven simulations.
+// FlushAdmissionConcurrent is FlushAdmission with the shards spread over
+// up to workers goroutines, so the sink (render + enqueue, safe under
+// concurrent callers) can use multiple cores. Simulated-clock seam; see
+// FlushAdmission.
 func (s *Server) FlushAdmissionConcurrent(workers int) {
 	s.admit.FlushConcurrent(workers)
 }
 
 // AdmissionPending reports how many accepted requests await a batch
-// flush (0 with admission off).
+// flush (0 with admission off). Simulated-clock seam; see
+// FlushAdmission.
 func (s *Server) AdmissionPending() int {
 	if s.admit == nil {
 		return 0

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sonic/internal/artifact"
 	"sonic/internal/core"
 	"sonic/internal/corpus"
 	"sonic/internal/telemetry"
@@ -19,12 +20,11 @@ func fleetTestServer(t *testing.T, n int) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
+	s := New(DefaultConfig(), p)
 	// Unbounded artifact cache: dedup assertions need every page's audio
 	// resident (real corpus audio runs to tens of MB per page, so the
 	// default cap would churn under a multi-page drain).
-	cfg.ArtifactCacheBytes = -1
-	s := New(cfg, p)
+	s.chain = artifact.NewChain(p, -1)
 	for i := 0; i < n; i++ {
 		s.AddTransmitter(Transmitter{
 			ID:  fmt.Sprintf("tx-%02d", i),

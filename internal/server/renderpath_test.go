@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sonic/internal/artifact"
 	"sonic/internal/core"
 	"sonic/internal/corpus"
 	"sonic/internal/telemetry"
@@ -217,8 +218,8 @@ func TestRenderEpochForgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.ArtifactCacheBytes = -1
 	s := New(cfg, p)
+	s.chain = artifact.NewChain(p, -1)
 
 	const hours, nPages = 24, 3
 	refs := churniestPages(hours, nPages)

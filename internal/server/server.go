@@ -78,11 +78,6 @@ type Config struct {
 	PageTTL time.Duration
 	// Epoch anchors simulation time to corpus hour 0.
 	Epoch time.Time
-	// ArtifactCacheBytes caps the fleet-wide content-addressed artifact
-	// cache, the server's only page cache (render -> blob -> FEC stream
-	// -> modulated audio; see internal/artifact). 0 means
-	// artifact.DefaultMaxBytes; negative means unbounded.
-	ArtifactCacheBytes int64
 	// Admission configures the batched admission stage (see
 	// internal/admission). With Admission.Enabled a request waits for
 	// its batch to flush; the default (off) flushes each request at once
@@ -254,7 +249,7 @@ func New(cfg Config, pipeline *core.Pipeline) *Server {
 		cfg:       cfg,
 		pipeline:  pipeline,
 		refs:      refs,
-		chain:     artifact.NewChain(pipeline, cfg.ArtifactCacheBytes),
+		chain:     artifact.NewChain(pipeline, artifact.DefaultMaxBytes),
 		renderSem: make(chan struct{}, runtime.GOMAXPROCS(0)),
 		shards:    make([]*shard, DefaultShards),
 		pageIDs:   make(map[string]uint16),

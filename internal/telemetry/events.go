@@ -45,8 +45,8 @@ type EventRing struct {
 	next uint64 // total events ever appended
 }
 
-// DefaultEventRing is the ring capacity when LifecycleConfig.EventRing
-// is 0: at ~8 stamps per request it reconstructs the last ~500 requests.
+// DefaultEventRing is the capacity of every Lifecycle's ring: at ~8
+// stamps per request it reconstructs the last ~500 requests.
 const DefaultEventRing = 4096
 
 // NewEventRing builds a ring holding the last n events (n<=0 uses

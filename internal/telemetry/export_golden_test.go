@@ -11,7 +11,8 @@ import (
 // layout, formatting) surface as a readable diff.
 func TestWriteTextGolden(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1700000000, 0).UTC()}
-	r := NewWithClock(clk.now)
+	r := New()
+	r.now = clk.now
 	r.Counter("b_total").Add(2)
 	r.Counter("a_total", "tx", "khi-1").Add(7)
 	r.Gauge("depth").Set(3.5)

@@ -62,23 +62,18 @@ func (s Stage) String() string {
 	return fmt.Sprintf("stage_%d", uint8(s))
 }
 
-// SLOTargets declares the latency budgets the evaluator checks. Zero
-// values disable the corresponding check.
+// SLOTargets declares the two latency budgets the evaluator checks.
+// Zero values disable the corresponding check.
 type SLOTargets struct {
 	// RequestToOnAir bounds received → on_air_done.
 	RequestToOnAir time.Duration
 	// RequestToDelivered bounds received → delivered.
 	RequestToDelivered time.Duration
-	// StageWait bounds the wait between a stage and the previous stamped
-	// stage, per target stage.
-	StageWait map[Stage]time.Duration
 }
 
-// LifecycleConfig tunes a Lifecycle.
+// LifecycleConfig tunes a Lifecycle. Its event ring holds the last
+// DefaultEventRing events.
 type LifecycleConfig struct {
-	// EventRing is the structured event ring capacity (0 =
-	// DefaultEventRing).
-	EventRing int
 	// SLOTargets are the latency budgets the evaluator enforces.
 	SLOTargets SLOTargets
 	// MaxOpenTraces bounds how many undelivered traces the URL index
@@ -127,7 +122,7 @@ func NewLifecycle(reg *Registry, cfg LifecycleConfig) *Lifecycle {
 	lc := &Lifecycle{
 		reg:        reg,
 		cfg:        cfg,
-		ring:       NewEventRing(cfg.EventRing),
+		ring:       NewEventRing(DefaultEventRing),
 		byURL:      make(map[string][]*Trace),
 		hOnAir:     reg.Histogram("request_to_on_air_seconds", WaitBuckets),
 		hDelivered: reg.Histogram("request_to_delivered_seconds", WaitBuckets),
@@ -240,7 +235,8 @@ func (lc *Lifecycle) DeliveredAt(url string, at time.Time) {
 }
 
 // evalSLO checks one budget and bumps the ok/breach counters. Telemetry
-// label values identify the budget ("request_to_on_air", "stage_wait:…").
+// label values identify the budget ("request_to_on_air",
+// "request_to_delivered").
 func (lc *Lifecycle) evalSLO(name string, observed, target time.Duration) {
 	if target <= 0 {
 		return
@@ -308,9 +304,6 @@ func (t *Trace) StampAt(stage Stage, at time.Time) {
 
 	if stage > StageReceived && stage < StageAborted {
 		lc.stageWait[stage].Observe(wait.Seconds())
-		if target := lc.cfg.SLOTargets.StageWait[stage]; target > 0 {
-			lc.evalSLO("stage_wait:"+stage.String(), wait, target)
-		}
 	}
 
 	lc.ring.Append(Event{Trace: t.id, Stage: stage.String(), URL: t.url, At: at, WaitSeconds: wait.Seconds()})

@@ -17,7 +17,6 @@ func TestLifecycleStampsAndHistograms(t *testing.T) {
 		SLOTargets: SLOTargets{
 			RequestToOnAir:     time.Minute,
 			RequestToDelivered: time.Minute,
-			StageWait:          map[Stage]time.Duration{StageEnqueued: time.Second},
 		},
 	})
 	if reg.Lifecycle() != lc {
@@ -52,9 +51,6 @@ func TestLifecycleStampsAndHistograms(t *testing.T) {
 	if got := snap.Counters["lifecycle_slo_breach_total{slo=request_to_delivered}"]; got != 1 {
 		t.Errorf("delivered SLO breach = %d, want 1", got)
 	}
-	if got := snap.Counters["lifecycle_slo_ok_total{slo=stage_wait:enqueued}"]; got != 1 {
-		t.Errorf("enqueued stage-wait SLO ok = %d, want 1", got)
-	}
 	if open := snap.Gauges["lifecycle_open_traces"]; open != 0 {
 		t.Errorf("open traces = %v after delivery, want 0", open)
 	}
@@ -66,6 +62,21 @@ func TestLifecycleStampsAndHistograms(t *testing.T) {
 	}
 	if events[0].Detail != "+92300" || events[0].Stage != "received" {
 		t.Errorf("first event = %+v", events[0])
+	}
+}
+
+// TestOnAirWaitBelowTTLIsFinite pins WaitBuckets' reach: a request that
+// waits a whole page TTL (24 h) for its airing lands in a finite bucket,
+// so the on-air quantiles read the wait instead of the histogram's top
+// bound.
+func TestOnAirWaitBelowTTLIsFinite(t *testing.T) {
+	reg := New()
+	lc := NewLifecycle(reg, LifecycleConfig{})
+	t0 := time.Unix(0, 0)
+	lc.BeginAt("a.pk/", "api", t0).StampAt(StageOnAirDone, t0.Add(24*time.Hour))
+	h := reg.Histogram("request_to_on_air_seconds", WaitBuckets)
+	if q := h.Quantile(1); q < 86400 {
+		t.Fatalf("p100 of one 86400 s wait = %.1f s, want >= 86400", q)
 	}
 }
 
@@ -179,7 +190,7 @@ func TestLifecycleNilSafe(t *testing.T) {
 // tracker's locking discipline.
 func TestLifecycleConcurrent(t *testing.T) {
 	reg := New()
-	lc := NewLifecycle(reg, LifecycleConfig{EventRing: 256})
+	lc := NewLifecycle(reg, LifecycleConfig{})
 	t0 := time.Unix(0, 0)
 	const workers, perWorker = 8, 50
 	var wg sync.WaitGroup

@@ -12,7 +12,8 @@ import (
 func promSnapshot(t *testing.T) Snapshot {
 	t.Helper()
 	clk := time.Unix(100, 0)
-	reg := NewWithClock(func() time.Time { return clk })
+	reg := New()
+	reg.now = func() time.Time { return clk }
 	reg.Counter("requests_total", "tx", "khi-1").Add(3)
 	reg.Counter("requests_total", "tx", "lhe-1").Add(5)
 	reg.Counter("weird.name-x").Inc()

@@ -37,12 +37,6 @@ func (s *spanStat) observe(total, self time.Duration) {
 	}
 }
 
-func (s *spanStat) reset() {
-	atomic.StoreInt64(&s.count, 0)
-	atomic.StoreUint64(&s.selfBits, 0)
-	s.dur.reset()
-}
-
 // spanStatFor returns the accumulator for a span name, creating it on
 // first use.
 func (r *Registry) spanStatFor(name string) *spanStat {

@@ -58,13 +58,9 @@ func (r *Registry) Lifecycle() *Lifecycle {
 
 // New builds an empty registry using the wall clock (which carries Go's
 // monotonic reading, so span durations are immune to clock steps).
-func New() *Registry { return NewWithClock(time.Now) }
-
-// NewWithClock builds a registry with an explicit clock — tests inject a
-// fake clock to make span durations deterministic.
-func NewWithClock(now func() time.Time) *Registry {
+func New() *Registry {
 	return &Registry{
-		now:      now,
+		now:      time.Now,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
@@ -158,28 +154,6 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 		r.hists[k] = h
 	}
 	return h
-}
-
-// Reset zeroes every registered metric (registrations and handles stay
-// valid). Snapshot-then-Reset gives interval semantics.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range r.counters {
-		atomic.StoreInt64(&c.v, 0)
-	}
-	for _, g := range r.gauges {
-		atomic.StoreUint64(&g.bits, 0)
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
-	for _, s := range r.spans {
-		s.reset()
-	}
 }
 
 // --- counter ---------------------------------------------------------------
@@ -336,14 +310,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		atomic.StoreInt64(&h.counts[i], 0)
-	}
-	atomic.StoreInt64(&h.count, 0)
-	atomic.StoreUint64(&h.sumBits, 0)
-}
-
 // --- bucket helpers ---------------------------------------------------------
 
 // ExpBuckets returns n exponentially spaced upper bounds start,
@@ -363,13 +329,11 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 var LatencyBuckets = ExpBuckets(50e-6, 2, 20)
 
 // CountBuckets suits small non-negative integer observations (RS symbol
-// corrections, Viterbi path metrics).
+// corrections, Viterbi path metrics, admission batch sizes).
 var CountBuckets = ExpBuckets(1, 2, 14)
 
-// SecondsBuckets spans 1 s .. ~9 h for scheduling/wait times.
-var SecondsBuckets = ExpBuckets(1, 2, 16)
-
-// WaitBuckets spans 100 µs .. ~3.7 h — the full range of lifecycle stage
-// waits, from a warm render-cache hit to a page stuck behind a day of
-// carousel backlog.
-var WaitBuckets = ExpBuckets(100e-6, 2, 28)
+// WaitBuckets spans 100 µs .. ~29.8 h — the full range of lifecycle stage
+// and carousel waits, from a warm render-cache hit to a page queued
+// behind a day of backlog. The top bound sits past the 24 h page TTL, so
+// every wait of a page still worth airing lands in a finite bucket.
+var WaitBuckets = ExpBuckets(100e-6, 2, 31)

@@ -86,7 +86,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if d := sp.End(); d != 0 {
 		t.Fatalf("nil span duration %v", d)
 	}
-	r.Reset()
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Spans) != 0 {
 		t.Fatal("nil snapshot not empty")
@@ -146,22 +145,6 @@ func TestConcurrentWritersAndSnapshots(t *testing.T) {
 	}
 	if got := snap.Spans["worker"].Count; got != writers {
 		t.Fatalf("span count = %d, want %d", got, writers)
-	}
-}
-
-func TestResetKeepsHandles(t *testing.T) {
-	r := New()
-	c := r.Counter("x")
-	h := r.Histogram("h", []float64{1})
-	c.Add(7)
-	h.Observe(0.5)
-	r.Reset()
-	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("reset did not zero metrics")
-	}
-	c.Inc()
-	if r.Snapshot().Counters["x"] != 1 {
-		t.Fatal("handle dead after reset")
 	}
 }
 
@@ -228,7 +211,8 @@ func (f *fakeClock) advance(d time.Duration) { f.t = f.t.Add(d) }
 
 func TestSpanNestingWithFakeClock(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	r := NewWithClock(clk.now)
+	r := New()
+	r.now = clk.now
 
 	root := r.StartSpan("decode")
 	clk.advance(10 * time.Millisecond) // root self work
