@@ -248,15 +248,16 @@ func (ch *Chain) Stats() Stats {
 }
 
 // Render returns the rendered bundle for k — stage 0, which every later
-// stage derives from — running render on a fleet-wide miss. The bundle's
-// slices are shared; do not mutate.
+// stage derives from — running render on a fleet-wide miss. The entry
+// weighs the bundle's wire form, which a core.NewBundle bundle's parts
+// are views of. The bundle's slices are shared; do not mutate.
 func (ch *Chain) Render(k Key, render RenderFunc) (core.Bundle, error) {
 	v, err := ch.stage(StageRender, k, func() (any, int64, error) {
 		b, err := render()
 		if err != nil {
 			return nil, 0, err
 		}
-		return b, int64(len(b.Image) + len(b.ClickMap)), nil
+		return b, int64(8 + len(b.Image) + len(b.ClickMap)), nil
 	})
 	if err != nil {
 		return core.Bundle{}, err
@@ -264,8 +265,10 @@ func (ch *Chain) Render(k Key, render RenderFunc) (core.Bundle, error) {
 	return v.(core.Bundle), nil
 }
 
-// Blob returns the marshaled bundle blob for k. The returned slice is
-// shared; do not mutate.
+// Blob returns the marshaled bundle blob for k. For a bundle rendered by
+// core.NewBundle it is a view of the render entry's wire form and weighs
+// nothing more; any other bundle marshals to a copy, weighed here. The
+// returned slice is shared; do not mutate.
 func (ch *Chain) Blob(k Key, render RenderFunc) ([]byte, error) {
 	v, err := ch.stage(StageBlob, k, func() (any, int64, error) {
 		b, err := ch.Render(k, render)
@@ -273,6 +276,13 @@ func (ch *Chain) Blob(k Key, render RenderFunc) ([]byte, error) {
 			return nil, 0, err
 		}
 		blob := core.MarshalBundle(b)
+		body := b.Image
+		if len(body) == 0 {
+			body = b.ClickMap
+		}
+		if len(body) > 0 && &body[0] == &blob[8] {
+			return blob, 0, nil
+		}
 		return blob, int64(len(blob)), nil
 	})
 	if err != nil {
@@ -404,7 +414,9 @@ func (ch *Chain) put(ck ckey, val any, bytes int64) {
 // evictOne drops one entry from the most-derived stage that has one to
 // give: audio before stream before blob before render, because a later
 // stage is rebuilt from the one before it and frees orders of magnitude
-// more bytes per millisecond of rebuilding. Within the stage it is the
+// more bytes per millisecond of rebuilding; a blob that is a view of its
+// render entry frees nothing, but going first it never outlives the
+// bytes it shares. Within the stage it is the
 // second-chance sweep: the hand advances to the first cold entry,
 // clearing used bits as it passes hot ones. keep is the entry just
 // inserted — never the victim, so one oversized insert cannot evict

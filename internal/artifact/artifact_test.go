@@ -83,6 +83,35 @@ func TestChainMatchesSerialPath(t *testing.T) {
 	}
 }
 
+// TestWiredBundleCountedOnce pins the byte accounting of a page marshaled
+// at render (core.NewBundle): its blob is a view of the render entry's
+// wire form, so render + blob weigh that wire form once. A plain bundle
+// marshals to a copy, and both arrays count.
+func TestWiredBundleCountedOnce(t *testing.T) {
+	plain := testBundle(4, 1500)
+	wire := core.MarshalBundle(plain)
+	for _, tc := range []struct {
+		name string
+		b    core.Bundle
+		want int
+	}{
+		{"wired", core.NewBundle(plain.Image, plain.ClickMap), len(wire)},
+		{"plain", plain, 2 * len(wire)},
+	} {
+		ch, _ := newTestChain(t, 0)
+		blob, err := ch.Blob(ch.Key("w.pk/", 0, 1), func() (core.Bundle, error) { return tc.b, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, wire) {
+			t.Fatalf("%s: blob differs from MarshalBundle", tc.name)
+		}
+		if got := ch.Stats().Bytes; got != int64(tc.want) {
+			t.Errorf("%s: render + blob weigh %d bytes, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestChainFleetDedup runs a 32-tower herd at one key concurrently and
 // requires exactly one computation per stage fleet-wide, everyone
 // receiving the identical shared artifact. Run under -race.

@@ -164,16 +164,42 @@ func (p *Pipeline) AirtimeSeconds(n int) float64 {
 type Bundle struct {
 	Image    []byte
 	ClickMap []byte
+
+	wire []byte // the marshaled form Image and ClickMap are views of (NewBundle)
 }
 
-// MarshalBundle frames the two parts with a length header.
+// NewBundle marshals a page once, at render: it builds the wire form in
+// one allocation and returns a bundle whose parts are views of it, so
+// MarshalBundle of the result is free.
+func NewBundle(image, clickMap []byte) Bundle {
+	wire := MarshalBundle(Bundle{Image: image, ClickMap: clickMap})
+	il := 8 + len(image)
+	return Bundle{Image: wire[8:il:il], ClickMap: wire[il:], wire: wire}
+}
+
+// MarshalBundle frames the two parts with a length header. For a bundle
+// from NewBundle whose parts are still the views it made, the result is
+// that bundle's shared wire form; otherwise it is a fresh copy. Either
+// way it must not be mutated.
 func MarshalBundle(b Bundle) []byte {
+	if w := b.wire; w != nil {
+		il := 8 + int(binary.BigEndian.Uint32(w[0:4]))
+		if sameView(b.Image, w[8:il]) && sameView(b.ClickMap, w[il:]) {
+			return w
+		}
+	}
 	out := make([]byte, 8, 8+len(b.Image)+len(b.ClickMap))
 	binary.BigEndian.PutUint32(out[0:4], uint32(len(b.Image)))
 	binary.BigEndian.PutUint32(out[4:8], uint32(len(b.ClickMap)))
 	out = append(out, b.Image...)
 	out = append(out, b.ClickMap...)
 	return out
+}
+
+// sameView reports whether part is exactly view: same length and, when
+// non-empty, the same first byte in memory.
+func sameView(part, view []byte) bool {
+	return len(part) == len(view) && (len(part) == 0 || &part[0] == &view[0])
 }
 
 // ErrBadBundle is returned for malformed bundle blobs.

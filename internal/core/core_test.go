@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sonic/internal/fec"
@@ -60,6 +62,81 @@ func TestBundleRoundTrip(t *testing.T) {
 	bad[0] = 0xFF // huge image length
 	if _, err := UnmarshalBundle(bad); err != ErrBadBundle {
 		t.Errorf("inconsistent bundle err = %v", err)
+	}
+}
+
+// TestNewBundleWire pins the marshal-once contract: a NewBundle bundle
+// marshals to the same bytes as the plain literal, without allocating,
+// and a part re-pointed after the fact marshals its new bytes.
+func TestNewBundleWire(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		image, cm []byte
+	}{
+		{"both", []byte{1, 2, 3}, []byte(`{"page":"a.pk/"}`)},
+		{"no clickmap", []byte{1, 2, 3}, nil},
+		{"no image", nil, []byte("clicks")},
+		{"empty", nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := MarshalBundle(Bundle{Image: tc.image, ClickMap: tc.cm})
+			b := NewBundle(tc.image, tc.cm)
+			if got := MarshalBundle(b); !bytes.Equal(got, want) {
+				t.Fatalf("wired marshal = %x, want %x", got, want)
+			}
+			if !bytes.Equal(b.Image, tc.image) || !bytes.Equal(b.ClickMap, tc.cm) {
+				t.Fatal("NewBundle parts differ from its inputs")
+			}
+			if n := testing.AllocsPerRun(100, func() { _ = MarshalBundle(b) }); n != 0 {
+				t.Errorf("wired marshal allocates %v times, want 0", n)
+			}
+			other := []byte{9, 8, 7, 6}
+			re := b
+			re.Image = other
+			if got, want := MarshalBundle(re), MarshalBundle(Bundle{Image: other, ClickMap: tc.cm}); !bytes.Equal(got, want) {
+				t.Errorf("re-pointed image marshals %x, want %x", got, want)
+			}
+			re = b
+			re.ClickMap = other
+			if got, want := MarshalBundle(re), MarshalBundle(Bundle{Image: tc.image, ClickMap: other}); !bytes.Equal(got, want) {
+				t.Errorf("re-pointed clickmap marshals %x, want %x", got, want)
+			}
+		})
+	}
+}
+
+// TestWiredBundleConcurrentReaders: the wire form of a rendered page is
+// shared by every reader, so concurrent marshals and encodes of one
+// bundle must see identical bytes (and, under -race, no write).
+func TestWiredBundleConcurrentReaders(t *testing.T) {
+	p := newDefault(t)
+	img := make([]byte, 2000)
+	rand.New(rand.NewSource(6)).Read(img)
+	b := NewBundle(img, []byte("clicks"))
+	wantBlob := append([]byte(nil), MarshalBundle(b)...)
+	wantAudio, err := p.EncodePageAudio(4, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 32
+	errs := make(chan error, readers)
+	for i := 0; i < readers; i++ {
+		go func() {
+			if !bytes.Equal(MarshalBundle(b), wantBlob) {
+				errs <- errors.New("marshal differs")
+				return
+			}
+			audio, err := p.EncodePageAudio(4, b)
+			if err == nil && !slices.Equal(audio, wantAudio) {
+				err = errors.New("audio differs")
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < readers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

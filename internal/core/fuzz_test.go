@@ -26,8 +26,14 @@ func FuzzUnmarshalBundle(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if again := MarshalBundle(b); !bytes.HasPrefix(blob, again) {
+		again := MarshalBundle(b)
+		if !bytes.HasPrefix(blob, again) {
 			t.Fatalf("parsed bundle re-marshals to %d bytes that are not a prefix of the %d-byte input", len(again), len(blob))
+		}
+		wired := NewBundle(b.Image, b.ClickMap)
+		if !bytes.Equal(wired.Image, b.Image) || !bytes.Equal(wired.ClickMap, b.ClickMap) ||
+			!bytes.Equal(MarshalBundle(wired), again) {
+			t.Fatal("parsed bundle does not round-trip through NewBundle")
 		}
 	})
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -325,5 +326,72 @@ func TestAdmissionZipfStormCoalesces(t *testing.T) {
 	broadcasts := snap.Counters["server_pages_enqueued_total"]
 	if broadcasts == 0 || float64(users)/float64(broadcasts) < 2 {
 		t.Errorf("%d requests rode %d broadcasts: under 2 requests per broadcast", users, broadcasts)
+	}
+}
+
+// TestAdmissionETABeforeFirstFlush: before any batch has flushed, an
+// ack's ETA rests on the seed estimate alone, so the seed must be a real
+// page: on an idle one-frequency tower the quote is within a quarter of
+// a median corpus bundle's airtime.
+func TestAdmissionETABeforeFirstFlush(t *testing.T) {
+	s := admissionServer(t, admission.Config{MaxBatch: 1 << 20})
+	eta, err := s.EnqueuePage(corpus.Pages()[0].URL, 24.87, 67.01, time.Unix(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.pipeline.AirtimeSeconds(147000)
+	if got := eta.Seconds(); got < 0.75*want || got > 1.25*want {
+		t.Errorf("ETA before the first flush = %.1f s, want within 25%% of a median page's %.1f s", got, want)
+	}
+}
+
+// TestEnqueueRenderedPageAllocs: the request path reads the length of the
+// wire form built at render, so asking for a page already rendered
+// allocates no bundle-sized buffer.
+func TestEnqueueRenderedPageAllocs(t *testing.T) {
+	s := testServer(t)
+	now := time.Unix(0, 0)
+	url := corpus.Pages()[0].URL
+	if _, err := s.EnqueuePage(url, 24.87, 67.01, now); err != nil {
+		t.Fatal(err)
+	}
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := s.EnqueuePage(url, 24.87, 67.01, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 16<<10 {
+		t.Errorf("EnqueuePage of a rendered page allocates %d B per call, want under 16 KiB", perCall)
+	}
+}
+
+// BenchmarkAdmitBatchWarm is the admission sink for one request whose
+// page is already rendered and queued on the tower: B/op is what a warm
+// batch costs the allocator.
+func BenchmarkAdmitBatchWarm(b *testing.B) {
+	p, err := testPipeline()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(DefaultConfig(), p)
+	s.AddTransmitter(Transmitter{ID: "khi-1", FreqMHz: 93.7, Lat: 24.86, Lon: 67.00, RadiusKm: 40})
+	now := time.Unix(0, 0)
+	url := corpus.Pages()[0].URL
+	batch := admission.Batch{
+		URL: url, Tower: "khi-1", EffHour: corpus.EffectiveHour(s.refFor(url), s.hourAt(now)), Now: now, Count: 1,
+	}
+	if _, err := s.admitBatch(batch); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.admitBatch(batch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -20,9 +20,11 @@ import (
 // admission off, each request is a batch of one flushed at once on the
 // caller's goroutine.
 
-// defaultBundleEstimate seeds the ETA estimate before any page has been
-// marshaled (roughly a mid-sized SIC bundle).
-const defaultBundleEstimate = 12000
+// defaultBundleEstimate seeds the ETA estimate before any batch has
+// flushed: the median marshaled bundle of the rendered corpus, which
+// reads 146–149 kB (the benchmark's imagecodec.bundle_bytes) on every
+// workload, about 160 s of airtime on one frequency.
+const defaultBundleEstimate = 147000
 
 // noteBundleBytes feeds the running mean of marshaled bundle sizes.
 func (s *Server) noteBundleBytes(n int) {
@@ -125,7 +127,7 @@ func (s *Server) admitBatch(b admission.Batch) (time.Duration, error) {
 	for _, tr := range b.Traces {
 		tr.StampAt(telemetry.StageRenderDone, rendered)
 	}
-	blobLen := len(core.MarshalBundle(bundle))
+	blobLen := len(core.MarshalBundle(bundle)) // the wire form built at render: no copy
 	s.noteBundleBytes(blobLen)
 	pageID := s.pageIDFor(b.URL)
 

@@ -196,8 +196,9 @@ func renderChurnHours(t *testing.T, s *Server, refs []corpus.PageRef, hours int,
 			if err != nil {
 				t.Fatal(err)
 			}
-			live += int64(len(b.Image) + len(b.ClickMap))
-			airS += s.pipeline.AirtimeSeconds(len(core.MarshalBundle(b)))
+			wire := len(core.MarshalBundle(b)) // what the render entry weighs
+			live += int64(wire)
+			airS += s.pipeline.AirtimeSeconds(wire)
 		}
 		if afterHour != nil {
 			afterHour(h, live)

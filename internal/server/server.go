@@ -379,8 +379,10 @@ func (s *Server) renderAt(url string, ref corpus.PageRef, hour, eff int) (core.B
 }
 
 // renderMiss does the expensive miss work: generate → raster → SIC
-// encode → clickmap, each as a child span of server.render_page. It runs
-// on the bounded render pool with no queue lock held.
+// encode → clickmap, each as a child span of server.render_page, and
+// marshals the page once (core.NewBundle) so every later reader of its
+// wire form shares that one blob. It runs on the bounded render pool
+// with no queue lock held.
 func (s *Server) renderMiss(url string, ref corpus.PageRef, hour int) (core.Bundle, error) {
 	s.renderSem <- struct{}{}
 	defer func() { <-s.renderSem }()
@@ -412,7 +414,7 @@ func (s *Server) renderMiss(url string, ref corpus.PageRef, hour int) (core.Bund
 	if err != nil {
 		return core.Bundle{}, err
 	}
-	return core.Bundle{Image: enc, ClickMap: cm}, nil
+	return core.NewBundle(enc, cm), nil
 }
 
 // refFor maps any URL onto a corpus PageRef via the construction-time

@@ -158,7 +158,7 @@ func BundlePage(r *Rendered, quality int) (Bundle, error) {
 	if err != nil {
 		return Bundle{}, err
 	}
-	return Bundle{Image: enc, ClickMap: cm}, nil
+	return core.NewBundle(enc, cm), nil
 }
 
 // DecodePageImage decodes a bundle's image back into a raster.
