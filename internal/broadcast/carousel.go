@@ -178,17 +178,10 @@ func (c *Carousel) Entries() []CarouselEntry {
 }
 
 // CorpusCarousel builds a carousel over the evaluation corpus with the
-// given per-page size function and the corpus popularity weights.
+// given per-page size function and the corpus popularity weights: a
+// MeasuredCarousel with nothing measured yet.
 func CorpusCarousel(pages []corpus.PageRef, size SizeFunc, policy CarouselPolicy) (*Carousel, error) {
-	entries := make([]CarouselEntry, len(pages))
-	for i, ref := range pages {
-		entries[i] = CarouselEntry{
-			Ref:    ref,
-			Bytes:  size(ref, 0),
-			Demand: corpus.PopularityWeight(ref),
-		}
-	}
-	return NewCarousel(entries, policy)
+	return MeasuredCarousel(pages, size, nil, policy)
 }
 
 // MeasuredCarousel builds a carousel whose demand comes from measured

@@ -31,6 +31,7 @@ func TestCleanFrameShareMatchesViterbiReference(t *testing.T) {
 	code := p.cfg.InnerCode
 	cl := p.codec.CodedFrameSize()
 	codedBits := code.EncodedBits(fec.NewRS8().EncodedLen(frame.FrameSize))
+	hardWs, softWs := code.NewWorkspace(), code.NewWorkspace()
 
 	fmAt := func(rssi float64) fm.Link {
 		return &fm.FMLink{Model: fm.DefaultRSSIModel(), RSSIOverride: rssi, Rng: rand.New(rand.NewSource(16))}
@@ -59,8 +60,8 @@ func TestCleanFrameShareMatchesViterbiReference(t *testing.T) {
 				soft[i] = float64(dem.Payload[i/8]>>uint(7-i%8)&1)*2 - 1
 			}
 			for i := 0; (i+1)*cl <= len(dem.Payload); i++ {
-				got, metric, err := code.DecodeMetric(dem.Payload[i*cl:(i+1)*cl], codedBits)
-				want, wantMetric, wantErr := code.DecodeSoftBytesMetric(soft[i*cl*8 : i*cl*8+codedBits])
+				got, metric, err := hardWs.Decode(dem.Payload[i*cl:(i+1)*cl], codedBits)
+				want, wantMetric, wantErr := softWs.DecodeSoft(soft[i*cl*8 : i*cl*8+codedBits])
 				if err != nil || wantErr != nil || metric != wantMetric || !bytes.Equal(got, want) {
 					t.Fatalf("%s frame %d: inner decode (metric %d, err %v) differs from Viterbi-only (metric %d, err %v)",
 						row.name, i, metric, err, wantMetric, wantErr)

@@ -357,40 +357,35 @@ func (p *Pipeline) DecodePageAudio(audio []float64) (*ReceiveResult, error) {
 
 // receiveFrames demodulates a burst and decodes its frames through the
 // configured hard or soft path. parent (nil-safe) scopes the per-stage
-// spans under the caller's trace.
+// spans under the caller's trace. Soft decisions only help the inner
+// code, so without one the hard path runs.
 func (p *Pipeline) receiveFrames(parent *telemetry.Span, audio []float64) (frames []*frame.Frame, lost int, snr float64, err error) {
 	demSp := parent.StartChild("demodulate")
-	fecSp := func() *telemetry.Span { return parent.StartChild("fec_decode") }
+	var decode func() ([]*frame.Frame, int)
 	if p.cfg.SoftDecision && p.cfg.InnerCode != nil {
-		dem, err := p.modem.DemodulateSoft(audio)
-		demSp.End()
-		if err != nil {
-			return nil, 0, 0, err
+		var dem *modem.SoftDemodResult
+		if dem, err = p.modem.DemodulateSoft(audio); err == nil {
+			snr = dem.SNRdB
+			decode = func() ([]*frame.Frame, int) { return p.codec.DecodeStreamSoft(dem.Soft) }
 		}
-		sp := fecSp()
-		frames, lost = p.codec.DecodeStreamSoft(dem.Soft)
-		sp.End()
-		p.recordReceive(frames, lost, dem.SNRdB)
-		return frames, lost, dem.SNRdB, nil
+	} else {
+		var dem *modem.DemodResult
+		if dem, err = p.modem.Demodulate(audio); err == nil {
+			snr = dem.SNRdB
+			decode = func() ([]*frame.Frame, int) { return p.codec.DecodeStream(dem.Payload) }
+		}
 	}
-	dem, err := p.modem.Demodulate(audio)
 	demSp.End()
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	sp := fecSp()
-	frames, lost = p.codec.DecodeStream(dem.Payload)
-	sp.End()
-	p.recordReceive(frames, lost, dem.SNRdB)
-	return frames, lost, dem.SNRdB, nil
-}
-
-// recordReceive updates the receive-side counters and the modem SNR
-// gauge.
-func (p *Pipeline) recordReceive(frames []*frame.Frame, lost int, snrDB float64) {
+	fecSp := parent.StartChild("fec_decode")
+	frames, lost = decode()
+	fecSp.End()
 	p.framesRx.Add(int64(len(frames)))
 	p.framesLost.Add(int64(lost))
-	p.snrGauge.Set(snrDB)
+	p.snrGauge.Set(snr)
+	return frames, lost, snr, nil
 }
 
 // --- cell transport ----------------------------------------------------------

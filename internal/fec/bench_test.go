@@ -35,11 +35,12 @@ func benchSoft(coded []byte, seed int64) []float64 {
 func BenchmarkViterbiHardV29(b *testing.B) {
 	c := NewV29()
 	coded := benchCoded(c, 264, 16)
+	ws := c.NewWorkspace()
 	b.SetBytes(264)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.DecodeBitsMetric(coded); err != nil {
+		if _, _, err := ws.decodeHardBits(coded); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -50,11 +51,12 @@ func BenchmarkViterbiHardV29(b *testing.B) {
 func BenchmarkViterbiHardV29Clean(b *testing.B) {
 	c := NewV29()
 	coded := benchCoded(c, 264, 0)
+	ws := c.NewWorkspace()
 	b.SetBytes(264)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.DecodeBitsMetric(coded); err != nil {
+		if _, _, err := ws.decodeHardBits(coded); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,11 +65,12 @@ func BenchmarkViterbiHardV29Clean(b *testing.B) {
 func BenchmarkViterbiHardV27(b *testing.B) {
 	c := NewV27()
 	coded := benchCoded(c, 264, 16)
+	ws := c.NewWorkspace()
 	b.SetBytes(264)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.DecodeBitsMetric(coded); err != nil {
+		if _, _, err := ws.decodeHardBits(coded); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,11 +79,12 @@ func BenchmarkViterbiHardV27(b *testing.B) {
 func BenchmarkViterbiSoftV29(b *testing.B) {
 	c := NewV29()
 	soft := benchSoft(benchCoded(c, 264, 0), 7)
+	ws := c.NewWorkspace()
 	b.SetBytes(264)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DecodeSoft(soft); err != nil {
+		if _, _, err := ws.decodeSoftBits(soft); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,8 +21,8 @@ import (
 //
 // A ConvCode is immutable after construction and safe for concurrent use:
 // the trellis output table is built once (sync.Once) and decoder state
-// lives in per-call workspaces drawn from an internal pool, so every
-// caller shares the precomputed tables.
+// lives in Workspaces (NewWorkspace), one per decoding goroutine, so
+// every caller shares the precomputed tables.
 type ConvCode struct {
 	k     int    // constraint length
 	polyA uint32 // generator A (lowest bit = newest input)
@@ -45,8 +45,6 @@ type ConvCode struct {
 	hardBM     [4][]int32
 	invA, invB uint32
 	hasInverse bool
-
-	wsPool sync.Pool // *Workspace
 }
 
 // The two standard codes are package-level singletons so every caller —
@@ -160,69 +158,9 @@ func (c *ConvCode) encodeBitsInto(dst []byte, bits []byte) []byte {
 	return dst
 }
 
-// ErrBadCodeLength is returned by DecodeBits for streams whose length is
-// not consistent with the encoder output format.
+// ErrBadCodeLength is returned for coded input whose length is not
+// consistent with the encoder output format.
 var ErrBadCodeLength = errors.New("fec: convolutional stream length invalid")
-
-// DecodeBits hard-decodes a coded bit stream produced by EncodeBits
-// (possibly with bit errors) and returns the maximum-likelihood message
-// bits: what Viterbi returns, without the trellis walk when the stream is
-// already a codeword. The stream length must be even and at least 2*(K-1).
-func (c *ConvCode) DecodeBits(coded []byte) ([]byte, error) {
-	bits, _, err := c.DecodeBitsMetric(coded)
-	return bits, err
-}
-
-// DecodeBitsMetric is DecodeBits plus the winning path metric: the
-// Hamming distance between the received stream and the re-encoded
-// decoded message, i.e. how many channel bits Viterbi had to override.
-// 0 means a clean channel; values approaching the code's correction
-// limit flag frames decoded right at the cliff.
-func (c *ConvCode) DecodeBitsMetric(coded []byte) ([]byte, int, error) {
-	ws := c.getWorkspace()
-	defer c.putWorkspace(ws)
-	bits, metric, err := ws.DecodeBitsMetric(coded)
-	if err != nil {
-		return nil, 0, err
-	}
-	return append([]byte(nil), bits...), metric, nil
-}
-
-// DecodeSoft runs soft-decision Viterbi over per-bit soft metrics
-// (positive value = bit 1, magnitude = reliability, as produced by the
-// modem's DemapSoft). It returns the decoded message bits. Soft decoding
-// buys roughly 2 dB over hard decisions on Gaussian channels, which is
-// why data-over-sound modems like Quiet feed their decoders soft values.
-func (c *ConvCode) DecodeSoft(soft []float64) ([]byte, error) {
-	ws := c.getWorkspace()
-	defer c.putWorkspace(ws)
-	bits, err := ws.DecodeSoft(soft)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), bits...), nil
-}
-
-// DecodeSoftBytes is DecodeSoft with byte packing: soft covers codedBits
-// metrics and the decoded message must be byte aligned.
-func (c *ConvCode) DecodeSoftBytes(soft []float64) ([]byte, error) {
-	data, _, err := c.DecodeSoftBytesMetric(soft)
-	return data, err
-}
-
-// DecodeSoftBytesMetric is DecodeSoftBytes plus a hard-equivalent path
-// metric: the number of soft inputs whose sign disagrees with the
-// winning path's re-encoded stream. It is directly comparable to the
-// hard decoder's Hamming path metric.
-func (c *ConvCode) DecodeSoftBytesMetric(soft []float64) ([]byte, int, error) {
-	ws := c.getWorkspace()
-	defer c.putWorkspace(ws)
-	data, disagree, err := ws.DecodeSoftBytesMetric(soft)
-	if err != nil {
-		return nil, 0, err
-	}
-	return append([]byte(nil), data...), disagree, nil
-}
 
 // Encode packs bytes to bits (MSB first), encodes, and returns the coded
 // bit stream packed back into bytes (padded with zero bits to a byte
@@ -233,49 +171,22 @@ func (c *ConvCode) Encode(data []byte) (coded []byte, codedBits int) {
 	return BitsToBytes(cb), len(cb)
 }
 
-// Decode reverses Encode given the original coded bit count.
-func (c *ConvCode) Decode(coded []byte, codedBits int) ([]byte, error) {
-	data, _, err := c.DecodeMetric(coded, codedBits)
-	return data, err
-}
-
-// DecodeMetric is Decode plus the Viterbi path metric (see
-// DecodeBitsMetric) — the telemetry layer histograms it to watch how
-// close the inner code runs to its correction limit.
-func (c *ConvCode) DecodeMetric(coded []byte, codedBits int) ([]byte, int, error) {
-	ws := c.getWorkspace()
-	defer c.putWorkspace(ws)
-	data, metric, err := ws.DecodeMetric(coded, codedBits)
-	if err != nil {
-		return nil, 0, err
-	}
-	return append([]byte(nil), data...), metric, nil
-}
-
 // EncodedBits returns the number of coded bits for msgLen message bytes.
 func (c *ConvCode) EncodedBits(msgLen int) int {
 	return 2 * (msgLen*8 + c.k - 1)
 }
-
-// getWorkspace draws a decoder workspace from the code's pool.
-func (c *ConvCode) getWorkspace() *Workspace {
-	if ws, ok := c.wsPool.Get().(*Workspace); ok {
-		return ws
-	}
-	return c.NewWorkspace()
-}
-
-func (c *ConvCode) putWorkspace(ws *Workspace) { c.wsPool.Put(ws) }
 
 // Workspace holds all mutable decoder state for one ConvCode: flat path-
 // metric arrays, the bit-packed survivor memory, and scratch buffers.
 // Steady-state decodes through a Workspace are allocation-free (survivor
 // memory grows once to the largest stream seen, then is reused).
 //
-// The byte slices returned by a Workspace's Decode* methods alias its
-// internal buffers and are valid only until the next call; copy them to
-// retain. A Workspace is not safe for concurrent use — use one per
-// goroutine, or the ConvCode methods, which draw from an internal pool.
+// A Workspace decodes through one of two methods, one per input kind:
+// Decode takes packed hard decisions, DecodeSoft per-bit soft metrics.
+// Both return the message bytes and the same path metric. The returned
+// bytes alias the workspace's buffers and are valid only until the next
+// call; copy them to retain. A Workspace is not safe for concurrent use:
+// use one per goroutine.
 type Workspace struct {
 	c *ConvCode
 
@@ -287,10 +198,9 @@ type Workspace struct {
 	surv   []uint64
 	stride int
 
-	bits  []byte    // decoded message bits
-	data  []byte    // packed decoded bytes
-	soft  []float64 // soft scratch (DecodeSoftBytesMetric re-encode check)
-	coded []byte    // unpacked coded bits (DecodeMetric)
+	bits  []byte // decoded message bits
+	data  []byte // packed decoded bytes
+	coded []byte // unpacked coded bits (Decode), re-encoded winner (DecodeSoft)
 }
 
 // NewWorkspace returns a decoder workspace bound to the code. Callers
@@ -330,9 +240,15 @@ func (w *Workspace) growBits(n int) []byte {
 
 const hardInf = math.MaxInt32 / 4
 
-// DecodeBitsMetric is ConvCode.DecodeBitsMetric on this workspace. The
-// returned slice aliases the workspace (valid until the next call).
-func (w *Workspace) DecodeBitsMetric(coded []byte) ([]byte, int, error) {
+// decodeHardBits is the hard-decision kernel: it decodes a coded bit
+// stream (one bit per byte, as EncodeBits emits, possibly with bit
+// errors) to the maximum-likelihood message bits and the winning path
+// metric — the Hamming distance between the received stream and the
+// re-encoded message, i.e. how many channel bits Viterbi had to override.
+// A stream that is already a codeword skips the trellis (decodeClean).
+// The stream length must be even and at least 2*(K-1); the returned
+// slice aliases the workspace.
+func (w *Workspace) decodeHardBits(coded []byte) ([]byte, int, error) {
 	c := w.c
 	if len(coded)%2 != 0 || len(coded) < 2*(c.k-1) {
 		return nil, 0, ErrBadCodeLength
@@ -479,19 +395,19 @@ func gf2MulWord(cur, prev uint64, g uint32) (p uint64) {
 	return p
 }
 
-// DecodeBits is ConvCode.DecodeBits on this workspace (result aliases
-// the workspace).
-func (w *Workspace) DecodeBits(coded []byte) ([]byte, error) {
-	bits, _, err := w.DecodeBitsMetric(coded)
-	return bits, err
-}
-
-// DecodeSoft is ConvCode.DecodeSoft on this workspace (result aliases
-// the workspace).
-func (w *Workspace) DecodeSoft(soft []float64) ([]byte, error) {
+// decodeSoftBits is the soft-decision kernel: Viterbi over per-bit soft
+// metrics (positive value = bit 1, magnitude = reliability, as the
+// modem's DemapSoft produces), maximizing correlation. It returns the
+// message bits and a hard-equivalent path metric: the number of inputs
+// whose sign disagrees with the re-encoded winner, the Hamming distance
+// decodeHardBits reports for the sliced input. Soft decoding buys
+// roughly 2 dB over hard decisions on Gaussian channels, which is why
+// data-over-sound modems like Quiet feed their decoders soft values.
+// The returned slice aliases the workspace.
+func (w *Workspace) decodeSoftBits(soft []float64) ([]byte, int, error) {
 	c := w.c
 	if len(soft)%2 != 0 || len(soft) < 2*(c.k-1) {
-		return nil, ErrBadCodeLength
+		return nil, 0, ErrBadCodeLength
 	}
 	nSteps := len(soft) / 2
 	msgLen := nSteps - (c.k - 1)
@@ -507,7 +423,7 @@ func (w *Workspace) DecodeSoft(soft []float64) ([]byte, error) {
 	}
 	metric[0] = 0
 
-	// Same butterfly structure as the hard path (see DecodeBitsMetric),
+	// Same butterfly structure as the hard path (see decodeHardBits),
 	// maximizing a correlation metric; ties keep p0.
 	half := nStates >> 1
 	opLo := outPair[:nStates:nStates]
@@ -568,46 +484,30 @@ func (w *Workspace) DecodeSoft(soft []float64) ([]byte, error) {
 		b := surv[step*stride+int(state>>6)] >> (state & 63) & 1
 		state = state>>1 | uint32(b)<<uint(c.k-2)
 	}
-	return msg[:msgLen], nil
-}
+	msg = msg[:msgLen]
 
-// DecodeSoftBytesMetric is ConvCode.DecodeSoftBytesMetric on this
-// workspace (result aliases the workspace).
-func (w *Workspace) DecodeSoftBytesMetric(soft []float64) ([]byte, int, error) {
-	msgBits, err := w.DecodeSoft(soft)
-	if err != nil {
-		return nil, 0, err
+	// Re-encode the winner into scratch (msg aliases w.bits, so w.coded)
+	// and count the inputs its signs disagree with; len(re) == len(soft).
+	if cap(w.coded) < len(soft) {
+		w.coded = make([]byte, 0, len(soft))
 	}
-	if len(msgBits)%8 != 0 {
-		return nil, 0, fmt.Errorf("fec: decoded %d bits, not byte aligned", len(msgBits))
-	}
-	// Count soft inputs whose sign disagrees with the re-encoded winner.
-	// Re-encode into scratch: msgBits aliases w.bits, so reuse w.coded.
-	if cap(w.coded) < 2*(len(msgBits)+w.c.k-1) {
-		w.coded = make([]byte, 0, 2*(len(msgBits)+w.c.k-1))
-	}
-	re := w.c.encodeBitsInto(w.coded[:0], msgBits)
+	re := c.encodeBitsInto(w.coded[:0], msg)
 	w.coded = re[:0]
 	disagree := 0
-	for i, b := range re {
-		if i >= len(soft) {
-			break
-		}
-		if (b == 1) != (soft[i] > 0) {
+	for i, s := range soft {
+		if (re[i] == 1) != (s > 0) {
 			disagree++
 		}
 	}
-	if cap(w.data) < len(msgBits)/8 {
-		w.data = make([]byte, len(msgBits)/8)
-	}
-	w.data = w.data[:len(msgBits)/8]
-	packBitsInto(w.data, msgBits)
-	return w.data, disagree, nil
+	return msg, disagree, nil
 }
 
-// DecodeMetric is ConvCode.DecodeMetric on this workspace (result
-// aliases the workspace).
-func (w *Workspace) DecodeMetric(coded []byte, codedBits int) ([]byte, int, error) {
+// Decode decodes packed hard decisions: coded holds codedBits coded bits,
+// MSB first, as Encode emits them (possibly with bit errors). It returns
+// the message bytes and the path metric of decodeHardBits: a codeword is
+// inverted algebraically with metric 0, anything else walks the integer
+// trellis. The returned slice aliases the workspace.
+func (w *Workspace) Decode(coded []byte, codedBits int) ([]byte, int, error) {
 	if codedBits < 0 || codedBits > len(coded)*8 {
 		return nil, 0, ErrBadCodeLength
 	}
@@ -616,7 +516,21 @@ func (w *Workspace) DecodeMetric(coded []byte, codedBits int) ([]byte, int, erro
 	}
 	w.coded = w.coded[:codedBits]
 	unpackBitsInto(w.coded, coded)
-	msgBits, pathMetric, err := w.DecodeBitsMetric(w.coded)
+	return w.packed(w.decodeHardBits(w.coded))
+}
+
+// DecodeSoft decodes per-bit soft metrics, one per coded bit (positive =
+// bit 1), always on the float trellis. It returns the message bytes and
+// the path metric Decode reports: the Hamming distance from the sliced
+// input to the re-encoded winner. The returned slice aliases the
+// workspace.
+func (w *Workspace) DecodeSoft(soft []float64) ([]byte, int, error) {
+	return w.packed(w.decodeSoftBits(soft))
+}
+
+// packed packs a kernel's decoded message bits into the workspace's byte
+// buffer; a message that is not a whole number of bytes is an error.
+func (w *Workspace) packed(msgBits []byte, metric int, err error) ([]byte, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
@@ -628,7 +542,7 @@ func (w *Workspace) DecodeMetric(coded []byte, codedBits int) ([]byte, int, erro
 	}
 	w.data = w.data[:len(msgBits)/8]
 	packBitsInto(w.data, msgBits)
-	return w.data, pathMetric, nil
+	return w.data, metric, nil
 }
 
 // BytesToBits unpacks bytes into bits, MSB first.

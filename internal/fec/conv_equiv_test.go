@@ -9,7 +9,7 @@ import (
 )
 
 // This file pins the optimized table-driven Viterbi (flat state arrays,
-// bit-packed survivors, pooled workspaces) to the straightforward
+// bit-packed survivors, reused workspaces) to the straightforward
 // pre-optimization formulation: same decoded bits, same path metric, on
 // randomized noisy streams. refDecodeBitsMetric / refDecodeSoft below
 // are verbatim copies of the original implementations.
@@ -174,6 +174,7 @@ func refDecodeSoft(c *ConvCode, soft []float64) ([]byte, error) {
 func TestViterbiHardMatchesReference(t *testing.T) {
 	for _, c := range []*ConvCode{NewV27(), NewV29()} {
 		rng := rand.New(rand.NewSource(int64(c.k)))
+		ws := c.NewWorkspace()
 		for trial := 0; trial < 50; trial++ {
 			msgBits := make([]byte, 8*(1+rng.Intn(64)))
 			for i := range msgBits {
@@ -190,7 +191,7 @@ func TestViterbiHardMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotMetric, err := c.DecodeBitsMetric(coded)
+			got, gotMetric, err := ws.decodeHardBits(coded)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,6 +208,7 @@ func TestViterbiHardMatchesReference(t *testing.T) {
 func TestViterbiSoftMatchesReference(t *testing.T) {
 	for _, c := range []*ConvCode{NewV27(), NewV29()} {
 		rng := rand.New(rand.NewSource(100 + int64(c.k)))
+		ws := c.NewWorkspace()
 		for trial := 0; trial < 50; trial++ {
 			msgBits := make([]byte, 8*(1+rng.Intn(64)))
 			for i := range msgBits {
@@ -225,7 +227,7 @@ func TestViterbiSoftMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.DecodeSoft(soft)
+			got, _, err := ws.decodeSoftBits(soft)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,13 +238,13 @@ func TestViterbiSoftMatchesReference(t *testing.T) {
 	}
 }
 
-// checkHardMatchesReference decodes coded through the optimized entry
-// point and the frozen reference and requires the same bits, path metric
-// and error.
+// checkHardMatchesReference decodes coded through the optimized kernel
+// and the frozen reference and requires the same bits, path metric and
+// error.
 func checkHardMatchesReference(t *testing.T, c *ConvCode, name string, coded []byte) {
 	t.Helper()
 	want, wantMetric, wantErr := refDecodeBitsMetric(c, coded)
-	got, gotMetric, gotErr := c.NewWorkspace().DecodeBitsMetric(coded)
+	got, gotMetric, gotErr := c.NewWorkspace().decodeHardBits(coded)
 	if gotErr != wantErr {
 		t.Fatalf("K=%d %s: error %v, reference %v", c.k, name, gotErr, wantErr)
 	}
@@ -251,6 +253,30 @@ func checkHardMatchesReference(t *testing.T, c *ConvCode, name string, coded []b
 	}
 	if gotMetric != wantMetric {
 		t.Fatalf("K=%d %s: path metric %d, reference %d", c.k, name, gotMetric, wantMetric)
+	}
+}
+
+// checkSoftMatchesHard decodes coded as ±1 soft metrics and requires the
+// hard kernel's bits, path metric and error. This is the identity the one
+// path-metric family rests on: on ±1 input the correlation metric orders
+// paths exactly as Hamming distance does, ties included, so the float
+// trellis picks the winner the syndrome or the integer trellis picks.
+func checkSoftMatchesHard(t *testing.T, c *ConvCode, name string, coded []byte) {
+	t.Helper()
+	soft := make([]float64, len(coded))
+	for i, b := range coded {
+		soft[i] = float64(b&1)*2 - 1
+	}
+	want, wantMetric, wantErr := c.NewWorkspace().decodeHardBits(coded)
+	got, gotMetric, gotErr := c.NewWorkspace().decodeSoftBits(soft)
+	if gotErr != wantErr {
+		t.Fatalf("K=%d %s: soft error %v, hard %v", c.k, name, gotErr, wantErr)
+	}
+	if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+		t.Fatalf("K=%d %s: soft-decoded bits diverge from hard", c.k, name)
+	}
+	if gotMetric != wantMetric {
+		t.Fatalf("K=%d %s: soft path metric %d, hard %d", c.k, name, gotMetric, wantMetric)
 	}
 }
 
@@ -279,7 +305,7 @@ func TestCleanFastPathMatchesReference(t *testing.T) {
 				t.Fatalf("K=%d msgLen=%d: clean codeword not taken by the fast path", c.k, msgLen)
 			}
 			checkHardMatchesReference(t, c, "clean", clean)
-			if got, metric, _ := c.DecodeBitsMetric(clean); !bytes.Equal(got, msg) || metric != 0 {
+			if got, metric, _ := c.NewWorkspace().decodeHardBits(clean); !bytes.Equal(got, msg) || metric != 0 {
 				t.Fatalf("K=%d msgLen=%d: clean decode changed the message (metric %d)", c.k, msgLen, metric)
 			}
 
@@ -322,7 +348,7 @@ func TestCleanFastPathMatchesReference(t *testing.T) {
 		}
 		for _, n := range []int{0, 1, 2, 2*(c.k-1) - 2, 2*(c.k-1) - 1, 2*(c.k-1) + 1, 101} {
 			checkHardMatchesReference(t, c, "bad length", make([]byte, n))
-			if _, _, err := c.DecodeBitsMetric(make([]byte, n)); err != ErrBadCodeLength {
+			if _, _, err := c.NewWorkspace().decodeHardBits(make([]byte, n)); err != ErrBadCodeLength {
 				t.Fatalf("K=%d len %d: error %v, want ErrBadCodeLength", c.k, n, err)
 			}
 		}
@@ -381,10 +407,10 @@ func TestViterbiWorkspaceZeroAlloc(t *testing.T) {
 
 	ws := c.NewWorkspace()
 	// Warm up so the survivor memory has grown to steady state.
-	if _, _, err := ws.DecodeMetric(noisy, codedBits); err != nil {
+	if _, _, err := ws.Decode(noisy, codedBits); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ws.DecodeSoftBytesMetric(soft); err != nil {
+	if _, _, err := ws.DecodeSoft(soft); err != nil {
 		t.Fatal(err)
 	}
 
@@ -394,25 +420,26 @@ func TestViterbiWorkspaceZeroAlloc(t *testing.T) {
 		metric int
 	}{{"clean (fast path)", coded, 0}, {"noisy (Viterbi)", noisy, 1}} {
 		if n := testing.AllocsPerRun(20, func() {
-			if _, metric, err := ws.DecodeMetric(in.coded, codedBits); err != nil || metric != in.metric {
+			if _, metric, err := ws.Decode(in.coded, codedBits); err != nil || metric != in.metric {
 				t.Fatalf("%s: metric %d, err %v", in.name, metric, err)
 			}
 		}); n != 0 {
-			t.Errorf("Workspace.DecodeMetric, %s: %v allocs/run, want 0", in.name, n)
+			t.Errorf("Workspace.Decode, %s: %v allocs/run, want 0", in.name, n)
 		}
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if _, _, err := ws.DecodeSoftBytesMetric(soft); err != nil {
+		if _, _, err := ws.DecodeSoft(soft); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("Workspace.DecodeSoftBytesMetric: %v allocs/run, want 0", n)
+		t.Errorf("Workspace.DecodeSoft: %v allocs/run, want 0", n)
 	}
 }
 
 func TestSharedCodeConcurrentDecode(t *testing.T) {
-	// NewV29 returns a shared instance; its pooled decode paths must be
-	// safe under concurrent use (run with -race).
+	// NewV29 returns a shared instance; its lazily built tables must be
+	// safe under concurrent use, each goroutine decoding on its own
+	// Workspace (run with -race).
 	c := NewV29()
 	msg := make([]byte, 264)
 	for i := range msg {
@@ -422,8 +449,9 @@ func TestSharedCodeConcurrentDecode(t *testing.T) {
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
+			ws := c.NewWorkspace()
 			for i := 0; i < 20; i++ {
-				got, err := c.Decode(coded, codedBits)
+				got, _, err := ws.Decode(coded, codedBits)
 				if err != nil {
 					done <- err
 					return

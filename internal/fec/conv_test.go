@@ -48,7 +48,7 @@ func TestConvRoundTripClean(t *testing.T) {
 				bits[i] = byte(rng.Intn(2))
 			}
 			coded := c.EncodeBits(bits)
-			dec, err := c.DecodeBits(coded)
+			dec, _, err := c.NewWorkspace().decodeHardBits(coded)
 			if err != nil {
 				t.Fatalf("K=%d n=%d: %v", c.k, n, err)
 			}
@@ -74,7 +74,7 @@ func TestConvCorrectsScatteredErrors(t *testing.T) {
 	for i := 20; i < len(coded); i += 40 {
 		coded[i] ^= 1
 	}
-	dec, err := c.DecodeBits(coded)
+	dec, _, err := c.NewWorkspace().decodeHardBits(coded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestConvRandomBERRecovery(t *testing.T) {
 				coded[i] ^= 1
 			}
 		}
-		dec, err := c.DecodeBits(coded)
+		dec, _, err := c.NewWorkspace().decodeHardBits(coded)
 		if err == nil && bytes.Equal(dec, bits) {
 			ok++
 		}
@@ -127,7 +127,7 @@ func TestConvV29OutperformsV27(t *testing.T) {
 					coded[i] ^= 1
 				}
 			}
-			dec, err := c.DecodeBits(coded)
+			dec, _, err := c.NewWorkspace().decodeHardBits(coded)
 			if err == nil && bytes.Equal(dec, bits) {
 				ok++
 			}
@@ -143,13 +143,14 @@ func TestConvV29OutperformsV27(t *testing.T) {
 
 func TestConvDecodeBadLength(t *testing.T) {
 	c := NewV29()
-	if _, err := c.DecodeBits(make([]byte, 3)); err != ErrBadCodeLength {
+	ws := c.NewWorkspace()
+	if _, _, err := ws.decodeHardBits(make([]byte, 3)); err != ErrBadCodeLength {
 		t.Errorf("odd length err = %v", err)
 	}
-	if _, err := c.DecodeBits(make([]byte, 2)); err != ErrBadCodeLength {
+	if _, _, err := ws.decodeHardBits(make([]byte, 2)); err != ErrBadCodeLength {
 		t.Errorf("too-short err = %v", err)
 	}
-	if _, err := c.Decode([]byte{0}, 100); err == nil {
+	if _, _, err := ws.Decode([]byte{0}, 100); err == nil {
 		t.Error("codedBits beyond buffer should fail")
 	}
 }
@@ -158,7 +159,7 @@ func TestConvByteAPIRoundTrip(t *testing.T) {
 	c := NewV29()
 	msg := []byte("SONIC frame payload: 100 bytes of webpage partition data....")
 	coded, nbits := c.Encode(msg)
-	dec, err := c.Decode(coded, nbits)
+	dec, _, err := c.NewWorkspace().Decode(coded, nbits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +184,7 @@ func TestBitsBytesRoundTrip(t *testing.T) {
 
 func TestConvQuickRoundTrip(t *testing.T) {
 	c := NewV27() // faster for quick-check volume
+	ws := c.NewWorkspace()
 	f := func(data []byte) bool {
 		if len(data) == 0 {
 			return true
@@ -191,7 +193,7 @@ func TestConvQuickRoundTrip(t *testing.T) {
 			data = data[:64]
 		}
 		coded, nbits := c.Encode(data)
-		dec, err := c.Decode(coded, nbits)
+		dec, _, err := ws.Decode(coded, nbits)
 		return err == nil && bytes.Equal(dec, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -215,11 +217,12 @@ func BenchmarkV29Decode100B(b *testing.B) {
 	msg := make([]byte, 100)
 	rand.New(rand.NewSource(1)).Read(msg)
 	coded, nbits := c.Encode(msg)
+	ws := c.NewWorkspace()
 	b.SetBytes(100)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(coded, nbits); err != nil {
+		if _, _, err := ws.Decode(coded, nbits); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -61,7 +61,9 @@ func FuzzRSDecode(f *testing.F) {
 // bits, path metric and error (checkHardMatchesReference). Random bytes are almost never a codeword,
 // so each input is also replayed as a message: encoded, decoded clean
 // (the fast path), then with one bit flipped at a position the input
-// picks (the fallback, one syndrome word in).
+// picks (the fallback, one syndrome word in). Every word is also decoded
+// as ±1 soft metrics, which must give the hard path's bits, metric and
+// error (checkSoftMatchesHard).
 func FuzzConvDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
@@ -74,8 +76,12 @@ func FuzzConvDecode(f *testing.F) {
 			data = data[:256]
 		}
 		for _, c := range []*ConvCode{NewV27(), NewV29()} {
-			checkHardMatchesReference(t, c, "raw", data)
-			checkHardMatchesReference(t, c, "raw, even", data[:len(data)&^1])
+			check := func(name string, coded []byte) {
+				checkHardMatchesReference(t, c, name, coded)
+				checkSoftMatchesHard(t, c, name, coded)
+			}
+			check("raw", data)
+			check("raw, even", data[:len(data)&^1])
 
 			msg := make([]byte, len(data))
 			pos := 0
@@ -84,9 +90,9 @@ func FuzzConvDecode(f *testing.F) {
 				pos = pos*31 + int(b)
 			}
 			coded := c.EncodeBits(msg)
-			checkHardMatchesReference(t, c, "clean", coded)
+			check("clean", coded)
 			coded[uint(pos)%uint(len(coded))] ^= 1
-			checkHardMatchesReference(t, c, "one flip", coded)
+			check("one flip", coded)
 		}
 	})
 }

@@ -124,8 +124,7 @@ type codecMetrics struct {
 	crcFailed   *telemetry.Counter   // fec_frames_crc_failed_total
 	fecFailed   *telemetry.Counter   // fec_frames_fec_failed_total
 	rsCorrected *telemetry.Counter   // fec_rs_corrected_symbols_total
-	viterbi     *telemetry.Histogram // fec_viterbi_path_metric
-	viterbiSoft *telemetry.Histogram // fec_viterbi_soft_path_metric
+	viterbi     *telemetry.Histogram // fec_viterbi_path_metric, hard and soft alike
 }
 
 // Instrument registers the codec's metric families on reg and starts
@@ -138,7 +137,6 @@ func (c *Codec) Instrument(reg *telemetry.Registry) {
 		fecFailed:   reg.Counter("fec_frames_fec_failed_total"),
 		rsCorrected: reg.Counter("fec_rs_corrected_symbols_total"),
 		viterbi:     reg.Histogram("fec_viterbi_path_metric", telemetry.CountBuckets),
-		viterbiSoft: reg.Histogram("fec_viterbi_soft_path_metric", telemetry.CountBuckets),
 	}
 }
 
@@ -201,20 +199,57 @@ func (c *Codec) DecodeFrame(coded []byte) (*Frame, error) {
 	return c.decodeFrame(ws, coded)
 }
 
+// DecodeFrameSoft is DecodeFrame on per-bit soft metrics (positive =
+// bit 1), len(soft) == CodedFrameSize()*8. The inner code decodes with
+// soft-decision Viterbi; the outer RS stage and CRC remain hard. Soft
+// decisions only help the inner code, so a codec without one refuses
+// them.
+func (c *Codec) DecodeFrameSoft(soft []float64) (*Frame, error) {
+	ws := c.getWorkspace()
+	defer c.putWorkspace(ws)
+	return c.decodeFrameSoft(ws, soft)
+}
+
+// errNoInnerCode is DecodeFrameSoft's error on a codec without an inner
+// code.
+var errNoInnerCode = errors.New("frame: soft decisions need an inner code")
+
 // decodeFrame is DecodeFrame on the caller's inner-code workspace.
 func (c *Codec) decodeFrame(ws *fec.Workspace, coded []byte) (*Frame, error) {
 	if len(coded) != c.codedLen {
 		return nil, ErrBadLength
 	}
-	buf := coded
+	if c.conv == nil {
+		return c.decodeTail(coded, 0, nil)
+	}
+	return c.decodeTail(ws.Decode(coded, c.codedBits))
+}
+
+// decodeFrameSoft is DecodeFrameSoft on the caller's inner-code
+// workspace.
+func (c *Codec) decodeFrameSoft(ws *fec.Workspace, soft []float64) (*Frame, error) {
+	if len(soft) != c.codedLen*8 {
+		return nil, ErrBadLength
+	}
+	if c.conv == nil {
+		return nil, errNoInnerCode
+	}
+	return c.decodeTail(ws.DecodeSoft(soft[:c.codedBits]))
+}
+
+// decodeTail is the per-frame receive path after the inner decoder, the
+// same for hard and soft input: it records the inner decode (buf,
+// pathMetric, err as the workspace returned them; the coded frame itself
+// without an inner code), then runs the RS stage, the CRC and their
+// counters.
+func (c *Codec) decodeTail(buf []byte, pathMetric int, err error) (*Frame, error) {
+	if err != nil {
+		c.m.fecFailed.Inc()
+		return nil, err
+	}
 	if c.conv != nil {
-		dec, pathMetric, err := ws.DecodeMetric(coded, c.codedBits)
-		if err != nil {
-			c.m.fecFailed.Inc()
-			return nil, err
-		}
 		c.m.viterbi.Observe(float64(pathMetric))
-		buf = dec[:c.rsLen]
+		buf = buf[:c.rsLen]
 	}
 	if c.rs != nil {
 		dec, corrected, err := c.rs.Decode(buf)
@@ -225,12 +260,6 @@ func (c *Codec) decodeFrame(ws *fec.Workspace, coded []byte) (*Frame, error) {
 		c.m.rsCorrected.Add(int64(corrected))
 		buf = dec
 	}
-	return c.finishDecode(buf)
-}
-
-// finishDecode unmarshals the FEC-cleaned frame bytes and records the
-// CRC/decode outcome.
-func (c *Codec) finishDecode(buf []byte) (*Frame, error) {
 	f, err := Unmarshal(buf[:FrameSize])
 	if err != nil {
 		c.m.crcFailed.Inc()
@@ -238,59 +267,6 @@ func (c *Codec) finishDecode(buf []byte) (*Frame, error) {
 	}
 	c.m.decoded.Inc()
 	return f, nil
-}
-
-// DecodeFrameSoft is DecodeFrame on per-bit soft metrics (positive =
-// bit 1), len(soft) == CodedFrameSize()*8. The inner code decodes with
-// soft-decision Viterbi; the outer RS stage and CRC remain hard. Without
-// an inner code it falls back to hard slicing.
-func (c *Codec) DecodeFrameSoft(soft []float64) (*Frame, error) {
-	if len(soft) != c.codedLen*8 {
-		return nil, ErrBadLength
-	}
-	var buf []byte
-	if c.conv != nil {
-		dec, pathMetric, err := c.conv.DecodeSoftBytesMetric(soft[:c.codedBits])
-		if err != nil {
-			c.m.fecFailed.Inc()
-			return nil, err
-		}
-		c.m.viterbiSoft.Observe(float64(pathMetric))
-		buf = dec[:c.rsLen]
-	} else {
-		bits := make([]byte, len(soft))
-		for i, s := range soft {
-			if s > 0 {
-				bits[i] = 1
-			}
-		}
-		buf = fec.BitsToBytes(bits)[:c.rsLen]
-	}
-	if c.rs != nil {
-		dec, corrected, err := c.rs.Decode(buf)
-		if err != nil {
-			c.m.fecFailed.Inc()
-			return nil, err
-		}
-		c.m.rsCorrected.Add(int64(corrected))
-		buf = dec
-	}
-	return c.finishDecode(buf)
-}
-
-// DecodeStreamSoft splits a soft-metric stream (8 metrics per coded
-// byte) into frames, decoding each with the soft path.
-func (c *Codec) DecodeStreamSoft(soft []float64) (frames []*Frame, lost int) {
-	chunk := c.codedLen * 8
-	for off := 0; off+chunk <= len(soft); off += chunk {
-		f, err := c.DecodeFrameSoft(soft[off : off+chunk])
-		if err != nil {
-			lost++
-			continue
-		}
-		frames = append(frames, f)
-	}
-	return frames, lost
 }
 
 // EncodeStream packs many frames into one contiguous coded byte stream
@@ -310,18 +286,35 @@ func (c *Codec) EncodeStream(frames []*Frame) ([]byte, error) {
 // DecodeStream splits a coded stream back into frames. Frames that fail
 // FEC or CRC are counted as lost and omitted. Trailing partial data is
 // ignored (a truncated burst loses its tail frames).
-//
-// Frames are independent, so they decode on up to GOMAXPROCS goroutines,
-// each with its own inner-code workspace, into per-frame slots: the
-// result is the serial loop's whatever the scheduling.
 func (c *Codec) DecodeStream(stream []byte) (frames []*Frame, lost int) {
-	slots := make([]*Frame, len(stream)/c.codedLen)
-	parallel.For(runtime.GOMAXPROCS(0), len(slots), decodeMinFrames, func(lo, hi int) {
+	n := c.codedLen
+	return c.decodeStream(len(stream)/n, func(ws *fec.Workspace, i int) (*Frame, error) {
+		return c.decodeFrame(ws, stream[i*n:(i+1)*n])
+	})
+}
+
+// DecodeStreamSoft is DecodeStream on a soft-metric stream, 8 metrics per
+// coded byte, each frame decoded as DecodeFrameSoft does.
+func (c *Codec) DecodeStreamSoft(soft []float64) (frames []*Frame, lost int) {
+	n := c.codedLen * 8
+	return c.decodeStream(len(soft)/n, func(ws *fec.Workspace, i int) (*Frame, error) {
+		return c.decodeFrameSoft(ws, soft[i*n:(i+1)*n])
+	})
+}
+
+// decodeStream is the stream loop behind both input kinds: decode(ws, i)
+// decodes frame i of n. Frames are independent, so they decode on up to
+// GOMAXPROCS goroutines, each with its own inner-code workspace, into
+// per-frame slots: the result is the serial loop's whatever the
+// scheduling.
+func (c *Codec) decodeStream(n int, decode func(ws *fec.Workspace, i int) (*Frame, error)) (frames []*Frame, lost int) {
+	slots := make([]*Frame, n)
+	parallel.For(runtime.GOMAXPROCS(0), n, decodeMinFrames, func(lo, hi int) {
 		ws := c.getWorkspace()
 		defer c.putWorkspace(ws)
 		for i := lo; i < hi; i++ {
 			// A nil slot is a lost frame.
-			slots[i], _ = c.decodeFrame(ws, stream[i*c.codedLen:(i+1)*c.codedLen])
+			slots[i], _ = decode(ws, i)
 		}
 	})
 	kept := slots[:0]
@@ -331,9 +324,9 @@ func (c *Codec) DecodeStream(stream []byte) (frames []*Frame, lost int) {
 		}
 	}
 	if len(kept) == 0 {
-		return nil, len(slots) // as the serial append loop: nil, not empty
+		return nil, n // as the serial append loop: nil, not empty
 	}
-	return kept, len(slots) - len(kept)
+	return kept, n - len(kept)
 }
 
 // decodeMinFrames is the fewest frames worth a goroutine of their own in

@@ -235,11 +235,38 @@ func refDecodeStream(c *Codec, stream []byte) (frames []*Frame, lost int) {
 	return frames, lost
 }
 
+// refDecodeStreamSoft is the serial DecodeStreamSoft this package had
+// before soft streams joined the parallel frame loop, kept verbatim as the
+// parity reference.
+func refDecodeStreamSoft(c *Codec, soft []float64) (frames []*Frame, lost int) {
+	chunk := c.codedLen * 8
+	for off := 0; off+chunk <= len(soft); off += chunk {
+		f, err := c.DecodeFrameSoft(soft[off : off+chunk])
+		if err != nil {
+			lost++
+			continue
+		}
+		frames = append(frames, f)
+	}
+	return frames, lost
+}
+
+// noisySoft turns a coded byte stream into soft metrics: ±1 per bit plus
+// Gaussian noise of standard deviation sigma.
+func noisySoft(stream []byte, sigma float64, rng *rand.Rand) []float64 {
+	soft := make([]float64, 8*len(stream))
+	for i := range soft {
+		soft[i] = float64(stream[i/8]>>uint(7-i%8)&1)*2 - 1 + sigma*rng.NormFloat64()
+	}
+	return soft
+}
+
 // TestDecodeStreamParityAcrossGOMAXPROCS pins the parallel frame loop to
-// the serial reference — same frames in the same order, same lost count,
+// the serial references — same frames in the same order, same lost count,
 // nil where the reference returns nil, same telemetry — at 1, 2 and 4
-// procs (under -race this is also what hits the codec's metric handles
-// from several goroutines).
+// procs, for every stream as hard bytes (DecodeStream) and as noisy soft
+// metrics (DecodeStreamSoft). Under -race this is also what hits the
+// codec's metric handles from several goroutines.
 func TestDecodeStreamParityAcrossGOMAXPROCS(t *testing.T) {
 	c := NewCodec()
 	rng := rand.New(rand.NewSource(16))
@@ -273,22 +300,47 @@ func TestDecodeStreamParityAcrossGOMAXPROCS(t *testing.T) {
 		{"shorter than a frame", clean[:cl-1]},
 		{"empty", nil},
 	}
+	type decoded struct {
+		frames []*Frame
+		lost   int
+		tel    telemetry.Snapshot
+	}
+	run := func(decode func(c *Codec) ([]*Frame, int)) decoded {
+		c, reg := NewCodec(), telemetry.New()
+		c.Instrument(reg)
+		frames, lost := decode(c)
+		return decoded{frames, lost, reg.Snapshot()}
+	}
+	type leg struct {
+		name     string
+		ref, got func(c *Codec) ([]*Frame, int)
+	}
+	var legs []leg
+	for _, tc := range streams {
+		soft := noisySoft(tc.stream, 0.5, rng)
+		legs = append(legs,
+			leg{tc.name,
+				func(c *Codec) ([]*Frame, int) { return refDecodeStream(c, tc.stream) },
+				func(c *Codec) ([]*Frame, int) { return c.DecodeStream(tc.stream) }},
+			leg{tc.name + ", soft",
+				func(c *Codec) ([]*Frame, int) { return refDecodeStreamSoft(c, soft) },
+				func(c *Codec) ([]*Frame, int) { return c.DecodeStreamSoft(soft) }})
+	}
+	// The references are serial, so one run each serves every proc count.
+	want := make([]decoded, len(legs))
+	for i, l := range legs {
+		want[i] = run(l.ref)
+	}
 	for _, procs := range []int{1, 2, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		for _, tc := range streams {
-			ref, got := NewCodec(), NewCodec()
-			refReg, gotReg := telemetry.New(), telemetry.New()
-			ref.Instrument(refReg)
-			got.Instrument(gotReg)
-			wantFrames, wantLost := refDecodeStream(ref, tc.stream)
-			frames, lost := got.DecodeStream(tc.stream)
-			if lost != wantLost || !reflect.DeepEqual(frames, wantFrames) {
+		for i, l := range legs {
+			got, ref := run(l.got), want[i]
+			if got.lost != ref.lost || !reflect.DeepEqual(got.frames, ref.frames) {
 				t.Errorf("GOMAXPROCS=%d %s: %d frames/%d lost, reference %d/%d (or frames differ)",
-					procs, tc.name, len(frames), lost, len(wantFrames), wantLost)
+					procs, l.name, len(got.frames), got.lost, len(ref.frames), ref.lost)
 			}
-			a, b := gotReg.Snapshot(), refReg.Snapshot()
-			if !reflect.DeepEqual(a.Counters, b.Counters) || !reflect.DeepEqual(a.Histograms, b.Histograms) {
-				t.Errorf("GOMAXPROCS=%d %s: telemetry differs from the serial reference", procs, tc.name)
+			if !reflect.DeepEqual(got.tel.Counters, ref.tel.Counters) || !reflect.DeepEqual(got.tel.Histograms, ref.tel.Histograms) {
+				t.Errorf("GOMAXPROCS=%d %s: telemetry differs from the serial reference", procs, l.name)
 			}
 		}
 		runtime.GOMAXPROCS(prev)

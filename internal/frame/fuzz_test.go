@@ -2,14 +2,32 @@ package frame
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
-// FuzzFrameDecode throws arbitrary bytes at the two frame ingestion
-// paths a receiver exposes to the airwaves: raw Unmarshal and the full
-// FEC-coded DecodeFrame. Neither may panic on any input, anything
+// fuzzMetric reads one fuzz byte as a soft metric: a signed value in
+// [-2, 2), except for three byte values that stand for what no demapper
+// should emit but a corrupted buffer can hold.
+func fuzzMetric(b byte) float64 {
+	switch b {
+	case 0x7F:
+		return math.Inf(1)
+	case 0x80:
+		return math.Inf(-1)
+	case 0xC0:
+		return math.NaN()
+	}
+	return float64(int8(b)) / 64
+}
+
+// FuzzFrameDecode throws arbitrary bytes at the frame ingestion paths a
+// receiver exposes to the airwaves: raw Unmarshal, the full FEC-coded
+// DecodeFrame, and its soft-metric twin DecodeFrameSoft. None may panic
+// on any input or return a nil frame without an error, anything
 // Unmarshal accepts must survive a Marshal round-trip, and a payload
-// pushed through the whole encode/decode chain must come back intact.
+// pushed through the whole encode/decode chain, as bytes or as clean ±1
+// metrics, must come back intact.
 func FuzzFrameDecode(f *testing.F) {
 	valid, err := (&Frame{PageID: 7, Seq: 3, Total: 9, Payload: []byte("sonic fuzz seed")}).Marshal()
 	if err != nil {
@@ -20,6 +38,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, FrameSize))
 	f.Add(bytes.Repeat([]byte{0x00}, FrameSize-1))
 	f.Add([]byte("short"))
+	f.Add([]byte{0x7F, 0x80, 0xC0, 0x01, 0xFF, 0x40})
 
 	codec := NewCodec()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -61,6 +80,34 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		if !bytes.Equal(got.Payload, payload) {
 			t.Fatalf("payload changed through codec: %q vs %q", payload, got.Payload)
+		}
+
+		// Soft form: the fuzz bytes as metrics, alone (almost always the
+		// wrong length) and overwriting the start of the coded frame's
+		// clean ±1 metrics; then the clean metrics themselves, which must
+		// decode to the payload.
+		hostile := make([]float64, len(data))
+		for i, b := range data {
+			hostile[i] = fuzzMetric(b)
+		}
+		if fr, err := codec.DecodeFrameSoft(hostile); err == nil && fr == nil {
+			t.Fatal("DecodeFrameSoft returned nil frame with nil error")
+		}
+		soft := make([]float64, 8*len(coded))
+		for i := range soft {
+			soft[i] = float64(coded[i/8]>>uint(7-i%8)&1)*2 - 1
+		}
+		mixed := append([]float64(nil), soft...)
+		copy(mixed, hostile)
+		if fr, err := codec.DecodeFrameSoft(mixed); err == nil && fr == nil {
+			t.Fatal("DecodeFrameSoft returned nil frame with nil error")
+		}
+		got, err = codec.DecodeFrameSoft(soft)
+		if err != nil {
+			t.Fatalf("DecodeFrameSoft of clean ±1 metrics: %v", err)
+		}
+		if !bytes.Equal(got.Payload, payload) {
+			t.Fatalf("payload changed through the soft path: %q vs %q", payload, got.Payload)
 		}
 	})
 }

@@ -9,6 +9,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 tree_before=$(git status --porcelain)
 
+# Binaries and regenerated CSVs go in a directory of this run's own, so
+# two gates running at once do not overwrite each other's files.
+work=$(mktemp -d "${TMPDIR:-/tmp}/sonic-check.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+
 echo "==> go build ./..."
 go build ./...
 
@@ -24,8 +29,8 @@ if [[ -n "$unformatted" ]]; then
 fi
 
 echo "==> sonic-vet (project invariant analyzers)"
-go build -o /tmp/sonic-vet ./cmd/sonic-vet
-/tmp/sonic-vet ./...
+go build -o "$work/sonic-vet" ./cmd/sonic-vet
+"$work/sonic-vet" ./...
 
 # A package nothing ships is dead weight that still has to build, vet and
 # pass review: every internal package must be a dependency of a binary,
@@ -86,13 +91,11 @@ echo "==> ops smoke: sonic-sim -telemetry + obsprobe + sonic-top -once"
 # the v0 seed's numbers) and wait for ROADMAP item 6's bisect before they
 # can join this leg.
 echo "==> paper figures: fig4a and rssi regenerate results-csv/ byte for byte"
-csv_tmp=$(mktemp -d "${TMPDIR:-/tmp}/sonic-csv.XXXXXX")
-go build -o "$csv_tmp/sonic-bench" ./cmd/sonic-bench
-"$csv_tmp/sonic-bench" -exp fig4a -csv "$csv_tmp" >/dev/null
-"$csv_tmp/sonic-bench" -exp rssi -csv "$csv_tmp" >/dev/null
-cmp results-csv/fig4a_frame_loss.csv "$csv_tmp/fig4a_frame_loss.csv"
-cmp results-csv/rssi_sweep.csv "$csv_tmp/rssi_sweep.csv"
-rm -rf "$csv_tmp"
+go build -o "$work/sonic-bench" ./cmd/sonic-bench
+"$work/sonic-bench" -exp fig4a -csv "$work" >/dev/null
+"$work/sonic-bench" -exp rssi -csv "$work" >/dev/null
+cmp results-csv/fig4a_frame_loss.csv "$work/fig4a_frame_loss.csv"
+cmp results-csv/rssi_sweep.csv "$work/rssi_sweep.csv"
 
 # The gate writes its by-products under ${TMPDIR:-/tmp}. A file it left
 # in the checkout is a tracked file it rewrote or an artifact .gitignore

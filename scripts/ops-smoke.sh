@@ -18,13 +18,18 @@ cd "$(dirname "$0")/.."
 ADDR="${SONIC_OPS_ADDR:-127.0.0.1:17379}"
 OUT="${SONIC_OPS_SNAPSHOT:-${TMPDIR:-/tmp}/telemetry-final.json}"
 
-echo "ops-smoke: building sonic-sim and sonic-top"
-go build -o /tmp/sonic-sim ./cmd/sonic-sim
-go build -o /tmp/sonic-top ./cmd/sonic-top
+# The binaries and the sim's log live in a directory of this run's own,
+# removed on exit with the sim.
+work=$(mktemp -d "${TMPDIR:-/tmp}/sonic-ops.XXXXXX")
+SIM_PID=
+trap 'if [[ -n "$SIM_PID" ]]; then kill "$SIM_PID" 2>/dev/null || true; fi; rm -rf "$work"' EXIT
 
-/tmp/sonic-sim -hours 2 -listeners 30 -telemetry "$ADDR" >/tmp/sonic-sim.log 2>&1 &
+echo "ops-smoke: building sonic-sim and sonic-top"
+go build -o "$work/sonic-sim" ./cmd/sonic-sim
+go build -o "$work/sonic-top" ./cmd/sonic-top
+
+"$work/sonic-sim" -hours 2 -listeners 30 -telemetry "$ADDR" >"$work/sonic-sim.log" 2>&1 &
 SIM_PID=$!
-trap 'kill "$SIM_PID" 2>/dev/null || true' EXIT
 
 # Wait (up to ~60s) for the sim report + probe to finish populating the
 # lifecycle histograms.
@@ -44,13 +49,13 @@ sys.exit(0 if h.get("count", 0) > 0 and h.get("p50", 0) > 0 else 1)
     fi
     if ! kill -0 "$SIM_PID" 2>/dev/null; then
         echo "ops-smoke: sonic-sim exited early" >&2
-        cat /tmp/sonic-sim.log >&2
+        cat "$work/sonic-sim.log" >&2
         exit 1
     fi
     sleep 1
     if ((i == 60)); then
         echo "ops-smoke: lifecycle histograms never populated" >&2
-        cat /tmp/sonic-sim.log >&2
+        cat "$work/sonic-sim.log" >&2
         exit 1
     fi
 done
@@ -103,8 +108,6 @@ print(f"ops-smoke: trace {tid} -> {n} events, last stage {last}")
 '
 
 echo "ops-smoke: sonic-top -once against the live endpoint"
-/tmp/sonic-top -addr "$ADDR" -once | sed 's/^/    /'
+"$work/sonic-top" -addr "$ADDR" -once | sed 's/^/    /'
 
-kill "$SIM_PID" 2>/dev/null || true
-trap - EXIT
 echo "ops-smoke: OK (snapshot at $OUT)"
