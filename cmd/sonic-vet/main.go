@@ -1,13 +1,12 @@
 // Command sonic-vet runs the project-invariant analyzers over the
-// repository: span/pool lifecycle discipline, the off-mutex kernel
-// rule, equivalence-test pinning, telemetry nil-safety, and the
-// no-global-rand rule. It exits 1 when any unsuppressed finding is
-// reported and 2 on load or usage errors, so check.sh and CI can gate
-// on it exactly like go vet.
+// repository: span End() discipline, the off-mutex kernel rule,
+// equivalence-test pinning, and the no-global-rand rule. It exits 1 when
+// any unsuppressed finding is reported and 2 on load errors, so check.sh
+// can gate on it exactly like go vet.
 //
 // Usage:
 //
-//	sonic-vet [-json] [-run name,name] [packages]
+//	sonic-vet [packages]
 //
 // Packages default to ./... relative to the enclosing module. Findings
 // print as "file:line: [analyzer] message"; a finding is suppressed by
@@ -16,78 +15,41 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"sonic/internal/analysis"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings and per-analyzer counts as JSON")
-	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	list := flag.Bool("list", false, "list registered analyzers and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: sonic-vet [-json] [-run name,name] [packages]\n\nanalyzers:\n")
-		for _, a := range analysis.All() {
-			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
-		}
-	}
-	flag.Parse()
-
-	if *list {
-		for _, a := range analysis.All() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	analyzers := analysis.All()
-	if *run != "" {
-		var err error
-		analyzers, err = analysis.ByName(strings.Split(*run, ","))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sonic-vet: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
-	patterns := flag.Args()
+	patterns := os.Args[1:]
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	cwd, err := os.Getwd()
+	res, err := run(patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sonic-vet: %v\n", err)
 		os.Exit(2)
 	}
-	loader, err := analysis.NewLoader(cwd)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sonic-vet: %v\n", err)
-		os.Exit(2)
-	}
-	dirs, err := loader.ExpandPatterns(patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sonic-vet: %v\n", err)
-		os.Exit(2)
-	}
-	res, err := analysis.Run(loader, analyzers, dirs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sonic-vet: %v\n", err)
-		os.Exit(2)
-	}
-
-	if *jsonOut {
-		if err := res.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "sonic-vet: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		res.WriteText(os.Stdout)
-	}
+	res.WriteText(os.Stdout)
 	if len(res.Findings) > 0 {
 		os.Exit(1)
 	}
+}
+
+// run loads the packages matching patterns and runs every analyzer.
+func run(patterns []string) (*analysis.Result, error) {
+	cwd, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	loader, err := analysis.NewLoader(cwd)
+	if err != nil {
+		return nil, err
+	}
+	dirs, err := loader.ExpandPatterns(patterns)
+	if err != nil {
+		return nil, err
+	}
+	return analysis.Run(loader, analysis.All(), dirs)
 }

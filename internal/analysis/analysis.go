@@ -2,21 +2,18 @@
 // stdlib-only static-analysis framework (go/parser + go/ast + go/types +
 // go/importer — deliberately no x/tools, matching the repo's zero-dep
 // policy) plus the project-specific analyzers that mechanically enforce
-// the conventions six optimization PRs layered on top of plain Go:
+// the conventions the optimization PRs layered on top of plain Go. Each
+// stays only while it catches a planted defect no test catches (DESIGN
+// §5d has the ledger):
 //
 //   - spanend: every telemetry StartSpan/StartChild result is End()-ed
 //     on all control-flow paths (PR 1's span discipline);
-//   - poolrelease: pooled values (sync.Pool.Get and the project's
-//     get*/put* acquire helpers) are released exactly once per path and
-//     never used after release (PR 3-5's buffer pooling);
 //   - lockscope: no kernel calls (webrender/imagecodec/fm/modem) or
 //     blocking I/O while a struct mutex is held (PR 5's off-mutex render
 //     discipline);
 //   - equivpin: every exported function of a package with a
 //     *_equiv_test.go is referenced from an equivalence/parity test, so
 //     new kernels cannot dodge the byte-identical pin;
-//   - telemetrynil: methods on telemetry handle types stay
-//     nil-receiver-safe, preserving the <2 ns disabled path;
 //   - globalrand: non-test code never draws from math/rand's global
 //     source, keeping parity and equivalence runs deterministic.
 //
@@ -30,19 +27,19 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 )
 
 // Finding is one diagnostic produced by an analyzer.
 type Finding struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Message  string         `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Message  string
 	// IgnoreReason is the reason string of the sonic:ignore directive
 	// that suppressed this finding (set only on suppressed findings).
-	IgnoreReason string `json:"ignore_reason,omitempty"`
+	IgnoreReason string
 }
 
 // String renders the canonical "file:line: [name] message" form.
@@ -53,7 +50,6 @@ func (f Finding) String() string {
 // Analyzer is one named check over a loaded package.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass)
 }
 
@@ -72,7 +68,6 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	p.findings = append(p.findings, Finding{
 		Analyzer: p.Analyzer.Name,
-		Pos:      position,
 		File:     position.Filename,
 		Line:     position.Line,
 		Message:  fmt.Sprintf(format, args...),
@@ -81,35 +76,7 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 
 // All returns every registered analyzer, in report order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		SpanEnd,
-		PoolRelease,
-		LockScope,
-		EquivPin,
-		TelemetryNil,
-		GlobalRand,
-	}
-}
-
-// ByName resolves a comma-separated analyzer selection; an unknown name
-// is an error so typos in -run flags cannot silently disable a check.
-func ByName(names []string) ([]*Analyzer, error) {
-	all := All()
-	var out []*Analyzer
-	for _, n := range names {
-		found := false
-		for _, a := range all {
-			if a.Name == n {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown analyzer %q", n)
-		}
-	}
-	return out, nil
+	return []*Analyzer{SpanEnd, LockScope, EquivPin, GlobalRand}
 }
 
 // sortFindings orders findings by file, line, analyzer, message for
@@ -131,23 +98,46 @@ func sortFindings(fs []Finding) {
 }
 
 // funcsOf yields every function body of the package's non-test files:
-// declared functions and methods plus every function literal, paired
-// with the declaration's name for messages. Nested literals are yielded
-// on their own so flow analyses stay per-body.
-func funcsOf(files []*ast.File, fn func(name string, decl *ast.FuncDecl, body *ast.BlockStmt)) {
+// declared functions and methods plus every function literal. Nested
+// literals are yielded on their own so flow analyses stay per-body.
+func funcsOf(files []*ast.File, fn func(body *ast.BlockStmt)) {
 	for _, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn(fd.Name.Name, fd, fd.Body)
+			fn(fd.Body)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
-					fn(fd.Name.Name+" (func literal)", fd, lit.Body)
+					fn(lit.Body)
 				}
 				return true
 			})
 		}
+	}
+}
+
+// callee resolves the called function or method object, if any.
+func callee(call *ast.CallExpr, info *types.Info) *types.Func {
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		f, _ := info.Uses[fun].(*types.Func)
+		return f
+	case *ast.SelectorExpr:
+		f, _ := info.Uses[fun.Sel].(*types.Func)
+		return f
+	}
+	return nil
+}
+
+// unparen strips any parentheses around e.
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
 	}
 }

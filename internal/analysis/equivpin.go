@@ -24,11 +24,7 @@ import (
 // from a pin test pins every same-package function it calls,
 // transitively: the equivalence run exercises those callees
 // byte-for-byte through it.
-var EquivPin = &Analyzer{
-	Name: "equivpin",
-	Doc:  "exported functions in equiv-pinned packages must be reachable from an equivalence/parity test",
-	Run:  runEquivPin,
-}
+var EquivPin = &Analyzer{Name: "equivpin", Run: runEquivPin}
 
 // pinTestName marks test functions that compare against a reference
 // implementation even when they live outside *_equiv_test.go files.

@@ -6,117 +6,58 @@ import (
 	"go/types"
 )
 
-// Path-sensitive tracking of "acquire → release exactly once" values:
-// spanend follows StartSpan/StartChild results to their End(), and
-// poolrelease follows sync.Pool.Get values to their Put/Release. The
-// walk is a recursive descent over the statement tree that merges the
-// tracked value's state across branches — a deliberately small
-// approximation of a CFG that handles the repo's idioms (early error
-// returns, defer, branch-local release+return, span handle reuse via
-// reassignment) without an x/tools dependency.
+// Path-sensitive tracking of span handles: spanend follows each
+// StartSpan/StartChild result to its End(). The walk is a recursive
+// descent over the statement tree that merges the handle's state across
+// branches — a deliberately small approximation of a CFG that handles the
+// repo's idioms (early error returns, defer, branch-local End+return,
+// handle reuse via reassignment) without an x/tools dependency.
 //
 // The approximation is conservative toward silence: any flow the walker
-// cannot prove (value escapes into a closure, struct, channel, or
-// another variable; branches disagree about the release state) stops
+// cannot prove (the handle escapes into a closure, struct, channel, or
+// another variable; branches disagree about whether it ended) stops
 // tracking rather than reporting, so every finding is a path that
-// provably misses its release.
+// provably misses its End().
 
-// trackState is the status of one tracked value along the current path.
+// trackState is the status of the tracked span along the current path.
 type trackState int
 
 const (
-	stLive     trackState = iota // acquired, release still owed
-	stReleased                   // released; a second release is a bug
-	stDone                       // escaped or ambiguous: stop checking
+	stLive  trackState = iota // started, End() still owed
+	stEnded                   // ended; a second End() is a bug
+	stDone                    // escaped or ambiguous: stop checking
 )
 
-// pathState carries the tracked value's state plus whether a deferred
-// release is pending (a pending defer satisfies every later exit, and
-// it does not arm the use-after-release check: the release runs at
-// function return, after all uses).
+// pathState carries the span's state plus whether a deferred End() is
+// pending (a pending defer satisfies every later exit).
 type pathState struct {
 	track    trackState
 	deferred bool
 }
 
-// flowChecker follows one tracked object through one statement list.
+// flowChecker follows one span variable through one statement list.
 type flowChecker struct {
 	pass *Pass
 	info *types.Info
 	obj  types.Object
-	what string // "span sp" / "pooled value tp", used in messages
-
-	// isAcquire reports whether a call expression produces a fresh
-	// tracked value (used for reassignment handling).
-	isAcquire func(call *ast.CallExpr) bool
-	// isRelease reports whether a call expression releases obj.
-	isRelease func(call *ast.CallExpr) bool
-
-	// declared is true when the value was bound with := (its scope ends
-	// with the statement list, so reaching the end of the list while
-	// live is a leak even without a return).
-	declared bool
-	// checkUseAfter arms the use-after-release diagnostic (poolrelease).
-	checkUseAfter bool
-
-	// releaseVerb names the missing action in leak messages ("End()",
-	// "released").
-	releaseVerb string
+	what string // `span "sp"`, used in messages
 }
 
 // scan is the classification of one statement's contact with obj.
 type scan struct {
-	releases []token.Pos // release calls targeting obj
-	acquires []token.Pos // acquire calls assigned back to obj
-	read     bool        // dereference-style use (obj.f, *obj, obj[i])
-	escape   bool        // obj's value leaves local tracking
-	returned bool        // obj itself is returned (ownership transfer)
+	ends   []token.Pos // obj.End() calls
+	escape bool        // obj's value leaves local tracking
 }
 
 func (c *flowChecker) isObjIdent(e ast.Expr) bool {
-	e = unparen(e)
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	return c.info.Uses[id] == c.obj || c.info.Defs[id] == c.obj
+	id, ok := unparen(e).(*ast.Ident)
+	return ok && (c.info.Uses[id] == c.obj || c.info.Defs[id] == c.obj)
 }
 
-func isAddrOf(e ast.Expr) (ast.Expr, bool) {
-	if u, ok := unparen(e).(*ast.UnaryExpr); ok && u.Op == token.AND {
-		return u.X, true
-	}
-	return nil, false
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// releaseTargets reports whether call is a release whose target is obj
-// (as receiver, argument, or &argument).
-func (c *flowChecker) releaseTargets(call *ast.CallExpr) bool {
-	if c.isRelease == nil || !c.isRelease(call) {
-		return false
-	}
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && c.isObjIdent(sel.X) {
-		return true
-	}
-	for _, a := range call.Args {
-		if c.isObjIdent(a) {
-			return true
-		}
-		if inner, ok := isAddrOf(a); ok && c.isObjIdent(inner) {
-			return true
-		}
-	}
-	return false
+// endsObj reports whether call is obj.End().
+func (c *flowChecker) endsObj(call *ast.CallExpr) bool {
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	return ok && isSpanEnd(call) && c.isObjIdent(sel.X)
 }
 
 // scanNode classifies every contact with obj in the subtree, excluding
@@ -134,87 +75,27 @@ func (c *flowChecker) scanNode(n ast.Node, s *scan) {
 			}
 			return false
 		case *ast.CallExpr:
-			if c.releaseTargets(x) {
-				s.releases = append(s.releases, x.Pos())
-				// Classify everything in the call except obj itself.
-				if sel, ok := unparen(x.Fun).(*ast.SelectorExpr); ok {
-					if !c.isObjIdent(sel.X) {
-						c.scanNode(sel.X, s)
-					}
-				}
-				for _, a := range x.Args {
-					if c.isObjIdent(a) {
-						continue
-					}
-					if inner, ok := isAddrOf(a); ok && c.isObjIdent(inner) {
-						continue
-					}
-					c.scanNode(a, s)
-				}
+			if c.endsObj(x) {
+				s.ends = append(s.ends, x.Pos())
 				return false
 			}
-			// Non-release method call on obj (sp.StartChild, ws.reset):
-			// a read, not an escape.
+			// Another method call on obj (sp.StartChild): a use, not an
+			// escape.
 			if sel, ok := unparen(x.Fun).(*ast.SelectorExpr); ok && c.isObjIdent(sel.X) {
-				s.read = true
 				for _, a := range x.Args {
 					c.scanNode(a, s)
 				}
 				return false
 			}
-			return true
 		case *ast.SelectorExpr:
-			if c.isObjIdent(x.X) {
-				s.read = true
-				return false
-			}
-			return true
-		case *ast.StarExpr:
-			if c.isObjIdent(x.X) {
-				s.read = true
-				return false
-			}
-			return true
-		case *ast.IndexExpr:
-			if c.isObjIdent(x.X) {
-				s.read = true
-				c.scanNode(x.Index, s)
-				return false
-			}
-			return true
-		case *ast.SliceExpr:
-			if c.isObjIdent(x.X) {
-				s.read = true
-				for _, e := range []ast.Expr{x.Low, x.High, x.Max} {
-					if e != nil {
-						c.scanNode(e, s)
-					}
-				}
-				return false
-			}
-			return true
-		case *ast.BinaryExpr:
-			// Nil comparisons are reads, not escapes.
-			if x.Op == token.EQL || x.Op == token.NEQ {
-				if (c.isObjIdent(x.X) && isNil(x.Y)) || (c.isObjIdent(x.Y) && isNil(x.X)) {
-					s.read = true
-					return false
-				}
-			}
-			return true
+			return !c.isObjIdent(x.X)
 		case *ast.Ident:
 			if c.isObjIdent(x) {
 				s.escape = true
 			}
-			return true
 		}
 		return true
 	})
-}
-
-func isNil(e ast.Expr) bool {
-	id, ok := unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
 }
 
 // mentions reports whether the subtree references obj at all.
@@ -229,12 +110,12 @@ func (c *flowChecker) mentions(n ast.Node) bool {
 	return found
 }
 
-// containsRelease reports whether any call in the subtree (including
-// inside function literals — used for defer func(){...}()) releases obj.
-func (c *flowChecker) containsRelease(n ast.Node) bool {
+// containsEnd reports whether any call in the subtree (including inside
+// function literals — used for defer func(){...}()) ends obj.
+func (c *flowChecker) containsEnd(n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(nd ast.Node) bool {
-		if call, ok := nd.(*ast.CallExpr); ok && c.releaseTargets(call) {
+		if call, ok := nd.(*ast.CallExpr); ok && c.endsObj(call) {
 			found = true
 		}
 		return !found
@@ -243,28 +124,21 @@ func (c *flowChecker) containsRelease(n ast.Node) bool {
 }
 
 // applyScan folds one statement's classification into the path state,
-// reporting releases-after-release and uses-after-release.
-func (c *flowChecker) applyScan(s *scan, st pathState, pos func() token.Pos) pathState {
+// reporting second End()s.
+func (c *flowChecker) applyScan(s *scan, st pathState) pathState {
 	if st.track == stDone {
 		return st
 	}
-	if st.track == stReleased && !st.deferred && c.checkUseAfter && (s.read || s.escape) {
-		c.pass.Report(pos(), "%s used after release", c.what)
-		st.track = stDone
-		return st
-	}
-	for _, rp := range s.releases {
+	for _, pos := range s.ends {
 		switch {
-		case st.track == stReleased:
-			c.pass.Report(rp, "%s released twice on this path", c.what)
-			st.track = stDone
-			return st
+		case st.track == stEnded:
+			c.pass.Report(pos, "%s End()-ed twice on this path", c.what)
+			return pathState{track: stDone}
 		case st.deferred:
-			c.pass.Report(rp, "%s released here but a deferred release is already pending", c.what)
-			st.track = stDone
-			return st
+			c.pass.Report(pos, "%s End()-ed here but a deferred End() is already pending", c.what)
+			return pathState{track: stDone}
 		default:
-			st.track = stReleased
+			st.track = stEnded
 		}
 	}
 	if s.escape && st.track == stLive {
@@ -278,23 +152,20 @@ func (c *flowChecker) applyScan(s *scan, st pathState, pos func() token.Pos) pat
 // silence) rather than guessing.
 func mergeStates(states []pathState, terms []bool, entry pathState) (pathState, bool) {
 	var live []pathState
-	allTerm := true
 	for i, st := range states {
 		if !terms[i] {
-			allTerm = false
 			live = append(live, st)
 		}
 	}
-	if allTerm {
+	if len(live) == 0 {
 		return entry, true
 	}
-	out := live[0]
 	for _, st := range live[1:] {
-		if st != out {
+		if st != live[0] {
 			return pathState{track: stDone}, false
 		}
 	}
-	return out, false
+	return live[0], false
 }
 
 // walkStmts follows obj through a statement list. It returns the state
@@ -314,21 +185,17 @@ func (c *flowChecker) walkStmts(list []ast.Stmt, st pathState) (pathState, bool)
 func (c *flowChecker) walkStmt(stmt ast.Stmt, st pathState) (pathState, bool) {
 	switch s := stmt.(type) {
 	case *ast.ReturnStmt:
-		var sc scan
-		c.scanNode(s, &sc)
-		// Returning obj itself transfers ownership to the caller (the
-		// acquire-helper pattern: getF64 returns the pooled buffer).
+		// Returning obj itself transfers ownership to the caller.
 		for _, e := range s.Results {
 			if c.isObjIdent(e) {
-				sc.returned = true
+				return pathState{track: stDone}, true
 			}
 		}
-		if sc.returned {
-			return pathState{track: stDone}, true
-		}
-		st = c.applyScan(&sc, st, s.Pos)
+		var sc scan
+		c.scanNode(s, &sc)
+		st = c.applyScan(&sc, st)
 		if st.track == stLive && !st.deferred {
-			c.pass.Report(s.Pos(), "%s is not %s on this return path", c.what, c.releaseVerb)
+			c.pass.Report(s.Pos(), "%s is not End()-ed on this return path", c.what)
 		}
 		return st, true
 
@@ -338,12 +205,12 @@ func (c *flowChecker) walkStmt(stmt ast.Stmt, st pathState) (pathState, bool) {
 		return st, true
 
 	case *ast.DeferStmt:
-		if c.containsRelease(s.Call) {
-			if st.track == stReleased || st.deferred {
-				c.pass.Report(s.Pos(), "%s released twice on this path", c.what)
+		if c.containsEnd(s.Call) {
+			if st.track == stEnded || st.deferred {
+				c.pass.Report(s.Pos(), "%s End()-ed twice on this path", c.what)
 				return pathState{track: stDone}, false
 			}
-			return pathState{track: stReleased, deferred: true}, false
+			return pathState{track: stEnded, deferred: true}, false
 		}
 		if c.mentions(s.Call) {
 			return pathState{track: stDone}, false
@@ -359,18 +226,13 @@ func (c *flowChecker) walkStmt(stmt ast.Stmt, st pathState) (pathState, bool) {
 	case *ast.AssignStmt:
 		return c.walkAssign(s, st), false
 
-	case *ast.ExprStmt:
-		var sc scan
-		c.scanNode(s.X, &sc)
-		return c.applyScan(&sc, st, s.Pos), false
-
 	case *ast.IfStmt:
 		if s.Init != nil {
 			st, _ = c.walkStmt(s.Init, st)
 		}
 		var sc scan
 		c.scanNode(s.Cond, &sc)
-		st = c.applyScan(&sc, st, s.Cond.Pos)
+		st = c.applyScan(&sc, st)
 		thenSt, thenTerm := c.walkStmts(s.Body.List, st)
 		elseSt, elseTerm := st, false
 		if s.Else != nil {
@@ -389,22 +251,18 @@ func (c *flowChecker) walkStmt(stmt ast.Stmt, st pathState) (pathState, bool) {
 			st, _ = c.walkStmt(s.Init, st)
 		}
 		var sc scan
-		if s.Cond != nil {
-			c.scanNode(s.Cond, &sc)
-		}
-		if s.Post != nil {
-			c.scanNode(s.Post, &sc)
-		}
-		st = c.applyScan(&sc, st, s.Pos)
+		c.scanNode(s.Cond, &sc)
+		c.scanNode(s.Post, &sc)
+		st = c.applyScan(&sc, st)
 		bodySt, _ := c.walkStmts(s.Body.List, st)
-		return c.afterLoop(st, bodySt), false
+		return afterLoop(st, bodySt), false
 
 	case *ast.RangeStmt:
 		var sc scan
 		c.scanNode(s.X, &sc)
-		st = c.applyScan(&sc, st, s.Pos)
+		st = c.applyScan(&sc, st)
 		bodySt, _ := c.walkStmts(s.Body.List, st)
-		return c.afterLoop(st, bodySt), false
+		return afterLoop(st, bodySt), false
 
 	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
 		return c.walkSwitch(stmt, st)
@@ -412,14 +270,14 @@ func (c *flowChecker) walkStmt(stmt ast.Stmt, st pathState) (pathState, bool) {
 	default:
 		var sc scan
 		c.scanNode(stmt, &sc)
-		return c.applyScan(&sc, st, stmt.Pos), false
+		return c.applyScan(&sc, st), false
 	}
 }
 
 // afterLoop reconciles the state around a loop body that may run zero
 // or many times: if the body changed the state at all, the result is
 // ambiguous and tracking stops; an untouched body keeps the entry state.
-func (c *flowChecker) afterLoop(entry, body pathState) pathState {
+func afterLoop(entry, body pathState) pathState {
 	if body == entry {
 		return entry
 	}
@@ -438,9 +296,7 @@ func (c *flowChecker) walkSwitch(stmt ast.Stmt, st pathState) (pathState, bool) 
 		if s.Init != nil {
 			st, _ = c.walkStmt(s.Init, st)
 		}
-		if s.Tag != nil {
-			c.scanNode(s.Tag, &sc)
-		}
+		c.scanNode(s.Tag, &sc)
 		body = s.Body
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
@@ -451,26 +307,17 @@ func (c *flowChecker) walkSwitch(stmt ast.Stmt, st pathState) (pathState, bool) 
 	case *ast.SelectStmt:
 		body = s.Body
 	}
-	st = c.applyScan(&sc, st, stmt.Pos)
+	st = c.applyScan(&sc, st)
 	var states []pathState
 	var terms []bool
 	for _, clause := range body.List {
 		var list []ast.Stmt
 		switch cl := clause.(type) {
 		case *ast.CaseClause:
-			for _, e := range cl.List {
-				c.scanNode(e, &sc)
-			}
-			if cl.List == nil {
-				hasDefault = true
-			}
+			hasDefault = hasDefault || cl.List == nil
 			list = cl.Body
 		case *ast.CommClause:
-			if cl.Comm == nil {
-				hasDefault = true
-			} else {
-				c.scanNode(cl.Comm, &sc)
-			}
+			hasDefault = hasDefault || cl.Comm == nil
 			list = cl.Body
 		}
 		cs, ct := c.walkStmts(list, st)
@@ -485,12 +332,11 @@ func (c *flowChecker) walkSwitch(stmt ast.Stmt, st pathState) (pathState, bool) 
 }
 
 // walkAssign handles assignments: reassigning the tracked variable with
-// a fresh acquire while the old value is live loses the old value
-// (stream.go's span-handle reuse must End() first); any other overwrite
-// stops tracking.
+// a fresh start while the old span is live loses the old span
+// (stream.go's handle reuse must End() first); any other overwrite stops
+// tracking.
 func (c *flowChecker) walkAssign(s *ast.AssignStmt, st pathState) pathState {
 	var sc scan
-	// LHS: is obj assigned to?
 	objLHS := -1
 	for i, lhs := range s.Lhs {
 		if c.isObjIdent(lhs) {
@@ -501,144 +347,76 @@ func (c *flowChecker) walkAssign(s *ast.AssignStmt, st pathState) pathState {
 	}
 	for i, rhs := range s.Rhs {
 		if i == objLHS && len(s.Lhs) == len(s.Rhs) {
-			// The expression assigned INTO obj: classified below.
-			continue
+			continue // the expression assigned into obj: classified below
 		}
 		c.scanNode(rhs, &sc)
 	}
-	st = c.applyScan(&sc, st, s.Pos)
-	if objLHS < 0 || st.track == stDone && objLHS < 0 {
+	st = c.applyScan(&sc, st)
+	if objLHS < 0 {
 		return st
 	}
-	if objLHS >= 0 {
-		var rhs ast.Expr
-		if len(s.Lhs) == len(s.Rhs) {
-			rhs = unparen(s.Rhs[objLHS])
-		}
-		if call, ok := stripAssert(rhs); ok && c.isAcquire != nil && c.isAcquire(call) {
-			if st.track == stLive && !st.deferred {
-				c.pass.Report(s.Pos(), "%s reassigned before it is %s; the previous value leaks", c.what, c.releaseVerb)
-			}
+	if len(s.Lhs) == len(s.Rhs) {
+		if call, ok := unparen(s.Rhs[objLHS]).(*ast.CallExpr); ok && isSpanStart(call) {
 			if st.deferred {
-				// The deferred release will cover the NEW value (defer
-				// evaluates at run time for method-style releases); too
+				// The deferred End() will run on the NEW span (a method
+				// call's receiver is evaluated when the defer runs); too
 				// subtle to model — stop.
 				return pathState{track: stDone}
 			}
+			if st.track == stLive {
+				c.pass.Report(s.Pos(), "%s reassigned before it is End()-ed; the previous value leaks", c.what)
+			}
 			return pathState{track: stLive}
 		}
-		// Overwritten with something else: stop tracking silently (the
-		// get-or-alloc fallback pattern writes a fresh allocation over a
-		// failed pool fetch).
-		return pathState{track: stDone}
 	}
-	return st
+	return pathState{track: stDone}
 }
 
-// stripAssert unwraps parens and a single type assertion around a call:
-// pool.Get().(*T) acquires like pool.Get().
-func stripAssert(e ast.Expr) (*ast.CallExpr, bool) {
-	if e == nil {
-		return nil, false
-	}
-	e = unparen(e)
-	if ta, ok := e.(*ast.TypeAssertExpr); ok {
-		e = unparen(ta.X)
-	}
-	call, ok := e.(*ast.CallExpr)
-	return call, ok
-}
-
-// track runs the checker over the statements following the acquire at
-// list[start+1:]. endIsScope reports whether falling off the end of the
-// list leaks the value (:= binding whose scope is this list).
-func (c *flowChecker) track(list []ast.Stmt, start int, endPos token.Pos) {
-	st, term := c.walkStmts(list[start+1:], pathState{track: stLive})
-	if term {
-		return
-	}
-	if st.track == stLive && !st.deferred && c.declared {
-		c.pass.Report(endPos, "%s is not %s before its scope ends", c.what, c.releaseVerb)
-	}
-}
-
-// forEachAcquire finds tracked-value acquisitions in a statement list
-// (recursing into nested blocks, but not into function literals — those
-// are walked as functions of their own) and invokes fn with the list
-// context needed to track the remainder of the value's scope.
-func forEachAcquire(list []ast.Stmt, isAcquire func(call *ast.CallExpr) bool,
-	fn func(obj types.Object, name string, list []ast.Stmt, idx int, declared bool, pos token.Pos),
-	info *types.Info) {
-	for i, stmt := range list {
-		if as, ok := stmt.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
-			for j, rhs := range as.Rhs {
-				call, ok := stripAssert(rhs)
-				if !ok || !isAcquire(call) {
-					continue
-				}
-				id, ok := unparen(as.Lhs[j]).(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				var obj types.Object
-				declared := false
-				if d := info.Defs[id]; d != nil {
-					obj, declared = d, true
-				} else if u := info.Uses[id]; u != nil {
-					obj = u
-				}
-				if obj == nil {
-					continue
-				}
-				fn(obj, id.Name, list, i, declared, call.Pos())
-			}
-		}
-		// Recurse into nested statement bodies.
+// forEachSpanStart finds the span handles started by an assignment in
+// list or in any block nested in it (but not in function literals, which
+// funcsOf yields as bodies of their own), and calls fn with the handle,
+// the statements that follow the start in its list, and whether it was
+// bound with := (then its scope ends with that list, so reaching the end
+// of the list while live is a leak even without a return).
+func forEachSpanStart(list []ast.Stmt, info *types.Info, fn func(obj types.Object, name string, rest []ast.Stmt, declared bool, scopeEnd token.Pos)) {
+	startsIn(list, info, fn)
+	for _, stmt := range list {
 		ast.Inspect(stmt, func(n ast.Node) bool {
 			switch b := n.(type) {
 			case *ast.FuncLit:
 				return false
 			case *ast.BlockStmt:
-				if b != nil {
-					forEachAcquireShallow(b.List, isAcquire, fn, info)
-				}
-				return true
+				startsIn(b.List, info, fn)
 			}
 			return true
 		})
 	}
 }
 
-// forEachAcquireShallow is forEachAcquire without recursion (the
-// recursion in forEachAcquire already visits every nested block once).
-func forEachAcquireShallow(list []ast.Stmt, isAcquire func(call *ast.CallExpr) bool,
-	fn func(obj types.Object, name string, list []ast.Stmt, idx int, declared bool, pos token.Pos),
-	info *types.Info) {
+// startsIn is forEachSpanStart for the statements of list itself.
+func startsIn(list []ast.Stmt, info *types.Info, fn func(obj types.Object, name string, rest []ast.Stmt, declared bool, scopeEnd token.Pos)) {
 	for i, stmt := range list {
 		as, ok := stmt.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != len(as.Rhs) {
 			continue
 		}
 		for j, rhs := range as.Rhs {
-			call, ok := stripAssert(rhs)
-			if !ok || !isAcquire(call) {
+			call, ok := unparen(rhs).(*ast.CallExpr)
+			if !ok || !isSpanStart(call) {
 				continue
 			}
 			id, ok := unparen(as.Lhs[j]).(*ast.Ident)
 			if !ok || id.Name == "_" {
 				continue
 			}
-			var obj types.Object
-			declared := false
-			if d := info.Defs[id]; d != nil {
-				obj, declared = d, true
-			} else if u := info.Uses[id]; u != nil {
-				obj = u
+			obj, declared := info.Defs[id], true
+			if obj == nil {
+				obj, declared = info.Uses[id], false
 			}
 			if obj == nil {
 				continue
 			}
-			fn(obj, id.Name, list, i, declared, call.Pos())
+			fn(obj, id.Name, list[i+1:], declared, list[len(list)-1].End())
 		}
 	}
 }

@@ -12,11 +12,7 @@ import (
 // Constructors (New, NewSource, ...) are allowed — they are how the
 // explicit source is built — and methods on *rand.Rand are the goal
 // state, so only package-level function and variable uses are flagged.
-var GlobalRand = &Analyzer{
-	Name: "globalrand",
-	Doc:  "no math/rand global source in non-test code; use a seeded *rand.Rand",
-	Run:  runGlobalRand,
-}
+var GlobalRand = &Analyzer{Name: "globalrand", Run: runGlobalRand}
 
 // randConstructors build explicit sources and are therefore allowed.
 var randConstructors = map[string]bool{

@@ -34,22 +34,18 @@ func renderResult(res *Result) string {
 // expect.txt. Run with -update to regenerate the goldens.
 func TestAnalyzerGolden(t *testing.T) {
 	cases := []struct {
-		analyzer string
+		analyzer *Analyzer
 		fixture  string
 	}{
-		{"spanend", "spanend_bad"},
-		{"spanend", "spanend_ok"},
-		{"poolrelease", "poolrelease_bad"},
-		{"poolrelease", "poolrelease_ok"},
-		{"lockscope", "lockscope_bad"},
-		{"lockscope", "lockscope_ok"},
-		{"equivpin", "equivpin_bad"},
-		{"equivpin", "equivpin_ok"},
-		{"telemetrynil", "telemetrynil_bad"},
-		{"telemetrynil", "telemetrynil_ok"},
-		{"globalrand", "globalrand_bad"},
-		{"globalrand", "globalrand_ok"},
-		{"globalrand", "ignorefix"},
+		{SpanEnd, "spanend_bad"},
+		{SpanEnd, "spanend_ok"},
+		{LockScope, "lockscope_bad"},
+		{LockScope, "lockscope_ok"},
+		{EquivPin, "equivpin_bad"},
+		{EquivPin, "equivpin_ok"},
+		{GlobalRand, "globalrand_bad"},
+		{GlobalRand, "globalrand_ok"},
+		{GlobalRand, "ignorefix"},
 	}
 
 	l, err := NewLoader(".")
@@ -58,11 +54,7 @@ func TestAnalyzerGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
-			as, err := ByName([]string{tc.analyzer})
-			if err != nil {
-				t.Fatalf("ByName(%q): %v", tc.analyzer, err)
-			}
-			res, err := Run(l, as, []string{fixturePrefix + tc.fixture})
+			res, err := Run(l, []*Analyzer{tc.analyzer}, []string{fixturePrefix + tc.fixture})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -87,16 +79,16 @@ func TestAnalyzerGolden(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("%s over %s: output mismatch\n--- got ---\n%s--- want (%s) ---\n%s",
-					tc.analyzer, tc.fixture, got, golden, want)
+					tc.analyzer.Name, tc.fixture, got, golden, want)
 			}
 
 			// Structural sanity independent of the golden text: _bad
 			// fixtures must produce findings, _ok fixtures must not.
 			switch {
 			case strings.HasSuffix(tc.fixture, "_bad") && len(res.Findings) == 0:
-				t.Errorf("%s produced no findings on %s; the analyzer lost its catch", tc.analyzer, tc.fixture)
+				t.Errorf("%s produced no findings on %s; the analyzer lost its catch", tc.analyzer.Name, tc.fixture)
 			case strings.HasSuffix(tc.fixture, "_ok") && len(res.Findings) > 0:
-				t.Errorf("%s produced %d findings on compliant fixture %s", tc.analyzer, len(res.Findings), tc.fixture)
+				t.Errorf("%s produced %d findings on compliant fixture %s", tc.analyzer.Name, len(res.Findings), tc.fixture)
 			}
 		})
 	}
@@ -110,8 +102,7 @@ func TestIgnoreRequiresReason(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	as, _ := ByName([]string{"globalrand"})
-	res, err := Run(l, as, []string{fixturePrefix + "ignorefix"})
+	res, err := Run(l, []*Analyzer{GlobalRand}, []string{fixturePrefix + "ignorefix"})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -139,18 +130,6 @@ func TestIgnoreRequiresReason(t *testing.T) {
 	}
 	if !gotActive {
 		t.Errorf("reasonless sonic:ignore directive suppressed the underlying finding; got %v", res.Findings)
-	}
-}
-
-// TestByNameRejectsUnknown keeps -run typos loud: an unknown analyzer
-// name must error instead of silently running nothing.
-func TestByNameRejectsUnknown(t *testing.T) {
-	if _, err := ByName([]string{"spanend", "nosuchcheck"}); err == nil {
-		t.Fatal("ByName accepted an unknown analyzer name")
-	}
-	as, err := ByName([]string{"spanend", "globalrand"})
-	if err != nil || len(as) != 2 {
-		t.Fatalf("ByName on valid names: got %d analyzers, err %v", len(as), err)
 	}
 }
 

@@ -16,11 +16,7 @@ import (
 // belongs on the pool outside the critical section. Package-local
 // helpers are followed transitively, so hiding a kernel call one hop
 // away still trips the check.
-var LockScope = &Analyzer{
-	Name: "lockscope",
-	Doc:  "no kernel calls or blocking I/O while a mutex is held",
-	Run:  runLockScope,
-}
+var LockScope = &Analyzer{Name: "lockscope", Run: runLockScope}
 
 // kernelPkgBases are the package basenames whose calls are forbidden
 // under a lock (CPU-heavy DSP/render/codec work).
@@ -181,7 +177,7 @@ func runLockScope(pass *Pass) {
 			}
 		}
 	}
-	funcsOf(pass.Pkg.Files, func(name string, decl *ast.FuncDecl, body *ast.BlockStmt) {
+	funcsOf(pass.Pkg.Files, func(body *ast.BlockStmt) {
 		ls.walkHeld(body.List, make(map[string]token.Pos))
 	})
 }

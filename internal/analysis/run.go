@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -14,11 +13,10 @@ import (
 
 // ignoreDirective is one parsed "//sonic:ignore name reason" comment.
 type ignoreDirective struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Reason   string `json:"reason"`
-	used     bool
+	Analyzer string
+	File     string
+	Line     int
+	Reason   string
 }
 
 // ignorePrefix introduces a suppression comment. The directive applies
@@ -43,7 +41,7 @@ func parseIgnores(fset *token.FileSet, file *ast.File, report func(Finding)) []i
 			fields := strings.Fields(rest)
 			if len(fields) == 0 {
 				report(Finding{
-					Analyzer: "ignore", Pos: pos, File: pos.Filename, Line: pos.Line,
+					Analyzer: "ignore", File: pos.Filename, Line: pos.Line,
 					Message: "sonic:ignore needs an analyzer name and a reason",
 				})
 				continue
@@ -51,7 +49,7 @@ func parseIgnores(fset *token.FileSet, file *ast.File, report func(Finding)) []i
 			name, reason := fields[0], strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), fields[0]))
 			if reason == "" {
 				report(Finding{
-					Analyzer: "ignore", Pos: pos, File: pos.Filename, Line: pos.Line,
+					Analyzer: "ignore", File: pos.Filename, Line: pos.Line,
 					Message: fmt.Sprintf("sonic:ignore %s needs a reason (why is this exempt?)", name),
 				})
 				continue
@@ -66,20 +64,19 @@ func parseIgnores(fset *token.FileSet, file *ast.File, report func(Finding)) []i
 type Result struct {
 	// Findings are the active (unsuppressed) diagnostics; a non-empty
 	// list fails the run.
-	Findings []Finding `json:"findings"`
+	Findings []Finding
 	// Suppressed are findings silenced by a sonic:ignore directive,
 	// reported so suppressions stay visible.
-	Suppressed []Finding `json:"suppressed"`
+	Suppressed []Finding
 	// Counts maps analyzer name to active/suppressed finding counts for
-	// every analyzer that ran (zeros included, so JSON diffs across PRs
-	// line up).
-	Counts map[string]FindingCount `json:"counts"`
+	// every analyzer that ran (zeros included).
+	Counts map[string]FindingCount
 }
 
 // FindingCount is the per-analyzer tally of one run.
 type FindingCount struct {
-	Findings   int `json:"findings"`
-	Suppressed int `json:"suppressed"`
+	Findings   int
+	Suppressed int
 }
 
 // Run executes the analyzers over the packages in dirs and applies the
@@ -113,7 +110,6 @@ func Run(l *Loader, analyzers []*Analyzer, dirs []string) (*Result, error) {
 	for _, f := range all {
 		f.File = relPath(l.ModuleDir, f.File)
 		if dir := matchIgnore(ignores, f); dir != nil {
-			dir.used = true
 			f.IgnoreReason = dir.Reason
 			res.Suppressed = append(res.Suppressed, f)
 			c := res.Counts[f.Analyzer]
@@ -187,19 +183,4 @@ func (r *Result) WriteText(w io.Writer) {
 	}
 	fmt.Fprintf(tw, "total\t%d\t%d\n", totalF, totalS)
 	tw.Flush()
-}
-
-// WriteJSON emits the machine-readable form (-json) future tooling can
-// diff across PRs, benchguard-style.
-func (r *Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	out := *r
-	if out.Findings == nil {
-		out.Findings = []Finding{}
-	}
-	if out.Suppressed == nil {
-		out.Suppressed = []Finding{}
-	}
-	return enc.Encode(out)
 }

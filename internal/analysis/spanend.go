@@ -13,11 +13,7 @@ import (
 // not overwritten by a fresh StartChild (the broadcast chain reuses one
 // handle variable per stage, which only balances if each stage ends the
 // previous span first).
-var SpanEnd = &Analyzer{
-	Name: "spanend",
-	Doc:  "telemetry spans must be End()-ed on every control-flow path",
-	Run:  runSpanEnd,
-}
+var SpanEnd = &Analyzer{Name: "spanend", Run: runSpanEnd}
 
 func isSpanStart(call *ast.CallExpr) bool {
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
@@ -34,19 +30,13 @@ func isSpanEnd(call *ast.CallExpr) bool {
 
 func runSpanEnd(pass *Pass) {
 	info := pass.Pkg.Info
-	funcsOf(pass.Pkg.Files, func(name string, decl *ast.FuncDecl, body *ast.BlockStmt) {
-		forEachAcquire(body.List, isSpanStart, func(obj types.Object, varName string, list []ast.Stmt, idx int, declared bool, pos token.Pos) {
-			c := &flowChecker{
-				pass:        pass,
-				info:        info,
-				obj:         obj,
-				what:        fmt.Sprintf("span %q", varName),
-				isAcquire:   isSpanStart,
-				isRelease:   isSpanEnd,
-				declared:    declared,
-				releaseVerb: "End()-ed",
+	funcsOf(pass.Pkg.Files, func(body *ast.BlockStmt) {
+		forEachSpanStart(body.List, info, func(obj types.Object, name string, rest []ast.Stmt, declared bool, scopeEnd token.Pos) {
+			c := &flowChecker{pass: pass, info: info, obj: obj, what: fmt.Sprintf("span %q", name)}
+			st, term := c.walkStmts(rest, pathState{track: stLive})
+			if !term && st.track == stLive && !st.deferred && declared {
+				pass.Report(scopeEnd, "%s is not End()-ed before its scope ends", c.what)
 			}
-			c.track(list, idx, list[len(list)-1].End())
-		}, info)
+		})
 	})
 }

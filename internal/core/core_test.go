@@ -12,6 +12,7 @@ import (
 	"sonic/internal/frame"
 	"sonic/internal/imagecodec"
 	"sonic/internal/modem"
+	"sonic/internal/telemetry"
 )
 
 func newDefault(t *testing.T) *Pipeline {
@@ -292,6 +293,47 @@ func TestDecodePageAudioNoSignal(t *testing.T) {
 	p := newDefault(t)
 	if _, err := p.DecodePageAudio(make([]float64, 48000)); err != modem.ErrNoPreamble {
 		t.Errorf("silence err = %v", err)
+	}
+}
+
+// TestDecodeSpansOnFailurePaths decodes two bursts that fail in
+// different places and requires every stage span they entered to be
+// closed: a burst the modem cannot open must still record
+// core.decode_page/demodulate, and a page with a lost frame, which never
+// completes, must still record core.decode_page/reassemble. A span left
+// open on a failure path is dropped from the snapshot silently.
+func TestDecodeSpansOnFailurePaths(t *testing.T) {
+	p := newDefault(t)
+	reg := telemetry.New()
+	p.Instrument(reg)
+
+	if _, err := p.DecodePageAudio(make([]float64, 48000)); err != modem.ErrNoPreamble {
+		t.Fatalf("silence err = %v", err)
+	}
+	stream, err := p.BlobStream(1, MarshalBundle(Bundle{Image: bytes.Repeat([]byte("one frame lost "), 40)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := p.codec.CodedFrameSize()
+	clear(stream[cl : 2*cl]) // frame 1 fails its CRC
+	res, err := p.DecodePageAudio(p.ModulateStream(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Complete || res.FramesLost != 1 {
+		t.Fatalf("lossy page: complete %v, %d frames lost; want incomplete with 1 lost", res.Complete, res.FramesLost)
+	}
+
+	spans := reg.Snapshot().Spans
+	for name, want := range map[string]int64{
+		"core.decode_page":            2,
+		"core.decode_page/demodulate": 2,
+		"core.decode_page/fec_decode": 1,
+		"core.decode_page/reassemble": 1,
+	} {
+		if got := spans[name].Count; got != want {
+			t.Errorf("span %s recorded %d times, want %d", name, got, want)
+		}
 	}
 }
 

@@ -308,6 +308,9 @@ func TestRSDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestRSDecodeConcurrent shares one codec, and so its workspace pool,
+// between 8 goroutines calling Decode and DecodeBlock. Under -race a
+// workspace handed back to the pool while still in use is a data race.
 func TestRSDecodeConcurrent(t *testing.T) {
 	r := NewRS8()
 	rng := rand.New(rand.NewSource(24))
@@ -321,16 +324,28 @@ func TestRSDecodeConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cw := enc[:rsN] // the first codeword, with its share of the errors
+	wantBlock, wantBlockC, err := r.DecodeBlock(append([]byte(nil), cw...))
+	if err != nil || wantBlockC == 0 {
+		t.Fatalf("DecodeBlock corrected %d symbols, err %v; want a correction", wantBlockC, err)
+	}
 	var wg sync.WaitGroup
 	fail := make(chan string, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			block := make([]byte, len(cw))
 			for it := 0; it < 10; it++ {
 				got, c, err := r.Decode(enc)
 				if err != nil || c != wantC || !bytes.Equal(got, want) {
 					fail <- "concurrent Decode diverged"
+					return
+				}
+				copy(block, cw)
+				got, c, err = r.DecodeBlock(block)
+				if err != nil || c != wantBlockC || !bytes.Equal(got, wantBlock) {
+					fail <- "concurrent DecodeBlock diverged"
 					return
 				}
 			}

@@ -293,11 +293,17 @@ func TestBroadcastAllocs(t *testing.T) {
 	})
 	// Steady state: the returned audio slice plus a handful of fixed-size
 	// headers — independent of signal length. The old chain allocated a
-	// fresh slice per stage (≥10 signal-sized buffers per call). The
-	// bound leaves slack for -race runs, where sync.Pool sheds items;
-	// the tripwire is per-stage signal-sized buffers (dozens per call).
-	if allocs > 16 {
-		t.Errorf("Broadcast allocates %v objects per call, want <= 16", allocs)
+	// fresh slice per stage (≥10 signal-sized buffers per call). The plain
+	// bound is the measured count plus one (6 on 60 samples of 61, 7 on
+	// one; 2-vCPU host), so a pooled buffer or convolver workspace that is
+	// not put back fails it; under -race, where sync.Pool sheds items, the
+	// tripwire is per-stage signal-sized buffers (dozens per call).
+	bound := 7.0
+	if raceEnabled {
+		bound = 16
+	}
+	if allocs > bound {
+		t.Errorf("Broadcast allocates %v objects per call, want <= %v", allocs, bound)
 	}
 }
 

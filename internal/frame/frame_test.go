@@ -347,6 +347,49 @@ func TestDecodeStreamParityAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestCodecDecodeAllocs pins what a warm decode allocates, so a pooled
+// inner-code workspace that is not put back shows up as the objects of a
+// fresh one. testing.AllocsPerRun pins GOMAXPROCS to 1, so the stream
+// decodes as one chunk with one workspace. The bounds are the counts
+// measured on a 2-vCPU host (DecodeFrame 3, DecodeStream of 64 frames
+// 195, on 40 samples of 40) plus one.
+func TestCodecDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are nondeterministic under the race detector (pool Puts randomly dropped)")
+	}
+	c := NewCodec()
+	rng := rand.New(rand.NewSource(5))
+	blob := make([]byte, 64*PayloadSize)
+	rng.Read(blob)
+	stream, err := c.EncodeStream(Chunk(3, blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := append([]byte(nil), stream[:c.CodedFrameSize()]...)
+	one[40] ^= 0x10 // one bit error: the inner code's full trellis path
+	for _, tc := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"DecodeFrame", 4, func() {
+			if _, err := c.DecodeFrame(one); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"DecodeStream", 196, func() {
+			if _, lost := c.DecodeStream(stream); lost != 0 {
+				t.Fatalf("lost %d frames", lost)
+			}
+		}},
+	} {
+		tc.fn() // warm the workspace pool
+		if got := testing.AllocsPerRun(20, tc.fn); got > tc.max {
+			t.Errorf("%s allocates %v objects per call, want <= %v", tc.name, got, tc.max)
+		}
+	}
+}
+
 func TestCodecAblationVariants(t *testing.T) {
 	// All four FEC combinations must round-trip cleanly.
 	for _, c := range []*Codec{

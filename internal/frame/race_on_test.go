@@ -1,0 +1,9 @@
+//go:build race
+
+package frame
+
+// raceEnabled loosens or skips the allocation bounds under the race
+// detector, where sync.Pool drops a quarter of Puts by design and each
+// dropped buffer is re-made on the next call. The non-race leg keeps
+// them strict.
+const raceEnabled = true

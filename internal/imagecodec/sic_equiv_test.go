@@ -1066,20 +1066,72 @@ func TestSICEncodeDecodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Output buffer growth plus a handful of pool round-trips. The bound
-	// is a tripwire against reintroducing per-block or per-pixel
-	// allocations (the old codec allocated planes, block arrays, and
-	// token buffers per call; a per-block slip costs thousands).
-	if encAllocs > 48 {
-		t.Errorf("EncodeSIC allocates %v objects per call, want <= 48", encAllocs)
+	// Output buffer growth plus a handful of pool round-trips. The bounds
+	// are the counts measured on a 2-vCPU host (encode 15-16, decode
+	// 39-40, on 40 samples of 40) plus one, so a pooled plane, block band,
+	// token buffer or flate coder that is not put back fails them; a
+	// per-block slip (the old codec allocated planes, block arrays, and
+	// token buffers per call) costs thousands.
+	if encAllocs > 17 {
+		t.Errorf("EncodeSIC allocates %v objects per call, want <= 17", encAllocs)
 	}
 	decAllocs := testing.AllocsPerRun(10, func() {
 		if _, err := DecodeSIC(enc); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if decAllocs > 48 {
-		t.Errorf("DecodeSIC allocates %v objects per call, want <= 48", decAllocs)
+	if decAllocs > 41 {
+		t.Errorf("DecodeSIC allocates %v objects per call, want <= 41", decAllocs)
+	}
+}
+
+// TestSICDecodeErrorAllocs pins what a warm decode allocates when a
+// plane fails: the luma plane decodes, then the Cb segment is either
+// valid flate over an invalid block tag (decodePlaneV2 fails) or not
+// flate at all (inflatePlaneV2 fails). Every pooled plane, token buffer
+// and flate reader must go back on those paths too, so a leak on any of
+// them reads as a fresh allocation per call. The bounds are the counts
+// measured on a 2-vCPU host (6 and 7, on 10 samples of 10; the error
+// values are most of them) plus one; a plane left out of its pool costs
+// two.
+func TestSICDecodeErrorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are nondeterministic under the race detector (pool Puts randomly dropped)")
+	}
+	enc, err := EncodeSIC(testPage(64, 48, 3), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hdr = 13
+	ylen, n := binary.Uvarint(enc[hdr:])
+	end := hdr + n + int(ylen)
+	luma := enc[:end:end] // header and the Y segment
+	badTag, err := deflatePlaneV2(nil, []byte{0xF3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cb   []byte // the Cb segment's body; Cr is a copy
+		max  float64
+	}{
+		{"invalid block tag", badTag, 7},
+		{"invalid flate block type", []byte{0x07}, 8},
+	} {
+		bad := luma
+		for range 2 {
+			bad = appendUvarint(bad, uint64(len(tc.cb)))
+			bad = append(bad, tc.cb...)
+		}
+		decode := func() {
+			if _, err := DecodeSIC(bad); err == nil {
+				t.Fatalf("%s: decoded", tc.name)
+			}
+		}
+		decode()
+		if got := testing.AllocsPerRun(20, decode); got > tc.max {
+			t.Errorf("%s: DecodeSIC allocates %v objects per call, want <= %v", tc.name, got, tc.max)
+		}
 	}
 }
 

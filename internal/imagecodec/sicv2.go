@@ -313,15 +313,13 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 func deflatePlaneV2(dst, tokens []byte) ([]byte, error) {
 	sw := &sliceWriter{b: dst}
 	fw := v2FlateWriterPool.Get().(*flate.Writer)
+	defer v2FlateWriterPool.Put(fw)
 	fw.Reset(sw)
-	_, werr := fw.Write(tokens)
-	cerr := fw.Close()
-	v2FlateWriterPool.Put(fw)
-	if werr != nil {
-		return nil, werr
+	if _, err := fw.Write(tokens); err != nil {
+		return nil, err
 	}
-	if cerr != nil {
-		return nil, cerr
+	if err := fw.Close(); err != nil {
+		return nil, err
 	}
 	return sw.b, nil
 }
@@ -450,15 +448,16 @@ func parseACv2(c *byteCursor, q *[64]int32) (int, error) {
 // the last one, goes to the workers to dequantize, inverse transform and
 // store, every block into its own pixel region. A flat run repeats the
 // previous DC, so it costs its blocks a DC store each and no arithmetic.
-// The returned plane comes from planePool.
-func decodePlaneV2(c *byteCursor, w, h int, qt *[64]int, workers int) (*plane, error) {
+// The returned plane comes from planePool; on an error it goes back.
+func decodePlaneV2(c *byteCursor, w, h int, qt *[64]int, workers int) (_ *plane, err error) {
 	bw, bh := (w+7)/8, (h+7)/8
 	nblocks := bw * bh
 	p := getPlane(w, h)
-	fail := func(err error) (*plane, error) {
-		putPlane(p)
-		return nil, err
-	}
+	defer func() {
+		if err != nil {
+			putPlane(p)
+		}
+	}()
 	bp := getBlocks(min(bandRows, bh) * bw)
 	defer putBlocks(bp)
 	band := *bp
@@ -515,7 +514,7 @@ func decodePlaneV2(c *byteCursor, w, h int, qt *[64]int, workers int) (*plane, e
 		}
 		tag, err := c.readByte()
 		if err != nil {
-			return fail(fmt.Errorf("imagecodec: truncated block tag: %w", err))
+			return nil, fmt.Errorf("imagecodec: truncated block tag: %w", err)
 		}
 		switch {
 		case tag <= v2TagRunMax, tag == v2TagLongRun:
@@ -523,44 +522,44 @@ func decodePlaneV2(c *byteCursor, w, h int, qt *[64]int, workers int) (*plane, e
 			if tag == v2TagLongRun {
 				u, err := c.readUvarint()
 				if err != nil {
-					return fail(fmt.Errorf("imagecodec: truncated run length: %w", err))
+					return nil, fmt.Errorf("imagecodec: truncated run length: %w", err)
 				}
 				if u == 0 || u > uint64(nblocks) {
-					return fail(errV2Run)
+					return nil, errV2Run
 				}
 				n = int(u)
 			}
 			if bi+n > nblocks {
-				return fail(errV2Run)
+				return nil, errV2Run
 			}
 			b.flat, b.q[0] = true, int32(prevDC)
 			run = n - 1
 		case tag == v2TagFlatDC:
 			d, err := c.readVarint()
 			if err != nil {
-				return fail(fmt.Errorf("imagecodec: truncated DC: %w", err))
+				return nil, fmt.Errorf("imagecodec: truncated DC: %w", err)
 			}
 			prevDC += d
 			b.flat, b.q[0] = true, int32(prevDC)
 		case tag == v2TagCoded:
 			d, err := c.readVarint()
 			if err != nil {
-				return fail(fmt.Errorf("imagecodec: truncated DC: %w", err))
+				return nil, fmt.Errorf("imagecodec: truncated DC: %w", err)
 			}
 			prevDC += d
 			b.q = [64]int32{}
 			b.q[0] = int32(prevDC)
 			nz, err := parseACv2(c, &b.q)
 			if err != nil {
-				return fail(err)
+				return nil, err
 			}
 			b.flat = nz == 0
 		default:
-			return fail(errV2Tag)
+			return nil, errV2Tag
 		}
 	}
 	if c.i != len(c.b) {
-		return fail(errV2Extra)
+		return nil, errV2Extra
 	}
 	parallel.For(workers, next, minChunkBlocks, store)
 	return p, nil
@@ -575,86 +574,67 @@ var flateReaderPool = sync.Pool{New: func() any {
 	return flate.NewReader(bytes.NewReader(nil)).(flateResetReader)
 }}
 
-// inflatePlaneV2 inflates one plane segment into a pooled buffer.
-func inflatePlaneV2(comp []byte) (*[]byte, error) {
+// inflatePlaneV2 inflates one plane segment into *tp, reusing its
+// capacity.
+func inflatePlaneV2(tp *[]byte, comp []byte) error {
 	fr := flateReaderPool.Get().(flateResetReader)
+	defer flateReaderPool.Put(fr)
 	if err := fr.Reset(bytes.NewReader(comp), nil); err != nil {
-		flateReaderPool.Put(fr)
-		return nil, fmt.Errorf("imagecodec: flate: %w", err)
+		return fmt.Errorf("imagecodec: flate: %w", err)
 	}
-	tp := getBytes()
 	tokens := (*tp)[:0]
-	var rerr error
-	for {
+	var err error
+	for err == nil {
 		if len(tokens) == cap(tokens) {
 			tokens = append(tokens, 0)[:len(tokens)]
 		}
-		n, err := fr.Read(tokens[len(tokens):cap(tokens)])
+		var n int
+		n, err = fr.Read(tokens[len(tokens):cap(tokens)])
 		tokens = tokens[:len(tokens)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			rerr = err
-			break
-		}
 	}
-	flateReaderPool.Put(fr)
 	*tp = tokens
-	if rerr != nil {
-		putBytes(tp)
-		return nil, fmt.Errorf("imagecodec: flate: %w", rerr)
+	if err != io.EOF {
+		return fmt.Errorf("imagecodec: flate: %w", err)
 	}
-	return tp, nil
+	return nil
 }
 
 // decodeSICV2 is the v2 body behind DecodeSICWorkers: three
-// length-prefixed per-plane flate segments, packed-token plane decode,
-// shared color reassembly.
+// length-prefixed per-plane flate segments, inflated in turn into one
+// pooled token buffer, packed-token plane decode, shared color
+// reassembly.
 func decodeSICV2(data []byte, w, h, quality, workers int) (*Raster, error) {
 	lumaQT := quantTable(lumaQBase, quality)
 	chromaQT := quantTable(chromaQBase, quality)
 	cw, ch := (w+1)/2, (h+1)/2
 	body := &byteCursor{b: data}
 	var planes [3]*plane
+	defer func() {
+		for _, p := range planes {
+			putPlane(p)
+		}
+	}()
+	tp := getBytes()
+	defer putBytes(tp)
 	dims := [3][2]int{{w, h}, {cw, ch}, {cw, ch}}
 	qts := [3]*[64]int{&lumaQT, &chromaQT, &chromaQT}
 	for pi := 0; pi < 3; pi++ {
 		clen, err := body.readUvarint()
 		if err != nil {
-			for _, p := range planes {
-				putPlane(p)
-			}
 			return nil, fmt.Errorf("imagecodec: truncated plane length: %w", err)
 		}
 		if clen > uint64(len(body.b)-body.i) {
-			for _, p := range planes {
-				putPlane(p)
-			}
 			return nil, errors.New("imagecodec: SICv2 plane length overruns stream")
 		}
 		comp := body.b[body.i : body.i+int(clen)]
 		body.i += int(clen)
-		tp, err := inflatePlaneV2(comp)
-		if err != nil {
-			for _, p := range planes {
-				putPlane(p)
-			}
+		if err := inflatePlaneV2(tp, comp); err != nil {
 			return nil, err
 		}
-		c := &byteCursor{b: *tp}
-		planes[pi], err = decodePlaneV2(c, dims[pi][0], dims[pi][1], qts[pi], workers)
-		putBytes(tp)
+		planes[pi], err = decodePlaneV2(&byteCursor{b: *tp}, dims[pi][0], dims[pi][1], qts[pi], workers)
 		if err != nil {
-			for _, p := range planes {
-				putPlane(p)
-			}
 			return nil, err
 		}
 	}
-	out := fromYCbCr(planes[0], planes[1], planes[2], workers)
-	for _, p := range planes {
-		putPlane(p)
-	}
-	return out, nil
+	return fromYCbCr(planes[0], planes[1], planes[2], workers), nil
 }

@@ -44,6 +44,18 @@ if [[ -n "$orphans" ]]; then
     exit 1
 fi
 
+# The same rule one level up: the root API is a surface only while
+# something that ships calls it, so every exported function in sonic.go
+# must appear as sonic.<Name> in a binary, an example, README or the
+# benchmark. Tests do not count.
+echo "==> every root API function is called by something that ships"
+for name in $(sed -n 's/^func \([A-Z][A-Za-z0-9]*\)(.*/\1/p' sonic.go); do
+    if ! grep -rqw --include='*.go' --include='*.md' "sonic\.$name" cmd examples benchmark README.md; then
+        echo "sonic.$name: no binary, example, README snippet or benchmark file calls it" >&2
+        exit 1
+    fi
+done
+
 echo "==> go test ./..."
 go test ./...
 

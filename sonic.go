@@ -34,11 +34,8 @@ import (
 	"sonic/internal/client"
 	"sonic/internal/core"
 	"sonic/internal/corpus"
-	"sonic/internal/fec"
 	"sonic/internal/fm"
 	"sonic/internal/imagecodec"
-	"sonic/internal/interp"
-	"sonic/internal/modem"
 	"sonic/internal/server"
 	"sonic/internal/sms"
 	"sonic/internal/userstudy"
@@ -166,14 +163,6 @@ func DecodePageImage(b Bundle) (*Raster, error) {
 	return imagecodec.DecodeSIC(b.Image)
 }
 
-// CorpusPages returns the 100-page evaluation corpus (25 Tranco-style
-// .pk sites x 4 pages).
-func CorpusPages() []PageRef { return corpus.Pages() }
-
-// Interpolate repairs missing pixels in place using the paper's
-// left-priority nearest-neighbor scheme.
-func Interpolate(r *Raster, missing []bool) { interp.Interpolate(r, missing) }
-
 // Evaluation re-exports (for building custom experiment harnesses).
 type (
 	// BacklogConfig parameterizes the Fig. 4(c) backlog simulation.
@@ -190,25 +179,3 @@ type (
 func SimulateBacklog(cfg BacklogConfig) (*BacklogResult, error) {
 	return broadcast.Simulate(cfg)
 }
-
-// NewV29 and NewV27 expose the inner convolutional codes for custom
-// pipeline configs and ablations.
-func NewV29() *fec.ConvCode { return fec.NewV29() }
-
-// NewV27 returns the weaker K=7 inner code (ablation baseline).
-func NewV27() *fec.ConvCode { return fec.NewV27() }
-
-// Sonic92Profile returns the paper's OFDM profile (92 subcarriers,
-// 9.2 kHz center, 64-QAM).
-func Sonic92Profile() modem.Profile { return modem.Sonic92() }
-
-// NewFSK128Modem returns the GGwave-class FSK baseline modem (§2).
-func NewFSK128Modem() *modem.FSK { return modem.NewFSK128() }
-
-// NewGMSKModem returns the constant-envelope GMSK modem, the other
-// modulation the Quiet library offers (§2).
-func NewGMSKModem() *modem.GMSK { return modem.NewGMSK() }
-
-// Audible7kProfile returns the Quiet-style QPSK profile SONIC's was
-// derived from.
-func Audible7kProfile() modem.Profile { return modem.Audible7k() }
