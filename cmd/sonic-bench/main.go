@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,8 +24,6 @@ import (
 	"sonic/internal/corpus"
 	"sonic/internal/experiments"
 	"sonic/internal/imagecodec"
-	"sonic/internal/obsprobe"
-	"sonic/internal/telemetry"
 )
 
 // experimentNames are the -exp values: "all" and each experiment's name.
@@ -238,38 +235,6 @@ func main() {
 		experiments.PrintAblation(os.Stdout, "Ablation: carousel scheduling policy (expected wait, seconds)", carRows)
 		return nil
 	})
-
-	// Alongside the CSV exports, drop a per-stage telemetry snapshot of
-	// one instrumented end-to-end run so stage latency breakdowns ride
-	// with the experiment data.
-	if *csvDir != "" {
-		if err := writeTelemetrySnapshot(*csvDir); err != nil {
-			fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeTelemetrySnapshot runs the instrumented probe and writes the
-// resulting registry snapshot as dir/telemetry.json.
-func writeTelemetrySnapshot(dir string) error {
-	reg := telemetry.New()
-	if err := obsprobe.Run(reg); err != nil {
-		return err
-	}
-	blob, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "telemetry.json")
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote per-stage telemetry snapshot to %s\n", path)
-	return nil
 }
 
 // writePNG saves a raster panel to disk.

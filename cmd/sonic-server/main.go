@@ -10,7 +10,8 @@
 //	sonic-server -serve -listen 127.0.0.1:7333 -push 10
 //
 // Either mode accepts -telemetry :addr to serve the live ops endpoint
-// (/metrics, /metrics.json, /debug/pprof) while the server runs.
+// (/metrics in the Prometheus text format, /metrics.json, /debug/pprof)
+// while the server runs.
 package main
 
 import (
@@ -34,7 +35,7 @@ func main() {
 		serve  = flag.Bool("serve", false, "run the transmitter control service")
 		listen = flag.String("listen", "127.0.0.1:7333", "control-link listen address")
 		push   = flag.Int("push", 10, "popular pages to pre-queue in -serve mode")
-		tel    = flag.String("telemetry", "", "serve the ops endpoint (/metrics, /metrics.json, /debug/pprof) on this address, e.g. :7380")
+		tel    = flag.String("telemetry", "", "serve the ops endpoint (/metrics Prometheus text, /metrics.json, /debug/pprof) on this address, e.g. :7380")
 		sloAir = flag.Duration("slo-on-air", 0, "request->on-air SLO budget (0 disables the evaluator)")
 	)
 	flag.Parse()
@@ -49,7 +50,7 @@ func main() {
 		if err != nil {
 			fatalf("telemetry: %v", err)
 		}
-		fmt.Printf("telemetry: http://%s/metrics (prom at /metrics?format=prom, JSON at /metrics.json, traces at /trace/<id>, profiles at /debug/pprof)\n", bound)
+		fmt.Printf("telemetry: http://%s/metrics (Prometheus text; JSON at /metrics.json, traces at /trace/<id>, profiles at /debug/pprof)\n", bound)
 	}
 
 	pipe, err := core.NewPipeline(core.DefaultConfig())

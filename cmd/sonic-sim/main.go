@@ -8,7 +8,8 @@
 //	sonic-sim -hours 24 -listeners 200 -rate 10000
 //
 // With -telemetry :7380 it also serves the live ops endpoint
-// (/metrics, /metrics.json, /debug/pprof), runs an instrumented
+// (/metrics in the Prometheus text format, /metrics.json,
+// /debug/pprof), runs an instrumented
 // end-to-end probe so every pipeline stage reports, and stays alive
 // for scraping after the report.
 package main
@@ -35,7 +36,7 @@ func main() {
 		rate      = flag.Float64("rate", 10000, "channel rate (bps)")
 		uplinkPct = flag.Int("uplink", 20, "percent of listeners with SMS uplink (user-C)")
 		seed      = flag.Int64("seed", 1, "simulation seed")
-		telAddr   = flag.String("telemetry", "", "serve the ops endpoint (/metrics, /metrics.json, /debug/pprof) on this address, e.g. :7380; keeps the process alive after the report")
+		telAddr   = flag.String("telemetry", "", "serve the ops endpoint (/metrics Prometheus text, /metrics.json, /debug/pprof) on this address, e.g. :7380; keeps the process alive after the report")
 		sloAir    = flag.Duration("slo-on-air", 45*time.Minute, "request->on-air SLO budget (0 disables the evaluator)")
 		sloDeliv  = flag.Duration("slo-delivered", time.Hour, "request->delivered SLO budget (0 disables the evaluator)")
 	)
@@ -56,7 +57,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("telemetry: http://%s/metrics (prom at /metrics?format=prom, JSON at /metrics.json, traces at /trace/<id>, profiles at /debug/pprof)\n", bound)
+		fmt.Printf("telemetry: http://%s/metrics (Prometheus text; JSON at /metrics.json, traces at /trace/<id>, profiles at /debug/pprof)\n", bound)
 	}
 
 	pipe, err := core.NewPipeline(core.DefaultConfig())
@@ -125,9 +126,6 @@ func main() {
 		freshAt      = map[string]int{} // url -> hour of content last aired
 		requests     []float64          // request-to-delivery latencies
 		pending      = map[string][]pendingReq{}
-		pendingN     int
-		gPending     = reg.Gauge("sim_pending_requests")
-		gSimHours    = reg.Gauge("sim_clock_hours")
 	)
 	for _, idx := range sched {
 		if simT >= horizonS {
@@ -157,7 +155,6 @@ func main() {
 			p.tr.StampAt(telemetry.StageOnAirStart, simTime(airStart))
 			p.tr.StampAt(telemetry.StageOnAirDone, simTime(simT))
 			p.tr.StampAt(telemetry.StageDelivered, simTime(simT))
-			pendingN--
 		}
 		delete(pending, e.Ref.URL)
 
@@ -173,11 +170,8 @@ func main() {
 				// request is queue-bound from admission on.
 				tr.StampAt(telemetry.StageEnqueued, at)
 				pending[ref.URL] = append(pending[ref.URL], pendingReq{t0: simT, tr: tr})
-				pendingN++
 			}
 		}
-		gPending.Set(float64(pendingN))
-		gSimHours.Set(simT / 3600)
 	}
 	// Requests never aired within the horizon are aborted, not leaked.
 	for url, reqs := range pending {
@@ -242,7 +236,7 @@ func main() {
 	if reg != nil {
 		// The discrete-event loop above models the channel analytically,
 		// so run one real end-to-end page through every instrumented
-		// stage to populate the per-stage spans and codec counters, then
+		// stage to populate the per-stage spans, then
 		// keep serving so the endpoint stays scrapeable.
 		fmt.Println("telemetry: running instrumented end-to-end probe...")
 		if err := obsprobe.Run(reg); err != nil {

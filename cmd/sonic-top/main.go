@@ -20,7 +20,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"sonic/internal/telemetry"
@@ -210,9 +209,5 @@ func render(w *os.File, addr string, s telemetry.Snapshot) {
 		fmt.Fprintf(w, "carousel: %.0f pages in rotation, max re-air period %s, schedule horizon %s\n",
 			depth, seconds(s.Gauges["carousel_max_period_seconds"]),
 			seconds(s.Gauges["carousel_schedule_horizon_seconds"]))
-	}
-	if strings.TrimSpace(os.Getenv("SONIC_TOP_RAW")) != "" {
-		fmt.Fprintf(w, "\n%d counters, %d gauges, %d histograms, %d spans registered\n",
-			len(s.Counters), len(s.Gauges), len(s.Histograms), len(s.Spans))
 	}
 }

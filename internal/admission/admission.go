@@ -23,11 +23,8 @@
 //     arrival order.
 //
 // Telemetry (Instrument): admission_submitted_total,
-// admission_coalesced_total, admission_rejected_total,
-// admission_batches_total, admission_flushed_requests_total, a
-// per-shard admission_shard_submitted_total{shard=…} family (the shard-
-// balance feed), the admission_batch_size histogram, and the
-// admission_pending_requests gauge.
+// admission_coalesced_total, admission_rejected_total and
+// admission_batches_total.
 package admission
 
 import (
@@ -158,10 +155,6 @@ type Queue struct {
 	mCoalesced *telemetry.Counter
 	mRejected  *telemetry.Counter
 	mBatches   *telemetry.Counter
-	mFlushed   *telemetry.Counter
-	hBatch     *telemetry.Histogram
-	gPending   *telemetry.Gauge
-	perShard   []*telemetry.Counter
 }
 
 // New builds the queue and starts one flush worker per shard. The sink
@@ -198,13 +191,6 @@ func (q *Queue) Instrument(reg *telemetry.Registry) {
 	q.mCoalesced = reg.Counter("admission_coalesced_total")
 	q.mRejected = reg.Counter("admission_rejected_total")
 	q.mBatches = reg.Counter("admission_batches_total")
-	q.mFlushed = reg.Counter("admission_flushed_requests_total")
-	q.hBatch = reg.Histogram("admission_batch_size", telemetry.CountBuckets)
-	q.gPending = reg.Gauge("admission_pending_requests")
-	q.perShard = make([]*telemetry.Counter, len(q.shards))
-	for i := range q.shards {
-		q.perShard[i] = reg.Counter("admission_shard_submitted_total", "shard", fmt.Sprintf("%d", i))
-	}
 }
 
 // fnv32a is FNV-1a over a string without the hash.Hash32 interface and
@@ -249,14 +235,9 @@ func (q *Queue) Submit(req Request) (coalesced bool, err error) {
 			e.traces = append(e.traces, req.Trace)
 		}
 		sh.count++
-		pending := sh.count
 		sh.mu.Unlock()
 		q.mSubmitted.Inc()
 		q.mCoalesced.Inc()
-		if q.perShard != nil {
-			q.perShard[si].Inc()
-		}
-		q.notePending(pending)
 		return true, nil
 	}
 	if sh.count >= q.cfg.MaxPending {
@@ -275,10 +256,6 @@ func (q *Queue) Submit(req Request) (coalesced bool, err error) {
 	sh.mu.Unlock()
 
 	q.mSubmitted.Inc()
-	if q.perShard != nil {
-		q.perShard[si].Inc()
-	}
-	q.notePending(0)
 	if full {
 		select {
 		case sh.kick <- struct{}{}:
@@ -286,15 +263,6 @@ func (q *Queue) Submit(req Request) (coalesced bool, err error) {
 		}
 	}
 	return false, nil
-}
-
-// notePending refreshes the pending gauge (cheap enough to do per
-// submit only when instrumented).
-func (q *Queue) notePending(int) {
-	if q.gPending == nil {
-		return
-	}
-	q.gPending.Set(float64(q.Pending()))
 }
 
 // Pending returns the total requests currently held across shards
@@ -340,14 +308,11 @@ func (q *Queue) flushShard(sh *qshard) {
 	for _, k := range order {
 		e := pending[k]
 		q.mBatches.Inc()
-		q.mFlushed.Add(int64(e.count))
-		q.hBatch.Observe(float64(e.count))
 		q.sink(Batch{
 			URL: k.url, Tower: k.tower, EffHour: k.eff,
 			Now: e.now, Count: e.count, Traces: e.traces,
 		})
 	}
-	q.notePending(0)
 }
 
 // Flush synchronously drains every shard on the caller's goroutine —

@@ -72,21 +72,6 @@ const (
 	numStages
 )
 
-// String names a stage for telemetry labels.
-func (s Stage) String() string {
-	switch s {
-	case StageRender:
-		return "render"
-	case StageBlob:
-		return "blob"
-	case StageStream:
-		return "stream"
-	case StageAudio:
-		return "audio"
-	}
-	return fmt.Sprintf("stage-%d", int(s))
-}
-
 // RenderFunc produces the bundle for a key's URL at its content epoch —
 // the render stage's compute, run once per key fleet-wide.
 type RenderFunc func() (core.Bundle, error)
@@ -174,13 +159,10 @@ type Chain struct {
 	coalesced [numStages]atomic.Int64
 	evictions atomic.Int64
 
-	// Telemetry (nil handles = off; see internal/telemetry).
-	mHits      [numStages]*telemetry.Counter // artifact_hits_total{stage=}
-	mMisses    [numStages]*telemetry.Counter // artifact_misses_total{stage=}
-	mCoalesced [numStages]*telemetry.Counter // artifact_coalesced_total{stage=}
-	mEvicted   *telemetry.Counter            // artifact_evictions_total
-	gBytes     *telemetry.Gauge              // artifact_cache_bytes
-	gEntries   *telemetry.Gauge              // artifact_cache_entries
+	// Telemetry (nil handles = off; see internal/telemetry). The
+	// counters above are Stats()'s alone.
+	gBytes   *telemetry.Gauge // artifact_cache_bytes
+	gEntries *telemetry.Gauge // artifact_cache_entries
 }
 
 // NewChain builds a chain over pipe bounded to maxBytes of cached
@@ -197,19 +179,12 @@ func NewChain(pipe *core.Pipeline, maxBytes int64) *Chain {
 	}
 }
 
-// Instrument registers the chain's metric families on reg: per-stage
-// hit/miss/coalesced counters, the eviction counter, and the byte/entry
-// gauges. Call once at setup.
+// Instrument registers the chain's byte and entry gauges on reg. Call
+// once at setup.
 func (ch *Chain) Instrument(reg *telemetry.Registry) {
 	if ch == nil {
 		return
 	}
-	for st := Stage(0); st < numStages; st++ {
-		ch.mHits[st] = reg.Counter("artifact_hits_total", "stage", st.String())
-		ch.mMisses[st] = reg.Counter("artifact_misses_total", "stage", st.String())
-		ch.mCoalesced[st] = reg.Counter("artifact_coalesced_total", "stage", st.String())
-	}
-	ch.mEvicted = reg.Counter("artifact_evictions_total")
 	ch.gBytes = reg.Gauge("artifact_cache_bytes")
 	ch.gEntries = reg.Gauge("artifact_cache_entries")
 }
@@ -337,7 +312,6 @@ func (ch *Chain) stage(st Stage, k Key, compute func() (any, int64, error)) (any
 	ck := ckey{key: k, stage: st}
 	if v, ok := ch.get(ck); ok {
 		ch.hits[st].Add(1)
-		ch.mHits[st].Inc()
 		return v, nil
 	}
 	fkey := fmt.Sprintf("%d/%s@%d#%d:%x", st, k.URL, k.EffHour, k.PageID, k.Digest)
@@ -346,7 +320,6 @@ func (ch *Chain) stage(st Stage, k Key, compute func() (any, int64, error)) (any
 		// between our miss and this call starting.
 		if v, ok := ch.get(ck); ok {
 			ch.hits[st].Add(1)
-			ch.mHits[st].Inc()
 			return v, nil
 		}
 		val, bytes, err := compute()
@@ -355,7 +328,6 @@ func (ch *Chain) stage(st Stage, k Key, compute func() (any, int64, error)) (any
 		}
 		ch.put(ck, val, bytes)
 		ch.misses[st].Add(1)
-		ch.mMisses[st].Inc()
 		return val, nil
 	})
 	if err != nil {
@@ -363,7 +335,6 @@ func (ch *Chain) stage(st Stage, k Key, compute func() (any, int64, error)) (any
 	}
 	if !leader {
 		ch.coalesced[st].Add(1)
-		ch.mCoalesced[st].Inc()
 	}
 	return v, nil
 }
@@ -405,7 +376,6 @@ func (ch *Chain) put(ck ckey, val any, bytes int64) {
 	ch.mu.Unlock()
 	if evicted > 0 {
 		ch.evictions.Add(int64(evicted))
-		ch.mEvicted.Add(int64(evicted))
 	}
 	ch.gBytes.Set(float64(bytesNow))
 	ch.gEntries.Set(float64(entriesNow))

@@ -398,10 +398,10 @@ func TestChainForget(t *testing.T) {
 	}
 	for stage := Stage(0); stage < numStages; stage++ {
 		if _, ok := ch.get(ckey{key: old, stage: stage}); ok {
-			t.Fatalf("stage %s of the forgotten key is still cached", stage)
+			t.Fatalf("stage %d of the forgotten key is still cached", stage)
 		}
 		if _, ok := ch.get(ckey{key: kept, stage: stage}); !ok {
-			t.Fatalf("stage %s of another epoch went with it", stage)
+			t.Fatalf("stage %d of another epoch went with it", stage)
 		}
 	}
 	ch.Forget(old) // forgetting what is not there is a no-op
@@ -481,7 +481,7 @@ func TestEvictionTakesDerivedFirst(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		for st := StageRender; st < StageAudio; st++ {
 			if !cached(ch, key(ch, i), st) {
-				t.Errorf("key %d: the %s was evicted while bursts could still go", i, st)
+				t.Errorf("key %d: stage %d was evicted while bursts could still go", i, st)
 			}
 		}
 		if got, want := cached(ch, key(ch, i), StageAudio), i > n-2; got != want {
@@ -573,7 +573,8 @@ func TestConfigDigest(t *testing.T) {
 	}
 }
 
-// TestChainInstrumented checks the telemetry families register and move.
+// TestChainInstrumented checks that Stats() counts one audio miss and one
+// hit, and that the byte and entry gauges track the cache Stats() sees.
 func TestChainInstrumented(t *testing.T) {
 	ch, _ := newTestChain(t, 0)
 	reg := telemetry.New()
@@ -585,15 +586,14 @@ func TestChainInstrumented(t *testing.T) {
 	if _, err := ch.Audio(k, func() (core.Bundle, error) { return testBundle(3, 600), nil }); err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["artifact_misses_total{stage=audio}"] != 1 {
-		t.Fatalf("audio miss counter = %d, want 1 (counters: %v)",
-			snap.Counters["artifact_misses_total{stage=audio}"], snap.Counters)
+	st, snap := ch.Stats(), reg.Snapshot()
+	if st.Audio.Misses != 1 || st.Audio.Hits != 1 {
+		t.Fatalf("audio stats = %+v, want 1 miss and 1 hit", st.Audio)
 	}
-	if snap.Counters["artifact_hits_total{stage=audio}"] != 1 {
-		t.Fatalf("audio hit counter = %d, want 1", snap.Counters["artifact_hits_total{stage=audio}"])
+	if got := snap.Gauges["artifact_cache_bytes"]; got <= 0 || got != float64(st.Bytes) {
+		t.Fatalf("byte gauge = %v, want Stats().Bytes = %d", got, st.Bytes)
 	}
-	if snap.Gauges["artifact_cache_bytes"] <= 0 {
-		t.Fatalf("byte gauge not set")
+	if got := snap.Gauges["artifact_cache_entries"]; got != float64(st.Entries) {
+		t.Fatalf("entry gauge = %v, want Stats().Entries = %d", got, st.Entries)
 	}
 }

@@ -3,7 +3,6 @@ package broadcast
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"sonic/internal/corpus"
 	"sonic/internal/telemetry"
@@ -21,43 +20,27 @@ type Carousel struct {
 	rateBps float64 // set by Instrument; converts bytes to airtime
 
 	// Telemetry (nil handles = off; see internal/telemetry).
-	mScheduled *telemetry.Counter // broadcast_scheduled_total
-	mDepth     *telemetry.Gauge   // carousel_depth_pages
-	mMaxPeriod *telemetry.Gauge   // carousel_max_period_seconds
-	mHorizon   *telemetry.Gauge   // carousel_schedule_horizon_seconds
+	mDepth     *telemetry.Gauge // carousel_depth_pages
+	mMaxPeriod *telemetry.Gauge // carousel_max_period_seconds
+	mHorizon   *telemetry.Gauge // carousel_schedule_horizon_seconds
 }
 
 // Instrument registers the carousel's metric families on reg: the
-// broadcast_airtime_share{url=...} gauge for the top entries by demand,
-// the broadcast_expected_wait_seconds histogram (per-entry expected wait
-// for a random arrival at rateBps), broadcast_scheduled_total (bumped
-// once per transmission slot emitted by Schedule), and the rotation's
-// depth/age pair: carousel_depth_pages (pages in rotation) and
-// carousel_max_period_seconds (the longest gap between re-airs of any
-// page — the oldest a carousel listener's copy can get before refresh).
-// Schedule refreshes carousel_schedule_horizon_seconds, the airtime the
-// most recently planned slots cover. Call once at setup.
+// rotation's depth/age pair, carousel_depth_pages (pages in rotation)
+// and carousel_max_period_seconds (the longest gap between re-airs of
+// any page at rateBps — the oldest a carousel listener's copy can get
+// before refresh). Schedule refreshes carousel_schedule_horizon_seconds,
+// the airtime the most recently planned slots cover. Call once at setup.
 func (c *Carousel) Instrument(reg *telemetry.Registry, rateBps float64) {
-	c.mScheduled = reg.Counter("broadcast_scheduled_total")
 	c.mDepth = reg.Gauge("carousel_depth_pages")
 	c.mMaxPeriod = reg.Gauge("carousel_max_period_seconds")
 	c.mHorizon = reg.Gauge("carousel_schedule_horizon_seconds")
 	c.rateBps = rateBps
-	if reg == nil {
-		return
-	}
-	const topN = 8
-	for _, e := range c.TopNByDemand(topN) {
-		reg.Gauge("broadcast_airtime_share", "url", e.Ref.URL).Set(e.share)
-	}
 	c.mDepth.Set(float64(len(c.entries)))
 	if rateBps > 0 {
-		h := reg.Histogram("broadcast_expected_wait_seconds", telemetry.WaitBuckets)
 		var worst float64
 		for _, e := range c.entries {
-			airSec := float64(e.Bytes) * 8 / rateBps
-			h.Observe(airSec/e.share/2 + airSec)
-			if period := airSec / e.share; period > worst {
+			if period := float64(e.Bytes) * 8 / rateBps / e.share; period > worst {
 				worst = period
 			}
 		}
@@ -165,7 +148,6 @@ func (c *Carousel) Schedule(n int) []int {
 		planned += int64(c.entries[best].Bytes)
 		next[best] += period[best]
 	}
-	c.mScheduled.Add(int64(len(out)))
 	if c.rateBps > 0 {
 		c.mHorizon.Set(float64(planned) * 8 / c.rateBps)
 	}
@@ -215,18 +197,4 @@ func CompareCarouselPolicies(pages []corpus.PageRef, size SizeFunc, rateBps floa
 		return 0, 0, err
 	}
 	return flat.ExpectedWaitSeconds(rateBps), opt.ExpectedWaitSeconds(rateBps), nil
-}
-
-// TopNByDemand returns the n highest-demand entries of a carousel,
-// useful for catalog displays. The sort is stable: entries with equal
-// demand keep their rotation (corpus) order, so the ranking is
-// deterministic — fleet replays and the parallel PushPopular depend on
-// every tower computing the identical list.
-func (c *Carousel) TopNByDemand(n int) []CarouselEntry {
-	sorted := c.Entries()
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Demand > sorted[j].Demand })
-	if n > len(sorted) {
-		n = len(sorted)
-	}
-	return sorted[:n]
 }

@@ -138,17 +138,6 @@ func TestExpectedWaitEdgeCases(t *testing.T) {
 	}
 }
 
-func TestTopNByDemand(t *testing.T) {
-	c, _ := NewCarousel(testEntries(), PolicyFlat)
-	top := c.TopNByDemand(2)
-	if len(top) != 2 || top[0].Ref.URL != "hot.pk/" {
-		t.Errorf("top = %+v", top)
-	}
-	if len(c.TopNByDemand(99)) != 3 {
-		t.Error("overlong n should clamp")
-	}
-}
-
 // TestMeasuredCarouselTracksDemand: measured request counts dominate
 // the rotation, static corpus popularity only floors the cold pages.
 func TestMeasuredCarouselTracksDemand(t *testing.T) {
@@ -160,9 +149,14 @@ func TestMeasuredCarouselTracksDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := measured.TopNByDemand(1)
-	if top[0].Ref.URL != coldURL {
-		t.Errorf("top measured entry = %q, want %q", top[0].Ref.URL, coldURL)
+	top := measured.entries[0]
+	for _, e := range measured.entries {
+		if e.Demand > top.Demand {
+			top = e
+		}
+	}
+	if top.Ref.URL != coldURL {
+		t.Errorf("top measured entry = %q, want %q", top.Ref.URL, coldURL)
 	}
 
 	// With no measurements the rotation equals the static corpus carousel.
@@ -184,34 +178,6 @@ func TestMeasuredCarouselTracksDemand(t *testing.T) {
 	for i := range pages {
 		if measured.entries[i].share <= 0 {
 			t.Fatalf("entry %d starved", i)
-		}
-	}
-}
-
-// TestTopNByDemandStableAtEqualDemand pins the deterministic-rank
-// contract: at exactly equal demand the ranking must keep rotation
-// (corpus) order, because the fleet engine and the parallel PushPopular
-// both assume every tower computes the identical list.
-func TestTopNByDemandStableAtEqualDemand(t *testing.T) {
-	pages := corpus.Pages()[:8]
-	size := func(corpus.PageRef, int) int { return 50 * 1024 }
-	// Cancel the static popularity floor so every page's total demand is
-	// exactly equal — the pure tie case.
-	demand := make(map[string]float64, len(pages))
-	for _, ref := range pages {
-		demand[ref.URL] = 100 - corpus.PopularityWeight(ref)
-	}
-	c, err := MeasuredCarousel(pages, size, demand, PolicySqrt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := c.TopNByDemand(len(pages))
-	if len(top) != len(pages) {
-		t.Fatalf("top returned %d entries, want %d", len(top), len(pages))
-	}
-	for i, e := range top {
-		if e.Ref.URL != pages[i].URL {
-			t.Fatalf("equal-demand rank %d = %s, want rotation order %s", i, e.Ref.URL, pages[i].URL)
 		}
 	}
 }

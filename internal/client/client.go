@@ -62,22 +62,16 @@ type Client struct {
 	pending map[string]time.Time // URL -> ack ETA deadline
 	smsc    *sms.SMSC
 
-	// Telemetry (nil handles = off; see internal/telemetry).
-	mReceived  *telemetry.Counter // client_pages_received_total
-	mRequested *telemetry.Counter // client_requests_sent_total
-	mOpened    *telemetry.Counter // client_pages_opened_total
-	lc         *telemetry.Lifecycle
+	// lc confirms delivery (nil = off; see internal/telemetry).
+	lc *telemetry.Lifecycle
 }
 
-// Instrument registers the client's metric families on reg. If a
-// request lifecycle tracker is installed on reg, every ingested
-// broadcast also confirms delivery on the matching open traces —
-// the decode-side receipt that closes the request loop end to end.
-// Call once at setup, before the client starts handling broadcasts.
+// Instrument wires the client to reg's request lifecycle tracker, if one
+// is installed: every ingested broadcast then confirms delivery on the
+// matching open traces — the decode-side receipt that closes the request
+// loop end to end. Call once at setup, before the client starts handling
+// broadcasts.
 func (c *Client) Instrument(reg *telemetry.Registry) {
-	c.mReceived = reg.Counter("client_pages_received_total")
-	c.mRequested = reg.Counter("client_requests_sent_total")
-	c.mOpened = reg.Counter("client_pages_opened_total")
 	c.lc = reg.Lifecycle()
 }
 
@@ -128,7 +122,6 @@ func (c *Client) HandleBroadcast(url string, b core.Bundle, now time.Time, ttl t
 		popularity: popularity,
 	}
 	delete(c.pending, url)
-	c.mReceived.Inc()
 	c.lc.DeliveredAt(url, now)
 }
 
@@ -166,7 +159,6 @@ func (c *Client) Open(url string, now time.Time) (*Page, error) {
 		}
 	}
 	f := c.ScalingFactor()
-	c.mOpened.Inc()
 	return &Page{
 		URL:    url,
 		Image:  img.ResizeNearest(f),
@@ -225,11 +217,7 @@ func (c *Client) Request(url string, now time.Time) error {
 		return ErrNoUplink
 	}
 	body := sms.FormatRequest(sms.Request{URL: url, Lat: c.cfg.Lat, Lon: c.cfg.Lon})
-	if err := smsc.Submit(now, c.cfg.Number, c.cfg.SonicNumber, body); err != nil {
-		return err
-	}
-	c.mRequested.Inc()
-	return nil
+	return smsc.Submit(now, c.cfg.Number, c.cfg.SonicNumber, body)
 }
 
 // PendingETA reports the acknowledged delivery deadline for url, if any.

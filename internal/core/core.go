@@ -74,31 +74,15 @@ type Pipeline struct {
 	modem *modem.OFDM
 	codec *frame.Codec
 
-	// Telemetry (nil handles = off; see internal/telemetry).
-	tel             *telemetry.Registry
-	snrGauge        *telemetry.Gauge   // core_modem_snr_db
-	pagesEncoded    *telemetry.Counter // core_pages_encoded_total
-	pagesDecoded    *telemetry.Counter // core_pages_decoded_total
-	pagesIncomplete *telemetry.Counter // core_pages_incomplete_total
-	framesTx        *telemetry.Counter // core_frames_tx_total
-	framesRx        *telemetry.Counter // core_frames_rx_total
-	framesLost      *telemetry.Counter // core_frames_lost_total
+	// tel records per-stage spans (nil = off; see internal/telemetry).
+	tel *telemetry.Registry
 }
 
-// Instrument registers the pipeline's metric families (and its frame
-// codec's) on reg and starts recording per-stage spans: encode and
-// decode paths get a span tree whose self-times show where inside
+// Instrument starts recording per-stage spans on reg: encode and decode
+// paths get a span tree whose self-times show where inside
 // chunk→FEC→modulate / demodulate→FEC→reassemble the wall clock goes.
 func (p *Pipeline) Instrument(reg *telemetry.Registry) {
 	p.tel = reg
-	p.snrGauge = reg.Gauge("core_modem_snr_db")
-	p.pagesEncoded = reg.Counter("core_pages_encoded_total")
-	p.pagesDecoded = reg.Counter("core_pages_decoded_total")
-	p.pagesIncomplete = reg.Counter("core_pages_incomplete_total")
-	p.framesTx = reg.Counter("core_frames_tx_total")
-	p.framesRx = reg.Counter("core_frames_rx_total")
-	p.framesLost = reg.Counter("core_frames_lost_total")
-	p.codec.Instrument(reg)
 }
 
 // NewPipeline validates the config and builds the pipeline.
@@ -238,7 +222,6 @@ func (p *Pipeline) EncodePageAudio(pageID uint16, b Bundle) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.pagesEncoded.Inc()
 	return p.modulateStream(sp, stream), nil
 }
 
@@ -260,7 +243,6 @@ func (p *Pipeline) BlobStream(pageID uint16, blob []byte) ([]byte, error) {
 func (p *Pipeline) ModulateStream(stream []byte) []float64 {
 	sp := p.tel.StartSpan("core.modulate_stream")
 	defer sp.End()
-	p.pagesEncoded.Inc()
 	return p.modulateStream(sp, stream)
 }
 
@@ -270,18 +252,12 @@ func (p *Pipeline) encodeStream(parent *telemetry.Span, pageID uint16, blob []by
 	chunkSp := parent.StartChild("chunk")
 	frames := frame.Chunk(pageID, blob)
 	chunkSp.End()
-	stream, err := p.framesStream(parent, frames)
-	if err != nil {
-		return nil, err
-	}
-	p.framesTx.Add(int64(len(frames)))
-	return stream, nil
+	return p.framesStream(parent, frames)
 }
 
 // framesStream FEC-frames a frame list into the coded byte stream the
 // modem broadcasts — the one frames→stream step behind the page, cell
-// and probe transmit paths. Callers that broadcast content count the
-// frames in core_frames_tx_total; the channel probe does not.
+// and probe transmit paths.
 func (p *Pipeline) framesStream(parent *telemetry.Span, frames []*frame.Frame) ([]byte, error) {
 	fecSp := parent.StartChild("fec_encode")
 	defer fecSp.End()
@@ -324,7 +300,6 @@ func (p *Pipeline) DecodePageAudio(audio []float64) (*ReceiveResult, error) {
 	if len(frames) == 0 {
 		res.FramesTotal = lost
 		res.FrameLossRate = 1
-		p.pagesIncomplete.Inc()
 		return res, nil
 	}
 	asmSp := sp.StartChild("reassemble")
@@ -343,14 +318,10 @@ func (p *Pipeline) DecodePageAudio(audio []float64) (*ReceiveResult, error) {
 	if ok {
 		b, err := UnmarshalBundle(blob)
 		if err != nil {
-			p.pagesIncomplete.Inc()
 			return res, err
 		}
 		res.Bundle = b
 		res.Complete = true
-		p.pagesDecoded.Inc()
-	} else {
-		p.pagesIncomplete.Inc()
 	}
 	return res, nil
 }
@@ -382,9 +353,6 @@ func (p *Pipeline) receiveFrames(parent *telemetry.Span, audio []float64) (frame
 	fecSp := parent.StartChild("fec_decode")
 	frames, lost = decode()
 	fecSp.End()
-	p.framesRx.Add(int64(len(frames)))
-	p.framesLost.Add(int64(lost))
-	p.snrGauge.Set(snr)
 	return frames, lost, snr, nil
 }
 
@@ -474,7 +442,6 @@ func (p *Pipeline) EncodeCellsAudio(pageID uint16, img *imagecodec.Raster) ([]fl
 	if err != nil {
 		return nil, err
 	}
-	p.framesTx.Add(int64(len(frames)))
 	return p.modulateStream(sp, stream), nil
 }
 

@@ -40,12 +40,9 @@ type FMLink struct {
 	DistanceM    float64
 	RSSIOverride float64
 	Rng          *rand.Rand
-	// Telemetry, when non-nil, records per-transmit metrics: the
-	// fm_cnr_db / fm_rssi_dbm gauges, fm_transmits_total, composite
-	// clipping events (fm_clipped_samples_total — samples that exceed
-	// full deviation and would distort a real exciter), and an
-	// fm.transmit span with per-stage children (build_composite,
-	// modulate, add_noise, demodulate, split_composite).
+	// Telemetry, when non-nil, records an fm.transmit span with
+	// per-stage children (build_composite, modulate, add_noise,
+	// demodulate, split_composite).
 	Telemetry *telemetry.Registry
 }
 
@@ -63,20 +60,13 @@ func (l *FMLink) Transmit(audio []float64, rate int) []float64 {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	reg := l.Telemetry // nil = every record below is a no-op
-	cnr := l.Model.CNRForRSSI(l.RSSI())
-	reg.Counter("fm_transmits_total").Inc()
-	reg.Gauge("fm_cnr_db").Set(cnr)
-	reg.Gauge("fm_rssi_dbm").Set(l.RSSI())
-
-	sp := reg.StartSpan("fm.transmit")
+	sp := l.Telemetry.StartSpan("fm.transmit") // nil registry = no-op span
 	defer sp.End()
 
-	// The same chain as Broadcast, with clipping accounted inside the
-	// composite mix and per-stage child spans under fm.transmit.
-	return broadcastChain(audio, rate, cnr, rng, chainOpts{
+	// The same chain as Broadcast, with per-stage child spans under
+	// fm.transmit.
+	return broadcastChain(audio, rate, l.Model.CNRForRSSI(l.RSSI()), rng, chainOpts{
 		workers: runtime.GOMAXPROCS(0),
-		reg:     reg,
 		span:    sp,
 	})
 }

@@ -3,7 +3,6 @@ package fm
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"sonic/internal/dsp"
 	"sonic/internal/parallel"
@@ -24,8 +23,6 @@ const parallelBlockMin = 4096
 // value is valid: serial, untraced.
 type chainOpts struct {
 	workers int
-	// reg, when non-nil, receives the composite clipping counter.
-	reg *telemetry.Registry
 	// span, when non-nil, is the parent ("fm.transmit") for the per-stage
 	// child spans (build_composite, modulate, add_noise, demodulate,
 	// split_composite). All span calls are nil-safe.
@@ -56,27 +53,15 @@ func broadcastChain(audio []float64, audioRate int, cnrDB float64, rng *rand.Ran
 	comp = dsp.ResampleInto(comp, audio, float64(audioRate), CompositeRate)
 	comp = monoConvolver().Apply(comp, comp)
 	pilot := pilotTable()
-	var clipped int64
 	parallel.For(o.workers, len(comp), parallelBlockMin, func(lo, hi int) {
 		j := lo % len(pilot)
-		local := int64(0)
 		for i := lo; i < hi; i++ {
-			v := monoDeviationFraction*comp[i] + pilot[j]
+			comp[i] = monoDeviationFraction*comp[i] + pilot[j]
 			if j++; j == len(pilot) {
 				j = 0
 			}
-			if v > 1 || v < -1 {
-				local++
-			}
-			comp[i] = v
-		}
-		if local != 0 {
-			atomic.AddInt64(&clipped, local)
 		}
 	})
-	if o.reg != nil {
-		o.reg.Counter("fm_clipped_samples_total").Add(clipped)
-	}
 	sp.End()
 
 	// modulate: serial phase-accumulating oscillator.

@@ -16,7 +16,6 @@ import (
 
 	"sonic/internal/fec"
 	"sonic/internal/parallel"
-	"sonic/internal/telemetry"
 )
 
 // Wire geometry. A frame is exactly FrameSize bytes before FEC:
@@ -92,8 +91,6 @@ type Codec struct {
 	rsLen     int
 
 	wsPool sync.Pool // *fec.Workspace, one per decoding goroutine
-
-	m codecMetrics
 }
 
 // getWorkspace draws an inner-code decoder workspace (nil without an
@@ -111,32 +108,6 @@ func (c *Codec) getWorkspace() *fec.Workspace {
 func (c *Codec) putWorkspace(ws *fec.Workspace) {
 	if ws != nil {
 		c.wsPool.Put(ws)
-	}
-}
-
-// codecMetrics holds the codec's telemetry handles. All fields are nil
-// until Instrument is called; every record through them is then a no-op
-// (see internal/telemetry), so the hot decode loop pays one nil check
-// per event when telemetry is off.
-type codecMetrics struct {
-	encoded     *telemetry.Counter   // fec_frames_encoded_total
-	decoded     *telemetry.Counter   // fec_frames_decoded_total
-	crcFailed   *telemetry.Counter   // fec_frames_crc_failed_total
-	fecFailed   *telemetry.Counter   // fec_frames_fec_failed_total
-	rsCorrected *telemetry.Counter   // fec_rs_corrected_symbols_total
-	viterbi     *telemetry.Histogram // fec_viterbi_path_metric, hard and soft alike
-}
-
-// Instrument registers the codec's metric families on reg and starts
-// recording. A nil registry leaves the codec un-instrumented.
-func (c *Codec) Instrument(reg *telemetry.Registry) {
-	c.m = codecMetrics{
-		encoded:     reg.Counter("fec_frames_encoded_total"),
-		decoded:     reg.Counter("fec_frames_decoded_total"),
-		crcFailed:   reg.Counter("fec_frames_crc_failed_total"),
-		fecFailed:   reg.Counter("fec_frames_fec_failed_total"),
-		rsCorrected: reg.Counter("fec_rs_corrected_symbols_total"),
-		viterbi:     reg.Histogram("fec_viterbi_path_metric", telemetry.CountBuckets),
 	}
 }
 
@@ -187,7 +158,6 @@ func (c *Codec) EncodeFrame(f *Frame) ([]byte, error) {
 	if len(buf) != c.codedLen {
 		return nil, fmt.Errorf("frame: coded frame %d bytes, expected %d", len(buf), c.codedLen)
 	}
-	c.m.encoded.Inc()
 	return buf, nil
 }
 
@@ -238,35 +208,22 @@ func (c *Codec) decodeFrameSoft(ws *fec.Workspace, soft []float64) (*Frame, erro
 }
 
 // decodeTail is the per-frame receive path after the inner decoder, the
-// same for hard and soft input: it records the inner decode (buf,
-// pathMetric, err as the workspace returned them; the coded frame itself
-// without an inner code), then runs the RS stage, the CRC and their
-// counters.
-func (c *Codec) decodeTail(buf []byte, pathMetric int, err error) (*Frame, error) {
+// same for hard and soft input: it takes the inner decode as the
+// workspace returned it (buf, path metric, err; the coded frame itself
+// without an inner code), then runs the RS stage and the CRC.
+func (c *Codec) decodeTail(buf []byte, _ int, err error) (*Frame, error) {
 	if err != nil {
-		c.m.fecFailed.Inc()
 		return nil, err
 	}
 	if c.conv != nil {
-		c.m.viterbi.Observe(float64(pathMetric))
 		buf = buf[:c.rsLen]
 	}
 	if c.rs != nil {
-		dec, corrected, err := c.rs.Decode(buf)
-		if err != nil {
-			c.m.fecFailed.Inc()
+		if buf, _, err = c.rs.Decode(buf); err != nil {
 			return nil, err
 		}
-		c.m.rsCorrected.Add(int64(corrected))
-		buf = dec
 	}
-	f, err := Unmarshal(buf[:FrameSize])
-	if err != nil {
-		c.m.crcFailed.Inc()
-		return nil, err
-	}
-	c.m.decoded.Inc()
-	return f, nil
+	return Unmarshal(buf[:FrameSize])
 }
 
 // EncodeStream packs many frames into one contiguous coded byte stream

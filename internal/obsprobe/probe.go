@@ -1,10 +1,9 @@
 // Package obsprobe exercises every instrumented layer of the SONIC
 // stack — core pipeline, frame/FEC codec, FM link, server, client, and
 // broadcast carousel — with one small end-to-end workload so that a
-// telemetry snapshot taken afterwards is populated across all metric
-// families. The commands use it to light up the ops endpoint
-// (sonic-sim -telemetry) and to emit a per-stage snapshot next to
-// benchmark CSVs (sonic-bench).
+// telemetry snapshot taken afterwards holds every span and the server,
+// artifact, carousel and lifecycle families. sonic-sim -telemetry uses
+// it to light up the ops endpoint.
 package obsprobe
 
 import (

@@ -7,8 +7,8 @@ import (
 )
 
 // TestRunPopulatesAllFamilies is the acceptance check behind the ops
-// endpoint: after one probe run the snapshot must hold non-zero metrics
-// spanning core, fec, fm, server, client, and broadcast.
+// endpoint: after one probe run the snapshot must hold non-zero server,
+// artifact, carousel and lifecycle families and every stage's span.
 func TestRunPopulatesAllFamilies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline round trip")
@@ -20,20 +20,13 @@ func TestRunPopulatesAllFamilies(t *testing.T) {
 	snap := reg.Snapshot()
 
 	wantCounters := []string{
-		"core_pages_encoded_total",
-		"core_pages_decoded_total",
-		"core_frames_tx_total",
-		"core_frames_rx_total",
-		"fec_frames_encoded_total",
-		"fec_frames_decoded_total",
-		"fm_transmits_total",
+		"server_sms_requests_total",
 		"server_render_cache_hits_total",
 		"server_render_cache_misses_total",
 		"server_pages_enqueued_total",
-		"server_pages_dequeued_total",
-		"client_pages_received_total",
-		"client_pages_opened_total",
-		"broadcast_scheduled_total",
+		"lifecycle_requests_total",
+		"lifecycle_on_air_total",
+		"lifecycle_delivered_total",
 	}
 	for _, name := range wantCounters {
 		if v, ok := snap.Counters[name]; !ok || v == 0 {
@@ -41,16 +34,25 @@ func TestRunPopulatesAllFamilies(t *testing.T) {
 		}
 	}
 
-	wantGauges := []string{"fm_cnr_db", "fm_rssi_dbm", "core_modem_snr_db"}
+	wantGauges := []string{
+		"artifact_cache_bytes",
+		"artifact_cache_entries",
+		"carousel_depth_pages",
+		"carousel_max_period_seconds",
+		"carousel_schedule_horizon_seconds",
+	}
 	for _, name := range wantGauges {
-		if _, ok := snap.Gauges[name]; !ok {
-			t.Errorf("gauge %s missing", name)
+		if v, ok := snap.Gauges[name]; !ok || v <= 0 {
+			t.Errorf("gauge %s: got %v, want > 0", name, v)
 		}
+	}
+	if _, ok := snap.Gauges["server_queue_depth_pages{tx=tx-probe}"]; !ok {
+		t.Error("gauge server_queue_depth_pages{tx=tx-probe} missing")
 	}
 
 	wantHists := []string{
-		"fec_viterbi_path_metric",
-		"broadcast_expected_wait_seconds",
+		"request_to_on_air_seconds",
+		"request_to_delivered_seconds",
 	}
 	for _, name := range wantHists {
 		if h, ok := snap.Histograms[name]; !ok || h.Count == 0 {

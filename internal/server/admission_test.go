@@ -120,14 +120,18 @@ func TestAdmissionAttachToPending(t *testing.T) {
 	if got := snap.Counters["server_pages_enqueued_total"]; got != 1 {
 		t.Errorf("pages enqueued = %d, want 1", got)
 	}
-	if got := snap.Counters["server_enqueue_coalesced_total"]; got != 1 {
-		t.Errorf("queue attaches = %d, want 1", got)
-	}
 	if pages, _ := s.QueueDepth("khi-1"); pages != 1 {
 		t.Errorf("queue depth = %d, want 1", pages)
 	}
-	// Both requests ride the single broadcast.
-	s.DequeuePageAt("khi-1", now.Add(time.Minute))
+	// Both requests ride the single broadcast: the second attached to the
+	// queued page.
+	head := s.dequeueHead("khi-1", now.Add(time.Minute))
+	if head == nil {
+		t.Fatal("nothing queued on khi-1")
+	}
+	if head.Count != 2 {
+		t.Errorf("queued page carries %d requests, want 2", head.Count)
+	}
 	if got := reg.Snapshot().Counters["lifecycle_on_air_total"]; got != 2 {
 		t.Errorf("on-air traces = %d, want 2", got)
 	}

@@ -139,7 +139,6 @@ func (s *Server) admitBatch(b admission.Batch) (time.Duration, error) {
 	if qp := tq.pending[b.URL]; qp != nil && qp.EffHour == b.EffHour {
 		qp.Count += b.Count
 		qp.Traces = append(qp.Traces, b.Traces...)
-		s.mAttached.Inc()
 	} else {
 		tq.push(&queuedPage{
 			URL:      b.URL,

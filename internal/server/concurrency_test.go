@@ -33,7 +33,21 @@ func TestConcurrentServerUse(t *testing.T) {
 	}
 
 	const workers = 8
-	var wg sync.WaitGroup
+	var (
+		wg      sync.WaitGroup
+		countMu sync.Mutex
+		counted int // requests carried by the pages dequeued so far
+	)
+	dequeue := func() bool {
+		head := s.dequeueHead("khi-1", now)
+		if head == nil {
+			return false
+		}
+		countMu.Lock()
+		counted += head.Count
+		countMu.Unlock()
+		return true
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -48,7 +62,7 @@ func TestConcurrentServerUse(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				s.DequeuePageAt("khi-1", now)
+				dequeue()
 				s.QueueDepth("khi-1")
 				reg.Snapshot()
 			}
@@ -65,12 +79,6 @@ func TestConcurrentServerUse(t *testing.T) {
 	if got < wantRenders {
 		t.Errorf("render counter total = %d, want >= %d", got, wantRenders)
 	}
-	// A request for a page still pending on the tower rides that
-	// broadcast instead of queueing a duplicate, so pushes + rides add up
-	// to the requests.
-	if got := snap.Counters["server_pages_enqueued_total"] + snap.Counters["server_enqueue_coalesced_total"]; got != int64(workers*20) {
-		t.Errorf("enqueued + coalesced = %d, want %d", got, workers*20)
-	}
 	if requests, hits := snap.Counters["server_sms_requests_total"], snap.Counters["server_render_cache_hits_total"]; requests != 0 || hits < int64(len(urls)) {
 		t.Errorf("counters = (%d, %d) inconsistent with workload", requests, hits)
 	}
@@ -80,10 +88,14 @@ func TestConcurrentServerUse(t *testing.T) {
 	if snap.Counters["lifecycle_requests_total"] != int64(workers*20) {
 		t.Errorf("lifecycle requests = %d, want %d", snap.Counters["lifecycle_requests_total"], workers*20)
 	}
-	for {
-		if _, _, _, ok := s.DequeuePageAt("khi-1", now); !ok {
-			break
-		}
+	for dequeue() {
+	}
+	// A request for a page still pending on the tower rides that
+	// broadcast instead of queueing a duplicate: the pages aired carry
+	// every request in their Count, and every request's trace went on air
+	// with the page it rode.
+	if counted != workers*20 {
+		t.Errorf("dequeued pages carry %d requests, want %d", counted, workers*20)
 	}
 	if got := reg.Snapshot().Counters["lifecycle_on_air_total"]; got != int64(workers*20) {
 		t.Errorf("on-air traces = %d, want %d (a rider lost its broadcast)", got, workers*20)

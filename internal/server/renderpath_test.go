@@ -69,8 +69,8 @@ func TestRenderThunderingHerd(t *testing.T) {
 			t.Fatalf("caller %d got a different bundle than caller 0", i)
 		}
 	}
-	if got := snap.Gauges["server_render_inflight"]; got != 0 {
-		t.Errorf("inflight gauge = %v after drain, want 0", got)
+	if got := len(s.renderSem); got != 0 {
+		t.Errorf("%d render slots still held after drain, want 0", got)
 	}
 	if got := snap.Gauges["artifact_cache_entries"]; got != 1 {
 		t.Errorf("cache entries gauge = %v, want 1", got)

@@ -121,7 +121,6 @@ type Server struct {
 	// or queue ops.
 	chain     *artifact.Chain
 	renderSem chan struct{} // bounds concurrent miss renders
-	inflight  atomic.Int64  // renders currently executing (gauge feed)
 
 	// topo is the copy-on-write fleet snapshot; topoMu serializes
 	// writers only. transmitterFor never takes a lock.
@@ -159,19 +158,15 @@ type Server struct {
 	tel          *telemetry.Registry
 	lc           *telemetry.Lifecycle
 	mRequests    *telemetry.Counter // server_sms_requests_total
-	mReplies     *telemetry.Counter // server_sms_replies_total
 	mBadRequests *telemetry.Counter // server_sms_bad_requests_total
 	mNoCoverage  *telemetry.Counter // server_no_coverage_total
 	mCacheHits   *telemetry.Counter // server_render_cache_hits_total
 	mCacheMisses *telemetry.Counter // server_render_cache_misses_total
 	mEnqueued    *telemetry.Counter // server_pages_enqueued_total
-	mDequeued    *telemetry.Counter // server_pages_dequeued_total
-	mAttached    *telemetry.Counter // server_enqueue_coalesced_total
-	gInflight    *telemetry.Gauge   // server_render_inflight
 }
 
 // Instrument registers the server's metric families on reg and starts
-// recording: SMS intake and reply counters, render-cache hit/miss
+// recording: SMS intake counters, render-cache hit/miss
 // counters, a server.render_page span (the render-latency histogram),
 // a server.handle_sms span (the SMS round-trip histogram), and per-
 // transmitter queue depth and age gauges (server_queue_depth_pages,
@@ -185,15 +180,11 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 	s.tel = reg
 	s.lc = reg.Lifecycle()
 	s.mRequests = reg.Counter("server_sms_requests_total")
-	s.mReplies = reg.Counter("server_sms_replies_total")
 	s.mBadRequests = reg.Counter("server_sms_bad_requests_total")
 	s.mNoCoverage = reg.Counter("server_no_coverage_total")
 	s.mCacheHits = reg.Counter("server_render_cache_hits_total")
 	s.mCacheMisses = reg.Counter("server_render_cache_misses_total")
 	s.mEnqueued = reg.Counter("server_pages_enqueued_total")
-	s.mDequeued = reg.Counter("server_pages_dequeued_total")
-	s.mAttached = reg.Counter("server_enqueue_coalesced_total")
-	s.gInflight = reg.Gauge("server_render_inflight")
 	s.admit.Instrument(reg)
 	s.chain.Instrument(reg)
 }
@@ -386,8 +377,6 @@ func (s *Server) renderAt(url string, ref corpus.PageRef, hour, eff int) (core.B
 func (s *Server) renderMiss(url string, ref corpus.PageRef, hour int) (core.Bundle, error) {
 	s.renderSem <- struct{}{}
 	defer func() { <-s.renderSem }()
-	s.gInflight.Set(float64(s.inflight.Add(1)))
-	defer func() { s.gInflight.Set(float64(s.inflight.Add(-1))) }()
 
 	sp := s.tel.StartSpan("server.render_page")
 	defer sp.End()
@@ -475,7 +464,6 @@ func (s *Server) dequeueHead(transmitterID string, at time.Time) *queuedPage {
 		sh.mu.Unlock()
 		return nil
 	}
-	s.mDequeued.Inc()
 	s.recordQueueDepth(sh, transmitterID)
 	sh.mu.Unlock()
 	if len(head.Traces) > 0 {
@@ -566,14 +554,12 @@ func (s *Server) HandleSMS(smsc *sms.SMSC) sms.Handler {
 		req, err := sms.ParseRequest(m.Body)
 		if err != nil {
 			s.mBadRequests.Inc()
-			s.mReplies.Inc()
 			_ = smsc.Submit(m.DeliverAt, s.cfg.Number, m.From, "ERR bad request")
 			return
 		}
 		tr := s.lc.BeginAt(req.URL, m.From, m.DeliverAt)
 		eta, err := s.admitTraced(req.URL, req.Lat, req.Lon, m.DeliverAt, tr)
 		if err != nil {
-			s.mReplies.Inc()
 			var sat *admission.SaturatedError
 			if errors.As(err, &sat) {
 				_ = smsc.Submit(m.DeliverAt, s.cfg.Number, m.From, sms.FormatBusy(req.URL, sat.RetryAfter))
@@ -582,7 +568,6 @@ func (s *Server) HandleSMS(smsc *sms.SMSC) sms.Handler {
 			}
 			return
 		}
-		s.mReplies.Inc()
 		_ = smsc.Submit(m.DeliverAt, s.cfg.Number, m.From, sms.FormatAck(req.URL, eta))
 	}
 }

@@ -3,17 +3,13 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"sonic/internal/stats"
 )
 
 // Snapshot is a consistent-enough point-in-time copy of every registered
@@ -109,74 +105,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// sortedKeys returns map keys in stable order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// WriteText renders the snapshot as fixed-width tables (the same
-// renderer the bench harness uses for the paper's tables).
-func (s Snapshot) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "# SONIC telemetry snapshot @ %s\n", s.TakenAt.Format(time.RFC3339))
-
-	if len(s.Counters) > 0 {
-		fmt.Fprintln(w, "\n## counters")
-		var t stats.Table
-		t.AddRow("counter", "value")
-		for _, k := range sortedKeys(s.Counters) {
-			t.AddRowf(k, s.Counters[k])
-		}
-		t.Render(w)
-	}
-
-	if len(s.Gauges) > 0 {
-		fmt.Fprintln(w, "\n## gauges")
-		var t stats.Table
-		t.AddRow("gauge", "value")
-		for _, k := range sortedKeys(s.Gauges) {
-			t.AddRowf(k, fmt.Sprintf("%.4g", s.Gauges[k]))
-		}
-		t.Render(w)
-	}
-
-	if len(s.Histograms) > 0 {
-		fmt.Fprintln(w, "\n## histograms")
-		var t stats.Table
-		t.AddRow("histogram", "count", "sum", "mean", "p50", "p99")
-		for _, k := range sortedKeys(s.Histograms) {
-			h := s.Histograms[k]
-			mean := 0.0
-			if h.Count > 0 {
-				mean = h.Sum / float64(h.Count)
-			}
-			t.AddRowf(k, h.Count,
-				fmt.Sprintf("%.4g", h.Sum), fmt.Sprintf("%.4g", mean),
-				fmt.Sprintf("%.4g", h.P50), fmt.Sprintf("%.4g", h.P99))
-		}
-		t.Render(w)
-	}
-
-	if len(s.Spans) > 0 {
-		fmt.Fprintln(w, "\n## spans (per-stage wall time)")
-		var t stats.Table
-		t.AddRow("span", "count", "total_s", "self_s", "p50_ms", "p99_ms")
-		for _, k := range sortedKeys(s.Spans) {
-			sp := s.Spans[k]
-			t.AddRowf(k, sp.Count,
-				fmt.Sprintf("%.3f", sp.TotalSeconds),
-				fmt.Sprintf("%.3f", sp.SelfSeconds),
-				fmt.Sprintf("%.3f", sp.P50Seconds*1000),
-				fmt.Sprintf("%.3f", sp.P99Seconds*1000))
-		}
-		t.Render(w)
-	}
-}
-
 // TraceView is the /trace/<id> response: one request's stage timeline
 // reconstructed from the lifecycle event ring.
 type TraceView struct {
@@ -210,22 +138,16 @@ func traceView(ring *EventRing, id string) (TraceView, bool) {
 
 // Handler returns the live ops endpoint for a registry:
 //
-//	/metrics             fixed-width text snapshot
-//	/metrics?format=prom Prometheus text exposition
-//	/metrics.json        JSON snapshot
-//	/trace/<id>          one request's lifecycle timeline (event ring)
-//	/events.json         the lifecycle event ring (?trace= filters)
-//	/debug/pprof/*       the standard Go profiler
+//	/metrics        Prometheus text exposition
+//	/metrics.json   JSON snapshot
+//	/trace/<id>     one request's lifecycle timeline (event ring)
+//	/events.json    the lifecycle event ring (?trace= filters)
+//	/debug/pprof/*  the standard Go profiler
 func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("format") == "prom" {
-			w.Header().Set("Content-Type", PromContentType)
-			r.Snapshot().WriteProm(w)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		r.Snapshot().WriteText(w)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", PromContentType)
+		r.Snapshot().WriteProm(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -264,7 +186,7 @@ func Handler(r *Registry) http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprintln(w, "sonic telemetry: /metrics /metrics?format=prom /metrics.json /trace/<id> /events.json /debug/pprof/")
+		fmt.Fprintln(w, "sonic telemetry: /metrics (Prometheus text) /metrics.json /trace/<id> /events.json /debug/pprof/")
 	})
 	return mux
 }

@@ -178,15 +178,17 @@ func (lc *Lifecycle) BeginAt(url, from string, at time.Time) *Trace {
 	for len(lc.openq) > 0 && lc.openq[0].evicted {
 		lc.openq = lc.openq[1:]
 	}
+	lc.gOpen.Set(float64(lc.open))
 	lc.mu.Unlock()
 
 	lc.cBegun.Inc()
-	lc.gOpen.Set(float64(lc.openCount()))
 	lc.ring.Append(Event{Trace: tr.id, Stage: StageReceived.String(), URL: url, At: at, Detail: from})
 	return tr
 }
 
-// dropLocked removes tr from the URL index; callers hold lc.mu.
+// dropLocked removes tr from the URL index; callers hold lc.mu and set
+// the open-traces gauge before releasing it, so the gauge is always the
+// count of the last update to take the lock.
 func (lc *Lifecycle) dropLocked(tr *Trace) {
 	if tr.evicted {
 		return
@@ -207,12 +209,6 @@ func (lc *Lifecycle) dropLocked(tr *Trace) {
 	}
 }
 
-func (lc *Lifecycle) openCount() int {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return lc.open
-}
-
 // DeliveredAt records decode-side receipt confirmation: every open trace
 // requesting url is stamped "delivered" at the given time and closed,
 // which is what closes the request loop end to end.
@@ -225,12 +221,10 @@ func (lc *Lifecycle) DeliveredAt(url string, at time.Time) {
 	for _, tr := range traces {
 		lc.dropLocked(tr)
 	}
+	lc.gOpen.Set(float64(lc.open))
 	lc.mu.Unlock()
 	for _, tr := range traces {
 		tr.StampAt(StageDelivered, at)
-	}
-	if len(traces) > 0 {
-		lc.gOpen.Set(float64(lc.openCount()))
 	}
 }
 
@@ -356,6 +350,6 @@ func (t *Trace) close() {
 	lc := t.lc
 	lc.mu.Lock()
 	lc.dropLocked(t)
+	lc.gOpen.Set(float64(lc.open))
 	lc.mu.Unlock()
-	lc.gOpen.Set(float64(lc.openCount()))
 }

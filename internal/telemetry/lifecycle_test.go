@@ -226,6 +226,52 @@ func TestLifecycleConcurrent(t *testing.T) {
 	}
 }
 
+// TestOpenTracesGaugeAtQuiescence releases many goroutines at once to
+// begin, deliver and abort traces, and after every round checks
+// lifecycle_open_traces against the traces left open. The gauge is set
+// under the lock that changes the count, so the last writer publishes
+// the current count; a gauge set after releasing that lock can land an
+// older count last.
+func TestOpenTracesGaugeAtQuiescence(t *testing.T) {
+	reg := New()
+	lc := NewLifecycle(reg, LifecycleConfig{})
+	t0 := time.Unix(0, 0)
+	const workers, rounds = 8, 300
+	prev := make([]*Trace, workers)
+	open := 0
+	for r := 0; r < rounds; r++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				tr := lc.BeginAt(fmt.Sprintf("r%d-w%d.pk/", r, w), "api", t0)
+				if r%2 == 0 {
+					prev[w] = tr
+					return
+				}
+				// Odd rounds close the trace the worker opened last round,
+				// by delivery confirmation or by abort.
+				if w%2 == 0 {
+					lc.DeliveredAt(prev[w].URL(), t0.Add(time.Second))
+				} else {
+					prev[w].Abort(t0.Add(time.Second), "test")
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		if open += workers; r%2 == 1 {
+			open -= workers
+		}
+		if got := reg.Snapshot().Gauges["lifecycle_open_traces"]; got != float64(open) {
+			t.Fatalf("round %d: lifecycle_open_traces = %v at quiescence, want %d", r, got, open)
+		}
+	}
+}
+
 // TestTraceEndpoint drives the ops handler end to end: a stamped trace
 // is served back by /trace/<id> with its stage timeline, and /events.json
 // honors the ?trace= filter.
@@ -290,9 +336,9 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Errorf("filtered events = %d (%v)", len(events), err)
 	}
 
-	// The prom view of the same registry parses and carries the
-	// lifecycle histogram.
-	code, body = get("/metrics?format=prom")
+	// The Prometheus view of the same registry carries the lifecycle
+	// histogram.
+	code, body = get("/metrics")
 	if code != 200 || !strings.Contains(body, "request_to_on_air_seconds_count 1") {
 		t.Errorf("prom exposition missing lifecycle family:\n%s", body)
 	}

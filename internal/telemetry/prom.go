@@ -9,9 +9,9 @@ import (
 	"strings"
 )
 
-// Prometheus text exposition (format version 0.0.4) of a Snapshot, so
-// any Prometheus-compatible scraper can collect the registry alongside
-// the human-oriented text and JSON views. Names are sanitized into the
+// Prometheus text exposition (format version 0.0.4) of a Snapshot — what
+// the ops endpoint serves at /metrics, so any Prometheus-compatible
+// scraper can collect the registry; sonic-top reads the JSON view. Names are sanitized into the
 // prom grammar, label values are escaped, series within a family and
 // families themselves are emitted in sorted order, histograms expose
 // cumulative le buckets plus _sum/_count, and spans are exported as one
@@ -201,4 +201,14 @@ func (s Snapshot) WriteProm(w io.Writer) {
 			fmt.Fprintf(w, "sonic_span_seconds_count%s %d\n", promLabels(base), sp.Count)
 		}
 	}
+}
+
+// sortedKeys returns map keys in stable order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

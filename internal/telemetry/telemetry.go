@@ -1,7 +1,7 @@
 // Package telemetry is SONIC's stdlib-only observability layer: a
 // concurrency-safe registry of labeled counters, gauges, and fixed-bucket
-// histograms, plus lightweight span tracing (span.go) and text/JSON/HTTP
-// exporters (export.go).
+// histograms, plus lightweight span tracing (span.go) and the HTTP ops
+// endpoint with its Prometheus (prom.go) and JSON (export.go) views.
 //
 // The design goal is that instrumentation can be compiled into every hot
 // path and left there: all metric handles are nil-safe, so a component
@@ -327,10 +327,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // LatencyBuckets spans 50 µs .. ~26 s, the range of SONIC stage
 // latencies from a single cell decode to a full-page OFDM modulate.
 var LatencyBuckets = ExpBuckets(50e-6, 2, 20)
-
-// CountBuckets suits small non-negative integer observations (RS symbol
-// corrections, Viterbi path metrics, admission batch sizes).
-var CountBuckets = ExpBuckets(1, 2, 14)
 
 // WaitBuckets spans 100 µs .. ~29.8 h — the full range of lifecycle stage
 // and carousel waits, from a warm render-cache hit to a page queued

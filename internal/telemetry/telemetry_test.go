@@ -150,19 +150,19 @@ func TestConcurrentWritersAndSnapshots(t *testing.T) {
 
 func TestExportTextAndJSONAndHTTP(t *testing.T) {
 	r := New()
-	r.Counter("core_pages_encoded_total").Add(3)
-	r.Gauge("fm_cnr_db").Set(32.1)
-	r.Histogram("server_render_seconds", LatencyBuckets).Observe(0.01)
+	r.Counter("pages_total").Add(3)
+	r.Gauge("cnr_db").Set(32.1)
+	r.Histogram("render_seconds", LatencyBuckets).Observe(0.01)
 	sp := r.StartSpan("core.encode_page")
 	sp.StartChild("modulate").End()
 	sp.End()
 
 	var b strings.Builder
-	r.Snapshot().WriteText(&b)
+	r.Snapshot().WriteProm(&b)
 	out := b.String()
 	for _, want := range []string{
-		"core_pages_encoded_total", "fm_cnr_db",
-		"server_render_seconds", "core.encode_page/modulate",
+		"pages_total 3", "cnr_db 32.1",
+		"render_seconds_count 1", `span="core.encode_page/modulate"`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text export missing %q:\n%s", want, out)
@@ -177,16 +177,19 @@ func TestExportTextAndJSONAndHTTP(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatalf("json round-trip: %v", err)
 	}
-	if back.Counters["core_pages_encoded_total"] != 3 {
+	if back.Counters["pages_total"] != 3 {
 		t.Fatal("json snapshot lost counter")
 	}
 
+	// /metrics serves the Prometheus exposition; the old ?format=prom
+	// still gets it, because the query is ignored.
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
 	for path, want := range map[string]string{
-		"/metrics":      "core_pages_encoded_total",
-		"/metrics.json": `"fm_cnr_db"`,
-		"/debug/pprof/": "profile",
+		"/metrics":             "# TYPE pages_total counter",
+		"/metrics?format=prom": "# TYPE pages_total counter",
+		"/metrics.json":        `"cnr_db"`,
+		"/debug/pprof/":        "profile",
 	} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -199,6 +202,11 @@ func TestExportTextAndJSONAndHTTP(t *testing.T) {
 		}
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("GET %s: missing %q", path, want)
+		}
+		if strings.HasPrefix(path, "/metrics?") || path == "/metrics" {
+			if ct := resp.Header.Get("Content-Type"); ct != PromContentType {
+				t.Fatalf("GET %s: Content-Type %q, want %q", path, ct, PromContentType)
+			}
 		}
 	}
 }

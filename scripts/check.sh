@@ -56,6 +56,32 @@ for name in $(sed -n 's/^func \([A-Z][A-Za-z0-9]*\)(.*/\1/p' sonic.go); do
     fi
 done
 
+# The same rule for observability (ROADMAP item 11): a metric family is
+# surface only while something that ships reads it. Every family that
+# non-test Go registers by a string literal must appear as a word in a
+# non-test file under cmd/, examples/ or benchmark/, or in ops-smoke.sh,
+# other than a file that registers it. A registration by any other name
+# fails, so no family can dodge the leg.
+echo "==> every metric family is read by something that ships"
+regs=$(grep -rnoE --include='*.go' '\.(Counter|Gauge|Histogram)\(("[a-z0-9_]+")?' internal cmd sonic.go \
+    | grep -v '_test\.go:' || true)
+if grep -E '\($' <<<"$regs" >&2; then
+    echo "metric families registered by a non-literal name (above)" >&2
+    exit 1
+fi
+families=$(grep -oE '"[a-z0-9_]+"$' <<<"$regs" | tr -d '"' | sort -u)
+unread=0
+for fam in $families; do
+    registrars=$(grep -F "(\"$fam\"" <<<"$regs" | cut -d: -f1 | sort -u)
+    if ! grep -rlw --exclude='*_test.go' "$fam" cmd examples benchmark scripts/ops-smoke.sh \
+        | grep -qvxF "$registrars"; then
+        echo "$fam: registered in $(echo $registrars) but no binary, example, benchmark file or ops-smoke.sh reads it" >&2
+        unread=1
+    fi
+done
+((unread == 0)) || exit 1
+echo "$(wc -w <<<"$families") metric families, each read by something that ships"
+
 echo "==> go test ./..."
 go test ./...
 

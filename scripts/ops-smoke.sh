@@ -5,7 +5,7 @@
 # verifies every export surface an operator relies on:
 #
 #   * /metrics.json reports a non-zero request_to_on_air_seconds p50/p99
-#   * /metrics?format=prom parses as Prometheus text exposition
+#   * /metrics parses as Prometheus text exposition
 #   * /trace/<id> reconstructs a request timeline from the event ring
 #   * sonic-top -once renders against the live endpoint
 #
@@ -70,8 +70,8 @@ assert h["count"] > 0 and h["p50"] > 0 and h["p99"] > 0, h
 print(f"ops-smoke: request->on-air n={h['count']} p50={h['p50']:.1f}s p99={h['p99']:.1f}s")
 EOF
 
-echo "ops-smoke: validating /metrics?format=prom exposition"
-curl -fsS "http://$ADDR/metrics?format=prom" | python3 -c '
+echo "ops-smoke: validating /metrics exposition"
+curl -fsS "http://$ADDR/metrics" | python3 -c '
 import re, sys
 name = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
 esc = r"(?:[^\"\\\n]|\\\\|\\\"|\\n)*"
