@@ -108,6 +108,7 @@ type OFDM struct {
 	refSym   []complex128 // known reference values for every occupied bin
 	preamble []float64    // time-domain sync preamble
 	header   *Constellation
+	plan     *dsp.FFTPlan // FFTSize transform
 
 	preambleEnergy float64            // sqrt(sum preamble^2), for sync normalization
 	corr           *dsp.FFTCorrelator // overlap-save preamble correlator
@@ -154,7 +155,11 @@ func NewOFDM(p Profile) (*OFDM, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m := &OFDM{p: p, header: QPSK}
+	plan, err := dsp.PlanFFT(p.FFTSize)
+	if err != nil {
+		return nil, err
+	}
+	m := &OFDM{p: p, header: QPSK, plan: plan}
 	total := p.DataCarriers + p.PilotCarriers
 	binHz := float64(p.SampleRate) / float64(p.FFTSize)
 	centerBin := int(math.Round(p.CenterHz / binHz))
@@ -263,9 +268,7 @@ func (m *OFDM) synthesizePair(dstA, dstB []float64, a, b, spec []complex128) flo
 		spec[bin] = complex(ar-bi, ai+br)
 		spec[n-bin] = complex(ar+bi, br-ai)
 	}
-	if err := dsp.IFFT(spec); err != nil {
-		panic("modem: FFT size not power of two despite validation")
-	}
+	m.plan.Inverse(spec)
 	g := m.symbolGain()
 	cp := m.p.CyclicPrefix
 	var peak float64
@@ -314,9 +317,7 @@ func (m *OFDM) analyzePair(dstA, dstB []complex128, a, b []float64, spec []compl
 			spec[i] = complex(v, b[i])
 		}
 	}
-	if err := dsp.FFT(spec); err != nil {
-		panic("modem: FFT size not power of two despite validation")
-	}
+	m.plan.Forward(spec)
 	if b == nil {
 		for i, bin := range m.bins {
 			dstA[i] = spec[bin]

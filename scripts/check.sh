@@ -106,6 +106,7 @@ go test ./internal/sms -run='^$' -fuzz='^FuzzParseBusy$' -fuzztime=5s
 go test ./internal/core -run='^$' -fuzz='^FuzzUnmarshalBundle$' -fuzztime=5s
 go test ./internal/core -run='^$' -fuzz='^FuzzDecodePageAudio$' -fuzztime=5s
 go test ./internal/modem -run='^$' -fuzz='^FuzzDemodulate$' -fuzztime=5s
+go test ./internal/dsp -run='^$' -fuzz='^FuzzFFTPlanMatchesDirect$' -fuzztime=5s
 
 # Serial leg: the parallel kernels size their pools from GOMAXPROCS and
 # promise byte-identical output at any count. GOMAXPROCS=1 is where that
