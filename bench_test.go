@@ -102,7 +102,7 @@ func BenchmarkFig5UserStudy(b *testing.B) {
 	var c20 float64
 	for i := 0; i < b.N; i++ {
 		res := experiments.RunFig5(experiments.Fig5Config{
-			Pages: 6, ViewportH: 1200, Participants: 151, Seed: int64(i) + 1,
+			Pages: 6, ViewportH: 1200, Seed: int64(i) + 1,
 		})
 		c20 = stats.Median(res.MediansContent[userstudy.Condition{LossRate: 0.20, Interp: true}])
 	}

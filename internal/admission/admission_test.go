@@ -164,9 +164,14 @@ func TestConcurrentHerdConservation(t *testing.T) {
 			}
 		}(w)
 	}
-	// Concurrent explicit flushes race the size-kick workers.
+	// Concurrent explicit flushes race the size-kick workers. The test
+	// waits for the flusher to return before counting: a Flush still
+	// feeding the sink when done closes has already taken its batches
+	// out of the queue, so Close cannot see them.
 	done := make(chan struct{})
+	flusherDone := make(chan struct{})
 	go func() {
+		defer close(flusherDone)
 		for {
 			select {
 			case <-done:
@@ -178,6 +183,7 @@ func TestConcurrentHerdConservation(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
+	<-flusherDone
 	q.Close()
 	if got.Load() != accepted.Load() {
 		t.Errorf("flushed %d requests, accepted %d", got.Load(), accepted.Load())

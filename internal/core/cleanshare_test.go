@@ -34,7 +34,7 @@ func TestCleanFrameShareMatchesViterbiReference(t *testing.T) {
 	hardWs, softWs := code.NewWorkspace(), code.NewWorkspace()
 
 	fmAt := func(rssi float64) fm.Link {
-		return &fm.FMLink{Model: fm.DefaultRSSIModel(), RSSIOverride: rssi, Rng: rand.New(rand.NewSource(16))}
+		return &fm.FMLink{RSSI: rssi, Rng: rand.New(rand.NewSource(16))}
 	}
 	for _, row := range []struct {
 		name               string

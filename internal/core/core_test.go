@@ -176,7 +176,7 @@ func TestEndToEndOverFMCable(t *testing.T) {
 		t.Fatal(err)
 	}
 	link := fm.Chain{
-		&fm.FMLink{Model: fm.DefaultRSSIModel(), RSSIOverride: -70, Rng: rng},
+		&fm.FMLink{RSSI: -70, Rng: rng},
 		fm.CableLink{},
 	}
 	rx := link.Transmit(audio, 48000)
@@ -196,16 +196,14 @@ func TestFrameLossProbeBands(t *testing.T) {
 	// RSSI bands from §4: clean at -75, total loss below -90.
 	p := newDefault(t)
 	rng := rand.New(rand.NewSource(3))
-	clean, err := p.FrameLossProbe(&fm.FMLink{
-		Model: fm.DefaultRSSIModel(), RSSIOverride: -75, Rng: rng}, 12)
+	clean, err := p.FrameLossProbe(&fm.FMLink{RSSI: -75, Rng: rng}, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if clean != 0 {
 		t.Errorf("loss at -75 dB = %.2f, want 0", clean)
 	}
-	dead, err := p.FrameLossProbe(&fm.FMLink{
-		Model: fm.DefaultRSSIModel(), RSSIOverride: -95, Rng: rng}, 12)
+	dead, err := p.FrameLossProbe(&fm.FMLink{RSSI: -95, Rng: rng}, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

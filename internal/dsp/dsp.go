@@ -13,9 +13,6 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
-	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // ErrNotPowerOfTwo is returned by FFT/IFFT when the input length is not a
@@ -343,15 +340,6 @@ func ResampleLen(n int, srcRate, dstRate float64) int {
 // ResampleInto is Resample writing into dst (reallocated when its
 // capacity is too small); the possibly reallocated slice is returned.
 // dst must not alias x.
-//
-// The interpolation coefficients (source index and fractional weight per
-// output sample) depend only on (srcRate, dstRate, i), so they are
-// precomputed once per rate pair and cached: the FM chain resamples
-// 48 kHz audio to the 192 kHz composite (and back) on every broadcast,
-// and recomputing the division-derived positions per sample dominated
-// build_composite. The cached path is bit-identical to the direct one —
-// the table stores the exact frac values the original expression
-// produces, and the apply loop evaluates the same lerp expression.
 func ResampleInto(dst, x []float64, srcRate, dstRate float64) []float64 {
 	n := ResampleLen(len(x), srcRate, dstRate)
 	if n == 0 {
@@ -366,30 +354,7 @@ func ResampleInto(dst, x []float64, srcRate, dstRate float64) []float64 {
 		return dst
 	}
 	ratio := srcRate / dstRate
-
-	m := 0 // prefix of dst served from the cached table
-	if tab := resampleCoefs(srcRate, dstRate, ratio, n); tab != nil {
-		m = len(tab.idx)
-		if m > n {
-			m = n
-		}
-		// Source indices are nondecreasing, so the clamp region (reads past
-		// the end of x collapse onto its last sample) is a suffix; find its
-		// start instead of testing every sample.
-		clamp := sort.Search(m, func(i int) bool { return tab.idx[i] >= len(x)-1 })
-		idx, frac := tab.idx[:clamp], tab.frac[:clamp]
-		for i, i0 := range idx {
-			f := frac[i]
-			dst[i] = x[i0]*(1-f) + x[i0+1]*f
-		}
-		last := x[len(x)-1]
-		for i := clamp; i < m; i++ {
-			dst[i] = last
-		}
-	}
-	// Tail past the cached table (or the whole signal when the rate pair
-	// is not cacheable): the original per-sample computation.
-	for i := m; i < n; i++ {
+	for i := range dst {
 		pos := float64(i) * ratio
 		i0 := int(pos)
 		if i0 >= len(x)-1 {
@@ -400,130 +365,6 @@ func ResampleInto(dst, x []float64, srcRate, dstRate float64) []float64 {
 		dst[i] = x[i0]*(1-frac) + x[i0+1]*frac
 	}
 	return dst
-}
-
-// maxResampleCoefs bounds one rate pair's coefficient table (16 B per
-// output sample — 1M entries is 16 MiB, over five seconds of composite),
-// and maxResampleKeys bounds how many rate pairs may hold tables at once;
-// SONIC only ever uses audio→composite and composite→audio, so the cap
-// exists for callers that sweep arbitrary rates (experiments, tests).
-const (
-	maxResampleCoefs = 1 << 20
-	maxResampleKeys  = 16
-)
-
-// resampleTab holds the per-output-sample interpolation coefficients for
-// one rate pair: dst[i] = x[idx[i]]*(1-frac[i]) + x[idx[i]+1]*frac[i].
-// Tables are immutable once published; growth swaps in a new table.
-type resampleTab struct {
-	idx  []int
-	frac []float64
-}
-
-type resampleKey struct{ srcRate, dstRate float64 }
-
-type resampleEntry struct {
-	mu   sync.Mutex
-	tab  atomic.Pointer[resampleTab]
-	used atomic.Bool // referenced since the last eviction sweep
-}
-
-var (
-	resampleCache    sync.Map // resampleKey -> *resampleEntry
-	resampleCacheLen atomic.Int64
-	resampleEvictMu  sync.Mutex
-)
-
-// evictResampleEntry drops one rate pair to make room, second-chance
-// style: one sweep over the map clears used flags on entries referenced
-// since the last sweep and evicts the first entry found cold (or an
-// arbitrary one when everything is hot). Eviction only forgets the map
-// key — published tables are immutable, so a goroutine still holding one
-// keeps a valid table.
-func evictResampleEntry() {
-	resampleEvictMu.Lock()
-	defer resampleEvictMu.Unlock()
-	if resampleCacheLen.Load() < maxResampleKeys {
-		return // another caller evicted while we waited
-	}
-	var victim any
-	resampleCache.Range(func(key, value any) bool {
-		if !value.(*resampleEntry).used.Swap(false) {
-			victim = key
-			return false
-		}
-		if victim == nil {
-			victim = key
-		}
-		return true
-	})
-	if victim != nil {
-		resampleCache.Delete(victim)
-		resampleCacheLen.Add(-1)
-	}
-}
-
-// resampleCoefs returns a coefficient table for the rate pair covering
-// at least min(n, maxResampleCoefs) output samples. A novel pair past
-// the key cap evicts a cold entry rather than bypassing the cache, so a
-// sweep of arbitrary rates cannot permanently disable caching for the
-// pairs that follow.
-func resampleCoefs(srcRate, dstRate, ratio float64, n int) *resampleTab {
-	k := resampleKey{srcRate, dstRate}
-	v, ok := resampleCache.Load(k)
-	if !ok {
-		if resampleCacheLen.Load() >= maxResampleKeys {
-			evictResampleEntry()
-		}
-		var loaded bool
-		v, loaded = resampleCache.LoadOrStore(k, &resampleEntry{})
-		if !loaded {
-			resampleCacheLen.Add(1)
-		}
-	}
-	e := v.(*resampleEntry)
-	e.used.Store(true)
-	want := n
-	if want > maxResampleCoefs {
-		want = maxResampleCoefs
-	}
-	if tab := e.tab.Load(); tab != nil && len(tab.idx) >= want {
-		return tab
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	tab := e.tab.Load()
-	if tab != nil && len(tab.idx) >= want {
-		return tab
-	}
-	// Grow in doubling steps so alternating signal lengths don't rebuild
-	// the table every call.
-	size := 1024
-	if tab != nil {
-		size = len(tab.idx)
-	}
-	for size < want {
-		size *= 2
-	}
-	if size > maxResampleCoefs {
-		size = maxResampleCoefs
-	}
-	next := &resampleTab{idx: make([]int, size), frac: make([]float64, size)}
-	start := 0
-	if tab != nil {
-		start = copy(next.idx, tab.idx)
-		copy(next.frac, tab.frac)
-	}
-	for i := start; i < size; i++ {
-		// Exactly the direct path's expressions: the stored frac is the
-		// value `pos - float64(i0)` produces, bit for bit.
-		pos := float64(i) * ratio
-		i0 := int(pos)
-		next.idx[i] = i0
-		next.frac[i] = pos - float64(i0)
-	}
-	e.tab.Store(next)
-	return next
 }
 
 // Goertzel computes the magnitude of the DFT bin closest to targetHz for

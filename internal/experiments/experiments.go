@@ -70,10 +70,8 @@ func RunFig4a(cfg Fig4aConfig) ([]Fig4aPoint, error) {
 		pt := Fig4aPoint{Label: d.Label, DistanceM: d.D}
 		for trial := 0; trial < cfg.Trials; trial++ {
 			link := fm.Chain{
-				&fm.FMLink{Model: fm.DefaultRSSIModel(), RSSIOverride: -70,
-					Rng: rand.New(rand.NewSource(rng.Int63()))},
-				&fm.AcousticLink{Model: fm.DefaultAcousticModel(), DistanceM: d.D,
-					Rng: rand.New(rand.NewSource(rng.Int63()))},
+				&fm.FMLink{RSSI: -70, Rng: rand.New(rand.NewSource(rng.Int63()))},
+				&fm.AcousticLink{DistanceM: d.D, Rng: rand.New(rand.NewSource(rng.Int63()))},
 			}
 			loss, err := pipe.FrameLossProbe(link, cfg.FramesPerTrial)
 			if err != nil {
@@ -282,8 +280,7 @@ func RunRSSISweep(trials, framesPerTrial int, seed int64) ([]RSSIPoint, error) {
 		pt := RSSIPoint{RSSI: rssi}
 		for trial := 0; trial < trials; trial++ {
 			link := fm.Chain{
-				&fm.FMLink{Model: fm.DefaultRSSIModel(), RSSIOverride: rssi,
-					Rng: rand.New(rand.NewSource(rng.Int63()))},
+				&fm.FMLink{RSSI: rssi, Rng: rand.New(rand.NewSource(rng.Int63()))},
 				fm.CableLink{},
 			}
 			loss, err := pipe.FrameLossProbe(link, framesPerTrial)
@@ -318,28 +315,27 @@ func PrintRSSISweep(w io.Writer, pts []RSSIPoint) {
 
 // --- Figure 5: simulated user study -----------------------------------------
 
-// Fig5Config scales the study.
+// Fig5Config scales the study; every run seats the paper's
+// userstudy.DefaultParticipants.
 type Fig5Config struct {
-	Pages        int
-	ViewportH    int
-	Participants int
-	Seed         int64
+	Pages     int
+	ViewportH int
+	Seed      int64
 }
 
 // DefaultFig5 uses the paper's geometry with a study viewport.
 func DefaultFig5() Fig5Config {
 	return Fig5Config{
-		Pages:        userstudy.DefaultPages,
-		ViewportH:    3000,
-		Participants: userstudy.DefaultParticipants,
-		Seed:         5,
+		Pages:     userstudy.DefaultPages,
+		ViewportH: 3000,
+		Seed:      5,
 	}
 }
 
 // RunFig5 builds the screenshots and runs the panel.
 func RunFig5(cfg Fig5Config) *userstudy.StudyResult {
 	shots := userstudy.BuildScreenshots(cfg.Pages, cfg.ViewportH, cfg.Seed)
-	return userstudy.Run(shots, cfg.Participants, cfg.Seed+1)
+	return userstudy.Run(shots, userstudy.DefaultParticipants, cfg.Seed+1)
 }
 
 // PrintFig5 renders the per-condition boxplots of per-page medians.

@@ -289,7 +289,7 @@ func TestFig1Metrics(t *testing.T) {
 }
 
 func TestFig5Reduced(t *testing.T) {
-	res := RunFig5(Fig5Config{Pages: 4, ViewportH: 1000, Participants: 151, Seed: 9})
+	res := RunFig5(Fig5Config{Pages: 4, ViewportH: 1000, Seed: 9})
 	cond := userstudy.Condition{LossRate: 0.20, Interp: true}
 	med := stats.Median(res.MediansContent[cond])
 	if med < 5.5 || med > 9 {

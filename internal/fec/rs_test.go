@@ -225,13 +225,6 @@ func TestRSQuickProperty(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func BenchmarkRS8Encode(b *testing.B) {
 	rs := NewRS8()
 	msg := make([]byte, 223)

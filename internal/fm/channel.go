@@ -31,27 +31,17 @@ func (CableLink) Transmit(audio []float64, rate int) []float64 {
 	return out
 }
 
-// FMLink is the radio hop: FM modulation, RF noise at a CNR derived from
-// the RSSI model and distance, and FM demodulation.
+// FMLink is the radio hop: FM modulation, RF noise at the CNR the RSSI
+// gives, and FM demodulation.
 type FMLink struct {
-	Model RSSIModel
-	// DistanceM sets RSSI via the path-loss model; if RSSIOverride is
-	// non-zero it is used directly instead.
-	DistanceM    float64
-	RSSIOverride float64
-	Rng          *rand.Rand
+	// RSSI is the received signal strength (dB) the radio measures; every
+	// value, 0 included, is taken as given.
+	RSSI float64
+	Rng  *rand.Rand
 	// Telemetry, when non-nil, records an fm.transmit span with
 	// per-stage children (build_composite, modulate, add_noise,
 	// demodulate, split_composite).
 	Telemetry *telemetry.Registry
-}
-
-// RSSI returns the effective RSSI for this link.
-func (l *FMLink) RSSI() float64 {
-	if l.RSSIOverride != 0 {
-		return l.RSSIOverride
-	}
-	return l.Model.RSSIAtDistance(l.DistanceM)
 }
 
 // Transmit runs the full FM chain.
@@ -65,26 +55,10 @@ func (l *FMLink) Transmit(audio []float64, rate int) []float64 {
 
 	// The same chain as Broadcast, with per-stage child spans under
 	// fm.transmit.
-	return broadcastChain(audio, rate, l.Model.CNRForRSSI(l.RSSI()), rng, chainOpts{
+	return broadcastChain(audio, rate, cnrForRSSI(l.RSSI), rng, chainOpts{
 		workers: runtime.GOMAXPROCS(0),
 		span:    sp,
 	})
-}
-
-// AcousticLink is the speaker-to-microphone hop.
-type AcousticLink struct {
-	Model     AcousticModel
-	DistanceM float64 // <= 0 means cable
-	Rng       *rand.Rand
-}
-
-// Transmit carries audio across the air gap.
-func (l *AcousticLink) Transmit(audio []float64, rate int) []float64 {
-	rng := l.Rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	return l.Model.Transmit(audio, rate, l.DistanceM, rng)
 }
 
 // Chain composes hops in order.

@@ -2,9 +2,12 @@
 // software FM modulator/demodulator operating on the complex baseband
 // envelope, the part of the composite FM baseband from the paper's
 // Figure 2 that SONIC uses (mono 30 Hz–15 kHz plus the 19 kHz stereo
-// pilot; no stereo difference or RDS subcarrier is generated), a
-// log-distance RSSI model for the radio hop, and an acoustic over-the-air
-// model for the speaker→microphone hop between a radio and a phone.
+// pilot; no stereo difference or RDS subcarrier is generated), the
+// radio hop's one calibration from measured RSSI to carrier-to-noise
+// ratio (CNR = RSSI + 103 dB), and an acoustic over-the-air model for the
+// speaker→microphone hop between a radio and a phone. The channel
+// constants are fixed: the paper's experiments sweep RSSI and
+// speaker-to-phone distance, which are the links' only settings.
 //
 // The paper's prototype transmits SONIC audio in the Mono channel with a
 // 9.2 kHz carrier center; this package carries exactly that audio through
@@ -47,24 +50,13 @@ const (
 	PilotHz = 19000
 )
 
-// Modulator converts composite baseband samples (at CompositeRate) into a
-// complex FM envelope exp(j*phi) at the same rate.
-type Modulator struct {
-	// Deviation is the peak frequency deviation in Hz applied to a
-	// full-scale (|x|=1) composite signal. Defaults to MaxDeviation.
-	Deviation float64
-}
-
-// ModulateInto frequency-modulates composite into dst, which must have
-// the same length. The phase accumulation is a serial recurrence, so this
-// stage always runs on one goroutine.
-func (m *Modulator) ModulateInto(dst []complex128, composite []float64) {
-	dev := m.Deviation
-	if dev == 0 {
-		dev = MaxDeviation
-	}
+// modulateInto frequency-modulates composite (at CompositeRate, full
+// scale |x| = 1 at MaxDeviation) into the complex envelope exp(j*phi) in
+// dst, which must have the same length. The phase accumulation is a
+// serial recurrence, so this stage always runs on one goroutine.
+func modulateInto(dst []complex128, composite []float64) {
 	var phase float64
-	k := 2 * math.Pi * dev / CompositeRate
+	k := 2 * math.Pi * MaxDeviation / CompositeRate
 	for i, x := range composite {
 		phase += k * x
 		if phase > math.Pi {
@@ -77,23 +69,14 @@ func (m *Modulator) ModulateInto(dst []complex128, composite []float64) {
 	}
 }
 
-// Demodulator recovers the composite baseband from a complex FM envelope
-// using a quadrature discriminator.
-type Demodulator struct {
-	Deviation float64 // must match the modulator; defaults to MaxDeviation
-}
-
-// DemodulateInto demodulates envelope into dst (same length), splitting
-// the work across up to workers goroutines. The first sample has no phase
-// predecessor and is emitted as zero. Each sample depends only on
+// demodulateInto recovers the composite from a complex FM envelope with
+// a quadrature discriminator, writing dst (same length) and splitting
+// the work across up to workers goroutines. The first sample has no
+// phase predecessor and is emitted as zero. Each sample depends only on
 // its immediate predecessor, so block boundaries just re-read one
 // neighbouring sample and the output is identical for every worker count.
-func (d *Demodulator) DemodulateInto(dst []float64, envelope []complex128, workers int) {
-	dev := d.Deviation
-	if dev == 0 {
-		dev = MaxDeviation
-	}
-	k := CompositeRate / (2 * math.Pi * dev)
+func demodulateInto(dst []float64, envelope []complex128, workers int) {
+	k := CompositeRate / (2 * math.Pi * MaxDeviation)
 	parallel.For(workers, len(envelope), parallelBlockMin, func(lo, hi int) {
 		var prev complex128 = 1
 		if lo > 0 {

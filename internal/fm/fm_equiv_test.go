@@ -24,11 +24,8 @@ import (
 
 // --- verbatim pre-optimization reference implementations ---
 
-func refModulate(m *Modulator, composite []float64) []complex128 {
-	dev := m.Deviation
-	if dev == 0 {
-		dev = MaxDeviation
-	}
+func refModulate(composite []float64) []complex128 {
+	dev := float64(MaxDeviation)
 	out := make([]complex128, len(composite))
 	var phase float64
 	k := 2 * math.Pi * dev / CompositeRate
@@ -44,11 +41,8 @@ func refModulate(m *Modulator, composite []float64) []complex128 {
 	return out
 }
 
-func refDemodulate(d *Demodulator, envelope []complex128) []float64 {
-	dev := d.Deviation
-	if dev == 0 {
-		dev = MaxDeviation
-	}
+func refDemodulate(envelope []complex128) []float64 {
+	dev := float64(MaxDeviation)
 	out := make([]float64, len(envelope))
 	k := CompositeRate / (2 * math.Pi * dev)
 	var prev complex128 = 1
@@ -103,11 +97,11 @@ func refSplitComposite(composite []float64, audioRate int) (audio []float64, rds
 
 func refBroadcast(audio []float64, audioRate int, cnrDB float64, rng *rand.Rand) []float64 {
 	comp := refBuildComposite(audio, audioRate, nil)
-	mod := refModulate(&Modulator{}, comp)
+	mod := refModulate(comp)
 	if !math.IsInf(cnrDB, 1) {
 		mod = refAddRFNoise(mod, cnrDB, rng)
 	}
-	rx := refDemodulate(&Demodulator{}, mod)
+	rx := refDemodulate(mod)
 	out, _ := refSplitComposite(rx, audioRate)
 	return out
 }
@@ -154,22 +148,16 @@ func snrDB(clean, got []float64) float64 {
 
 func TestModulateMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	for _, dev := range []float64{0, 50000} {
-		comp := make([]float64, 30000)
-		for i := range comp {
-			comp[i] = 1.2 * math.Sin(float64(i)/11)
-		}
-		for i := range comp {
-			comp[i] += 0.05 * rng.NormFloat64()
-		}
-		m := &Modulator{Deviation: dev}
-		want := refModulate(m, comp)
-		got := make([]complex128, len(comp))
-		m.ModulateInto(got, comp)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("dev=%v: sample %d differs: %v vs %v", dev, i, got[i], want[i])
-			}
+	comp := make([]float64, 30000)
+	for i := range comp {
+		comp[i] = 1.2*math.Sin(float64(i)/11) + 0.05*rng.NormFloat64()
+	}
+	want := refModulate(comp)
+	got := make([]complex128, len(comp))
+	modulateInto(got, comp)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d differs: %v vs %v", i, got[i], want[i])
 		}
 	}
 }
@@ -178,15 +166,14 @@ func TestDemodulateMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	comp := toneAudio(20000, rng)
 	env := make([]complex128, len(comp))
-	(&Modulator{}).ModulateInto(env, comp)
+	modulateInto(env, comp)
 	AddRFNoise(env, 12, rng) // include click-noise territory
-	d := &Demodulator{}
-	want := refDemodulate(d, env)
+	want := refDemodulate(env)
 	// Worker count must not change a single bit: each block re-reads its
 	// predecessor sample.
 	for _, w := range []int{1, 2, 3, 8} {
 		dst := make([]float64, len(env))
-		d.DemodulateInto(dst, env, w)
+		demodulateInto(dst, env, w)
 		for i := range want {
 			if dst[i] != want[i] {
 				t.Fatalf("workers=%d: sample %d differs: %v vs %v", w, i, dst[i], want[i])
@@ -247,7 +234,7 @@ func TestBroadcastProcsIdentity(t *testing.T) {
 	audio := toneAudio(24000, rng)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	link := func() []float64 {
-		l := &FMLink{Model: DefaultRSSIModel(), RSSIOverride: -88, Rng: rand.New(rand.NewSource(9))}
+		l := &FMLink{RSSI: -88, Rng: rand.New(rand.NewSource(9))}
 		return l.Transmit(audio, 48000)
 	}
 	wantClean := Broadcast(audio, 48000, math.Inf(1), nil)
@@ -309,7 +296,7 @@ func TestBroadcastAllocs(t *testing.T) {
 
 func TestFMLinkTransmitChildSpans(t *testing.T) {
 	reg := telemetry.New()
-	link := &FMLink{Model: DefaultRSSIModel(), DistanceM: 100, Telemetry: reg}
+	link := &FMLink{RSSI: -85, Telemetry: reg}
 	rng := rand.New(rand.NewSource(17))
 	link.Transmit(toneAudio(4800, rng), 48000)
 	snap := reg.Snapshot()

@@ -23,14 +23,14 @@ func TestFMModDemodRoundTrip(t *testing.T) {
 		x[i] *= 0.5
 	}
 	mod := make([]complex128, len(x))
-	(&Modulator{}).ModulateInto(mod, x)
+	modulateInto(mod, x)
 	for i, s := range mod {
 		if math.Abs(real(s)*real(s)+imag(s)*imag(s)-1) > 1e-9 {
 			t.Fatalf("envelope magnitude not 1 at %d", i)
 		}
 	}
 	rx := make([]float64, len(mod))
-	(&Demodulator{}).DemodulateInto(rx, mod, 1)
+	demodulateInto(rx, mod, 1)
 	// Skip the first samples (discriminator warmup), compare the rest.
 	var errSum, sigSum float64
 	for i := 100; i < len(x); i++ {
@@ -82,61 +82,44 @@ func TestFMThresholdEffect(t *testing.T) {
 }
 
 func TestRSSIModel(t *testing.T) {
-	m := DefaultRSSIModel()
-	// Monotone decreasing with distance.
-	prev := math.Inf(1)
-	for _, d := range []float64{10, 50, 100, 500, 1000} {
-		r := m.RSSIAtDistance(d)
-		if r >= prev {
-			t.Errorf("RSSI not decreasing at %gm: %g >= %g", d, r, prev)
-		}
-		prev = r
-	}
-	// The paper's total-loss boundary (-90 dB) falls inside the TR508's
-	// km class.
-	if r := m.RSSIAtDistance(5000); r > -90 {
-		t.Errorf("RSSI at 5 km = %g, want below the -90 dB boundary", r)
-	}
 	// CNR at the paper's total-loss boundary (-90 dB) should be near the
 	// FM threshold (~11 dB).
-	cnr := m.CNRForRSSI(-90)
+	cnr := cnrForRSSI(-90)
 	if cnr < 8 || cnr > 14 {
 		t.Errorf("CNR at -90 dB RSSI = %g, want near FM threshold", cnr)
 	}
-	// Clamping below reference distance.
-	if m.RSSIAtDistance(1) != m.RSSIAtDistance(m.RefDistanceM) {
-		t.Error("distances under reference should clamp")
+	// One dB of RSSI is one dB of CNR.
+	if d := cnrForRSSI(-70) - cnrForRSSI(-85); d != 15 {
+		t.Errorf("CNR moves %g dB over a 15 dB RSSI step", d)
 	}
 }
 
 func TestAcousticModelShape(t *testing.T) {
-	a := DefaultAcousticModel()
-	if !math.IsInf(a.MeanSNRAt(0), 1) {
+	if !math.IsInf(meanSNRAt(0), 1) {
 		t.Error("cable should be infinite SNR")
 	}
 	// Monotone decreasing.
 	prev := math.Inf(1)
 	for _, d := range []float64{0.1, 0.2, 0.5, 1.0, 1.1, 1.5} {
-		s := a.MeanSNRAt(d)
+		s := meanSNRAt(d)
 		if s >= prev {
 			t.Errorf("SNR not decreasing at %gm", d)
 		}
 		prev = s
 	}
 	// Near field strong, far field collapsed.
-	if a.MeanSNRAt(0.1) < 35 {
-		t.Errorf("10cm SNR = %g, want strong", a.MeanSNRAt(0.1))
+	if meanSNRAt(0.1) < 35 {
+		t.Errorf("10cm SNR = %g, want strong", meanSNRAt(0.1))
 	}
-	if a.MeanSNRAt(1.3) > 10 {
-		t.Errorf("1.3m SNR = %g, want collapsed", a.MeanSNRAt(1.3))
+	if meanSNRAt(1.3) > 10 {
+		t.Errorf("1.3m SNR = %g, want collapsed", meanSNRAt(1.3))
 	}
 }
 
 func TestAcousticTransmitCable(t *testing.T) {
-	a := DefaultAcousticModel()
-	rng := rand.New(rand.NewSource(3))
+	link := &AcousticLink{Rng: rand.New(rand.NewSource(3))}
 	in := tone(1000, 4800, 48000)
-	out := a.Transmit(in, 48000, 0, rng)
+	out := link.Transmit(in, 48000)
 	for i := range in {
 		if out[i] != in[i] {
 			t.Fatal("cable transmit must be lossless")
@@ -149,15 +132,12 @@ func TestAcousticTransmitCable(t *testing.T) {
 }
 
 func TestAcousticTransmitAddsDistanceNoise(t *testing.T) {
-	a := DefaultAcousticModel()
-	// Disable the filter and echo so the comparison below measures noise
-	// rather than FIR group delay.
-	a.SpeakerCutoffHz = 0
-	a.EchoGain = 0
+	// The noise stage alone, so the comparison below measures noise
+	// rather than FIR group delay or the echo.
 	in := tone(9200, 9600, 48000)
 	snrOf := func(d float64, seed int64) float64 {
-		rng := rand.New(rand.NewSource(seed))
-		out := a.Transmit(in, 48000, d, rng)
+		out := append([]float64(nil), in...)
+		addTimeVaryingNoise(out, 48000, d, rand.New(rand.NewSource(seed)))
 		var sig, errp float64
 		for i := 200; i < len(in); i++ {
 			sig += in[i] * in[i]
@@ -192,15 +172,16 @@ func TestChainAndLinks(t *testing.T) {
 	}
 }
 
+// The link takes its RSSI as given, 0 dB included: a stronger signal
+// means less noise.
 func TestFMLinkRSSISelection(t *testing.T) {
-	l := &FMLink{Model: DefaultRSSIModel(), DistanceM: 100}
-	fromDistance := l.RSSI()
-	l.RSSIOverride = -70
-	if l.RSSI() != -70 {
-		t.Errorf("override ignored: %g", l.RSSI())
+	in := tone(1000, 4800, 48000)
+	clean := Broadcast(in, 48000, math.Inf(1), nil)
+	snrAt := func(rssi float64) float64 {
+		return snrDB(clean, (&FMLink{RSSI: rssi}).Transmit(in, 48000))
 	}
-	if fromDistance == -70 {
-		t.Error("distance-derived RSSI suspiciously equal to override")
+	if strong, weak := snrAt(0), snrAt(-88); strong <= weak {
+		t.Errorf("0 dB RSSI gives %.1f dB SNR, -88 dB gives %.1f dB", strong, weak)
 	}
 }
 

@@ -68,7 +68,7 @@ func broadcastChain(audio []float64, audioRate int, cnrDB float64, rng *rand.Ran
 	sp = o.span.StartChild("modulate")
 	envBuf := getC128(n)
 	env := *envBuf
-	(&Modulator{}).ModulateInto(env, comp)
+	modulateInto(env, comp)
 	sp.End()
 
 	// add_noise: the RF hop.
@@ -80,7 +80,7 @@ func broadcastChain(audio []float64, audioRate int, cnrDB float64, rng *rand.Ran
 
 	// demodulate: quadrature discriminator, reusing the composite buffer.
 	sp = o.span.StartChild("demodulate")
-	(&Demodulator{}).DemodulateInto(comp, env, o.workers)
+	demodulateInto(comp, env, o.workers)
 	putC128(envBuf)
 	sp.End()
 

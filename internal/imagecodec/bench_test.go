@@ -64,7 +64,7 @@ func BenchmarkEncodeColumns(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeColumnsTol(img, 91, 8); err != nil {
+		if _, err := EncodeColumns(img, 91); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -69,24 +69,14 @@ func UnmarshalCell(b []byte) (Cell, error) {
 // marshaled size never exceeds maxCellBytes (header included).
 // maxCellBytes must leave room for at least one literal pixel token.
 func EncodeColumns(r *Raster, maxCellBytes int) ([]Cell, error) {
-	return EncodeColumnsTol(r, maxCellBytes, 0)
+	return EncodeColumnsWorkers(r, maxCellBytes, 0)
 }
 
-// EncodeColumnsTol is EncodeColumns with a per-channel tolerance: a run
-// absorbs following pixels whose channels all sit within tol of the run's
-// first pixel. tol > 0 makes the codec slightly lossy but lets smooth
-// gradients (photos) collapse into runs — the 1-D analogue of SIC's
-// quantizer. tol=0 is lossless.
-func EncodeColumnsTol(r *Raster, maxCellBytes, tol int) ([]Cell, error) {
-	return EncodeColumnsTolWorkers(r, maxCellBytes, tol, 0)
-}
-
-// EncodeColumnsTolWorkers is EncodeColumnsTol with an explicit worker
-// count. Columns are independent, so each worker packs a contiguous
+// EncodeColumnsWorkers is EncodeColumns with an explicit worker count. Columns are independent, so each worker packs a contiguous
 // range of columns into cells backed by its own arena; the ranges are
 // joined in column order, giving the same cell list for any worker
 // count. workers <= 0 selects GOMAXPROCS.
-func EncodeColumnsTolWorkers(r *Raster, maxCellBytes, tol, workers int) ([]Cell, error) {
+func EncodeColumnsWorkers(r *Raster, maxCellBytes, workers int) ([]Cell, error) {
 	if r == nil || r.W < 1 || r.H < 1 {
 		return nil, ErrEmptyRaster
 	}
@@ -102,7 +92,7 @@ func EncodeColumnsTolWorkers(r *Raster, maxCellBytes, tol, workers int) ([]Cell,
 	parallel.For(poolSize(workers), r.W, 1, func(lo, hi int) {
 		var enc columnEncoder
 		for x := lo; x < hi; x++ {
-			parts[lo] = enc.appendColumnCells(parts[lo], r, x, maxData, tol)
+			parts[lo] = enc.appendColumnCells(parts[lo], r, x, maxData)
 		}
 	})
 	total := 0
@@ -114,17 +104,6 @@ func EncodeColumnsTolWorkers(r *Raster, maxCellBytes, tol, workers int) ([]Cell,
 		cells = append(cells, cs...)
 	}
 	return cells, nil
-}
-
-// near reports whether two pixels agree within tol per channel.
-func near(a, b RGB, tol int) bool {
-	d := func(p, q uint8) int {
-		if p > q {
-			return int(p - q)
-		}
-		return int(q - p)
-	}
-	return d(a.R, b.R) <= tol && d(a.G, b.G) <= tol && d(a.B, b.B) <= tol
 }
 
 // columnEncoder holds the scratch one worker reuses across columns: an
@@ -152,7 +131,7 @@ func (e *columnEncoder) cellData(maxData int) []byte {
 }
 
 // appendColumnCells encodes column x into one or more cells.
-func (e *columnEncoder) appendColumnCells(cells []Cell, r *Raster, x, maxData, tol int) []Cell {
+func (e *columnEncoder) appendColumnCells(cells []Cell, r *Raster, x, maxData int) []Cell {
 	y := 0
 	for y < r.H {
 		cell := Cell{Col: uint16(x), Y0: uint16(y)}
@@ -162,7 +141,7 @@ func (e *columnEncoder) appendColumnCells(cells []Cell, r *Raster, x, maxData, t
 			// Measure the run starting at y.
 			c := r.At(x, y)
 			run := 1
-			for y+run < r.H && run < 255 && near(r.At(x, y+run), c, tol) {
+			for y+run < r.H && run < 255 && r.At(x, y+run) == c {
 				run++
 			}
 			if run >= 3 {
@@ -181,7 +160,7 @@ func (e *columnEncoder) appendColumnCells(cells []Cell, r *Raster, x, maxData, t
 			for ly < r.H && len(lit) < 255*3 {
 				cc := r.At(x, ly)
 				// Stop literals when a 3+ run begins.
-				if ly+2 < r.H && near(r.At(x, ly+1), cc, tol) && near(r.At(x, ly+2), cc, tol) {
+				if ly+2 < r.H && r.At(x, ly+1) == cc && r.At(x, ly+2) == cc {
 					break
 				}
 				lit = append(lit, cc.R, cc.G, cc.B)

@@ -13,7 +13,7 @@ import (
 
 // --- verbatim pre-optimization reference implementation ---
 
-func refAppendColumnCells(cells []Cell, r *Raster, x, maxData, tol int) []Cell {
+func refAppendColumnCells(cells []Cell, r *Raster, x, maxData int) []Cell {
 	y := 0
 	for y < r.H {
 		cell := Cell{Col: uint16(x), Y0: uint16(y)}
@@ -22,7 +22,7 @@ func refAppendColumnCells(cells []Cell, r *Raster, x, maxData, tol int) []Cell {
 		for y < r.H {
 			c := r.At(x, y)
 			run := 1
-			for y+run < r.H && run < 255 && near(r.At(x, y+run), c, tol) {
+			for y+run < r.H && run < 255 && r.At(x, y+run) == c {
 				run++
 			}
 			if run >= 3 {
@@ -38,7 +38,7 @@ func refAppendColumnCells(cells []Cell, r *Raster, x, maxData, tol int) []Cell {
 			ly := y
 			for ly < r.H && len(lit) < 255*3 {
 				cc := r.At(x, ly)
-				if ly+2 < r.H && near(r.At(x, ly+1), cc, tol) && near(r.At(x, ly+2), cc, tol) {
+				if ly+2 < r.H && r.At(x, ly+1) == cc && r.At(x, ly+2) == cc {
 					break
 				}
 				lit = append(lit, cc.R, cc.G, cc.B)
@@ -74,11 +74,11 @@ func refAppendColumnCells(cells []Cell, r *Raster, x, maxData, tol int) []Cell {
 	return cells
 }
 
-func refEncodeColumns(r *Raster, maxCellBytes, tol int) []Cell {
+func refEncodeColumns(r *Raster, maxCellBytes int) []Cell {
 	maxData := maxCellBytes - CellHeaderSize
 	var cells []Cell
 	for x := 0; x < r.W; x++ {
-		cells = refAppendColumnCells(cells, r, x, maxData, tol)
+		cells = refAppendColumnCells(cells, r, x, maxData)
 	}
 	return cells
 }
@@ -87,24 +87,22 @@ func refEncodeColumns(r *Raster, maxCellBytes, tol int) []Cell {
 
 func TestEncodeColumnsMatchesReference(t *testing.T) {
 	for name, src := range equivRasters() {
-		for _, tol := range []int{0, 8} {
-			for _, maxCell := range []int{16, 85, 300} {
-				want := refEncodeColumns(src, maxCell, tol)
-				for _, row := range poolRows {
-					undo := row.pin()
-					got, err := EncodeColumnsTolWorkers(src, maxCell, tol, row.workers)
-					undo()
-					if err != nil {
-						t.Fatalf("%s tol=%d max=%d pool=%+v: %v", name, tol, maxCell, row, err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%s tol=%d max=%d pool=%+v: %d cells vs %d", name, tol, maxCell, row, len(got), len(want))
-					}
-					for i := range got {
-						g, w := got[i], want[i]
-						if g.Col != w.Col || g.Y0 != w.Y0 || g.N != w.N || !bytes.Equal(g.Data, w.Data) {
-							t.Fatalf("%s tol=%d max=%d pool=%+v: cell %d differs", name, tol, maxCell, row, i)
-						}
+		for _, maxCell := range []int{16, 85, 300} {
+			want := refEncodeColumns(src, maxCell)
+			for _, row := range poolRows {
+				undo := row.pin()
+				got, err := EncodeColumnsWorkers(src, maxCell, row.workers)
+				undo()
+				if err != nil {
+					t.Fatalf("%s max=%d pool=%+v: %v", name, maxCell, row, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s max=%d pool=%+v: %d cells vs %d", name, maxCell, row, len(got), len(want))
+				}
+				for i := range got {
+					g, w := got[i], want[i]
+					if g.Col != w.Col || g.Y0 != w.Y0 || g.N != w.N || !bytes.Equal(g.Data, w.Data) {
+						t.Fatalf("%s max=%d pool=%+v: cell %d differs", name, maxCell, row, i)
 					}
 				}
 			}
@@ -122,7 +120,7 @@ func TestEncodeColumnsArenaIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := refEncodeColumns(src, 85, 0)
+	want := refEncodeColumns(src, 85)
 	if len(got) != len(want) {
 		t.Fatalf("%d cells vs %d", len(got), len(want))
 	}
@@ -171,7 +169,7 @@ func TestEncodeColumnsAllocs(t *testing.T) {
 // --- decode-side and airtime-size pins ---
 
 // TestDecodeColumnsMatchesEncodedRaster pins the decode side of the cell
-// codec: at tol=0 the token stream is lossless, so decoding every cell
+// codec: the token stream is lossless, so decoding every cell
 // must reproduce the source raster pixel for pixel with nothing left in
 // the missing mask.
 func TestDecodeColumnsMatchesEncodedRaster(t *testing.T) {

@@ -94,7 +94,7 @@ func TestCodecMallocsAtTwoWorkers(t *testing.T) {
 	}{
 		{"EncodeSICWorkers", 72, func() error { _, err := EncodeSICWorkers(src, 10, 2); return err }},
 		{"DecodeSICWorkers", 128, func() error { _, err := DecodeSICWorkers(enc, 2); return err }},
-		{"EncodeColumnsTolWorkers", 64, func() error { _, err := EncodeColumnsTolWorkers(src, 85, 0, 2); return err }},
+		{"EncodeColumnsWorkers", 64, func() error { _, err := EncodeColumnsWorkers(src, 85, 2); return err }},
 	} {
 		if got := mallocsPerRun(t, 10, c.fn); got > c.max {
 			t.Errorf("%s at 2 workers allocates %v objects per call, want <= %v", c.name, got, c.max)
@@ -104,24 +104,22 @@ func TestCodecMallocsAtTwoWorkers(t *testing.T) {
 
 func TestEncodeColumnsWorkersDeterministic(t *testing.T) {
 	img := benchRaster(123, 200, 7)
-	for _, tol := range []int{0, 8} {
-		want, err := EncodeColumnsTolWorkers(img, 91, tol, 1)
+	want, err := EncodeColumnsWorkers(img, 91, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 5} {
+		got, err := EncodeColumnsWorkers(img, 91, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 5} {
-			got, err := EncodeColumnsTolWorkers(img, 91, tol, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("tol=%d workers=%d: %d cells, want %d", tol, workers, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Col != want[i].Col || got[i].Y0 != want[i].Y0 ||
-					got[i].N != want[i].N || !bytes.Equal(got[i].Data, want[i].Data) {
-					t.Fatalf("tol=%d workers=%d: cell %d differs from serial encoder", tol, workers, i)
-				}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d cells, want %d", workers, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Col != want[i].Col || got[i].Y0 != want[i].Y0 ||
+				got[i].N != want[i].N || !bytes.Equal(got[i].Data, want[i].Data) {
+				t.Fatalf("workers=%d: cell %d differs from serial encoder", workers, i)
 			}
 		}
 	}

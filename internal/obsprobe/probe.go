@@ -76,10 +76,7 @@ func Run(reg *telemetry.Registry) error {
 	if err != nil {
 		return fmt.Errorf("obsprobe: encode: %w", err)
 	}
-	link := &fm.FMLink{
-		Model: fm.DefaultRSSIModel(), RSSIOverride: -70,
-		Rng: rng, Telemetry: reg,
-	}
+	link := &fm.FMLink{RSSI: -70, Rng: rng, Telemetry: reg}
 	rx := link.Transmit(audio, sampleRate)
 	res, err := pipe.DecodePageAudio(rx)
 	if err != nil {

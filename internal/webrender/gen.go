@@ -90,15 +90,16 @@ func themeFor(site string) Theme {
 type GenOptions struct {
 	// MinBlocks/MaxBlocks bound the content length (and thus page height).
 	MinBlocks, MaxBlocks int
-	// InternalLinks is how many same-site hyperlinks to scatter.
-	InternalLinks int
 }
+
+// internalLinks is how many same-site hyperlinks a page scatters.
+const internalLinks = 12
 
 // DefaultGenOptions match the paper's corpus: landing pages tall enough
 // that the 10k-pixel crop binds for most of them (Fig. 4(b) shows the
 // PH:10k curve saving ~100 KB for 75% of pages).
 func DefaultGenOptions() GenOptions {
-	return GenOptions{MinBlocks: 25, MaxBlocks: 72, InternalLinks: 12}
+	return GenOptions{MinBlocks: 25, MaxBlocks: 72}
 }
 
 // Generate builds the synthetic page for url as rendered at the given
@@ -133,7 +134,7 @@ func Generate(url string, hour int, opts GenOptions) *Page {
 	)
 
 	nBlocks := opts.MinBlocks + struc.Intn(opts.MaxBlocks-opts.MinBlocks+1)
-	linksLeft := opts.InternalLinks
+	linksLeft := internalLinks
 	for i := 0; i < nBlocks; i++ {
 		roll := rng.Float64()
 		switch {

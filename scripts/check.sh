@@ -2,7 +2,8 @@
 # check.sh — the repo's full verification gate: build, vet, the
 # sonic-vet invariant analyzers, tests (the benchmark module's too), the
 # race detector, a short fuzz smoke, a one-iteration bench smoke over
-# every package, the ops smoke, and the paper figures that reproduce.
+# every package, the ops smoke, a run of every example, and the paper
+# figures that reproduce.
 # It times nothing: performance is benchmark/run.sh (BENCHMARK.json).
 # CI runs exactly this script; run it locally before pushing.
 set -euo pipefail
@@ -121,6 +122,17 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 
 echo "==> ops smoke: sonic-sim -telemetry + obsprobe + sonic-top -once"
 ./scripts/ops-smoke.sh
+
+# The examples are the only shipped callers of sonic.NewFMLink and
+# sonic.NewAcousticLink, and nothing else runs them. Each runs with the
+# run's own directory as its working directory, so lossdemo's PNGs land
+# there and not in the checkout (~15 s in all).
+echo "==> examples: build and run each one"
+for dir in examples/*/; do
+    name=$(basename "$dir")
+    go build -o "$work/example-$name" "./examples/$name"
+    (cd "$work" && "./example-$name" >/dev/null)
+done
 
 # The paper reproduction, as far as it reproduces: Fig. 4(a) and the RSSI
 # sweep regenerate byte-identically from this tree, so a change that

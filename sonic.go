@@ -7,7 +7,7 @@
 //
 //   - Pipeline: the end-to-end encoder/decoder (image -> SIC codec ->
 //     100-byte frames -> rs8+v29 FEC -> 92-subcarrier OFDM audio).
-//   - FM channel simulation: RSSI/path-loss radio links, acoustic
+//   - FM channel simulation: radio links at a measured RSSI, acoustic
 //     speaker-to-microphone links, composite baseband (mono + pilot).
 //   - Server and Client: the §3.1 workflow — SMS request intake,
 //     render+cache, transmitter selection, broadcast queues, click-map
@@ -60,10 +60,6 @@ type (
 	Link = fm.Link
 	// Chain composes links.
 	Chain = fm.Chain
-	// RSSIModel maps distance to received signal strength.
-	RSSIModel = fm.RSSIModel
-	// AcousticModel is the over-the-air speaker-to-mic channel.
-	AcousticModel = fm.AcousticModel
 )
 
 // System types.
@@ -122,15 +118,14 @@ func NewSMSC(minDelay, maxDelay time.Duration, seed int64) *SMSC {
 // tuner).
 func NewCableLink() Link { return fm.CableLink{} }
 
-// NewFMLink returns the radio hop at the given RSSI (dB).
-func NewFMLink(rssi float64) Link {
-	return &fm.FMLink{Model: fm.DefaultRSSIModel(), RSSIOverride: rssi}
-}
+// NewFMLink returns the radio hop at the given RSSI (dB); the carrier-
+// to-noise ratio is RSSI + 103 dB.
+func NewFMLink(rssi float64) Link { return &fm.FMLink{RSSI: rssi} }
 
 // NewAcousticLink returns the over-the-air hop at d meters (d <= 0 means
 // a cable).
 func NewAcousticLink(d float64) Link {
-	return &fm.AcousticLink{Model: fm.DefaultAcousticModel(), DistanceM: d}
+	return &fm.AcousticLink{DistanceM: d}
 }
 
 // GeneratePage builds the deterministic synthetic page for a URL at an

@@ -1,6 +1,8 @@
 package sonic
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -73,5 +75,19 @@ func TestPublicAPISoftDecision(t *testing.T) {
 	res, err := pipe.DecodePageAudio(audio)
 	if err != nil || !res.Complete {
 		t.Fatalf("soft pipeline through the facade failed: %v", err)
+	}
+}
+
+// An RSSI of 0 dB is a signal 103 dB above the noise floor, not "unset":
+// it must not air the same noise as some other RSSI.
+func TestPublicAPIFMLinkZeroRSSI(t *testing.T) {
+	audio := make([]float64, 4800)
+	for i := range audio {
+		audio[i] = 0.5 * math.Sin(2*math.Pi*1000*float64(i)/48000)
+	}
+	zero := NewFMLink(0).Transmit(audio, 48000)
+	weak := NewFMLink(-55).Transmit(audio, 48000)
+	if slices.Equal(zero, weak) {
+		t.Fatal("NewFMLink(0) airs exactly what NewFMLink(-55) airs")
 	}
 }
