@@ -1,14 +1,15 @@
 // Command sonic-vet runs the project-invariant analyzers over the
 // repository: span End() discipline, the off-mutex kernel rule,
-// equivalence-test pinning, and the no-global-rand rule. It exits 1 when
-// any unsuppressed finding is reported and 2 on load errors, so check.sh
-// can gate on it exactly like go vet.
+// equivalence-test pinning, the no-global-rand rule, and dead code. It
+// exits 1 when any unsuppressed finding is reported and 2 on load
+// errors, so check.sh can gate on it exactly like go vet.
 //
 // Usage:
 //
 //	sonic-vet [packages]
 //
-// Packages default to ./... relative to the enclosing module. Findings
+// Packages default to ./... relative to the enclosing module; dead code
+// is judged over the packages named, so it needs them all. Findings
 // print as "file:line: [analyzer] message"; a finding is suppressed by
 // a "//sonic:ignore analyzer reason" comment on the same or preceding
 // line, and every suppression is listed in the summary with its reason.

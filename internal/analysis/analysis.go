@@ -15,7 +15,10 @@
 //     *_equiv_test.go is referenced from an equivalence/parity test, so
 //     new kernels cannot dodge the byte-identical pin;
 //   - globalrand: non-test code never draws from math/rand's global
-//     source, keeping parity and equivalence runs deterministic.
+//     source, keeping parity and equivalence runs deterministic;
+//   - deadcode: every function, method and type is reachable from
+//     something that ships or from a pin test (ROADMAP aim 2: no code
+//     that nothing ships).
 //
 // Findings print as "file:line: [name] message". A finding is suppressed
 // by a "//sonic:ignore name reason" comment on the same or the preceding
@@ -47,20 +50,31 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.File, f.Line, f.Analyzer, f.Message)
 }
 
-// Analyzer is one named check over a loaded package.
+// Analyzer is one named check over the packages of a run.
 type Analyzer struct {
 	Name string
 	Run  func(*Pass)
 }
 
-// Pass carries one (analyzer, package) unit of work. Analyzers read the
-// syntax and type information and call Report.
+// Pass carries one analyzer's run over every loaded package. Analyzers
+// read the syntax and type information and call Report.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	Pkg      *Package
+	Pkgs     []*Package // every package of the run
+	Pkg      *Package   // the package a per-package check is looking at
 
+	loader   *Loader
 	findings []Finding
+}
+
+// perPackage adapts a check of one package to Analyzer.Run.
+func perPackage(run func(*Pass)) func(*Pass) {
+	return func(p *Pass) {
+		for _, p.Pkg = range p.Pkgs {
+			run(p)
+		}
+	}
 }
 
 // Report records a finding at pos.
@@ -76,7 +90,7 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 
 // All returns every registered analyzer, in report order.
 func All() []*Analyzer {
-	return []*Analyzer{SpanEnd, LockScope, EquivPin, GlobalRand}
+	return []*Analyzer{SpanEnd, LockScope, EquivPin, GlobalRand, DeadCode}
 }
 
 // sortFindings orders findings by file, line, analyzer, message for

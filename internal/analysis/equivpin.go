@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path/filepath"
 	"regexp"
@@ -24,34 +25,46 @@ import (
 // from a pin test pins every same-package function it calls,
 // transitively: the equivalence run exercises those callees
 // byte-for-byte through it.
-var EquivPin = &Analyzer{Name: "equivpin", Run: runEquivPin}
+var EquivPin = &Analyzer{Name: "equivpin", Run: perPackage(runEquivPin)}
 
 // pinTestName marks test functions that compare against a reference
 // implementation even when they live outside *_equiv_test.go files.
 var pinTestName = regexp.MustCompile(`Equiv|Parity|Matches|Identical|Reference`)
 
-func runEquivPin(pass *Pass) {
-	referenced := make(map[string]bool)
-	hasEquiv := false
-	for _, f := range pass.Pkg.TestFiles {
-		base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
+// pinTests returns the pin-test code among a package's test files:
+// every *_equiv_test.go and *parity* file whole, and the body of every
+// other test whose name matches pinTestName. equiv reports whether a
+// pin file was among them. deadcode roots liveness in the same code.
+func pinTests(fset *token.FileSet, files []*ast.File) (nodes []ast.Node, equiv bool) {
+	for _, f := range files {
+		base := filepath.Base(fset.Position(f.Pos()).Filename)
 		if strings.HasSuffix(base, "equiv_test.go") || strings.Contains(base, "parity") {
-			hasEquiv = true
-			collectIdents(f, referenced)
+			equiv = true
+			nodes = append(nodes, f)
 			continue
 		}
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if strings.HasPrefix(fd.Name.Name, "Test") && pinTestName.MatchString(fd.Name.Name) {
-				collectIdents(fd.Body, referenced)
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && strings.HasPrefix(fd.Name.Name, "Test") && pinTestName.MatchString(fd.Name.Name) {
+				nodes = append(nodes, fd.Body)
 			}
 		}
 	}
+	return nodes, equiv
+}
+
+func runEquivPin(pass *Pass) {
+	nodes, hasEquiv := pinTests(pass.Fset, pass.Pkg.TestFiles)
 	if !hasEquiv {
 		return
+	}
+	referenced := make(map[string]bool)
+	for _, n := range nodes {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				referenced[id.Name] = true
+			}
+			return true
+		})
 	}
 
 	// Transitive closure: a declaration whose name a pin test references
@@ -114,13 +127,4 @@ func runEquivPin(pass *Pass) {
 			pass.Report(fd.Name.Pos(), "exported function %s is not reachable from any equivalence/parity test; pin it against the reference implementation or add a reasoned sonic:ignore", fd.Name.Name)
 		}
 	}
-}
-
-func collectIdents(n ast.Node, set map[string]bool) {
-	ast.Inspect(n, func(nd ast.Node) bool {
-		if id, ok := nd.(*ast.Ident); ok {
-			set[id.Name] = true
-		}
-		return true
-	})
 }

@@ -12,7 +12,7 @@ import (
 // Constructors (New, NewSource, ...) are allowed — they are how the
 // explicit source is built — and methods on *rand.Rand are the goal
 // state, so only package-level function and variable uses are flagged.
-var GlobalRand = &Analyzer{Name: "globalrand", Run: runGlobalRand}
+var GlobalRand = &Analyzer{Name: "globalrand", Run: perPackage(runGlobalRand)}
 
 // randConstructors build explicit sources and are therefore allowed.
 var randConstructors = map[string]bool{

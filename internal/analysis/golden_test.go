@@ -46,6 +46,8 @@ func TestAnalyzerGolden(t *testing.T) {
 		{GlobalRand, "globalrand_bad"},
 		{GlobalRand, "globalrand_ok"},
 		{GlobalRand, "ignorefix"},
+		{DeadCode, "deadcode_bad"},
+		{DeadCode, "deadcode_ok"},
 	}
 
 	l, err := NewLoader(".")

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -146,7 +147,9 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	}
 	var names []string
 	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+		// Build constraints decide, as for the go tool (race_on_test.go
+		// and race_off_test.go must not meet).
+		if ok, _ := build.Default.MatchFile(dir, e.Name()); ok && strings.HasSuffix(e.Name(), ".go") {
 			names = append(names, e.Name())
 		}
 	}
@@ -183,6 +186,18 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	pkg.Types = tpkg
 	l.pkgs[path] = pkg
 	return pkg, nil
+}
+
+// testInfo type-checks pkg's in-package test files together with its
+// own files and returns what their identifiers resolve to: a second
+// check of the same syntax, so a declaration of pkg resolves to a new
+// object at the same position. Errors are dropped, an external _test
+// package's files among them; what does resolve still counts.
+func (l *Loader) testInfo(pkg *Package) *types.Info {
+	info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+	conf := types.Config{Importer: l, Error: func(error) {}}
+	conf.Check(pkg.Path, l.Fset, append(pkg.Files[:len(pkg.Files):len(pkg.Files)], pkg.TestFiles...), info)
+	return info
 }
 
 // ExpandPatterns resolves command-line package patterns ("./...",

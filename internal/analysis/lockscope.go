@@ -16,7 +16,7 @@ import (
 // belongs on the pool outside the critical section. Package-local
 // helpers are followed transitively, so hiding a kernel call one hop
 // away still trips the check.
-var LockScope = &Analyzer{Name: "lockscope", Run: runLockScope}
+var LockScope = &Analyzer{Name: "lockscope", Run: perPackage(runLockScope)}
 
 // kernelPkgBases are the package basenames whose calls are forbidden
 // under a lock (CPU-heavy DSP/render/codec work).

@@ -90,21 +90,23 @@ func Run(l *Loader, analyzers []*Analyzer, dirs []string) (*Result, error) {
 
 	var all []Finding
 	var ignores []ignoreDirective
+	var pkgs []*Package
 	for _, dir := range dirs {
 		pkg, err := l.LoadDir(dir)
 		if err != nil {
 			return nil, err
 		}
+		pkgs = append(pkgs, pkg)
 		// Directives may sit in test files too (equivpin findings anchor
 		// to declarations referenced from tests).
 		for _, f := range append(append([]*ast.File(nil), pkg.Files...), pkg.TestFiles...) {
 			ignores = append(ignores, parseIgnores(l.Fset, f, func(fd Finding) { all = append(all, fd) })...)
 		}
-		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Fset: l.Fset, Pkg: pkg}
-			a.Run(pass)
-			all = append(all, pass.findings...)
-		}
+	}
+	for _, a := range analyzers {
+		pass := &Pass{Analyzer: a, Fset: l.Fset, Pkgs: pkgs, loader: l}
+		a.Run(pass)
+		all = append(all, pass.findings...)
 	}
 
 	for _, f := range all {

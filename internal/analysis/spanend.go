@@ -13,7 +13,7 @@ import (
 // not overwritten by a fresh StartChild (the broadcast chain reuses one
 // handle variable per stage, which only balances if each stage ends the
 // previous span first).
-var SpanEnd = &Analyzer{Name: "spanend", Run: runSpanEnd}
+var SpanEnd = &Analyzer{Name: "spanend", Run: perPackage(runSpanEnd)}
 
 func isSpanStart(call *ast.CallExpr) bool {
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)

@@ -60,6 +60,7 @@ type Client struct {
 	mu      sync.Mutex
 	pages   map[string]*cachedPage
 	pending map[string]time.Time // URL -> ack ETA deadline
+	busy    map[string]time.Time // URL -> earliest re-send a BUSY reply allows
 	smsc    *sms.SMSC
 
 	// lc confirms delivery (nil = off; see internal/telemetry).
@@ -84,23 +85,26 @@ func New(cfg Config) *Client {
 		cfg:     cfg,
 		pages:   make(map[string]*cachedPage),
 		pending: make(map[string]time.Time),
+		busy:    make(map[string]time.Time),
 	}
 }
 
 // AttachSMSC wires the uplink (no-op for downlink-only devices) and
-// registers the ack handler.
+// registers the reply handler: a QUEUED ack records its ETA and clears
+// any BUSY hint for the URL, a BUSY reply records when a re-send may go.
 func (c *Client) AttachSMSC(smsc *sms.SMSC) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.smsc = smsc
 	smsc.Register(c.cfg.Number, func(m sms.Message) {
-		url, eta, err := sms.ParseAck(m.Body)
-		if err != nil {
-			return
-		}
 		c.mu.Lock()
-		c.pending[url] = m.DeliverAt.Add(eta)
-		c.mu.Unlock()
+		defer c.mu.Unlock()
+		if url, eta, err := sms.ParseAck(m.Body); err == nil {
+			c.pending[url] = m.DeliverAt.Add(eta)
+			delete(c.busy, url)
+		} else if url, retry, err := sms.ParseBusy(m.Body); err == nil {
+			c.busy[url] = m.DeliverAt.Add(retry)
+		}
 	})
 }
 
@@ -137,6 +141,9 @@ var (
 	ErrNotCached = errors.New("client: page not cached")
 	ErrNoUplink  = errors.New("client: no SMS uplink available")
 	ErrNotLink   = errors.New("client: nothing clickable at that point")
+	// ErrBusy: the server answered BUSY for the URL and its retry hint
+	// has not passed; a re-send would cost another SMS into the same queue.
+	ErrBusy = errors.New("client: server busy for this page; retry after its hint")
 )
 
 // Open decodes a cached page and scales image plus click map to the
@@ -207,14 +214,19 @@ func (c *Client) Click(p *Page, x, y int, now time.Time) (*Page, error) {
 	return nil, ErrNotCached
 }
 
-// Request sends an SMS page request for url.
+// Request sends an SMS page request for url. It sends nothing and
+// returns ErrBusy while a BUSY reply's retry hint for url is pending.
 func (c *Client) Request(url string, now time.Time) error {
 	c.mu.Lock()
 	smsc := c.smsc
 	capab := c.cfg.Capability
+	retryAt, busy := c.busy[url]
 	c.mu.Unlock()
 	if capab != UplinkSMS || smsc == nil {
 		return ErrNoUplink
+	}
+	if busy && now.Before(retryAt) {
+		return ErrBusy
 	}
 	body := sms.FormatRequest(sms.Request{URL: url, Lat: c.cfg.Lat, Lon: c.cfg.Lon})
 	return smsc.Submit(now, c.cfg.Number, c.cfg.SonicNumber, body)

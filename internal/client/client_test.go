@@ -214,3 +214,30 @@ func TestAckUpdatesPending(t *testing.T) {
 		t.Error("pending not cleared by delivery")
 	}
 }
+
+// TestBusyHintGatesRequest pins the retry hint's window: after a BUSY
+// reply a request is refused until the reply's delivery time plus its
+// hint, and allowed from then on.
+func TestBusyHintGatesRequest(t *testing.T) {
+	smsc := sms.NewSMSC(time.Second, time.Second, 2)
+	c := New(Config{Number: "+user1", SonicNumber: "+SONIC", Capability: UplinkSMS})
+	c.AttachSMSC(smsc)
+	smsc.Register("+SONIC", func(m sms.Message) {
+		_ = smsc.Submit(m.DeliverAt, "+SONIC", "+user1", sms.FormatBusy("b.pk/", 30*time.Second))
+	})
+	now := time.Unix(0, 0)
+	if err := c.Request("b.pk/", now); err != nil {
+		t.Fatal(err)
+	}
+	smsc.Advance(now.Add(time.Second))
+	smsc.Advance(now.Add(2 * time.Second)) // BUSY delivered at 2 s: retry from 32 s
+	if err := c.Request("b.pk/", now.Add(31*time.Second)); err != ErrBusy {
+		t.Errorf("request inside the hint: err = %v, want ErrBusy", err)
+	}
+	if err := c.Request("c.pk/", now.Add(3*time.Second)); err != nil {
+		t.Errorf("another URL is not gated: %v", err)
+	}
+	if err := c.Request("b.pk/", now.Add(32*time.Second)); err != nil {
+		t.Errorf("request once the hint passed: %v", err)
+	}
+}

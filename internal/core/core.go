@@ -367,7 +367,7 @@ func (p *Pipeline) receiveFrames(parent *telemetry.Span, audio []float64) (frame
 // EncodeImageCells converts a raster into per-frame cells (§3.3's 1-px
 // partition scheme): each frame payload carries exactly one
 // independently decodable cell.
-func (p *Pipeline) EncodeImageCells(pageID uint16, img *imagecodec.Raster) ([]*frame.Frame, error) {
+func (p *Pipeline) EncodeImageCells(pageID uint16, img *imagecodec.Raster) ([]*frame.Frame, error) { //sonic:ignore deadcode ROADMAP 5(ii): kept for the cells-vs-strips chart
 	sp := p.tel.StartSpan("core.encode_cells")
 	defer sp.End()
 	cells, err := imagecodec.EncodeColumns(img, frame.PayloadSize)
@@ -395,13 +395,13 @@ func (p *Pipeline) EncodeImageCells(pageID uint16, img *imagecodec.Raster) ([]*f
 // arrived, interpolating missing pixels per §3.3. It returns the healed
 // image, the missing-pixel mask (before interpolation), and the pixel
 // loss rate.
-func DecodeImageCells(frames []*frame.Frame, w, h int) (*imagecodec.Raster, []bool, float64) {
+func DecodeImageCells(frames []*frame.Frame, w, h int) (*imagecodec.Raster, []bool, float64) { //sonic:ignore deadcode ROADMAP 5(ii): kept for the cells-vs-strips chart
 	return decodeImageCells(nil, frames, w, h)
 }
 
 // decodeImageCells is DecodeImageCells with per-stage spans scoped under
 // parent (nil-safe).
-func decodeImageCells(parent *telemetry.Span, frames []*frame.Frame, w, h int) (*imagecodec.Raster, []bool, float64) {
+func decodeImageCells(parent *telemetry.Span, frames []*frame.Frame, w, h int) (*imagecodec.Raster, []bool, float64) { //sonic:ignore deadcode ROADMAP 5(ii): kept for the cells-vs-strips chart
 	cellSp := parent.StartChild("cell_decode")
 	var cells []imagecodec.Cell
 	for _, f := range frames {
@@ -431,7 +431,7 @@ func decodeImageCells(parent *telemetry.Span, frames []*frame.Frame, w, h int) (
 
 // EncodeCellsAudio modulates a raster's cell frames (§3.3's resilient
 // transport) into one audio burst.
-func (p *Pipeline) EncodeCellsAudio(pageID uint16, img *imagecodec.Raster) ([]float64, error) {
+func (p *Pipeline) EncodeCellsAudio(pageID uint16, img *imagecodec.Raster) ([]float64, error) { //sonic:ignore deadcode ROADMAP 5(ii): kept for the cells-vs-strips chart
 	frames, err := p.EncodeImageCells(pageID, img)
 	if err != nil {
 		return nil, err
@@ -448,7 +448,7 @@ func (p *Pipeline) EncodeCellsAudio(pageID uint16, img *imagecodec.Raster) ([]fl
 // DecodeCellsAudio demodulates a cell-transport burst and reconstructs
 // the w×h image, interpolating whatever frames were lost. It returns the
 // healed image, the pixel loss rate, and the frame loss rate.
-func (p *Pipeline) DecodeCellsAudio(audio []float64, w, h int) (*imagecodec.Raster, float64, float64, error) {
+func (p *Pipeline) DecodeCellsAudio(audio []float64, w, h int) (*imagecodec.Raster, float64, float64, error) { //sonic:ignore deadcode ROADMAP 5(ii): kept for the cells-vs-strips chart
 	sp := p.tel.StartSpan("core.decode_cells")
 	defer sp.End()
 	frames, lost, _, err := p.receiveFrames(sp, audio)
@@ -467,7 +467,7 @@ func (p *Pipeline) DecodeCellsAudio(audio []float64, w, h int) (*imagecodec.Rast
 // the cell transport — typically an order of magnitude above
 // AirtimeSeconds of the compressed bitstream (the trade-off DESIGN.md
 // §5a quantifies).
-func (p *Pipeline) CellAirtimeSeconds(img *imagecodec.Raster) (float64, error) {
+func (p *Pipeline) CellAirtimeSeconds(img *imagecodec.Raster) (float64, error) { //sonic:ignore deadcode ROADMAP 5(ii): kept for the cells-vs-strips chart
 	cells, err := imagecodec.EncodeColumns(img, frame.PayloadSize)
 	if err != nil {
 		return 0, err

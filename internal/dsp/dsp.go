@@ -2,7 +2,7 @@
 // SONIC modem and FM substrates are built on: an in-place radix-2 FFT,
 // windowed-sinc FIR filter design and application, window functions,
 // cross-correlation, a polyphase-free linear resampler, and the Goertzel
-// single-bin DFT used by the FSK demodulator.
+// single-bin DFT the tests measure tones with.
 //
 // Everything operates on []float64 (real signals) or []complex128
 // (baseband/frequency-domain signals). The package has no dependencies
@@ -368,8 +368,8 @@ func ResampleInto(dst, x []float64, srcRate, dstRate float64) []float64 {
 }
 
 // Goertzel computes the magnitude of the DFT bin closest to targetHz for
-// the block x sampled at sampleRate. It is the standard single-bin
-// detector used by the FSK demodulator.
+// the block x sampled at sampleRate: the standard single-bin tone
+// detector.
 func Goertzel(x []float64, targetHz, sampleRate float64) float64 {
 	n := len(x)
 	if n == 0 {

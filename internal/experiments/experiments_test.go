@@ -159,6 +159,19 @@ func TestRateClaims(t *testing.T) {
 	}
 }
 
+// TestBaselineFSKRowPinned pins the §2 table's FSK row exactly, as
+// sonic-bench -exp baseline prints it: 7 framing bytes around 1024
+// payload bytes at 128 bps, plus one bit of silence either side.
+func TestBaselineFSKRowPinned(t *testing.T) {
+	r, err := RunBaseline(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Rows[0]; got.Seconds != 64.453125 || got.GoodputBps != 127.10012121212121 {
+		t.Errorf("FSK row = %.17g s, %.17g bps; want 64.453125 s, 127.10012121212121 bps", got.Seconds, got.GoodputBps)
+	}
+}
+
 func TestBaselineOrdering(t *testing.T) {
 	r, err := RunBaseline(1024)
 	if err != nil {

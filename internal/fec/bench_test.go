@@ -95,13 +95,13 @@ func BenchmarkViterbiSoftV29(b *testing.B) {
 func BenchmarkRS8Decode(b *testing.B) {
 	r := NewRS8()
 	rng := rand.New(rand.NewSource(43))
-	msg := make([]byte, 4*r.DataLen())
+	msg := make([]byte, 4*r.k)
 	rng.Read(msg)
 	enc := r.Encode(msg)
 	for cw := 0; cw < 4; cw++ {
-		base := cw * (r.DataLen() + r.ParityLen())
+		base := cw * (r.k + r.nroots)
 		for e := 0; e < 4; e++ {
-			enc[base+rng.Intn(r.DataLen())] ^= byte(1 + rng.Intn(255))
+			enc[base+rng.Intn(r.k)] ^= byte(1 + rng.Intn(255))
 		}
 	}
 	b.ReportAllocs()

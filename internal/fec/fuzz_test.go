@@ -38,7 +38,7 @@ func FuzzRSDecode(f *testing.F) {
 			if seed < 0 {
 				seed = -seed
 			}
-			n := rs.DataLen() + rs.ParityLen()
+			n := rs.k + rs.nroots
 			for e := 0; e < rs.MaxErrors(); e++ {
 				// One corruption per block, staying inside the first block.
 				pos := (seed + e*13) % min(n, len(enc))

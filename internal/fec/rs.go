@@ -111,12 +111,6 @@ func (r *RS) getWork() *rsWork {
 
 func (r *RS) putWork(ws *rsWork) { r.pool.Put(ws) }
 
-// DataLen returns the number of data symbols per codeword.
-func (r *RS) DataLen() int { return r.k }
-
-// ParityLen returns the number of parity symbols per codeword.
-func (r *RS) ParityLen() int { return r.nroots }
-
 // MaxErrors returns the number of symbol errors correctable per codeword.
 func (r *RS) MaxErrors() int { return r.nroots / 2 }
 

@@ -49,9 +49,9 @@ func TestNewRSValidation(t *testing.T) {
 
 func TestRS8Geometry(t *testing.T) {
 	rs := NewRS8()
-	if rs.DataLen() != 223 || rs.ParityLen() != 32 || rs.MaxErrors() != 16 {
+	if rs.k != 223 || rs.nroots != 32 || rs.MaxErrors() != 16 {
 		t.Errorf("rs8 geometry wrong: k=%d parity=%d t=%d",
-			rs.DataLen(), rs.ParityLen(), rs.MaxErrors())
+			rs.k, rs.nroots, rs.MaxErrors())
 	}
 }
 

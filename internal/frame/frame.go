@@ -161,30 +161,13 @@ func (c *Codec) EncodeFrame(f *Frame) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeFrame reverses EncodeFrame, correcting channel errors where the
-// FEC stack allows. A non-nil error means the frame is lost.
-func (c *Codec) DecodeFrame(coded []byte) (*Frame, error) {
-	ws := c.getWorkspace()
-	defer c.putWorkspace(ws)
-	return c.decodeFrame(ws, coded)
-}
-
-// DecodeFrameSoft is DecodeFrame on per-bit soft metrics (positive =
-// bit 1), len(soft) == CodedFrameSize()*8. The inner code decodes with
-// soft-decision Viterbi; the outer RS stage and CRC remain hard. Soft
-// decisions only help the inner code, so a codec without one refuses
-// them.
-func (c *Codec) DecodeFrameSoft(soft []float64) (*Frame, error) {
-	ws := c.getWorkspace()
-	defer c.putWorkspace(ws)
-	return c.decodeFrameSoft(ws, soft)
-}
-
-// errNoInnerCode is DecodeFrameSoft's error on a codec without an inner
+// errNoInnerCode is decodeFrameSoft's error on a codec without an inner
 // code.
 var errNoInnerCode = errors.New("frame: soft decisions need an inner code")
 
-// decodeFrame is DecodeFrame on the caller's inner-code workspace.
+// decodeFrame reverses EncodeFrame on the caller's inner-code workspace,
+// correcting channel errors where the FEC stack allows. A non-nil error
+// means the frame is lost.
 func (c *Codec) decodeFrame(ws *fec.Workspace, coded []byte) (*Frame, error) {
 	if len(coded) != c.codedLen {
 		return nil, ErrBadLength
@@ -195,8 +178,11 @@ func (c *Codec) decodeFrame(ws *fec.Workspace, coded []byte) (*Frame, error) {
 	return c.decodeTail(ws.Decode(coded, c.codedBits))
 }
 
-// decodeFrameSoft is DecodeFrameSoft on the caller's inner-code
-// workspace.
+// decodeFrameSoft is decodeFrame on per-bit soft metrics (positive =
+// bit 1), len(soft) == CodedFrameSize()*8. The inner code decodes with
+// soft-decision Viterbi; the outer RS stage and CRC remain hard. Soft
+// decisions only help the inner code, so a codec without one refuses
+// them.
 func (c *Codec) decodeFrameSoft(ws *fec.Workspace, soft []float64) (*Frame, error) {
 	if len(soft) != c.codedLen*8 {
 		return nil, ErrBadLength
@@ -251,7 +237,7 @@ func (c *Codec) DecodeStream(stream []byte) (frames []*Frame, lost int) {
 }
 
 // DecodeStreamSoft is DecodeStream on a soft-metric stream, 8 metrics per
-// coded byte, each frame decoded as DecodeFrameSoft does.
+// coded byte, each frame decoded as decodeFrameSoft does.
 func (c *Codec) DecodeStreamSoft(soft []float64) (frames []*Frame, lost int) {
 	n := c.codedLen * 8
 	return c.decodeStream(len(soft)/n, func(ws *fec.Workspace, i int) (*Frame, error) {

@@ -65,7 +65,7 @@ func TestCodecCleanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.DecodeFrame(coded)
+	got, err := decodeOne(c, coded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCodecCorrectsBitErrors(t *testing.T) {
 	if flips == 0 {
 		t.Skip("no flips")
 	}
-	got, err := c.DecodeFrame(corrupted)
+	got, err := decodeOne(c, corrupted)
 	if err != nil {
 		t.Fatalf("decode after %d bit flips: %v", flips, err)
 	}
@@ -118,7 +118,7 @@ func TestCodecDetectsHeavyCorruption(t *testing.T) {
 				corrupted[i] = byte(rng.Intn(256))
 			}
 		}
-		got, err := c.DecodeFrame(corrupted)
+		got, err := decodeOne(c, corrupted)
 		if err != nil || !bytes.Equal(got.Payload, f.Payload) {
 			lostOrWrong++
 		}
@@ -224,7 +224,7 @@ func TestStreamRoundTripWithLostFrames(t *testing.T) {
 // frame loop went parallel, kept verbatim as the parity reference.
 func refDecodeStream(c *Codec, stream []byte) (frames []*Frame, lost int) {
 	for off := 0; off+c.codedLen <= len(stream); off += c.codedLen {
-		f, err := c.DecodeFrame(stream[off : off+c.codedLen])
+		f, err := decodeOne(c, stream[off:off+c.codedLen])
 		if err != nil {
 			lost++
 			continue
@@ -240,7 +240,7 @@ func refDecodeStream(c *Codec, stream []byte) (frames []*Frame, lost int) {
 func refDecodeStreamSoft(c *Codec, soft []float64) (frames []*Frame, lost int) {
 	chunk := c.codedLen * 8
 	for off := 0; off+chunk <= len(soft); off += chunk {
-		f, err := c.DecodeFrameSoft(soft[off : off+chunk])
+		f, err := decodeOneSoft(c, soft[off:off+chunk])
 		if err != nil {
 			lost++
 			continue
@@ -343,7 +343,7 @@ func TestDecodeStreamParityAcrossGOMAXPROCS(t *testing.T) {
 // inner-code workspace that is not put back shows up as the objects of a
 // fresh one. testing.AllocsPerRun pins GOMAXPROCS to 1, so the stream
 // decodes as one chunk with one workspace. The bounds are the counts
-// measured on a 2-vCPU host (DecodeFrame 3, DecodeStream of 64 frames
+// measured on a 2-vCPU host (decodeFrame 3, DecodeStream of 64 frames
 // 195, on 40 samples of 40) plus one.
 func TestCodecDecodeAllocs(t *testing.T) {
 	if raceEnabled {
@@ -364,8 +364,8 @@ func TestCodecDecodeAllocs(t *testing.T) {
 		max  float64
 		fn   func()
 	}{
-		{"DecodeFrame", 4, func() {
-			if _, err := c.DecodeFrame(one); err != nil {
+		{"decodeFrame", 4, func() {
+			if _, err := decodeOne(c, one); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -395,7 +395,7 @@ func TestCodecAblationVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.DecodeFrame(coded)
+		got, err := decodeOne(c, coded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,6 +440,21 @@ func BenchmarkCodecEncodeFrame(b *testing.B) {
 	}
 }
 
+// decodeOne decodes one coded frame on a pooled workspace, as each
+// DecodeStream worker does.
+func decodeOne(c *Codec, coded []byte) (*Frame, error) {
+	ws := c.getWorkspace()
+	defer c.putWorkspace(ws)
+	return c.decodeFrame(ws, coded)
+}
+
+// decodeOneSoft is decodeOne on per-bit soft metrics.
+func decodeOneSoft(c *Codec, soft []float64) (*Frame, error) {
+	ws := c.getWorkspace()
+	defer c.putWorkspace(ws)
+	return c.decodeFrameSoft(ws, soft)
+}
+
 func BenchmarkCodecDecodeFrame(b *testing.B) {
 	c := NewCodec()
 	f := &Frame{PageID: 1, Seq: 1, Total: 10, Payload: make([]byte, PayloadSize)}
@@ -448,7 +463,7 @@ func BenchmarkCodecDecodeFrame(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DecodeFrame(coded); err != nil {
+		if _, err := decodeOne(c, coded); err != nil {
 			b.Fatal(err)
 		}
 	}

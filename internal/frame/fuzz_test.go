@@ -23,7 +23,7 @@ func fuzzMetric(b byte) float64 {
 
 // FuzzFrameDecode throws arbitrary bytes at the frame ingestion paths a
 // receiver exposes to the airwaves: raw Unmarshal, the full FEC-coded
-// DecodeFrame, and its soft-metric twin DecodeFrameSoft. None may panic
+// decodeFrame, and its soft-metric twin decodeFrameSoft. None may panic
 // on any input or return a nil frame without an error, anything
 // Unmarshal accepts must survive a Marshal round-trip, and a payload
 // pushed through the whole encode/decode chain, as bytes or as clean ±1
@@ -59,8 +59,8 @@ func FuzzFrameDecode(f *testing.F) {
 
 		// FEC-coded form: arbitrary garbage (right-sized or not) must
 		// come back as an error or a valid frame, never a panic.
-		if fr, err := codec.DecodeFrame(data); err == nil && fr == nil {
-			t.Fatal("DecodeFrame returned nil frame with nil error")
+		if fr, err := decodeOne(codec, data); err == nil && fr == nil {
+			t.Fatal("decodeFrame returned nil frame with nil error")
 		}
 
 		// Full chain: the fuzz input as payload must survive
@@ -74,9 +74,9 @@ func FuzzFrameDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("EncodeFrame(%d-byte payload): %v", len(payload), err)
 		}
-		got, err := codec.DecodeFrame(coded)
+		got, err := decodeOne(codec, coded)
 		if err != nil {
-			t.Fatalf("DecodeFrame of clean coded frame: %v", err)
+			t.Fatalf("decodeFrame of clean coded frame: %v", err)
 		}
 		if !bytes.Equal(got.Payload, payload) {
 			t.Fatalf("payload changed through codec: %q vs %q", payload, got.Payload)
@@ -90,8 +90,8 @@ func FuzzFrameDecode(f *testing.F) {
 		for i, b := range data {
 			hostile[i] = fuzzMetric(b)
 		}
-		if fr, err := codec.DecodeFrameSoft(hostile); err == nil && fr == nil {
-			t.Fatal("DecodeFrameSoft returned nil frame with nil error")
+		if fr, err := decodeOneSoft(codec, hostile); err == nil && fr == nil {
+			t.Fatal("decodeFrameSoft returned nil frame with nil error")
 		}
 		soft := make([]float64, 8*len(coded))
 		for i := range soft {
@@ -99,12 +99,12 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		mixed := append([]float64(nil), soft...)
 		copy(mixed, hostile)
-		if fr, err := codec.DecodeFrameSoft(mixed); err == nil && fr == nil {
-			t.Fatal("DecodeFrameSoft returned nil frame with nil error")
+		if fr, err := decodeOneSoft(codec, mixed); err == nil && fr == nil {
+			t.Fatal("decodeFrameSoft returned nil frame with nil error")
 		}
-		got, err = codec.DecodeFrameSoft(soft)
+		got, err = decodeOneSoft(codec, soft)
 		if err != nil {
-			t.Fatalf("DecodeFrameSoft of clean ±1 metrics: %v", err)
+			t.Fatalf("decodeFrameSoft of clean ±1 metrics: %v", err)
 		}
 		if !bytes.Equal(got.Payload, payload) {
 			t.Fatalf("payload changed through the soft path: %q vs %q", payload, got.Payload)

@@ -1,8 +1,8 @@
 // Package modem implements SONIC's physical layer: an OFDM modem modeled
 // on the Quiet library's "audible-7k-channel" profile, extended to the
-// paper's 92-subcarrier configuration centered at 9.2 kHz (§3.3), plus a
-// slow FSK modem representing the GGwave class of data-over-sound tools
-// used as a related-work baseline (§2).
+// paper's 92-subcarrier configuration centered at 9.2 kHz (§3.3), plus
+// the rate model of a slow FSK modem representing the GGwave class of
+// data-over-sound tools, the related-work baseline of §2.
 package modem
 
 import (

@@ -1,168 +1,29 @@
 package modem
 
-import (
-	"errors"
-	"math"
-
-	"sonic/internal/dsp"
-	"sonic/internal/fec"
-)
-
-// FSK is a binary frequency-shift-keying modem in the GGwave class of
-// data-over-sound tools (§2 of the paper: FSK-based, up to ~128 bps over
-// short distances). It exists as the related-work baseline that the
-// paper's OFDM profile is compared against.
+// FSK is the rate model of a binary frequency-shift-keying modem in the
+// GGwave class of data-over-sound tools (§2 of the paper: FSK-based, up
+// to ~128 bps over short distances). The related-work comparison needs
+// only how long such a modem holds the air for a payload, so that is all
+// it computes; nothing airs an FSK waveform.
 type FSK struct {
 	SampleRate int
-	MarkHz     float64 // frequency for bit 1
-	SpaceHz    float64 // frequency for bit 0
 	BitRate    float64 // bits per second
-	Amplitude  float64
 }
 
 // NewFSK128 returns a GGwave-like profile: 128 bps binary FSK in the
 // audible band.
-func NewFSK128() *FSK { //sonic:ignore equivpin alternative waveform, never optimized; functional tests cover it
-	return &FSK{
-		SampleRate: 48000,
-		MarkHz:     3000,
-		SpaceHz:    2000,
-		BitRate:    128,
-		Amplitude:  0.7,
-	}
+func NewFSK128() *FSK { //sonic:ignore equivpin rate model, no kernel to pin
+	return &FSK{SampleRate: 48000, BitRate: 128}
 }
 
-// fskPreamble is a fixed sync byte pattern: 0xAA (alternating) twice for
-// clock acquisition followed by 0x7E as the start-of-frame mark.
-var fskPreamble = []byte{0xAA, 0xAA, 0x7E}
+// fskOverheadBytes is the framing around a payload: a three-byte sync
+// preamble (0xAA 0xAA 0x7E), a two-byte length and a CRC-16.
+const fskOverheadBytes = 3 + 2 + 2
 
-// samplesPerBit returns the (integer) samples per bit.
-func (f *FSK) samplesPerBit() int {
-	return int(float64(f.SampleRate) / f.BitRate)
-}
-
-// Modulate encodes payload as [preamble][len:2][payload][crc16:2] with
-// each bit a mark/space tone burst, returning audio samples.
-func (f *FSK) Modulate(payload []byte) []float64 {
-	frame := make([]byte, 0, len(fskPreamble)+4+len(payload))
-	frame = append(frame, fskPreamble...)
-	frame = append(frame, byte(len(payload)>>8), byte(len(payload)))
-	frame = append(frame, payload...)
-	crc := fec.Checksum16(payload)
-	frame = append(frame, byte(crc>>8), byte(crc))
-
-	bits := fec.BytesToBits(frame)
-	spb := f.samplesPerBit()
-	out := make([]float64, 0, len(bits)*spb+2*spb)
-	out = append(out, make([]float64, spb)...) // leading silence
-	var phase float64
-	for _, b := range bits {
-		hz := f.SpaceHz
-		if b&1 == 1 {
-			hz = f.MarkHz
-		}
-		inc := 2 * math.Pi * hz / float64(f.SampleRate)
-		for i := 0; i < spb; i++ {
-			out = append(out, f.Amplitude*math.Sin(phase))
-			phase += inc
-			if phase > 2*math.Pi {
-				phase -= 2 * math.Pi
-			}
-		}
-	}
-	out = append(out, make([]float64, spb)...) // trailing silence
-	return out
-}
-
-// Errors returned by FSK Demodulate.
-var (
-	ErrFSKNoSync = errors.New("modem: fsk sync not found")
-	ErrFSKCRC    = errors.New("modem: fsk payload CRC mismatch")
-)
-
-// Demodulate recovers a payload from audio produced by Modulate, possibly
-// with noise and an unknown sample offset.
-func (f *FSK) Demodulate(samples []float64) ([]byte, error) {
-	spb := f.samplesPerBit()
-	if len(samples) < spb*len(fskPreamble)*8 {
-		return nil, ErrFSKNoSync
-	}
-	// Decide bits at a candidate offset using Goertzel energy comparison.
-	bitAt := func(off int) byte {
-		w := samples[off : off+spb]
-		if dsp.Goertzel(w, f.MarkHz, float64(f.SampleRate)) >
-			dsp.Goertzel(w, f.SpaceHz, float64(f.SampleRate)) {
-			return 1
-		}
-		return 0
-	}
-	preBits := fec.BytesToBits(fskPreamble)
-	// Coarse+fine search for the preamble alignment.
-	bestOff := -1
-	step := spb / 8
-	if step < 1 {
-		step = 1
-	}
-	for off := 0; off+len(preBits)*spb+spb <= len(samples); off += step {
-		match := 0
-		for i, pb := range preBits {
-			if bitAt(off+i*spb) == pb {
-				match++
-			}
-		}
-		if match == len(preBits) {
-			bestOff = off
-			break
-		}
-	}
-	if bestOff < 0 {
-		return nil, ErrFSKNoSync
-	}
-	pos := bestOff + len(preBits)*spb
-	readByte := func() (byte, bool) {
-		if pos+8*spb > len(samples) {
-			return 0, false
-		}
-		var b byte
-		for i := 0; i < 8; i++ {
-			b = b<<1 | bitAt(pos)
-			pos += spb
-		}
-		return b, true
-	}
-	hi, ok1 := readByte()
-	lo, ok2 := readByte()
-	if !ok1 || !ok2 {
-		return nil, ErrFSKNoSync
-	}
-	n := int(hi)<<8 | int(lo)
-	if n > 1<<16 {
-		return nil, ErrFSKNoSync
-	}
-	payload := make([]byte, 0, n)
-	for i := 0; i < n; i++ {
-		b, ok := readByte()
-		if !ok {
-			return nil, ErrFSKNoSync
-		}
-		payload = append(payload, b)
-	}
-	c1, ok1 := readByte()
-	c2, ok2 := readByte()
-	if !ok1 || !ok2 {
-		return nil, ErrFSKNoSync
-	}
-	if !fec.Verify16(payload, uint16(c1)<<8|uint16(c2)) {
-		return nil, ErrFSKCRC
-	}
-	return payload, nil
-}
-
-// RawBitRate returns the modem bit rate (before framing overhead).
-func (f *FSK) RawBitRate() float64 { return f.BitRate }
-
-// BurstDuration returns the on-air seconds needed for n payload bytes.
+// BurstDuration returns the on-air seconds needed for n payload bytes:
+// the framed bits plus one bit (in whole samples) of silence either side.
 func (f *FSK) BurstDuration(n int) float64 {
-	bits := (len(fskPreamble) + 4 + n) * 8
-	return float64(bits)/f.BitRate + 2*float64(f.samplesPerBit())/float64(f.SampleRate)
+	bits := (fskOverheadBytes + n) * 8
+	samplesPerBit := int(float64(f.SampleRate) / f.BitRate)
+	return float64(bits)/f.BitRate + 2*float64(samplesPerBit)/float64(f.SampleRate)
 }

@@ -1,73 +1,6 @@
 package modem
 
-import (
-	"bytes"
-	"math/rand"
-	"testing"
-)
-
-func TestFSKCleanRoundTrip(t *testing.T) {
-	f := NewFSK128()
-	for _, payload := range [][]byte{
-		[]byte("hi"),
-		[]byte("SONIC baseline modem test payload"),
-		{0x00, 0xFF, 0xAA, 0x55},
-		{},
-	} {
-		audio := f.Modulate(payload)
-		got, err := f.Demodulate(audio)
-		if err != nil {
-			t.Fatalf("payload %q: %v", payload, err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("payload %q: got %q", payload, got)
-		}
-	}
-}
-
-func TestFSKWithOffsetAndNoise(t *testing.T) {
-	f := NewFSK128()
-	payload := []byte("noisy")
-	audio := f.Modulate(payload)
-	rng := rand.New(rand.NewSource(1))
-	pre := make([]float64, 5000)
-	for i := range pre {
-		pre[i] = 0.01 * rng.NormFloat64()
-	}
-	stream := append(pre, addAWGN(audio, 20, 2)...)
-	got, err := f.Demodulate(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestFSKRejectsSilence(t *testing.T) {
-	f := NewFSK128()
-	if _, err := f.Demodulate(make([]float64, 48000)); err == nil {
-		t.Error("silence should not demodulate")
-	}
-	if _, err := f.Demodulate(nil); err == nil {
-		t.Error("empty input should not demodulate")
-	}
-}
-
-func TestFSKDetectsCorruption(t *testing.T) {
-	f := NewFSK128()
-	payload := []byte("integrity-protected payload bytes")
-	audio := f.Modulate(payload)
-	// Zero out a chunk of payload audio (mid-burst dropout).
-	mid := len(audio) / 2
-	for i := mid; i < mid+f.samplesPerBit()*16; i++ {
-		audio[i] = 0
-	}
-	_, err := f.Demodulate(audio)
-	if err == nil {
-		t.Error("corrupted burst should fail CRC or sync")
-	}
-}
+import "testing"
 
 func TestFSKMuchSlowerThanOFDM(t *testing.T) {
 	// The related-work comparison (§2): the GGwave-class FSK baseline is
@@ -80,18 +13,7 @@ func TestFSKMuchSlowerThanOFDM(t *testing.T) {
 	if fskTime < 10*ofdmTime {
 		t.Errorf("FSK %gs vs OFDM %gs: expected >=10x gap", fskTime, ofdmTime)
 	}
-	if f.RawBitRate() != 128 {
-		t.Errorf("FSK rate = %g", f.RawBitRate())
-	}
-}
-
-func BenchmarkFSKModulate100B(b *testing.B) {
-	f := NewFSK128()
-	payload := make([]byte, 100)
-	b.SetBytes(100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Modulate(payload)
+	if f.BitRate != 128 {
+		t.Errorf("FSK rate = %g", f.BitRate)
 	}
 }

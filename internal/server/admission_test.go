@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sonic/internal/admission"
+	"sonic/internal/client"
 	"sonic/internal/core"
 	"sonic/internal/corpus"
 	"sonic/internal/sms"
@@ -215,6 +216,47 @@ func TestAdmissionBackpressure(t *testing.T) {
 	s.FlushAdmission()
 	if _, err := s.EnqueuePage("after.example/", 24.87, 67.01, t0.Add(time.Minute)); err != nil {
 		t.Errorf("post-flush admit rejected: %v", err)
+	}
+}
+
+// TestClientHonoursBusy closes the BUSY loop end to end: a phone whose
+// request met a saturated shard records the reply's retry hint, and a
+// re-send before the hint is refused without a second SMS (the SMSC
+// queue does not grow). A later QUEUED ack for the URL lifts the hint.
+func TestClientHonoursBusy(t *testing.T) {
+	s := admissionServer(t, admission.Config{MaxBatch: 1 << 20, MaxPending: 1, RetryAfter: 30 * time.Second})
+	smsc := sms.NewSMSC(time.Second, time.Second, 1)
+	smsc.Register(s.cfg.Number, s.HandleSMS(smsc))
+	c := client.New(client.Config{Number: "+user", SonicNumber: s.cfg.Number, Lat: 24.87, Lon: 67.0, Capability: client.UplinkSMS})
+	c.AttachSMSC(smsc)
+
+	t0 := time.Unix(0, 0)
+	if _, err := s.EnqueuePage("full.example/", 24.87, 67.01, t0); err != nil {
+		t.Fatal(err) // fills the one slot
+	}
+	const url = "busy.example/"
+	if err := c.Request(url, t0); err != nil {
+		t.Fatal(err)
+	}
+	smsc.Advance(t0.Add(time.Second))     // the server answers BUSY
+	smsc.Advance(t0.Add(2 * time.Second)) // the phone reads it
+	if err := c.Request(url, t0.Add(3*time.Second)); !errors.Is(err, client.ErrBusy) {
+		t.Fatalf("retry inside the hint: err = %v, want ErrBusy", err)
+	}
+	if n := smsc.Pending(); n != 0 {
+		t.Fatalf("refused retry queued %d SMS", n)
+	}
+
+	s.FlushAdmission()
+	if err := smsc.Submit(t0.Add(3*time.Second), s.cfg.Number, "+user", sms.FormatAck(url, time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	smsc.Advance(t0.Add(4 * time.Second))
+	if err := c.Request(url, t0.Add(5*time.Second)); err != nil {
+		t.Fatalf("retry after a QUEUED ack: %v", err)
+	}
+	if n := smsc.Pending(); n != 1 {
+		t.Fatalf("SMSC holds %d messages after the allowed retry, want 1", n)
 	}
 }
 

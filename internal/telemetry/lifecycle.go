@@ -255,22 +255,6 @@ type Trace struct {
 	evicted bool // removed from the URL index (delivered/aborted/evicted)
 }
 
-// ID returns the trace ID ("" on nil).
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
-// URL returns the traced request's URL ("" on nil).
-func (t *Trace) URL() string {
-	if t == nil {
-		return ""
-	}
-	return t.url
-}
-
 // StampAt records stage at an explicit time: it appends a structured
 // event, observes the wait since the previous stamped stage (clamped at
 // zero), and — on on_air_done and delivered — observes the end-to-end

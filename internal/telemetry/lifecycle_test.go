@@ -56,7 +56,7 @@ func TestLifecycleStampsAndHistograms(t *testing.T) {
 	}
 
 	// The ring reconstructs the timeline in stage order.
-	events := lc.Ring().Events(tr.ID())
+	events := lc.Ring().Events(tr.id)
 	if len(events) != 8 {
 		t.Fatalf("ring has %d events for the trace, want 8: %+v", len(events), events)
 	}
@@ -136,7 +136,7 @@ func TestLifecycleAbort(t *testing.T) {
 	if got := snap.Counters["lifecycle_aborted_total"]; got != 1 {
 		t.Errorf("aborted = %d, want 1", got)
 	}
-	events := lc.Ring().Events(tr.ID())
+	events := lc.Ring().Events(tr.id)
 	if len(events) != 2 || events[1].Detail != "no coverage" {
 		t.Fatalf("abort events = %+v", events)
 	}
@@ -173,7 +173,7 @@ func TestLifecycleNilSafe(t *testing.T) {
 	tr.StampAt(StageEnqueued, time.Unix(1, 0))
 	tr.Abort(time.Unix(2, 0), "x")
 	lc.DeliveredAt("a.pk/", time.Unix(3, 0))
-	if lc.Ring() != nil || tr.ID() != "" || tr.URL() != "" {
+	if lc.Ring() != nil {
 		t.Fatal("nil handles not inert")
 	}
 	var reg *Registry
@@ -255,7 +255,7 @@ func TestOpenTracesGaugeAtQuiescence(t *testing.T) {
 				// Odd rounds close the trace the worker opened last round,
 				// by delivery confirmation or by abort.
 				if w%2 == 0 {
-					lc.DeliveredAt(prev[w].URL(), t0.Add(time.Second))
+					lc.DeliveredAt(prev[w].url, t0.Add(time.Second))
 				} else {
 					prev[w].Abort(t0.Add(time.Second), "test")
 				}
@@ -302,15 +302,15 @@ func TestTraceEndpoint(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	code, body := get("/trace/" + tr.ID())
+	code, body := get("/trace/" + tr.id)
 	if code != 200 {
-		t.Fatalf("GET /trace/%s = %d: %s", tr.ID(), code, body)
+		t.Fatalf("GET /trace/%s = %d: %s", tr.id, code, body)
 	}
 	var view TraceView
 	if err := json.Unmarshal([]byte(body), &view); err != nil {
 		t.Fatal(err)
 	}
-	if view.Trace != tr.ID() || view.URL != "a.pk/" || view.LastStage != "on_air_done" {
+	if view.Trace != tr.id || view.URL != "a.pk/" || view.LastStage != "on_air_done" {
 		t.Errorf("view = %+v", view)
 	}
 	if view.TotalSeconds != 120 {
@@ -327,7 +327,7 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Errorf("bare /trace/ = %d, want 404", code)
 	}
 
-	code, body = get("/events.json?trace=" + tr.ID())
+	code, body = get("/events.json?trace=" + tr.id)
 	if code != 200 {
 		t.Fatalf("events.json = %d", code)
 	}

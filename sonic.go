@@ -33,12 +33,10 @@ import (
 	"sonic/internal/broadcast"
 	"sonic/internal/client"
 	"sonic/internal/core"
-	"sonic/internal/corpus"
 	"sonic/internal/fm"
 	"sonic/internal/imagecodec"
 	"sonic/internal/server"
 	"sonic/internal/sms"
-	"sonic/internal/userstudy"
 	"sonic/internal/webrender"
 )
 
@@ -50,8 +48,6 @@ type (
 	Config = core.Config
 	// Bundle is the broadcast unit: encoded page image + click map.
 	Bundle = core.Bundle
-	// ReceiveResult summarizes one received transmission.
-	ReceiveResult = core.ReceiveResult
 )
 
 // Channel simulation types.
@@ -82,8 +78,6 @@ type (
 	Rendered = webrender.Rendered
 	// Page is a synthetic webpage model.
 	Page = webrender.Page
-	// PageRef identifies a corpus page.
-	PageRef = corpus.PageRef
 )
 
 // Client capability levels (the paper's user classes A/B vs C).
@@ -164,10 +158,6 @@ type (
 	BacklogConfig = broadcast.Config
 	// BacklogResult is a finished backlog run.
 	BacklogResult = broadcast.Result
-	// StudyCondition is one user-study cell (loss rate x interpolation).
-	StudyCondition = userstudy.Condition
-	// StudyResult aggregates the simulated rating panel.
-	StudyResult = userstudy.StudyResult
 )
 
 // SimulateBacklog runs the Fig. 4(c) model.

@@ -1,10 +1,13 @@
 package sonic
 
 import (
+	"bytes"
 	"math"
 	"slices"
 	"testing"
 	"time"
+
+	"sonic/internal/audio"
 )
 
 // TestPublicAPIQuickstart exercises the documented quickstart flow end
@@ -40,6 +43,43 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	if img.W != rendered.Image.W || img.H != 600 {
 		t.Errorf("decoded %dx%d", img.W, img.H)
+	}
+}
+
+// TestWAVHardwarePath is the path a real transmitter and receiver take
+// (sonic-server -emit, then sonic-client): a whole rendered page encoded
+// to audio, written as a 16-bit WAV, read back and decoded. The int16
+// quantization is the only channel, and it must cost no frame.
+func TestWAVHardwarePath(t *testing.T) {
+	pipe, err := NewPipeline(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := BundlePage(RenderPage(GeneratePage("khabar.pk/", 9)), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := pipe.EncodePageAudio(1, bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wav bytes.Buffer
+	if err := audio.WriteWAV(&wav, &audio.Buffer{Rate: 48000, Samples: samples}); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := audio.ReadWAV(&wav)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pipe.DecodePageAudio(buf.Samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete || res.FramesLost != 0 {
+		t.Fatalf("lost %d of %d frames through the WAV", res.FramesLost, res.FramesTotal)
+	}
+	if !bytes.Equal(res.Bundle.Image, bundle.Image) || !bytes.Equal(res.Bundle.ClickMap, bundle.ClickMap) {
+		t.Error("bundle read back from the WAV differs from the one encoded")
 	}
 }
 
