@@ -1,8 +1,8 @@
 // Command sonic-vet runs the project-invariant analyzers over the
-// repository: span End() discipline, the off-mutex kernel rule,
-// equivalence-test pinning, the no-global-rand rule, and dead code. It
-// exits 1 when any unsuppressed finding is reported and 2 on load
-// errors, so check.sh can gate on it exactly like go vet.
+// repository: the off-mutex kernel rule, equivalence-test pinning, the
+// no-global-rand rule, and dead code. It exits 1 when any unsuppressed
+// finding is reported and 2 on load errors, so check.sh can gate on it
+// exactly like go vet.
 //
 // Usage:
 //

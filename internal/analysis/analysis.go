@@ -6,13 +6,11 @@
 // stays only while it catches a planted defect no test catches (DESIGN
 // §5d has the ledger):
 //
-//   - spanend: every telemetry StartSpan/StartChild result is End()-ed
-//     on all control-flow paths (PR 1's span discipline);
 //   - lockscope: no kernel calls (webrender/imagecodec/fm/modem) or
 //     blocking I/O while a struct mutex is held (PR 5's off-mutex render
 //     discipline);
 //   - equivpin: every exported function of a package with a
-//     *_equiv_test.go is referenced from an equivalence/parity test, so
+//     *_equiv_test.go is reached from an equivalence/parity test, so
 //     new kernels cannot dodge the byte-identical pin;
 //   - globalrand: non-test code never draws from math/rand's global
 //     source, keeping parity and equivalence runs deterministic;
@@ -90,7 +88,7 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 
 // All returns every registered analyzer, in report order.
 func All() []*Analyzer {
-	return []*Analyzer{SpanEnd, LockScope, EquivPin, GlobalRand, DeadCode}
+	return []*Analyzer{LockScope, EquivPin, GlobalRand, DeadCode}
 }
 
 // sortFindings orders findings by file, line, analyzer, message for
@@ -113,7 +111,7 @@ func sortFindings(fs []Finding) {
 
 // funcsOf yields every function body of the package's non-test files:
 // declared functions and methods plus every function literal. Nested
-// literals are yielded on their own so flow analyses stay per-body.
+// literals are yielded on their own so each check stays per-body.
 func funcsOf(files []*ast.File, fn func(body *ast.BlockStmt)) {
 	for _, f := range files {
 		for _, d := range f.Decls {

@@ -30,15 +30,13 @@ func renderResult(res *Result) string {
 }
 
 // TestAnalyzerGolden runs each analyzer over its positive (bad) and
-// negative (ok) fixture package and compares against the fixture's
-// expect.txt. Run with -update to regenerate the goldens.
+// negative (ok) fixture package, with any packages under it, and
+// compares against the fixture's expect.txt. Run with -update to regenerate the goldens.
 func TestAnalyzerGolden(t *testing.T) {
 	cases := []struct {
 		analyzer *Analyzer
 		fixture  string
 	}{
-		{SpanEnd, "spanend_bad"},
-		{SpanEnd, "spanend_ok"},
 		{LockScope, "lockscope_bad"},
 		{LockScope, "lockscope_ok"},
 		{EquivPin, "equivpin_bad"},
@@ -56,7 +54,11 @@ func TestAnalyzerGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
-			res, err := Run(l, []*Analyzer{tc.analyzer}, []string{fixturePrefix + tc.fixture})
+			dirs, err := l.ExpandPatterns([]string{fixturePrefix + tc.fixture + "/..."})
+			if err != nil {
+				t.Fatalf("ExpandPatterns: %v", err)
+			}
+			res, err := Run(l, []*Analyzer{tc.analyzer}, dirs)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}

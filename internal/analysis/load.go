@@ -25,6 +25,8 @@ type Package struct {
 
 	Types *types.Package
 	Info  *types.Info
+
+	tests *types.Info // testInfo's result, once asked for
 }
 
 // Loader parses and type-checks packages of one module using only the
@@ -192,12 +194,15 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 // own files and returns what their identifiers resolve to: a second
 // check of the same syntax, so a declaration of pkg resolves to a new
 // object at the same position. Errors are dropped, an external _test
-// package's files among them; what does resolve still counts.
+// package's files among them; what does resolve still counts. The
+// check runs once per package, however many analyzers ask.
 func (l *Loader) testInfo(pkg *Package) *types.Info {
-	info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
-	conf := types.Config{Importer: l, Error: func(error) {}}
-	conf.Check(pkg.Path, l.Fset, append(pkg.Files[:len(pkg.Files):len(pkg.Files)], pkg.TestFiles...), info)
-	return info
+	if pkg.tests == nil {
+		pkg.tests = &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+		conf := types.Config{Importer: l, Error: func(error) {}}
+		conf.Check(pkg.Path, l.Fset, append(pkg.Files[:len(pkg.Files):len(pkg.Files)], pkg.TestFiles...), pkg.tests)
+	}
+	return pkg.tests
 }
 
 // ExpandPatterns resolves command-line package patterns ("./...",

@@ -14,8 +14,8 @@ import (
 // (time.Sleep, net dials/reads, os file ops, os/exec, net/http). The
 // mutexes protect queue and cache metadata; render and encode work
 // belongs on the pool outside the critical section. Package-local
-// helpers are followed transitively, so hiding a kernel call one hop
-// away still trips the check.
+// helpers, and the closures they pass on, are followed transitively,
+// so hiding a kernel call one hop away still trips the check.
 var LockScope = &Analyzer{Name: "lockscope", Run: perPackage(runLockScope)}
 
 // kernelPkgBases are the package basenames whose calls are forbidden
@@ -183,7 +183,10 @@ func runLockScope(pass *Pass) {
 }
 
 // reach returns how fn (a package-local function) reaches a forbidden
-// call, if it does, following local calls transitively.
+// call, if it does, following local calls transitively. A closure fn
+// builds counts as fn's own code: handed to a cache's fill-on-miss or
+// any other callee, it runs before the call returns. Only a go
+// statement's work runs off the caller's lock.
 func (ls *lockScope) reach(fn *types.Func) (string, bool) {
 	if desc, ok := ls.localBad[fn]; ok {
 		return desc, desc != ""
@@ -204,7 +207,7 @@ func (ls *lockScope) reach(fn *types.Func) (string, bool) {
 		if result != "" {
 			return false
 		}
-		if _, ok := n.(*ast.FuncLit); ok {
+		if _, ok := n.(*ast.GoStmt); ok {
 			return false
 		}
 		call, ok := n.(*ast.CallExpr)

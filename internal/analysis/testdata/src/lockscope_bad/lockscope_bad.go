@@ -80,3 +80,16 @@ func (s *server) airtimeUnderLock(m *modem.OFDM) float64 {
 	defer s.mu.Unlock()
 	return m.Airtime(1) + fm.RSSI() // want: kernel calls while s.mu held
 }
+
+// renderViaCallback holds the lock across a helper whose kernel call
+// sits in a closure it hands on: the shape of a cache's render-on-miss
+// callback, which runs before the helper returns.
+func (s *server) renderViaCallback() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cachedRender() // want: kernel call via cachedRender while s.mu held
+}
+
+func cachedRender() { onMiss(func() { webrender.Render() }) }
+
+func onMiss(fill func()) { fill() }

@@ -11,6 +11,7 @@ import (
 	"sonic/internal/artifact"
 	"sonic/internal/core"
 	"sonic/internal/corpus"
+	"sonic/internal/imagecodec"
 	"sonic/internal/telemetry"
 )
 
@@ -332,4 +333,37 @@ func BenchmarkRefForURL(b *testing.B) {
 			s.refFor(last)
 		}
 	})
+}
+
+// TestRenderSpansOnEncodeFailure renders with a quality EncodeSIC
+// rejects and requires every stage span the render entered to be
+// closed: encode_sic fails, so it must still be recorded once, and
+// clickmap is never entered. A span left open on the error return is
+// dropped from the snapshot silently.
+func TestRenderSpansOnEncodeFailure(t *testing.T) {
+	p, err := testPipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Quality = imagecodec.MaxQuality + 1
+	s := New(cfg, p)
+	reg := telemetry.New()
+	s.Instrument(reg)
+	if _, err := s.RenderPage(corpus.Pages()[0].URL, time.Unix(0, 0)); err == nil {
+		t.Fatalf("RenderPage at quality %d succeeded, want the encode error", cfg.Quality)
+	}
+
+	spans := reg.Snapshot().Spans
+	for name, want := range map[string]int64{
+		"server.render_page":            1,
+		"server.render_page/generate":   1,
+		"server.render_page/raster":     1,
+		"server.render_page/encode_sic": 1,
+		"server.render_page/clickmap":   0,
+	} {
+		if got := spans[name].Count; got != want {
+			t.Errorf("span %s recorded %d, want %d", name, got, want)
+		}
+	}
 }

@@ -93,10 +93,10 @@ go test ./internal/dsp -run='^$' -fuzz='^FuzzFFTPlanMatchesDirect$' -fuzztime=5s
 # Serial leg: the parallel kernels size their pools from GOMAXPROCS and
 # promise byte-identical output at any count. GOMAXPROCS=1 is where that
 # promise is cheapest to break (no real concurrency to hide behind).
+# The first five words are equivpin's pin-test names (pinTestName in
+# internal/analysis/equivpin.go); keep the two in step.
 echo "==> GOMAXPROCS=1 leg: equivalence/parity suites"
-GOMAXPROCS=1 go test -run 'Equiv|Reference|Parity|Identity|Golden' -count=1 \
-    ./internal/dsp ./internal/fec ./internal/fm ./internal/frame \
-    ./internal/core ./internal/imagecodec ./internal/modem ./internal/webrender
+GOMAXPROCS=1 go test -run 'Equiv|Parity|Matches|Identical|Reference|Identity|Golden' -count=1 ./internal/...
 
 echo "==> bench smoke (one iteration per benchmark)"
 go test -run='^$' -bench=. -benchtime=1x ./...
