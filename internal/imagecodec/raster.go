@@ -144,9 +144,11 @@ func (r *Raster) Crop(h int) *Raster {
 
 // ResizeNearest scales the raster by factor using nearest-neighbor
 // sampling — the client-side "scaling factor" resize from §3.2 (screen
-// width / 1080 applied to both axes).
+// width / 1080 applied to both axes). Output pixel (x, y) copies source
+// pixel (x/factor, y/factor), truncated and clamped to the raster; a
+// factor that is not positive gives an empty raster.
 func (r *Raster) ResizeNearest(factor float64) *Raster {
-	if factor <= 0 {
+	if !(factor > 0) {
 		return &Raster{}
 	}
 	nw := int(float64(r.W)*factor + 0.5)
@@ -158,17 +160,26 @@ func (r *Raster) ResizeNearest(factor float64) *Raster {
 		nh = 1
 	}
 	out := NewBlackRaster(nw, nh)
+	if r.W < 1 || r.H < 1 {
+		return out
+	}
+	// The source byte offset of every output column, computed once.
+	cols := make([]int, nw)
+	for x := range cols {
+		cols[x] = 3 * min(int(float64(x)/factor), r.W-1)
+	}
+	prev := -1
 	for y := 0; y < nh; y++ {
-		sy := int(float64(y) / factor)
-		if sy >= r.H {
-			sy = r.H - 1
+		sy := min(int(float64(y)/factor), r.H-1)
+		orow := out.Pix[3*y*nw : 3*(y+1)*nw]
+		if sy == prev {
+			copy(orow, out.Pix[3*(y-1)*nw:3*y*nw])
+			continue
 		}
-		for x := 0; x < nw; x++ {
-			sx := int(float64(x) / factor)
-			if sx >= r.W {
-				sx = r.W - 1
-			}
-			out.Set(x, y, r.At(sx, sy))
+		prev = sy
+		srow := r.Pix[3*sy*r.W : 3*(sy+1)*r.W]
+		for x, o := range cols {
+			orow[3*x], orow[3*x+1], orow[3*x+2] = srow[o], srow[o+1], srow[o+2]
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package imagecodec
 import (
 	"bytes"
 	"image/png"
+	"math/rand"
 	"testing"
 )
 
@@ -97,6 +98,67 @@ func TestResizeNearest(t *testing.T) {
 	phone := page.ResizeNearest(720.0 / PageWidth)
 	if phone.W != 720 {
 		t.Errorf("scaled width = %d, want 720", phone.W)
+	}
+}
+
+// refResizeNearest is ResizeNearest's per-pixel body as it stood before
+// the column index table, frozen as the reference the live resize must
+// match byte for byte.
+func refResizeNearest(r *Raster, factor float64) *Raster {
+	if factor <= 0 {
+		return &Raster{}
+	}
+	nw := int(float64(r.W)*factor + 0.5)
+	nh := int(float64(r.H)*factor + 0.5)
+	if nw < 1 {
+		nw = 1
+	}
+	if nh < 1 {
+		nh = 1
+	}
+	out := NewBlackRaster(nw, nh)
+	for y := 0; y < nh; y++ {
+		sy := int(float64(y) / factor)
+		if sy >= r.H {
+			sy = r.H - 1
+		}
+		for x := 0; x < nw; x++ {
+			sx := int(float64(x) / factor)
+			if sx >= r.W {
+				sx = r.W - 1
+			}
+			out.Set(x, y, r.At(sx, sy))
+		}
+	}
+	return out
+}
+
+// TestResizeNearestMatchesReference pins the index-table resize to the
+// frozen per-pixel one: the client's screen widths over a page, exact
+// and fractional factors both ways, and degenerate 1-pixel rasters.
+func TestResizeNearestMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	noise := func(w, h int) *Raster {
+		r := NewRaster(w, h)
+		rng.Read(r.Pix)
+		return r
+	}
+	rasters := map[string]*Raster{
+		"page": testPage(PageWidth, 300, 9),
+		"odd":  noise(37, 53),
+		"1x1":  noise(1, 1),
+		"1xN":  noise(1, 41),
+		"Nx1":  noise(41, 1),
+		"0x0":  {},
+	}
+	factors := []float64{720.0 / PageWidth, 540.0 / PageWidth, 480.0 / PageWidth, 1, 2, 0.5, 0.013, 0}
+	for name, r := range rasters {
+		for _, f := range factors {
+			got, want := r.ResizeNearest(f), refResizeNearest(r, f)
+			if got.W != want.W || got.H != want.H || !bytes.Equal(got.Pix, want.Pix) {
+				t.Errorf("%s x %g: %dx%d differs from the reference's %dx%d", name, f, got.W, got.H, want.W, want.H)
+			}
+		}
 	}
 }
 

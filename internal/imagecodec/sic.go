@@ -9,8 +9,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-
-	"sonic/internal/parallel"
 )
 
 // SIC (Sonic Image Codec) is the WebP substitute: a lossy block-transform
@@ -301,28 +299,6 @@ type plane struct {
 	pix  []float64
 }
 
-// planePool recycles plane backing stores across codec calls. Callers
-// must overwrite every pixel before reading (both the color transform
-// and the block store do), so recycled planes are not zeroed.
-var planePool = sync.Pool{New: func() any { return new(plane) }}
-
-func getPlane(w, h int) *plane {
-	p := planePool.Get().(*plane)
-	n := w * h
-	if cap(p.pix) < n {
-		p.pix = make([]float64, n)
-	}
-	p.pix = p.pix[:n]
-	p.w, p.h = w, h
-	return p
-}
-
-func putPlane(p *plane) {
-	if p != nil {
-		planePool.Put(p)
-	}
-}
-
 // bytesPool recycles token buffers (encode emission, decode inflate).
 var bytesPool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -330,9 +306,9 @@ func getBytes() *[]byte { return bytesPool.Get().(*[]byte) }
 
 func putBytes(p *[]byte) { bytesPool.Put(p) }
 
-// blocksPool recycles the band of quantized blocks the encoder and the
-// decoder work through. Blocks are not zeroed on reuse; both producers
-// write every field they later read. The pool holds the *[]sicBlock
+// blocksPool recycles the band of quantized blocks the encoder works
+// through. Blocks are not zeroed on reuse; the encoder writes every
+// field it later reads. The pool holds the *[]sicBlock
 // itself, so a round trip allocates nothing.
 var blocksPool = sync.Pool{New: func() any { return new([]sicBlock) }}
 
@@ -348,12 +324,13 @@ func getBlocks(n int) *[]sicBlock {
 func putBlocks(p *[]sicBlock) { blocksPool.Put(p) }
 
 // The per-block stages (load, classify, DCT and quantize on encode;
-// dequantize, IDCT and store on decode) work on a band of bandRows block
-// rows at a time, split across workers by parallel.For; the serial stages
-// (token emission, token parsing) walk each band in scan order between
-// them. Every block's result depends only on its own pixels or tokens, so
-// the output is the same at any worker count, and the block scratch is
-// one band (~0.6 MB for a 1080-wide page) however tall the page is.
+// dequantize, IDCT, store and color conversion on decode) work on a band
+// of bandRows block rows at a time, split across workers by
+// parallel.For; the serial stages (token emission, token parsing) walk
+// each band in scan order between them. Every block's result depends
+// only on its own pixels or tokens, so the output is the same at any
+// worker count, and the scratch is one band (~0.6 MB of blocks for a
+// 1080-wide page) however tall the page is.
 const (
 	bandRows       = 16
 	minChunkBlocks = 256 // fewest blocks worth a goroutine
@@ -377,78 +354,75 @@ func uniformRegion(pix []byte, off, stride, w, rows int) bool {
 	return true
 }
 
-// fromYCbCr reassembles a raster from planes, parallel over rows. Each
-// chroma sample covers two output pixels, so the chroma products are
-// computed once per pair (the per-pixel expressions keep the original
-// association, so the rounding is unchanged).
-func fromYCbCr(yp, cb, cr *plane, workers int) *Raster {
-	out := NewBlackRaster(yp.w, yp.h)
+// toRGBRows converts rows [lo, hi) of one decode band's planes into
+// dst, the band's rows of the output raster; the band starts on an even
+// row, so band row y reads band chroma row y/2. Each chroma sample
+// covers two output pixels, so the chroma products are computed once per
+// pair (the per-pixel expressions keep the original association, so the
+// rounding is unchanged).
+func toRGBRows(yp, cb, cr *plane, dst []byte, lo, hi int) {
 	w, cw := yp.w, cb.w
-	pix := out.Pix
-	parallel.For(workers, yp.h, 1, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			yrow := yp.pix[y*w : (y+1)*w]
-			crow := (y / 2) * cw
-			cbrow := cb.pix[crow : crow+cw]
-			crrow := cr.pix[crow : crow+cw]
-			orow := pix[3*y*w : 3*(y+1)*w]
-			// Row dedup: flat regions are two-dimensional, so a row whose
-			// inputs match the previous row's converts to the same bytes —
-			// copy them instead. Only rows inside this worker's span are
-			// compared (the previous output row must already be written),
-			// so the result is identical for any worker count.
-			if y > lo {
-				pc := ((y - 1) / 2) * cw
-				if equalF64(yrow, yp.pix[(y-1)*w:y*w]) &&
-					(pc == crow || (equalF64(cbrow, cb.pix[pc:pc+cw]) && equalF64(crrow, cr.pix[pc:pc+cw]))) {
-					copy(orow, pix[3*(y-1)*w:3*y*w])
-					continue
-				}
-			}
-			// Run-stamped pixel conversion: web rasters are dominated by
-			// constant runs, where one conversion covers the whole run and
-			// the output bytes are stamped with a doubling copy. Chroma
-			// runs are found first (one compare per sample pair), then luma
-			// runs within them (one compare per pixel). Every pixel in a
-			// run has identical inputs, so the output is unchanged for any
-			// worker count.
-			for x := 0; x < w; {
-				ci := x >> 1
-				cbv, crv := cbrow[ci], crrow[ci]
-				ce := ci + 1
-				for ce < cw && cbrow[ce] == cbv && crrow[ce] == crv {
-					ce++
-				}
-				xe := 2 * ce
-				if xe > w {
-					xe = w
-				}
-				cbb := cbv - 128
-				crr := crv - 128
-				rAdd := 1.402 * crr
-				gSub1 := 0.344136 * cbb
-				gSub2 := 0.714136 * crr
-				bAdd := 1.772 * cbb
-				for x < xe {
-					yy := yrow[x]
-					x2 := x + 1
-					for x2 < xe && yrow[x2] == yy {
-						x2++
-					}
-					r8 := clamp8(yy + rAdd)
-					g8 := clamp8(yy - gSub1 - gSub2)
-					b8 := clamp8(yy + bAdd)
-					seg := orow[3*x : 3*x2]
-					seg[0], seg[1], seg[2] = r8, g8, b8
-					for filled := 3; filled < len(seg); filled *= 2 {
-						copy(seg[filled:], seg[:filled])
-					}
-					x = x2
-				}
+	for y := lo; y < hi; y++ {
+		yrow := yp.pix[y*w : (y+1)*w]
+		crow := (y / 2) * cw
+		cbrow := cb.pix[crow : crow+cw]
+		crrow := cr.pix[crow : crow+cw]
+		orow := dst[3*y*w : 3*(y+1)*w]
+		// Row dedup: flat regions are two-dimensional, so a row whose
+		// inputs match the previous row's converts to the same bytes —
+		// copy them instead. Only rows inside this call's span are
+		// compared (the previous output row must already be written),
+		// so the result is identical for any worker count.
+		if y > lo {
+			pc := ((y - 1) / 2) * cw
+			if equalF64(yrow, yp.pix[(y-1)*w:y*w]) &&
+				(pc == crow || (equalF64(cbrow, cb.pix[pc:pc+cw]) && equalF64(crrow, cr.pix[pc:pc+cw]))) {
+				copy(orow, dst[3*(y-1)*w:3*y*w])
+				continue
 			}
 		}
-	})
-	return out
+		// Run-stamped pixel conversion: web rasters are dominated by
+		// constant runs, where one conversion covers the whole run and
+		// the output bytes are stamped with a doubling copy. Chroma runs
+		// are found first (one compare per sample pair), then luma runs
+		// within them (one compare per pixel). Every pixel in a run has
+		// identical inputs, so the output is unchanged for any worker
+		// count.
+		for x := 0; x < w; {
+			ci := x >> 1
+			cbv, crv := cbrow[ci], crrow[ci]
+			ce := ci + 1
+			for ce < cw && cbrow[ce] == cbv && crrow[ce] == crv {
+				ce++
+			}
+			xe := 2 * ce
+			if xe > w {
+				xe = w
+			}
+			cbb := cbv - 128
+			crr := crv - 128
+			rAdd := 1.402 * crr
+			gSub1 := 0.344136 * cbb
+			gSub2 := 0.714136 * crr
+			bAdd := 1.772 * cbb
+			for x < xe {
+				yy := yrow[x]
+				x2 := x + 1
+				for x2 < xe && yrow[x2] == yy {
+					x2++
+				}
+				r8 := clamp8(yy + rAdd)
+				g8 := clamp8(yy - gSub1 - gSub2)
+				b8 := clamp8(yy + bAdd)
+				seg := orow[3*x : 3*x2]
+				seg[0], seg[1], seg[2] = r8, g8, b8
+				for filled := 3; filled < len(seg); filled *= 2 {
+					copy(seg[filled:], seg[:filled])
+				}
+				x = x2
+			}
+		}
+	}
 }
 
 // equalF64 reports whether two float64 rows compare equal element-wise.
@@ -544,12 +518,11 @@ func (c *byteCursor) readVarint() (int, error) {
 	return v, nil
 }
 
-// sicBlock is one 8x8 block's quantized coefficients in zigzag order.
-// flat marks constant blocks (encode) and DC-only blocks (decode), where
-// only q[0] is meaningful and the transform is skipped. On encode, a
-// two-valued block carries its glyph-cache entry in mv instead of q, so
-// the emitter reuses the entry's pre-rendered AC tokens; the decoder
-// never reads mv.
+// sicBlock is one 8x8 block's quantized coefficients in zigzag order, as
+// the encoder produces them. flat marks constant blocks, where only q[0]
+// is meaningful. A two-valued block carries its glyph-cache entry in mv
+// instead of q, so the emitter reuses the entry's pre-rendered AC
+// tokens. The decoder parses into decBlock.
 type sicBlock struct {
 	flat bool
 	mv   *sicMaskVal
@@ -591,32 +564,13 @@ func newPlaneQuant(qt *[64]int, quality int) planeQuant {
 	return pq
 }
 
-// storeBlock writes the reconstructed block (already centered back to
+// storeBlock writes a reconstructed block (already centered back to
 // 0..255) into the plane, clipping to the plane bounds.
 func storeBlock(p *plane, blk *[64]float64, bx, by int) {
-	w, h := p.w, p.h
-	if bx*8+8 <= w && by*8+8 <= h {
-		for y := 0; y < 8; y++ {
-			row := p.pix[(by*8+y)*w+bx*8:]
-			row = row[:8]
-			for x := 0; x < 8; x++ {
-				row[x] = blk[y*8+x] + 128
-			}
-		}
-		return
-	}
-	for y := 0; y < 8; y++ {
-		py := by*8 + y
-		if py >= h {
-			break
-		}
-		for x := 0; x < 8; x++ {
-			px := bx*8 + x
-			if px >= w {
-				continue
-			}
-			p.pix[py*w+px] = blk[y*8+x] + 128
-		}
+	x0, y0 := bx*8, by*8
+	n := min(8, p.w-x0)
+	for y := range min(8, p.h-y0) {
+		copy(p.pix[(y0+y)*p.w+x0:][:n], blk[y*8:][:n])
 	}
 }
 

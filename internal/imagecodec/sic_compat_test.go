@@ -155,8 +155,8 @@ func TestSICVersionByteValidation(t *testing.T) {
 }
 
 // FuzzSICDecode throws arbitrary bytes at the SIC decoder. The seed
-// corpus is golden streams of the live format at two qualities plus
-// degenerate headers (a bare v1 header among them: the retired
+// corpus is golden streams of the live format at two qualities, the
+// band-seam streams (seamStreams) plus degenerate headers (a bare v1 header among them: the retired
 // generation must fail closed, and a forged 32768x32768 header must be
 // refused before anything is sized from it). The decoder must never
 // panic, must return consistent raster geometry on success, must give
@@ -173,6 +173,9 @@ func FuzzSICDecode(f *testing.F) {
 				f.Add(blob)
 			}
 		}
+	}
+	for _, data := range seamStreams(f) {
+		f.Add(data)
 	}
 	f.Add([]byte{})
 	f.Add([]byte("SIC1"))

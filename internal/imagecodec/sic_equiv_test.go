@@ -1068,10 +1068,11 @@ func TestSICEncodeDecodeAllocs(t *testing.T) {
 	})
 	// Output buffer growth plus a handful of pool round-trips. The bounds
 	// are the counts measured on a 2-vCPU host (encode 15-16, decode
-	// 39-40, on 40 samples of 40) plus one, so a pooled plane, block band,
-	// token buffer or flate coder that is not put back fails them; a
-	// per-block slip (the old codec allocated planes, block arrays, and
-	// token buffers per call) costs thousands.
+	// 33-34, on 75 samples at GOMAXPROCS 1, 2 and 4) plus one, so
+	// a decoder (band scratch and block memos), a token buffer or a
+	// flate coder that is not put back fails them; a per-block slip
+	// (the old codec allocated planes, block arrays, and token buffers
+	// per call) costs thousands.
 	if encAllocs > 17 {
 		t.Errorf("EncodeSIC allocates %v objects per call, want <= 17", encAllocs)
 	}
@@ -1080,20 +1081,20 @@ func TestSICEncodeDecodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if decAllocs > 41 {
-		t.Errorf("DecodeSIC allocates %v objects per call, want <= 41", decAllocs)
+	if decAllocs > 35 {
+		t.Errorf("DecodeSIC allocates %v objects per call, want <= 35", decAllocs)
 	}
 }
 
 // TestSICDecodeErrorAllocs pins what a warm decode allocates when a
-// plane fails: the luma plane decodes, then the Cb segment is either
-// valid flate over an invalid block tag (decodePlaneV2 fails) or not
-// flate at all (inflatePlaneV2 fails). Every pooled plane, token buffer
-// and flate reader must go back on those paths too, so a leak on any of
-// them reads as a fresh allocation per call. The bounds are the counts
-// measured on a 2-vCPU host (6 and 7, on 10 samples of 10; the error
-// values are most of them) plus one; a plane left out of its pool costs
-// two.
+// plane fails: the luma segment is valid, and the Cb segment is either
+// valid flate over an invalid block tag (the first band's Cb parse
+// fails, before the raster is allocated) or not flate at all
+// (inflatePlaneV2 fails). Every pooled token buffer, decoder and flate
+// reader must go back on those paths too, so a leak on any of them reads
+// as a fresh allocation per call. The bounds are the counts measured on
+// a 2-vCPU host (4 and 5, on 15 samples each at GOMAXPROCS 1, 2 and 4;
+// the error values are most of them) plus one.
 func TestSICDecodeErrorAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are nondeterministic under the race detector (pool Puts randomly dropped)")
@@ -1115,8 +1116,8 @@ func TestSICDecodeErrorAllocs(t *testing.T) {
 		cb   []byte // the Cb segment's body; Cr is a copy
 		max  float64
 	}{
-		{"invalid block tag", badTag, 7},
-		{"invalid flate block type", []byte{0x07}, 8},
+		{"invalid block tag", badTag, 5},
+		{"invalid flate block type", []byte{0x07}, 6},
 	} {
 		bad := luma
 		for range 2 {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"sonic/internal/parallel"
@@ -443,126 +444,280 @@ func parseACv2(c *byteCursor, q *[64]int32) (int, error) {
 	}
 }
 
-// decodePlaneV2 reverses the encoder over one plane's inflated token
-// buffer. The serial parse fills a band of blocks; each full band, and
-// the last one, goes to the workers to dequantize, inverse transform and
-// store, every block into its own pixel region. A flat run repeats the
-// previous DC, so it costs its blocks a DC store each and no arithmetic.
-// The returned plane comes from planePool; on an error it goes back.
-func decodePlaneV2(c *byteCursor, w, h int, qt *[64]int, workers int) (_ *plane, err error) {
-	bw, bh := (w+7)/8, (h+7)/8
-	nblocks := bw * bh
-	p := getPlane(w, h)
-	defer func() {
-		if err != nil {
-			putPlane(p)
-		}
-	}()
-	bp := getBlocks(min(bandRows, bh) * bw)
-	defer putBlocks(bp)
-	band := *bp
-	// The workers learn where the band sits through cur, which the parse
-	// loop moves down the plane: one allocation per plane, not per band.
-	cur := &struct {
-		qz   [64]int // qt in zigzag order
-		base int     // plane index of band[0]
-	}{}
-	for i := range cur.qz {
-		cur.qz[i] = qt[zigzag[i]]
+// decBlock is one parsed block of a decode band: a constant fill (flat,
+// the DC in q[0]), a block whose samples the plane's memo holds (memo >=
+// 0), or coefficients for the workers to transform (q, zigzag order).
+type decBlock struct {
+	flat bool
+	memo int32
+	q    [64]int32
+}
+
+// planeDecoder is one plane's serial parse, whose state carries from
+// band to band: the token cursor, the DC prediction chain, the pending
+// flat run and the memo of the plane's distinct coded blocks.
+type planeDecoder struct {
+	c       byteCursor
+	bw      int // blocks per block row
+	nblocks int
+	bi      int // blocks parsed so far
+	prevDC  int
+	run     int     // blocks of the current flat run still to place
+	qz      [64]int // the quant table in zigzag order
+	memo    blockMemo
+}
+
+// start points d at a w x h plane coded in tokens under quant table
+// qt, keeping the storage of its memo.
+func (d *planeDecoder) start(tokens []byte, w, h int, qt *[64]int) {
+	d.c = byteCursor{b: tokens}
+	d.bw = (w + 7) / 8
+	d.nblocks = d.bw * ((h + 7) / 8)
+	d.bi, d.prevDC, d.run = 0, 0, 0
+	for i := range d.qz {
+		d.qz[i] = qt[zigzag[i]]
 	}
-	store := func(lo, hi int) {
-		var blk [64]float64
-		qz := &cur.qz
-		bx, by := (cur.base+lo)%bw, (cur.base+lo)/bw
-		flatDC, flatVal := 0, float64(128) // the fill for a DC of 0
-		for i := lo; i < hi; i++ {
-			if b := &band[i]; b.flat {
-				if dc := int(b.q[0]); dc != flatDC {
-					flatDC, flatVal = dc, float64(dc*qz[0])/8+128
-				}
-				storeFlat(p, flatVal, bx, by)
-			} else {
-				blk[0] = float64(int(b.q[0]) * qz[0])
-				for k := 1; k < 64; k++ {
-					if b.q[k] != 0 {
-						blk[zigzag[k]] = float64(int(b.q[k]) * qz[k])
-					}
-				}
-				idctBlock(&blk)
-				storeBlock(p, &blk, bx, by)
-				blk = [64]float64{}
-			}
-			if bx++; bx == bw {
-				bx, by = 0, by+1
-			}
-		}
-	}
-	next := 0 // band slot of block bi
-	prevDC := 0
-	run := 0 // blocks of the current flat run still to place
-	for bi := 0; bi < nblocks; bi++ {
-		if next == len(band) {
-			parallel.For(workers, len(band), minChunkBlocks, store)
-			cur.base, next = bi, 0
-		}
-		b := &band[next]
-		next++
-		if run > 0 {
-			b.flat, b.q[0] = true, int32(prevDC)
-			run--
+	clear(d.memo.slots[:])
+	d.memo.entries = d.memo.entries[:0]
+}
+
+// parse reverses the encoder over the plane's next len(band) blocks. A
+// flat run repeats the previous DC, so it costs its blocks a DC store
+// each; a coded block the memo has seen costs an index.
+func (d *planeDecoder) parse(band []decBlock) error {
+	for i := range band {
+		b := &band[i]
+		b.memo = -1
+		if d.run > 0 {
+			b.flat, b.q[0] = true, int32(d.prevDC)
+			d.run--
 			continue
 		}
-		tag, err := c.readByte()
+		tag, err := d.c.readByte()
 		if err != nil {
-			return nil, fmt.Errorf("imagecodec: truncated block tag: %w", err)
+			return fmt.Errorf("imagecodec: truncated block tag: %w", err)
 		}
 		switch {
 		case tag <= v2TagRunMax, tag == v2TagLongRun:
 			n := int(tag) + 1
 			if tag == v2TagLongRun {
-				u, err := c.readUvarint()
+				u, err := d.c.readUvarint()
 				if err != nil {
-					return nil, fmt.Errorf("imagecodec: truncated run length: %w", err)
+					return fmt.Errorf("imagecodec: truncated run length: %w", err)
 				}
-				if u == 0 || u > uint64(nblocks) {
-					return nil, errV2Run
+				if u == 0 || u > uint64(d.nblocks) {
+					return errV2Run
 				}
 				n = int(u)
 			}
-			if bi+n > nblocks {
-				return nil, errV2Run
+			if d.bi+i+n > d.nblocks {
+				return errV2Run
 			}
-			b.flat, b.q[0] = true, int32(prevDC)
-			run = n - 1
+			b.flat, b.q[0] = true, int32(d.prevDC)
+			d.run = n - 1
 		case tag == v2TagFlatDC:
-			d, err := c.readVarint()
+			dc, err := d.c.readVarint()
 			if err != nil {
-				return nil, fmt.Errorf("imagecodec: truncated DC: %w", err)
+				return fmt.Errorf("imagecodec: truncated DC: %w", err)
 			}
-			prevDC += d
-			b.flat, b.q[0] = true, int32(prevDC)
+			d.prevDC += dc
+			b.flat, b.q[0] = true, int32(d.prevDC)
 		case tag == v2TagCoded:
-			d, err := c.readVarint()
+			dc, err := d.c.readVarint()
 			if err != nil {
-				return nil, fmt.Errorf("imagecodec: truncated DC: %w", err)
+				return fmt.Errorf("imagecodec: truncated DC: %w", err)
 			}
-			prevDC += d
+			d.prevDC += dc
 			b.q = [64]int32{}
-			b.q[0] = int32(prevDC)
-			nz, err := parseACv2(c, &b.q)
+			b.q[0] = int32(d.prevDC)
+			ac := d.c.i
+			nz, err := parseACv2(&d.c, &b.q)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			b.flat = nz == 0
+			if !b.flat {
+				b.memo = d.memo.lookup(d.c.b, memoKey{b.q[0], ac, d.c.i}, &b.q, &d.qz)
+			}
 		default:
-			return nil, errV2Tag
+			return errV2Tag
 		}
 	}
-	if c.i != len(c.b) {
-		return nil, errV2Extra
+	d.bi += len(band)
+	return nil
+}
+
+// Block memo geometry: the most distinct coded blocks one plane keeps,
+// its open-addressed table (twice that, a power of two) and the longest
+// probe a lookup walks before giving up.
+const (
+	memoCap    = 4096
+	memoSlots  = 2 * memoCap
+	memoProbes = 8
+	memoChunk  = 256 // entries per samples allocation
+)
+
+// memoKey names a coded block: its DC and the span [ac, end) of its AC
+// token bytes in the plane's token buffer.
+type memoKey struct {
+	dc      int32
+	ac, end int
+}
+
+// memoEntry is one distinct coded block the plane has seen; held marks
+// the entries whose samples the memo holds.
+type memoEntry struct {
+	memoKey
+	held bool
+}
+
+// blockMemo holds the reconstructed samples of one plane's repeated
+// coded blocks for one decode call. A coded block's samples are a pure
+// function of its DC, its AC token bytes and the plane's quant table, so
+// a block whose DC and AC bytes repeat an earlier block's copies that
+// block's samples instead of being transformed again; text glyphs make
+// most coded blocks on a page repeats. A block seen once is left to the
+// workers and only remembered; its first repeat is transformed into the
+// memo during the parse, so content that never repeats (a photo) keeps
+// its transforms on the workers. The memo keeps at most memoCap entries
+// and a lookup probes at most memoProbes slots, so a stream built to
+// defeat it costs the transforms it would have cost anyway.
+type blockMemo struct {
+	slots   [memoSlots]int32 // entry index + 1; 0 is an empty slot
+	entries []memoEntry
+	// chunks hold the held entries' samples, centered as storeBlock
+	// writes them, memoChunk entries per allocation so growth copies
+	// nothing.
+	chunks []*[memoChunk][64]float64
+}
+
+// samples returns entry i's samples.
+func (m *blockMemo) samples(i int32) *[64]float64 {
+	return &m.chunks[i/memoChunk][i%memoChunk]
+}
+
+// lookup returns the index of the held samples for the coded block k of
+// tokens, whose coefficients are q, transforming them into the memo on
+// the block's first repeat; it returns -1 when the block is to be
+// transformed in place.
+func (m *blockMemo) lookup(tokens []byte, k memoKey, q *[64]int32, qz *[64]int) int32 {
+	const fnvPrime = 1099511628211
+	ac := tokens[k.ac:k.end]
+	h := uint64(14695981039346656037)
+	for i := 0; i < 32; i += 8 {
+		h = (h ^ uint64(byte(k.dc>>i))) * fnvPrime
 	}
-	parallel.For(workers, next, minChunkBlocks, store)
-	return p, nil
+	for _, c := range ac {
+		h = (h ^ uint64(c)) * fnvPrime
+	}
+	for p := uint64(0); p < memoProbes; p++ {
+		s := &m.slots[(h+p)&(memoSlots-1)]
+		if *s == 0 {
+			if len(m.entries) < memoCap {
+				m.entries = append(m.entries, memoEntry{memoKey: k})
+				*s = int32(len(m.entries))
+			}
+			return -1
+		}
+		i := *s - 1
+		e := &m.entries[i]
+		if e.dc != k.dc || !bytes.Equal(tokens[e.ac:e.end], ac) {
+			continue
+		}
+		if !e.held {
+			for int(i/memoChunk) >= len(m.chunks) {
+				m.chunks = append(m.chunks, new([memoChunk][64]float64))
+			}
+			reconstructBlock(m.samples(i), q, qz)
+			e.held = true
+		}
+		return i
+	}
+	return -1
+}
+
+// reconstructBlock dequantizes q (zigzag order) with qz, inverse
+// transforms it and centers it back to 0..255, into dst.
+func reconstructBlock(dst *[64]float64, q *[64]int32, qz *[64]int) {
+	*dst = [64]float64{}
+	dst[0] = float64(int(q[0]) * qz[0])
+	for k := 1; k < 64; k++ {
+		if q[k] != 0 {
+			dst[zigzag[k]] = float64(int(q[k]) * qz[k])
+		}
+	}
+	idctBlock(dst)
+	for i := range dst {
+		dst[i] += 128
+	}
+}
+
+// storeBlocks writes a run of parsed blocks, starting at block row by0
+// of plane p, into p.
+func storeBlocks(p *plane, blocks []decBlock, d *planeDecoder, by0 int) {
+	var blk [64]float64
+	flatDC, flatVal := 0, float64(128) // the fill for a DC of 0
+	bx, by := 0, by0
+	for i := range blocks {
+		switch b := &blocks[i]; {
+		case b.flat:
+			if dc := int(b.q[0]); dc != flatDC {
+				flatDC, flatVal = dc, float64(dc*d.qz[0])/8+128
+			}
+			storeFlat(p, flatVal, bx, by)
+		case b.memo >= 0:
+			storeBlock(p, d.memo.samples(b.memo), bx, by)
+		default:
+			reconstructBlock(&blk, &b.q, &d.qz)
+			storeBlock(p, &blk, bx, by)
+		}
+		if bx++; bx == d.bw {
+			bx, by = 0, by+1
+		}
+	}
+}
+
+// sicDecoder walks a page one band at a time: the three planes' parses
+// fill the band's blocks, then the workers store them into band-sized
+// sample scratch and convert the band's rows into the output raster.
+type sicDecoder struct {
+	planes  [3]planeDecoder // Y, Cb, Cr
+	blocks  [3][]decBlock   // the band's parsed blocks, per plane
+	bands   [3]plane        // the band's samples, per plane
+	pix     []byte          // the band's rows of the output raster
+	blkBuf  []decBlock      // backs blocks
+	sampBuf []float64       // backs bands
+}
+
+// decoderPool recycles decoders with their scratch and memos. Blocks
+// and samples are not zeroed on reuse: the parse writes every block
+// field the store reads, and a band's blocks store every sample its
+// conversion reads.
+var decoderPool = sync.Pool{New: func() any { return new(sicDecoder) }}
+
+// Decode bands: a band is bandRows luma block rows and the bandRows/2
+// chroma block rows under them; the workers split it into macro rows of
+// two luma block rows and one chroma block row, which cover the same 16
+// pixel rows.
+const (
+	bandPixRows  = 8 * bandRows
+	macroPixRows = 16
+)
+
+// render stores macro rows [lo, hi) of the band and converts their
+// pixel rows to RGB.
+func (s *sicDecoder) render(lo, hi int) {
+	for pi := range s.planes {
+		d := &s.planes[pi]
+		rows := 1 // block rows per macro row
+		if pi == 0 {
+			rows = 2
+		}
+		n := len(s.blocks[pi]) / d.bw
+		r0, r1 := min(lo*rows, n), min(hi*rows, n)
+		storeBlocks(&s.bands[pi], s.blocks[pi][r0*d.bw:r1*d.bw], d, r0)
+	}
+	toRGBRows(&s.bands[0], &s.bands[1], &s.bands[2], s.pix, lo*macroPixRows, min(hi*macroPixRows, s.bands[0].h))
 }
 
 type flateResetReader interface {
@@ -586,7 +741,9 @@ func inflatePlaneV2(tp *[]byte, comp []byte) error {
 	var err error
 	for err == nil {
 		if len(tokens) == cap(tokens) {
-			tokens = append(tokens, 0)[:len(tokens)]
+			// Doubling keeps the garbage a cold inflate leaves behind
+			// under the size of what it inflated.
+			tokens = slices.Grow(tokens, max(len(tokens), 4<<10))
 		}
 		var n int
 		n, err = fr.Read(tokens[len(tokens):cap(tokens)])
@@ -599,26 +756,26 @@ func inflatePlaneV2(tp *[]byte, comp []byte) error {
 	return nil
 }
 
-// decodeSICV2 is the v2 body behind DecodeSICWorkers: three
-// length-prefixed per-plane flate segments, inflated in turn into one
-// pooled token buffer, packed-token plane decode, shared color
-// reassembly.
+// decodeSICV2 is the v2 body behind DecodeSICWorkers. The three
+// length-prefixed per-plane flate segments are inflated up front (their
+// tokens are about a megabyte on a full page); the page is then decoded
+// one band at a time, so no page-sized float plane is ever built and the
+// raster is the only page-sized allocation.
 func decodeSICV2(data []byte, w, h, quality, workers int) (*Raster, error) {
 	lumaQT := quantTable(lumaQBase, quality)
 	chromaQT := quantTable(chromaQBase, quality)
-	cw, ch := (w+1)/2, (h+1)/2
-	body := &byteCursor{b: data}
-	var planes [3]*plane
+	cw := (w + 1) / 2
+	body := byteCursor{b: data}
+	var tokens [3]*[]byte
+	for pi := range tokens {
+		tokens[pi] = getBytes()
+	}
 	defer func() {
-		for _, p := range planes {
-			putPlane(p)
+		for _, tp := range tokens {
+			putBytes(tp)
 		}
 	}()
-	tp := getBytes()
-	defer putBytes(tp)
-	dims := [3][2]int{{w, h}, {cw, ch}, {cw, ch}}
-	qts := [3]*[64]int{&lumaQT, &chromaQT, &chromaQT}
-	for pi := 0; pi < 3; pi++ {
+	for _, tp := range tokens {
 		clen, err := body.readUvarint()
 		if err != nil {
 			return nil, fmt.Errorf("imagecodec: truncated plane length: %w", err)
@@ -631,10 +788,55 @@ func decodeSICV2(data []byte, w, h, quality, workers int) (*Raster, error) {
 		if err := inflatePlaneV2(tp, comp); err != nil {
 			return nil, err
 		}
-		planes[pi], err = decodePlaneV2(&byteCursor{b: *tp}, dims[pi][0], dims[pi][1], qts[pi], workers)
-		if err != nil {
-			return nil, err
+	}
+
+	s := decoderPool.Get().(*sicDecoder)
+	defer func() {
+		// Drop the references into the raster and the token buffers
+		// before the decoder waits in the pool.
+		s.pix = nil
+		for pi := range s.planes {
+			s.planes[pi].c.b = nil
+		}
+		decoderPool.Put(s)
+	}()
+	s.planes[0].start(*tokens[0], w, h, &lumaQT)
+	s.planes[1].start(*tokens[1], cw, (h+1)/2, &chromaQT)
+	s.planes[2].start(*tokens[2], cw, (h+1)/2, &chromaQT)
+	bwY, bwC := s.planes[0].bw, s.planes[1].bw
+	s.blkBuf = slices.Grow(s.blkBuf[:0], bandRows*(bwY+bwC))[:bandRows*(bwY+bwC)]
+	s.sampBuf = slices.Grow(s.sampBuf[:0], bandPixRows*(w+cw))[:bandPixRows*(w+cw)]
+	// A macro row is worth a goroutine only with minChunkBlocks blocks.
+	perMacro := 2*bwY + 2*bwC
+	minChunk := (minChunkBlocks + perMacro - 1) / perMacro
+	render := s.render
+
+	var out *Raster
+	for y0 := 0; y0 < h; y0 += bandPixRows {
+		bh := min(bandPixRows, h-y0)
+		ch := (bh + 1) / 2
+		f := s.sampBuf
+		s.bands[0] = plane{w: w, h: bh, pix: f[:w*bh]}
+		s.bands[1] = plane{w: cw, h: ch, pix: f[w*bh : w*bh+cw*ch]}
+		s.bands[2] = plane{w: cw, h: ch, pix: f[w*bh+cw*ch : w*bh+2*cw*ch]}
+		nY, nC := bwY*((bh+7)/8), bwC*((ch+7)/8)
+		b := s.blkBuf
+		s.blocks = [3][]decBlock{b[:nY], b[nY : nY+nC], b[nY+nC : nY+2*nC]}
+		for pi := range s.planes {
+			if err := s.planes[pi].parse(s.blocks[pi]); err != nil {
+				return nil, err
+			}
+		}
+		if out == nil {
+			out = NewBlackRaster(w, h)
+		}
+		s.pix = out.Pix[3*w*y0 : 3*w*(y0+bh)]
+		parallel.For(workers, (bh+macroPixRows-1)/macroPixRows, minChunk, render)
+	}
+	for pi := range s.planes {
+		if d := &s.planes[pi]; d.c.i != len(d.c.b) {
+			return nil, errV2Extra
 		}
 	}
-	return fromYCbCr(planes[0], planes[1], planes[2], workers), nil
+	return out, nil
 }
