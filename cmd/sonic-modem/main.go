@@ -64,7 +64,7 @@ func main() {
 		if err != nil {
 			fatalf("fec: %v", err)
 		}
-		samples := m.Modulate(stream)
+		samples := audio.Floats(m.Modulate(stream))
 		buf := &audio.Buffer{Rate: prof.SampleRate, Samples: samples}
 		f, err := os.Create(*out)
 		if err != nil {

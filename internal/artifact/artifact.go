@@ -1,7 +1,7 @@
 // Package artifact is the fleet-wide content-addressed artifact cache:
 // every form of a broadcast page — the rendered SIC bundle, its
-// marshaled blob, the FEC-framed coded stream, and the modulated audio
-// burst — is keyed by (URL, effective hour, pipeline-config digest) and
+// marshaled blob, the FEC-framed coded stream, and the 16-bit PCM burst
+// — is keyed by (URL, effective hour, pipeline-config digest) and
 // computed at most once no matter how many transmitters carry the page.
 // The paper's deployment is exactly this shape: one national corpus,
 // many regional FM towers, byte-identical artifacts everywhere, so N
@@ -25,10 +25,11 @@
 //     A later stage is rebuilt from the one before it, and a burst frees
 //     two orders of magnitude more bytes per millisecond of rebuilding
 //     than a render does, so audio churn never costs a re-render and the
-//     cap holds regardless of corpus size.
+//     cap holds regardless of corpus size. Kept as 16-bit PCM, a burst
+//     is small enough that the default cap holds a whole rotation.
 //
 // Values returned from the chain are shared across callers and MUST be
-// treated as immutable.
+// treated as immutable; Audio's float view is the one fresh copy.
 //
 // Stage 0 runs the caller's render function — raster production and its
 // pooled buffers stay in the server/webrender layer — and caches the
@@ -42,6 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sonic/internal/audio"
 	"sonic/internal/core"
 	"sonic/internal/singleflight"
 	"sonic/internal/telemetry"
@@ -68,7 +70,7 @@ const (
 	StageRender Stage = iota // rendered bundle (SIC image + clickmap)
 	StageBlob                // marshaled bundle
 	StageStream              // FEC-framed coded byte stream
-	StageAudio               // modulated audio burst
+	StageAudio               // modulated burst, 16-bit PCM
 	numStages
 )
 
@@ -78,12 +80,10 @@ type RenderFunc func() (core.Bundle, error)
 
 // DefaultMaxBytes bounds the cache when NewChain is given 0. Modulated
 // audio dominates the budget: a rendered corpus page marshals to
-// ~100-200 KB, and at the paper's ~10 kbps profile its float64 baseband
-// runs to tens of MB — so 256 MiB holds the audio of the few pages every
-// tower is airing right now (the fleet's hot set, which is what dedup
-// needs) plus the streams and blobs of a much larger tail. Fleet
-// replays that want the whole rotation resident size the cap
-// explicitly.
+// ~100-200 KB, and at the paper's ~10 kbps profile its 16-bit PCM burst
+// runs to ~15 MB — so 256 MiB holds the bursts of a whole rotation (the
+// fleet benchmark's 8 pages take ~128 MB) plus the streams and blobs of
+// a much larger tail.
 const DefaultMaxBytes = 256 << 20
 
 // ckey is the cache's internal (key, stage) address.
@@ -287,22 +287,32 @@ func (ch *Chain) Stream(k Key, render RenderFunc) ([]byte, error) {
 	return v.([]byte), nil
 }
 
-// Audio returns the modulated broadcast burst for k — byte-identical to
-// core.Pipeline.EncodePageAudio of the same bundle. The returned slice
-// is shared; do not mutate.
-func (ch *Chain) Audio(k Key, render RenderFunc) ([]float64, error) {
+// PCM returns the broadcast burst for k as the exciter takes it, 16-bit
+// PCM — the audio stage, whose misses are modulations. The entry weighs
+// 2 bytes a sample. The returned slice is shared; do not mutate.
+func (ch *Chain) PCM(k Key, render RenderFunc) ([]int16, error) {
 	v, err := ch.stage(StageAudio, k, func() (any, int64, error) {
 		stream, err := ch.Stream(k, render)
 		if err != nil {
 			return nil, 0, err
 		}
-		audio := ch.pipe.ModulateStream(stream)
-		return audio, int64(len(audio) * 8), nil
+		pcm := ch.pipe.StreamPCM(stream)
+		return pcm, int64(len(pcm) * 2), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.([]float64), nil
+	return v.([]int16), nil
+}
+
+// Audio returns PCM's float view in a fresh slice on each call —
+// sample-identical to core.Pipeline.EncodePageAudio of the same bundle.
+func (ch *Chain) Audio(k Key, render RenderFunc) ([]float64, error) {
+	pcm, err := ch.PCM(k, render)
+	if err != nil {
+		return nil, err
+	}
+	return audio.Floats(pcm), nil
 }
 
 // stage is the shared lookup→singleflight→compute→insert path. compute

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,7 +115,7 @@ func TestWiredBundleCountedOnce(t *testing.T) {
 
 // TestChainFleetDedup runs a 32-tower herd at one key concurrently and
 // requires exactly one computation per stage fleet-wide, everyone
-// receiving the identical shared artifact. Run under -race.
+// receiving the identical shared PCM. Run under -race.
 func TestChainFleetDedup(t *testing.T) {
 	ch, _ := newTestChain(t, 0)
 	b := testBundle(7, 2000)
@@ -126,18 +127,18 @@ func TestChainFleetDedup(t *testing.T) {
 	k := ch.Key("hot.pk/", 3, 42)
 
 	const towers = 32
-	results := make([][]float64, towers)
+	results := make([][]int16, towers)
 	var wg sync.WaitGroup
 	for i := 0; i < towers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			audio, err := ch.Audio(k, render)
+			pcm, err := ch.PCM(k, render)
 			if err != nil {
 				t.Errorf("tower %d: %v", i, err)
 				return
 			}
-			results[i] = audio
+			results[i] = pcm
 		}(i)
 	}
 	wg.Wait()
@@ -156,7 +157,7 @@ func TestChainFleetDedup(t *testing.T) {
 	}
 	for i := 1; i < towers; i++ {
 		if &results[i][0] != &results[0][0] {
-			t.Fatalf("tower %d received a private audio copy; artifacts must be shared", i)
+			t.Fatalf("tower %d received a private PCM copy; artifacts must be shared", i)
 		}
 	}
 	if d := st.Dedup(); d <= 1 {
@@ -455,12 +456,12 @@ func TestEvictionTakesDerivedFirst(t *testing.T) {
 	}
 	upstream := probe.Stats().Bytes
 	stream += upstream
-	audio, err := probe.Audio(pk, compute(1))
+	pcm, err := probe.PCM(pk, compute(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	burst := probe.Stats().Bytes - upstream
-	if burst != int64(len(audio)*8) || burst < 10*upstream {
+	if burst != int64(len(pcm)*2) || burst < 10*upstream {
 		t.Fatalf("probe: burst %d bytes over %d upstream; the test needs audio to dominate", burst, upstream)
 	}
 	key := func(ch *Chain, i int) Key { return ch.Key(fmt.Sprintf("k%d.pk/", i), 0, uint16(i)) }
@@ -471,7 +472,7 @@ func TestEvictionTakesDerivedFirst(t *testing.T) {
 	limit := n*upstream + 2*burst + burst/2
 	ch := NewChain(pipe, limit)
 	for i := 1; i <= n; i++ {
-		if _, err := ch.Audio(key(ch, i), compute(i)); err != nil {
+		if _, err := ch.PCM(key(ch, i), compute(i)); err != nil {
 			t.Fatal(err)
 		}
 		if b := ch.Stats().Bytes; b > limit {
@@ -510,12 +511,49 @@ func TestEvictionTakesDerivedFirst(t *testing.T) {
 
 	// An artifact larger than the whole cap is returned and not retained.
 	ch = NewChain(pipe, burst-1)
-	got, err := ch.Audio(key(ch, 1), compute(1))
-	if err != nil || int64(len(got)*8) != burst {
+	got, err := ch.PCM(key(ch, 1), compute(1))
+	if err != nil || int64(len(got)*2) != burst {
 		t.Fatalf("oversized burst: %d samples, err %v", len(got), err)
 	}
 	if cached(ch, key(ch, 1), StageAudio) || ch.Stats().Bytes > burst-1 {
 		t.Fatalf("oversized burst was retained: %+v", ch.Stats())
+	}
+}
+
+// TestAudioStagePCMBytes is the audio stage's memory gate at the size
+// the fleet airs (a 483 kB stream, a ~7.6 M-sample burst of n samples).
+// StreamPCM allocates the float64 scratch burst (8n), the PCM (2n) and
+// the unpacked payload bits (8 per stream byte, under 4 MiB) and no
+// second full-size buffer; the cached entry weighs the PCM, 2n bytes.
+func TestAudioStagePCMBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes what is allocated")
+	}
+	ch, pipe := newTestChain(t, -1)
+	stream := make([]byte, 483_000)
+	rand.New(rand.NewSource(9)).Read(stream)
+	pipe.StreamPCM(stream[:1000]) // warm the modem's scratch pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pcm := pipe.StreamPCM(stream)
+	runtime.ReadMemStats(&after)
+	n := uint64(len(pcm))
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 8*n+2*n+4<<20; got > limit {
+		t.Errorf("StreamPCM of %d stream bytes allocated %d bytes for %d samples, want <= %d", len(stream), got, n, limit)
+	}
+
+	k := ch.Key("pcm.pk/", 0, 1)
+	render := func() (core.Bundle, error) { return testBundle(9, 2000), nil }
+	if _, err := ch.Stream(k, render); err != nil {
+		t.Fatal(err)
+	}
+	upstream := ch.Stats().Bytes
+	cached, err := ch.PCM(k, render)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ch.Stats().Bytes-upstream, int64(2*len(cached)); got != want {
+		t.Errorf("the cached burst of %d samples weighs %d bytes, want %d", len(cached), got, want)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package audio provides the PCM buffer utilities shared by the SONIC
-// modem and FM chain: float64 sample buffers, int16 conversion, and
-// RIFF/WAVE file encoding/decoding (16-bit PCM, mono or interleaved
-// multi-channel). The SONIC prototype moves webpage frames as audible
-// sound; this package is how that sound enters and leaves files for the
-// cmd/sonic-modem tool and the examples.
+// modem and FM chain: float64 sample buffers, the one int16 quantizer
+// and its exact inverse, and RIFF/WAVE file encoding/decoding (16-bit
+// PCM, mono or interleaved multi-channel). The SONIC prototype moves
+// webpage frames as audible sound; this package is how that sound enters
+// and leaves files for the cmd/sonic-modem tool and the examples.
 package audio
 
 import (
@@ -12,6 +12,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+
+	"sonic/internal/parallel"
 )
 
 // Buffer is a mono PCM signal with an associated sample rate.
@@ -28,22 +31,41 @@ func (b *Buffer) Duration() float64 {
 	return float64(len(b.Samples)) / float64(b.Rate)
 }
 
-// FloatToInt16 converts a float sample in [-1,1] to int16 with clamping.
+// FloatToInt16 is the one quantizer: it scales a float sample in [-1,1)
+// by 32768, rounds half to even and clamps to [-32768, 32767]. It is the
+// exact inverse of Int16ToFloat, so PCM that goes to float and back is
+// unchanged.
 func FloatToInt16(v float64) int16 {
-	v *= 32767
+	v = math.RoundToEven(v * 32768)
 	if v > 32767 {
-		v = 32767
+		return 32767
 	}
 	if v < -32768 {
-		v = -32768
+		return -32768
 	}
-	return int16(math.Round(v))
+	return int16(v)
 }
 
 // Int16ToFloat converts an int16 sample to a float in [-1,1).
 func Int16ToFloat(v int16) float64 {
 	return float64(v) / 32768
 }
+
+// Floats returns the float view of PCM samples (Int16ToFloat of each) in
+// a fresh slice, converted on the GOMAXPROCS pool.
+func Floats(pcm []int16) []float64 {
+	out := make([]float64, len(pcm))
+	parallel.For(runtime.GOMAXPROCS(0), len(pcm), floatsMinChunk, func(lo, hi int) {
+		for i, v := range pcm[lo:hi] {
+			out[lo+i] = Int16ToFloat(v)
+		}
+	})
+	return out
+}
+
+// floatsMinChunk is the fewest samples worth a goroutine of their own in
+// Floats.
+const floatsMinChunk = 1 << 15
 
 // errors for WAV parsing
 var (

@@ -55,6 +55,50 @@ func TestFloatInt16Conversion(t *testing.T) {
 	}
 }
 
+// TestPCMRoundTripIdentity pins the quantizer pair as exact inverses on
+// every 16-bit value: Int16ToFloat then FloatToInt16, alone, through
+// Floats and through a WAV written and read back, is the identity. It
+// also pins round half to even and the clamp at both ends.
+func TestPCMRoundTripIdentity(t *testing.T) {
+	pcm := make([]int16, 1<<16)
+	for i := range pcm {
+		pcm[i] = int16(i - 1<<15)
+	}
+	floats := Floats(pcm)
+	for i, v := range pcm {
+		if got := FloatToInt16(Int16ToFloat(v)); got != v {
+			t.Fatalf("FloatToInt16(Int16ToFloat(%d)) = %d", v, got)
+		}
+		if floats[i] != Int16ToFloat(v) {
+			t.Fatalf("Floats[%d] = %v, want Int16ToFloat(%d) = %v", i, floats[i], v, Int16ToFloat(v))
+		}
+	}
+	var wav bytes.Buffer
+	if err := WriteWAV(&wav, &Buffer{Rate: 48000, Samples: floats}); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadWAV(&wav)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range back.Samples {
+		if v != floats[i] {
+			t.Fatalf("sample %d read back from the WAV as %v, wrote %v", i, v, floats[i])
+		}
+	}
+	for _, tc := range []struct {
+		in   float64
+		want int16
+	}{
+		{0.5 / 32768, 0}, {1.5 / 32768, 2}, {-0.5 / 32768, 0}, {-1.5 / 32768, -2},
+		{1, 32767}, {2, 32767}, {-1, -32768}, {-2, -32768},
+	} {
+		if got := FloatToInt16(tc.in); got != tc.want {
+			t.Errorf("FloatToInt16(%v) = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
 func TestWAVRoundTrip(t *testing.T) {
 	src := ramp(48000, 2400)
 	var buf bytes.Buffer

@@ -242,13 +242,13 @@ func (tw *fleetTower) airNext(cfg FleetConfig, pipe *core.Pipeline, ids map[stri
 	if err != nil {
 		return err
 	}
-	audio, err := cfg.Chain.Audio(k, render)
+	pcm, err := cfg.Chain.PCM(k, render)
 	if err != nil {
 		return err
 	}
 	tw.AirSeconds += pipe.AirtimeSeconds(len(blob))
 	tw.Transmissions++
 	tw.PayloadBytes += int64(len(blob))
-	tw.AudioSamples += int64(len(audio))
+	tw.AudioSamples += int64(len(pcm))
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"sonic/internal/audio"
 	"sonic/internal/fec"
 	"sonic/internal/fm"
 	"sonic/internal/frame"
@@ -214,7 +215,8 @@ func UnmarshalBundle(blob []byte) (Bundle, error) {
 // streams and audio to the exact bytes this pipeline would emit.
 func (p *Pipeline) ConfigDigest() uint64 { return p.cfg.Digest() }
 
-// EncodePageAudio turns a page bundle into the broadcast audio burst.
+// EncodePageAudio turns a page bundle into the broadcast audio burst:
+// the float view (audio.Floats) of the PCM StreamPCM makes of its stream.
 func (p *Pipeline) EncodePageAudio(pageID uint16, b Bundle) ([]float64, error) {
 	sp := p.tel.StartSpan("core.encode_page")
 	defer sp.End()
@@ -222,7 +224,7 @@ func (p *Pipeline) EncodePageAudio(pageID uint16, b Bundle) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.modulateStream(sp, stream), nil
+	return audio.Floats(p.streamPCM(sp, stream)), nil
 }
 
 // BlobStream runs the transmit chain up to (not including) the modem
@@ -237,13 +239,19 @@ func (p *Pipeline) BlobStream(pageID uint16, blob []byte) ([]byte, error) {
 	return p.encodeStream(sp, pageID, blob)
 }
 
-// ModulateStream turns a FEC-framed stream (BlobStream) into the
-// broadcast audio burst — the final artifact stage. The result is
-// byte-identical to EncodePageAudio of the same bundle.
-func (p *Pipeline) ModulateStream(stream []byte) []float64 {
+// StreamPCM turns a FEC-framed stream (BlobStream) into the broadcast
+// burst as the exciter takes it, 16-bit PCM — the artifact chain's final
+// stage.
+func (p *Pipeline) StreamPCM(stream []byte) []int16 {
 	sp := p.tel.StartSpan("core.modulate_stream")
 	defer sp.End()
-	return p.modulateStream(sp, stream)
+	return p.streamPCM(sp, stream)
+}
+
+// ModulateStream is StreamPCM's float view, sample-identical to
+// EncodePageAudio of the same bundle.
+func (p *Pipeline) ModulateStream(stream []byte) []float64 {
+	return audio.Floats(p.StreamPCM(stream))
 }
 
 // encodeStream chunks a marshaled blob and FEC-frames it, with chunk and
@@ -264,13 +272,12 @@ func (p *Pipeline) framesStream(parent *telemetry.Span, frames []*frame.Frame) (
 	return p.codec.EncodeStream(frames)
 }
 
-// modulateStream is the modem stage — stream→audio — with its span
-// scoped under parent (nil-safe).
-func (p *Pipeline) modulateStream(parent *telemetry.Span, stream []byte) []float64 {
+// streamPCM is the modem stage behind every transmit path, stream→PCM,
+// with its span scoped under parent (nil-safe).
+func (p *Pipeline) streamPCM(parent *telemetry.Span, stream []byte) []int16 {
 	modSp := parent.StartChild("modulate")
-	audio := p.modem.Modulate(stream)
-	modSp.End()
-	return audio
+	defer modSp.End()
+	return p.modem.Modulate(stream)
 }
 
 // ReceiveResult summarizes one received page transmission.
@@ -442,7 +449,7 @@ func (p *Pipeline) EncodeCellsAudio(pageID uint16, img *imagecodec.Raster) ([]fl
 	if err != nil {
 		return nil, err
 	}
-	return p.modulateStream(sp, stream), nil
+	return audio.Floats(p.streamPCM(sp, stream)), nil
 }
 
 // DecodeCellsAudio demodulates a cell-transport burst and reconstructs
@@ -498,7 +505,7 @@ func (p *Pipeline) probeAudio(link fm.Link, nFrames int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return link.Transmit(p.modulateStream(nil, stream), p.cfg.Modem.SampleRate), nil
+	return link.Transmit(audio.Floats(p.streamPCM(nil, stream)), p.cfg.Modem.SampleRate), nil
 }
 
 // FrameLossProbe measures the frame loss rate of this pipeline across a

@@ -192,6 +192,48 @@ func TestEndToEndOverFMCable(t *testing.T) {
 	}
 }
 
+// TestReceiversDoNotWriteInput pins what makes a pass-through hop such
+// as fm.CableLink safe: every receiver and every lossy link leaves the
+// samples it is handed bit-identical, so one burst can feed many of
+// them.
+func TestReceiversDoNotWriteInput(t *testing.T) {
+	p := newDefault(t)
+	softCfg := DefaultConfig()
+	softCfg.SoftDecision = true
+	soft, err := NewPipeline(softCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make([]byte, 1500)
+	rand.New(rand.NewSource(5)).Read(img)
+	burst, err := p.EncodePageAudio(4, Bundle{Image: img})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Noise the burst once so the receivers see samples off the PCM grid.
+	burst = (&fm.AWGNLink{SNRdB: 30, Rng: rand.New(rand.NewSource(6))}).Transmit(burst, 48000)
+	want := slices.Clone(burst)
+	for _, rx := range []struct {
+		name string
+		run  func([]float64)
+	}{
+		{"modem.Demodulate", func(a []float64) { p.modem.Demodulate(a) }},
+		{"modem.DemodulateSoft", func(a []float64) { p.modem.DemodulateSoft(a) }},
+		{"DecodePageAudio", func(a []float64) { p.DecodePageAudio(a) }},
+		{"DecodePageAudio (soft)", func(a []float64) { soft.DecodePageAudio(a) }},
+		{"fm.FMLink", func(a []float64) { (&fm.FMLink{RSSI: -80, Rng: rand.New(rand.NewSource(7))}).Transmit(a, 48000) }},
+		{"fm.AcousticLink", func(a []float64) {
+			(&fm.AcousticLink{DistanceM: 1, Rng: rand.New(rand.NewSource(8))}).Transmit(a, 48000)
+		}},
+	} {
+		rx.run(burst)
+		if !slices.Equal(burst, want) {
+			t.Errorf("%s wrote the samples it was given", rx.name)
+			copy(burst, want)
+		}
+	}
+}
+
 func TestFrameLossProbeBands(t *testing.T) {
 	// RSSI bands from §4: clean at -75, total loss below -90.
 	p := newDefault(t)

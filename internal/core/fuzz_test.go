@@ -136,7 +136,7 @@ func FuzzDecodePageAudio(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		audio := p.modem.Modulate(stream)
+		audio := p.ModulateStream(stream)
 		for _, op := range onAudio {
 			switch op.code {
 			case pgResample:

@@ -15,8 +15,12 @@ import (
 //	User-B (internal tuner): FMLink only
 //	User-C (audio jack):     FMLink -> CableLink
 //	User-A (over the air):   FMLink -> AcousticLink
+//
+// A hop reads its input and never writes it, so a lossless hop may hand
+// the same slice on, and one burst can feed many hops.
 type Link interface {
-	// Transmit carries audio sampled at rate Hz across the hop.
+	// Transmit carries audio sampled at rate Hz across the hop. It must
+	// not write audio, and its result may be audio itself.
 	Transmit(audio []float64, rate int) []float64
 }
 
@@ -24,11 +28,10 @@ type Link interface {
 // direct path).
 type CableLink struct{}
 
-// Transmit returns a copy of the input.
+// Transmit returns its input: the hop changes nothing, and no link or
+// receiver writes the samples it is given.
 func (CableLink) Transmit(audio []float64, rate int) []float64 {
-	out := make([]float64, len(audio))
-	copy(out, audio)
-	return out
+	return audio
 }
 
 // FMLink is the radio hop: FM modulation, RF noise at the CNR the RSSI

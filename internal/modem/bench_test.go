@@ -14,7 +14,7 @@ func benchBurst(b *testing.B, payloadBytes int) (*OFDM, []byte, []float64) {
 	rng := rand.New(rand.NewSource(3))
 	payload := make([]byte, payloadBytes)
 	rng.Read(payload)
-	return m, payload, m.Modulate(payload)
+	return m, payload, modulateFloat(m, payload)
 }
 
 // pageStreamBytes is the framed, FEC-coded stream of a median page in

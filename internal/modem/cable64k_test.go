@@ -25,7 +25,7 @@ func TestCable64kCleanCableRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	payload := make([]byte, 2000)
 	rng.Read(payload)
-	res, err := m.Demodulate(m.Modulate(payload))
+	res, err := m.Demodulate(modulateFloat(m, payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCable64kFragileOverAir(t *testing.T) {
 	payload := make([]byte, 500)
 	rand.New(rand.NewSource(2)).Read(payload)
 	byteErrs := func(m *OFDM, snr float64) int {
-		noisy := addAWGN(m.Modulate(payload), snr, 3)
+		noisy := addAWGN(modulateFloat(m, payload), snr, 3)
 		res, err := m.Demodulate(noisy)
 		if err != nil {
 			return len(payload)

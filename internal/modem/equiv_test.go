@@ -12,6 +12,7 @@ import (
 	"slices"
 	"testing"
 
+	"sonic/internal/audio"
 	"sonic/internal/dsp"
 	"sonic/internal/fec"
 )
@@ -22,15 +23,19 @@ import (
 // one-symbol-per-transform serial implementations. The precision
 // contract, by what is compared:
 //
-//   - against the frozen references, samples and equalized values agree
-//     to the last few bits, not bit for bit: (A + iB)·w rounds differently
-//     from A·w. Measured max |Δ| is 4.2e-15 on a 0.7-peak burst and
-//     7.5e-13 dB of pilot SNR (bursts of 1 B to 60 kB, clean and at
-//     30, 14 and 8 dB AWGN, both profiles); the pins allow 1e-12 and
-//     1e-9 dB, nine orders below the 64-QAM decision distance.
-//     Everything decoded — payload, symbol count, start index, error
-//     text — must be equal, on noisy bursts too. A lone symbol (no
+//   - against the frozen references, synthesized samples and equalized
+//     values agree to the last few bits, not bit for bit: (A + iB)·w
+//     rounds differently from A·w. Measured max |Δ| is 4.2e-15 on a
+//     0.7-peak burst and 7.5e-13 dB of pilot SNR (bursts of 1 B to
+//     60 kB, clean and at 30, 14 and 8 dB AWGN, both profiles); the pins
+//     allow 1e-12 and 1e-9 dB, nine orders below the 64-QAM decision
+//     distance. Everything decoded — payload, symbol count, start index,
+//     error text — must be equal, on noisy bursts too. A lone symbol (no
 //     partner in its transform) is bit-identical to the reference.
+//   - what Modulate emits, 16-bit PCM, is exact: it equals
+//     audio.FloatToInt16 of the float reference burst sample for sample
+//     (a few-ulp difference moves a sample only if it straddles a
+//     rounding boundary of the 2^-15 grid).
 //   - between the new code's own runs, everything is exact: bursts are
 //     byte-identical and demodulation results reflect.DeepEqual at
 //     GOMAXPROCS 1, 2 and 4 and from call to call.
@@ -129,7 +134,11 @@ func refFindPreamble(m *OFDM, samples []float64) int {
 // paired modulator and the frozen reference's (see the header comment).
 const sampleTol = 1e-12
 
-func TestModulateMatchesReference(t *testing.T) {
+// TestModulatePCMMatchesReference pins Modulate's PCM to the frozen
+// float reference quantized by audio.FloatToInt16, exactly, at
+// GOMAXPROCS 1, 2 and 4; the burst's float view still demodulates to its
+// payload.
+func TestModulatePCMMatchesReference(t *testing.T) {
 	for _, prof := range []Profile{Sonic92(), Audible7k()} {
 		m, err := NewOFDM(prof)
 		if err != nil {
@@ -139,22 +148,28 @@ func TestModulateMatchesReference(t *testing.T) {
 		for _, n := range []int{1, 3, 184, 2048} {
 			payload := make([]byte, n)
 			rng.Read(payload)
-			want := refModulate(m, payload)
-			got := m.Modulate(payload)
-			if len(got) != len(want) {
-				t.Fatalf("%s n=%d: %d samples, want %d", prof.Name, n, len(got), len(want))
+			ref := refModulate(m, payload)
+			want := make([]int16, len(ref))
+			for i, v := range ref {
+				want[i] = audio.FloatToInt16(v)
 			}
-			var worst float64
-			for i := range got {
-				worst = max(worst, math.Abs(got[i]-want[i]))
+			if len(want) != m.BurstSamples(n) {
+				t.Fatalf("%s n=%d: BurstSamples says %d, the reference burst is %d", prof.Name, n, m.BurstSamples(n), len(want))
 			}
-			if !(worst <= sampleTol) {
-				t.Fatalf("%s n=%d: max |got-want| = %g, want <= %g", prof.Name, n, worst, sampleTol)
+			for _, procs := range []int{1, 2, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				got := m.Modulate(payload)
+				runtime.GOMAXPROCS(prev)
+				if len(got) != len(want) {
+					t.Fatalf("%s n=%d: %d samples, want %d", prof.Name, n, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s n=%d GOMAXPROCS=%d: sample %d is %d, the quantized reference %d", prof.Name, n, procs, i, got[i], want[i])
+					}
+				}
 			}
-			if len(got) != m.BurstSamples(n) {
-				t.Fatalf("%s n=%d: BurstSamples says %d, Modulate produced %d", prof.Name, n, m.BurstSamples(n), len(got))
-			}
-			res, err := m.Demodulate(got)
+			res, err := m.Demodulate(modulateFloat(m, payload))
 			if err != nil || !bytes.Equal(res.Payload, payload) {
 				t.Fatalf("%s n=%d: the burst does not demodulate to its payload (err %v)", prof.Name, n, err)
 			}
@@ -246,7 +261,7 @@ func TestModulateParityAcrossGOMAXPROCS(t *testing.T) {
 			if got := (m.BurstSamples(len(payload)) - m.BurstSamples(0)) / (prof.FFTSize + prof.CyclicPrefix); got != paySyms {
 				t.Fatalf("%s: payload of %d bytes is %d symbols, the case says %d", prof.Name, len(payload), got, paySyms)
 			}
-			var first []float64
+			var first []int16
 			for _, procs := range []int{1, 2, 4, 1} {
 				prev := runtime.GOMAXPROCS(procs)
 				for call := 0; call < 2; call++ {
@@ -271,7 +286,7 @@ func TestFindPreambleMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	payload := make([]byte, 512)
 	rng.Read(payload)
-	burst := m.Modulate(payload)
+	burst := modulateFloat(m, payload)
 
 	sc := m.getScratch()
 	defer m.putScratch(sc)
@@ -423,7 +438,7 @@ func TestDemodulateParityAcrossGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clean := m.Modulate(payload)
+		clean := modulateFloat(m, payload)
 		symLen := prof.FFTSize + prof.CyclicPrefix
 		bursts := []struct {
 			name    string
@@ -434,9 +449,9 @@ func TestDemodulateParityAcrossGOMAXPROCS(t *testing.T) {
 			{"leading silence", append(make([]float64, 3001), clean...)},
 			{"truncated mid-symbol", clean[:len(clean)-guardSamples-40*symLen-symLen/3]},
 			{"truncated inside the first payload symbol", clean[:m.BurstSamples(0)-guardSamples+symLen/2]},
-			{"three symbols", m.Modulate(payload[:3*m.bitsPerSymbol()/8])},
-			{"four symbols", m.Modulate(payload[:4*m.bitsPerSymbol()/8])},
-			{"empty payload", m.Modulate(nil)},
+			{"three symbols", modulateFloat(m, payload[:3*m.bitsPerSymbol()/8])},
+			{"four symbols", modulateFloat(m, payload[:4*m.bitsPerSymbol()/8])},
+			{"empty payload", modulateFloat(m, nil)},
 		}
 		for _, tc := range bursts {
 			want, wantErr := refDemodulate(m, tc.samples)
@@ -493,7 +508,7 @@ func TestOFDMConcurrentUse(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			payload := make([]byte, 256+rng.Intn(512))
 			rng.Read(payload)
-			burst := m.Modulate(payload)
+			burst := modulateFloat(m, payload)
 			for i := 0; i < 3; i++ {
 				res, err := m.Demodulate(burst)
 				if err != nil {
@@ -528,8 +543,8 @@ func TestDemodulateAllocsFlat(t *testing.T) {
 	large := make([]byte, 8192) // ~119 payload symbols
 	rng.Read(small)
 	rng.Read(large)
-	bSmall := m.Modulate(small)
-	bLarge := m.Modulate(large)
+	bSmall := modulateFloat(m, small)
+	bLarge := modulateFloat(m, large)
 	measure := func(burst []float64) float64 {
 		return testing.AllocsPerRun(10, func() {
 			if _, err := m.Demodulate(burst); err != nil {

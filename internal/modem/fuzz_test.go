@@ -42,9 +42,9 @@ func FuzzDemodulate(f *testing.F) {
 	rng := rand.New(rand.NewSource(47))
 	payload := make([]byte, 4*m.bitsPerSymbol()/8) // payload symbols 0..3: two pairs
 	rng.Read(payload)
-	base := m.Modulate(payload)
-	second := m.Modulate(payload[:len(payload)/2])
-	over := m.Modulate(append(append([]byte(nil), payload...), make([]byte, 64<<10)...))[:len(base)]
+	base := modulateFloat(m, payload)
+	second := modulateFloat(m, payload[:len(payload)/2])
+	over := modulateFloat(m, append(append([]byte(nil), payload...), make([]byte, 64<<10)...))[:len(base)]
 
 	symLen := m.p.FFTSize + m.p.CyclicPrefix
 	prologue := preambleSamples + guardSamples

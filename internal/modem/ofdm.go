@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sync"
 
+	"sonic/internal/audio"
 	"sonic/internal/dsp"
 	"sonic/internal/fec"
 	"sonic/internal/parallel"
@@ -364,16 +365,18 @@ func parseHeader(h []byte) (payloadLen, constBits int, err error) {
 }
 
 // Modulate converts payload bytes into an audio burst:
-// [preamble][guard][reference symbol][header symbols][payload symbols][guard].
-// The burst is allocated once (BurstSamples sizes it exactly) and filled
-// two symbols per transform on the GOMAXPROCS pool: every pair writes its
-// own index-addressed section, the chunks' peaks reduce with max, and the
-// peak normalization is per sample, so the burst is byte-identical at any
-// worker count and the call does a small constant number of allocations
-// regardless of payload size.
-func (m *OFDM) Modulate(payload []byte) []float64 {
-	out := make([]float64, m.BurstSamples(len(payload)))
-	copy(out, m.preamble)
+// [preamble][guard][reference symbol][header symbols][payload symbols][guard],
+// as 16-bit PCM at the profile's sample rate — what an exciter plays.
+// The symbols are synthesized into a float64 scratch burst (BurstSamples
+// sizes it exactly), two per transform on the GOMAXPROCS pool: every pair
+// writes its own index-addressed section and the chunks' peaks reduce
+// with max. One per-sample pass then scales the burst to the profile's
+// peak and quantizes it through audio.FloatToInt16, so the PCM is
+// identical at any worker count and the call does a small constant
+// number of allocations regardless of payload size.
+func (m *OFDM) Modulate(payload []byte) []int16 {
+	burst := make([]float64, m.BurstSamples(len(payload)))
+	copy(burst, m.preamble)
 
 	// Header symbols carry repetition-coded QPSK on the data carriers.
 	hdrBits := fec.BytesToBits(headerPayload(len(payload), m.p.Constellation.Bits()))
@@ -385,7 +388,7 @@ func (m *OFDM) Modulate(payload []byte) []float64 {
 
 	hdrSyms := m.headerSymbols()
 	symLen := m.p.FFTSize + m.p.CyclicPrefix
-	body := out[preambleSamples+guardSamples : len(out)-guardSamples]
+	body := burst[preambleSamples+guardSamples : len(burst)-guardSamples]
 	nSym := len(body) / symLen
 	// values returns the occupied-bin values of burst symbol s.
 	values := func(dst []complex128, s int, sc *ofdmScratch) []complex128 {
@@ -421,16 +424,20 @@ func (m *OFDM) Modulate(payload []byte) []float64 {
 	})
 	// The trailing guard stays silent so filters and channel tails flush
 	// cleanly.
-	live := out[:len(out)-guardSamples]
+	out := make([]int16, len(burst))
+	live := burst[:len(burst)-guardSamples]
 	g := m.p.Amplitude / peak
 	parallel.For(workers, len(live), modMinScale, func(lo, hi int) {
-		dsp.Scale(live[lo:hi], g)
+		for i, v := range live[lo:hi] {
+			out[lo+i] = audio.FloatToInt16(v * g)
+		}
 	})
 	return out
 }
 
 // The fewest symbol pairs (one transform, ~20 µs) and the fewest samples
-// of the normalization pass worth a goroutine of their own in Modulate.
+// of the scale-and-quantize pass worth a goroutine of their own in
+// Modulate.
 const (
 	modMinPairs = 2
 	modMinScale = 1 << 15

@@ -5,7 +5,15 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"sonic/internal/audio"
 )
+
+// modulateFloat is Modulate's burst as the receive side takes it, the
+// float view of its PCM.
+func modulateFloat(m *OFDM, payload []byte) []float64 {
+	return audio.Floats(m.Modulate(payload))
+}
 
 func addAWGN(samples []float64, snrDB float64, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -82,7 +90,7 @@ func TestOFDMCleanRoundTrip(t *testing.T) {
 		for _, n := range []int{1, 10, 100, 1000} {
 			payload := make([]byte, n)
 			rng.Read(payload)
-			audio := m.Modulate(payload)
+			audio := modulateFloat(m, payload)
 			res, err := m.Demodulate(audio)
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", prof.Name, n, err)
@@ -96,7 +104,7 @@ func TestOFDMCleanRoundTrip(t *testing.T) {
 
 func TestOFDMEmptyPayload(t *testing.T) {
 	m, _ := NewOFDM(Sonic92())
-	audio := m.Modulate(nil)
+	audio := modulateFloat(m, nil)
 	res, err := m.Demodulate(audio)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +117,7 @@ func TestOFDMEmptyPayload(t *testing.T) {
 func TestOFDMWithLeadingNoiseAndOffset(t *testing.T) {
 	m, _ := NewOFDM(Sonic92())
 	payload := []byte("offset burst: the receiver must find the preamble")
-	audio := m.Modulate(payload)
+	audio := modulateFloat(m, payload)
 	rng := rand.New(rand.NewSource(2))
 	pre := make([]float64, 9000)
 	post := make([]float64, 3000)
@@ -134,7 +142,7 @@ func TestOFDMHighSNRNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	payload := make([]byte, 300)
 	rng.Read(payload)
-	audio := m.Modulate(payload)
+	audio := modulateFloat(m, payload)
 	noisy := addAWGN(audio, 35, 4)
 	res, err := m.Demodulate(noisy)
 	if err != nil {
@@ -155,7 +163,7 @@ func TestOFDMQPSKSurvivesModerateNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	payload := make([]byte, 200)
 	rng.Read(payload)
-	noisy := addAWGN(m.Modulate(payload), 18, 6)
+	noisy := addAWGN(modulateFloat(m, payload), 18, 6)
 	res, err := m.Demodulate(noisy)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +180,7 @@ func TestOFDMDegradesGracefully(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	payload := make([]byte, 200)
 	rng.Read(payload)
-	audio := m.Modulate(payload)
+	audio := modulateFloat(m, payload)
 	errsAt := func(snr float64) int {
 		res, err := m.Demodulate(addAWGN(audio, snr, 8))
 		if err != nil {
@@ -220,7 +228,7 @@ func TestOFDMNoPreambleInSilence(t *testing.T) {
 func TestOFDMTruncatedBurst(t *testing.T) {
 	m, _ := NewOFDM(Sonic92())
 	payload := make([]byte, 500)
-	audio := m.Modulate(payload)
+	audio := modulateFloat(m, payload)
 	if _, err := m.Demodulate(audio[:len(audio)/2]); err == nil {
 		t.Error("truncated burst should fail")
 	}
@@ -271,7 +279,7 @@ func TestOFDMAllConstellationsRoundTrip(t *testing.T) {
 		}
 		payload := make([]byte, 150)
 		rng.Read(payload)
-		res, err := m.Demodulate(m.Modulate(payload))
+		res, err := m.Demodulate(modulateFloat(m, payload))
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}

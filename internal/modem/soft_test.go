@@ -60,7 +60,7 @@ func TestDemodulateSoftMatchesHardOnCleanAudio(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	payload := make([]byte, 300)
 	rng.Read(payload)
-	audio := m.Modulate(payload)
+	audio := modulateFloat(m, payload)
 	hard, err := m.Demodulate(audio)
 	if err != nil {
 		t.Fatal(err)

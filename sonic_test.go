@@ -2,11 +2,13 @@ package sonic
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"slices"
 	"testing"
 	"time"
 
+	"sonic/internal/artifact"
 	"sonic/internal/audio"
 )
 
@@ -48,8 +50,10 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 // TestWAVHardwarePath is the path a real transmitter and receiver take
 // (sonic-server -emit, then sonic-client): a whole rendered page encoded
-// to audio, written as a 16-bit WAV, read back and decoded. The int16
-// quantization is the only channel, and it must cost no frame.
+// to audio, written as a 16-bit WAV, read back and decoded. The burst is
+// 16-bit PCM from the modem on, so the file changes no sample: what is
+// read back is EncodePageAudio's float view exactly, and the file's PCM
+// is the artifact chain's cached burst.
 func TestWAVHardwarePath(t *testing.T) {
 	pipe, err := NewPipeline(DefaultConfig())
 	if err != nil {
@@ -67,9 +71,28 @@ func TestWAVHardwarePath(t *testing.T) {
 	if err := audio.WriteWAV(&wav, &audio.Buffer{Rate: 48000, Samples: samples}); err != nil {
 		t.Fatal(err)
 	}
+	// What the file holds is what airs: its PCM is the artifact chain's
+	// cached burst for the same page, sample for sample.
+	ch := artifact.NewChain(pipe, 0)
+	pcm, err := ch.PCM(ch.Key("khabar.pk/", 9, 1), func() (Bundle, error) { return bundle, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := wav.Bytes()[44:]
+	if len(data) != 2*len(pcm) {
+		t.Fatalf("the WAV holds %d PCM bytes, the chain's burst is %d samples", len(data), len(pcm))
+	}
+	for i, v := range pcm {
+		if got := int16(binary.LittleEndian.Uint16(data[2*i:])); got != v {
+			t.Fatalf("WAV sample %d is %d, the chain's PCM %d", i, got, v)
+		}
+	}
 	buf, err := audio.ReadWAV(&wav)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(buf.Samples, samples) {
+		t.Fatal("the samples read back from the WAV differ from EncodePageAudio's")
 	}
 	res, err := pipe.DecodePageAudio(buf.Samples)
 	if err != nil {
