@@ -7,6 +7,7 @@ package sonic
 // `go test -bench` output doubles as a mini reproduction report.
 
 import (
+	"sync"
 	"testing"
 
 	"sonic/internal/broadcast"
@@ -63,12 +64,24 @@ func BenchmarkFig4bSizeCDF(b *testing.B) {
 	b.ReportMetric(medianKB, "q10MedianKB")
 }
 
+// pageSizes renders the corpus's hour-0 bundles once for the benchmarks
+// that simulate airtime.
+var pageSizes = sync.OnceValues(func() (broadcast.SizeFunc, error) {
+	return experiments.PageSizes(corpus.Pages())
+})
+
 // BenchmarkFig4cBacklog simulates the backlog curves and reports the
-// 10 kbps idle fraction (the paper's "rarely reaches zero").
+// 10 kbps (one frequency) idle fraction (the paper's "rarely reaches
+// zero").
 func BenchmarkFig4cBacklog(b *testing.B) {
+	size, err := pageSizes()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	var idle10 float64
 	for i := 0; i < b.N; i++ {
-		curves, err := experiments.RunFig4c(48, nil)
+		curves, err := experiments.RunFig4c(48, size)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,9 +258,14 @@ func BenchmarkAblationInterpPriority(b *testing.B) {
 // BenchmarkAblationCarousel reports the scheduling-policy gain for the
 // preemptive-push rotation.
 func BenchmarkAblationCarousel(b *testing.B) {
+	size, err := pageSizes()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	var flat, sqrtW float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunAblationCarousel()
+		rows, err := experiments.RunAblationCarousel(size)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -292,11 +310,15 @@ func BenchmarkEndToEndPageBroadcast(b *testing.B) {
 func BenchmarkBacklogSimulator(b *testing.B) {
 	pages := corpus.Pages()
 	size := func(ref corpus.PageRef, hour int) int { return 128 * 1024 }
+	pipe, err := NewPipeline(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := broadcast.Simulate(broadcast.Config{
-			Pages: pages, RateBps: 10000, Hours: 48, StepMinutes: 10, Size: size,
+		if _, err := broadcast.Simulate(pipe, broadcast.Config{
+			Pages: pages, Frequencies: 1, Hours: 48, Size: size,
 		}); err != nil {
 			b.Fatal(err)
 		}

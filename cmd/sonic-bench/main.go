@@ -19,8 +19,10 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
+	"sonic/internal/broadcast"
 	"sonic/internal/corpus"
 	"sonic/internal/experiments"
 	"sonic/internal/imagecodec"
@@ -87,8 +89,11 @@ func main() {
 		hours = 24
 	}
 
-	// Fig. 4(b) sizes feed Fig. 4(c); compute lazily once.
-	var sizeCache map[string]int
+	// The simulators' page sizes (fig4c, the carousel ablation): the
+	// server's hour-0 bundles, rendered once on first use.
+	pageSizes := sync.OnceValues(func() (broadcast.SizeFunc, error) {
+		return experiments.PageSizes(corpus.Pages())
+	})
 
 	run("fig1", func() error {
 		r := experiments.RunFig1(2500, *seed)
@@ -128,30 +133,20 @@ func main() {
 			return err
 		}
 		experiments.PrintFig4b(os.Stdout, res)
-		if err := csvFig4b(*csvDir, res); err != nil {
-			return err
-		}
-		sizeCache = make(map[string]int)
-		refs := corpus.Pages()
-		for i, sz := range res.Sizes["Q:10,PH:10k"] {
-			sizeCache[refs[i].URL] = int(sz)
-		}
-		return nil
+		return csvFig4b(*csvDir, res)
 	})
 
 	run("fig4c", func() error {
-		curves, err := experiments.RunFig4c(hours, sizeCache)
+		size, err := pageSizes()
+		if err != nil {
+			return err
+		}
+		curves, err := experiments.RunFig4c(hours, size)
 		if err != nil {
 			return err
 		}
 		experiments.PrintFig4c(os.Stdout, curves)
-		if err := csvFig4c(*csvDir, curves); err != nil {
-			return err
-		}
-		if sizeCache == nil {
-			fmt.Println("(page sizes from the calibrated model; run with -exp all for measured sizes)")
-		}
-		return nil
+		return csvFig4c(*csvDir, curves)
 	})
 
 	run("rssi", func() error {
@@ -228,7 +223,11 @@ func main() {
 		}
 		experiments.PrintAblation(os.Stdout, "Ablation: hard vs soft-decision Viterbi near the cliff (frame loss)", softRows)
 
-		carRows, err := experiments.RunAblationCarousel()
+		size, err := pageSizes()
+		if err != nil {
+			return err
+		}
+		carRows, err := experiments.RunAblationCarousel(size)
 		if err != nil {
 			return err
 		}

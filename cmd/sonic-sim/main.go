@@ -3,9 +3,11 @@
 // population of listeners with the paper's three capability classes
 // (Figure 3), hourly content churn, and SMS requests from uplink users.
 // It reports what such a deployment actually delivers: catalog
-// freshness, per-user pages received, request latency.
+// freshness, per-user pages received, request latency. Pages air at the
+// sizes the server renders at hour 0 (experiments.PageSizes), each for
+// the pipeline's airtime spread over the station's frequencies.
 //
-//	sonic-sim -hours 24 -listeners 200 -rate 10000
+//	sonic-sim -hours 24 -listeners 200 -frequencies 1
 //
 // With -telemetry :7380 it also serves the live ops endpoint
 // (/metrics in the Prometheus text format, /metrics.json,
@@ -24,6 +26,8 @@ import (
 	"sonic/internal/broadcast"
 	"sonic/internal/core"
 	"sonic/internal/corpus"
+	"sonic/internal/experiments"
+	"sonic/internal/frame"
 	"sonic/internal/obsprobe"
 	"sonic/internal/stats"
 	"sonic/internal/telemetry"
@@ -33,7 +37,7 @@ func main() {
 	var (
 		hours     = flag.Int("hours", 24, "simulated hours")
 		listeners = flag.Int("listeners", 200, "listener population")
-		rate      = flag.Float64("rate", 10000, "channel rate (bps)")
+		freqs     = flag.Int("frequencies", 1, "parallel FM frequencies (1, 2, 4: the paper's 10/20/40 kbps)")
 		uplinkPct = flag.Int("uplink", 20, "percent of listeners with SMS uplink (user-C)")
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		telAddr   = flag.String("telemetry", "", "serve the ops endpoint (/metrics Prometheus text, /metrics.json, /debug/pprof) on this address, e.g. :7380; keeps the process alive after the report")
@@ -41,6 +45,10 @@ func main() {
 		sloDeliv  = flag.Duration("slo-delivered", time.Hour, "request->delivered SLO budget (0 disables the evaluator)")
 	)
 	flag.Parse()
+	if *freqs < 1 {
+		fmt.Fprintln(os.Stderr, "sonic-sim: -frequencies must be at least 1")
+		os.Exit(2)
+	}
 
 	var reg *telemetry.Registry // nil unless -telemetry: all records below are no-ops
 	var lc *telemetry.Lifecycle
@@ -66,19 +74,20 @@ func main() {
 		os.Exit(1)
 	}
 	pipe.Instrument(reg)
-	// -rate is the FEC-coded channel rate; framing takes its share on
-	// top, so a page's bytes air at the pipeline's net goodput scaled to
-	// that channel — the rate behind AirtimeSeconds and the server's ETAs.
-	payloadBps := pipe.NetGoodputBps() * *rate / pipe.TransportRateBps()
 	rng := rand.New(rand.NewSource(*seed))
 	pages := corpus.Pages()
 
-	car, err := broadcast.CorpusCarousel(pages, broadcast.ModelSize, broadcast.PolicySqrt)
+	size, err := experiments.PageSizes(pages)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	car.Instrument(reg, payloadBps)
+	car, err := broadcast.CorpusCarousel(pages, size, broadcast.PolicySqrt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	car.Instrument(reg, pipe, *freqs)
 
 	// Listener state: which page each listener last received and when.
 	type listener struct {
@@ -103,9 +112,9 @@ func main() {
 	}
 
 	// Broadcast loop: schedule pages with the carousel; each transmission
-	// takes airtime = bytes*8/payloadBps seconds; listeners capture it if no
-	// frame of the bitstream is lost (bitstream transport: all or
-	// nothing per page).
+	// holds the station for the pipeline's airtime over its frequencies;
+	// listeners capture it if no frame of the bitstream is lost
+	// (bitstream transport: all or nothing per page).
 	sched := car.Schedule(100000)
 	entries := car.Entries()
 	// Lifecycle traces are stamped in simulation time: second 0 of the
@@ -133,15 +142,14 @@ func main() {
 		}
 		e := entries[idx]
 		hour := int(simT / 3600)
-		bytes := broadcast.ModelSize(e.Ref, hour)
-		air := float64(bytes) * 8 / payloadBps
+		air := pipe.AirtimeSeconds(e.Bytes) / float64(*freqs)
 		airStart := simT
 		simT += air
 		transmission++
 		freshAt[e.Ref.URL] = hour
 
 		// Deliveries.
-		frames := bytes / 85
+		frames := (e.Bytes + frame.PayloadSize - 1) / frame.PayloadSize
 		for i := range pop {
 			if pop[i].lossRate == 0 || rng.Float64() < probAllFrames(pop[i].lossRate, frames) {
 				pop[i].received++
@@ -182,8 +190,8 @@ func main() {
 	}
 
 	// --- report -----------------------------------------------------------
-	fmt.Printf("sonic-sim: %d h at %.0f kbps (net %.1f kbps page goodput), %d listeners (%d%% uplink)\n",
-		*hours, *rate/1000, payloadBps/1000, *listeners, *uplinkPct)
+	fmt.Printf("sonic-sim: %d h, %d FM frequency(ies) (net %.1f kbps page goodput), %d listeners (%d%% uplink)\n",
+		*hours, *freqs, pipe.NetGoodputBps()*float64(*freqs)/1000, *listeners, *uplinkPct)
 	fmt.Printf("transmissions: %d pages aired (%.1f/hour)\n",
 		transmission, float64(transmission)/float64(*hours))
 	distinct := len(freshAt)
@@ -212,7 +220,7 @@ func main() {
 	} else {
 		fmt.Println("no uplink requests were satisfied in the horizon")
 	}
-	wait := car.ExpectedWaitSeconds(payloadBps)
+	wait := car.ExpectedWaitSeconds(pipe, *freqs)
 	fmt.Printf("carousel expected wait for a random popular page: %s\n",
 		time.Duration(wait*float64(time.Second)).Round(time.Second))
 

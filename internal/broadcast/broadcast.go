@@ -1,40 +1,36 @@
 // Package broadcast simulates SONIC's broadcast backlog — the paper's
 // Figure 4(c): the amount of data waiting to be transmitted over time,
 // given the 100-page Pakistani corpus re-rendering hourly and a fixed
-// channel rate (10 kbps for one frequency, 20/40 kbps with
-// multi-frequency operation).
+// number of FM frequencies (one for the paper's 10 kbps, two and four
+// for its 20/40 kbps multi-frequency operation).
 package broadcast
 
 import (
 	"fmt"
 
+	"sonic/internal/core"
 	"sonic/internal/corpus"
 )
 
 // SizeFunc returns the broadcast size in bytes of a page at an hour (the
-// SIC-encoded bundle size; the harness plugs in measured values).
+// marshaled bundle the server airs; see experiments.PageSizes).
 type SizeFunc func(ref corpus.PageRef, hour int) int
 
-// ModelSize is the SizeFunc the simulators use where no measured size is
-// at hand: 90–155 KB, the Q10/PH10k regime of Fig. 4(b), fixed per URL
-// by a string hash and the same at every hour.
-func ModelSize(ref corpus.PageRef, _ int) int {
-	h := 0
-	for _, c := range ref.URL {
-		h = h*31 + int(c)
-	}
-	if h < 0 {
-		h = -h
-	}
-	return 90*1024 + h%(65*1024)
+// airSeconds is how long a page of n bytes holds a station: the
+// pipeline's airtime for it, spread over the station's frequencies. It
+// is the charge the server's ETAs and admission use.
+func airSeconds(pipe *core.Pipeline, frequencies, n int) float64 {
+	return pipe.AirtimeSeconds(n) / float64(frequencies)
 }
+
+// stepMinutes is the backlog sampling resolution.
+const stepMinutes = 10
 
 // Config parameterizes one simulation run.
 type Config struct {
 	Pages       []corpus.PageRef
-	RateBps     float64 // channel rate (10000, 20000, 40000 in the paper)
-	Hours       int     // simulated duration (paper plots 48 of 72)
-	StepMinutes int     // sampling resolution
+	Frequencies int // parallel FM frequencies (1, 2, 4 for the paper's 10/20/40 kbps)
+	Hours       int // simulated duration (paper plots 48 of 72)
 	Size        SizeFunc
 }
 
@@ -52,46 +48,57 @@ type Result struct {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if len(c.Pages) == 0 || c.RateBps <= 0 || c.Hours <= 0 || c.Size == nil {
+	if len(c.Pages) == 0 || c.Frequencies <= 0 || c.Hours <= 0 || c.Size == nil {
 		return fmt.Errorf("broadcast: incomplete config")
-	}
-	if c.StepMinutes <= 0 || c.StepMinutes > 60 || 60%c.StepMinutes != 0 {
-		return fmt.Errorf("broadcast: step %d must divide 60", c.StepMinutes)
 	}
 	return nil
 }
 
-// Simulate runs the backlog model: at hour 0 every page is queued (the
-// initial push); at each following hour boundary every page whose content
-// changed is re-queued; the channel drains continuously at RateBps.
-func Simulate(cfg Config) (*Result, error) {
+// Simulate runs the backlog model on pipe's airtime: at hour 0 every page
+// is queued (the initial push); at each following hour boundary every
+// page whose content changed is re-queued; the station airs the queue in
+// order, each page for airSeconds of its bytes. The sampled backlog is
+// the bytes not yet aired, the page on air counted pro rata.
+func Simulate(pipe *core.Pipeline, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	stepSec := float64(cfg.StepMinutes) * 60
-	drainPerStep := cfg.RateBps * stepSec / 8
-
-	backlog := 0.0
-	for _, p := range cfg.Pages {
-		backlog += float64(cfg.Size(p, 0))
+	type page struct {
+		bytes int
+		air   float64
 	}
+	var (
+		queue  []page
+		queued int     // bytes in queue
+		onAir  float64 // seconds the head page has aired
+	)
 	res := &Result{Config: cfg}
-	stepsPerHour := 60 / cfg.StepMinutes
+	const stepsPerHour = 60 / stepMinutes
 	for h := 0; h < cfg.Hours; h++ {
-		if h > 0 {
-			for _, p := range cfg.Pages {
-				if corpus.ChangedAt(p, h) {
-					backlog += float64(cfg.Size(p, h))
-				}
+		for _, p := range cfg.Pages {
+			if h == 0 || corpus.ChangedAt(p, h) {
+				n := cfg.Size(p, h)
+				queue = append(queue, page{n, airSeconds(pipe, cfg.Frequencies, n)})
+				queued += n
 			}
 		}
 		for s := 0; s < stepsPerHour; s++ {
-			backlog -= drainPerStep
-			if backlog < 0 {
-				backlog = 0
+			for budget := float64(stepMinutes * 60); budget > 0 && len(queue) > 0; {
+				if left := queue[0].air - onAir; left <= budget {
+					budget -= left
+					queued -= queue[0].bytes
+					queue, onAir = queue[1:], 0
+				} else {
+					onAir += budget
+					budget = 0
+				}
+			}
+			backlog := float64(queued)
+			if len(queue) > 0 {
+				backlog -= float64(queue[0].bytes) * onAir / queue[0].air
 			}
 			res.Series = append(res.Series, Point{
-				THours:  float64(h) + float64(s+1)/float64(stepsPerHour),
+				THours:  float64(h) + float64(s+1)/stepsPerHour,
 				Backlog: int(backlog),
 			})
 		}

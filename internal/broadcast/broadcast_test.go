@@ -1,9 +1,11 @@
 package broadcast
 
 import (
+	"math"
 	"testing"
 
 	"sonic/internal/corpus"
+	"sonic/internal/telemetry"
 )
 
 // modelSize is a deterministic per-page size in the regime the paper
@@ -20,26 +22,19 @@ func modelSize(ref corpus.PageRef, hour int) int {
 	return base + h%61440 // up to +60KB
 }
 
-func cfg(rate float64, pages []corpus.PageRef) Config {
-	return Config{
-		Pages: pages, RateBps: rate, Hours: 48, StepMinutes: 10, Size: modelSize,
-	}
+func cfg(frequencies int, pages []corpus.PageRef) Config {
+	return Config{Pages: pages, Frequencies: frequencies, Hours: 48, Size: modelSize}
 }
 
 func TestValidation(t *testing.T) {
-	good := cfg(10000, corpus.Pages())
+	good := cfg(1, corpus.Pages())
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := good
-	bad.RateBps = 0
+	bad.Frequencies = 0
 	if bad.Validate() == nil {
-		t.Error("zero rate should fail")
-	}
-	bad = good
-	bad.StepMinutes = 7
-	if bad.Validate() == nil {
-		t.Error("step not dividing 60 should fail")
+		t.Error("zero frequencies should fail")
 	}
 	bad = good
 	bad.Pages = nil
@@ -49,37 +44,46 @@ func TestValidation(t *testing.T) {
 }
 
 func TestFig4cShape(t *testing.T) {
+	pipe := fleetPipe(t)
 	pages := corpus.Pages()
-	r10, err := Simulate(cfg(10000, pages))
-	if err != nil {
-		t.Fatal(err)
+	var rs [3]*Result
+	for i, f := range []int{1, 2, 4} {
+		r, err := Simulate(pipe, cfg(f, pages))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs[i] = r
 	}
-	r20, err := Simulate(cfg(20000, pages))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r40, err := Simulate(cfg(40000, pages))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s10, s20, s40 := r10.Summarize(), r20.Summarize(), r40.Summarize()
+	s10, s20, s40 := rs[0].Summarize(), rs[1].Summarize(), rs[2].Summarize()
+	at := func(r *Result, hour int) int { return r.Series[hour*60/stepMinutes-1].Backlog }
 
-	// Paper: at 10 kbps the backlog "rarely reaches zero"; 20/40 kbps
-	// drain it regularly.
+	// One frequency (the paper's 10 kbps) rarely idles and does not keep
+	// up at the pipeline's airtime: the backlog at the end of the second
+	// day is well above the one at the end of the first.
 	if s10.ZeroFraction > 0.10 {
-		t.Errorf("10kbps idle fraction = %.2f, want rarely zero", s10.ZeroFraction)
+		t.Errorf("1 frequency idle fraction = %.2f, want rarely zero", s10.ZeroFraction)
+	}
+	if a24, a48 := at(rs[0], 24), at(rs[0], 48); a24 == 0 || a48 < a24*5/4 {
+		t.Errorf("1 frequency backlog %d B at 24 h, %d B at 48 h: want growth", a24, a48)
+	}
+	// Two and four frequencies drain the queue to zero on both days.
+	for i, r := range rs[1:] {
+		for day := 0; day < 2; day++ {
+			drained := false
+			for _, p := range r.Series[day*24*60/stepMinutes : (day+1)*24*60/stepMinutes] {
+				drained = drained || p.Backlog == 0
+			}
+			if !drained {
+				t.Errorf("%d frequencies: backlog never empty on day %d", 2<<i, day+1)
+			}
+		}
 	}
 	if s20.ZeroFraction <= s10.ZeroFraction {
-		t.Errorf("20kbps should idle more than 10kbps (%.2f vs %.2f)",
+		t.Errorf("2 frequencies should idle more than 1 (%.2f vs %.2f)",
 			s20.ZeroFraction, s10.ZeroFraction)
 	}
 	if s40.ZeroFraction < 0.3 {
-		t.Errorf("40kbps idle fraction = %.2f, want mostly drained", s40.ZeroFraction)
-	}
-	// Bounded growth ("the amount of data to be sent does not grow
-	// indefinitely"): the peak stays within a few hours of inflow.
-	if s10.PeakBytes > 60<<20 {
-		t.Errorf("10kbps peak = %d MB, unbounded growth?", s10.PeakBytes>>20)
+		t.Errorf("4 frequencies idle fraction = %.2f, want mostly drained", s40.ZeroFraction)
 	}
 	// Ordering: faster drains => smaller mean backlog.
 	if !(s40.MeanBytes < s20.MeanBytes && s20.MeanBytes < s10.MeanBytes) {
@@ -88,10 +92,63 @@ func TestFig4cShape(t *testing.T) {
 	}
 }
 
+// TestBacklogDrainMatchesAirtime pins the one airtime function: from a
+// saturated queue, one simulated hour on F frequencies drains the bytes
+// whose pipe.AirtimeSeconds sum to F hours, and the carousel charges the
+// same pages the same airtime per byte.
+func TestBacklogDrainMatchesAirtime(t *testing.T) {
+	pipe := fleetPipe(t)
+	pages := corpus.Pages() // ~3.5 h of air on one frequency: saturated for an hour on two
+	total := 0
+	for _, p := range pages {
+		total += modelSize(p, 0)
+	}
+	drained := map[int]float64{}
+	for _, f := range []int{1, 2} {
+		r, err := Simulate(pipe, Config{Pages: pages, Frequencies: f, Hours: 1, Size: modelSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained[f] = float64(total - r.Series[len(r.Series)-1].Backlog)
+		// The queue airs in page order: whole pages while F hours of
+		// airtime last, then the share of the next that fits.
+		want, budget := 0.0, float64(3600*f)
+		for _, p := range pages {
+			n := modelSize(p, 0)
+			air := pipe.AirtimeSeconds(n)
+			if air >= budget {
+				want += float64(n) * budget / air
+				break
+			}
+			want += float64(n)
+			budget -= air
+		}
+		if math.Abs(drained[f]-want) > 0.01*want {
+			t.Errorf("%d frequencies: drained %.0f B in an hour, airtime says %.0f B", f, drained[f], want)
+		}
+	}
+
+	c, err := CorpusCarousel(pages, modelSize, PolicySqrt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	c.Instrument(reg, pipe, 1)
+	planned := 0
+	for _, i := range c.Schedule(len(pages)) {
+		planned += c.entries[i].Bytes
+	}
+	horizon := reg.Snapshot().Gauges["carousel_schedule_horizon_seconds"]
+	simRate, carRate := drained[1]/3600, float64(planned)/horizon
+	if math.Abs(carRate-simRate) > 0.01*simRate {
+		t.Errorf("carousel airs %.0f B/s, the backlog simulator %.0f B/s", carRate, simRate)
+	}
+}
+
 func TestDiurnalSawtooth(t *testing.T) {
 	// Backlog at 10 kbps must rise during the day and fall at night:
 	// compare the average slope in daytime vs nighttime windows.
-	r, err := Simulate(cfg(10000, corpus.Pages()))
+	r, err := Simulate(fleetPipe(t), cfg(1, corpus.Pages()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +188,16 @@ func TestN200GrowsBacklog(t *testing.T) {
 		}
 		seen[p.URL] = true
 	}
-	r100, _ := Simulate(cfg(20000, p100))
-	r200, _ := Simulate(cfg(20000, p200))
+	pipe := fleetPipe(t)
+	r100, _ := Simulate(pipe, cfg(2, p100))
+	r200, _ := Simulate(pipe, cfg(2, p200))
 	if r200.Summarize().MeanBytes <= r100.Summarize().MeanBytes {
 		t.Error("doubling the catalog should grow the backlog at equal rate")
 	}
 }
 
 func TestSeriesLengthAndMonotoneTime(t *testing.T) {
-	r, err := Simulate(cfg(10000, corpus.Pages()[:10]))
+	r, err := Simulate(fleetPipe(t), cfg(1, corpus.Pages()[:10]))
 	if err != nil {
 		t.Fatal(err)
 	}

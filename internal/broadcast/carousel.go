@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 
+	"sonic/internal/core"
 	"sonic/internal/corpus"
 	"sonic/internal/telemetry"
 )
@@ -17,7 +18,7 @@ import (
 type Carousel struct {
 	entries []CarouselEntry
 	policy  CarouselPolicy
-	rateBps float64 // set by Instrument; converts bytes to airtime
+	air     []float64 // per-entry air seconds; set by Instrument
 
 	// Telemetry (nil handles = off; see internal/telemetry).
 	mDepth     *telemetry.Gauge // carousel_depth_pages
@@ -28,24 +29,22 @@ type Carousel struct {
 // Instrument registers the carousel's metric families on reg: the
 // rotation's depth/age pair, carousel_depth_pages (pages in rotation)
 // and carousel_max_period_seconds (the longest gap between re-airs of
-// any page at rateBps — the oldest a carousel listener's copy can get
-// before refresh). Schedule refreshes carousel_schedule_horizon_seconds,
-// the airtime the most recently planned slots cover. Call once at setup.
-func (c *Carousel) Instrument(reg *telemetry.Registry, rateBps float64) {
+// any page on pipe's airtime over the given frequencies — the oldest a
+// carousel listener's copy can get before refresh). Schedule refreshes
+// carousel_schedule_horizon_seconds, the airtime the most recently
+// planned slots cover. Call once at setup.
+func (c *Carousel) Instrument(reg *telemetry.Registry, pipe *core.Pipeline, frequencies int) {
 	c.mDepth = reg.Gauge("carousel_depth_pages")
 	c.mMaxPeriod = reg.Gauge("carousel_max_period_seconds")
 	c.mHorizon = reg.Gauge("carousel_schedule_horizon_seconds")
-	c.rateBps = rateBps
 	c.mDepth.Set(float64(len(c.entries)))
-	if rateBps > 0 {
-		var worst float64
-		for _, e := range c.entries {
-			if period := float64(e.Bytes) * 8 / rateBps / e.share; period > worst {
-				worst = period
-			}
-		}
-		c.mMaxPeriod.Set(worst)
+	c.air = make([]float64, len(c.entries))
+	var worst float64
+	for i, e := range c.entries {
+		c.air[i] = airSeconds(pipe, frequencies, e.Bytes)
+		worst = max(worst, c.air[i]/e.share)
 	}
+	c.mMaxPeriod.Set(worst)
 }
 
 // CarouselEntry is one page in the rotation.
@@ -100,16 +99,17 @@ func NewCarousel(entries []CarouselEntry, policy CarouselPolicy) (*Carousel, err
 
 // ExpectedWaitSeconds returns the demand-weighted mean time a listener
 // who starts waiting at a random instant needs before their page's next
-// transmission completes, at the given channel rate. For a page holding
-// airtime share s and airing for t seconds per transmission, its period
-// is t/s and the expected wait for a random arrival is period/2 + t.
-func (c *Carousel) ExpectedWaitSeconds(rateBps float64) float64 {
-	if rateBps <= 0 {
+// transmission completes, on pipe's airtime over the given frequencies.
+// For a page holding airtime share s and airing for t seconds per
+// transmission, its period is t/s and the expected wait for a random
+// arrival is period/2 + t.
+func (c *Carousel) ExpectedWaitSeconds(pipe *core.Pipeline, frequencies int) float64 {
+	if frequencies <= 0 {
 		return math.Inf(1)
 	}
 	var num, den float64
 	for _, e := range c.entries {
-		airSec := float64(e.Bytes) * 8 / rateBps
+		airSec := airSeconds(pipe, frequencies, e.Bytes)
 		period := airSec / e.share
 		wait := period/2 + airSec
 		num += e.Demand * wait
@@ -136,7 +136,7 @@ func (c *Carousel) Schedule(n int) []int {
 		next[i] = period[i] * (1 + float64(i)/float64(len(c.entries))) / 2
 	}
 	out := make([]int, 0, n)
-	var planned int64
+	var horizon float64
 	for len(out) < n {
 		best := 0
 		for i := 1; i < len(next); i++ {
@@ -145,12 +145,12 @@ func (c *Carousel) Schedule(n int) []int {
 			}
 		}
 		out = append(out, best)
-		planned += int64(c.entries[best].Bytes)
+		if c.air != nil {
+			horizon += c.air[best]
+		}
 		next[best] += period[best]
 	}
-	if c.rateBps > 0 {
-		c.mHorizon.Set(float64(planned) * 8 / c.rateBps)
-	}
+	c.mHorizon.Set(horizon)
 	return out
 }
 
@@ -186,8 +186,9 @@ func MeasuredCarousel(pages []corpus.PageRef, size SizeFunc, demand map[string]f
 }
 
 // CompareCarouselPolicies returns (flat, sqrt) demand-weighted expected
-// waits at rateBps — the scheduling ablation.
-func CompareCarouselPolicies(pages []corpus.PageRef, size SizeFunc, rateBps float64) (flatWait, sqrtWait float64, err error) {
+// waits on pipe's airtime over the given frequencies — the scheduling
+// ablation.
+func CompareCarouselPolicies(pages []corpus.PageRef, size SizeFunc, pipe *core.Pipeline, frequencies int) (flatWait, sqrtWait float64, err error) {
 	flat, err := CorpusCarousel(pages, size, PolicyFlat)
 	if err != nil {
 		return 0, 0, err
@@ -196,5 +197,5 @@ func CompareCarouselPolicies(pages []corpus.PageRef, size SizeFunc, rateBps floa
 	if err != nil {
 		return 0, 0, err
 	}
-	return flat.ExpectedWaitSeconds(rateBps), opt.ExpectedWaitSeconds(rateBps), nil
+	return flat.ExpectedWaitSeconds(pipe, frequencies), opt.ExpectedWaitSeconds(pipe, frequencies), nil
 }

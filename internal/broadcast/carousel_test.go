@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sonic/internal/corpus"
+	"sonic/internal/telemetry"
 )
 
 func testEntries() []CarouselEntry {
@@ -70,7 +71,7 @@ func TestSqrtPolicyFavorsDemand(t *testing.T) {
 func TestSqrtPolicyBeatsFlatOnExpectedWait(t *testing.T) {
 	// The broadcast-disk result: sqrt allocation lowers demand-weighted
 	// expected wait whenever demand is skewed.
-	flat, opt, err := CompareCarouselPolicies(corpus.Pages(), ModelSize, 10000)
+	flat, opt, err := CompareCarouselPolicies(corpus.Pages(), modelSize, fleetPipe(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestSqrtPolicyBeatsFlatOnExpectedWait(t *testing.T) {
 	if improvement < 1.2 {
 		t.Errorf("improvement only %.2fx on a Zipf corpus", improvement)
 	}
-	t.Logf("expected wait at 10kbps: flat %.0fs, sqrt %.0fs (%.1fx)", flat, opt, improvement)
+	t.Logf("expected wait on one frequency: flat %.0fs, sqrt %.0fs (%.1fx)", flat, opt, improvement)
 }
 
 func TestScheduleProportions(t *testing.T) {
@@ -129,12 +130,47 @@ func TestScheduleProportions(t *testing.T) {
 
 func TestExpectedWaitEdgeCases(t *testing.T) {
 	c, _ := NewCarousel(testEntries(), PolicyFlat)
-	if !math.IsInf(c.ExpectedWaitSeconds(0), 1) {
-		t.Error("zero rate should be infinite wait")
+	pipe := fleetPipe(t)
+	if !math.IsInf(c.ExpectedWaitSeconds(pipe, 0), 1) {
+		t.Error("no frequency should be infinite wait")
 	}
-	// Faster channel, shorter wait.
-	if c.ExpectedWaitSeconds(20000) >= c.ExpectedWaitSeconds(10000) {
-		t.Error("doubling rate should reduce wait")
+	// More frequencies, shorter wait.
+	if c.ExpectedWaitSeconds(pipe, 2) >= c.ExpectedWaitSeconds(pipe, 1) {
+		t.Error("doubling frequencies should reduce wait")
+	}
+}
+
+// TestCarouselGaugesMatchAirtime pins the carousel families after
+// Instrument + Schedule(n): depth is the rotation's size, the max period
+// is the longest airtime/share, and the horizon is the sum of the
+// pipeline's airtime over the frequencies for every planned slot.
+func TestCarouselGaugesMatchAirtime(t *testing.T) {
+	pipe := fleetPipe(t)
+	const freqs, n = 2, 500
+	c, err := CorpusCarousel(corpus.Pages(), modelSize, PolicySqrt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	c.Instrument(reg, pipe, freqs)
+	sched := c.Schedule(n)
+
+	var worst, horizon float64
+	for _, e := range c.entries {
+		worst = max(worst, pipe.AirtimeSeconds(e.Bytes)/freqs/e.share)
+	}
+	for _, i := range sched {
+		horizon += pipe.AirtimeSeconds(c.entries[i].Bytes) / freqs
+	}
+	g := reg.Snapshot().Gauges
+	for name, want := range map[string]float64{
+		"carousel_depth_pages":              float64(len(c.entries)),
+		"carousel_max_period_seconds":       worst,
+		"carousel_schedule_horizon_seconds": horizon,
+	} {
+		if got := g[name]; math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
 }
 

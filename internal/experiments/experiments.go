@@ -7,10 +7,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 
 	"sonic/internal/broadcast"
 	"sonic/internal/core"
@@ -21,6 +24,8 @@ import (
 	"sonic/internal/imagecodec"
 	"sonic/internal/interp"
 	"sonic/internal/modem"
+	"sonic/internal/parallel"
+	"sonic/internal/server"
 	"sonic/internal/stats"
 	"sonic/internal/userstudy"
 	"sonic/internal/webrender"
@@ -176,43 +181,76 @@ func PrintFig4b(w io.Writer, res *Fig4bResult) {
 
 // --- Figure 4(c): broadcast backlog over time -------------------------------
 
-// Fig4cCurve labels one (rate, N) series.
+// Fig4cCurve labels one (frequencies, N) series.
 type Fig4cCurve struct {
-	Label   string
-	RateBps float64
-	NPages  int
-	Result  *broadcast.Result
+	Label       string
+	Frequencies int
+	NPages      int
+	Result      *broadcast.Result
 }
 
-// RunFig4c simulates the paper's four curves over the given horizon,
-// using measured page sizes when sizes is non-nil (ref URL -> bytes) or
-// a deterministic size model otherwise.
-func RunFig4c(hours int, sizes map[string]int) ([]Fig4cCurve, error) {
-	sizeFn := func(ref corpus.PageRef, hour int) int {
-		base, ok := 0, false
-		if sizes != nil {
-			base, ok = lookupSize(sizes, ref.URL)
+// PageSizes is the size source of every simulator: it renders each
+// distinct base page of pages once, at corpus hour 0, through the
+// server's own render path, and sizes it as the marshaled bundle the
+// server airs. ExtendCorpus's "?v=" variants share their base page's
+// size, and a page's size is the same at every hour (RunFleet's
+// precedent: its hour-0 cold build is its carousel size base).
+func PageSizes(pages []corpus.PageRef) (broadcast.SizeFunc, error) {
+	pipe, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	cfg := server.DefaultConfig()
+	srv := server.New(cfg, pipe)
+	var urls []string
+	index := make(map[string]int)
+	for _, ref := range pages {
+		url := baseURL(ref.URL)
+		if _, ok := index[url]; !ok {
+			index[url] = len(urls)
+			urls = append(urls, url)
 		}
-		if !ok {
-			base = broadcast.ModelSize(ref, hour)
+	}
+	sizes := make([]int, len(urls))
+	errs := make([]error, len(urls))
+	parallel.For(runtime.GOMAXPROCS(0), len(urls), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			b, err := srv.RenderPage(urls[i], cfg.Epoch)
+			sizes[i], errs[i] = len(core.MarshalBundle(b)), err
 		}
-		// Hourly content variation jitters the encoded size a little.
-		j := int64(hour)*1000003 ^ int64(len(ref.URL))
-		return base + int(j%int64(base/8)) - base/16
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return func(ref corpus.PageRef, _ int) int { return sizes[index[baseURL(ref.URL)]] }, nil
+}
+
+// baseURL strips ExtendCorpus's "?v=" variant suffix.
+func baseURL(url string) string {
+	base, _, _ := strings.Cut(url, "?")
+	return base
+}
+
+// RunFig4c simulates the paper's four curves over the given horizon on
+// the default pipeline's airtime, with page sizes from size (PageSizes
+// for the figure).
+func RunFig4c(hours int, size broadcast.SizeFunc) ([]Fig4cCurve, error) {
+	pipe, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		return nil, err
 	}
 	curves := []Fig4cCurve{
-		{Label: "Rate:10kbps N:100", RateBps: 10000, NPages: 100},
-		{Label: "Rate:20kbps N:100", RateBps: 20000, NPages: 100},
-		{Label: "Rate:40kbps N:100", RateBps: 40000, NPages: 100},
-		{Label: "Rate:20kbps N:200", RateBps: 20000, NPages: 200},
+		{Label: "Rate:10kbps N:100", Frequencies: 1, NPages: 100},
+		{Label: "Rate:20kbps N:100", Frequencies: 2, NPages: 100},
+		{Label: "Rate:40kbps N:100", Frequencies: 4, NPages: 100},
+		{Label: "Rate:20kbps N:200", Frequencies: 2, NPages: 200},
 	}
 	for i := range curves {
-		r, err := broadcast.Simulate(broadcast.Config{
+		r, err := broadcast.Simulate(pipe, broadcast.Config{
 			Pages:       broadcast.ExtendCorpus(curves[i].NPages),
-			RateBps:     curves[i].RateBps,
+			Frequencies: curves[i].Frequencies,
 			Hours:       hours,
-			StepMinutes: 10,
-			Size:        sizeFn,
+			Size:        size,
 		})
 		if err != nil {
 			return nil, err
@@ -220,20 +258,6 @@ func RunFig4c(hours int, sizes map[string]int) ([]Fig4cCurve, error) {
 		curves[i].Result = r
 	}
 	return curves, nil
-}
-
-func lookupSize(sizes map[string]int, url string) (int, bool) {
-	if v, ok := sizes[url]; ok {
-		return v, true
-	}
-	// Variant URLs from ExtendCorpus ("...?v=1") share the base page size.
-	for i := 0; i < len(url); i++ {
-		if url[i] == '?' {
-			v, ok := sizes[url[:i]]
-			return v, ok
-		}
-	}
-	return 0, false
 }
 
 // PrintFig4c renders the series summaries plus hourly samples.
@@ -684,17 +708,22 @@ func RunAblationSoftDecision(framesPerTrial, trials int, seed int64) ([]Ablation
 
 // RunAblationCarousel compares the flat and sqrt(demand*size) carousel
 // policies for the preemptive-push rotation (§3.1), reporting the
-// demand-weighted expected wait at each channel rate.
-func RunAblationCarousel() ([]AblationRow, error) {
+// demand-weighted expected wait on 1, 2 and 4 frequencies (the paper's
+// 10/20/40 kbps) at the page sizes size gives.
+func RunAblationCarousel(size broadcast.SizeFunc) ([]AblationRow, error) {
+	pipe, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
 	var rows []AblationRow
-	for _, rate := range []float64{10000, 20000, 40000} {
-		flat, opt, err := broadcast.CompareCarouselPolicies(corpus.Pages(), broadcast.ModelSize, rate)
+	for _, f := range []int{1, 2, 4} {
+		flat, opt, err := broadcast.CompareCarouselPolicies(corpus.Pages(), size, pipe, f)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows,
-			AblationRow{Variant: fmt.Sprintf("flat carousel @%.0fkbps (wait s)", rate/1000), Loss: flat},
-			AblationRow{Variant: fmt.Sprintf("sqrt carousel @%.0fkbps (wait s)", rate/1000), Loss: opt},
+			AblationRow{Variant: fmt.Sprintf("flat carousel @%dkbps (wait s)", 10*f), Loss: flat},
+			AblationRow{Variant: fmt.Sprintf("sqrt carousel @%dkbps (wait s)", 10*f), Loss: opt},
 		)
 	}
 	return rows, nil

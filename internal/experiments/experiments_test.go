@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"sonic/internal/core"
+	"sonic/internal/corpus"
+	"sonic/internal/server"
 	"sonic/internal/stats"
 	"sonic/internal/userstudy"
 )
@@ -79,8 +82,48 @@ func TestFig4bShapeReduced(t *testing.T) {
 	}
 }
 
+// TestPageSizes pins the simulators' size source to the server: a
+// page's size is the marshaled bundle RenderPage returns at hour 0, at
+// every hour, and an ExtendCorpus variant has its base page's size.
+func TestPageSizes(t *testing.T) {
+	n := 8
+	if raceEnabled {
+		n = 3 // image pipeline is ~15x slower under -race
+	}
+	pages := corpus.Pages()[:n]
+	variant := pages[0]
+	variant.URL += "?v=1"
+	size, err := PageSizes(append(pages[:n:n], variant))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := server.DefaultConfig()
+	srv := server.New(cfg, pipe)
+	for _, ref := range pages {
+		b, err := srv.RenderPage(ref.URL, cfg.Epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := size(ref, 0), len(core.MarshalBundle(b)); got != want {
+			t.Errorf("%s: size %d, server airs %d", ref.URL, got, want)
+		}
+		if size(ref, 30) != size(ref, 0) {
+			t.Errorf("%s: size moved with the hour", ref.URL)
+		}
+	}
+	if size(variant, 0) != size(pages[0], 0) {
+		t.Errorf("variant size %d, base %d", size(variant, 0), size(pages[0], 0))
+	}
+}
+
 func TestFig4cShape(t *testing.T) {
-	curves, err := RunFig4c(48, nil)
+	// The mean hour-0 bundle, so the test renders nothing.
+	size := func(corpus.PageRef, int) int { return 149 << 10 }
+	curves, err := RunFig4c(48, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +133,12 @@ func TestFig4cShape(t *testing.T) {
 	s10 := curves[0].Result.Summarize()
 	s40 := curves[2].Result.Summarize()
 	if s10.ZeroFraction > 0.15 {
-		t.Errorf("10kbps idle %.2f, want rarely zero", s10.ZeroFraction)
+		t.Errorf("1 frequency idle %.2f, want rarely zero", s10.ZeroFraction)
 	}
 	if s40.ZeroFraction < 0.3 {
-		t.Errorf("40kbps idle %.2f, want mostly drained", s40.ZeroFraction)
+		t.Errorf("4 frequencies idle %.2f, want mostly drained", s40.ZeroFraction)
 	}
-	// N:200 at 20kbps backs up more than N:100 at 20kbps.
+	// N:200 on 2 frequencies backs up more than N:100 on 2.
 	if curves[3].Result.Summarize().MeanBytes <= curves[1].Result.Summarize().MeanBytes {
 		t.Error("N:200 should carry more backlog than N:100")
 	}

@@ -1,9 +1,9 @@
 // Package obsprobe exercises every instrumented layer of the SONIC
-// stack — core pipeline, frame/FEC codec, FM link, server, client, and
-// broadcast carousel — with one small end-to-end workload so that a
-// telemetry snapshot taken afterwards holds every span and the server,
-// artifact, carousel and lifecycle families. sonic-sim -telemetry uses
-// it to light up the ops endpoint.
+// stack — core pipeline, frame/FEC codec, FM link, server and client —
+// with one small end-to-end workload so that a telemetry snapshot taken
+// afterwards holds every span and the server, artifact and lifecycle
+// families. sonic-sim -telemetry uses it to light up the ops endpoint;
+// the carousel families are the simulation's own.
 package obsprobe
 
 import (
@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"time"
 
-	"sonic/internal/broadcast"
 	"sonic/internal/client"
 	"sonic/internal/core"
 	"sonic/internal/corpus"
@@ -27,9 +26,9 @@ const sampleRate = 48000
 // Run drives the probe workload against reg. Every layer is touched at
 // least once: a page render (cache miss then hit), queue churn on a
 // transmitter, a full encode → FM channel → decode round trip of a
-// synthetic bundle, a client broadcast ingest, a carousel schedule, and
-// a complete SMS request → enqueue → on-air → decode-side delivery loop
-// so the request lifecycle histograms (request_to_on_air_seconds,
+// synthetic bundle, a client broadcast ingest, and a complete SMS
+// request → enqueue → on-air → decode-side delivery loop so the request
+// lifecycle histograms (request_to_on_air_seconds,
 // request_to_delivered_seconds, per-stage waits) are all populated.
 func Run(reg *telemetry.Registry) error {
 	pipe, err := core.NewPipeline(core.DefaultConfig())
@@ -116,14 +115,5 @@ func Run(reg *telemetry.Registry) error {
 		return fmt.Errorf("obsprobe: sms-requested page not queued (got %q ok=%v)", gotURL, ok)
 	}
 	cl.HandleBroadcast(gotURL, reqBundle, now.Add(10*time.Second), srv.PageTTL(), 1.0)
-
-	// Broadcast: a carousel over the corpus, instrumented at the
-	// pipeline's net goodput, emitting one schedule round.
-	car, err := broadcast.CorpusCarousel(corpus.Pages(), broadcast.ModelSize, broadcast.PolicySqrt)
-	if err != nil {
-		return fmt.Errorf("obsprobe: carousel: %w", err)
-	}
-	car.Instrument(reg, pipe.NetGoodputBps())
-	car.Schedule(64)
 	return nil
 }

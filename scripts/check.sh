@@ -125,19 +125,21 @@ go build -o "$work/sonic-client" ./cmd/sonic-client
 "$work/sonic-server" -emit khabar.pk/ -hour 9 -out "$work/page.wav"
 "$work/sonic-client" -in "$work/page.wav" -png "$work/page.png" -clicks "$work/clicks.json"
 
-# The paper reproduction, as far as it reproduces: Fig. 4(a) and the RSSI
-# sweep regenerate byte-identically from this tree, so a change that
-# moves what the modem, the FEC stack or the FM link emit fails here
-# unless it regenerates them on purpose. fig4b_size_cdf.csv,
-# fig4c_backlog.csv and fig5_user_study.csv are stale (they still hold
-# the v0 seed's numbers) and wait for ROADMAP item 6's bisect before they
-# can join this leg.
-echo "==> paper figures: fig4a and rssi regenerate results-csv/ byte for byte"
+# The paper reproduction, as far as it reproduces: Fig. 4(a), the RSSI
+# sweep and Fig. 4(c) regenerate byte-identically from this tree, so a
+# change that moves what the modem, the FEC stack or the FM link emit,
+# what a page airs for, or how many bytes the server renders it to fails
+# here unless it regenerates them on purpose. fig4b_size_cdf.csv and
+# fig5_user_study.csv are stale (they still hold the v0 seed's numbers)
+# and wait for ROADMAP item 6's bisect before they can join this leg.
+echo "==> paper figures: fig4a, rssi and fig4c regenerate results-csv/ byte for byte"
 go build -o "$work/sonic-bench" ./cmd/sonic-bench
 "$work/sonic-bench" -exp fig4a -csv "$work" >/dev/null
 "$work/sonic-bench" -exp rssi -csv "$work" >/dev/null
+"$work/sonic-bench" -exp fig4c -csv "$work" >/dev/null
 cmp results-csv/fig4a_frame_loss.csv "$work/fig4a_frame_loss.csv"
 cmp results-csv/rssi_sweep.csv "$work/rssi_sweep.csv"
+cmp results-csv/fig4c_backlog.csv "$work/fig4c_backlog.csv"
 
 # The gate writes its by-products under ${TMPDIR:-/tmp}. A file it left
 # in the checkout is a tracked file it rewrote or an artifact .gitignore

@@ -12,8 +12,8 @@
 //   - Server and Client: the §3.1 workflow — SMS request intake,
 //     render+cache, transmitter selection, broadcast queues, click-map
 //     navigation, page cache with server-set expiry.
-//   - The evaluation workloads: the 100-page Pakistani corpus, the
-//     backlog simulator (Fig. 4c) and the simulated user study (Fig. 5).
+//   - The evaluation corpus: the 100-page Pakistani page generator.
+//     The paper's figures themselves are cmd/sonic-bench's.
 //
 // Quickstart (see examples/quickstart for the runnable version):
 //
@@ -30,7 +30,6 @@ package sonic
 import (
 	"time"
 
-	"sonic/internal/broadcast"
 	"sonic/internal/client"
 	"sonic/internal/core"
 	"sonic/internal/fm"
@@ -150,17 +149,4 @@ func BundlePage(r *Rendered, quality int) (Bundle, error) {
 // DecodePageImage decodes a bundle's image back into a raster.
 func DecodePageImage(b Bundle) (*Raster, error) {
 	return imagecodec.DecodeSIC(b.Image)
-}
-
-// Evaluation re-exports (for building custom experiment harnesses).
-type (
-	// BacklogConfig parameterizes the Fig. 4(c) backlog simulation.
-	BacklogConfig = broadcast.Config
-	// BacklogResult is a finished backlog run.
-	BacklogResult = broadcast.Result
-)
-
-// SimulateBacklog runs the Fig. 4(c) model.
-func SimulateBacklog(cfg BacklogConfig) (*BacklogResult, error) {
-	return broadcast.Simulate(cfg)
 }
