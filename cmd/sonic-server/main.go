@@ -73,7 +73,9 @@ func main() {
 		if err != nil {
 			fatalf("render: %v", err)
 		}
-		samples, err := pipe.EncodePageAudio(1, bundle)
+		// What the server airs: the page's own ID, through the
+		// artifact chain a tower's dequeue reads.
+		samples, err := srv.PageAudio(*emit, now)
 		if err != nil {
 			fatalf("encode: %v", err)
 		}

@@ -11,9 +11,9 @@
 //
 // With -telemetry :7380 it also serves the live ops endpoint
 // (/metrics in the Prometheus text format, /metrics.json,
-// /debug/pprof), runs an instrumented
-// end-to-end probe so every pipeline stage reports, and stays alive
-// for scraping after the report.
+// /debug/pprof) and stays alive for scraping after the report. The
+// endpoint holds what the simulation recorded and nothing else: the
+// request lifecycle families and the carousel families.
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 	"sonic/internal/corpus"
 	"sonic/internal/experiments"
 	"sonic/internal/frame"
-	"sonic/internal/obsprobe"
 	"sonic/internal/stats"
 	"sonic/internal/telemetry"
 )
@@ -73,7 +72,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	pipe.Instrument(reg)
 	rng := rand.New(rand.NewSource(*seed))
 	pages := corpus.Pages()
 
@@ -239,19 +237,7 @@ func main() {
 		}
 		fmt.Printf("lifecycle: %d SLO breaches (budgets: on-air %s, delivered %s)\n",
 			breaches, *sloAir, *sloDeliv)
-	}
-
-	if reg != nil {
-		// The discrete-event loop above models the channel analytically,
-		// so run one real end-to-end page through every instrumented
-		// stage to populate the per-stage spans, then
-		// keep serving so the endpoint stays scrapeable.
-		fmt.Println("telemetry: running instrumented end-to-end probe...")
-		if err := obsprobe.Run(reg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println("telemetry: probe complete; serving until interrupted (ctrl-C to exit)")
+		fmt.Println("telemetry: report complete; serving until interrupted (ctrl-C to exit)")
 		select {}
 	}
 }

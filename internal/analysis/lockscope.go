@@ -35,12 +35,12 @@ var kernelPkgBases = map[string]bool{
 // across either serializes every tower sharing the lock. Keyed by
 // package basename, like kernelPkgBases; entries here take precedence
 // over the blanket kernel-package rule so the diagnostic names the
-// specific heavy call.
+// specific heavy call. The FM chain's one entry is a method
+// (FMLink.Transmit), so the kernel-package rule reports it.
 var heavyFuncs = map[string]map[string]bool{
 	"corpus": {"Generate": true},
 	"core":   {"MarshalBundle": true},
 	"modem":  {"Modulate": true},
-	"fm":     {"Broadcast": true},
 }
 
 // osBlocking lists os package functions and file-method names that hit
@@ -99,8 +99,8 @@ func forbiddenCallee(f *types.Func, current *types.Package) (string, bool) {
 			return "net/http." + f.Name(), true
 		}
 	}
-	// Heavy-call entries first: modem.Modulate and fm.Broadcast live in
-	// kernel packages too, but the specific rule owns the diagnostic.
+	// Heavy-call entries first: modem.Modulate lives in a kernel
+	// package too, but the specific rule owns the diagnostic.
 	if m := heavyFuncs[path.Base(pkg.Path())]; m[f.Name()] {
 		return pkg.Path() + "." + f.Name() + " (heavy call)", true
 	}

@@ -2,8 +2,13 @@
 // fixtures.
 package fm
 
-// Broadcast is the stand-in heavy broadcast entry point.
-func Broadcast(audio []float64) []float64 { return nil }
+// FMLink stands in for the radio hop; Transmit is the FM chain's entry
+// point.
+type FMLink struct{}
+
+// Transmit is a method, so no heavy-call entry names it: the
+// kernel-package rule reports it.
+func (*FMLink) Transmit(audio []float64, rate int) []float64 { return nil }
 
 // RSSI is cheap and allowed under a lock.
 func RSSI() float64 { return 0 }

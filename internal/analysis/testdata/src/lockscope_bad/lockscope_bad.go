@@ -64,16 +64,16 @@ func (s *server) modulateUnderTowerLock(m *modem.OFDM, payload []byte) {
 }
 
 // broadcastUnderTowerLock holds a mutex across the full FM broadcast
-// chain.
-func (s *server) broadcastUnderTowerLock(audio []float64) {
+// chain, reached through a method.
+func (s *server) broadcastUnderTowerLock(link *fm.FMLink, audio []float64) {
 	s.mu.Lock()
-	_ = fm.Broadcast(audio) // want: heavy call while s.mu held
+	_ = link.Transmit(audio, 48000) // want: kernel call while s.mu held
 	s.mu.Unlock()
 }
 
 // airtimeUnderLock shows rule precedence: these cheap calls still
 // trip the blanket kernel-package rule (fm/modem basenames), but they
-// report "(kernel package)" where Modulate/Broadcast above name the
+// report "(kernel package)" where Modulate above names the
 // specific heavy call.
 func (s *server) airtimeUnderLock(m *modem.OFDM) float64 {
 	s.mu.Lock()

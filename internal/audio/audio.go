@@ -129,8 +129,8 @@ func ReadWAV(r io.Reader) (*Buffer, error) {
 		size := int(binary.LittleEndian.Uint32(chunk[4:8]))
 		switch id {
 		case "fmt ":
-			body := make([]byte, size)
-			if _, err := io.ReadFull(r, body); err != nil {
+			body, err := readChunk(r, size)
+			if err != nil {
 				return nil, err
 			}
 			if len(body) < 16 {
@@ -140,7 +140,7 @@ func ReadWAV(r io.Reader) (*Buffer, error) {
 			channels = int(binary.LittleEndian.Uint16(body[2:4]))
 			rate = int(binary.LittleEndian.Uint32(body[4:8]))
 			bits = int(binary.LittleEndian.Uint16(body[14:16]))
-			if format != 1 || bits != 16 || channels < 1 {
+			if format != 1 || bits != 16 || channels < 1 || rate == 0 {
 				return nil, ErrUnsupportedWAV
 			}
 			haveFmt = true
@@ -148,8 +148,8 @@ func ReadWAV(r io.Reader) (*Buffer, error) {
 			if !haveFmt {
 				return nil, ErrUnsupportedWAV
 			}
-			pcm := make([]byte, size)
-			if _, err := io.ReadFull(r, pcm); err != nil {
+			pcm, err := readChunk(r, size)
+			if err != nil {
 				return nil, err
 			}
 			frames := size / (2 * channels)
@@ -171,4 +171,19 @@ func ReadWAV(r io.Reader) (*Buffer, error) {
 			}
 		}
 	}
+}
+
+// readChunk reads a chunk body of the declared size. The buffer grows
+// with the bytes actually present, never from the declared size alone,
+// so a header that claims gigabytes costs what the file holds; a chunk
+// shorter than declared is io.ErrUnexpectedEOF.
+func readChunk(r io.Reader, size int) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r, int64(size)))
+	if err != nil {
+		return nil, err
+	}
+	if len(body) < size {
+		return nil, io.ErrUnexpectedEOF
+	}
+	return body, nil
 }

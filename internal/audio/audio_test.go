@@ -131,6 +131,14 @@ func TestReadWAVRejectsGarbage(t *testing.T) {
 	if _, err := ReadWAV(bytes.NewReader(b)); err == nil {
 		t.Error("non-WAVE RIFF should be rejected")
 	}
+	// A well-formed file at 0 Hz.
+	var wav bytes.Buffer
+	if err := WriteWAV(&wav, ramp(0, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadWAV(&wav); err != ErrUnsupportedWAV {
+		t.Errorf("a WAV at 0 Hz: err %v, want %v", err, ErrUnsupportedWAV)
+	}
 }
 
 func TestReadWAVSkipsUnknownChunks(t *testing.T) {

@@ -377,6 +377,28 @@ func TestDecodeSpansOnFailurePaths(t *testing.T) {
 	}
 }
 
+// TestEncodeSpans: one instrumented EncodePageAudio records the encode
+// span and each of its stages once.
+func TestEncodeSpans(t *testing.T) {
+	p := newDefault(t)
+	reg := telemetry.New()
+	p.Instrument(reg)
+	if _, err := p.EncodePageAudio(1, Bundle{Image: bytes.Repeat([]byte("spans "), 100)}); err != nil {
+		t.Fatal(err)
+	}
+	spans := reg.Snapshot().Spans
+	for _, name := range []string{
+		"core.encode_page",
+		"core.encode_page/chunk",
+		"core.encode_page/fec_encode",
+		"core.encode_page/modulate",
+	} {
+		if got := spans[name].Count; got != 1 {
+			t.Errorf("span %s recorded %d times, want 1", name, got)
+		}
+	}
+}
+
 func BenchmarkPipelineEncodePage10KB(b *testing.B) {
 	p, _ := NewPipeline(DefaultConfig())
 	img := make([]byte, 10*1024)

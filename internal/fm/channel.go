@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-
-	"sonic/internal/telemetry"
 )
 
 // Link is one hop of the SONIC downlink path: it carries program audio
@@ -41,27 +39,17 @@ type FMLink struct {
 	// value, 0 included, is taken as given.
 	RSSI float64
 	Rng  *rand.Rand
-	// Telemetry, when non-nil, records an fm.transmit span with
-	// per-stage children (build_composite, modulate, add_noise,
-	// demodulate, split_composite).
-	Telemetry *telemetry.Registry
 }
 
-// Transmit runs the full FM chain.
+// Transmit runs the full FM chain: the paper's "FM transmitter + radio
+// receiver" pair with everything between antenna and speaker, at the
+// CNR the RSSI gives. It is the FM hop's one entry point.
 func (l *FMLink) Transmit(audio []float64, rate int) []float64 {
 	rng := l.Rng
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	sp := l.Telemetry.StartSpan("fm.transmit") // nil registry = no-op span
-	defer sp.End()
-
-	// The same chain as Broadcast, with per-stage child spans under
-	// fm.transmit.
-	return broadcastChain(audio, rate, cnrForRSSI(l.RSSI), rng, chainOpts{
-		workers: runtime.GOMAXPROCS(0),
-		span:    sp,
-	})
+	return broadcastChain(audio, rate, cnrForRSSI(l.RSSI), rng, runtime.GOMAXPROCS(0))
 }
 
 // Chain composes hops in order.

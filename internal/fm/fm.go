@@ -20,14 +20,13 @@
 // instead of per-sample direct FIR convolution, the oscillators use
 // math.Sincos and a one-period pilot table instead of cmplx.Rect /
 // math.Sin per sample, and the stages between resampling in and
-// resampling out operate in place on pooled buffers, so Broadcast
+// resampling out operate in place on pooled buffers, so FMLink.Transmit
 // performs O(1) slice allocations per call regardless of signal length.
 package fm
 
 import (
 	"math"
 	"math/rand"
-	"runtime"
 
 	"sonic/internal/parallel"
 )
@@ -114,11 +113,3 @@ func AddRFNoise(envelope []complex128, cnrDB float64, rng *rand.Rand) []complex1
 // channel in the composite mix (the rest is headroom for the pilot),
 // mirroring broadcast practice (~90% program, 10% pilot+subcarriers).
 const monoDeviationFraction = 0.85
-
-// Broadcast runs program audio (sampled at audioRate) through the full FM
-// chain at the given carrier-to-noise ratio and returns the received
-// program audio at the same rate. It is the paper's "FM transmitter +
-// radio receiver" pair with everything between antenna and speaker.
-func Broadcast(audio []float64, audioRate int, cnrDB float64, rng *rand.Rand) []float64 {
-	return broadcastChain(audio, audioRate, cnrDB, rng, chainOpts{workers: runtime.GOMAXPROCS(0)})
-}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"sonic/internal/dsp"
-	"sonic/internal/telemetry"
 )
 
 // Equivalence tests pinning the streaming FM chain to the
@@ -211,24 +210,23 @@ func TestBroadcastMatchesReferenceCleanChannel(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	audio := toneAudio(24000, rng)
 	want := refBroadcast(audio, 48000, 40, rand.New(rand.NewSource(5)))
-	serial := chainOpts{workers: 1}
-	got := broadcastChain(audio, 48000, 40, rand.New(rand.NewSource(5)), serial)
+	got := broadcastChain(audio, 48000, 40, rand.New(rand.NewSource(5)), 1)
 	if d := maxAbsDiffF(t, got, want); d > 1e-6 {
 		t.Errorf("max diff %g at 40 dB CNR", d)
 	}
 	// Noiseless: +Inf CNR skips the noise stage entirely.
 	wantClean := refBroadcast(audio, 48000, math.Inf(1), nil)
-	gotClean := broadcastChain(audio, 48000, math.Inf(1), nil, serial)
+	gotClean := broadcastChain(audio, 48000, math.Inf(1), nil, 1)
 	if d := maxAbsDiffF(t, gotClean, wantClean); d > 1e-6 {
 		t.Errorf("max diff %g on noiseless chain", d)
 	}
 }
 
-// Broadcast and FMLink.Transmit size their pool from GOMAXPROCS. The
-// noise draw is one serial rng stream and every other stage writes
-// dst[i] from src[i], so the chain — noiseless, and noisy at a CNR near
-// the FM threshold — must come out byte-identical at any processor
-// count: a result is a function of the seed alone.
+// FMLink.Transmit sizes the chain's pool from GOMAXPROCS. The noise
+// draw is one serial rng stream and every other stage writes dst[i]
+// from src[i], so the chain — noiseless, and noisy at a CNR near the FM
+// threshold — must come out byte-identical at any processor count: a
+// result is a function of the seed alone.
 func TestBroadcastProcsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	audio := toneAudio(24000, rng)
@@ -237,15 +235,18 @@ func TestBroadcastProcsIdentity(t *testing.T) {
 		l := &FMLink{RSSI: -88, Rng: rand.New(rand.NewSource(9))}
 		return l.Transmit(audio, 48000)
 	}
-	wantClean := Broadcast(audio, 48000, math.Inf(1), nil)
-	wantNoisy := Broadcast(audio, 48000, 15, rand.New(rand.NewSource(9)))
+	chain := func(cnr float64, rng *rand.Rand) []float64 {
+		return broadcastChain(audio, 48000, cnr, rng, runtime.GOMAXPROCS(0))
+	}
+	wantClean := chain(math.Inf(1), nil)
+	wantNoisy := chain(15, rand.New(rand.NewSource(9)))
 	wantLink := link()
 	for _, procs := range []int{2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for name, pair := range map[string][2][]float64{
-			"noiseless Broadcast": {Broadcast(audio, 48000, math.Inf(1), nil), wantClean},
-			"15 dB Broadcast":     {Broadcast(audio, 48000, 15, rand.New(rand.NewSource(9))), wantNoisy},
-			"-88 dB FMLink":       {link(), wantLink},
+			"noiseless chain": {chain(math.Inf(1), nil), wantClean},
+			"15 dB chain":     {chain(15, rand.New(rand.NewSource(9))), wantNoisy},
+			"-88 dB FMLink":   {link(), wantLink},
 		} {
 			if d := maxAbsDiffF(t, pair[0], pair[1]); d != 0 {
 				t.Fatalf("GOMAXPROCS=%d: %s differs from the serial chain by up to %g", procs, name, d)
@@ -262,7 +263,7 @@ func TestBroadcastSNRParity(t *testing.T) {
 	audio := toneAudio(24000, rng)
 	clean := refBroadcast(audio, 48000, math.Inf(1), nil)
 	refSNR := snrDB(clean, refBroadcast(audio, 48000, 15, rand.New(rand.NewSource(9))))
-	got := Broadcast(audio, 48000, 15, rand.New(rand.NewSource(9)))
+	got := broadcastChain(audio, 48000, 15, rand.New(rand.NewSource(9)), runtime.GOMAXPROCS(0))
 	if gotSNR := snrDB(clean, got); math.Abs(gotSNR-refSNR) > 1.0 {
 		t.Errorf("SNR %0.2f dB vs reference %0.2f dB", gotSNR, refSNR)
 	}
@@ -273,10 +274,9 @@ func TestBroadcastSNRParity(t *testing.T) {
 func TestBroadcastAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	audio := toneAudio(4800, rng)
-	serial := chainOpts{workers: 1}
-	broadcastChain(audio, 48000, 30, rng, serial) // warm pools
+	broadcastChain(audio, 48000, 30, rng, 1) // warm pools
 	allocs := testing.AllocsPerRun(10, func() {
-		broadcastChain(audio, 48000, 30, rng, serial)
+		broadcastChain(audio, 48000, 30, rng, 1)
 	})
 	// Steady state: the returned audio slice plus a handful of fixed-size
 	// headers — independent of signal length. The old chain allocated a
@@ -290,35 +290,14 @@ func TestBroadcastAllocs(t *testing.T) {
 		bound = 16
 	}
 	if allocs > bound {
-		t.Errorf("Broadcast allocates %v objects per call, want <= %v", allocs, bound)
-	}
-}
-
-func TestFMLinkTransmitChildSpans(t *testing.T) {
-	reg := telemetry.New()
-	link := &FMLink{RSSI: -85, Telemetry: reg}
-	rng := rand.New(rand.NewSource(17))
-	link.Transmit(toneAudio(4800, rng), 48000)
-	snap := reg.Snapshot()
-	for _, name := range []string{
-		"fm.transmit",
-		"fm.transmit/build_composite",
-		"fm.transmit/modulate",
-		"fm.transmit/add_noise",
-		"fm.transmit/demodulate",
-		"fm.transmit/split_composite",
-	} {
-		if _, ok := snap.Spans[name]; !ok {
-			t.Errorf("span %q missing from snapshot", name)
-		}
+		t.Errorf("the FM chain allocates %v objects per call, want <= %v", allocs, bound)
 	}
 }
 
 func TestBroadcastConcurrent(t *testing.T) {
-	two := chainOpts{workers: 2}
 	rng := rand.New(rand.NewSource(18))
 	audio := toneAudio(9600, rng)
-	want := broadcastChain(audio, 48000, math.Inf(1), nil, two)
+	want := broadcastChain(audio, 48000, math.Inf(1), nil, 2)
 	var wg sync.WaitGroup
 	errs := make(chan int, 8)
 	for g := 0; g < 8; g++ {
@@ -326,7 +305,7 @@ func TestBroadcastConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < 3; it++ {
-				got := broadcastChain(audio, 48000, math.Inf(1), nil, two)
+				got := broadcastChain(audio, 48000, math.Inf(1), nil, 2)
 				for i := range got {
 					if got[i] != want[i] {
 						errs <- i
@@ -339,6 +318,6 @@ func TestBroadcastConcurrent(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	if i, bad := <-errs; bad {
-		t.Fatalf("concurrent Broadcast diverged at sample %d", i)
+		t.Fatalf("concurrent FM chain diverged at sample %d", i)
 	}
 }

@@ -3,6 +3,7 @@ package fm
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sonic/internal/dsp"
@@ -46,7 +47,7 @@ func TestFMModDemodRoundTrip(t *testing.T) {
 func TestFMHighCNRIsClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := tone(1000, 9600, 48000)
-	rx := Broadcast(x, 48000, 50, rng)
+	rx := broadcastChain(x, 48000, 50, rng, 1)
 	// Compare steady-state region via correlation-based gain estimate.
 	if len(rx) < len(x)-200 {
 		t.Fatalf("output too short: %d vs %d", len(rx), len(x))
@@ -67,7 +68,7 @@ func TestFMThresholdEffect(t *testing.T) {
 		for i := range x {
 			x[i] *= 0.5
 		}
-		rx := Broadcast(x, 48000, cnr, rng)
+		rx := broadcastChain(x, 48000, cnr, rng, 1)
 		n := len(rx)
 		sig := dsp.Goertzel(rx[500:n-500], 1000, 48000)
 		noise := dsp.Goertzel(rx[500:n-500], 4321, 48000) +
@@ -176,7 +177,7 @@ func TestChainAndLinks(t *testing.T) {
 // means less noise.
 func TestFMLinkRSSISelection(t *testing.T) {
 	in := tone(1000, 4800, 48000)
-	clean := Broadcast(in, 48000, math.Inf(1), nil)
+	clean := broadcastChain(in, 48000, math.Inf(1), nil, 1)
 	snrAt := func(rssi float64) float64 {
 		return snrDB(clean, (&FMLink{RSSI: rssi}).Transmit(in, 48000))
 	}
@@ -191,6 +192,6 @@ func BenchmarkFMBroadcast100ms(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Broadcast(x, 48000, 30, rng)
+		broadcastChain(x, 48000, 30, rng, runtime.GOMAXPROCS(0))
 	}
 }

@@ -65,7 +65,7 @@ func TestAdmissionHerdRendersOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s.FlushAdmission()
+	s.FlushAdmissionConcurrent(1)
 
 	snap := reg.Snapshot()
 	if got := snap.Counters["server_render_cache_misses_total"]; got != 1 {
@@ -111,11 +111,11 @@ func TestAdmissionAttachToPending(t *testing.T) {
 	if _, err := s.EnqueuePage(url, 24.87, 67.01, now); err != nil {
 		t.Fatal(err)
 	}
-	s.FlushAdmission()
+	s.FlushAdmissionConcurrent(1)
 	if _, err := s.EnqueuePage(url, 24.87, 67.01, now.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	s.FlushAdmission()
+	s.FlushAdmissionConcurrent(1)
 
 	snap := reg.Snapshot()
 	if got := snap.Counters["server_pages_enqueued_total"]; got != 1 {
@@ -213,7 +213,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 	}
 
 	// Draining the shard reopens admission.
-	s.FlushAdmission()
+	s.FlushAdmissionConcurrent(1)
 	if _, err := s.EnqueuePage("after.example/", 24.87, 67.01, t0.Add(time.Minute)); err != nil {
 		t.Errorf("post-flush admit rejected: %v", err)
 	}
@@ -247,7 +247,7 @@ func TestClientHonoursBusy(t *testing.T) {
 		t.Fatalf("refused retry queued %d SMS", n)
 	}
 
-	s.FlushAdmission()
+	s.FlushAdmissionConcurrent(1)
 	if err := smsc.Submit(t0.Add(3*time.Second), s.cfg.Number, "+user", sms.FormatAck(url, time.Minute)); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestPushPopularTracksDemand(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.FlushAdmission()
+	s.FlushAdmissionConcurrent(1)
 	if got := s.TowerDemand("khi-1")[coldURL]; got != 5 {
 		t.Fatalf("demand = %.0f, want 5", got)
 	}
@@ -346,7 +346,7 @@ func TestAdmissionZipfStormCoalesces(t *testing.T) {
 			}
 		}
 		smsc.Advance(now)
-		s.FlushAdmission()
+		s.FlushAdmissionConcurrent(1)
 		idle = next == users && smsc.Pending() == 0
 		for i, tx := range towers {
 			for !busyUntil[i].After(now) {

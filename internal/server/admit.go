@@ -165,29 +165,23 @@ func (s *Server) admitBatch(b admission.Batch) (time.Duration, error) {
 	return time.Duration(eta * float64(time.Second)), nil
 }
 
-// FlushAdmission synchronously drains the admission stage on the
-// caller's goroutine. No-op with admission off.
+// FlushAdmissionConcurrent synchronously drains the admission stage,
+// the shards spread over up to workers goroutines (1: the caller's
+// goroutine alone), so the sink (render + enqueue, safe under
+// concurrent callers) can use multiple cores. No-op with admission off.
 //
-// FlushAdmission, FlushAdmissionConcurrent and AdmissionPending are the
-// seam for a caller that owns a simulated clock, not operator API:
-// admission has no wall-clock flusher, so between MaxBatch kicks such a
-// caller moves batches at the simulated instants it chooses. Only tests
-// and the benchmark harness call them.
-func (s *Server) FlushAdmission() {
-	s.admit.Flush()
-}
-
-// FlushAdmissionConcurrent is FlushAdmission with the shards spread over
-// up to workers goroutines, so the sink (render + enqueue, safe under
-// concurrent callers) can use multiple cores. Simulated-clock seam; see
-// FlushAdmission.
+// FlushAdmissionConcurrent and AdmissionPending are the seam for a
+// caller that owns a simulated clock, not operator API: admission has
+// no wall-clock flusher, so between MaxBatch kicks such a caller moves
+// batches at the simulated instants it chooses. Only tests and the
+// benchmark harness call them.
 func (s *Server) FlushAdmissionConcurrent(workers int) {
 	s.admit.FlushConcurrent(workers)
 }
 
 // AdmissionPending reports how many accepted requests await a batch
 // flush (0 with admission off). Simulated-clock seam; see
-// FlushAdmission.
+// FlushAdmissionConcurrent.
 func (s *Server) AdmissionPending() int {
 	if s.admit == nil {
 		return 0

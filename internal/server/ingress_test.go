@@ -39,7 +39,7 @@ func drainEntries(s *Server, txID string, at time.Time) []queuedEntry {
 // second implementation: one request sequence — repeats of a pending
 // page, two towers, an epoch change, a request nobody covers, a page
 // re-requested after it aired — run through Admission.Enabled=false
-// and through Enabled=true + FlushAdmission must leave identical
+// and through Enabled=true + FlushAdmissionConcurrent(1) must leave identical
 // per-tower queues (URL, PageID, EffHour, Bytes, Count) and an identical
 // lifecycle stage sequence for every trace.
 func TestIngressEquivalence(t *testing.T) {
@@ -111,14 +111,14 @@ func TestIngressEquivalence(t *testing.T) {
 		for _, st := range script {
 			last = cfg.Epoch.Add(st.at)
 			if st.dequeue != "" {
-				s.FlushAdmission()
+				s.FlushAdmissionConcurrent(1)
 				out.queues[st.dequeue] = append(out.queues[st.dequeue], drainEntries(s, st.dequeue, last)...)
 				continue
 			}
 			// the no-coverage step errors by design; the traces record it
 			_, _ = s.EnqueuePage(st.url, st.lat, st.lon, last)
 		}
-		s.FlushAdmission()
+		s.FlushAdmissionConcurrent(1)
 		for _, tx := range s.Transmitters() {
 			out.queues[tx.ID] = append(out.queues[tx.ID], drainEntries(s, tx.ID, last)...)
 		}

@@ -67,6 +67,8 @@ func TestRenderPageCaches(t *testing.T) {
 
 func TestEnqueueAndDequeue(t *testing.T) {
 	s := testServer(t)
+	reg := telemetry.New()
+	s.Instrument(reg)
 	now := time.Unix(0, 0)
 	url := corpus.Pages()[1].URL
 	eta, err := s.EnqueuePage(url, 24.87, 67.01, now)
@@ -94,6 +96,15 @@ func TestEnqueueAndDequeue(t *testing.T) {
 	// Lahore queue untouched.
 	if pages, _ := s.QueueDepth("lhe-1"); pages != 0 {
 		t.Error("wrong transmitter received the page")
+	}
+	// The per-tower gauges sonic-top reads follow the queue.
+	gauges := reg.Snapshot().Gauges
+	pages, bytes := s.QueueDepth("khi-1")
+	if got := gauges["server_queue_depth_pages{tx=khi-1}"]; got != float64(pages) || pages != 1 {
+		t.Errorf("server_queue_depth_pages{tx=khi-1} = %v, queue holds %d pages (want 1)", got, pages)
+	}
+	if got := gauges["server_queue_depth_bytes{tx=khi-1}"]; got != float64(bytes) {
+		t.Errorf("server_queue_depth_bytes{tx=khi-1} = %v, queue holds %d bytes", got, bytes)
 	}
 }
 

@@ -205,24 +205,45 @@ func (g *Gauge) Value() float64 {
 // --- histogram -------------------------------------------------------------
 
 // Histogram counts observations into fixed buckets (upper-bound
-// inclusive, implicit +Inf overflow bucket) and tracks count and sum.
+// inclusive, implicit +Inf overflow bucket) and tracks count, sum and
+// the smallest and largest observation.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds, not including +Inf
 	counts  []int64   // len(bounds)+1, atomic
 	count   int64     // atomic
 	sumBits uint64    // atomic float64
+	minBits uint64    // atomic float64, +Inf before the first observation
+	maxBits uint64    // atomic float64, -Inf before the first observation
 }
 
 func newHistogram(buckets []float64) *Histogram {
 	bounds := append([]float64(nil), buckets...)
 	sort.Float64s(bounds)
-	return &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
+	return &Histogram{
+		bounds:  bounds,
+		counts:  make([]int64, len(bounds)+1),
+		minBits: math.Float64bits(math.Inf(1)),
+		maxBits: math.Float64bits(math.Inf(-1)),
+	}
 }
 
-// Observe records one sample.
+// Observe records one sample. The extremes are stored before the
+// count, so a reader that sees a count sees the extremes it covers.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
+	}
+	// Read and compare first: an observation that sets no new extreme,
+	// nearly all of them, costs two loads and no CAS.
+	for old := atomic.LoadUint64(&h.minBits); v < math.Float64frombits(old); old = atomic.LoadUint64(&h.minBits) {
+		if atomic.CompareAndSwapUint64(&h.minBits, old, math.Float64bits(v)) {
+			break
+		}
+	}
+	for old := atomic.LoadUint64(&h.maxBits); v > math.Float64frombits(old); old = atomic.LoadUint64(&h.maxBits) {
+		if atomic.CompareAndSwapUint64(&h.maxBits, old, math.Float64bits(v)) {
+			break
+		}
 	}
 	// Binary search for the first bound >= v.
 	i := sort.SearchFloat64s(h.bounds, v)
@@ -254,22 +275,38 @@ func (h *Histogram) Sum() float64 {
 }
 
 // Quantile approximates the q-th quantile from the bucket counts,
-// assuming a uniform distribution within each bucket. Pinned semantics
-// (see TestQuantileTable):
+// assuming a uniform distribution within each bucket, and never reports
+// a value outside the observed range. Pinned semantics (see
+// TestQuantileTable):
 //
 //   - empty histogram, or NaN q: NaN;
 //   - q is clamped into [0, 1];
-//   - q = 0: the lower bound of the first occupied bucket;
-//   - q = 1: the upper bound of the last occupied bucket;
-//   - the overflow (+Inf) bucket has no upper bound, so any quantile
+//   - q = 0: the smallest observation;
+//   - q = 1: the largest observation;
+//   - the overflow (+Inf) bucket has no upper bound, so a quantile
 //     landing there reports the bucket's floor (the largest finite
-//     bound; 0 for a histogram with no finite buckets);
+//     bound; 0 for a histogram with no finite buckets), raised to the
+//     smallest observation when that lies above it;
 //   - otherwise: linear interpolation between the occupied bucket's
-//     bounds at the fraction of its mass below the target rank.
+//     bounds at the fraction of its mass below the target rank, clamped
+//     into [smallest, largest observation]. A wide bucket holding the
+//     largest sample would otherwise report up to its upper bound: with
+//     factor-2 buckets, up to twice what was ever observed.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return math.NaN()
 	}
+	v := h.bucketQuantile(q)
+	lo := math.Float64frombits(atomic.LoadUint64(&h.minBits))
+	hi := math.Float64frombits(atomic.LoadUint64(&h.maxBits))
+	if lo <= hi { // at least one observation's extremes are stored
+		v = math.Max(lo, math.Min(v, hi))
+	}
+	return v
+}
+
+// bucketQuantile is Quantile from the bucket counts alone.
+func (h *Histogram) bucketQuantile(q float64) float64 {
 	total := atomic.LoadInt64(&h.count)
 	if total == 0 || math.IsNaN(q) {
 		return math.NaN()

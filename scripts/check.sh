@@ -89,6 +89,7 @@ go test ./internal/core -run='^$' -fuzz='^FuzzUnmarshalBundle$' -fuzztime=5s
 go test ./internal/core -run='^$' -fuzz='^FuzzDecodePageAudio$' -fuzztime=5s
 go test ./internal/modem -run='^$' -fuzz='^FuzzDemodulate$' -fuzztime=5s
 go test ./internal/dsp -run='^$' -fuzz='^FuzzFFTPlanMatchesDirect$' -fuzztime=5s
+go test ./internal/audio -run='^$' -fuzz='^FuzzReadWAV$' -fuzztime=5s
 
 # Serial leg: the parallel kernels size their pools from GOMAXPROCS and
 # promise byte-identical output at any count. GOMAXPROCS=1 is where that
@@ -101,7 +102,7 @@ GOMAXPROCS=1 go test -run 'Equiv|Parity|Matches|Identical|Reference|Identity|Gol
 echo "==> bench smoke (one iteration per benchmark)"
 go test -run='^$' -bench=. -benchtime=1x ./...
 
-echo "==> ops smoke: sonic-sim -telemetry + obsprobe + sonic-top -once"
+echo "==> ops smoke: sonic-sim -telemetry serves what it simulated + sonic-top -once"
 ./scripts/ops-smoke.sh
 
 # The examples are the only shipped callers of sonic.NewFMLink and

@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
 # ops-smoke.sh — end-to-end observability check against a live process.
-# Boots sonic-sim -telemetry (which runs the instrumented obsprobe after
-# its report), waits for the lifecycle histograms to populate, then
-# verifies every export surface an operator relies on:
+# Boots sonic-sim -telemetry, waits for its report to finish, then
+# verifies that the endpoint serves the simulation it ran and nothing
+# else, over every export surface an operator relies on:
 #
-#   * /metrics.json reports a non-zero request_to_on_air_seconds p50/p99
+#   * /metrics.json holds request_to_on_air_seconds with exactly the
+#     count the sim printed ("over N traced requests"), non-zero p50/p99,
+#     no server_* or artifact_* family (the sim runs no server) and no
+#     span (the sim runs no pipeline stage)
 #   * /metrics parses as Prometheus text exposition
 #   * /trace/<id> reconstructs a request timeline from the event ring
 #   * sonic-top -once renders against the live endpoint
 #
 # The final snapshot is left at ${TMPDIR:-/tmp}/telemetry-final.json,
 # outside the checkout (CI uploads it as an artifact). Fails loudly on
-# any missing signal.
+# any missing or extra signal.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,20 +34,11 @@ go build -o "$work/sonic-top" ./cmd/sonic-top
 "$work/sonic-sim" -hours 2 -listeners 30 -telemetry "$ADDR" >"$work/sonic-sim.log" 2>&1 &
 SIM_PID=$!
 
-# Wait (up to ~60s) for the sim report + probe to finish populating the
-# lifecycle histograms.
-echo "ops-smoke: waiting for request_to_on_air_seconds to populate on $ADDR"
+# Wait (up to ~60s) for the sim's report: after it, the endpoint holds
+# everything the sim will ever record.
+echo "ops-smoke: waiting for the sim's report on $ADDR"
 for i in $(seq 1 60); do
-    if curl -fsS "http://$ADDR/metrics.json" 2>/dev/null \
-        | python3 -c '
-import json, sys
-try:
-    snap = json.load(sys.stdin)
-except Exception:
-    sys.exit(1)
-h = snap.get("histograms", {}).get("request_to_on_air_seconds", {})
-sys.exit(0 if h.get("count", 0) > 0 and h.get("p50", 0) > 0 else 1)
-'; then
+    if grep -q "serving until interrupted" "$work/sonic-sim.log"; then
         break
     fi
     if ! kill -0 "$SIM_PID" 2>/dev/null; then
@@ -54,20 +48,33 @@ sys.exit(0 if h.get("count", 0) > 0 and h.get("p50", 0) > 0 else 1)
     fi
     sleep 1
     if ((i == 60)); then
-        echo "ops-smoke: lifecycle histograms never populated" >&2
+        echo "ops-smoke: the sim's report never finished" >&2
         cat "$work/sonic-sim.log" >&2
         exit 1
     fi
 done
+TRACED=$(sed -nE 's/.* over ([0-9]+) traced requests$/\1/p' "$work/sonic-sim.log")
+if [[ -z "$TRACED" ]]; then
+    echo "ops-smoke: the sim printed no traced requests" >&2
+    cat "$work/sonic-sim.log" >&2
+    exit 1
+fi
 
 echo "ops-smoke: snapshotting /metrics.json -> $OUT"
 curl -fsS "http://$ADDR/metrics.json" -o "$OUT"
-python3 - "$OUT" <<'EOF'
+python3 - "$OUT" "$TRACED" <<'EOF'
 import json, sys
 snap = json.load(open(sys.argv[1]))
+traced = int(sys.argv[2])
 h = snap["histograms"]["request_to_on_air_seconds"]
-assert h["count"] > 0 and h["p50"] > 0 and h["p99"] > 0, h
-print(f"ops-smoke: request->on-air n={h['count']} p50={h['p50']:.1f}s p99={h['p99']:.1f}s")
+assert h["count"] == traced, f"endpoint serves {h['count']} requests on air, the sim traced {traced}"
+assert h["p50"] > 0 and h["p99"] > 0, h
+foreign = sorted(k for sec in ("counters", "gauges", "histograms") for k in snap.get(sec, {})
+                 if k.startswith(("server_", "artifact_")))
+assert not foreign, f"the sim runs no server, yet the endpoint serves {foreign}"
+spans = sorted(snap.get("spans", {}))
+assert not spans, f"the sim runs no pipeline stage, yet the endpoint serves spans {spans}"
+print(f"ops-smoke: request->on-air n={h['count']} (sim traced {traced}) p50={h['p50']:.1f}s p99={h['p99']:.1f}s; no server, artifact or span family")
 EOF
 
 echo "ops-smoke: validating /metrics exposition"
