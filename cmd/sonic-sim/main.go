@@ -87,12 +87,11 @@ func main() {
 	}
 	car.Instrument(reg, pipe, *freqs)
 
-	// Listener state: which page each listener last received and when.
+	// Listener state: uplink, reception setup and pages received.
 	type listener struct {
 		uplink   bool
 		lossRate float64 // per-frame loss of their reception setup
 		received int
-		misses   int // transmissions they failed to capture
 	}
 	pop := make([]listener, *listeners)
 	for i := range pop {
@@ -115,17 +114,6 @@ func main() {
 	// (bitstream transport: all or nothing per page).
 	sched := car.Schedule(100000)
 	entries := car.Entries()
-	// Lifecycle traces are stamped in simulation time: second 0 of the
-	// sim is the Unix epoch, so request→on-air latencies land on the
-	// histograms at their simulated (minutes-scale) values.
-	base := time.Unix(0, 0)
-	simTime := func(s float64) time.Time {
-		return base.Add(time.Duration(s * float64(time.Second)))
-	}
-	type pendingReq struct {
-		t0 float64
-		tr *telemetry.Trace
-	}
 	var (
 		simT         float64 // seconds
 		horizonS     = float64(*hours) * 3600
@@ -133,6 +121,7 @@ func main() {
 		freshAt      = map[string]int{} // url -> hour of content last aired
 		requests     []float64          // request-to-delivery latencies
 		pending      = map[string][]pendingReq{}
+		captured     = make([]bool, len(pop)) // who captured the current airing
 	)
 	for _, idx := range sched {
 		if simT >= horizonS {
@@ -149,20 +138,12 @@ func main() {
 		// Deliveries.
 		frames := (e.Bytes + frame.PayloadSize - 1) / frame.PayloadSize
 		for i := range pop {
-			if pop[i].lossRate == 0 || rng.Float64() < probAllFrames(pop[i].lossRate, frames) {
+			captured[i] = pop[i].lossRate == 0 || rng.Float64() < probAllFrames(pop[i].lossRate, frames)
+			if captured[i] {
 				pop[i].received++
-			} else {
-				pop[i].misses++
 			}
 		}
-		// Outstanding requests for this page are satisfied now.
-		for _, p := range pending[e.Ref.URL] {
-			requests = append(requests, simT-p.t0)
-			p.tr.StampAt(telemetry.StageOnAirStart, simTime(airStart))
-			p.tr.StampAt(telemetry.StageOnAirDone, simTime(simT))
-			p.tr.StampAt(telemetry.StageDelivered, simTime(simT))
-		}
-		delete(pending, e.Ref.URL)
+		pending[e.Ref.URL], requests = serveAiring(pending[e.Ref.URL], airStart, simT, captured, requests)
 
 		// Uplink users occasionally request a random page (Zipf-ish).
 		if rng.Float64() < 0.3 {
@@ -175,7 +156,7 @@ func main() {
 				// The carousel broadcasts pre-rendered content, so the
 				// request is queue-bound from admission on.
 				tr.StampAt(telemetry.StageEnqueued, at)
-				pending[ref.URL] = append(pending[ref.URL], pendingReq{t0: simT, tr: tr})
+				pending[ref.URL] = append(pending[ref.URL], pendingReq{who: who, t0: simT, tr: tr})
 			}
 		}
 	}
@@ -207,8 +188,8 @@ func main() {
 		len(cableRecv), stats.BoxplotOf(cableRecv))
 	fmt.Printf("over-the-air listeners (%d): pages received %s\n",
 		len(airRecv), stats.BoxplotOf(airRecv))
-	fmt.Println("  (bitstream transport: one lost frame voids the page, so over-the-air")
-	fmt.Println("   listeners need the cell transport — see DESIGN.md section 5a)")
+	fmt.Println("  (bitstream transport: one lost frame voids the page, so an over-the-air")
+	fmt.Println("   listener waits for an airing they capture whole — see DESIGN.md section 5a)")
 
 	if len(requests) > 0 {
 		rb := stats.BoxplotOf(requests)
@@ -240,6 +221,40 @@ func main() {
 		fmt.Println("telemetry: report complete; serving until interrupted (ctrl-C to exit)")
 		select {}
 	}
+}
+
+// simTime is the clock lifecycle traces are stamped in: second 0 of the
+// sim is the Unix epoch, so request→on-air latencies land on the
+// histograms at their simulated (minutes-scale) values.
+func simTime(s float64) time.Time {
+	return time.Unix(0, 0).Add(time.Duration(s * float64(time.Second)))
+}
+
+// pendingReq is an uplink request: who asked, when, and its trace.
+type pendingReq struct {
+	who int
+	t0  float64
+	tr  *telemetry.Trace
+}
+
+// serveAiring settles the requests pending on one airing of their page,
+// from start to end (simulated seconds). A request is on air from its
+// first airing (the first stamp wins) but delivered, with its latency
+// appended, only at an airing its requester captured; the rest stay
+// pending.
+func serveAiring(reqs []pendingReq, start, end float64, captured []bool, latencies []float64) ([]pendingReq, []float64) {
+	kept := reqs[:0]
+	for _, p := range reqs {
+		p.tr.StampAt(telemetry.StageOnAirStart, simTime(start))
+		p.tr.StampAt(telemetry.StageOnAirDone, simTime(end))
+		if !captured[p.who] {
+			kept = append(kept, p)
+			continue
+		}
+		latencies = append(latencies, end-p.t0)
+		p.tr.StampAt(telemetry.StageDelivered, simTime(end))
+	}
+	return kept, latencies
 }
 
 // probAllFrames is the probability all n frames survive at per-frame

@@ -13,6 +13,8 @@
 // print as "file:line: [analyzer] message"; a finding is suppressed by
 // a "//sonic:ignore analyzer reason" comment on the same or preceding
 // line, and every suppression is listed in the summary with its reason.
+// A deadcode finding cannot be suppressed: the directive is reported
+// instead.
 package main
 
 import (

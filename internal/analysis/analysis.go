@@ -21,7 +21,8 @@
 // Findings print as "file:line: [name] message". A finding is suppressed
 // by a "//sonic:ignore name reason" comment on the same or the preceding
 // line; suppressions require a reason and are reported in the run
-// summary so they stay auditable.
+// summary so they stay auditable. deadcode findings cannot be
+// suppressed.
 package analysis
 
 import (

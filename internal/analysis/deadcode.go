@@ -36,7 +36,7 @@ func runDeadCode(pass *Pass) {
 	}
 	for d, live := range reach(pass.Pkgs, roots) {
 		if !live && d.name != "_" {
-			pass.Report(d.pos, "%s is reached from no main, init, package-level var or pin test; delete it or add a reasoned sonic:ignore", d.name)
+			pass.Report(d.pos, "%s is reached from no main, init, package-level var or pin test; reach it from one or delete it", d.name)
 		}
 	}
 }

@@ -46,6 +46,7 @@ func TestAnalyzerGolden(t *testing.T) {
 		{GlobalRand, "ignorefix"},
 		{DeadCode, "deadcode_bad"},
 		{DeadCode, "deadcode_ok"},
+		{DeadCode, "deadcode_ignore_bad"},
 	}
 
 	l, err := NewLoader(".")

@@ -27,7 +27,8 @@ const ignorePrefix = "//sonic:ignore"
 
 // parseIgnores extracts the sonic:ignore directives of a file. A
 // directive without a reason is itself reported as a finding (analyzer
-// "ignore") so suppressions stay auditable.
+// "ignore") so suppressions stay auditable, and so is one naming
+// deadcode: dead code is reached or deleted, never kept by a comment.
 func parseIgnores(fset *token.FileSet, file *ast.File, report func(Finding)) []ignoreDirective {
 	var out []ignoreDirective
 	for _, cg := range file.Comments {
@@ -39,19 +40,22 @@ func parseIgnores(fset *token.FileSet, file *ast.File, report func(Finding)) []i
 			}
 			pos := fset.Position(c.Pos())
 			fields := strings.Fields(rest)
-			if len(fields) == 0 {
-				report(Finding{
-					Analyzer: "ignore", File: pos.Filename, Line: pos.Line,
-					Message: "sonic:ignore needs an analyzer name and a reason",
-				})
-				continue
+			var name, reason string
+			if len(fields) > 0 {
+				name = fields[0]
+				reason = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), name))
 			}
-			name, reason := fields[0], strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), fields[0]))
-			if reason == "" {
-				report(Finding{
-					Analyzer: "ignore", File: pos.Filename, Line: pos.Line,
-					Message: fmt.Sprintf("sonic:ignore %s needs a reason (why is this exempt?)", name),
-				})
+			var problem string
+			switch {
+			case name == "":
+				problem = "sonic:ignore needs an analyzer name and a reason"
+			case reason == "":
+				problem = fmt.Sprintf("sonic:ignore %s needs a reason (why is this exempt?)", name)
+			case name == DeadCode.Name:
+				problem = "sonic:ignore deadcode suppresses nothing: reach it from a main or a pin test, or delete it"
+			}
+			if problem != "" {
+				report(Finding{Analyzer: "ignore", File: pos.Filename, Line: pos.Line, Message: problem})
 				continue
 			}
 			out = append(out, ignoreDirective{Analyzer: name, File: pos.Filename, Line: pos.Line, Reason: reason})

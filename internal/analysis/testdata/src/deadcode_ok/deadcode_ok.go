@@ -1,6 +1,6 @@
 // Package main shows what deadcode keeps: a method reached only through
 // an interface, the callee of a var initialiser, a reference copy that a
-// pin test names, and a suppressed declaration.
+// pin test names.
 package main
 
 // shape is the only way main reaches square's method.
@@ -33,9 +33,6 @@ func refSum(xs []int) int {
 	}
 	return xs[0] + refSum(xs[1:])
 }
-
-// chart is kept on purpose, with an audited reason.
-func chart() int { return 4 } //sonic:ignore deadcode kept for a chart a later change draws
 
 func main() {
 	var s shape = square{side: fastSum(table)}

@@ -1,11 +1,10 @@
-// Package core assembles SONIC's end-to-end transmission pipeline — the
-// paper's primary contribution (§3). On the send side: a rendered
-// webpage image is encoded (SIC, the WebP stand-in), bundled with its
-// click map, chunked into 100-byte frames, protected with the rs8 outer
-// and v29 inner FEC, and modulated into audio with the 92-subcarrier
-// OFDM profile for FM broadcast. The receive side inverts each stage and
-// repairs losses with nearest-neighbor interpolation where the
-// cell-transport mode is used.
+// Package core is SONIC's transmission pipeline (§3): it turns a page
+// bundle (the SIC-encoded image, the WebP stand-in, and its click map)
+// into broadcast audio and back. On the send side the bundle is chunked
+// into 100-byte frames, protected with the rs8 outer and v29 inner FEC,
+// and modulated with the 92-subcarrier OFDM profile for FM broadcast;
+// the receive side inverts each stage. Every path airs this one
+// bitstream transport.
 package core
 
 import (
@@ -18,8 +17,6 @@ import (
 	"sonic/internal/fec"
 	"sonic/internal/fm"
 	"sonic/internal/frame"
-	"sonic/internal/imagecodec"
-	"sonic/internal/interp"
 	"sonic/internal/modem"
 	"sonic/internal/telemetry"
 )
@@ -260,13 +257,6 @@ func (p *Pipeline) encodeStream(parent *telemetry.Span, pageID uint16, blob []by
 	chunkSp := parent.StartChild("chunk")
 	frames := frame.Chunk(pageID, blob)
 	chunkSp.End()
-	return p.framesStream(parent, frames)
-}
-
-// framesStream FEC-frames a frame list into the coded byte stream the
-// modem broadcasts — the one frames→stream step behind the page, cell
-// and probe transmit paths.
-func (p *Pipeline) framesStream(parent *telemetry.Span, frames []*frame.Frame) ([]byte, error) {
 	fecSp := parent.StartChild("fec_encode")
 	defer fecSp.End()
 	return p.codec.EncodeStream(frames)
@@ -293,8 +283,8 @@ type ReceiveResult struct {
 
 // DecodePageAudio demodulates a burst and reassembles the page bundle.
 // A partially received page returns Complete=false with loss accounting
-// (and no Bundle) — in bitstream transport any loss is fatal to the
-// image, which is exactly the trade-off the cell transport removes.
+// and no Bundle: one lost frame voids the page, which the listener
+// recovers only from a later airing.
 func (p *Pipeline) DecodePageAudio(audio []float64) (*ReceiveResult, error) {
 	sp := p.tel.StartSpan("core.decode_page")
 	defer sp.End()
@@ -363,126 +353,6 @@ func (p *Pipeline) receiveFrames(parent *telemetry.Span, audio []float64) (frame
 	return frames, lost, snr, nil
 }
 
-// --- cell transport ----------------------------------------------------------
-//
-// No binary, example or benchmark workload reaches this section: the
-// system airs the bitstream transport above. It stays, pinned by
-// cells_audio_test.go, because it is the paper's own §3.3 mechanism (1-px
-// partitions, one independently decodable cell per frame) and the source
-// of EXPERIMENTS.md's ~30x byte-cost comparison.
-
-// EncodeImageCells converts a raster into per-frame cells (§3.3's 1-px
-// partition scheme): each frame payload carries exactly one
-// independently decodable cell.
-func (p *Pipeline) EncodeImageCells(pageID uint16, img *imagecodec.Raster) ([]*frame.Frame, error) { //sonic:ignore deadcode ROADMAP 5(ii): kept for the cells-vs-strips chart
-	sp := p.tel.StartSpan("core.encode_cells")
-	defer sp.End()
-	cells, err := imagecodec.EncodeColumns(img, frame.PayloadSize)
-	if err != nil {
-		return nil, err
-	}
-	// All payloads marshal into one exactly-sized buffer (frame.Marshal
-	// copies the payload, so the sharing never escapes the frame layer).
-	buf := make([]byte, 0, imagecodec.CellsSize(cells))
-	frames := make([]*frame.Frame, len(cells))
-	for i := range cells {
-		start := len(buf)
-		buf = cells[i].AppendMarshal(buf)
-		frames[i] = &frame.Frame{
-			PageID:  pageID,
-			Seq:     uint32(i),
-			Total:   uint32(len(cells)),
-			Payload: buf[start:len(buf):len(buf)],
-		}
-	}
-	return frames, nil
-}
-
-// DecodeImageCells rebuilds a raster (w×h) from whatever cell frames
-// arrived, interpolating missing pixels per §3.3. It returns the healed
-// image, the missing-pixel mask (before interpolation), and the pixel
-// loss rate.
-func DecodeImageCells(frames []*frame.Frame, w, h int) (*imagecodec.Raster, []bool, float64) { //sonic:ignore deadcode ROADMAP 5(ii): kept for the cells-vs-strips chart
-	return decodeImageCells(nil, frames, w, h)
-}
-
-// decodeImageCells is DecodeImageCells with per-stage spans scoped under
-// parent (nil-safe).
-func decodeImageCells(parent *telemetry.Span, frames []*frame.Frame, w, h int) (*imagecodec.Raster, []bool, float64) { //sonic:ignore deadcode ROADMAP 5(ii): kept for the cells-vs-strips chart
-	cellSp := parent.StartChild("cell_decode")
-	var cells []imagecodec.Cell
-	for _, f := range frames {
-		c, err := imagecodec.UnmarshalCell(f.Payload)
-		if err != nil {
-			continue
-		}
-		cells = append(cells, c)
-	}
-	img, missing := imagecodec.DecodeColumns(cells, w, h)
-	cellSp.End()
-	lost := 0
-	for _, m := range missing {
-		if m {
-			lost++
-		}
-	}
-	rate := 0.0
-	if len(missing) > 0 {
-		rate = float64(lost) / float64(len(missing))
-	}
-	interpSp := parent.StartChild("interpolate")
-	interp.Interpolate(img, missing)
-	interpSp.End()
-	return img, missing, rate
-}
-
-// EncodeCellsAudio modulates a raster's cell frames (§3.3's resilient
-// transport) into one audio burst.
-func (p *Pipeline) EncodeCellsAudio(pageID uint16, img *imagecodec.Raster) ([]float64, error) { //sonic:ignore deadcode ROADMAP 5(ii): kept for the cells-vs-strips chart
-	frames, err := p.EncodeImageCells(pageID, img)
-	if err != nil {
-		return nil, err
-	}
-	sp := p.tel.StartSpan("core.encode_cells_audio")
-	defer sp.End()
-	stream, err := p.framesStream(sp, frames)
-	if err != nil {
-		return nil, err
-	}
-	return audio.Floats(p.streamPCM(sp, stream)), nil
-}
-
-// DecodeCellsAudio demodulates a cell-transport burst and reconstructs
-// the w×h image, interpolating whatever frames were lost. It returns the
-// healed image, the pixel loss rate, and the frame loss rate.
-func (p *Pipeline) DecodeCellsAudio(audio []float64, w, h int) (*imagecodec.Raster, float64, float64, error) { //sonic:ignore deadcode ROADMAP 5(ii): kept for the cells-vs-strips chart
-	sp := p.tel.StartSpan("core.decode_cells")
-	defer sp.End()
-	frames, lost, _, err := p.receiveFrames(sp, audio)
-	if err != nil {
-		return nil, 1, 1, err
-	}
-	img, _, pixelLoss := decodeImageCells(sp, frames, w, h)
-	frameLoss := 0.0
-	if total := len(frames) + lost; total > 0 {
-		frameLoss = float64(lost) / float64(total)
-	}
-	return img, pixelLoss, frameLoss, nil
-}
-
-// CellAirtimeSeconds returns the on-air time to broadcast img through
-// the cell transport — typically an order of magnitude above
-// AirtimeSeconds of the compressed bitstream (the trade-off DESIGN.md
-// §5a quantifies).
-func (p *Pipeline) CellAirtimeSeconds(img *imagecodec.Raster) (float64, error) { //sonic:ignore deadcode ROADMAP 5(ii): kept for the cells-vs-strips chart
-	cells, err := imagecodec.EncodeColumns(img, frame.PayloadSize)
-	if err != nil {
-		return 0, err
-	}
-	coded := len(cells) * p.codec.CodedFrameSize()
-	return p.modem.BurstDuration(coded), nil
-}
-
 // --- channel probes ----------------------------------------------------------
 
 // probeAudio broadcasts nFrames dummy frames (page id 0xBEEF) across link
@@ -501,7 +371,7 @@ func (p *Pipeline) probeAudio(link fm.Link, nFrames int) ([]float64, error) {
 			Payload: payload,
 		}
 	}
-	stream, err := p.framesStream(nil, frames)
+	stream, err := p.codec.EncodeStream(frames)
 	if err != nil {
 		return nil, err
 	}

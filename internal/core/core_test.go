@@ -9,8 +9,6 @@ import (
 
 	"sonic/internal/fec"
 	"sonic/internal/fm"
-	"sonic/internal/frame"
-	"sonic/internal/imagecodec"
 	"sonic/internal/modem"
 	"sonic/internal/telemetry"
 )
@@ -251,52 +249,6 @@ func TestFrameLossProbeBands(t *testing.T) {
 	}
 	if dead < 0.9 {
 		t.Errorf("loss at -95 dB = %.2f, want ~1", dead)
-	}
-}
-
-func TestCellTransportEndToEnd(t *testing.T) {
-	p := newDefault(t)
-	// Small page-like image.
-	img := imagecodec.NewRaster(48, 160)
-	img.FillRect(0, 0, 48, 20, imagecodec.RGB{R: 20, G: 40, B: 160})
-	img.FillRect(10, 60, 28, 40, imagecodec.RGB{R: 200, G: 30, B: 30})
-	frames, err := p.EncodeImageCells(5, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) < 48 {
-		t.Fatalf("only %d cell frames", len(frames))
-	}
-	// Drop 10% of frames, reconstruct, verify bounded damage.
-	rng := rand.New(rand.NewSource(4))
-	var kept []*frame.Frame
-	for _, f := range frames {
-		if rng.Float64() >= 0.10 {
-			kept = append(kept, f)
-		}
-	}
-	healed, missing, rate := DecodeImageCells(kept, img.W, img.H)
-	if rate <= 0 || rate > 0.5 {
-		t.Errorf("pixel loss rate = %.3f", rate)
-	}
-	_ = missing
-	// Healed image should be close to the original (interpolation only).
-	var diff float64
-	for i := range img.Pix {
-		d := float64(img.Pix[i]) - float64(healed.Pix[i])
-		diff += d * d
-	}
-	mse := diff / float64(len(img.Pix))
-	if mse > 900 {
-		t.Errorf("healed MSE = %.1f, interpolation too weak", mse)
-	}
-	// Full delivery is lossless.
-	full, _, rate0 := DecodeImageCells(frames, img.W, img.H)
-	if rate0 != 0 {
-		t.Errorf("full delivery rate = %g", rate0)
-	}
-	if !bytes.Equal(full.Pix, img.Pix) {
-		t.Fatal("full delivery changed pixels")
 	}
 }
 

@@ -58,14 +58,3 @@ func BenchmarkDecodeSIC(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkEncodeColumns(b *testing.B) {
-	img := benchRaster(640, 960, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeColumns(img, 91); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

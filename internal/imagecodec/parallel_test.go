@@ -7,9 +7,9 @@ import (
 )
 
 // The parallel codec must be a pure performance change: for every worker
-// count the SIC bitstream, the decoded raster, and the cell list must be
-// identical to the single-threaded codec's. Run with -race to also
-// exercise the disjoint-write claims of the parallel stages.
+// count the SIC bitstream and the decoded raster must be identical to
+// the single-threaded codec's. Run with -race to also exercise the
+// disjoint-write claims of the parallel stages.
 
 func TestEncodeSICWorkersDeterministic(t *testing.T) {
 	img := benchRaster(321, 243, 5) // odd dims: edge blocks + clamped chroma
@@ -74,11 +74,10 @@ func mallocsPerRun(t *testing.T, runs int, fn func() error) float64 {
 // runs. testing.AllocsPerRun sets GOMAXPROCS to 1, so the *Allocs tests
 // only see one worker; this one counts heap objects at explicit workers
 // 2 on a 1080x400 page. Measured on a 2-vCPU box (mean of 10 calls, 11
-// runs at GOMAXPROCS 1, 2 and 4): encode 45-55, cells 44-45 objects per
-// call; decode 49-59 (75 runs), 80-98 while it decoded each plane in
-// turn — mostly one WaitGroup and one closure per goroutine per band,
-// and pool refills after a GC. The two-worker cell packer used to
-// allocate one slice per column: 3658 per call.
+// runs at GOMAXPROCS 1, 2 and 4): encode 45-55 objects per call;
+// decode 49-59 (75 runs), 80-98 while it decoded each plane in turn —
+// mostly one WaitGroup and one closure per goroutine per band, and pool
+// refills after a GC.
 func TestCodecMallocsAtTwoWorkers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are nondeterministic under the race detector (pool Puts randomly dropped)")
@@ -95,33 +94,9 @@ func TestCodecMallocsAtTwoWorkers(t *testing.T) {
 	}{
 		{"EncodeSICWorkers", 72, func() error { _, err := EncodeSICWorkers(src, 10, 2); return err }},
 		{"DecodeSICWorkers", 72, func() error { _, err := DecodeSICWorkers(enc, 2); return err }},
-		{"EncodeColumnsWorkers", 64, func() error { _, err := EncodeColumnsWorkers(src, 85, 2); return err }},
 	} {
 		if got := mallocsPerRun(t, 10, c.fn); got > c.max {
 			t.Errorf("%s at 2 workers allocates %v objects per call, want <= %v", c.name, got, c.max)
-		}
-	}
-}
-
-func TestEncodeColumnsWorkersDeterministic(t *testing.T) {
-	img := benchRaster(123, 200, 7)
-	want, err := EncodeColumnsWorkers(img, 91, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 5} {
-		got, err := EncodeColumnsWorkers(img, 91, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d cells, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Col != want[i].Col || got[i].Y0 != want[i].Y0 ||
-				got[i].N != want[i].N || !bytes.Equal(got[i].Data, want[i].Data) {
-				t.Fatalf("workers=%d: cell %d differs from serial encoder", workers, i)
-			}
 		}
 	}
 }

@@ -1,9 +1,7 @@
 // Package imagecodec provides SONIC's image substrate: the Raster pixel
 // buffer that rendered webpages are drawn into, the SIC lossy codec (a
 // WebP stand-in with the same 0-95 quality knob, built from 8x8 DCT +
-// quality-scaled quantization + DEFLATE entropy coding), and the
-// loss-resilient column-cell codec that maps every transmitted frame to a
-// bounded pixel region of one 1-pixel-wide vertical partition (§3.3).
+// quality-scaled quantization + DEFLATE entropy coding).
 //
 // The paper captures pages as WebP at quality 10, 1080 px wide, cropped to
 // at most 10k px tall (§3.2). The standard library has no WebP codec, so

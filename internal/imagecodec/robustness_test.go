@@ -54,38 +54,3 @@ func TestDecodeSICTruncationSweep(t *testing.T) {
 		}
 	}
 }
-
-func TestUnmarshalCellFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 500; trial++ {
-		blob := make([]byte, rng.Intn(120))
-		rng.Read(blob)
-		c, err := UnmarshalCell(blob)
-		if err != nil {
-			continue
-		}
-		// Whatever parsed must decode without panicking or writing out
-		// of bounds.
-		r := NewBlackRaster(16, 16)
-		missing := make([]bool, 16*16)
-		for i := range missing {
-			missing[i] = true
-		}
-		decodeCell(r, missing, c)
-	}
-}
-
-func TestDecodeColumnsHostileCells(t *testing.T) {
-	hostile := []Cell{
-		{Col: 0, Y0: 60000, N: 65535, Data: []byte{tokRun, 255, 1, 2, 3}},
-		{Col: 65535, Y0: 0, N: 10, Data: []byte{tokRun, 10, 1, 2, 3}},
-		{Col: 1, Y0: 0, N: 65535, Data: []byte{tokLiteral, 255}}, // truncated literal
-		{Col: 2, Y0: 0, N: 5, Data: []byte{0xEE, 1, 2}},          // unknown token
-		{Col: 3, Y0: 0, N: 5, Data: []byte{tokRun, 0, 1, 2, 3}},  // zero-length run
-		{Col: 4, Y0: 0, N: 0, Data: nil},
-	}
-	r, missing := DecodeColumns(hostile, 8, 8)
-	if r.W != 8 || len(missing) != 64 {
-		t.Fatal("dimensions corrupted by hostile cells")
-	}
-}

@@ -603,9 +603,9 @@ func storeFlat(p *plane, v float64, bx, by int) {
 	}
 }
 
-// The codec's compute stages (per-block DCT/quantize, color conversion,
-// per-column cell packing) are data-parallel; the entropy stages (DC
-// prediction, token emission, DEFLATE) are serial chains. The *Workers
+// The codec's compute stages (per-block DCT/quantize, color conversion)
+// are data-parallel; the entropy stages (DC prediction, token emission,
+// DEFLATE) are serial chains. The *Workers
 // entry points split only the compute stages across goroutines, so the
 // emitted bytes do not depend on the worker count.
 

@@ -891,7 +891,7 @@ func equivRasters() map[string]*Raster {
 }
 
 // poolRow is one row of a worker-parity table: an explicit worker count,
-// or workers 0 — what EncodeSIC, DecodeSIC and EncodeColumns pass —
+// or workers 0 — what EncodeSIC and DecodeSIC pass —
 // with GOMAXPROCS pinned to procs for the call.
 type poolRow struct{ workers, procs int }
 

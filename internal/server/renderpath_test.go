@@ -214,6 +214,8 @@ func renderChurnHours(t *testing.T, s *Server, refs []corpus.PageRef, hours int,
 // artifacts, so the chain never holds more than one epoch per URL and
 // its bytes track the live bundles instead of growing with the churn.
 // The cache is unbounded here, so only the forget can keep it flat.
+// Under the race detector the walk covers 6 hours (12 renders, 60 in
+// the full day), still twice the churn the renders check asks for.
 func TestRenderEpochForgets(t *testing.T) {
 	p, err := testPipeline()
 	if err != nil {
@@ -223,7 +225,11 @@ func TestRenderEpochForgets(t *testing.T) {
 	s := New(cfg, p)
 	s.chain = artifact.NewChain(p, -1)
 
-	const hours, nPages = 24, 3
+	const nPages = 3
+	hours := 24
+	if raceEnabled {
+		hours = 6
+	}
 	refs := churniestPages(hours, nPages)
 	renderChurnHours(t, s, refs, hours, func(h int, live int64) {
 		st := s.ArtifactStats()
@@ -240,7 +246,7 @@ func TestRenderEpochForgets(t *testing.T) {
 	// The forget reaches every stage: audio derived from an epoch goes
 	// with it.
 	ref := refs[0]
-	last := cfg.Epoch.Add((hours - 1) * time.Hour)
+	last := cfg.Epoch.Add(time.Duration(hours-1) * time.Hour)
 	if _, err := s.PageAudio(ref.URL, last); err != nil {
 		t.Fatal(err)
 	}

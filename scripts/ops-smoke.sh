@@ -6,6 +6,8 @@
 #
 #   * /metrics.json holds request_to_on_air_seconds with exactly the
 #     count the sim printed ("over N traced requests"), non-zero p50/p99,
+#     request_to_delivered_seconds with exactly the count of deliveries
+#     it printed ("request-to-delivery latency ... (n=N)", 0 when none),
 #     no server_* or artifact_* family (the sim runs no server) and no
 #     span (the sim runs no pipeline stage)
 #   * /metrics parses as Prometheus text exposition
@@ -59,22 +61,33 @@ if [[ -z "$TRACED" ]]; then
     cat "$work/sonic-sim.log" >&2
     exit 1
 fi
+DELIVERED=$(sed -nE 's/^request-to-delivery latency .*\(n=([0-9]+)\)$/\1/p' "$work/sonic-sim.log")
+if [[ -z "$DELIVERED" ]]; then
+    if ! grep -q "no uplink requests were satisfied" "$work/sonic-sim.log"; then
+        echo "ops-smoke: the sim printed no delivery count" >&2
+        cat "$work/sonic-sim.log" >&2
+        exit 1
+    fi
+    DELIVERED=0
+fi
 
 echo "ops-smoke: snapshotting /metrics.json -> $OUT"
 curl -fsS "http://$ADDR/metrics.json" -o "$OUT"
-python3 - "$OUT" "$TRACED" <<'EOF'
+python3 - "$OUT" "$TRACED" "$DELIVERED" <<'EOF'
 import json, sys
 snap = json.load(open(sys.argv[1]))
-traced = int(sys.argv[2])
+traced, delivered = int(sys.argv[2]), int(sys.argv[3])
 h = snap["histograms"]["request_to_on_air_seconds"]
 assert h["count"] == traced, f"endpoint serves {h['count']} requests on air, the sim traced {traced}"
 assert h["p50"] > 0 and h["p99"] > 0, h
+d = snap["histograms"]["request_to_delivered_seconds"]["count"]
+assert d == delivered, f"endpoint serves {d} requests delivered, the sim delivered {delivered}"
 foreign = sorted(k for sec in ("counters", "gauges", "histograms") for k in snap.get(sec, {})
                  if k.startswith(("server_", "artifact_")))
 assert not foreign, f"the sim runs no server, yet the endpoint serves {foreign}"
 spans = sorted(snap.get("spans", {}))
 assert not spans, f"the sim runs no pipeline stage, yet the endpoint serves spans {spans}"
-print(f"ops-smoke: request->on-air n={h['count']} (sim traced {traced}) p50={h['p50']:.1f}s p99={h['p99']:.1f}s; no server, artifact or span family")
+print(f"ops-smoke: request->on-air n={h['count']} (sim traced {traced}) p50={h['p50']:.1f}s p99={h['p99']:.1f}s; delivered n={d} (sim delivered {delivered}); no server, artifact or span family")
 EOF
 
 echo "ops-smoke: validating /metrics exposition"
