@@ -1,5 +1,5 @@
 // Package admission is the bounded batching stage in front of the
-// server's enqueue path. internal/singleflight coalesces concurrent
+// server's enqueue path. The artifact chain coalesces concurrent
 // render misses; admission extends that idea from the render to the
 // whole request: every SMS asking for the same (URL, tower, effective
 // hour) within a batch window collapses into ONE render + ONE queue

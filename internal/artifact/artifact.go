@@ -15,9 +15,11 @@
 //     and core.Config.Digest() — the fingerprint of every knob that can
 //     change emitted bytes. Two pipelines share artifacts exactly when
 //     they would emit identical bytes.
-//   - Per-stage singleflight. Each stage of each key coalesces
-//     concurrent misses: 64 tower drains hitting a cold page run one
-//     render, one FEC framing, one modulation, and 63 waiters per stage.
+//   - One table. The chain's map, under its one mutex, is the only
+//     record of an artifact: an entry is either in flight (its first
+//     caller computes it, later callers wait on it) or cached. 64 tower
+//     drains hitting a cold page run one render, one FEC framing, one
+//     modulation, and 63 waiters per stage.
 //   - Bounded memory, derived bytes first. Entries live in one
 //     byte-accounted cache; past the cap it evicts from the most-derived
 //     stage that has anything to give — audio, then stream, then blob,
@@ -39,13 +41,12 @@ package artifact
 
 import (
 	"container/list"
-	"fmt"
+	"errors"
 	"sync"
 	"sync/atomic"
 
 	"sonic/internal/audio"
 	"sonic/internal/core"
-	"sonic/internal/singleflight"
 	"sonic/internal/telemetry"
 )
 
@@ -92,15 +93,22 @@ type ckey struct {
 	stage Stage
 }
 
-// entry is one cached artifact. val and bytes are immutable once the
-// entry is published; used is the second-chance bit; el is the entry's
-// slot in its stage's clock ring.
+// errPanicked is what the waiters of a computation that panicked get.
+var errPanicked = errors.New("artifact: computation panicked")
+
+// entry is one artifact, in flight or cached. While el is nil the entry
+// is in flight: its first caller computes it with no lock held and
+// closes done once val/err are set, and they are immutable from then
+// on. A cached entry sits at el on its stage's clock ring; used is its
+// second-chance bit. el and bytes are guarded by the chain's mutex.
 type entry struct {
 	ck    ckey
 	val   any
+	err   error
 	bytes int64
 	used  atomic.Bool
 	el    *list.Element
+	done  chan struct{}
 }
 
 // StageStats is one stage's counters in a Stats snapshot.
@@ -147,12 +155,10 @@ type Chain struct {
 
 	mu      sync.Mutex
 	maxB    int64
-	bytes   int64
-	entries map[ckey]*entry
-	ring    [numStages]list.List     // per-stage clock order, oldest-inserted first
+	bytes   int64                    // weight of the cached entries
+	entries map[ckey]*entry          // in flight and cached
+	ring    [numStages]list.List     // per-stage clock order of the cached entries, oldest-inserted first
 	hand    [numStages]*list.Element // per-stage eviction sweep position
-
-	flight singleflight.Group
 
 	hits      [numStages]atomic.Int64
 	misses    [numStages]atomic.Int64
@@ -201,7 +207,7 @@ func (ch *Chain) Pipeline() *core.Pipeline { return ch.pipe }
 // Stats returns the chain's accounting snapshot.
 func (ch *Chain) Stats() Stats {
 	ch.mu.Lock()
-	bytes, entries := ch.bytes, len(ch.entries)
+	bytes, entries := ch.bytes, ch.cached()
 	ch.mu.Unlock()
 	stage := func(st Stage) StageStats {
 		return StageStats{
@@ -315,80 +321,85 @@ func (ch *Chain) Audio(k Key, render RenderFunc) ([]float64, error) {
 	return audio.Floats(pcm), nil
 }
 
-// stage is the shared lookup→singleflight→compute→insert path. compute
-// returns the value and its byte weight; it runs with no chain lock held
-// (it may call back into earlier stages).
+// stage is the shared lookup→compute→publish path. The first caller of
+// a (key, stage) enters it in the table and runs compute with no chain
+// lock held (it may call back into earlier stages); callers that find
+// it in flight wait for it, and callers that find it cached take it.
+// compute returns the value and its byte weight.
 func (ch *Chain) stage(st Stage, k Key, compute func() (any, int64, error)) (any, error) {
 	ck := ckey{key: k, stage: st}
-	if v, ok := ch.get(ck); ok {
-		ch.hits[st].Add(1)
-		return v, nil
+	ch.mu.Lock()
+	e, found := ch.entries[ck]
+	cached := found && e.el != nil
+	if !found {
+		e = &entry{ck: ck, done: make(chan struct{})}
+		ch.entries[ck] = e
 	}
-	fkey := fmt.Sprintf("%d/%s@%d#%d:%x", st, k.URL, k.EffHour, k.PageID, k.Digest)
-	v, err, leader := ch.flight.Do(fkey, func() (any, error) {
-		// Re-check under the flight: an earlier leader may have published
-		// between our miss and this call starting.
-		if v, ok := ch.get(ck); ok {
-			ch.hits[st].Add(1)
-			return v, nil
+	ch.mu.Unlock()
+	switch {
+	case cached:
+		e.used.Store(true)
+		ch.hits[st].Add(1)
+		return e.val, nil
+	case found:
+		<-e.done
+		if e.err != nil {
+			return nil, e.err
 		}
-		val, bytes, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		ch.put(ck, val, bytes)
-		ch.misses[st].Add(1)
-		return val, nil
-	})
+		ch.coalesced[st].Add(1)
+		return e.val, nil
+	}
+	// A panic in compute leaves err at errPanicked for the waiters and
+	// goes on up this caller's stack.
+	var val any
+	var bytes int64
+	err := errPanicked
+	defer func() { ch.finish(e, val, bytes, err) }()
+	val, bytes, err = compute()
 	if err != nil {
 		return nil, err
 	}
-	if !leader {
-		ch.coalesced[st].Add(1)
-	}
-	return v, nil
+	ch.misses[st].Add(1)
+	return val, nil
 }
 
-// get looks an artifact up and marks it recently used.
-func (ch *Chain) get(ck ckey) (any, bool) {
+// finish ends e's flight and releases its waiters. A value is published
+// on its stage's ring, evicting second-chance style past the byte cap;
+// an error, or a value larger than the whole cap (it would evict
+// everything for one entry), withdraws the entry, so the next caller
+// computes again.
+func (ch *Chain) finish(e *entry, val any, bytes int64, err error) {
+	e.val, e.err = val, err
 	ch.mu.Lock()
-	e, ok := ch.entries[ck]
-	ch.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	e.used.Store(true)
-	return e.val, true
-}
-
-// put publishes an artifact and evicts second-chance style past the
-// byte cap. An artifact larger than the whole cap is returned to the
-// caller but not retained (it would evict everything for one entry).
-func (ch *Chain) put(ck ckey, val any, bytes int64) {
-	if ch.maxB > 0 && bytes > ch.maxB {
-		return
-	}
-	ch.mu.Lock()
-	if _, ok := ch.entries[ck]; ok {
-		ch.mu.Unlock()
-		return
-	}
-	e := &entry{ck: ck, val: val, bytes: bytes}
-	e.used.Store(true)
-	ch.entries[ck] = e
-	e.el = ch.ring[ck.stage].PushBack(e)
-	ch.bytes += bytes
 	evicted := 0
-	for ch.maxB > 0 && ch.bytes > ch.maxB && ch.evictOne(e) {
-		evicted++
+	if err != nil || ch.maxB > 0 && bytes > ch.maxB {
+		delete(ch.entries, e.ck)
+	} else {
+		e.bytes = bytes
+		e.used.Store(true)
+		e.el = ch.ring[e.ck.stage].PushBack(e)
+		ch.bytes += bytes
+		for ch.maxB > 0 && ch.bytes > ch.maxB && ch.evictOne(e) {
+			evicted++
+		}
 	}
-	bytesNow, entriesNow := ch.bytes, len(ch.entries)
+	bytesNow, entriesNow := ch.bytes, ch.cached()
 	ch.mu.Unlock()
+	close(e.done)
 	if evicted > 0 {
 		ch.evictions.Add(int64(evicted))
 	}
 	ch.gBytes.Set(float64(bytesNow))
 	ch.gEntries.Set(float64(entriesNow))
+}
+
+// cached counts the cached entries. Callers hold ch.mu.
+func (ch *Chain) cached() int {
+	n := 0
+	for st := range ch.ring {
+		n += ch.ring[st].Len()
+	}
+	return n
 }
 
 // evictOne drops one entry from the most-derived stage that has one to
@@ -421,7 +432,7 @@ func (ch *Chain) evictOne(keep *entry) bool {
 	return false
 }
 
-// remove unlinks one entry, stepping its stage's clock hand off it
+// remove unlinks one cached entry, stepping its stage's clock hand off it
 // first. Callers hold ch.mu.
 func (ch *Chain) remove(e *entry) {
 	st := e.ck.stage
@@ -440,22 +451,24 @@ func (ch *Chain) remove(e *entry) {
 func (ch *Chain) Forget(k Key) {
 	ch.mu.Lock()
 	for st := Stage(0); st < numStages; st++ {
-		if e, ok := ch.entries[ckey{key: k, stage: st}]; ok {
+		if e, ok := ch.entries[ckey{key: k, stage: st}]; ok && e.el != nil {
 			ch.remove(e)
 		}
 	}
-	bytesNow, entriesNow := ch.bytes, len(ch.entries)
+	bytesNow, entriesNow := ch.bytes, ch.cached()
 	ch.mu.Unlock()
 	ch.gBytes.Set(float64(bytesNow))
 	ch.gEntries.Set(float64(entriesNow))
 }
 
 // Flush drops every cached artifact (benchmarks use it to re-measure
-// the cold path).
+// the cold path). Computations in flight still publish.
 func (ch *Chain) Flush() {
 	ch.mu.Lock()
-	ch.entries = make(map[ckey]*entry)
 	for st := range ch.ring {
+		for el := ch.ring[st].Front(); el != nil; el = el.Next() {
+			delete(ch.entries, el.Value.(*entry).ck)
+		}
 		ch.ring[st].Init()
 		ch.hand[st] = nil
 	}

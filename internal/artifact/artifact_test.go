@@ -26,6 +26,19 @@ func testBundle(seed int64, n int) core.Bundle {
 	return core.Bundle{Image: img, ClickMap: cm}
 }
 
+// hit reports whether stage st of k is cached and, as a hit does, marks
+// it used.
+func hit(ch *Chain, k Key, st Stage) bool {
+	ch.mu.Lock()
+	e, ok := ch.entries[ckey{key: k, stage: st}]
+	ok = ok && e.el != nil
+	ch.mu.Unlock()
+	if ok {
+		e.used.Store(true)
+	}
+	return ok
+}
+
 func newTestChain(t *testing.T, maxBytes int64) (*Chain, *core.Pipeline) {
 	t.Helper()
 	pipe, err := core.NewPipeline(core.DefaultConfig())
@@ -243,7 +256,7 @@ func TestChainSecondChanceKeepsHotEntry(t *testing.T) {
 		t.Fatalf("after first wave: %d entries, %d evictions (want 3, 1)", ch.Stats().Entries, ch.Stats().Evictions)
 	}
 	// Re-air B: its used bit is set again. C stays cold.
-	if _, ok := ch.get(ckey{key: b, stage: StageRender}); !ok {
+	if !hit(ch, b, StageRender) {
 		t.Fatalf("B missing before second wave")
 	}
 	// E overflows again: the hand passes B (second chance), evicts C.
@@ -253,7 +266,7 @@ func TestChainSecondChanceKeepsHotEntry(t *testing.T) {
 	if got := ch.Stats().Render.Misses; got != misses {
 		t.Fatalf("touched entry was evicted despite its second chance (misses %d -> %d)", misses, got)
 	}
-	if _, ok := ch.get(ckey{key: c, stage: StageRender}); ok {
+	if hit(ch, c, StageRender) {
 		t.Fatalf("cold entry C survived the wave that should have taken it")
 	}
 }
@@ -284,7 +297,7 @@ func TestChainErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestRenderStageHerd pins stage 0's singleflight: a 32-goroutine herd
+// TestRenderStageHerd pins stage 0's coalescing: a 32-goroutine herd
 // on one cold key runs the render once, and everyone shares the one
 // cached bundle. Run under -race.
 func TestRenderStageHerd(t *testing.T) {
@@ -398,10 +411,10 @@ func TestChainForget(t *testing.T) {
 		t.Fatalf("after Forget: %d entries, %d of %d bytes", st.Entries, st.Bytes, full)
 	}
 	for stage := Stage(0); stage < numStages; stage++ {
-		if _, ok := ch.get(ckey{key: old, stage: stage}); ok {
+		if hit(ch, old, stage) {
 			t.Fatalf("stage %d of the forgotten key is still cached", stage)
 		}
-		if _, ok := ch.get(ckey{key: kept, stage: stage}); !ok {
+		if !hit(ch, kept, stage) {
 			t.Fatalf("stage %d of another epoch went with it", stage)
 		}
 	}
@@ -465,7 +478,6 @@ func TestEvictionTakesDerivedFirst(t *testing.T) {
 		t.Fatalf("probe: burst %d bytes over %d upstream; the test needs audio to dominate", burst, upstream)
 	}
 	key := func(ch *Chain, i int) Key { return ch.Key(fmt.Sprintf("k%d.pk/", i), 0, uint16(i)) }
-	cached := func(ch *Chain, k Key, st Stage) bool { _, ok := ch.get(ckey{key: k, stage: st}); return ok }
 
 	// Every key's upstream fits beside two and a half bursts: n audio
 	// inserts push out n-2 bursts and nothing else.
@@ -481,11 +493,11 @@ func TestEvictionTakesDerivedFirst(t *testing.T) {
 	}
 	for i := 1; i <= n; i++ {
 		for st := StageRender; st < StageAudio; st++ {
-			if !cached(ch, key(ch, i), st) {
+			if !hit(ch, key(ch, i), st) {
 				t.Errorf("key %d: stage %d was evicted while bursts could still go", i, st)
 			}
 		}
-		if got, want := cached(ch, key(ch, i), StageAudio), i > n-2; got != want {
+		if got, want := hit(ch, key(ch, i), StageAudio), i > n-2; got != want {
 			t.Errorf("key %d: burst cached = %v, want %v (the two newest stay)", i, got, want)
 		}
 	}
@@ -505,7 +517,7 @@ func TestEvictionTakesDerivedFirst(t *testing.T) {
 			t.Fatalf("after stream insert %d: %d cached bytes exceed cap %d", i, b, limit)
 		}
 	}
-	if st := ch.Stats(); st.Entries != 1 || st.Evictions != 3*n-1 || !cached(ch, key(ch, n), StageStream) {
+	if st := ch.Stats(); st.Entries != 1 || st.Evictions != 3*n-1 || !hit(ch, key(ch, n), StageStream) {
 		t.Fatalf("upstream-only chain: %+v; want the newest stream alone after %d evictions", st, 3*n-1)
 	}
 
@@ -515,7 +527,7 @@ func TestEvictionTakesDerivedFirst(t *testing.T) {
 	if err != nil || int64(len(got)*2) != burst {
 		t.Fatalf("oversized burst: %d samples, err %v", len(got), err)
 	}
-	if cached(ch, key(ch, 1), StageAudio) || ch.Stats().Bytes > burst-1 {
+	if hit(ch, key(ch, 1), StageAudio) || ch.Stats().Bytes > burst-1 {
 		t.Fatalf("oversized burst was retained: %+v", ch.Stats())
 	}
 }

@@ -23,15 +23,15 @@ import (
 // that overlap on the simulated clock are in flight together, so towers
 // airing the same page at the same moment ask for it together. A slot is
 // then modulated once at any cache size, and a page once when the
-// rotation fits the cache; per-stage singleflight pipelines the work
-// (tower A modulates page X while tower B's blob for page Y is still
-// encoding). Output is byte-identical to a serial per-tower replay —
+// rotation fits the cache; the chain holds one computation in flight
+// per (page, stage), which pipelines the work (tower A modulates page X
+// while tower B's blob for page Y is still encoding). Output is byte-identical to a serial per-tower replay —
 // pinned by TestRunFleetMatchesSerialTowers and
 // TestRunFleetAirsEachSlotOnce.
 
 // RenderFunc produces the rendered bundle for a page at a corpus hour —
 // the raster stage the artifact chain does not own. The fleet engine
-// invokes it under the chain's blob singleflight, so it runs once per
+// invokes it as the chain's render stage, so it runs once per
 // (page, effective hour) fleet-wide no matter how many towers ask.
 type RenderFunc func(ref corpus.PageRef, hour int) (core.Bundle, error)
 

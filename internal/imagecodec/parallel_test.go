@@ -75,7 +75,7 @@ func mallocsPerRun(t *testing.T, runs int, fn func() error) float64 {
 // only see one worker; this one counts heap objects at explicit workers
 // 2 on a 1080x400 page. Measured on a 2-vCPU box (mean of 10 calls, 11
 // runs at GOMAXPROCS 1, 2 and 4): encode 45-55 objects per call;
-// decode 49-59 (75 runs), 80-98 while it decoded each plane in turn —
+// decode 45-47 (15 runs), 80-98 while it decoded each plane in turn —
 // mostly one WaitGroup and one closure per goroutine per band, and pool
 // refills after a GC.
 func TestCodecMallocsAtTwoWorkers(t *testing.T) {

@@ -299,7 +299,8 @@ type plane struct {
 	pix  []float64
 }
 
-// bytesPool recycles token buffers (encode emission, decode inflate).
+// bytesPool recycles the encoder's token and flate buffers (the decoder
+// keeps its token buffers with itself in decoderPool).
 var bytesPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func getBytes() *[]byte { return bytesPool.Get().(*[]byte) }

@@ -182,6 +182,7 @@ func FuzzSICDecode(f *testing.F) {
 	f.Add([]byte("SIC2\x00\x00\x00\x01\x00\x00\x00\x01\x0a"))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Add(flatRunStream(f, 1<<15, 1<<15))
+	f.Add(flateBombStream(f, PageWidth, MaxPageHeight, 16<<20))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		one, err1 := DecodeSICWorkers(data, 1)

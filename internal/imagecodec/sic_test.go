@@ -1,9 +1,12 @@
 package imagecodec
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -202,6 +205,72 @@ func TestSICDecodeRefusesOversizeRasters(t *testing.T) {
 				t.Fatalf("%dx%d: decoded %dx%d", c.w, c.h, img.W, img.H)
 			}
 		}
+	}
+}
+
+// flateBombStream is a w x h stream whose luma segment inflates to n
+// one-block run tags and whose chroma segments are empty: about 1 KB
+// per MiB of tokens, which the parse rejects at the first band's Cb tag.
+func flateBombStream(tb testing.TB, w, h, n int) []byte {
+	tb.Helper()
+	var luma bytes.Buffer
+	fw, err := flate.NewWriter(&luma, flate.BestCompression)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := fw.Write(make([]byte, n)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	empty, err := refV2Deflate(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := []byte(sicMagicV2)
+	out = binary.BigEndian.AppendUint32(out, uint32(w))
+	out = binary.BigEndian.AppendUint32(out, uint32(h))
+	out = append(out, 10)
+	for _, comp := range [][]byte{luma.Bytes(), empty, empty} {
+		out = appendUvarint(out, uint64(len(comp)))
+		out = append(out, comp...)
+	}
+	return out
+}
+
+// TestSICFlateBombAllocation: a segment is inflated only as far as the
+// parse reads it, so what a malformed stream costs does not grow with
+// what its segments would inflate to. Inflating whole planes before the
+// parse, a 16 KB bomb allocated 57 MB and a 65 KB one 135 MB, only to
+// fail at the first band. Both now stay under the declared raster's
+// w*h/2 bytes (a sixth of the raster), well below the ~35 MB a real
+// decode of it needs.
+func TestSICFlateBombAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes what is allocated")
+	}
+	const w, h = PageWidth, MaxPageHeight
+	var got [2]uint64
+	for i, n := range []int{16 << 20, 64 << 20} {
+		data := flateBombStream(t, w, h, n)
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeSICWorkers(data, 1)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%d-byte bomb decoded", len(data))
+		}
+		got[i] = after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d MiB of tokens in %d bytes: %.2f MB allocated (%v)", n>>20, len(data), float64(got[i])/1e6, err)
+		if limit := uint64(w * h / 2); got[i] > limit {
+			t.Errorf("%d-byte bomb allocated %d bytes, want <= w*h/2 = %d", len(data), got[i], limit)
+		}
+	}
+	if got[1] > got[0] {
+		t.Errorf("the 64 MiB bomb allocated %d bytes, more than the 16 MiB one's %d", got[1], got[0])
 	}
 }
 

@@ -453,12 +453,24 @@ type decBlock struct {
 	q    [64]int32
 }
 
+// maxBlockV2 is the most token bytes one block can take: its tag, a
+// 10-byte DC varint, 63 AC escapes of a byte and two 10-byte varints
+// each, and the end byte.
+const maxBlockV2 = 1 + 10 + 63*(1+10+10) + 1
+
 // planeDecoder is one plane's serial parse, whose state carries from
 // band to band: the token cursor, the DC prediction chain, the pending
-// flat run and the memo of the plane's distinct coded blocks.
+// flat run and the memo of the plane's distinct coded blocks. The
+// cursor's buffer holds the tokens inflated so far; the parse inflates
+// more as it reads, so a segment is inflated only as far as its blocks
+// parse, and a stream that fails early costs what it parsed, not what
+// its segments would inflate to.
 type planeDecoder struct {
 	c       byteCursor
-	bw      int // blocks per block row
+	seg     bytes.Reader     // the segment's flate stream
+	zr      flateResetReader // inflates seg
+	more    bool             // zr has not reached the segment's end
+	bw      int              // blocks per block row
 	nblocks int
 	bi      int // blocks parsed so far
 	prevDC  int
@@ -467,10 +479,18 @@ type planeDecoder struct {
 	memo    blockMemo
 }
 
-// start points d at a w x h plane coded in tokens under quant table
-// qt, keeping the storage of its memo.
-func (d *planeDecoder) start(tokens []byte, w, h int, qt *[64]int) {
-	d.c = byteCursor{b: tokens}
+// start points d at a w x h plane whose tokens are the flate segment
+// comp, coded under quant table qt, keeping the storage of its token
+// buffer, inflater and memo.
+func (d *planeDecoder) start(comp []byte, w, h int, qt *[64]int) error {
+	d.seg.Reset(comp)
+	if d.zr == nil {
+		d.zr = flate.NewReader(&d.seg).(flateResetReader)
+	} else if err := d.zr.Reset(&d.seg, nil); err != nil {
+		return fmt.Errorf("imagecodec: flate: %w", err)
+	}
+	d.c = byteCursor{b: d.c.b[:0]}
+	d.more = true
 	d.bw = (w + 7) / 8
 	d.nblocks = d.bw * ((h + 7) / 8)
 	d.bi, d.prevDC, d.run = 0, 0, 0
@@ -479,6 +499,26 @@ func (d *planeDecoder) start(tokens []byte, w, h int, qt *[64]int) {
 	}
 	clear(d.memo.slots[:])
 	d.memo.entries = d.memo.entries[:0]
+	return nil
+}
+
+// fill inflates until need tokens are buffered past the cursor or the
+// segment has ended. Doubling the buffer keeps the garbage a cold decode
+// leaves behind under the size of what it inflated.
+func (d *planeDecoder) fill(need int) error {
+	for d.more && len(d.c.b)-d.c.i < need {
+		if len(d.c.b) == cap(d.c.b) {
+			d.c.b = slices.Grow(d.c.b, max(len(d.c.b), 4<<10))
+		}
+		n, err := d.zr.Read(d.c.b[len(d.c.b):cap(d.c.b)])
+		d.c.b = d.c.b[:len(d.c.b)+n]
+		if err == io.EOF {
+			d.more = false
+		} else if err != nil {
+			return fmt.Errorf("imagecodec: flate: %w", err)
+		}
+	}
+	return nil
 }
 
 // parse reverses the encoder over the plane's next len(band) blocks. A
@@ -492,6 +532,11 @@ func (d *planeDecoder) parse(band []decBlock) error {
 			b.flat, b.q[0] = true, int32(d.prevDC)
 			d.run--
 			continue
+		}
+		if len(d.c.b)-d.c.i < maxBlockV2 {
+			if err := d.fill(maxBlockV2); err != nil {
+				return err
+			}
 		}
 		tag, err := d.c.readByte()
 		if err != nil {
@@ -689,10 +734,10 @@ type sicDecoder struct {
 	sampBuf []float64       // backs bands
 }
 
-// decoderPool recycles decoders with their scratch and memos. Blocks
-// and samples are not zeroed on reuse: the parse writes every block
-// field the store reads, and a band's blocks store every sample its
-// conversion reads.
+// decoderPool recycles decoders with their scratch, memos, token
+// buffers and flate readers. Blocks and samples are not zeroed on reuse:
+// the parse writes every block field the store reads, and a band's
+// blocks store every sample its conversion reads.
 var decoderPool = sync.Pool{New: func() any { return new(sicDecoder) }}
 
 // Decode bands: a band is bandRows luma block rows and the bandRows/2
@@ -725,57 +770,24 @@ type flateResetReader interface {
 	flate.Resetter
 }
 
-var flateReaderPool = sync.Pool{New: func() any {
-	return flate.NewReader(bytes.NewReader(nil)).(flateResetReader)
-}}
-
-// inflatePlaneV2 inflates one plane segment into *tp, reusing its
-// capacity.
-func inflatePlaneV2(tp *[]byte, comp []byte) error {
-	fr := flateReaderPool.Get().(flateResetReader)
-	defer flateReaderPool.Put(fr)
-	if err := fr.Reset(bytes.NewReader(comp), nil); err != nil {
-		return fmt.Errorf("imagecodec: flate: %w", err)
-	}
-	tokens := (*tp)[:0]
-	var err error
-	for err == nil {
-		if len(tokens) == cap(tokens) {
-			// Doubling keeps the garbage a cold inflate leaves behind
-			// under the size of what it inflated.
-			tokens = slices.Grow(tokens, max(len(tokens), 4<<10))
-		}
-		var n int
-		n, err = fr.Read(tokens[len(tokens):cap(tokens)])
-		tokens = tokens[:len(tokens)+n]
-	}
-	*tp = tokens
-	if err != io.EOF {
-		return fmt.Errorf("imagecodec: flate: %w", err)
-	}
-	return nil
-}
-
-// decodeSICV2 is the v2 body behind DecodeSICWorkers. The three
-// length-prefixed per-plane flate segments are inflated up front (their
-// tokens are about a megabyte on a full page); the page is then decoded
-// one band at a time, so no page-sized float plane is ever built and the
-// raster is the only page-sized allocation.
+// decodeSICV2 is the v2 body behind DecodeSICWorkers. The page is
+// decoded one band at a time, each of the three length-prefixed
+// per-plane flate segments inflated as its band's parse reads it (a
+// full page's tokens are about a megabyte), so no page-sized float plane
+// is ever built and the raster is the only page-sized allocation.
 func decodeSICV2(data []byte, w, h, quality, workers int) (*Raster, error) {
 	lumaQT := quantTable(lumaQBase, quality)
 	chromaQT := quantTable(chromaQBase, quality)
 	cw := (w + 1) / 2
-	body := byteCursor{b: data}
-	var tokens [3]*[]byte
-	for pi := range tokens {
-		tokens[pi] = getBytes()
-	}
+	s := decoderPool.Get().(*sicDecoder)
 	defer func() {
-		for _, tp := range tokens {
-			putBytes(tp)
-		}
+		// Drop the reference into the raster before the decoder waits
+		// in the pool.
+		s.pix = nil
+		decoderPool.Put(s)
 	}()
-	for _, tp := range tokens {
+	body := byteCursor{b: data}
+	for pi := range s.planes {
 		clen, err := body.readUvarint()
 		if err != nil {
 			return nil, fmt.Errorf("imagecodec: truncated plane length: %w", err)
@@ -785,24 +797,14 @@ func decodeSICV2(data []byte, w, h, quality, workers int) (*Raster, error) {
 		}
 		comp := body.b[body.i : body.i+int(clen)]
 		body.i += int(clen)
-		if err := inflatePlaneV2(tp, comp); err != nil {
+		pw, ph, qt := w, h, &lumaQT
+		if pi > 0 {
+			pw, ph, qt = cw, (h+1)/2, &chromaQT
+		}
+		if err := s.planes[pi].start(comp, pw, ph, qt); err != nil {
 			return nil, err
 		}
 	}
-
-	s := decoderPool.Get().(*sicDecoder)
-	defer func() {
-		// Drop the references into the raster and the token buffers
-		// before the decoder waits in the pool.
-		s.pix = nil
-		for pi := range s.planes {
-			s.planes[pi].c.b = nil
-		}
-		decoderPool.Put(s)
-	}()
-	s.planes[0].start(*tokens[0], w, h, &lumaQT)
-	s.planes[1].start(*tokens[1], cw, (h+1)/2, &chromaQT)
-	s.planes[2].start(*tokens[2], cw, (h+1)/2, &chromaQT)
 	bwY, bwC := s.planes[0].bw, s.planes[1].bw
 	s.blkBuf = slices.Grow(s.blkBuf[:0], bandRows*(bwY+bwC))[:bandRows*(bwY+bwC)]
 	s.sampBuf = slices.Grow(s.sampBuf[:0], bandPixRows*(w+cw))[:bandPixRows*(w+cw)]
@@ -834,7 +836,11 @@ func decodeSICV2(data []byte, w, h, quality, workers int) (*Raster, error) {
 		parallel.For(workers, (bh+macroPixRows-1)/macroPixRows, minChunk, render)
 	}
 	for pi := range s.planes {
-		if d := &s.planes[pi]; d.c.i != len(d.c.b) {
+		d := &s.planes[pi]
+		if err := d.fill(1); err != nil {
+			return nil, err
+		}
+		if d.c.i != len(d.c.b) {
 			return nil, errV2Extra
 		}
 	}

@@ -70,7 +70,6 @@ func (s *Server) admitTraced(url string, lat, lon float64, now time.Time, tr *te
 		tr.Abort(now, "no coverage")
 		return 0, ErrNoCoverage
 	}
-	s.noteNow(now)
 	eff := corpus.EffectiveHour(s.refFor(url), s.hourAt(now))
 	if s.admit == nil {
 		tr.StampAt(telemetry.StageAdmitted, now)
@@ -133,7 +132,6 @@ func (s *Server) admitBatch(b admission.Batch) (time.Duration, error) {
 
 	sh := s.shardFor(tx.ID)
 	sh.mu.Lock()
-	s.noteNow(b.Now)
 	tq := sh.queue(tx.ID)
 	airBytes := tq.bytes
 	if qp := tq.pending[b.URL]; qp != nil && qp.EffHour == b.EffHour {
@@ -156,7 +154,7 @@ func (s *Server) admitBatch(b admission.Batch) (time.Duration, error) {
 	if b.Count > 0 {
 		sh.bumpDemand(tx.ID, b.URL, float64(b.Count))
 	}
-	s.recordQueueDepth(sh, tx.ID)
+	s.recordQueueDepth(sh, tx.ID, b.Now)
 	sh.mu.Unlock()
 	for _, tr := range b.Traces {
 		tr.StampAt(telemetry.StageEnqueued, rendered)

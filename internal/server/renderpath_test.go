@@ -23,8 +23,8 @@ func testPipeline() (*core.Pipeline, error) {
 // asserts the miss was coalesced into exactly one render: one
 // server_render_cache_misses_total, every other caller counted as a hit
 // (direct or coalesced), and every caller handed the same bundle. Run
-// under -race this also proves the chain's singleflight + cache path is
-// data-race free.
+// under -race this also proves the chain's one table of in-flight and
+// cached entries is data-race free.
 func TestRenderThunderingHerd(t *testing.T) {
 	s := testServer(t)
 	reg := telemetry.New()

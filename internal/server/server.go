@@ -115,8 +115,8 @@ type Server struct {
 
 	// chain is the fleet-wide content-addressed artifact cache and the
 	// only page cache: the rendered bundle, its marshaled blob, the FEC
-	// stream and the modulated audio, each computed once fleet-wide (its
-	// per-stage singleflight coalesces concurrent misses). It lives
+	// stream and the modulated audio, each computed once fleet-wide
+	// (concurrent misses wait on the one computation in flight). It lives
 	// outside every queue lock: a render miss must not block SMS intake
 	// or queue ops.
 	chain     *artifact.Chain
@@ -145,14 +145,6 @@ type Server struct {
 	// the async admission ack uses to estimate airtime without rendering.
 	bundleBytes atomic.Int64
 	bundleCount atomic.Int64
-
-	// lastNowNs is the most recent caller-supplied timestamp (HandleSMS /
-	// EnqueuePage / PushPopular), advanced monotonically with a CAS so an
-	// out-of-order caller cannot drag it backwards. Dequeue has no time
-	// parameter, so the lifecycle on-air stamps and queue-age gauges read
-	// this to stay in the caller's clock domain (wall time live,
-	// simulation time in tests and sims).
-	lastNowNs atomic.Int64
 
 	// Telemetry (nil handles = off; see internal/telemetry).
 	tel          *telemetry.Registry
@@ -191,9 +183,10 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 
 // recordQueueDepth refreshes a transmitter's queue depth and age
 // gauges; callers hold sh.mu. Queue age is how long the head page has
-// waited, measured against the last caller-supplied timestamp. The
-// byte and page counts are O(1) reads off the towerQueue accounting.
-func (s *Server) recordQueueDepth(sh *shard, txID string) {
+// waited at now, the caller's time (wall time on the TCP link, the
+// simulated clock in tests and sims). The byte and page counts are O(1)
+// reads off the towerQueue accounting.
+func (s *Server) recordQueueDepth(sh *shard, txID string, now time.Time) {
 	if s.tel == nil {
 		return
 	}
@@ -203,7 +196,7 @@ func (s *Server) recordQueueDepth(sh *shard, txID string) {
 		pages = len(tq.pages)
 		bytes = tq.bytes
 		if len(tq.pages) > 0 {
-			if d := s.lastNow().Sub(tq.pages[0].Enqueued); d > 0 {
+			if d := now.Sub(tq.pages[0].Enqueued); d > 0 {
 				age = d.Seconds()
 			}
 		}
@@ -211,23 +204,6 @@ func (s *Server) recordQueueDepth(sh *shard, txID string) {
 	s.tel.Gauge("server_queue_depth_pages", "tx", txID).Set(float64(pages))
 	s.tel.Gauge("server_queue_depth_bytes", "tx", txID).Set(float64(bytes))
 	s.tel.Gauge("server_queue_age_seconds", "tx", txID).Set(age)
-}
-
-// noteNow advances the server's view of the caller clock (monotonic
-// CAS; safe from any goroutine, no lock required).
-func (s *Server) noteNow(now time.Time) {
-	ns := now.UnixNano()
-	for {
-		cur := s.lastNowNs.Load()
-		if ns <= cur || s.lastNowNs.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// lastNow returns the most recent caller-supplied timestamp.
-func (s *Server) lastNow() time.Time {
-	return time.Unix(0, s.lastNowNs.Load())
 }
 
 // New builds a server with the given transmission pipeline.
@@ -464,7 +440,7 @@ func (s *Server) dequeueHead(transmitterID string, at time.Time) *queuedPage {
 		sh.mu.Unlock()
 		return nil
 	}
-	s.recordQueueDepth(sh, transmitterID)
+	s.recordQueueDepth(sh, transmitterID, at)
 	sh.mu.Unlock()
 	if len(head.Traces) > 0 {
 		if at.Before(head.Enqueued) {
@@ -550,7 +526,6 @@ func (s *Server) HandleSMS(smsc *sms.SMSC) sms.Handler {
 		sp := s.tel.StartSpan("server.handle_sms")
 		defer sp.End()
 		s.mRequests.Inc()
-		s.noteNow(m.DeliverAt)
 		req, err := sms.ParseRequest(m.Body)
 		if err != nil {
 			s.mBadRequests.Inc()

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"errors"
+	"io"
 	"math"
 	"net"
 	"runtime"
@@ -253,6 +255,74 @@ func TestControlLinkBoundsPeerAllocation(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s: server is waiting for the announced payload", name)
 		}
+	}
+}
+
+// TestTransmitterPollBoundsAllocation: the transmitter allocates for
+// the payload bytes that arrive, not for the length a PAGE header
+// announces. A header announcing 64 MiB followed by EOF allocated the
+// 64 MiB and returned io.EOF; a payload shorter than announced is
+// io.ErrUnexpectedEOF.
+func TestTransmitterPollBoundsAllocation(t *testing.T) {
+	for name, sent := range map[string][]byte{
+		"64 MiB announced, none sent": {msgPage, 0x04, 0, 0, 0},
+		"100 B announced, 10 sent":    append([]byte{msgPage, 0, 0, 0, 100}, make([]byte, 10)...),
+	} {
+		srv, cli := net.Pipe()
+		go func() {
+			defer srv.Close()
+			for range 2 { // hello, then the poll
+				if _, _, err := readMsg(srv, fromTransmitter); err != nil {
+					return
+				}
+			}
+			srv.Write(sent)
+		}()
+		c, err := NewTransmitterClient(cli, "khi-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, ok, err := c.Poll()
+		runtime.ReadMemStats(&after)
+		c.Close()
+		if ok || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: poll ok=%v err=%v, want io.ErrUnexpectedEOF", name, ok, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: poll allocated %d bytes, want < 1 MiB", name, grew)
+		}
+	}
+}
+
+// TestQueueAgeAtPollTime: a TCP poll dequeues at the wall clock, so the
+// queue-age gauge reads how long the new head page has waited. With the
+// server's own clock stopped at the last push, it read 0 however long
+// pages waited.
+func TestQueueAgeAtPollTime(t *testing.T) {
+	s := testServer(t)
+	reg := telemetry.New()
+	s.Instrument(reg)
+	pushed := time.Now().Add(-time.Hour)
+	for _, ref := range corpus.Pages()[:2] {
+		if _, err := s.EnqueuePage(ref.URL, 24.87, 67.01, pushed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, cli := net.Pipe()
+	go s.handleConn(srv)
+	c, err := NewTransmitterClient(cli, "khi-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, _, ok, err := c.Poll(); !ok || err != nil {
+		t.Fatalf("poll: ok=%v err=%v", ok, err)
+	}
+	age := reg.Snapshot().Gauges["server_queue_age_seconds{tx=khi-1}"]
+	if age < 3600 || age > 3600+60 {
+		t.Fatalf("queue age after the poll = %.0f s, want about 3600 s", age)
 	}
 }
 

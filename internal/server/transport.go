@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"time"
 
 	"sonic/internal/core"
 )
@@ -57,8 +58,11 @@ func writeMsg(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readMsg reads one message, refusing — before allocating — a payload
-// longer than limit allows for the announced type.
+// readMsg reads one message, refusing a payload longer than limit
+// allows for the announced type. The payload buffer grows with the bytes
+// that arrive, never from the announced length alone, so a header that
+// claims 64 MiB costs what the peer sends; a payload shorter than
+// announced is io.ErrUnexpectedEOF.
 func readMsg(r io.Reader, limit func(typ byte) uint32) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -68,9 +72,15 @@ func readMsg(r io.Reader, limit func(typ byte) uint32) (byte, []byte, error) {
 	if n > limit(hdr[0]) {
 		return 0, nil, fmt.Errorf("server: message %#x of %d bytes exceeds limit", hdr[0], n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if n == 0 {
+		return hdr[0], nil, nil
+	}
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return 0, nil, err
+	}
+	if len(payload) < int(n) {
+		return 0, nil, io.ErrUnexpectedEOF
 	}
 	return hdr[0], payload, nil
 }
@@ -116,7 +126,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if typ != msgPoll {
 			return
 		}
-		url, pageID, bundle, ok := s.DequeuePageAt(txID, s.lastNow())
+		url, pageID, bundle, ok := s.DequeuePageAt(txID, time.Now())
 		if !ok {
 			if writeMsg(bw, msgEmpty, nil) != nil || bw.Flush() != nil {
 				return
