@@ -545,6 +545,44 @@ type planeQuant struct {
 	// [0, 2^quantQShift), so the quantize loop can skip the 64-bit
 	// multiply for the (dominant) zero case.
 	zb [64]int32
+	// maxRanges and maxSpread bound a block's blockStats: within both,
+	// every AC coefficient of its fixed-point DCT is within zb (see
+	// dcOnly).
+	maxRanges, maxSpread int32
+}
+
+// aanFixSlack bounds how far one intFdct8 output strays from the
+// linear map A it truncates: an output adds at most three mulFix
+// results, each floored by less than 1.
+const aanFixSlack = 3
+
+// dcOnly reports whether a block with these statistics quantizes to DC
+// alone, so its DCT can be skipped; its DC is then quantDC(st.sum), the
+// same value quantizeIntBlock would return. The bound, with A's rows
+// k >= 1 summing to zero (a constant row has no AC), L1[k] and Max[k]
+// their L1 norm and largest |entry| (aanFixL1, aanFixMax), s = 3 the
+// slack (aanFixSlack) and R_y row y's range:
+//
+//   - The row pass feeds differences of samples to every mulFix, so
+//     row y's AC output u >= 1 is A[u]·(x - mid) within s, at most
+//     L1[u]/2·R_y + s. Coefficient (u, v) of the column pass is then
+//     at most Max[v]·Σ_y(L1[u]/2·R_y + s) + s, which is
+//     Max[v]·(L1[u]/2·ranges + 8s) + s.
+//   - Column u = 0 holds the row sums, exact (v[0] = tmp10 + tmp11, or
+//     8v on a flat row), so coefficient (0, v >= 1) is at most
+//     L1[v]/2·(hi - lo) + s.
+//
+// newPlaneQuant solves each for the largest ranges and spread that
+// keep every coefficient within its zb, and keeps the least.
+func (pq *planeQuant) dcOnly(st *blockStats) bool {
+	return st.ranges <= pq.maxRanges && st.hi-st.lo <= pq.maxSpread
+}
+
+// quantDC quantizes a DC output (the sum of the block's centered 16.16
+// samples).
+func (pq *planeQuant) quantDC(sum int32) int {
+	const half = int64(1) << (quantQShift - 1)
+	return int((int64(sum)*pq.invQ[0] + half) >> quantQShift)
 }
 
 func newPlaneQuant(qt *[64]int, quality int) planeQuant {
@@ -562,7 +600,23 @@ func newPlaneQuant(qt *[64]int, quality int) planeQuant {
 			pq.zb[i] = int32((half - 1) / pq.invQ[i])
 		}
 	}
+	pq.maxRanges, pq.maxSpread = math.MaxInt32, math.MaxInt32
+	for i := 1; i < 64; i++ {
+		u, v := zigzag[i]%8, zigzag[i]/8
+		z := float64(pq.zb[i]) - aanFixSlack
+		if u > 0 {
+			pq.maxRanges = min(pq.maxRanges, floorLimit((z/aanFixMax[v]-8*aanFixSlack)*2/aanFixL1[u]))
+		} else {
+			pq.maxSpread = min(pq.maxSpread, floorLimit(z*2/aanFixL1[v]))
+		}
+	}
 	return pq
+}
+
+// floorLimit is the largest integer safely below the real limit t,
+// with one unit to spare for t's float rounding; -1 when t < 0.
+func floorLimit(t float64) int32 {
+	return int32(max(math.Floor(t)-1, -1))
 }
 
 // storeBlock writes a reconstructed block (already centered back to

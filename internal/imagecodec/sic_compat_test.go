@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -216,6 +217,52 @@ func FuzzSICDecode(f *testing.F) {
 		}
 		if err1 == nil && (ref.W != one.W || ref.H != one.H || !bytes.Equal(ref.Pix, one.Pix)) {
 			t.Fatal("live decoder's pixels differ from the reference decoder's")
+		}
+	})
+}
+
+// FuzzSICEncodeMatchesReference is the encoder's differential harness:
+// a small raster the fuzzer draws, at a quality it picks, must encode to
+// the frozen reference encoder's bytes at one worker and at three. Each
+// pixel is a per-channel gradient plus the fuzzer's data shifted right
+// by grain%8, so a large shift keeps blocks to the low ranges where the
+// DC-only bound decides, and a small one gives the transform real work.
+// The seeds are low-range content around that bound.
+func FuzzSICEncodeMatchesReference(f *testing.F) {
+	grainSeed := rand.New(rand.NewSource(5))
+	grainBytes := make([]byte, 97)
+	for i := range grainBytes {
+		grainBytes[i] = byte(grainSeed.Intn(256))
+	}
+	f.Add(uint8(47), uint8(33), uint8(10), uint8(5), grainBytes)
+	f.Add(uint8(40), uint8(40), uint8(0), uint8(4), grainBytes)
+	f.Add(uint8(17), uint8(9), uint8(50), uint8(6), grainBytes[:13])
+	f.Add(uint8(31), uint8(24), uint8(10), uint8(7), []byte(nil))
+	f.Add(uint8(1), uint8(1), uint8(95), uint8(0), []byte{200})
+
+	f.Fuzz(func(t *testing.T, w, h, quality, grain uint8, data []byte) {
+		r := NewRaster(1+int(w)%48, 1+int(h)%48)
+		for i := range r.Pix {
+			x, y, c := i/3%r.W, i/3/r.W, i%3
+			v := 40 + (c+1)*x + (3-c)*y
+			if len(data) > 0 {
+				v += int(data[i%len(data)] >> (grain % 8))
+			}
+			r.Pix[i] = byte(min(v, 255))
+		}
+		q := int(quality) % (MaxQuality + 1)
+		want, err := refEncodeSICv2(r, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			got, err := EncodeSICWorkers(r, q, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%dx%d q=%d workers=%d: bytes differ from the reference encoder", r.W, r.H, q, workers)
+			}
 		}
 	})
 }

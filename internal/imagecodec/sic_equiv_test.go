@@ -872,8 +872,8 @@ func refDecodeSICv2(data []byte) (*Raster, error) {
 // --- equivalence trials ---
 
 // equivRasters builds the raster set the suite runs over: webpage-like
-// content, pure noise, a solid page, and odd (non multiple-of-8 and non
-// multiple-of-2) dimensions.
+// content, pure noise, a solid page, odd (non multiple-of-8 and non
+// multiple-of-2) dimensions, and a photo.
 func equivRasters() map[string]*Raster {
 	rng := rand.New(rand.NewSource(77))
 	noisy := NewRaster(96, 120)
@@ -887,7 +887,39 @@ func equivRasters() map[string]*Raster {
 		"noise": noisy,
 		"solid": solid,
 		"odd":   testPage(61, 83, 7),
+		"photo": testPhoto(331, 117, 78),
 	}
+}
+
+// testPhoto is webrender's photo content in small: a gradient whose
+// slopes change across the raster, with sparse ±grain. Its blocks are
+// neither flat nor two-valued, and their sample ranges fall on both
+// sides of the encoder's DC-only bounds (planeQuant.dcOnly) at the
+// qualities the server uses. It is wide enough that a band of its luma
+// block rows is split between two encoder workers.
+func testPhoto(w, h int, seed int64) *Raster {
+	rng := rand.New(rand.NewSource(seed))
+	r := NewRaster(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			c := [3]int{
+				40 + 180*x/w,
+				200 - 150*y/h + 30*x*x/(w*w),
+				60 + 120*x*y/(w*h),
+			}
+			if rng.Intn(16) == 0 {
+				g := 1 + rng.Intn(6)
+				if rng.Intn(2) == 0 {
+					g = -g
+				}
+				for i := range c {
+					c[i] += g
+				}
+			}
+			r.Set(x, y, RGB{uint8(c[0]), uint8(c[1]), uint8(c[2])})
+		}
+	}
+	return r
 }
 
 // poolRow is one row of a worker-parity table: an explicit worker count,
@@ -1168,5 +1200,101 @@ func TestSICDecodeConcurrentWorkers(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestDCOnlyBoundMatchesQuantizer pins the DC-only test
+// (planeQuant.dcOnly) against the transform it skips, at every quality
+// and for both tables. Each block concentrates its range where the
+// bound is tight: a horizontal block puts ±R/2, signed like row u of
+// the fixed-point DCT matrix A, in each row where |A[v][y]| is largest
+// (sign-flipped with A[v][y]) and leaves the others at the mean; a
+// vertical block holds rows constant at ±D/16, signed like A[v][y], so
+// (0, v) sees the whole spread D. Ranges and spreads step across each
+// threshold up to twice it. Wherever the test says DC-only, the full
+// quantizeIntBlock must give no AC and the same DC; and the blocks must
+// fall on both sides of it.
+func TestDCOnlyBoundMatchesQuantizer(t *testing.T) {
+	var a [8][8]float64 // a[k][n], read off intFdct8 as init does
+	for n := 0; n < 8; n++ {
+		var e [8]int32
+		e[n] = 1 << aanFixShift
+		intFdct8(&e)
+		for k, c := range e {
+			a[k][n] = float64(c) / (1 << aanFixShift)
+		}
+	}
+	sign := func(x float64) int32 {
+		if x < 0 {
+			return -1
+		}
+		return 1
+	}
+	var fired, kept int
+	check := func(pq *planeQuant, blk *[64]int32, what string) {
+		t.Helper()
+		var st blockStats
+		for y := 0; y < 8; y++ {
+			st.addRow(y, (*[8]int32)(blk[y*8:y*8+8]))
+		}
+		if !pq.dcOnly(&st) {
+			kept++
+			return
+		}
+		fired++
+		var q [64]int32
+		work := *blk
+		dc, nz := quantizeIntBlock(&work, &q, pq, 0)
+		if want := pq.quantDC(st.sum); nz != 0 || dc != want {
+			t.Fatalf("quality %d %s (ranges %d, spread %d; bounds %d, %d): skipped a block whose DCT gives %d AC and DC %d, want 0 AC and DC %d",
+				pq.quality, what, st.ranges, st.hi-st.lo, pq.maxRanges, pq.maxSpread, nz, dc, want)
+		}
+	}
+	steps := func(limit int32) []int32 {
+		return []int32{limit - 8, limit - 1, limit, limit + 1, limit + 8, limit + limit/4, limit + limit/2, 2*limit - 1}
+	}
+	for quality := MinQuality; quality <= MaxQuality; quality++ {
+		for _, base := range [][64]int{lumaQBase, chromaQBase} {
+			qt := quantTable(base, quality)
+			pq := newPlaneQuant(&qt, quality)
+			offset := int32(quality*40503)%(1<<23) - 1<<22 // exercises the DC
+			for u := 1; u < 8; u++ {
+				for v := 0; v < 8; v++ {
+					var peak []int
+					for y := 0; y < 8; y++ {
+						if math.Abs(a[v][y]) == aanFixMax[v] {
+							peak = append(peak, y)
+						}
+					}
+					for _, ranges := range steps(pq.maxRanges) {
+						half := ranges / int32(2*len(peak))
+						var blk [64]int32
+						for i := range blk {
+							blk[i] = offset
+						}
+						for _, y := range peak {
+							for n := 0; n < 8; n++ {
+								blk[y*8+n] += sign(a[v][y]) * sign(a[u][n]) * half
+							}
+						}
+						check(&pq, &blk, fmt.Sprintf("horizontal (%d,%d) half-range %d", u, v, half))
+					}
+				}
+			}
+			for v := 1; v < 8; v++ {
+				for _, spread := range steps(pq.maxSpread) {
+					var blk [64]int32
+					for y := 0; y < 8; y++ {
+						for n := 0; n < 8; n++ {
+							blk[y*8+n] = offset + sign(a[v][y])*(spread/16)
+						}
+					}
+					check(&pq, &blk, fmt.Sprintf("vertical (0,%d) step %d", v, spread/16))
+				}
+			}
+		}
+	}
+	if fired == 0 || kept == 0 {
+		t.Fatalf("blocks fell on one side of the bounds only: %d DC-only, %d transformed", fired, kept)
 	}
 }

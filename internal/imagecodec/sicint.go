@@ -48,6 +48,14 @@ var (
 	aanFixC2p6 int64
 )
 
+// aanFixL1[k] and aanFixMax[k] are the L1 norm and the largest |entry| of
+// row k of A, the linear map intFdct8 computes up to its mulFix
+// truncations (aanFdct8's matrix with the 12-bit constants). init reads A
+// off intFdct8 itself, fed 4096*e_n: every mulFix then multiplies a
+// multiple of 4096 and truncates nothing, so each output over 4096 is an
+// entry of A exactly.
+var aanFixL1, aanFixMax [8]float64
+
 func init() {
 	for v := 0; v < 256; v++ {
 		yFixR[v] = int32(math.Round(0.299 * float64(v) * (1 << lumaFixShift)))
@@ -66,6 +74,16 @@ func init() {
 	aanFixC6 = int64(math.Round(aanC6 * (1 << aanFixShift)))
 	aanFixC2m6 = int64(math.Round(aanC2m6 * (1 << aanFixShift)))
 	aanFixC2p6 = int64(math.Round(aanC2p6 * (1 << aanFixShift)))
+	for n := 0; n < 8; n++ {
+		var e [8]int32
+		e[n] = 1 << aanFixShift
+		intFdct8(&e)
+		for k, c := range e {
+			a := math.Abs(float64(c)) / (1 << aanFixShift)
+			aanFixL1[k] += a
+			aanFixMax[k] = max(aanFixMax[k], a)
+		}
+	}
 }
 
 // mulFix multiplies a 16.16 value by a 12-bit fixed-point constant.
@@ -148,11 +166,13 @@ func intFdctBlock(b *[64]int32, dupRows uint8) {
 	}
 }
 
-// intLoadInfo describes one interior block loaded by the fixed-point
-// path. mask/a/b classify two-valued blocks (set when two is true):
-// bit i of mask is 1 where sample i equals b, 0 where it equals a.
-// dupRows bit y (1..7) marks rows whose source bytes equal row y-1 —
+// intLoadInfo describes one block loaded by the fixed-point path. A
+// flat block is one value, first (uncentered for luma, centered for
+// chroma). mask/a/b classify two-valued luma blocks (set when two is
+// true): bit i of mask is 1 where sample i equals b, 0 where it equals
+// a. dupRows bit y (1..7) marks rows whose source bytes equal row y-1 —
 // their converted samples and row DCTs are identical by construction.
+// st holds the filled samples' row statistics, whenever blk was filled.
 type intLoadInfo struct {
 	first   int32
 	flat    bool
@@ -160,7 +180,34 @@ type intLoadInfo struct {
 	mask    uint64
 	a, b    int32
 	dupRows uint8
+	st      blockStats
 }
+
+// blockStats is what the DC-only test (planeQuant.dcOnly) reads of a
+// block's centered 16.16 samples, gathered one row at a time as the
+// loaders fill it: ranges sums each row's max minus min, lo and hi are
+// the smallest and largest row sum, and sum is all 64 samples — the
+// fixed-point DCT's DC output exactly. ranges == 0 and lo == hi mean
+// every sample is one value.
+type blockStats struct {
+	ranges, lo, hi, sum int32
+}
+
+// addRow folds row y of a block, just filled, into s.
+func (s *blockStats) addRow(y int, r *[8]int32) {
+	mn, mx, rs := r[0], r[0], r[0]
+	for _, v := range r[1:] {
+		mn, mx, rs = min(mn, v), max(mx, v), rs+v
+	}
+	if y == 0 {
+		*s = blockStats{lo: rs, hi: rs}
+	}
+	s.ranges += mx - mn
+	s.lo, s.hi, s.sum = min(s.lo, rs), max(s.hi, rs), s.sum+rs
+}
+
+// flat reports whether every sample the stats cover is one value.
+func (s *blockStats) flat() bool { return s.ranges == 0 && s.lo == s.hi }
 
 // loadLumaIntEdge loads a luma block that overlaps the raster edge,
 // replicating the last row and column (JPEG-style padding) in the
@@ -171,8 +218,7 @@ func loadLumaIntEdge(r *Raster, blk *[64]int32, info *intLoadInfo, x0, y0 int) {
 	w, h := r.W, r.H
 	pix := r.Pix
 	const center = 128 << lumaFixShift
-	var first int32
-	flat := true
+	var st blockStats
 	for y := 0; y < 8; y++ {
 		py := y0 + y
 		if py >= h {
@@ -184,20 +230,11 @@ func loadLumaIntEdge(r *Raster, blk *[64]int32, info *intLoadInfo, x0, y0 int) {
 				px = w - 1
 			}
 			i := 3 * (py*w + px)
-			v := yFixR[pix[i]] + yFixG[pix[i+1]] + yFixB[pix[i+2]]
-			if y == 0 && x == 0 {
-				first = v
-			} else if v != first {
-				flat = false
-			}
-			blk[y*8+x] = v - center
+			blk[y*8+x] = yFixR[pix[i]] + yFixG[pix[i+1]] + yFixB[pix[i+2]] - center
 		}
+		st.addRow(y, (*[8]int32)(blk[y*8:y*8+8]))
 	}
-	if flat {
-		*info = intLoadInfo{first: first, flat: true}
-		return
-	}
-	*info = intLoadInfo{}
+	*info = intLoadInfo{first: blk[0] + center, flat: st.flat(), st: st}
 }
 
 // loadLumaInt classifies and loads one luma block; blocks that overlap
@@ -278,21 +315,26 @@ scan:
 	}
 	dupRows = 0
 	prev = nil
+	var st blockStats
 	for y := 0; y < 8; y++ {
 		off := base + y*stride
 		row := (*[24]byte)(pix[off : off+24])
+		out := (*[8]int32)(blk[y*8 : y*8+8])
 		if y > 0 && bytes.Equal(row[:], prev) {
 			dupRows |= 1 << y
-			copy(blk[y*8:y*8+8], blk[(y-1)*8:y*8])
-			continue
+			copy(out[:], blk[(y-1)*8:y*8])
+		} else {
+			prev = row[:]
+			for x := 0; x < 8; x++ {
+				out[x] = yFixR[row[3*x]] + yFixG[row[3*x+1]] + yFixB[row[3*x+2]] - center
+			}
 		}
-		prev = row[:]
-		out := (*[8]int32)(blk[y*8 : y*8+8])
-		for x := 0; x < 8; x++ {
-			out[x] = yFixR[row[3*x]] + yFixG[row[3*x+1]] + yFixB[row[3*x+2]] - center
-		}
+		st.addRow(y, out)
 	}
-	*info = intLoadInfo{dupRows: dupRows}
+	// Not flat even if st says so: an interior luma block is flat only
+	// when its RGB triples are one, and one value drawn from distinct
+	// triples takes the DCT (here, the DC-only test).
+	*info = intLoadInfo{dupRows: dupRows, st: st}
 }
 
 // grayRegion reports whether every pixel of the region has r == g == b.
@@ -321,7 +363,7 @@ func grayRegion(pix []byte, off, stride, w, rows int) bool {
 // dimensions leave 2- and 1-pixel quads) scale their sums to the
 // 4-pixel range the chroma tables index — exact, since the surviving
 // pixel count always divides 4.
-func loadChromaIntEdge(r *Raster, cr bool, blk *[64]int32, bx, by int) (first int32, flat bool) {
+func loadChromaIntEdge(r *Raster, cr bool, blk *[64]int32, info *intLoadInfo, bx, by int) {
 	w, h := r.W, r.H
 	cw, ch := (w+1)/2, (h+1)/2
 	x0, y0 := bx*8, by*8
@@ -330,7 +372,7 @@ func loadChromaIntEdge(r *Raster, cr bool, blk *[64]int32, bx, by int) (first in
 	if cr {
 		tR, tG, tB = &crFixR, &crFixG, &crFixB
 	}
-	flat = true
+	var st blockStats
 	for y := 0; y < 8; y++ {
 		cy := y0 + y
 		if cy >= ch {
@@ -359,70 +401,62 @@ func loadChromaIntEdge(r *Raster, cr bool, blk *[64]int32, bx, by int) (first in
 					n++
 				}
 			}
-			v := tR[sr*4/n] + tG[sg*4/n] + tB[sb*4/n]
-			blk[y*8+x] = v
-			if y == 0 && x == 0 {
-				first = v
-			} else if v != first {
-				flat = false
-			}
+			blk[y*8+x] = tR[sr*4/n] + tG[sg*4/n] + tB[sb*4/n]
 		}
+		st.addRow(y, (*[8]int32)(blk[y*8:y*8+8]))
 	}
-	return first, flat
+	*info = intLoadInfo{first: blk[0], flat: st.flat(), st: st}
 }
 
 // loadChromaPairInt fills one Cb and one Cr block (16.16, centered) from
 // one pass over the shared source quads; regions overlapping the raster
 // edge take the clamped per-plane path.
-func loadChromaPairInt(r *Raster, cbBlk, crBlk *[64]int32, bx, by int) (fCb int32, flatCb bool, fCr int32, flatCr bool) {
+func loadChromaPairInt(r *Raster, cbBlk, crBlk *[64]int32, cb, cr *intLoadInfo, bx, by int) {
 	w, h := r.W, r.H
 	x0, y0 := bx*8, by*8
 	if 2*(x0+8) > w || 2*(y0+8) > h {
-		fCb, flatCb = loadChromaIntEdge(r, false, cbBlk, bx, by)
-		fCr, flatCr = loadChromaIntEdge(r, true, crBlk, bx, by)
-		return fCb, flatCb, fCr, flatCr
+		loadChromaIntEdge(r, false, cbBlk, cb, bx, by)
+		loadChromaIntEdge(r, true, crBlk, cr, bx, by)
+		return
 	}
 	pix := r.Pix
 	i0 := 3 * (2*y0*w + 2*x0)
 	if uniformRegion(pix, i0, 3*w, 16, 16) {
 		sr, sg, sb := 4*int(pix[i0]), 4*int(pix[i0+1]), 4*int(pix[i0+2])
-		return cbFixR[sr] + cbFixG[sg] + cbFixB[sb], true,
-			crFixR[sr] + crFixG[sg] + crFixB[sb], true
+		*cb = intLoadInfo{first: cbFixR[sr] + cbFixG[sg] + cbFixB[sb], flat: true}
+		*cr = intLoadInfo{first: crFixR[sr] + crFixG[sg] + crFixB[sb], flat: true}
+		return
 	}
 	if grayRegion(pix, i0, 3*w, 16, 16) {
-		return 0, true, 0, true
+		*cb = intLoadInfo{flat: true}
+		*cr = intLoadInfo{flat: true}
+		return
 	}
-	flatCb, flatCr = true, true
+	var cbSt, crSt blockStats
 	for y := 0; y < 8; y++ {
 		cy := y0 + y
 		o0 := 3 * (2*cy*w + 2*x0)
 		o1 := o0 + 3*w
 		row0 := (*[48]byte)(pix[o0 : o0+48])
 		row1 := (*[48]byte)(pix[o1 : o1+48])
+		cbRow := (*[8]int32)(cbBlk[y*8 : y*8+8])
+		crRow := (*[8]int32)(crBlk[y*8 : y*8+8])
 		for x := 0; x < 8; x++ {
 			i0 := 6 * x
 			i1 := i0 + 3
 			sr := int(row0[i0]) + int(row0[i1]) + int(row1[i0]) + int(row1[i1])
 			sg := int(row0[i0+1]) + int(row0[i1+1]) + int(row1[i0+1]) + int(row1[i1+1])
 			sb := int(row0[i0+2]) + int(row0[i1+2]) + int(row1[i0+2]) + int(row1[i1+2])
-			vb := cbFixR[sr] + cbFixG[sg] + cbFixB[sb]
-			vr := crFixR[sr] + crFixG[sg] + crFixB[sb]
-			cbBlk[y*8+x] = vb
-			crBlk[y*8+x] = vr
-			if y == 0 && x == 0 {
-				fCb, fCr = vb, vr
-			}
-			if vb != fCb {
-				flatCb = false
-			}
-			if vr != fCr {
-				flatCr = false
-			}
+			cbRow[x] = cbFixR[sr] + cbFixG[sg] + cbFixB[sb]
+			crRow[x] = crFixR[sr] + crFixG[sg] + crFixB[sb]
 		}
+		cbSt.addRow(y, cbRow)
+		crSt.addRow(y, crRow)
 	}
-	// Center after flatness: the chroma tables sum to the sample minus
-	// 128 already (no +128 bias was added), so the block is centered.
-	return fCb, flatCb, fCr, flatCr
+	// The chroma tables sum to the sample minus 128 already (no +128
+	// bias was added), so the blocks are centered as filled.
+	*cb = intLoadInfo{first: cbBlk[0], flat: cbSt.flat(), st: cbSt}
+	*cr = intLoadInfo{first: crBlk[0], flat: crSt.flat(), st: crSt}
 }
 
 // sicMaskKey identifies a two-valued block up to quantization: the
@@ -531,7 +565,7 @@ const quantQShift = 40
 func quantizeIntBlock(blk *[64]int32, q *[64]int32, pq *planeQuant, dupRows uint8) (dc, nz int) {
 	intFdctBlock(blk, dupRows)
 	const half = int64(1) << (quantQShift - 1)
-	dc = int((int64(blk[0])*pq.invQ[0] + half) >> quantQShift)
+	dc = pq.quantDC(blk[0])
 	for i := 1; i < 64; i++ {
 		c := blk[zigzag[i]]
 		if zb := pq.zb[i]; c <= zb && c >= -zb {

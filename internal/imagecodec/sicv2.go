@@ -202,16 +202,20 @@ func (e *v2Emitter) emitBlock(b *sicBlock) {
 }
 
 // quantizeBlock is the encoder's per-block stage after loading: a flat
-// block quantizes its DC directly (first is its sample value), anything
-// else runs the fixed-point DCT and quantizer.
-func quantizeBlock(b *sicBlock, blk *[64]int32, first int32, flat, centered bool, dupRows uint8, pq *planeQuant, memo *flatMemo) {
+// block quantizes its DC directly (info.first is its sample value), a
+// block whose statistics prove it DC-only quantizes its sum, and
+// anything else runs the fixed-point DCT and quantizer.
+func quantizeBlock(b *sicBlock, blk *[64]int32, info *intLoadInfo, centered bool, pq *planeQuant, memo *flatMemo) {
 	b.mv = nil
-	if flat {
-		b.flat, b.q[0] = true, memo.flatDC(first, centered, pq.qf0)
-		return
+	switch {
+	case info.flat:
+		b.flat, b.q[0] = true, memo.flatDC(info.first, centered, pq.qf0)
+	case pq.dcOnly(&info.st):
+		b.flat, b.q[0] = true, int32(pq.quantDC(info.st.sum))
+	default:
+		dc, nz := quantizeIntBlock(blk, &b.q, pq, info.dupRows)
+		b.flat, b.q[0] = nz == 0, int32(dc)
 	}
-	dc, nz := quantizeIntBlock(blk, &b.q, pq, dupRows)
-	b.flat, b.q[0] = nz == 0, int32(dc)
 }
 
 // encodeLumaTokensV2 appends the luma plane's packed v2 token stream to
@@ -235,7 +239,7 @@ func encodeLumaTokensV2(dst []byte, r *Raster, qt *[64]int, quality, workers int
 			if info.two {
 				band[i].mv = quantizeTwoValued(&blk, &info, &pq)
 			} else {
-				quantizeBlock(&band[i], &blk, info.first, info.flat, false, info.dupRows, &pq, &memo)
+				quantizeBlock(&band[i], &blk, &info, false, &pq, &memo)
 			}
 			if bx++; bx == bw {
 				bx, by = 0, by+1
@@ -266,12 +270,13 @@ func encodeChromaTokensPairV2(cbDst, crDst []byte, r *Raster, qt *[64]int, quali
 	by0 := 0
 	quantize := func(lo, hi int) {
 		var cbBlk, crBlk [64]int32
+		var cbInfo, crInfo intLoadInfo
 		var cbMemo, crMemo flatMemo
 		bx, by := lo%bw, by0+lo/bw
 		for i := lo; i < hi; i++ {
-			fCb, flatCb, fCr, flatCr := loadChromaPairInt(r, &cbBlk, &crBlk, bx, by)
-			quantizeBlock(&cbBand[i], &cbBlk, fCb, flatCb, true, 0, &pq, &cbMemo)
-			quantizeBlock(&crBand[i], &crBlk, fCr, flatCr, true, 0, &pq, &crMemo)
+			loadChromaPairInt(r, &cbBlk, &crBlk, &cbInfo, &crInfo, bx, by)
+			quantizeBlock(&cbBand[i], &cbBlk, &cbInfo, true, &pq, &cbMemo)
+			quantizeBlock(&crBand[i], &crBlk, &crInfo, true, &pq, &crMemo)
 			if bx++; bx == bw {
 				bx, by = 0, by+1
 			}

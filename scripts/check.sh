@@ -82,6 +82,7 @@ go test ./internal/frame -run='^$' -fuzz=FuzzFrameDecode -fuzztime=5s
 go test ./internal/fec -run='^$' -fuzz=FuzzRSDecode -fuzztime=5s
 go test ./internal/fec -run='^$' -fuzz=FuzzConvDecode -fuzztime=5s
 go test ./internal/imagecodec -run='^$' -fuzz='^FuzzSICDecode$' -fuzztime=5s
+go test ./internal/imagecodec -run='^$' -fuzz='^FuzzSICEncodeMatchesReference$' -fuzztime=5s
 go test ./internal/sms -run='^$' -fuzz='^FuzzParseRequest$' -fuzztime=5s
 go test ./internal/sms -run='^$' -fuzz='^FuzzParseAck$' -fuzztime=5s
 go test ./internal/sms -run='^$' -fuzz='^FuzzParseBusy$' -fuzztime=5s
