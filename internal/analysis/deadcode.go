@@ -8,10 +8,10 @@ import (
 
 // DeadCode reports every function, method and type that no root
 // reaches: the main of every main package (binaries, examples, the
-// benchmark), every init and package-level var or const, and what a pin
-// test refers to (equivpin's rule, resolved by type, so a reference copy
-// stays only while its own pin names it). It judges only the packages
-// of the run, so run it over ./...
+// benchmark) and every init and package-level var or const. Tests are
+// no roots, pin tests included, so a reference copy that only a pin
+// names lives in the pin's test files. It judges only the packages of
+// the run, so run it over ./...
 var DeadCode = &Analyzer{Name: "deadcode", Run: runDeadCode}
 
 func runDeadCode(pass *Pass) {
@@ -31,12 +31,10 @@ func runDeadCode(pass *Pass) {
 				}
 			}
 		}
-		pins, _ := pinRoots(pass, pkg)
-		roots = append(roots, pins...)
 	}
 	for d, live := range reach(pass.Pkgs, roots) {
 		if !live && d.name != "_" {
-			pass.Report(d.pos, "%s is reached from no main, init, package-level var or pin test; reach it from one or delete it", d.name)
+			pass.Report(d.pos, "%s is reached from no main, init or package-level var; reach it from one or delete it", d.name)
 		}
 	}
 }

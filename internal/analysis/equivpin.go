@@ -27,16 +27,17 @@ var EquivPin = &Analyzer{Name: "equivpin", Run: perPackage(runEquivPin)}
 
 // pinTestName marks test functions that compare against a reference
 // implementation even when they live outside *_equiv_test.go files.
-// check.sh's GOMAXPROCS=1 leg selects tests by the same words.
+// check.sh's GOMAXPROCS=1 leg selects tests by the same words
+// (TestSerialLegSelectsPinTests).
 var pinTestName = regexp.MustCompile(`Equiv|Parity|Matches|Identical|Reference`)
 
-// pinRoots returns the pin-test code among pkg's test files, typed with
-// its in-package tests: every *_equiv_test.go and *parity* file whole,
-// and the body of every other test whose name matches pinTestName.
-// equiv reports whether a pin file was among them.
-func pinRoots(pass *Pass, pkg *Package) (roots []root, equiv bool) {
+// pinRoots returns the pin-test code among the pass package's test
+// files, typed with its in-package tests: every *_equiv_test.go and
+// *parity* file whole, and the body of every other test whose name
+// matches pinTestName. equiv reports whether a pin file was among them.
+func pinRoots(pass *Pass) (roots []root, equiv bool) {
 	var nodes []ast.Node
-	for _, f := range pkg.TestFiles {
+	for _, f := range pass.Pkg.TestFiles {
 		base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
 		if strings.HasSuffix(base, "equiv_test.go") || strings.Contains(base, "parity") {
 			equiv = true
@@ -52,7 +53,7 @@ func pinRoots(pass *Pass, pkg *Package) (roots []root, equiv bool) {
 	if len(nodes) == 0 {
 		return nil, equiv
 	}
-	info := pass.loader.testInfo(pkg)
+	info := pass.loader.testInfo(pass.Pkg)
 	for _, n := range nodes {
 		roots = append(roots, root{info, n})
 	}
@@ -60,7 +61,7 @@ func pinRoots(pass *Pass, pkg *Package) (roots []root, equiv bool) {
 }
 
 func runEquivPin(pass *Pass) {
-	roots, equiv := pinRoots(pass, pass.Pkg)
+	roots, equiv := pinRoots(pass)
 	if !equiv {
 		return
 	}

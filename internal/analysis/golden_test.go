@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -163,6 +164,29 @@ func TestRepoIsVetClean(t *testing.T) {
 	for _, f := range res.Suppressed {
 		if f.IgnoreReason == "" {
 			t.Errorf("suppression without reason: %s", f)
+		}
+	}
+}
+
+// TestSerialLegSelectsPinTests holds check.sh's GOMAXPROCS=1 leg to
+// equivpin's naming rule: its -run pattern must hold every word of
+// pinTestName, so no pin test escapes the serial run.
+func TestSerialLegSelectsPinTests(t *testing.T) {
+	script, err := os.ReadFile("../../scripts/check.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leg := regexp.MustCompile(`GOMAXPROCS=1 go test -run '([^']*)'`).FindSubmatch(script)
+	if leg == nil {
+		t.Fatal("scripts/check.sh has no GOMAXPROCS=1 go test -run leg")
+	}
+	selected := make(map[string]bool)
+	for _, w := range strings.Split(string(leg[1]), "|") {
+		selected[w] = true
+	}
+	for _, w := range strings.Split(pinTestName.String(), "|") {
+		if !selected[w] {
+			t.Errorf("check.sh's GOMAXPROCS=1 leg (-run %q) does not select pin tests named %q", leg[1], w)
 		}
 	}
 }

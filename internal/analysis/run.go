@@ -52,7 +52,7 @@ func parseIgnores(fset *token.FileSet, file *ast.File, report func(Finding)) []i
 			case reason == "":
 				problem = fmt.Sprintf("sonic:ignore %s needs a reason (why is this exempt?)", name)
 			case name == DeadCode.Name:
-				problem = "sonic:ignore deadcode suppresses nothing: reach it from a main or a pin test, or delete it"
+				problem = "sonic:ignore deadcode suppresses nothing: reach it from a main or delete it"
 			}
 			if problem != "" {
 				report(Finding{Analyzer: "ignore", File: pos.Filename, Line: pos.Line, Message: problem})

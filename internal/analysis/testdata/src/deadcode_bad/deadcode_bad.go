@@ -1,5 +1,6 @@
 // Package main shows what deadcode catches: a declaration no root
-// reaches, whatever its kind or export status.
+// reaches, whatever its kind or export status, and one that only a pin
+// test names.
 package main
 
 // used is reached from main.
@@ -20,9 +21,9 @@ func (Live) Dead() bool { return false }
 // orphan is a type nothing refers to.
 type orphan struct{ n int }
 
-// stale shares its name with a local of the pin test below, which
-// does not keep it live: pin references resolve by type, not by name.
-func stale() int { return 2 }
+// refUsed is a reference copy that only the pin test below calls. Tests
+// are no roots, so it belongs in the test's file.
+func refUsed() int { return 1 }
 
 func main() {
 	if used() == 1 && (Live{}).Alive() {

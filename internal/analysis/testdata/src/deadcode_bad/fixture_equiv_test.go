@@ -3,8 +3,7 @@ package main
 import "testing"
 
 func TestUsedEquivalence(t *testing.T) {
-	stale := used()
-	if stale != 1 {
+	if used() != refUsed() {
 		t.Fatal("drift")
 	}
 }

@@ -14,7 +14,8 @@ import (
 // makeBundle builds a small page bundle with one link region.
 func makeBundle(t *testing.T, url, linkTo string) core.Bundle {
 	t.Helper()
-	img := imagecodec.NewRaster(imagecodec.PageWidth, 60)
+	img := imagecodec.NewBlackRaster(imagecodec.PageWidth, 60)
+	img.Fill(imagecodec.RGB{R: 255, G: 255, B: 255})
 	img.FillRect(0, 0, imagecodec.PageWidth, 20, imagecodec.RGB{R: 10, G: 30, B: 120})
 	enc, err := imagecodec.EncodeSIC(img, 50)
 	if err != nil {

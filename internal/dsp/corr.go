@@ -8,11 +8,11 @@ import (
 // FFTCorrelator computes sliding dot products of a fixed needle against
 // arbitrary haystacks by overlap-save FFT convolution: the needle's
 // conjugated spectrum is precomputed once, and each Correlate call runs
-// O(N log N) instead of CrossCorrelate's O(N * len(needle)). For the
+// O(N log N) instead of the direct sum's O(N * len(needle)). For the
 // modem's 2048-sample preamble that is roughly a 10x reduction in work
 // on every sync search.
 //
-// The numeric results differ from CrossCorrelate only by floating-point
+// The numeric results differ from the direct sum only by floating-point
 // rounding (an FFT sums in a different order); callers that threshold or
 // argmax well-separated peaks — preamble sync — see identical decisions.
 //
@@ -52,10 +52,10 @@ func NewFFTCorrelator(needle []float64) *FFTCorrelator {
 }
 
 // Correlate computes dst[i] = dot(needle, hay[i:i+len(needle)]) for
-// every valid window position — the same values as
-// CrossCorrelate(hay, needle), up to rounding. dst is reused if its
-// capacity suffices; the possibly reallocated slice is returned. Returns
-// nil if hay is shorter than the needle.
+// every valid window position — the direct sum's values, up to
+// rounding. dst is reused if its capacity suffices; the possibly
+// reallocated slice is returned. Returns nil if hay is shorter than the
+// needle.
 func (c *FFTCorrelator) Correlate(dst, hay []float64) []float64 {
 	nOut := len(hay) - c.lp + 1
 	if nOut <= 0 {

@@ -1,8 +1,8 @@
 // Package dsp provides the digital-signal-processing primitives that the
-// SONIC modem and FM substrates are built on: an in-place radix-2 FFT,
-// windowed-sinc FIR filter design and application, window functions,
-// cross-correlation, a polyphase-free linear resampler, and the Goertzel
-// single-bin DFT the tests measure tones with.
+// SONIC modem and FM substrates are built on: an in-place radix-2 FFT
+// with cached plans, windowed-sinc low-pass FIR design applied by FFT
+// convolution, window functions, FFT cross-correlation, a polyphase-free
+// linear resampler, and level helpers.
 //
 // Everything operates on []float64 (real signals) or []complex128
 // (baseband/frequency-domain signals). The package has no dependencies
@@ -12,11 +12,10 @@ package dsp
 import (
 	"errors"
 	"math"
-	"math/cmplx"
 )
 
-// ErrNotPowerOfTwo is returned by FFT/IFFT when the input length is not a
-// power of two.
+// ErrNotPowerOfTwo is returned by FFT and PlanFFT when the length is not
+// a power of two.
 var ErrNotPowerOfTwo = errors.New("dsp: length is not a power of two")
 
 // IsPowerOfTwo reports whether n is a positive power of two.
@@ -26,67 +25,16 @@ func IsPowerOfTwo(n int) bool {
 
 // FFT computes the in-place decimation-in-time radix-2 fast Fourier
 // transform of x. len(x) must be a power of two. The transform is
-// unnormalized: IFFT(FFT(x)) == x. Twiddle factors and the bit-reversal
-// permutation come from a cached per-size FFTPlan, so repeated
-// transforms of the same size (the modem's steady state) do no trig and
-// no allocation; the output is bit-identical to the direct form.
+// unnormalized; the plan's Inverse undoes it. Twiddle factors and the
+// bit-reversal permutation come from a cached per-size FFTPlan, so
+// repeated transforms of the same size (the modem's steady state) do no
+// trig and no allocation; the output is bit-identical to the direct form.
 func FFT(x []complex128) error {
 	p, err := PlanFFT(len(x))
 	if err != nil {
 		return err
 	}
 	p.Forward(x)
-	return nil
-}
-
-// IFFT computes the in-place inverse FFT of x, including the 1/N
-// normalization. len(x) must be a power of two.
-func IFFT(x []complex128) error {
-	p, err := PlanFFT(len(x))
-	if err != nil {
-		return err
-	}
-	p.Inverse(x)
-	return nil
-}
-
-// fftDirect is the plan-free transform. It is retained as the reference
-// implementation that FFTPlan is pinned against in tests.
-func fftDirect(x []complex128, inverse bool) error {
-	n := len(x)
-	if !IsPowerOfTwo(n) {
-		return ErrNotPowerOfTwo
-	}
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j ^= bit
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	// Danielson-Lanczos butterflies.
-	for length := 2; length <= n; length <<= 1 {
-		ang := 2 * math.Pi / float64(length)
-		if !inverse {
-			ang = -ang
-		}
-		wl := cmplx.Rect(1, ang)
-		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			half := length / 2
-			for j := 0; j < half; j++ {
-				u := x[i+j]
-				v := x[i+j+half] * w
-				x[i+j] = u + v
-				x[i+j+half] = u - v
-				w *= wl
-			}
-		}
-	}
 	return nil
 }
 
@@ -100,7 +48,7 @@ func NextPowerOfTwo(n int) int {
 }
 
 // Hann returns an n-point Hann window.
-func Hann(n int) []float64 { //sonic:ignore equivpin scalar reference; no optimized variant to pin
+func Hann(n int) []float64 { //sonic:ignore equivpin Spectrogram's window, a diagnostic; one implementation, nothing to pin against
 	w := make([]float64, n)
 	if n == 1 {
 		w[0] = 1
@@ -159,170 +107,8 @@ func LowpassFIR(cutoffHz, sampleRate float64, taps int) []float64 {
 	return h
 }
 
-// BandpassFIR designs a band-pass FIR filter passing [lowHz, highHz].
-func BandpassFIR(lowHz, highHz, sampleRate float64, taps int) []float64 {
-	if taps%2 == 0 {
-		taps++
-	}
-	lp := LowpassFIR(highHz, sampleRate, taps)
-	lpLow := LowpassFIR(lowHz, sampleRate, taps)
-	h := make([]float64, taps)
-	for i := range h {
-		h[i] = lp[i] - lpLow[i]
-	}
-	return h
-}
-
-// FIRFilter is a streaming finite-impulse-response filter. The zero value
-// is not usable; construct with NewFIRFilter.
-type FIRFilter struct {
-	taps  []float64
-	delay []float64
-	pos   int
-}
-
-// NewFIRFilter returns a streaming FIR filter with the given taps.
-func NewFIRFilter(taps []float64) *FIRFilter {
-	t := make([]float64, len(taps))
-	copy(t, taps)
-	return &FIRFilter{taps: t, delay: make([]float64, len(taps))}
-}
-
-// Process filters one sample and returns the filtered output.
-func (f *FIRFilter) Process(x float64) float64 {
-	f.delay[f.pos] = x
-	var acc float64
-	idx := f.pos
-	for _, t := range f.taps {
-		acc += t * f.delay[idx]
-		idx--
-		if idx < 0 {
-			idx = len(f.delay) - 1
-		}
-	}
-	f.pos++
-	if f.pos == len(f.delay) {
-		f.pos = 0
-	}
-	return acc
-}
-
-// ProcessBlock filters a block of samples, returning a new slice.
-func (f *FIRFilter) ProcessBlock(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = f.Process(v)
-	}
-	return out
-}
-
-// Reset clears the filter's delay line.
-func (f *FIRFilter) Reset() {
-	for i := range f.delay {
-		f.delay[i] = 0
-	}
-	f.pos = 0
-}
-
-// Convolve returns the full linear convolution of a and b
-// (length len(a)+len(b)-1).
-func Convolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, len(a)+len(b)-1)
-	for i, av := range a {
-		for j, bv := range b {
-			out[i+j] += av * bv
-		}
-	}
-	return out
-}
-
-// CrossCorrelate computes the sliding dot product of needle against
-// haystack. Index i of the result is the correlation of needle with
-// haystack[i : i+len(needle)]. Result length is
-// len(haystack)-len(needle)+1; returns nil if needle is longer than
-// haystack or either is empty.
-func CrossCorrelate(haystack, needle []float64) []float64 {
-	n := len(haystack) - len(needle) + 1
-	if n <= 0 || len(needle) == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var acc float64
-		for j, nv := range needle {
-			acc += nv * haystack[i+j]
-		}
-		out[i] = acc
-	}
-	return out
-}
-
-// NormalizedCrossCorrelate is CrossCorrelate divided by the product of the
-// window and needle energies, yielding values in [-1, 1]. Windows with
-// near-zero energy produce 0.
-func NormalizedCrossCorrelate(haystack, needle []float64) []float64 { //sonic:ignore equivpin scalar reference; no optimized variant to pin
-	n := len(haystack) - len(needle) + 1
-	if n <= 0 || len(needle) == 0 {
-		return nil
-	}
-	var ne float64
-	for _, v := range needle {
-		ne += v * v
-	}
-	ne = math.Sqrt(ne)
-	out := make([]float64, n)
-	// Running window energy.
-	var we float64
-	for j := 0; j < len(needle); j++ {
-		we += haystack[j] * haystack[j]
-	}
-	for i := 0; i < n; i++ {
-		var acc float64
-		for j, nv := range needle {
-			acc += nv * haystack[i+j]
-		}
-		denom := ne * math.Sqrt(we)
-		if denom > 1e-12 {
-			out[i] = acc / denom
-		}
-		if i+1 < n {
-			old := haystack[i]
-			next := haystack[i+len(needle)]
-			we += next*next - old*old
-			if we < 0 {
-				we = 0
-			}
-		}
-	}
-	return out
-}
-
-// ArgMax returns the index of the maximum value of x, or -1 for empty x.
-func ArgMax(x []float64) int { //sonic:ignore equivpin scalar reference; no optimized variant to pin
-	if len(x) == 0 {
-		return -1
-	}
-	best, idx := x[0], 0
-	for i, v := range x[1:] {
-		if v > best {
-			best, idx = v, i+1
-		}
-	}
-	return idx
-}
-
-// Resample converts x from srcRate to dstRate using linear interpolation.
-// It is adequate for the band-limited audio signals SONIC moves between
-// the 48 kHz modem rate and FM composite rates.
-func Resample(x []float64, srcRate, dstRate float64) []float64 {
-	return ResampleInto(nil, x, srcRate, dstRate)
-}
-
-// ResampleLen returns the output length Resample produces for an input
-// of n samples, or 0 for invalid arguments.
+// ResampleLen returns the output length ResampleInto produces for an
+// input of n samples, or 0 for invalid arguments.
 func ResampleLen(n int, srcRate, dstRate float64) int {
 	if n == 0 || srcRate <= 0 || dstRate <= 0 {
 		return 0
@@ -337,9 +123,11 @@ func ResampleLen(n int, srcRate, dstRate float64) int {
 	return out
 }
 
-// ResampleInto is Resample writing into dst (reallocated when its
-// capacity is too small); the possibly reallocated slice is returned.
-// dst must not alias x.
+// ResampleInto converts x from srcRate to dstRate using linear
+// interpolation, writing into dst (reallocated when its capacity is too
+// small); the possibly reallocated slice is returned. dst must not alias
+// x. It is adequate for the band-limited audio signals SONIC moves
+// between the 48 kHz modem rate and FM composite rates.
 func ResampleInto(dst, x []float64, srcRate, dstRate float64) []float64 {
 	n := ResampleLen(len(x), srcRate, dstRate)
 	if n == 0 {
@@ -367,32 +155,8 @@ func ResampleInto(dst, x []float64, srcRate, dstRate float64) []float64 {
 	return dst
 }
 
-// Goertzel computes the magnitude of the DFT bin closest to targetHz for
-// the block x sampled at sampleRate: the standard single-bin tone
-// detector.
-func Goertzel(x []float64, targetHz, sampleRate float64) float64 {
-	n := len(x)
-	if n == 0 {
-		return 0
-	}
-	k := math.Round(float64(n) * targetHz / sampleRate)
-	w := 2 * math.Pi * k / float64(n)
-	coeff := 2 * math.Cos(w)
-	var s0, s1, s2 float64
-	for _, v := range x {
-		s0 = v + coeff*s1 - s2
-		s2 = s1
-		s1 = s0
-	}
-	power := s1*s1 + s2*s2 - coeff*s1*s2
-	if power < 0 {
-		power = 0
-	}
-	return math.Sqrt(power)
-}
-
 // RMS returns the root-mean-square amplitude of x.
-func RMS(x []float64) float64 { //sonic:ignore equivpin scalar reference; no optimized variant to pin
+func RMS(x []float64) float64 { //sonic:ignore equivpin level helper the modem reads once per modulator to set its preamble's level; one implementation
 	if len(x) == 0 {
 		return 0
 	}
@@ -404,7 +168,7 @@ func RMS(x []float64) float64 { //sonic:ignore equivpin scalar reference; no opt
 }
 
 // Peak returns the maximum absolute sample value of x.
-func Peak(x []float64) float64 { //sonic:ignore equivpin scalar reference; no optimized variant to pin
+func Peak(x []float64) float64 { //sonic:ignore equivpin level helper the modem reads on each burst for its preamble's peak; one implementation
 	var p float64
 	for _, v := range x {
 		if a := math.Abs(v); a > p {
@@ -415,27 +179,16 @@ func Peak(x []float64) float64 { //sonic:ignore equivpin scalar reference; no op
 }
 
 // Scale multiplies every sample of x in place by g and returns x.
-func Scale(x []float64, g float64) []float64 { //sonic:ignore equivpin scalar reference; no optimized variant to pin
+func Scale(x []float64, g float64) []float64 { //sonic:ignore equivpin gain the modem applies once per modulator to its preamble; one implementation
 	for i := range x {
 		x[i] *= g
 	}
 	return x
 }
 
-// Normalize scales x in place so its peak magnitude equals target
-// (commonly 1.0 or a headroom value like 0.8). Silent input is returned
-// unchanged.
-func Normalize(x []float64, target float64) []float64 { //sonic:ignore equivpin scalar reference; no optimized variant to pin
-	p := Peak(x)
-	if p <= 0 {
-		return x
-	}
-	return Scale(x, target/p)
-}
-
 // LinearToDB converts a linear amplitude ratio to decibels. Zero or
 // negative input maps to -inf dB represented as -300.
-func LinearToDB(a float64) float64 { //sonic:ignore equivpin scalar reference; no optimized variant to pin
+func LinearToDB(a float64) float64 { //sonic:ignore equivpin SpectrogramASCII's dB shading, a diagnostic; one implementation
 	if a <= 0 {
 		return -300
 	}

@@ -36,8 +36,8 @@ func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
 	if err := FFT(make([]complex128, 3)); err != ErrNotPowerOfTwo {
 		t.Fatalf("FFT(len 3) err = %v, want ErrNotPowerOfTwo", err)
 	}
-	if err := IFFT(make([]complex128, 12)); err != ErrNotPowerOfTwo {
-		t.Fatalf("IFFT(len 12) err = %v, want ErrNotPowerOfTwo", err)
+	if _, err := PlanFFT(12); err != ErrNotPowerOfTwo {
+		t.Fatalf("PlanFFT(12) err = %v, want ErrNotPowerOfTwo", err)
 	}
 }
 
@@ -86,12 +86,12 @@ func TestFFTRoundTrip(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			orig[i] = x[i]
 		}
-		if err := FFT(x); err != nil {
+		p, err := PlanFFT(n)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := IFFT(x); err != nil {
-			t.Fatal(err)
-		}
+		p.Forward(x)
+		p.Inverse(x)
 		for i := range x {
 			if cmplx.Abs(x[i]-orig[i]) > 1e-9 {
 				t.Fatalf("n=%d round trip mismatch at %d: %v vs %v", n, i, x[i], orig[i])
@@ -206,12 +206,14 @@ func TestLowpassFIRResponse(t *testing.T) {
 		t.Fatalf("DC gain = %g, want 1", sum)
 	}
 	// Passband tone (1 kHz) passes, stopband tone (12 kHz) is attenuated.
+	conv := NewFFTConvolver(taps)
 	gain := func(hz float64) float64 {
-		n := 4800
-		f := NewFIRFilter(taps)
+		x := make([]float64, 4800)
+		for i := range x {
+			x[i] = math.Sin(2 * math.Pi * hz * float64(i) / sr)
+		}
 		var peak float64
-		for i := 0; i < n; i++ {
-			y := f.Process(math.Sin(2 * math.Pi * hz * float64(i) / sr))
+		for i, y := range conv.Apply(nil, x) {
 			if i > len(taps) && math.Abs(y) > peak {
 				peak = math.Abs(y)
 			}
@@ -223,54 +225,6 @@ func TestLowpassFIRResponse(t *testing.T) {
 	}
 	if g := gain(12000); g > 0.05 {
 		t.Errorf("stopband gain @12kHz = %g, want ~0", g)
-	}
-}
-
-func TestBandpassFIRResponse(t *testing.T) {
-	const sr = 48000.0
-	taps := BandpassFIR(7000, 11000, sr, 121)
-	run := func(hz float64) float64 {
-		f := NewFIRFilter(taps)
-		var peak float64
-		for i := 0; i < 4800; i++ {
-			y := f.Process(math.Sin(2 * math.Pi * hz * float64(i) / sr))
-			if i > len(taps) && math.Abs(y) > peak {
-				peak = math.Abs(y)
-			}
-		}
-		return peak
-	}
-	if g := run(9200); g < 0.9 {
-		t.Errorf("in-band gain @9.2kHz = %g, want ~1", g)
-	}
-	if g := run(2000); g > 0.05 {
-		t.Errorf("below-band gain @2kHz = %g", g)
-	}
-	if g := run(15000); g > 0.1 {
-		t.Errorf("above-band gain @15kHz = %g", g)
-	}
-}
-
-func TestFIRFilterReset(t *testing.T) {
-	f := NewFIRFilter([]float64{1, 1, 1})
-	f.Process(1)
-	f.Process(1)
-	f.Reset()
-	if y := f.Process(0); y != 0 {
-		t.Errorf("after Reset, Process(0) = %g, want 0", y)
-	}
-}
-
-func TestFIRFilterImpulseResponse(t *testing.T) {
-	taps := []float64{0.25, 0.5, 0.25}
-	f := NewFIRFilter(taps)
-	in := []float64{1, 0, 0, 0}
-	out := f.ProcessBlock(in)
-	want := []float64{0.25, 0.5, 0.25, 0}
-	for i := range want {
-		if !almostEqual(out[i], want[i], 1e-12) {
-			t.Errorf("impulse response[%d] = %g, want %g", i, out[i], want[i])
-		}
 	}
 }
 
@@ -304,12 +258,22 @@ func TestCrossCorrelateFindsOffset(t *testing.T) {
 	for i, v := range needle {
 		haystack[offset+i] += v
 	}
-	cc := NormalizedCrossCorrelate(haystack, needle)
-	if got := ArgMax(cc); got != offset {
-		t.Errorf("peak at %d, want %d", got, offset)
+	var energy float64
+	for _, v := range needle {
+		energy += v * v
 	}
-	if cc[offset] < 0.8 {
-		t.Errorf("peak correlation %g, want > 0.8", cc[offset])
+	cc := NewFFTCorrelator(needle).Correlate(nil, haystack)
+	peak := 0
+	for i, v := range cc {
+		if v > cc[peak] {
+			peak = i
+		}
+	}
+	if peak != offset {
+		t.Errorf("peak at %d, want %d", peak, offset)
+	}
+	if cc[offset] < 0.8*energy {
+		t.Errorf("peak correlation %g, want > 0.8 of the needle's energy %g", cc[offset], energy)
 	}
 }
 
@@ -317,17 +281,17 @@ func TestCrossCorrelateEdgeCases(t *testing.T) {
 	if CrossCorrelate([]float64{1}, []float64{1, 2}) != nil {
 		t.Error("needle longer than haystack should give nil")
 	}
-	if NormalizedCrossCorrelate(nil, nil) != nil {
+	if CrossCorrelate(nil, nil) != nil {
 		t.Error("empty inputs should give nil")
 	}
-	if ArgMax(nil) != -1 {
-		t.Error("ArgMax(nil) should be -1")
+	if NewFFTCorrelator([]float64{1, 2}).Correlate(nil, []float64{1}) != nil {
+		t.Error("FFTCorrelator: needle longer than haystack should give nil")
 	}
 }
 
 func TestResampleIdentity(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
-	y := Resample(x, 48000, 48000)
+	y := ResampleInto(nil, x, 48000, 48000)
 	if len(y) != len(x) {
 		t.Fatalf("len = %d", len(y))
 	}
@@ -339,7 +303,7 @@ func TestResampleIdentity(t *testing.T) {
 	// Returned slice must be a copy.
 	y[0] = 99
 	if x[0] == 99 {
-		t.Error("Resample returned aliased slice")
+		t.Error("ResampleInto returned aliased slice")
 	}
 }
 
@@ -351,7 +315,7 @@ func TestResamplePreservesTone(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * 1000 * float64(i) / src)
 	}
-	y := Resample(x, src, dst)
+	y := ResampleInto(nil, x, src, dst)
 	wantLen := int(float64(n) * dst / src)
 	if math.Abs(float64(len(y)-wantLen)) > 2 {
 		t.Fatalf("resampled length %d, want ~%d", len(y), wantLen)
@@ -365,10 +329,10 @@ func TestResamplePreservesTone(t *testing.T) {
 }
 
 func TestResampleDegenerate(t *testing.T) {
-	if Resample(nil, 1, 1) != nil {
+	if ResampleInto(nil, nil, 1, 1) != nil {
 		t.Error("nil input should give nil")
 	}
-	if Resample([]float64{1}, 0, 1) != nil {
+	if ResampleInto(nil, []float64{1}, 0, 1) != nil {
 		t.Error("zero src rate should give nil")
 	}
 }
@@ -405,14 +369,11 @@ func TestRMSAndPeak(t *testing.T) {
 
 func TestScaleNormalizeMix(t *testing.T) {
 	x := []float64{0.5, -0.25}
-	Normalize(x, 1.0)
-	if !almostEqual(Peak(x), 1, 1e-12) {
-		t.Errorf("Normalize peak = %g", Peak(x))
+	if y := Scale(x, 1/Peak(x)); &y[0] != &x[0] {
+		t.Error("Scale did not work in place")
 	}
-	silent := []float64{0, 0}
-	Normalize(silent, 1.0)
-	if silent[0] != 0 {
-		t.Error("Normalize changed silence")
+	if !almostEqual(Peak(x), 1, 1e-12) || x[1] != -0.5 {
+		t.Errorf("Scale to unit peak = %v", x)
 	}
 }
 
@@ -440,27 +401,20 @@ func BenchmarkFFT1024(b *testing.B) {
 		src[i] = complex(rng.NormFloat64(), 0)
 	}
 	x := make([]complex128, len(src))
+	p, err := PlanFFT(len(src))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, bc := range []struct {
 		name string
-		fn   func([]complex128) error
-	}{{"Forward", FFT}, {"Inverse", IFFT}} {
+		fn   func([]complex128)
+	}{{"Forward", p.Forward}, {"Inverse", p.Inverse}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				copy(x, src)
-				if err := bc.fn(x); err != nil {
-					b.Fatal(err)
-				}
+				bc.fn(x)
 			}
 		})
-	}
-}
-
-func BenchmarkFIRFilter101Taps(b *testing.B) {
-	f := NewFIRFilter(LowpassFIR(4000, 48000, 101))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Process(1.0)
 	}
 }

@@ -26,7 +26,7 @@ func TestFFTConvolverMatchesFIRFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, taps := range [][]float64{
 		LowpassFIR(15000, 192000, 127),
-		BandpassFIR(54000, 60000, 192000, 255),
+		LowpassFIR(60000, 192000, 255),
 		LowpassFIR(16000, 48000, 63),
 		{0.5},      // single tap
 		{1, -1, 2}, // tiny
@@ -45,7 +45,7 @@ func TestFFTConvolverMatchesFIRFilter(t *testing.T) {
 			for i := range x {
 				x[i] = rng.NormFloat64()
 			}
-			want := NewFIRFilter(taps).ProcessBlock(x)
+			want := Convolve(taps, x)[:n] // zero-state direct-form FIR
 			got := conv.Apply(nil, x)
 			if d := maxAbsDiff(t, got, want); d > 1e-9 {
 				t.Errorf("taps=%d n=%d: max diff %g vs direct FIR", len(taps), n, d)
@@ -131,28 +131,6 @@ func TestFFTConvolverConcurrent(t *testing.T) {
 	}
 }
 
-func TestResampleIntoMatchesResample(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := make([]float64, 4800)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	for _, rates := range [][2]float64{{48000, 192000}, {192000, 48000}, {48000, 48000}, {44100, 48000}} {
-		want := Resample(x, rates[0], rates[1])
-		if n := ResampleLen(len(x), rates[0], rates[1]); n != len(want) {
-			t.Errorf("ResampleLen(%v) = %d, want %d", rates, n, len(want))
-		}
-		dst := make([]float64, 0, len(want))
-		got := ResampleInto(dst, x, rates[0], rates[1])
-		if d := maxAbsDiff(t, got, want); d != 0 {
-			t.Errorf("rates %v: ResampleInto differs by %g", rates, d)
-		}
-	}
-	if out := ResampleInto(nil, nil, 1, 1); out != nil {
-		t.Error("empty input should return nil")
-	}
-}
-
 func BenchmarkFFTConvolver127Taps192k(b *testing.B) {
 	taps := LowpassFIR(15000, 192000, 127)
 	conv := NewFFTConvolver(taps)
@@ -165,20 +143,5 @@ func BenchmarkFFTConvolver127Taps192k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		conv.Apply(dst, x)
-	}
-}
-
-func BenchmarkFIRFilter127Taps192k(b *testing.B) {
-	taps := LowpassFIR(15000, 192000, 127)
-	x := make([]float64, 192000)
-	for i := range x {
-		x[i] = math.Sin(float64(i) / 7)
-	}
-	f := NewFIRFilter(taps)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Reset()
-		f.ProcessBlock(x)
 	}
 }

@@ -3,6 +3,7 @@ package dsp
 import (
 	"encoding/binary"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -41,6 +42,46 @@ func fftInputShapes(rng *rand.Rand, n int) []fftShape {
 		band[n-bin] = complex(ar+bi, br-ai)
 	}
 	return []fftShape{{"random", random}, {"real", realOnly}, {"band", band}, {"zeros", zeros}}
+}
+
+// fftDirect is the plan-free transform, the reference FFTPlan is pinned
+// against bit for bit.
+func fftDirect(x []complex128, inverse bool) error {
+	n := len(x)
+	if !IsPowerOfTwo(n) {
+		return ErrNotPowerOfTwo
+	}
+	// Bit-reversal permutation.
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j ^= bit
+		if i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	// Danielson-Lanczos butterflies.
+	for length := 2; length <= n; length <<= 1 {
+		ang := 2 * math.Pi / float64(length)
+		if !inverse {
+			ang = -ang
+		}
+		wl := cmplx.Rect(1, ang)
+		for i := 0; i < n; i += length {
+			w := complex(1, 0)
+			half := length / 2
+			for j := 0; j < half; j++ {
+				u := x[i+j]
+				v := x[i+j+half] * w
+				x[i+j] = u + v
+				x[i+j+half] = u - v
+				w *= wl
+			}
+		}
+	}
+	return nil
 }
 
 type fftShape struct {
@@ -97,12 +138,10 @@ func TestFFTPlanBitIdenticalToDirect(t *testing.T) {
 				wantInv[i] /= complex(float64(n), 0)
 			}
 			gotInv := append([]complex128(nil), x...)
-			if err := IFFT(gotInv); err != nil {
-				t.Fatal(err)
-			}
+			p.Inverse(gotInv)
 			for i := range gotInv {
 				if gotInv[i] != wantInv[i] {
-					t.Fatalf("n=%d %s: planned IFFT diverges from direct at bin %d", n, sh.name, i)
+					t.Fatalf("n=%d %s: planned Inverse diverges from direct at bin %d", n, sh.name, i)
 				}
 			}
 		}
@@ -205,6 +244,28 @@ func TestFFTPlanZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("planned FFT round trip: %v allocs/run, want 0", n)
 	}
+}
+
+// CrossCorrelate is the direct O(N·len(needle)) reference for
+// FFTCorrelator: the sliding dot product of needle against
+// haystack. Index i of the result is the correlation of needle with
+// haystack[i : i+len(needle)]. Result length is
+// len(haystack)-len(needle)+1; returns nil if needle is longer than
+// haystack or either is empty.
+func CrossCorrelate(haystack, needle []float64) []float64 {
+	n := len(haystack) - len(needle) + 1
+	if n <= 0 || len(needle) == 0 {
+		return nil
+	}
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		var acc float64
+		for j, nv := range needle {
+			acc += nv * haystack[i+j]
+		}
+		out[i] = acc
+	}
+	return out
 }
 
 func TestFFTCorrelatorMatchesCrossCorrelate(t *testing.T) {

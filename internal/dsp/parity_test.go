@@ -6,11 +6,49 @@ import (
 	"testing"
 )
 
-// Parity pins for the scalar reference kernels that the optimized paths
-// are measured against: the FFT overlap-add convolver versus the direct
-// O(n·m) Convolve, and the Goertzel single-bin detector versus the full
-// FFT. These keep the reference implementations honest — if either side
-// drifts, the comparison breaks.
+// Parity pins for the scalar references the tests measure with: the FFT
+// overlap-save convolver versus the direct O(n·m) Convolve, and the
+// Goertzel single-bin detector versus the full FFT. These keep the
+// references honest — if either side drifts, the comparison breaks.
+
+// Convolve returns the full linear convolution of a and b
+// (length len(a)+len(b)-1).
+func Convolve(a, b []float64) []float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return nil
+	}
+	out := make([]float64, len(a)+len(b)-1)
+	for i, av := range a {
+		for j, bv := range b {
+			out[i+j] += av * bv
+		}
+	}
+	return out
+}
+
+// Goertzel computes the magnitude of the DFT bin closest to targetHz for
+// the block x sampled at sampleRate: the standard single-bin tone
+// detector the resampler and tone tests measure with.
+func Goertzel(x []float64, targetHz, sampleRate float64) float64 {
+	n := len(x)
+	if n == 0 {
+		return 0
+	}
+	k := math.Round(float64(n) * targetHz / sampleRate)
+	w := 2 * math.Pi * k / float64(n)
+	coeff := 2 * math.Cos(w)
+	var s0, s1, s2 float64
+	for _, v := range x {
+		s0 = v + coeff*s1 - s2
+		s2 = s1
+		s1 = s0
+	}
+	power := s1*s1 + s2*s2 - coeff*s1*s2
+	if power < 0 {
+		power = 0
+	}
+	return math.Sqrt(power)
+}
 
 func TestFFTConvolverMatchesConvolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))

@@ -8,8 +8,8 @@ import (
 
 // refResampleInto is a frozen copy of the linear resampler. The fm
 // equivalence suite cannot pin the resampler (its reference also calls
-// dsp.Resample), so it is pinned here at the bit level against its own
-// frozen implementation.
+// dsp.ResampleInto), so it is pinned here at the bit level against its
+// own frozen implementation.
 func refResampleInto(dst, x []float64, srcRate, dstRate float64) []float64 {
 	n := ResampleLen(len(x), srcRate, dstRate)
 	if n == 0 {
@@ -53,7 +53,8 @@ func assertBitEqual(t *testing.T, got, want []float64, label string) {
 // TestResampleMatchesReference pins the resampler bit-for-bit against
 // the frozen implementation across the rate pairs SONIC uses plus
 // awkward irrational-ratio pairs, and short signals that live entirely
-// in the clamp region.
+// in the clamp region, both into a fresh slice and into a reused dst,
+// whose length ResampleLen must predict.
 func TestResampleMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	rates := []struct{ src, dst float64 }{
@@ -75,6 +76,15 @@ func TestResampleMatchesReference(t *testing.T) {
 			got := ResampleInto(nil, x, r.src, r.dst)
 			want := refResampleInto(nil, x, r.src, r.dst)
 			assertBitEqual(t, got, want, "resample")
+			if m := ResampleLen(n, r.src, r.dst); m != len(want) {
+				t.Fatalf("ResampleLen(%d, %v) = %d, want %d", n, r, m, len(want))
+			}
+			dst := make([]float64, 0, len(want))
+			got = ResampleInto(dst, x, r.src, r.dst)
+			if &got[0] != &dst[:1][0] {
+				t.Fatalf("%v: ResampleInto reallocated a dst of sufficient capacity", r)
+			}
+			assertBitEqual(t, got, want, "resample into dst")
 		}
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzRSDecode feeds arbitrary byte streams to the Reed-Solomon
-// decoders. Decode and DecodeBlock must never panic no matter how the
+// FuzzRSDecode feeds arbitrary byte streams to the Reed-Solomon decoder.
+// Decode, the ingress frame uses, must never panic no matter how the
 // input is shaped, and every message must survive an Encode→Decode
-// round trip — including with up to MaxErrors corrupted symbols per
+// round trip — including with up to nroots/2 corrupted symbols per
 // block, which the code is sized to correct.
 func FuzzRSDecode(f *testing.F) {
 	f.Add([]byte{})
@@ -18,10 +18,8 @@ func FuzzRSDecode(f *testing.F) {
 
 	rs := NewRS8()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Arbitrary garbage into both decode entry points: error or
-		// success, never a panic.
+		// Arbitrary garbage: error or success, never a panic.
 		rs.Decode(data)
-		rs.DecodeBlock(data)
 
 		// Round trip: encode the input as a message, corrupt as many
 		// symbols as the code corrects (positions derived from the data
@@ -39,7 +37,7 @@ func FuzzRSDecode(f *testing.F) {
 				seed = -seed
 			}
 			n := rs.k + rs.nroots
-			for e := 0; e < rs.MaxErrors(); e++ {
+			for e := 0; e < rs.nroots/2; e++ {
 				// One corruption per block, staying inside the first block.
 				pos := (seed + e*13) % min(n, len(enc))
 				enc[pos] ^= byte(1 + e)

@@ -58,15 +58,6 @@ func gfPow(n int) byte {
 	return gfExp[n]
 }
 
-// polyEval evaluates polynomial p (coefficients highest degree first) at x.
-func polyEval(p []byte, x byte) byte {
-	var y byte
-	for _, c := range p {
-		y = gfMul(y, x) ^ c
-	}
-	return y
-}
-
 // polyMul multiplies two polynomials over GF(2^8).
 func polyMul(a, b []byte) []byte {
 	out := make([]byte, len(a)+len(b)-1)

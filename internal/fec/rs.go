@@ -111,9 +111,6 @@ func (r *RS) getWork() *rsWork {
 
 func (r *RS) putWork(ws *rsWork) { r.pool.Put(ws) }
 
-// MaxErrors returns the number of symbol errors correctable per codeword.
-func (r *RS) MaxErrors() int { return r.nroots / 2 }
-
 // appendParity appends the nroots parity symbols for data to out.
 func (r *RS) appendParity(out []byte, data []byte) []byte {
 	// Systematic encoding: parity = (msg * x^nroots) mod gen, computed over
@@ -133,29 +130,6 @@ func (r *RS) appendParity(out []byte, data []byte) []byte {
 		}
 	}
 	return append(out, parity...)
-}
-
-// EncodeBlock appends the parity symbols for one codeword of data
-// (len(data) <= k; shorter input is treated as a shortened code) and
-// returns data||parity as a new slice.
-func (r *RS) EncodeBlock(data []byte) ([]byte, error) {
-	if len(data) > r.k {
-		return nil, fmt.Errorf("fec: block of %d exceeds RS k=%d", len(data), r.k)
-	}
-	out := make([]byte, 0, len(data)+r.nroots)
-	out = append(out, data...)
-	return r.appendParity(out, data), nil
-}
-
-// DecodeBlock corrects a codeword in place (data||parity as produced by
-// EncodeBlock, possibly shortened) and returns the corrected data portion
-// along with the number of symbol errors fixed. It returns
-// ErrTooManyErrors when the codeword cannot be corrected.
-func (r *RS) DecodeBlock(block []byte) (data []byte, corrected int, err error) {
-	ws := r.getWork()
-	data, corrected, err = r.decodeBlock(block, ws)
-	r.putWork(ws)
-	return data, corrected, err
 }
 
 // syndromes fills ws.synd from block and reports whether any syndrome is
@@ -178,10 +152,10 @@ func (r *RS) syndromes(block []byte, ws *rsWork) bool {
 	return nz != 0
 }
 
+// decodeBlock corrects one codeword in place (data||parity, possibly
+// shortened: Decode cuts it to nroots+1 … 255 bytes) and returns its data
+// portion and the number of symbol errors fixed, or ErrTooManyErrors.
 func (r *RS) decodeBlock(block []byte, ws *rsWork) (data []byte, corrected int, err error) {
-	if len(block) < r.nroots+1 || len(block) > rsN {
-		return nil, 0, fmt.Errorf("fec: RS block length %d out of range", len(block))
-	}
 	pad := rsN - len(block) // virtual leading zeros of the shortened code
 
 	if !r.syndromes(block, ws) {

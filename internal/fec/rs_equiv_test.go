@@ -39,6 +39,15 @@ func refEncodeBlock(r *RS, data []byte) ([]byte, error) {
 
 var errTestOverlong = bytes.ErrTooLarge
 
+// polyEval evaluates polynomial p (coefficients highest degree first) at x.
+func polyEval(p []byte, x byte) byte {
+	var y byte
+	for _, c := range p {
+		y = gfMul(y, x) ^ c
+	}
+	return y
+}
+
 func refDecodeBlock(r *RS, block []byte) (data []byte, corrected int, err error) {
 	if len(block) < r.nroots+1 || len(block) > rsN {
 		return nil, 0, errTestOverlong
@@ -169,16 +178,14 @@ func refPolyEvalLow(p []byte, x byte) byte {
 
 // --- equivalence trials ---
 
-// corruptTrial builds one codeword, injects nerr random symbol errors,
-// and checks the optimized decoder against the reference byte for byte.
+// corruptTrial builds one codeword (a one-codeword stream of Encode),
+// injects nerr random symbol errors, and checks Decode against the
+// reference byte for byte.
 func corruptTrial(t *testing.T, r *RS, rng *rand.Rand, dataLen, nerr int) {
 	t.Helper()
 	data := make([]byte, dataLen)
 	rng.Read(data)
-	cw, err := r.EncodeBlock(data)
-	if err != nil {
-		t.Fatalf("EncodeBlock: %v", err)
-	}
+	cw := r.Encode(data)
 	refCW, err := refEncodeBlock(r, data)
 	if err != nil || !bytes.Equal(cw, refCW) {
 		t.Fatalf("dataLen=%d: encoded codeword differs from reference", dataLen)
@@ -189,7 +196,7 @@ func corruptTrial(t *testing.T, r *RS, rng *rand.Rand, dataLen, nerr int) {
 	refIn := append([]byte(nil), cw...)
 	gotIn := append([]byte(nil), cw...)
 	wantData, wantC, wantErr := refDecodeBlock(r, refIn)
-	gotData, gotC, gotErr := r.DecodeBlock(gotIn)
+	gotData, gotC, gotErr := r.Decode(gotIn)
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("dataLen=%d nerr=%d: error mismatch: ref %v vs %v", dataLen, nerr, wantErr, gotErr)
 	}
@@ -202,24 +209,26 @@ func corruptTrial(t *testing.T, r *RS, rng *rand.Rand, dataLen, nerr int) {
 	// Recovery is only guaranteed within the code's correction radius;
 	// beyond it a rare miscorrection may "succeed" with wrong data, and
 	// only ref/opt agreement is pinned.
-	if nerr <= r.MaxErrors() && !bytes.Equal(gotData, data) {
+	if nerr <= r.nroots/2 && !bytes.Equal(gotData, data) {
 		t.Fatalf("dataLen=%d nerr=%d: decode did not recover the message", dataLen, nerr)
 	}
 }
 
+// TestRSDecodeBlockMatchesReference decodes one-codeword streams: shortened
+// codes, corruption beyond the correction radius, and other geometries.
 func TestRSDecodeBlockMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	r := NewRS8()
 	for trial := 0; trial < 60; trial++ {
 		dataLen := 1 + rng.Intn(r.k) // exercises shortened codes heavily
-		nerr := rng.Intn(r.MaxErrors() + 1)
+		nerr := rng.Intn(r.nroots/2 + 1)
 		corruptTrial(t, r, rng, dataLen, nerr)
 	}
 	// Beyond-capacity corruption: both decoders must agree on failure
 	// (or, rarely, on a miscorrection — equivalence is what is pinned).
 	for trial := 0; trial < 20; trial++ {
 		dataLen := 32 + rng.Intn(r.k-32)
-		nerr := r.MaxErrors() + 1 + rng.Intn(8)
+		nerr := r.nroots/2 + 1 + rng.Intn(8)
 		corruptTrial(t, r, rng, dataLen, nerr)
 	}
 	// Other geometries exercise non-default root counts.
@@ -230,7 +239,7 @@ func TestRSDecodeBlockMatchesReference(t *testing.T) {
 		}
 		for trial := 0; trial < 10; trial++ {
 			dataLen := 1 + rng.Intn(k)
-			nerr := rng.Intn(rk.MaxErrors() + 1)
+			nerr := rng.Intn(rk.nroots/2 + 1)
 			corruptTrial(t, rk, rng, dataLen, nerr)
 		}
 	}
@@ -309,8 +318,9 @@ func TestRSDecodeAllocs(t *testing.T) {
 }
 
 // TestRSDecodeConcurrent shares one codec, and so its workspace pool,
-// between 8 goroutines calling Decode and DecodeBlock. Under -race a
-// workspace handed back to the pool while still in use is a data race.
+// between 8 goroutines decoding a multi-codeword stream and a
+// one-codeword one. Under -race a workspace handed back to the pool
+// while still in use is a data race.
 func TestRSDecodeConcurrent(t *testing.T) {
 	r := NewRS8()
 	rng := rand.New(rand.NewSource(24))
@@ -325,9 +335,9 @@ func TestRSDecodeConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	cw := enc[:rsN] // the first codeword, with its share of the errors
-	wantBlock, wantBlockC, err := r.DecodeBlock(append([]byte(nil), cw...))
+	wantBlock, wantBlockC, err := r.Decode(cw)
 	if err != nil || wantBlockC == 0 {
-		t.Fatalf("DecodeBlock corrected %d symbols, err %v; want a correction", wantBlockC, err)
+		t.Fatalf("Decode of one codeword corrected %d symbols, err %v; want a correction", wantBlockC, err)
 	}
 	var wg sync.WaitGroup
 	fail := make(chan string, 8)
@@ -335,17 +345,15 @@ func TestRSDecodeConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			block := make([]byte, len(cw))
 			for it := 0; it < 10; it++ {
 				got, c, err := r.Decode(enc)
 				if err != nil || c != wantC || !bytes.Equal(got, want) {
 					fail <- "concurrent Decode diverged"
 					return
 				}
-				copy(block, cw)
-				got, c, err = r.DecodeBlock(block)
+				got, c, err = r.Decode(cw)
 				if err != nil || c != wantBlockC || !bytes.Equal(got, wantBlock) {
-					fail <- "concurrent DecodeBlock diverged"
+					fail <- "concurrent one-codeword Decode diverged"
 					return
 				}
 			}

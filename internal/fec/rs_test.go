@@ -49,9 +49,8 @@ func TestNewRSValidation(t *testing.T) {
 
 func TestRS8Geometry(t *testing.T) {
 	rs := NewRS8()
-	if rs.k != 223 || rs.nroots != 32 || rs.MaxErrors() != 16 {
-		t.Errorf("rs8 geometry wrong: k=%d parity=%d t=%d",
-			rs.k, rs.nroots, rs.MaxErrors())
+	if rs.k != 223 || rs.nroots != 32 {
+		t.Errorf("rs8 geometry wrong: k=%d parity=%d", rs.k, rs.nroots)
 	}
 }
 
@@ -85,7 +84,7 @@ func TestRSCorrectsUpToTErrors(t *testing.T) {
 	rng.Read(msg)
 	enc := rs.Encode(msg)
 
-	for nerr := 1; nerr <= rs.MaxErrors(); nerr++ {
+	for nerr := 1; nerr <= rs.nroots/2; nerr++ {
 		corrupted := make([]byte, len(enc))
 		copy(corrupted, enc)
 		positions := rng.Perm(len(enc))[:nerr]
@@ -181,20 +180,13 @@ func TestRSMultiCodewordErrors(t *testing.T) {
 	}
 }
 
-func TestRSEncodeBlockTooLong(t *testing.T) {
-	rs := NewRS8()
-	if _, err := rs.EncodeBlock(make([]byte, 224)); err == nil {
-		t.Error("EncodeBlock beyond k should fail")
-	}
-}
-
 func TestRSDecodeBadLengths(t *testing.T) {
 	rs := NewRS8()
-	if _, _, err := rs.DecodeBlock(make([]byte, 10)); err == nil {
+	if _, _, err := rs.Decode(make([]byte, 10)); err == nil {
 		t.Error("block shorter than parity should fail")
 	}
-	if _, _, err := rs.DecodeBlock(make([]byte, 256)); err == nil {
-		t.Error("block longer than 255 should fail")
+	if _, _, err := rs.Decode(make([]byte, 256)); err == nil {
+		t.Error("255 bytes and a 1-byte trailing block should fail")
 	}
 	if _, _, err := rs.Decode(make([]byte, 32)); err == nil {
 		t.Error("trailing fragment of parity-only bytes should fail")

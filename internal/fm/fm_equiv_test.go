@@ -63,46 +63,45 @@ func refAddRFNoise(envelope []complex128, cnrDB float64, rng *rand.Rand) []compl
 	return out
 }
 
-func refBuildComposite(audio []float64, audioRate int, rds []float64) []float64 {
-	up := dsp.Resample(audio, float64(audioRate), CompositeRate)
-	lp := dsp.NewFIRFilter(dsp.LowpassFIR(MonoBandHigh, CompositeRate, 127))
-	up = lp.ProcessBlock(up)
+// refFIR is the direct-form FIR the chain's filters were written
+// against: zero initial state, y[i] = Σ_k taps[k]·x[i-k].
+func refFIR(taps, x []float64) []float64 {
+	out := make([]float64, len(x))
+	for i := range out {
+		var acc float64
+		for k := 0; k < len(taps) && k <= i; k++ {
+			acc += taps[k] * x[i-k]
+		}
+		out[i] = acc
+	}
+	return out
+}
+
+func refBuildComposite(audio []float64, audioRate int) []float64 {
+	up := dsp.ResampleInto(nil, audio, float64(audioRate), CompositeRate)
+	up = refFIR(dsp.LowpassFIR(MonoBandHigh, CompositeRate, 127), up)
 	comp := make([]float64, len(up))
 	for i, v := range up {
 		comp[i] = monoDeviationFraction * v
 		comp[i] += 0.09 * math.Sin(2*math.Pi*PilotHz*float64(i)/CompositeRate)
-		if rds != nil && i < len(rds) {
-			comp[i] += 0.05 * rds[i]
-		}
 	}
 	return comp
 }
 
-func refSplitComposite(composite []float64, audioRate int) (audio []float64, rdsBand []float64) {
-	lp := dsp.NewFIRFilter(dsp.LowpassFIR(MonoBandHigh, CompositeRate, 127))
-	mono := lp.ProcessBlock(composite)
+func refSplitComposite(composite []float64, audioRate int) []float64 {
+	mono := refFIR(dsp.LowpassFIR(MonoBandHigh, CompositeRate, 127), composite)
 	for i := range mono {
 		mono[i] /= monoDeviationFraction
 	}
-	audio = dsp.Resample(mono, CompositeRate, float64(audioRate))
-
-	bp := dsp.NewFIRFilter(dsp.BandpassFIR(57000-3000, 57000+3000, CompositeRate, 255))
-	rdsBand = bp.ProcessBlock(composite)
-	for i := range rdsBand {
-		rdsBand[i] /= 0.05
-	}
-	return audio, rdsBand
+	return dsp.ResampleInto(nil, mono, CompositeRate, float64(audioRate))
 }
 
 func refBroadcast(audio []float64, audioRate int, cnrDB float64, rng *rand.Rand) []float64 {
-	comp := refBuildComposite(audio, audioRate, nil)
-	mod := refModulate(comp)
+	mod := refModulate(refBuildComposite(audio, audioRate))
 	if !math.IsInf(cnrDB, 1) {
 		mod = refAddRFNoise(mod, cnrDB, rng)
 	}
-	rx := refDemodulate(mod)
-	out, _ := refSplitComposite(rx, audioRate)
-	return out
+	return refSplitComposite(refDemodulate(mod), audioRate)
 }
 
 // --- helpers ---

@@ -9,7 +9,7 @@ import (
 // blocks of text-like detail and a photo-like gradient band.
 func benchRaster(w, h int, seed int64) *Raster {
 	rng := rand.New(rand.NewSource(seed))
-	r := NewRaster(w, h)
+	r := whiteRaster(w, h)
 	r.Fill(RGB{255, 255, 255})
 	// Nav bar.
 	r.FillRect(0, 0, w, 40, RGB{30, 60, 120})

@@ -29,19 +29,10 @@ const (
 type RGB struct{ R, G, B uint8 }
 
 // Raster is a dense RGB image. Pixels are stored row-major, 3 bytes per
-// pixel. The zero value is an empty image; use NewRaster.
+// pixel. The zero value is an empty image; use NewBlackRaster.
 type Raster struct {
 	W, H int
 	Pix  []byte // len == 3*W*H
-}
-
-// NewRaster allocates a W×H raster filled with white (webpage default).
-func NewRaster(w, h int) *Raster {
-	r := &Raster{W: w, H: h, Pix: make([]byte, 3*w*h)}
-	if len(r.Pix) > 0 {
-		fillRGB(r.Pix, RGB{R: 0xFF, G: 0xFF, B: 0xFF})
-	}
-	return r
 }
 
 // NewBlackRaster allocates a W×H raster filled with black.

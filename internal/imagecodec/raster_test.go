@@ -7,10 +7,17 @@ import (
 	"testing"
 )
 
+// whiteRaster is a w×h raster filled with white, a page's background.
+func whiteRaster(w, h int) *Raster {
+	r := NewBlackRaster(w, h)
+	r.Fill(RGB{255, 255, 255})
+	return r
+}
+
 func TestRasterBasics(t *testing.T) {
-	r := NewRaster(10, 5)
-	if r.At(0, 0) != (RGB{255, 255, 255}) {
-		t.Error("new raster should be white")
+	r := NewBlackRaster(10, 5)
+	if r.At(0, 0) != (RGB{}) {
+		t.Error("NewBlackRaster should be black")
 	}
 	r.Set(3, 2, RGB{1, 2, 3})
 	if r.At(3, 2) != (RGB{1, 2, 3}) {
@@ -28,7 +35,7 @@ func TestRasterBasics(t *testing.T) {
 }
 
 func TestRasterFillAndRect(t *testing.T) {
-	r := NewRaster(8, 8)
+	r := whiteRaster(8, 8)
 	r.Fill(RGB{10, 20, 30})
 	if r.At(7, 7) != (RGB{10, 20, 30}) {
 		t.Error("Fill failed")
@@ -48,7 +55,7 @@ func TestRasterFillAndRect(t *testing.T) {
 }
 
 func TestRasterCloneEqualCrop(t *testing.T) {
-	r := NewRaster(4, 6)
+	r := whiteRaster(4, 6)
 	r.Set(1, 5, RGB{5, 5, 5})
 	c := r.Clone()
 	if !r.Equal(c) {
@@ -71,7 +78,7 @@ func TestRasterCloneEqualCrop(t *testing.T) {
 }
 
 func TestResizeNearest(t *testing.T) {
-	r := NewRaster(4, 4)
+	r := whiteRaster(4, 4)
 	r.FillRect(0, 0, 2, 2, RGB{100, 0, 0})
 	half := r.ResizeNearest(0.5)
 	if half.W != 2 || half.H != 2 {
@@ -94,7 +101,7 @@ func TestResizeNearest(t *testing.T) {
 		t.Error("zero factor should be empty")
 	}
 	// The paper's scaling factor: phone width / 1080.
-	page := NewRaster(PageWidth, 100)
+	page := whiteRaster(PageWidth, 100)
 	phone := page.ResizeNearest(720.0 / PageWidth)
 	if phone.W != 720 {
 		t.Errorf("scaled width = %d, want 720", phone.W)
@@ -139,7 +146,7 @@ func refResizeNearest(r *Raster, factor float64) *Raster {
 func TestResizeNearestMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	noise := func(w, h int) *Raster {
-		r := NewRaster(w, h)
+		r := whiteRaster(w, h)
 		rng.Read(r.Pix)
 		return r
 	}
@@ -163,7 +170,7 @@ func TestResizeNearestMatchesReference(t *testing.T) {
 }
 
 func TestPNGRoundTrip(t *testing.T) {
-	r := NewRaster(20, 10)
+	r := whiteRaster(20, 10)
 	r.FillRect(5, 2, 10, 6, RGB{12, 200, 99})
 	var buf bytes.Buffer
 	if err := r.WritePNG(&buf); err != nil {
@@ -187,7 +194,7 @@ func TestPNGRoundTrip(t *testing.T) {
 }
 
 func TestLuma(t *testing.T) {
-	r := NewRaster(1, 1)
+	r := whiteRaster(1, 1)
 	r.Set(0, 0, RGB{255, 255, 255})
 	if l := r.Luma(0, 0); l < 254 || l > 256 {
 		t.Errorf("white luma = %g", l)

@@ -26,7 +26,7 @@ func seamRaster(w, h int) *Raster {
 			glyphs[g][i] = rng.Intn(3) == 0
 		}
 	}
-	r := NewRaster(w, h)
+	r := whiteRaster(w, h)
 	r.FillRect(0, 100, w, 60, RGB{200, 40, 90})
 	for cy := 0; cy*8 < h; cy++ {
 		for cx := 0; cx*8 < w; cx++ {

@@ -241,7 +241,7 @@ func FuzzSICEncodeMatchesReference(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(95), uint8(0), []byte{200})
 
 	f.Fuzz(func(t *testing.T, w, h, quality, grain uint8, data []byte) {
-		r := NewRaster(1+int(w)%48, 1+int(h)%48)
+		r := whiteRaster(1+int(w)%48, 1+int(h)%48)
 		for i := range r.Pix {
 			x, y, c := i/3%r.W, i/3/r.W, i%3
 			v := 40 + (c+1)*x + (3-c)*y

@@ -876,11 +876,11 @@ func refDecodeSICv2(data []byte) (*Raster, error) {
 // multiple-of-2) dimensions, and a photo.
 func equivRasters() map[string]*Raster {
 	rng := rand.New(rand.NewSource(77))
-	noisy := NewRaster(96, 120)
+	noisy := whiteRaster(96, 120)
 	for i := range noisy.Pix {
 		noisy.Pix[i] = byte(rng.Intn(256))
 	}
-	solid := NewRaster(128, 96)
+	solid := whiteRaster(128, 96)
 	solid.FillRect(0, 0, 128, 48, RGB{200, 40, 90})
 	return map[string]*Raster{
 		"page":  testPage(160, 240, 6),
@@ -899,7 +899,7 @@ func equivRasters() map[string]*Raster {
 // block rows is split between two encoder workers.
 func testPhoto(w, h int, seed int64) *Raster {
 	rng := rand.New(rand.NewSource(seed))
-	r := NewRaster(w, h)
+	r := whiteRaster(w, h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			c := [3]int{

@@ -14,7 +14,7 @@ import (
 // band, text-like speckle rows, and an image-like noisy block.
 func testPage(w, h int, seed int64) *Raster {
 	rng := rand.New(rand.NewSource(seed))
-	r := NewRaster(w, h)
+	r := whiteRaster(w, h)
 	r.FillRect(0, 0, w, h/10, RGB{30, 60, 160}) // header
 	// "Text" rows: dark pixels scattered on white.
 	for y := h / 8; y < h/2; y += 3 {
@@ -59,10 +59,10 @@ func TestSICRejectsBadInput(t *testing.T) {
 	if _, err := EncodeSIC(&Raster{}, 50); err == nil {
 		t.Error("empty raster should fail")
 	}
-	if _, err := EncodeSIC(NewRaster(4, 4), 96); err == nil {
+	if _, err := EncodeSIC(whiteRaster(4, 4), 96); err == nil {
 		t.Error("quality > 95 should fail")
 	}
-	if _, err := EncodeSIC(NewRaster(4, 4), -1); err == nil {
+	if _, err := EncodeSIC(whiteRaster(4, 4), -1); err == nil {
 		t.Error("negative quality should fail")
 	}
 	if _, err := DecodeSIC([]byte("XXXX")); err == nil {
@@ -125,7 +125,7 @@ func TestSICQualityMonotonicity(t *testing.T) {
 func TestSICCompressesFlatContent(t *testing.T) {
 	// A mostly-flat page must compress far below raw size (the 10x
 	// compression claim from §3.2 depends on this).
-	src := NewRaster(320, 320)
+	src := whiteRaster(320, 320)
 	src.FillRect(0, 0, 320, 40, RGB{40, 80, 200})
 	enc, err := EncodeSIC(src, 10)
 	if err != nil {

@@ -8,6 +8,13 @@ import (
 	"sonic/internal/imagecodec"
 )
 
+// whiteRaster is a w×h raster filled with white, a page's background.
+func whiteRaster(w, h int) *imagecodec.Raster {
+	r := imagecodec.NewBlackRaster(w, h)
+	r.Fill(imagecodec.RGB{R: 255, G: 255, B: 255})
+	return r
+}
+
 func TestInterpolateLeftPriority(t *testing.T) {
 	r := imagecodec.NewBlackRaster(4, 1)
 	r.Set(0, 0, imagecodec.RGB{R: 10, G: 10, B: 10})
@@ -23,7 +30,7 @@ func TestInterpolateLeftPriority(t *testing.T) {
 
 func TestInterpolateStripHealsFromLeft(t *testing.T) {
 	// A whole lost column strip copies the column to its left.
-	r := imagecodec.NewRaster(5, 5)
+	r := whiteRaster(5, 5)
 	for y := 0; y < 5; y++ {
 		r.Set(1, y, imagecodec.RGB{R: 42, G: 42, B: 42})
 	}
@@ -46,7 +53,7 @@ func TestInterpolateStripHealsFromLeft(t *testing.T) {
 }
 
 func TestInterpolateLeftEdgeUsesOtherNeighbors(t *testing.T) {
-	r := imagecodec.NewRaster(3, 3)
+	r := whiteRaster(3, 3)
 	r.Fill(imagecodec.RGB{R: 9, G: 9, B: 9})
 	missing := make([]bool, 9)
 	missing[3] = true // (0,1): no left neighbor
@@ -58,7 +65,7 @@ func TestInterpolateLeftEdgeUsesOtherNeighbors(t *testing.T) {
 }
 
 func TestInterpolateBadMaskIsNoop(t *testing.T) {
-	r := imagecodec.NewRaster(2, 2)
+	r := whiteRaster(2, 2)
 	before := r.Clone()
 	Interpolate(r, make([]bool, 3)) // wrong length
 	if !r.Equal(before) {
@@ -67,7 +74,7 @@ func TestInterpolateBadMaskIsNoop(t *testing.T) {
 }
 
 func TestSyntheticLossRate(t *testing.T) {
-	src := imagecodec.NewRaster(100, 100)
+	src := whiteRaster(100, 100)
 	rng := rand.New(rand.NewSource(1))
 	for _, rate := range []float64{0.05, 0.10, 0.20, 0.50} {
 		_, missing := SyntheticLoss(src, rate, 20, rng)
@@ -95,7 +102,7 @@ func TestSyntheticLossRate(t *testing.T) {
 }
 
 func TestSyntheticLossVerticalRuns(t *testing.T) {
-	src := imagecodec.NewRaster(50, 200)
+	src := whiteRaster(50, 200)
 	rng := rand.New(rand.NewSource(2))
 	_, missing := SyntheticLoss(src, 0.05, 40, rng)
 	// Count vertical adjacency: most missing pixels should have a missing
@@ -120,7 +127,7 @@ func TestSyntheticLossVerticalRuns(t *testing.T) {
 func TestInterpolationReducesDamage(t *testing.T) {
 	// The paper's core claim (Fig. 1, Fig. 5): interpolation makes lossy
 	// pages substantially closer to the original.
-	src := imagecodec.NewRaster(120, 120)
+	src := whiteRaster(120, 120)
 	// Textured content so interpolation has something to recover.
 	for y := 0; y < 120; y++ {
 		for x := 0; x < 120; x++ {
@@ -147,7 +154,7 @@ func TestInterpolationReducesDamage(t *testing.T) {
 }
 
 func TestDamageTextVsOverall(t *testing.T) {
-	src := imagecodec.NewRaster(10, 10)
+	src := whiteRaster(10, 10)
 	recon := src.Clone()
 	// Damage only rows 0-4; call those the "text" rows.
 	for y := 0; y < 5; y++ {
@@ -160,14 +167,14 @@ func TestDamageTextVsOverall(t *testing.T) {
 		t.Errorf("text damage %.3f should exceed overall %.3f",
 			rep.TextDamage, rep.OverallDamage)
 	}
-	mismatch := Damage(src, imagecodec.NewRaster(3, 3), nil, nil)
+	mismatch := Damage(src, whiteRaster(3, 3), nil, nil)
 	if mismatch.OverallDamage != 1 {
 		t.Error("size mismatch should report full damage")
 	}
 }
 
 func BenchmarkInterpolate10pct(b *testing.B) {
-	src := imagecodec.NewRaster(imagecodec.PageWidth, 1000)
+	src := whiteRaster(imagecodec.PageWidth, 1000)
 	rng := rand.New(rand.NewSource(1))
 	damaged, missing := SyntheticLoss(src, 0.10, 30, rng)
 	b.ReportAllocs()

@@ -48,9 +48,11 @@ func refSynthesize(m *OFDM, values []complex128) []float64 {
 		spec[bin] = values[i]
 		spec[n-bin] = cmplx.Conj(values[i])
 	}
-	if err := dsp.IFFT(spec); err != nil {
+	plan, err := dsp.PlanFFT(n)
+	if err != nil {
 		panic("modem: FFT size not power of two despite validation")
 	}
+	plan.Inverse(spec)
 	g := m.symbolGain()
 	out := make([]float64, m.p.CyclicPrefix+n)
 	for i := 0; i < n; i++ {
@@ -99,7 +101,7 @@ func refModulate(m *OFDM, payload []byte) []float64 {
 	}
 	out = append(out, refModSymbols(m, repBits, m.header)...)
 	out = append(out, refModSymbols(m, fec.BytesToBits(payload), m.p.Constellation)...)
-	dsp.Normalize(out, m.p.Amplitude)
+	dsp.Scale(out, m.p.Amplitude/dsp.Peak(out))
 	out = append(out, make([]float64, guardSamples)...)
 	return out
 }
@@ -118,16 +120,70 @@ func refFindPreamble(m *OFDM, samples []float64) int {
 		if end > len(samples) {
 			end = len(samples)
 		}
-		cc := dsp.NormalizedCrossCorrelate(samples[off:end], m.preamble)
+		cc := normalizedCrossCorrelate(samples[off:end], m.preamble)
 		if cc == nil {
 			continue
 		}
-		idx := dsp.ArgMax(cc)
+		idx := argMax(cc)
 		if idx >= 0 && cc[idx] >= threshold {
 			return off + idx
 		}
 	}
 	return -1
+}
+
+// normalizedCrossCorrelate is the sliding dot product of needle against
+// haystack divided by the product of the window and needle energies,
+// yielding values in [-1, 1]. Windows with near-zero energy produce 0.
+func normalizedCrossCorrelate(haystack, needle []float64) []float64 {
+	n := len(haystack) - len(needle) + 1
+	if n <= 0 || len(needle) == 0 {
+		return nil
+	}
+	var ne float64
+	for _, v := range needle {
+		ne += v * v
+	}
+	ne = math.Sqrt(ne)
+	out := make([]float64, n)
+	// Running window energy.
+	var we float64
+	for j := 0; j < len(needle); j++ {
+		we += haystack[j] * haystack[j]
+	}
+	for i := 0; i < n; i++ {
+		var acc float64
+		for j, nv := range needle {
+			acc += nv * haystack[i+j]
+		}
+		denom := ne * math.Sqrt(we)
+		if denom > 1e-12 {
+			out[i] = acc / denom
+		}
+		if i+1 < n {
+			old := haystack[i]
+			next := haystack[i+len(needle)]
+			we += next*next - old*old
+			if we < 0 {
+				we = 0
+			}
+		}
+	}
+	return out
+}
+
+// argMax returns the index of the first maximum of x, or -1 for empty x.
+func argMax(x []float64) int {
+	if len(x) == 0 {
+		return -1
+	}
+	best, idx := x[0], 0
+	for i, v := range x[1:] {
+		if v > best {
+			best, idx = v, i+1
+		}
+	}
+	return idx
 }
 
 // sampleTol is the largest difference allowed between a sample of the

@@ -692,7 +692,8 @@ func (m *OFDM) findPreamble(samples []float64, sc *ofdmScratch) int {
 			continue
 		}
 		// Normalize by needle and running window energy, tracking the
-		// first maximum — exactly NormalizedCrossCorrelate + ArgMax.
+		// first maximum — exactly the reference search's
+		// normalizedCrossCorrelate + argMax (equiv_test.go).
 		var we float64
 		for j := 0; j < lp; j++ {
 			we += hay[j] * hay[j]

@@ -123,7 +123,8 @@ func (x *Index) Len() int { return len(x.towers) }
 
 // Lookup returns the covering tower for a location: the closest one,
 // ties broken by smaller ID. ok is false when no tower covers the
-// point. The result is identical to LinearLookup over the same fleet.
+// point. The result is identical to an O(n) scan of the same fleet
+// (LinearLookup, in the tests).
 func (x *Index) Lookup(lat, lon float64) (best Tower, distKm float64, ok bool) {
 	if len(x.towers) == 0 {
 		return Tower{}, 0, false
@@ -142,24 +143,6 @@ func (x *Index) Lookup(lat, lon float64) (best Tower, distKm float64, ok bool) {
 					best, distKm, ok = t, d, true
 				}
 			}
-		}
-	}
-	return best, distKm, ok
-}
-
-// LinearLookup is the reference O(n) scan with the same deterministic
-// winner rule (closest, then smallest ID). It exists as the equivalence
-// baseline for Index.Lookup and as the before-side of the routing
-// microbenchmark; production code routes through an Index.
-func LinearLookup(towers []Tower, lat, lon float64) (best Tower, distKm float64, ok bool) {
-	lon = normLon(lon)
-	for _, t := range towers {
-		d := DistanceKm(t.Lat, normLon(t.Lon), lat, lon)
-		if d > t.RadiusKm {
-			continue
-		}
-		if !ok || d < distKm || (d == distKm && t.ID < best.ID) {
-			best, distKm, ok = t, d, true
 		}
 	}
 	return best, distKm, ok

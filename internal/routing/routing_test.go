@@ -6,6 +6,23 @@ import (
 	"testing"
 )
 
+// LinearLookup is the reference O(n) scan with the same deterministic
+// winner rule (closest, then smallest ID): the equivalence baseline for
+// Index.Lookup and the before-side of the routing microbenchmark.
+func LinearLookup(towers []Tower, lat, lon float64) (best Tower, distKm float64, ok bool) {
+	lon = normLon(lon)
+	for _, t := range towers {
+		d := DistanceKm(t.Lat, normLon(t.Lon), lat, lon)
+		if d > t.RadiusKm {
+			continue
+		}
+		if !ok || d < distKm || (d == distKm && t.ID < best.ID) {
+			best, distKm, ok = t, d, true
+		}
+	}
+	return best, distKm, ok
+}
+
 // randomFleet builds n towers scattered over a Pakistan-sized region
 // with mixed radii, including exact-duplicate sites to exercise ties.
 func randomFleet(n int, rng *rand.Rand) []Tower {

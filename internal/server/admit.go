@@ -9,16 +9,16 @@ import (
 	"sonic/internal/telemetry"
 )
 
-// The request path. Every ingress — HandleSMS, EnqueuePage, PushPopular
-// — reaches a tower queue through admitBatch, the admission sink: one
-// render and one queue entry per (URL, tower, effective hour), however
-// many requests ride on it. With admission enabled, requests first wait
-// in the admission stage, which coalesces identical ones and flushes
-// batches into the sink off the caller's goroutine; the caller's ack
-// then carries an estimated ETA built from O(1) queue byte accounting
-// plus the running mean bundle size — no render on the reply path. With
-// admission off, each request is a batch of one flushed at once on the
-// caller's goroutine.
+// The request path. Every ingress — HandleSMS and PushPopular (and the
+// tests' EnqueuePage) — reaches a tower queue through admitBatch, the
+// admission sink: one render and one queue entry per (URL, tower,
+// effective hour), however many requests ride on it. With admission
+// enabled, requests first wait in the admission stage, which coalesces
+// identical ones and flushes batches into the sink off the caller's
+// goroutine; the caller's ack then carries an estimated ETA built from
+// O(1) queue byte accounting plus the running mean bundle size — no
+// render on the reply path. With admission off, each request is a batch
+// of one flushed at once on the caller's goroutine.
 
 // defaultBundleEstimate seeds the ETA estimate before any batch has
 // flushed: the median marshaled bundle of the rendered corpus, which

@@ -402,15 +402,6 @@ var (
 	ErrNoCoverage = errors.New("server: no transmitter covers the location")
 )
 
-// EnqueuePage requests a URL for the transmitter covering a location —
-// HandleSMS without the SMS. It returns the estimated time until the
-// page has been fully broadcast (the ETA included in the SMS ack). With
-// lifecycle tracing on, the call opens its own trace (an API request);
-// SMS requests trace from the actual SMS delivery instead.
-func (s *Server) EnqueuePage(url string, lat, lon float64, now time.Time) (time.Duration, error) {
-	return s.admitTraced(url, lat, lon, now, s.lc.BeginAt(url, "api", now))
-}
-
 // DequeuePageAt pops the next page to broadcast on a transmitter. With
 // lifecycle tracing on, dequeue is the handoff to the transmitter, so
 // every trace coalesced onto the page is stamped on_air_start at the

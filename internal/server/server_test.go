@@ -17,6 +17,14 @@ import (
 	"sonic/internal/telemetry"
 )
 
+// EnqueuePage admits a request for url from a location, as HandleSMS
+// does without the SMS, and returns the ETA the SMS ack would carry.
+// With lifecycle tracing on, the call opens its own trace (origin
+// "api").
+func (s *Server) EnqueuePage(url string, lat, lon float64, now time.Time) (time.Duration, error) {
+	return s.admitTraced(url, lat, lon, now, s.lc.BeginAt(url, "api", now))
+}
+
 func testServer(t *testing.T) *Server {
 	t.Helper()
 	p, err := core.NewPipeline(core.DefaultConfig())

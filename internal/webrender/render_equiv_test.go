@@ -200,7 +200,7 @@ func refRenderBlock(img *imagecodec.Raster, clicks *clickmap.Map, p *Page, b *Bl
 
 func refRender(p *Page) *Rendered {
 	h := measure(p)
-	img := imagecodec.NewRaster(imagecodec.PageWidth, h)
+	img := imagecodec.NewBlackRaster(imagecodec.PageWidth, h)
 	img.Fill(p.Theme.PageBG)
 	clicks := &clickmap.Map{PageURL: p.URL}
 	rows := make([]BlockKind, h)
@@ -297,8 +297,8 @@ func TestFillRectMatchesReference(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		rects = append(rects, [4]int{rng.Intn(60) - 10, rng.Intn(50) - 10, rng.Intn(70), rng.Intn(60)})
 	}
-	got := imagecodec.NewRaster(40, 30)
-	want := imagecodec.NewRaster(40, 30)
+	got := whiteRaster(40, 30)
+	want := whiteRaster(40, 30)
 	for i, r := range rects {
 		c := imagecodec.RGB{R: uint8(i * 13), G: uint8(i * 29), B: uint8(i * 51)}
 		got.FillRect(r[0], r[1], r[2], r[3], c)
@@ -316,8 +316,8 @@ func TestDrawTextMatchesReference(t *testing.T) {
 	}
 	for scale := 1; scale <= 5; scale++ {
 		for ti, s := range texts {
-			got := imagecodec.NewRaster(120, 50)
-			want := imagecodec.NewRaster(120, 50)
+			got := whiteRaster(120, 50)
+			want := whiteRaster(120, 50)
 			c := imagecodec.RGB{R: uint8(40 * ti), G: 20, B: uint8(255 - 40*ti)}
 			// Offsets chosen so text clips the right and bottom edges too.
 			gEnd := DrawText(got, 4, 40-4*scale, s, scale, c)
@@ -346,8 +346,8 @@ func TestPseudoPhotoMatchesReference(t *testing.T) {
 		{0, 0, 1032, 400, 1234567}, // full-size corpus photo
 	}
 	for _, tc := range cases {
-		got := imagecodec.NewRaster(256, 120)
-		want := imagecodec.NewRaster(256, 120)
+		got := whiteRaster(256, 120)
+		want := whiteRaster(256, 120)
 		drawPseudoPhoto(got, tc.x0, tc.y0, tc.w, tc.h, tc.seed)
 		refDrawPseudoPhoto(want, tc.x0, tc.y0, tc.w, tc.h, tc.seed)
 		if d := firstPixelDiff(got, want); d != "" {
@@ -373,11 +373,11 @@ func TestPseudoPhotoWorkerIdentity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		runtime.GOMAXPROCS(1)
-		want := imagecodec.NewRaster(256, 120)
+		want := whiteRaster(256, 120)
 		drawPseudoPhoto(want, tc.x0, tc.y0, tc.w, tc.h, tc.seed)
 		for _, procs := range []int{2, 3, 4, 8, 16} {
 			runtime.GOMAXPROCS(procs)
-			got := imagecodec.NewRaster(256, 120)
+			got := whiteRaster(256, 120)
 			drawPseudoPhoto(got, tc.x0, tc.y0, tc.w, tc.h, tc.seed)
 			if d := firstPixelDiff(got, want); d != "" {
 				t.Fatalf("photo %+v GOMAXPROCS=%d: %s", tc, procs, d)

@@ -7,8 +7,15 @@ import (
 	"sonic/internal/imagecodec"
 )
 
+// whiteRaster is a w×h raster filled with white, a page's background.
+func whiteRaster(w, h int) *imagecodec.Raster {
+	r := imagecodec.NewBlackRaster(w, h)
+	r.Fill(imagecodec.RGB{R: 255, G: 255, B: 255})
+	return r
+}
+
 func TestDrawTextAndMetrics(t *testing.T) {
-	r := imagecodec.NewRaster(200, 40)
+	r := whiteRaster(200, 40)
 	end := DrawText(r, 4, 4, "SONIC", 2, imagecodec.RGB{})
 	if end <= 4 {
 		t.Error("DrawText did not advance")

@@ -31,8 +31,8 @@ fi
 
 # sonic-vet's deadcode analyzer owns reachability: every function,
 # method and type must be reached from a binary, an example or the
-# benchmark (or a pin test), so neither an orphan package nor an uncalled
-# root API function gets past this leg.
+# benchmark, so neither an orphan package, an uncalled root API function
+# nor a reference copy only a test calls gets past this leg.
 echo "==> sonic-vet (project invariant analyzers)"
 go build -o "$work/sonic-vet" ./cmd/sonic-vet
 "$work/sonic-vet" ./...
@@ -96,7 +96,8 @@ go test ./internal/audio -run='^$' -fuzz='^FuzzReadWAV$' -fuzztime=5s
 # promise byte-identical output at any count. GOMAXPROCS=1 is where that
 # promise is cheapest to break (no real concurrency to hide behind).
 # The first five words are equivpin's pin-test names (pinTestName in
-# internal/analysis/equivpin.go); keep the two in step.
+# internal/analysis/equivpin.go); TestSerialLegSelectsPinTests fails
+# when the pattern lacks one.
 echo "==> GOMAXPROCS=1 leg: equivalence/parity suites"
 GOMAXPROCS=1 go test -run 'Equiv|Parity|Matches|Identical|Reference|Identity|Golden' -count=1 ./internal/...
 
