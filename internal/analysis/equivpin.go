@@ -2,24 +2,26 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"path/filepath"
 	"regexp"
 	"strings"
 )
 
 // EquivPin keeps optimized kernels pinned to their reference copies: in
-// any package that carries a *_equiv_test.go (the byte-identical
-// equivalence pin convention), every exported top-level function must
-// be exercised by a pin test — directly, or through a pinned caller. A
+// any package that has a pin test, every exported top-level function
+// must be exercised by one — directly, or through a pinned caller. A
 // new exported kernel entry point that no equivalence test reaches is
 // exactly how an optimization drifts from the reference implementation
 // unnoticed.
 //
 // Pin tests are recognized two ways, matching the repo's conventions:
 // everything in a *_equiv_test.go or *parity* test file counts, and so
-// does any test function whose name declares a comparison against a
-// reference (TestFFTPlanBitIdenticalToDirect,
-// TestFFTCorrelatorMatchesCrossCorrelate, ...). What a pin test refers
+// does any test or fuzz function whose name declares a comparison
+// against a reference (TestFFTPlanBitIdenticalToDirect,
+// TestFFTCorrelatorMatchesCrossCorrelate, ...). Either kind puts the
+// package under the rule, so deleting a package's pin file leaves it
+// judged by the pin-named tests that remain. What a pin test refers
 // to is pinned, and so is what that refers to, transitively, within the
 // package: deadcode's walk from the pin tests alone, confined to the
 // package, so a call into another package pins nothing there.
@@ -33,36 +35,62 @@ var pinTestName = regexp.MustCompile(`Equiv|Parity|Matches|Identical|Reference`)
 
 // pinRoots returns the pin-test code among the pass package's test
 // files, typed with its in-package tests: every *_equiv_test.go and
-// *parity* file whole, and the body of every other test whose name
-// matches pinTestName. equiv reports whether a pin file was among them.
-func pinRoots(pass *Pass) (roots []root, equiv bool) {
+// *parity* file whole, the body of every other test or fuzz function
+// whose name matches pinTestName, and the body of every test-file
+// helper those bodies call, transitively.
+func pinRoots(pass *Pass) []root {
 	var nodes []ast.Node
+	helpers := make(map[token.Pos]*ast.FuncDecl) // by the declared name's position
 	for _, f := range pass.Pkg.TestFiles {
 		base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
 		if strings.HasSuffix(base, "equiv_test.go") || strings.Contains(base, "parity") {
-			equiv = true
 			nodes = append(nodes, f)
 			continue
 		}
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && strings.HasPrefix(fd.Name.Name, "Test") && pinTestName.MatchString(fd.Name.Name) {
+			fd, ok := d.(*ast.FuncDecl)
+			switch {
+			case !ok || fd.Body == nil:
+			case isPinTest(fd.Name.Name):
 				nodes = append(nodes, fd.Body)
+			default:
+				helpers[fd.Name.Pos()] = fd
 			}
 		}
 	}
 	if len(nodes) == 0 {
-		return nil, equiv
+		return nil
 	}
 	info := pass.loader.testInfo(pass.Pkg)
-	for _, n := range nodes {
-		roots = append(roots, root{info, n})
+	for i := 0; i < len(nodes); i++ {
+		ast.Inspect(nodes[i], func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if obj := info.Uses[id]; obj != nil {
+					if fd := helpers[obj.Pos()]; fd != nil {
+						delete(helpers, obj.Pos())
+						nodes = append(nodes, fd.Body)
+					}
+				}
+			}
+			return true
+		})
 	}
-	return roots, equiv
+	roots := make([]root, len(nodes))
+	for i, n := range nodes {
+		roots[i] = root{info, n}
+	}
+	return roots
+}
+
+// isPinTest reports whether a function name is a test or fuzz target
+// named as a comparison against a reference.
+func isPinTest(name string) bool {
+	return (strings.HasPrefix(name, "Test") || strings.HasPrefix(name, "Fuzz")) && pinTestName.MatchString(name)
 }
 
 func runEquivPin(pass *Pass) {
-	roots, equiv := pinRoots(pass)
-	if !equiv {
+	roots := pinRoots(pass)
+	if roots == nil {
 		return
 	}
 	for d, pinned := range reach([]*Package{pass.Pkg}, roots) {

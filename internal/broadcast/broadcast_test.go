@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -193,6 +194,28 @@ func TestN200GrowsBacklog(t *testing.T) {
 	r200, _ := Simulate(pipe, cfg(2, p200))
 	if r200.Summarize().MeanBytes <= r100.Summarize().MeanBytes {
 		t.Error("doubling the catalog should grow the backlog at equal rate")
+	}
+}
+
+// TestExtendCorpusMatchesCorpus: an extended catalog is the corpus
+// itself, then whole copies of it in order whose pages differ from the
+// originals only by a ?v=<copy> query on the URL.
+func TestExtendCorpusMatchesCorpus(t *testing.T) {
+	base := corpus.Pages()
+	for _, n := range []int{1, len(base), 2*len(base) + 7} {
+		got := ExtendCorpus(n)
+		if len(got) != n {
+			t.Fatalf("ExtendCorpus(%d) has %d pages", n, len(got))
+		}
+		for i, p := range got {
+			want := base[i%len(base)]
+			if copyN := i / len(base); copyN > 0 {
+				want.URL = fmt.Sprintf("%s?v=%d", want.URL, copyN)
+			}
+			if p != want {
+				t.Fatalf("ExtendCorpus(%d)[%d] = %+v, want %+v", n, i, p, want)
+			}
+		}
 	}
 }
 

@@ -85,6 +85,32 @@ func TestSqrtPolicyBeatsFlatOnExpectedWait(t *testing.T) {
 	t.Logf("expected wait on one frequency: flat %.0fs, sqrt %.0fs (%.1fx)", flat, opt, improvement)
 }
 
+// TestCompareCarouselPoliciesMatchesCarousels: the ablation's two waits
+// are the expected waits of the flat and the sqrt corpus carousels,
+// built and measured one at a time.
+func TestCompareCarouselPoliciesMatchesCarousels(t *testing.T) {
+	pipe := fleetPipe(t)
+	pages := corpus.Pages()
+	for _, freqs := range []int{1, 3} {
+		flat, sqrt, err := CompareCarouselPolicies(pages, modelSize, pipe, freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []struct {
+			policy CarouselPolicy
+			got    float64
+		}{{PolicyFlat, flat}, {PolicySqrt, sqrt}} {
+			c, err := CorpusCarousel(pages, modelSize, want.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := c.ExpectedWaitSeconds(pipe, freqs); want.got != w {
+				t.Errorf("%d frequencies, policy %v: ablation wait %g s, carousel %g s", freqs, want.policy, want.got, w)
+			}
+		}
+	}
+}
+
 func TestScheduleProportions(t *testing.T) {
 	c, err := NewCarousel(testEntries(), PolicySqrt)
 	if err != nil {

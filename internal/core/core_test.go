@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"slices"
@@ -61,6 +62,40 @@ func TestBundleRoundTrip(t *testing.T) {
 	bad[0] = 0xFF // huge image length
 	if _, err := UnmarshalBundle(bad); err != ErrBadBundle {
 		t.Errorf("inconsistent bundle err = %v", err)
+	}
+}
+
+// TestBundleWireMatchesReference pins the bundle's wire layout to a
+// restatement of it: the image and click-map lengths as big-endian
+// uint32s, then the two parts. MarshalBundle of a plain bundle and of a
+// NewBundle one must both produce it, and UnmarshalBundle must read the
+// parts back out of it.
+func TestBundleWireMatchesReference(t *testing.T) {
+	ref := func(image, cm []byte) []byte {
+		out := binary.BigEndian.AppendUint32(nil, uint32(len(image)))
+		out = binary.BigEndian.AppendUint32(out, uint32(len(cm)))
+		return append(append(out, image...), cm...)
+	}
+	img := make([]byte, 3000)
+	rand.New(rand.NewSource(5)).Read(img)
+	for _, tc := range []struct{ image, cm []byte }{
+		{img, []byte(`{"page":"a.pk/"}`)},
+		{img[:1], nil},
+		{nil, []byte("clicks")},
+		{nil, nil},
+	} {
+		want := ref(tc.image, tc.cm)
+		if got := MarshalBundle(Bundle{Image: tc.image, ClickMap: tc.cm}); !bytes.Equal(got, want) {
+			t.Fatalf("%d+%d B: MarshalBundle differs from the reference layout", len(tc.image), len(tc.cm))
+		}
+		if got := MarshalBundle(NewBundle(tc.image, tc.cm)); !bytes.Equal(got, want) {
+			t.Fatalf("%d+%d B: NewBundle's wire form differs from the reference layout", len(tc.image), len(tc.cm))
+		}
+		b, err := UnmarshalBundle(want)
+		if err != nil || !bytes.Equal(b.Image, tc.image) || !bytes.Equal(b.ClickMap, tc.cm) {
+			t.Fatalf("%d+%d B: UnmarshalBundle of the reference layout = %d+%d B, err %v",
+				len(tc.image), len(tc.cm), len(b.Image), len(b.ClickMap), err)
+		}
 	}
 }
 

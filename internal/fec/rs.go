@@ -3,7 +3,6 @@ package fec
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // RS is a Reed-Solomon codec over GF(2^8) with N=255 total symbols and
@@ -18,10 +17,10 @@ import (
 // multiplier tables used for syndrome computation, so the per-byte work
 // is one table lookup + xor instead of log/exp arithmetic with zero
 // branches. Decoding scratch (syndromes, Berlekamp-Massey state, Chien/
-// Forney buffers, the codeword copy) comes from a per-instance pool, so
-// steady-state Decode performs a single output allocation. All of the
-// GF(2^8) arithmetic is exact, so outputs are byte-identical to the
-// straightforward implementation.
+// Forney buffers, the codeword copy) lives on Decode's stack, so Decode
+// performs a single output allocation. All of the GF(2^8) arithmetic is
+// exact, so outputs are byte-identical to the straightforward
+// implementation.
 type RS struct {
 	k      int    // data symbols per codeword
 	nroots int    // parity symbols per codeword
@@ -34,11 +33,9 @@ type RS struct {
 	// syndTab[i*256+v] = gfMul(v, alpha^(fcr+i)): the Horner multiplier
 	// table for syndrome/root i.
 	syndTab []byte
-
-	pool sync.Pool // *rsWork
 }
 
-// rsWork is the pooled per-decode scratch. Arrays are sized for the full
+// rsWork is the per-decode scratch. Arrays are sized for the full
 // N=255 code so one workspace serves every (possibly shortened) block.
 type rsWork struct {
 	block  [rsN]byte // codeword copy used by Decode
@@ -102,15 +99,6 @@ func NewRS8() *RS {
 	return r
 }
 
-func (r *RS) getWork() *rsWork {
-	if ws, ok := r.pool.Get().(*rsWork); ok {
-		return ws
-	}
-	return new(rsWork)
-}
-
-func (r *RS) putWork(ws *rsWork) { r.pool.Put(ws) }
-
 // appendParity appends the nroots parity symbols for data to out.
 func (r *RS) appendParity(out []byte, data []byte) []byte {
 	// Systematic encoding: parity = (msg * x^nroots) mod gen, computed over
@@ -165,7 +153,7 @@ func (r *RS) decodeBlock(block []byte, ws *rsWork) (data []byte, corrected int, 
 
 	// Berlekamp-Massey: find the error locator polynomial sigma
 	// (lowest degree first here for convenience). sigma/prev/scratch
-	// rotate through the three pooled buffers; lengths are tracked
+	// rotate through the three scratch buffers; lengths are tracked
 	// explicitly.
 	sigma, prev, spare := ws.bufA[:], ws.bufB[:], ws.bufC[:]
 	sigma[0], prev[0] = 1, 1
@@ -326,8 +314,7 @@ func (r *RS) Decode(stream []byte) ([]byte, int, error) {
 	if len(stream) > 0 {
 		out = make([]byte, 0, r.DecodedLen(len(stream)))
 	}
-	ws := r.getWork()
-	defer r.putWork(ws)
+	ws := new(rsWork)
 	total := 0
 	for len(stream) > 0 {
 		n := full

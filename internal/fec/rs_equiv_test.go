@@ -310,17 +310,17 @@ func TestRSDecodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// One output slice; the codeword copy and all decoder scratch are
-	// pooled.
+	// One output slice; the codeword copy and all decoder scratch stay
+	// on Decode's stack.
 	if allocs > 2 {
 		t.Errorf("Decode allocates %v objects per call, want <= 2", allocs)
 	}
 }
 
-// TestRSDecodeConcurrent shares one codec, and so its workspace pool,
-// between 8 goroutines decoding a multi-codeword stream and a
-// one-codeword one. Under -race a workspace handed back to the pool
-// while still in use is a data race.
+// TestRSDecodeConcurrent shares one codec between 8 goroutines decoding
+// a multi-codeword stream and a one-codeword one. Decode only reads the
+// codec's tables, so every goroutine must get the serial result; under
+// -race, scratch shared between calls would be a data race.
 func TestRSDecodeConcurrent(t *testing.T) {
 	r := NewRS8()
 	rng := rand.New(rand.NewSource(24))

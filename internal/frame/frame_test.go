@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -148,6 +149,28 @@ func TestChunkAndReassemble(t *testing.T) {
 	got, ok := r.Bytes()
 	if !ok || !bytes.Equal(got, blob) {
 		t.Fatal("reassembly mismatch")
+	}
+}
+
+// TestReassemblerMatchesChunkedBlob: frames arriving in any order, one
+// of them twice, reassemble to exactly the blob Chunk split, at sizes
+// on both sides of a frame's payload.
+func TestReassemblerMatchesChunkedBlob(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, PayloadSize, PayloadSize + 1, 7*PayloadSize - 3} {
+		blob := make([]byte, n)
+		rng.Read(blob)
+		frames := Chunk(7, blob)
+		arrivals := append(slices.Clone(frames), frames[rng.Intn(len(frames))])
+		rng.Shuffle(len(arrivals), func(i, j int) { arrivals[i], arrivals[j] = arrivals[j], arrivals[i] })
+		r := NewReassembler(7)
+		for _, f := range arrivals {
+			r.Add(f)
+		}
+		got, ok := r.Bytes()
+		if !ok || !bytes.Equal(got, blob) {
+			t.Fatalf("%d B: reassembled %d B (ok=%v), want the chunked blob", n, len(got), ok)
+		}
 	}
 }
 

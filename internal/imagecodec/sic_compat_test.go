@@ -13,11 +13,16 @@ import (
 
 // Bitstream compatibility suite. testdata/sic_v2 holds golden bitstreams
 // of the live format (one per equivalence raster × quality) with the raw
-// RGB pixels each must decode to, produced by the frozen v2 reference.
-// Only emitted generations are decoded: v1, which no encoder has emitted
+// RGB pixels each must decode to, produced by the frozen v2 reference
+// when it deflated at flate level 2. The encoder has since moved to
+// level 6 (sicV2FlateLevel), an encoder-only choice the format does not
+// record, so these streams are now also the fixture for streams aired
+// before that change: the live decoder must keep reading them. Only
+// emitted generations are decoded: v1, which no encoder has emitted
 // since the v2 bump and nothing persists, is rejected by the version
-// gate like any unknown byte. Regenerate (only after a deliberate format
-// change, alongside its version bump) with:
+// gate like any unknown byte. Regenerating rewrites the streams at the
+// reference's current level and drops the level-2 fixture, so do it only
+// after a deliberate format change, alongside its version bump:
 //
 //	SIC_GOLDEN_REGEN=1 go test ./internal/imagecodec -run TestSICGolden
 
@@ -123,6 +128,50 @@ func TestSICGoldenStreams(t *testing.T) {
 				if !bytes.Equal(r.Pix, wantPix) {
 					t.Fatalf("%s (workers=%d): decoded pixels differ from golden", sicPath, wk)
 				}
+			}
+		}
+	}
+}
+
+// TestSICFlateLevelIsEncoderOnly deflates the reference token planes of
+// every golden cell at each flate level 1–9 and demands the golden
+// pixels from the live decoder (one worker and four) and from
+// refDecodeSICv2 alike: the level changes the bytes on air, never what
+// they decode to, so the encoder may move it without a version bump.
+func TestSICFlateLevelIsEncoderOnly(t *testing.T) {
+	for name, src := range equivRasters() {
+		for _, q := range goldenQualities {
+			_, pixPath := goldenStream(name, q)
+			wantPix, err := os.ReadFile(pixPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes := map[int]bool{}
+			for level := 1; level <= 9; level++ {
+				blob, err := refEncodeSICv2Level(src, q, level)
+				if err != nil {
+					t.Fatalf("%s q=%d level=%d: encode: %v", name, q, level, err)
+				}
+				sizes[len(blob)] = true
+				ref, err := refDecodeSICv2(blob)
+				if err != nil {
+					t.Fatalf("%s q=%d level=%d: ref decode: %v", name, q, level, err)
+				}
+				if !bytes.Equal(ref.Pix, wantPix) {
+					t.Fatalf("%s q=%d level=%d: reference pixels differ from golden", name, q, level)
+				}
+				for _, wk := range []int{1, 4} {
+					r, err := DecodeSICWorkers(blob, wk)
+					if err != nil {
+						t.Fatalf("%s q=%d level=%d (workers=%d): decode: %v", name, q, level, wk, err)
+					}
+					if !bytes.Equal(r.Pix, wantPix) {
+						t.Fatalf("%s q=%d level=%d (workers=%d): decoded pixels differ from golden", name, q, level, wk)
+					}
+				}
+			}
+			if name == "page" && len(sizes) < 2 {
+				t.Fatalf("%s q=%d: every level gave the same stream size; the levels were not exercised", name, q)
 			}
 		}
 	}

@@ -630,10 +630,20 @@ func refV2EncodePlane(r *Raster, luma, cr bool, qt [64]int) []byte {
 	return e.dst
 }
 
+// refV2FlateLevel is the frozen encoder's flate level. The format does
+// not carry it: streams deflated at any level decode alike
+// (TestSICFlateLevelIsEncoderOnly).
+const refV2FlateLevel = 6
+
 // refV2Deflate compresses one plane's tokens at the frozen flate level.
 func refV2Deflate(tokens []byte) ([]byte, error) {
+	return refV2DeflateLevel(tokens, refV2FlateLevel)
+}
+
+// refV2DeflateLevel compresses one plane's tokens at the given level.
+func refV2DeflateLevel(tokens []byte, level int) ([]byte, error) {
 	var out bytes.Buffer
-	fw, err := flate.NewWriter(&out, 2)
+	fw, err := flate.NewWriter(&out, level)
 	if err != nil {
 		return nil, err
 	}
@@ -650,6 +660,12 @@ func refV2Deflate(tokens []byte) ([]byte, error) {
 // dimensions, quality byte, then three uvarint-length-prefixed per-plane
 // flate segments (Y, Cb, Cr).
 func refEncodeSICv2(r *Raster, quality int) ([]byte, error) {
+	return refEncodeSICv2Level(r, quality, refV2FlateLevel)
+}
+
+// refEncodeSICv2Level is refEncodeSICv2 with its segments deflated at
+// the given flate level.
+func refEncodeSICv2Level(r *Raster, quality, level int) ([]byte, error) {
 	if r == nil || r.W < 1 || r.H < 1 {
 		return nil, ErrEmptyRaster
 	}
@@ -669,7 +685,7 @@ func refEncodeSICv2(r *Raster, quality int) ([]byte, error) {
 	hdr[8] = byte(quality)
 	out.Write(hdr[:])
 	for _, tok := range planes {
-		comp, err := refV2Deflate(tok)
+		comp, err := refV2DeflateLevel(tok, level)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math"
@@ -217,6 +218,56 @@ func TestTransportOverTCP(t *testing.T) {
 	c.Close()
 	l.Close()
 	<-done
+}
+
+// TestTransmitterClientMatchesDequeue: a transmitter polling over the
+// control link gets what an in-process DequeuePageAt gets from a server
+// in the same state — URL, page ID and bundle bytes, in the same order —
+// and then an empty queue.
+func TestTransmitterClientMatchesDequeue(t *testing.T) {
+	remote, local := testServer(t), testServer(t)
+	now := time.Unix(0, 0)
+	for _, p := range corpus.Pages()[:2] {
+		for _, s := range []*Server{remote, local} {
+			if _, err := s.EnqueuePage(p.URL, 24.87, 67.01, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = remote.Serve(l)
+	}()
+	defer func() { l.Close(); <-done }()
+	c, err := DialTransmitter(l.Addr().String(), "khi-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; ; i++ {
+		url, pageID, b, ok, err := c.Poll()
+		if err != nil {
+			t.Fatalf("poll %d: %v", i, err)
+		}
+		wantURL, wantID, want, wantOK := local.DequeuePageAt("khi-1", time.Now())
+		if ok != wantOK || url != wantURL || pageID != wantID {
+			t.Fatalf("poll %d: %q id %d ok=%v, in-process %q id %d ok=%v", i, url, pageID, ok, wantURL, wantID, wantOK)
+		}
+		if !ok {
+			if i != 2 {
+				t.Fatalf("queue drained after %d pages, want 2", i)
+			}
+			return
+		}
+		if !bytes.Equal(core.MarshalBundle(b), core.MarshalBundle(want)) {
+			t.Fatalf("poll %d (%s): bundle differs from the in-process dequeue", i, url)
+		}
+	}
 }
 
 func TestTransportRejectsGarbage(t *testing.T) {

@@ -132,9 +132,10 @@ go build -o "$work/sonic-client" ./cmd/sonic-client
 # sweep and Fig. 4(c) regenerate byte-identically from this tree, so a
 # change that moves what the modem, the FEC stack or the FM link emit,
 # what a page airs for, or how many bytes the server renders it to fails
-# here unless it regenerates them on purpose. fig4b_size_cdf.csv and
-# fig5_user_study.csv are stale (they still hold the v0 seed's numbers)
-# and wait for ROADMAP item 6's bisect before they can join this leg.
+# here unless it regenerates them on purpose. fig4b_size_cdf.csv was
+# regenerated when SIC's flate level moved to 6, but a run takes ~60 s,
+# and whether it joins this leg is ROADMAP item 6's open step.
+# fig5_user_study.csv is stale (it still holds the v0 seed's numbers).
 echo "==> paper figures: fig4a, rssi and fig4c regenerate results-csv/ byte for byte"
 go build -o "$work/sonic-bench" ./cmd/sonic-bench
 "$work/sonic-bench" -exp fig4a -csv "$work" >/dev/null
@@ -143,6 +144,16 @@ go build -o "$work/sonic-bench" ./cmd/sonic-bench
 cmp results-csv/fig4a_frame_loss.csv "$work/fig4a_frame_loss.csv"
 cmp results-csv/rssi_sweep.csv "$work/rssi_sweep.csv"
 cmp results-csv/fig4c_backlog.csv "$work/fig4c_backlog.csv"
+
+# What a listener gets (ROADMAP item 15(a)): the benchmark's exact
+# metrics, the simulated-clock airtime and on-air latencies and the
+# shares, repeat bit for bit at one seed, so a change that moves how
+# long a page airs, when it airs or whether it arrives fails here unless
+# it regenerates results-csv/benchmark_exact.json on purpose (~20 s;
+# the regeneration command is in scripts/benchmark-exact.sh).
+echo "==> exact benchmark metrics reproduce results-csv/benchmark_exact.json"
+scripts/benchmark-exact.sh > "$work/benchmark_exact.json"
+cmp results-csv/benchmark_exact.json "$work/benchmark_exact.json"
 
 # The gate writes its by-products under ${TMPDIR:-/tmp}. A file it left
 # in the checkout is a tracked file it rewrote or an artifact .gitignore
