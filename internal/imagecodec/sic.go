@@ -453,17 +453,13 @@ func clamp8(v float64) uint8 {
 }
 
 // appendVarint appends a zigzag-encoded signed varint, matching
-// binary.PutUvarint's byte layout.
+// binary.PutVarint's byte layout.
 func appendVarint(dst []byte, v int) []byte {
 	u := uint64(v) << 1
 	if v < 0 {
 		u = ^u
 	}
-	for u >= 0x80 {
-		dst = append(dst, byte(u)|0x80)
-		u >>= 7
-	}
-	return append(dst, byte(u))
+	return appendUvarint(dst, u)
 }
 
 // byteCursor is a zero-allocation reader over the token stream, standing
@@ -484,39 +480,11 @@ func (c *byteCursor) readByte() (byte, error) {
 
 var errVarintOverflow = errors.New("imagecodec: varint overflows a 64-bit integer")
 
-// readVarint reads a zigzag-encoded signed varint, mirroring
-// binary.ReadUvarint's error behavior (io.EOF at a token boundary,
-// io.ErrUnexpectedEOF mid-varint).
+// readVarint reads a zigzag-encoded signed varint, with readUvarint's
+// errors.
 func (c *byteCursor) readVarint() (int, error) {
-	var u uint64
-	var shift uint
-	for n := 0; ; n++ {
-		if c.i >= len(c.b) {
-			if n > 0 {
-				return 0, io.ErrUnexpectedEOF
-			}
-			return 0, io.EOF
-		}
-		b := c.b[c.i]
-		c.i++
-		if b < 0x80 {
-			if n == 9 && b > 1 {
-				return 0, errVarintOverflow
-			}
-			u |= uint64(b) << shift
-			break
-		}
-		if n == 9 {
-			return 0, errVarintOverflow
-		}
-		u |= uint64(b&0x7f) << shift
-		shift += 7
-	}
-	v := int(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v, nil
+	u, err := c.readUvarint()
+	return int(u>>1) ^ -int(u&1), err
 }
 
 // sicBlock is one 8x8 block's quantized coefficients in zigzag order, as
@@ -531,14 +499,13 @@ type sicBlock struct {
 }
 
 // planeQuant is the per-plane quantization state. qf0 is the DC divisor
-// used by the flat-block shortcut; inv[i] folds the AAN descaling and
-// the quantizer divisor for zigzag index i into a single multiplier, so
-// quantizing one coefficient is a multiply, a zero test, and (rarely) a
-// round.
+// used by the flat-block shortcut; invQ[i] folds the AAN descaling and
+// the quantizer divisor for zigzag index i into one integer reciprocal,
+// so quantizing one coefficient is a zero test and (rarely) a multiply
+// and a shift.
 type planeQuant struct {
 	qf0     float64
 	quality uint8
-	inv     [64]float64
 	invQ    [64]int64
 	// zb[i] is the largest |coefficient| guaranteed to quantize to
 	// zero at zigzag index i: |c| <= zb ensures c*invQ+half stays in
@@ -568,8 +535,8 @@ const aanFixSlack = 3
 //     L1[u]/2·R_y + s. Coefficient (u, v) of the column pass is then
 //     at most Max[v]·Σ_y(L1[u]/2·R_y + s) + s, which is
 //     Max[v]·(L1[u]/2·ranges + 8s) + s.
-//   - Column u = 0 holds the row sums, exact (v[0] = tmp10 + tmp11, or
-//     8v on a flat row), so coefficient (0, v >= 1) is at most
+//   - Column u = 0 holds the row sums, exact (v[0] = tmp10 + tmp11),
+//     so coefficient (0, v >= 1) is at most
 //     L1[v]/2·(hi - lo) + s.
 //
 // newPlaneQuant solves each for the largest ranges and spread that
@@ -591,10 +558,10 @@ func newPlaneQuant(qt *[64]int, quality int) planeQuant {
 	pq.quality = uint8(quality)
 	for i := 0; i < 64; i++ {
 		p := zigzag[i]
-		pq.inv[i] = aanScale2D[p] / float64(qt[p])
+		inv := aanScale2D[p] / float64(qt[p])
 		// invQ folds the 16.16 input scale of the fixed-point DCT and
 		// the 40-bit quantizer scale into one integer reciprocal.
-		pq.invQ[i] = int64(math.Round(pq.inv[i] / (1 << lumaFixShift) * (1 << quantQShift)))
+		pq.invQ[i] = int64(math.Round(inv / (1 << lumaFixShift) * (1 << quantQShift)))
 		if pq.invQ[i] > 0 {
 			half := int64(1) << (quantQShift - 1)
 			pq.zb[i] = int32((half - 1) / pq.invQ[i])

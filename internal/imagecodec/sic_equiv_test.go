@@ -28,7 +28,7 @@ import (
 // bump (v1Parity).
 //
 // The optimized encoder classifies blocks (solid runs, two-valued glyph
-// blocks with a quantization cache, duplicate rows) and short-circuits
+// blocks with a quantization cache, DC-only blocks) and short-circuits
 // the transform; every shortcut is exact in integer arithmetic, which is
 // why the naive reference — which always takes the long way — must
 // produce the same bytes. The codec-semantic rules that are NOT plain
@@ -1015,6 +1015,54 @@ func TestSICEncodeV2MatchesReference(t *testing.T) {
 	}
 }
 
+// TestSICFullGlyphCacheMatchesReference pins that the glyph cache's cap
+// changes speed, never bytes: with sicMaskCache filled to
+// sicMaskCacheMax by keys no block makes (quality above MaxQuality),
+// every two-valued block misses and is quantized without being stored,
+// and the encoder must still emit the reference's bytes.
+func TestSICFullGlyphCacheMatchesReference(t *testing.T) {
+	// sync.Map.Clear needs go 1.23; go.mod says 1.22.
+	empty := func() {
+		sicMaskCache.Range(func(k, _ any) bool {
+			sicMaskCache.Delete(k)
+			return true
+		})
+		sicMaskCount.Store(0)
+	}
+	empty()
+	t.Cleanup(empty)
+	for i := range sicMaskCacheMax {
+		sicMaskCache.Store(sicMaskKey{mask: uint64(i), quality: MaxQuality + 1}, &sicMaskVal{})
+	}
+	sicMaskCount.Store(sicMaskCacheMax)
+	for name, src := range equivRasters() {
+		for _, q := range []int{10, 50} {
+			want, err := refEncodeSICv2(src, q)
+			if err != nil {
+				t.Fatalf("%s q=%d: ref: %v", name, q, err)
+			}
+			got, err := EncodeSICWorkers(src, q, 1)
+			if err != nil {
+				t.Fatalf("%s q=%d: %v", name, q, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s q=%d: encoded bytes with a full glyph cache differ from v2 reference (len %d vs %d)", name, q, len(got), len(want))
+			}
+		}
+	}
+	n := 0
+	sicMaskCache.Range(func(k, _ any) bool {
+		if k.(sicMaskKey).quality <= MaxQuality {
+			t.Errorf("a full glyph cache stored a real block's key %+v", k)
+		}
+		n++
+		return true
+	})
+	if n != sicMaskCacheMax || sicMaskCount.Load() != sicMaskCacheMax {
+		t.Errorf("glyph cache holds %d entries, count %d; want both %d", n, sicMaskCount.Load(), sicMaskCacheMax)
+	}
+}
+
 func TestSICEncoderWorkerIdentity(t *testing.T) {
 	for name, src := range equivRasters() {
 		for _, q := range []int{10, 90} {
@@ -1260,7 +1308,7 @@ func TestDCOnlyBoundMatchesQuantizer(t *testing.T) {
 		fired++
 		var q [64]int32
 		work := *blk
-		dc, nz := quantizeIntBlock(&work, &q, pq, 0)
+		dc, nz := quantizeIntBlock(&work, &q, pq)
 		if want := pq.quantDC(st.sum); nz != 0 || dc != want {
 			t.Fatalf("quality %d %s (ranges %d, spread %d; bounds %d, %d): skipped a block whose DCT gives %d AC and DC %d, want 0 AC and DC %d",
 				pq.quality, what, st.ranges, st.hi-st.lo, pq.maxRanges, pq.maxSpread, nz, dc, want)

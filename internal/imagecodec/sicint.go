@@ -1,25 +1,21 @@
 package imagecodec
 
 import (
-	"bytes"
 	"math"
 	"sync"
 	"sync/atomic"
 )
 
-// Integer encode path. The v1 encoder carried float64 through color
-// transform, DCT, and quantization; on a single core those latency
-// chains were the bulk of encode_sic. The v2 encoder is fully integer:
-// a 16.16 fixed-point color transform, a 12-bit fixed-point AAN DCT
-// (int32 adds with int64 multiply intermediates), and a 40-bit
-// reciprocal quantizer. Edge blocks clamp-replicate the last row/column
-// (luma) and scale partial quads to the 4-pixel table range (chroma) —
-// exact, since the surviving quad pixel count always divides 4. The
-// decoder is float and untouched: the quantizer emits plain integers
-// and the bitstream cannot tell which arithmetic produced them. The v2
-// encoder is pinned byte-identical to the frozen reference copy in
-// sic_equiv_test.go, and statistically (PSNR/size) against the recorded
-// figures of the v1 float reference, per the PR 4 precedent.
+// Integer encode path. The encoder is fully integer: a 16.16
+// fixed-point color transform, a 12-bit fixed-point AAN DCT (int32 adds
+// with int64 multiply intermediates), and a 40-bit reciprocal
+// quantizer. Edge blocks clamp-replicate the last row/column (luma) and
+// scale partial quads to the 4-pixel table range (chroma) — exact, since
+// the surviving quad pixel count always divides 4. The decoder is float:
+// the quantizer emits plain integers and the bitstream cannot tell which
+// arithmetic produced them. The encoder is pinned byte-identical to the
+// frozen reference copy in sic_equiv_test.go, and statistically
+// (PSNR/size) against recorded figures of a float reference.
 
 // lumaFixShift is the color-transform fixed-point scale (16.16).
 const lumaFixShift = 16
@@ -127,37 +123,16 @@ func intFdct8(v *[8]int32) {
 	v[7] = z11 - z4
 }
 
-// intFdctBlock is aanFdctBlock on 16.16 fixed point, with the same
-// flat-row/column short-circuits (exact in integers: sums of equal
-// values are doublings, differences cancel to zero). dupRows marks rows
-// whose samples are identical to the row above; their row transform is
-// a copy of the previous row's output, which is exact because the row
-// DCT is a pure function of the row.
-func intFdctBlock(b *[64]int32, dupRows uint8) {
+// intFdctBlock is the separable 2-D intFdct8 on an 8x8 block: rows,
+// then columns.
+func intFdctBlock(b *[64]int32) {
 	for y := 0; y < 8; y++ {
-		r := (*[8]int32)(b[y*8 : y*8+8])
-		if dupRows&(1<<y) != 0 {
-			copy(r[:], b[(y-1)*8:y*8])
-			continue
-		}
-		if v := r[0]; v == r[1] && v == r[2] && v == r[3] && v == r[4] && v == r[5] && v == r[6] && v == r[7] {
-			r[0] = 8 * v
-			r[1], r[2], r[3], r[4], r[5], r[6], r[7] = 0, 0, 0, 0, 0, 0, 0
-			continue
-		}
-		intFdct8(r)
+		intFdct8((*[8]int32)(b[y*8 : y*8+8]))
 	}
 	var col [8]int32
 	for x := 0; x < 8; x++ {
 		for y := 0; y < 8; y++ {
 			col[y] = b[y*8+x]
-		}
-		if v := col[0]; v == col[1] && v == col[2] && v == col[3] && v == col[4] && v == col[5] && v == col[6] && v == col[7] {
-			b[x] = 8 * v
-			for y := 1; y < 8; y++ {
-				b[y*8+x] = 0
-			}
-			continue
 		}
 		intFdct8(&col)
 		for y := 0; y < 8; y++ {
@@ -170,17 +145,15 @@ func intFdctBlock(b *[64]int32, dupRows uint8) {
 // flat block is one value, first (uncentered for luma, centered for
 // chroma). mask/a/b classify two-valued luma blocks (set when two is
 // true): bit i of mask is 1 where sample i equals b, 0 where it equals
-// a. dupRows bit y (1..7) marks rows whose source bytes equal row y-1 —
-// their converted samples and row DCTs are identical by construction.
-// st holds the filled samples' row statistics, whenever blk was filled.
+// a. st holds the filled samples' row statistics, whenever blk was
+// filled.
 type intLoadInfo struct {
-	first   int32
-	flat    bool
-	two     bool
-	mask    uint64
-	a, b    int32
-	dupRows uint8
-	st      blockStats
+	first int32
+	flat  bool
+	two   bool
+	mask  uint64
+	a, b  int32
+	st    blockStats
 }
 
 // blockStats is what the DC-only test (planeQuant.dcOnly) reads of a
@@ -247,8 +220,7 @@ func loadLumaIntEdge(r *Raster, blk *[64]int32, info *intLoadInfo, x0, y0 int) {
 // the glyph cache usually makes the samples unnecessary, and on a miss
 // quantizeTwoValued reconstructs them from the mask in 64 stores.
 // Everything else (photo blocks bail within a few pixels) takes the
-// plain conversion pass. dupRows marks rows byte-identical to the row
-// above; conversion copies them and the DCT row pass reuses them.
+// plain conversion pass.
 func loadLumaInt(r *Raster, blk *[64]int32, info *intLoadInfo, bx, by int) {
 	w, h := r.W, r.H
 	x0, y0 := bx*8, by*8
@@ -270,18 +242,10 @@ func loadLumaInt(r *Raster, blk *[64]int32, info *intLoadInfo, bx, by int) {
 	haveB := false
 	two := true
 	var mask uint64
-	var dupRows uint8
-	var prev []byte
 scan:
 	for y := 0; y < 8; y++ {
 		off := base + y*stride
 		row := pix[off : off+24]
-		if y > 0 && bytes.Equal(row, prev) {
-			dupRows |= 1 << y
-			mask |= (mask >> (8 * (y - 1)) & 0xFF) << (8 * y)
-			continue
-		}
-		prev = row
 		for x := 0; x < 8; x++ {
 			p0, p1, p2 := row[3*x], row[3*x+1], row[3*x+2]
 			if p0 == ta0 && p1 == ta1 && p2 == ta2 {
@@ -305,36 +269,27 @@ scan:
 			return
 		}
 		*info = intLoadInfo{
-			two:     true,
-			mask:    mask,
-			a:       va - center,
-			b:       yFixR[tb0] + yFixG[tb1] + yFixB[tb2] - center,
-			dupRows: dupRows,
+			two:  true,
+			mask: mask,
+			a:    va - center,
+			b:    yFixR[tb0] + yFixG[tb1] + yFixB[tb2] - center,
 		}
 		return
 	}
-	dupRows = 0
-	prev = nil
 	var st blockStats
 	for y := 0; y < 8; y++ {
 		off := base + y*stride
 		row := (*[24]byte)(pix[off : off+24])
 		out := (*[8]int32)(blk[y*8 : y*8+8])
-		if y > 0 && bytes.Equal(row[:], prev) {
-			dupRows |= 1 << y
-			copy(out[:], blk[(y-1)*8:y*8])
-		} else {
-			prev = row[:]
-			for x := 0; x < 8; x++ {
-				out[x] = yFixR[row[3*x]] + yFixG[row[3*x+1]] + yFixB[row[3*x+2]] - center
-			}
+		for x := 0; x < 8; x++ {
+			out[x] = yFixR[row[3*x]] + yFixG[row[3*x+1]] + yFixB[row[3*x+2]] - center
 		}
 		st.addRow(y, out)
 	}
 	// Not flat even if st says so: an interior luma block is flat only
 	// when its RGB triples are one, and one value drawn from distinct
 	// triples takes the DCT (here, the DC-only test).
-	*info = intLoadInfo{dupRows: dupRows, st: st}
+	*info = intLoadInfo{st: st}
 }
 
 // grayRegion reports whether every pixel of the region has r == g == b.
@@ -510,7 +465,7 @@ func quantizeTwoValued(blk *[64]int32, info *intLoadInfo, pq *planeQuant) *sicMa
 		}
 	}
 	v := &sicMaskVal{}
-	dc, nz := quantizeIntBlock(blk, &v.q, pq, info.dupRows)
+	dc, nz := quantizeIntBlock(blk, &v.q, pq)
 	v.q[0] = int32(dc)
 	v.nz = int32(nz)
 	if nz > 0 {
@@ -535,21 +490,6 @@ func flatDCFix(first int32, centered bool, qf0 float64) int {
 	return int(math.Round(v * 8 / qf0))
 }
 
-// flatMemo remembers the last flat block's sample value and DC: flat
-// blocks come in runs of one value, so flatDCFix's divide and round run
-// once per run.
-type flatMemo struct {
-	first, dc int32
-	have      bool
-}
-
-func (m *flatMemo) flatDC(first int32, centered bool, qf0 float64) int32 {
-	if !m.have || first != m.first {
-		m.first, m.dc, m.have = first, int32(flatDCFix(first, centered, qf0)), true
-	}
-	return m.dc
-}
-
 // quantQShift is the fixed-point quantizer reciprocal scale. 40 bits
 // keeps the smallest reciprocal (quality 0, largest divisor) at ~2^10
 // so rounding error stays far below half a quantizer step, while the
@@ -559,11 +499,9 @@ const quantQShift = 40
 // quantizeIntBlock runs the fixed-point DCT and quantizes into q,
 // returning the DC and the non-zero AC count. The quantizer is pure
 // integer: multiply by the 40-bit reciprocal, add half, arithmetic
-// shift — round-half-up, which differs from the float path's
-// round-half-away only on exact .5 products (and is pinned by the v2
-// reference copy, not bit-matched to v1).
-func quantizeIntBlock(blk *[64]int32, q *[64]int32, pq *planeQuant, dupRows uint8) (dc, nz int) {
-	intFdctBlock(blk, dupRows)
+// shift — round-half-up, pinned by the frozen reference copy.
+func quantizeIntBlock(blk *[64]int32, q *[64]int32, pq *planeQuant) (dc, nz int) {
+	intFdctBlock(blk)
 	const half = int64(1) << (quantQShift - 1)
 	dc = pq.quantDC(blk[0])
 	for i := 1; i < 64; i++ {

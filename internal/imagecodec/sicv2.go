@@ -13,11 +13,9 @@ import (
 	"sonic/internal/parallel"
 )
 
-// SIC bitstream v2 is a codec-aware entropy stage over the same quantized
-// coefficients as v1. Where v1 ran generic DEFLATE at DefaultCompression
-// over a (varint dcDelta, (runByte, varint value)*, 0xFF) token stream,
-// v2 restructures the tokens so the stream is already close to its
-// entropy before flate sees it, then deflates each plane:
+// SIC bitstream v2 is a codec-aware entropy stage over the quantized
+// coefficients: the tokens are packed so the stream is already close to
+// its entropy before flate sees it, then each plane is deflated:
 //
 //	header:  "SIC2" | W u32 BE | H u32 BE | quality u8
 //	body:    3 plane segments (Y, Cb, Cr), each
@@ -36,17 +34,15 @@ import (
 //
 //	0x00..0xDF  packed (run, value): run = b/14 in 0..15, value from
 //	            b%14 in {-7..-1, +1..+7} — one byte for the overwhelming
-//	            majority of (short run, small value) pairs v1 spent a
-//	            run byte plus a varint on
+//	            majority of (run, value) pairs
 //	0xFD        escape: uvarint(run), varint(value)
 //	0xFE        end of block
 //
 // A block whose quantized ACs are all zero is flat *for entropy
 // purposes* regardless of how it was loaded: the decoder reconstructs a
 // DC-only block as a constant fill either way, so v2 folds those blocks
-// into the flat-run alphabet. The quantized coefficients are the ones v1
-// carried — the bump changed the entropy stage only — and v1 itself is
-// retired: DecodeSIC rejects its version byte.
+// into the flat-run alphabet. v2 is the only version DecodeSIC reads: it
+// rejects the retired v1 version byte.
 const sicMagicV2 = "SIC2"
 
 const (
@@ -86,8 +82,9 @@ func appendUvarint(dst []byte, u uint64) []byte {
 	return append(dst, byte(u))
 }
 
-// readUvarint reads an unsigned varint, mirroring readVarint's error
-// behavior (io.EOF at a token boundary, io.ErrUnexpectedEOF mid-varint).
+// readUvarint reads an unsigned varint, mirroring binary.ReadUvarint's
+// error behavior (io.EOF at a token boundary, io.ErrUnexpectedEOF
+// mid-varint).
 func (c *byteCursor) readUvarint() (uint64, error) {
 	var u uint64
 	var shift uint
@@ -213,15 +210,15 @@ func (e *v2Emitter) emitBlock(b *sicBlock) {
 // block quantizes its DC directly (info.first is its sample value), a
 // block whose statistics prove it DC-only quantizes its sum, and
 // anything else runs the fixed-point DCT and quantizer.
-func quantizeBlock(b *sicBlock, blk *[64]int32, info *intLoadInfo, centered bool, pq *planeQuant, memo *flatMemo) {
+func quantizeBlock(b *sicBlock, blk *[64]int32, info *intLoadInfo, centered bool, pq *planeQuant) {
 	b.mv = nil
 	switch {
 	case info.flat:
-		b.flat, b.q[0] = true, memo.flatDC(info.first, centered, pq.qf0)
+		b.flat, b.q[0] = true, int32(flatDCFix(info.first, centered, pq.qf0))
 	case pq.dcOnly(&info.st):
 		b.flat, b.q[0] = true, int32(pq.quantDC(info.st.sum))
 	default:
-		dc, nz := quantizeIntBlock(blk, &b.q, pq, info.dupRows)
+		dc, nz := quantizeIntBlock(blk, &b.q, pq)
 		b.flat, b.q[0] = nz == 0, int32(dc)
 	}
 }
@@ -240,14 +237,13 @@ func encodeLumaTokensV2(dst []byte, r *Raster, qt *[64]int, quality, workers int
 	quantize := func(lo, hi int) {
 		var blk [64]int32
 		var info intLoadInfo
-		var memo flatMemo
 		bx, by := lo%bw, by0+lo/bw
 		for i := lo; i < hi; i++ {
 			loadLumaInt(r, &blk, &info, bx, by)
 			if info.two {
 				band[i].mv = quantizeTwoValued(&blk, &info, &pq)
 			} else {
-				quantizeBlock(&band[i], &blk, &info, false, &pq, &memo)
+				quantizeBlock(&band[i], &blk, &info, false, &pq)
 			}
 			if bx++; bx == bw {
 				bx, by = 0, by+1
@@ -279,12 +275,11 @@ func encodeChromaTokensPairV2(cbDst, crDst []byte, r *Raster, qt *[64]int, quali
 	quantize := func(lo, hi int) {
 		var cbBlk, crBlk [64]int32
 		var cbInfo, crInfo intLoadInfo
-		var cbMemo, crMemo flatMemo
 		bx, by := lo%bw, by0+lo/bw
 		for i := lo; i < hi; i++ {
 			loadChromaPairInt(r, &cbBlk, &crBlk, &cbInfo, &crInfo, bx, by)
-			quantizeBlock(&cbBand[i], &cbBlk, &cbInfo, true, &pq, &cbMemo)
-			quantizeBlock(&crBand[i], &crBlk, &crInfo, true, &pq, &crMemo)
+			quantizeBlock(&cbBand[i], &cbBlk, &cbInfo, true, &pq)
+			quantizeBlock(&crBand[i], &crBlk, &crInfo, true, &pq)
 			if bx++; bx == bw {
 				bx, by = 0, by+1
 			}
@@ -714,15 +709,11 @@ func reconstructBlock(dst *[64]float64, q *[64]int32, qz *[64]int) {
 // of plane p, into p.
 func storeBlocks(p *plane, blocks []decBlock, d *planeDecoder, by0 int) {
 	var blk [64]float64
-	flatDC, flatVal := 0, float64(128) // the fill for a DC of 0
 	bx, by := 0, by0
 	for i := range blocks {
 		switch b := &blocks[i]; {
 		case b.flat:
-			if dc := int(b.q[0]); dc != flatDC {
-				flatDC, flatVal = dc, float64(dc*d.qz[0])/8+128
-			}
-			storeFlat(p, flatVal, bx, by)
+			storeFlat(p, float64(int(b.q[0])*d.qz[0])/8+128, bx, by)
 		case b.memo >= 0:
 			storeBlock(p, d.memo.samples(b.memo), bx, by)
 		default:

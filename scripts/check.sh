@@ -129,20 +129,22 @@ go build -o "$work/sonic-client" ./cmd/sonic-client
 "$work/sonic-client" -in "$work/page.wav" -png "$work/page.png" -clicks "$work/clicks.json"
 
 # The paper reproduction, as far as it reproduces: Fig. 4(a), the RSSI
-# sweep and Fig. 4(c) regenerate byte-identically from this tree, so a
-# change that moves what the modem, the FEC stack or the FM link emit,
-# what a page airs for, or how many bytes the server renders it to fails
-# here unless it regenerates them on purpose. fig4b_size_cdf.csv was
-# regenerated when SIC's flate level moved to 6, but a run takes ~60 s,
-# and whether it joins this leg is ROADMAP item 6's open step.
+# sweep, Fig. 4(b) and Fig. 4(c) regenerate byte-identically from this
+# tree, so a change that moves what the modem, the FEC stack or the FM
+# link emit, what a page airs for, or how many bytes the server renders
+# it to fails here unless it regenerates them on purpose. fig4b is the
+# corpus-wide gate on SIC's sizes: 400 encodes (100 pages at Q10
+# cropped and uncropped, Q50 and Q90), ~45 s on 2 vCPUs.
 # fig5_user_study.csv is stale (it still holds the v0 seed's numbers).
-echo "==> paper figures: fig4a, rssi and fig4c regenerate results-csv/ byte for byte"
+echo "==> paper figures: fig4a, rssi, fig4b and fig4c regenerate results-csv/ byte for byte"
 go build -o "$work/sonic-bench" ./cmd/sonic-bench
 "$work/sonic-bench" -exp fig4a -csv "$work" >/dev/null
 "$work/sonic-bench" -exp rssi -csv "$work" >/dev/null
+"$work/sonic-bench" -exp fig4b -csv "$work" >/dev/null
 "$work/sonic-bench" -exp fig4c -csv "$work" >/dev/null
 cmp results-csv/fig4a_frame_loss.csv "$work/fig4a_frame_loss.csv"
 cmp results-csv/rssi_sweep.csv "$work/rssi_sweep.csv"
+cmp results-csv/fig4b_size_cdf.csv "$work/fig4b_size_cdf.csv"
 cmp results-csv/fig4c_backlog.csv "$work/fig4c_backlog.csv"
 
 # What a listener gets (ROADMAP item 15(a)): the benchmark's exact
