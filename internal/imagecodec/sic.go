@@ -177,43 +177,15 @@ func fdct8(v *[8]float64) {
 	*v = out
 }
 
-// idct8 performs the inverse of fdct8. Zero coefficients are skipped:
-// each skipped term contributes a signed zero to a sum that is never
-// negative zero (it starts at +0 and IEEE-754 round-to-nearest addition
-// of finite operands only yields -0 from (-0)+(-0)), so the result is
-// bit-identical to accumulating all eight terms in order. Dequantized
-// spectra are sparse, which makes this the decoder's main win.
+// idct8 performs the inverse of fdct8.
 func idct8(v *[8]float64) {
-	var cv [8]float64
-	var ki [8]int
-	m := 0
-	for k := 0; k < 8; k++ {
-		x := v[k]
-		if x == 0 {
-			continue
-		}
-		c := dctScaleK
-		if k == 0 {
-			c = dctScale0
-		}
-		cv[m] = c * x
-		ki[m] = k
-		m++
-	}
-	// DC-only vector: dctCos[0][n] is exactly 1.0 for every n, so each
-	// output is +0 + cv*1.0 == cv — a broadcast, bit for bit.
-	if m == 1 && ki[0] == 0 {
-		x := cv[0]
-		*v = [8]float64{x, x, x, x, x, x, x, x}
-		return
-	}
 	var out [8]float64
-	// Accumulate one coefficient's contribution across all samples per
-	// step: each out[n] still sums its terms in increasing-j order, so
-	// the result is bit-identical to the naive double loop.
-	for j := 0; j < m; j++ {
-		c := &dctCos[ki[j]]
-		x := cv[j]
+	for k := 0; k < 8; k++ {
+		x := dctScaleK * v[k]
+		if k == 0 {
+			x = dctScale0 * v[k]
+		}
+		c := &dctCos[k]
 		out[0] += x * c[0]
 		out[1] += x * c[1]
 		out[2] += x * c[2]
@@ -266,20 +238,11 @@ func aanFdct8(v *[8]float64) {
 }
 
 // idctBlock applies the separable 2-D inverse DCT to an 8x8 block.
-// All-zero columns are left untouched: the transform of a zero vector is
-// +0 everywhere, which is what the block already holds.
 func idctBlock(b *[64]float64) {
 	var row [8]float64
 	for x := 0; x < 8; x++ {
-		zero := true
 		for y := 0; y < 8; y++ {
 			row[y] = b[y*8+x]
-			if row[y] != 0 {
-				zero = false
-			}
-		}
-		if zero {
-			continue
 		}
 		idct8(&row)
 		for y := 0; y < 8; y++ {
@@ -369,19 +332,6 @@ func toRGBRows(yp, cb, cr *plane, dst []byte, lo, hi int) {
 		cbrow := cb.pix[crow : crow+cw]
 		crrow := cr.pix[crow : crow+cw]
 		orow := dst[3*y*w : 3*(y+1)*w]
-		// Row dedup: flat regions are two-dimensional, so a row whose
-		// inputs match the previous row's converts to the same bytes —
-		// copy them instead. Only rows inside this call's span are
-		// compared (the previous output row must already be written),
-		// so the result is identical for any worker count.
-		if y > lo {
-			pc := ((y - 1) / 2) * cw
-			if equalF64(yrow, yp.pix[(y-1)*w:y*w]) &&
-				(pc == crow || (equalF64(cbrow, cb.pix[pc:pc+cw]) && equalF64(crrow, cr.pix[pc:pc+cw]))) {
-				copy(orow, dst[3*(y-1)*w:3*y*w])
-				continue
-			}
-		}
 		// Run-stamped pixel conversion: web rasters are dominated by
 		// constant runs, where one conversion covers the whole run and
 		// the output bytes are stamped with a doubling copy. Chroma runs
@@ -424,22 +374,6 @@ func toRGBRows(yp, cb, cr *plane, dst []byte, lo, hi int) {
 			}
 		}
 	}
-}
-
-// equalF64 reports whether two float64 rows compare equal element-wise.
-// == equates +0 and -0, but every conversion below maps the two zeros to
-// the same bytes (clamp8 folds both to 0 and x+(-0) == x+(+0) for all
-// finite x), so rows that compare equal convert identically.
-func equalF64(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func clamp8(v float64) uint8 {
@@ -493,9 +427,10 @@ func (c *byteCursor) readVarint() (int, error) {
 // instead of q, so the emitter reuses the entry's pre-rendered AC
 // tokens. The decoder parses into decBlock.
 type sicBlock struct {
-	flat bool
-	mv   *sicMaskVal
-	q    [64]int32
+	flat  bool
+	class blockClass // a luma block's, for the chroma region over it
+	mv    *sicMaskVal
+	q     [64]int32
 }
 
 // planeQuant is the per-plane quantization state. qf0 is the DC divisor

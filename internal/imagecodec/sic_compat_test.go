@@ -17,14 +17,18 @@ import (
 // when it deflated at flate level 2. The encoder has since moved to
 // level 6 (sicV2FlateLevel), an encoder-only choice the format does not
 // record, so these streams are now also the fixture for streams aired
-// before that change: the live decoder must keep reading them. Only
-// emitted generations are decoded: v1, which no encoder has emitted
-// since the v2 bump and nothing persists, is rejected by the version
-// gate like any unknown byte. Regenerating rewrites the streams at the
-// reference's current level and drops the level-2 fixture, so do it only
-// after a deliberate format change, alongside its version bump:
+// before that change: the live decoder must keep reading them. The
+// margin cells, added after the move, are at level 6. Only emitted
+// generations are decoded: v1, which no encoder has emitted since the
+// v2 bump and nothing persists, is rejected by the version gate like any
+// unknown byte. Regenerating rewrites the streams at the reference's
+// current level and drops the level-2 fixture, so do it only after a
+// deliberate format change, alongside its version bump:
 //
 //	SIC_GOLDEN_REGEN=1 go test ./internal/imagecodec -run TestSICGolden
+//
+// To add the cells of a new equivalence raster alone, regenerate and
+// then restore the tracked files (git checkout internal/imagecodec/testdata).
 
 var goldenQualities = []int{0, 10, 50, 95}
 
@@ -272,32 +276,66 @@ func FuzzSICDecode(f *testing.F) {
 
 // FuzzSICEncodeMatchesReference is the encoder's differential harness:
 // a small raster the fuzzer draws, at a quality it picks, must encode to
-// the frozen reference encoder's bytes at one worker and at three. Each
-// pixel is a per-channel gradient plus the fuzzer's data shifted right
-// by grain%8, so a large shift keeps blocks to the low ranges where the
-// DC-only bound decides, and a small one gives the transform real work.
-// The seeds are low-range content around that bound.
+// the frozen reference encoder's bytes at one worker and at three. In
+// gradient mode each pixel is a per-channel gradient plus the fuzzer's
+// data shifted right by grain%8, so a large shift keeps blocks to the
+// low ranges where the DC-only bound decides, and a small one gives the
+// transform real work; every block it makes has three or more triples.
+// In tile mode (tilePalette) data paints each 8x8 tile as one of the
+// classes the loaders tell apart: solid, two triples, two gray triples,
+// three or more gray levels, or colour. The seeds are low-range content
+// around the DC-only bound, and tiled rasters whose widths leave a
+// chroma edge column over 8 pixels (width = 8 mod 16), as a 1080-wide
+// page does.
 func FuzzSICEncodeMatchesReference(f *testing.F) {
 	grainSeed := rand.New(rand.NewSource(5))
 	grainBytes := make([]byte, 97)
 	for i := range grainBytes {
 		grainBytes[i] = byte(grainSeed.Intn(256))
 	}
-	f.Add(uint8(47), uint8(33), uint8(10), uint8(5), grainBytes)
-	f.Add(uint8(40), uint8(40), uint8(0), uint8(4), grainBytes)
-	f.Add(uint8(17), uint8(9), uint8(50), uint8(6), grainBytes[:13])
-	f.Add(uint8(31), uint8(24), uint8(10), uint8(7), []byte(nil))
-	f.Add(uint8(1), uint8(1), uint8(95), uint8(0), []byte{200})
+	f.Add(uint8(47), uint8(33), uint8(10), uint8(5), false, grainBytes)
+	f.Add(uint8(40), uint8(40), uint8(0), uint8(4), false, grainBytes)
+	f.Add(uint8(17), uint8(9), uint8(50), uint8(6), false, grainBytes[:13])
+	f.Add(uint8(31), uint8(24), uint8(10), uint8(7), false, []byte(nil))
+	f.Add(uint8(1), uint8(1), uint8(95), uint8(0), false, []byte{200})
+	// A 40x40 raster is 5x5 tiles: four interior 16x16 regions, and an
+	// edge column and row 8 pixels deep. tiled sets the listed tiles' d
+	// and leaves the rest solid white.
+	tiled := func(set map[int]byte) []byte {
+		data := make([]byte, 2*25)
+		for t, d := range set {
+			data[2*t] = d
+		}
+		return data
+	}
+	// One solid colour (120) quadrant in each position, an edge region
+	// half colour, a corner of a colour per pixel (4).
+	f.Add(uint8(39), uint8(39), uint8(10), uint8(0), true, tiled(map[int]byte{6: 120, 7: 120, 11: 120, 12: 120, 19: 120, 24: 4}))
+	// Two-triple tiles of colour over white (26) and white over colour
+	// (96), each the only non-white quadrant of its region.
+	f.Add(uint8(39), uint8(39), uint8(50), uint8(0), true, tiled(map[int]byte{0: 26, 3: 96, 11: 96, 18: 26}))
+	// Three gray levels in each quadrant position, untinted (3) and
+	// tinted (0x80), beside two gray triples (2).
+	f.Add(uint8(39), uint8(39), uint8(50), uint8(0), true, tiled(map[int]byte{0: 3, 3: 0x80, 15: 0x80, 12: 3, 18: 3, 2: 2}))
+	// A 36-pixel-wide raster: the last tile column is a partial luma
+	// block, here white with colour under a mask (96), beside white.
+	f.Add(uint8(35), uint8(39), uint8(10), uint8(0), true, tiled(map[int]byte{4: 96, 14: 96, 24: 96}))
+	f.Add(uint8(23), uint8(47), uint8(10), uint8(3), true, grainBytes)
+	f.Add(uint8(39), uint8(31), uint8(0), uint8(1), true, []byte(nil))
 
-	f.Fuzz(func(t *testing.T, w, h, quality, grain uint8, data []byte) {
+	f.Fuzz(func(t *testing.T, w, h, quality, grain uint8, tiles bool, data []byte) {
 		r := whiteRaster(1+int(w)%48, 1+int(h)%48)
-		for i := range r.Pix {
-			x, y, c := i/3%r.W, i/3/r.W, i%3
-			v := 40 + (c+1)*x + (3-c)*y
-			if len(data) > 0 {
-				v += int(data[i%len(data)] >> (grain % 8))
+		if tiles {
+			tilePalette(r, grain, data)
+		} else {
+			for i := range r.Pix {
+				x, y, c := i/3%r.W, i/3/r.W, i%3
+				v := 40 + (c+1)*x + (3-c)*y
+				if len(data) > 0 {
+					v += int(data[i%len(data)] >> (grain % 8))
+				}
+				r.Pix[i] = byte(min(v, 255))
 			}
-			r.Pix[i] = byte(min(v, 255))
 		}
 		q := int(quality) % (MaxQuality + 1)
 		want, err := refEncodeSICv2(r, q)
@@ -310,8 +348,57 @@ func FuzzSICEncodeMatchesReference(f *testing.F) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%dx%d q=%d workers=%d: bytes differ from the reference encoder", r.W, r.H, q, workers)
+				t.Fatalf("%dx%d q=%d workers=%d tiles=%v: bytes differ from the reference encoder", r.W, r.H, q, workers, tiles)
 			}
 		}
 	})
+}
+
+// tilePalette paints r one 8x8 tile at a time in row-major tile order,
+// each tile from two bytes of data in turn, d and e (a fixed sequence
+// when data is empty). d%5 picks the tile's class: solid, two triples
+// under a mask, two gray triples under a mask, three gray levels (its
+// last row red when d >= 0x80, so a gray scan fails late), or a colour
+// per pixel. Solid and two-triple tiles take their triples from a
+// four-entry palette (d>>3&3 and d>>5&3; grain tints its one colour), so
+// neighbouring tiles often share a triple; e seeds the gray levels, the
+// mask and the colours.
+func tilePalette(r *Raster, grain uint8, data []byte) {
+	palette := [4]RGB{{255, 255, 255}, {0, 0, 0}, {128, 128, 128}, {200, 40 + grain, 90}}
+	gray := func(v byte) RGB { return RGB{v, v, v} }
+	t := 0
+	for ty := 0; ty < r.H; ty += 8 {
+		for tx := 0; tx < r.W; tx += 8 {
+			d, e := byte(37*t), byte(101*t)
+			if len(data) > 0 {
+				d, e = data[2*t%len(data)], data[(2*t+1)%len(data)]
+			}
+			t++
+			a, b := palette[d>>3&3], palette[d>>5&3]
+			for y := ty; y < min(ty+8, r.H); y++ {
+				for x := tx; x < min(tx+8, r.W); x++ {
+					i := uint32(8*(y-ty) + x - tx)
+					hash := (uint32(e)+1)*2654435761 ^ (i+1)*40503
+					hash ^= hash >> 13
+					p := a
+					switch d % 5 {
+					case 1:
+						if hash&1 != 0 {
+							p = b
+						}
+					case 2:
+						p = gray(e ^ byte(hash&1)<<7)
+					case 3:
+						p = gray(e + 85*byte(hash%3))
+						if d >= 0x80 && y == ty+7 {
+							p = RGB{200, 0, 0}
+						}
+					case 4:
+						p = RGB{byte(hash), byte(hash >> 8), byte(hash >> 16)}
+					}
+					r.Set(x, y, p)
+				}
+			}
+		}
+	}
 }

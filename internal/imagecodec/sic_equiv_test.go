@@ -889,7 +889,8 @@ func refDecodeSICv2(data []byte) (*Raster, error) {
 
 // equivRasters builds the raster set the suite runs over: webpage-like
 // content, pure noise, a solid page, odd (non multiple-of-8 and non
-// multiple-of-2) dimensions, and a photo.
+// multiple-of-2) dimensions, a photo, and a page of the production
+// shape (marginPage).
 func equivRasters() map[string]*Raster {
 	rng := rand.New(rand.NewSource(77))
 	noisy := whiteRaster(96, 120)
@@ -899,12 +900,74 @@ func equivRasters() map[string]*Raster {
 	solid := whiteRaster(128, 96)
 	solid.FillRect(0, 0, 128, 48, RGB{200, 40, 90})
 	return map[string]*Raster{
-		"page":  testPage(160, 240, 6),
-		"noise": noisy,
-		"solid": solid,
-		"odd":   testPage(61, 83, 7),
-		"photo": testPhoto(331, 117, 78),
+		"page":   testPage(160, 240, 6),
+		"noise":  noisy,
+		"solid":  solid,
+		"odd":    testPage(61, 83, 7),
+		"photo":  testPhoto(331, 117, 78),
+		"margin": marginPage(200, 134, 9),
 	}
+}
+
+// marginPage is a page of the production shape in small: its width is 8
+// mod 16, as 1080 is, so the last chroma block of every block row is an
+// edge block over 8 pixel columns, and its height leaves partial luma
+// and chroma block rows, the luma ones crossed by a footer rule below
+// their first pixel row. It has a 24-pixel white right margin with a
+// coloured scroll thumb in it, a coloured and a gray bar, and gray and coloured text
+// drawn from a small glyph alphabet, on the block grid and off it. Each
+// chroma rule meets a 16x16 region that only one 8x8 quadrant decides:
+// an off-white square in each quadrant position (the other three are
+// white), a red bullet whose first pixel is red (a two-valued block
+// whose first triple alone is colour), and tiles of three gray levels,
+// where the luma scan stops at the third level and leaves the chroma
+// load to scan the tile, untinted (gray) or with a red last row (not).
+func marginPage(w, h int, seed int64) *Raster {
+	rng := rand.New(rand.NewSource(seed))
+	r := whiteRaster(w, h)
+	body := w - 24
+	r.FillRect(0, 0, body, 16, RGB{30, 60, 160})
+	r.FillRect(0, 112, body, 8, RGB{200, 200, 200})
+	r.FillRect(w-4, 40, 4, 24, RGB{60, 90, 200})
+	r.FillRect(0, h-2, body, 1, RGB{200, 60, 60})
+	var glyphs [6]uint64
+	for i := range glyphs {
+		glyphs[i] = rng.Uint64()
+	}
+	text := func(x0, y0 int, ink RGB) {
+		for x := x0; x+8 <= body; x += 8 {
+			g := glyphs[rng.Intn(len(glyphs))]
+			for i := 0; i < 64; i++ {
+				if g&(1<<i) != 0 {
+					r.Set(x+i%8, y0+i/8, ink)
+				}
+			}
+		}
+	}
+	text(0, 24, RGB{60, 60, 60})
+	text(0, 32, RGB{60, 60, 60})
+	text(3, 45, RGB{0, 0, 200})
+	text(0, 64, RGB{170, 30, 30})
+	text(136, 104, RGB{60, 60, 60})
+	for _, p := range [][2]int{{32, 96}, {88, 96}, {64, 104}, {104, 88}} {
+		r.FillRect(p[0], p[1], 8, 8, RGB{255, 255, 250})
+	}
+	r.FillRect(112, 96, 4, 4, RGB{200, 0, 0})
+	for _, tile := range []struct {
+		x0, y0 int
+		tint   bool
+	}{{16, 80, false}, {48, 80, true}, {88, 80, true}, {128, 88, true}, {152, 88, false}} {
+		for y := tile.y0; y < tile.y0+8; y++ {
+			for x := tile.x0; x < tile.x0+8; x++ {
+				v := uint8(64 * (1 + (x+y)%3))
+				r.Set(x, y, RGB{v, v, v})
+			}
+		}
+		if tile.tint {
+			r.FillRect(tile.x0, tile.y0+7, 8, 1, RGB{200, 0, 0})
+		}
+	}
+	return r
 }
 
 // testPhoto is webrender's photo content in small: a gradient whose
@@ -1015,51 +1078,94 @@ func TestSICEncodeV2MatchesReference(t *testing.T) {
 	}
 }
 
-// TestSICFullGlyphCacheMatchesReference pins that the glyph cache's cap
-// changes speed, never bytes: with sicMaskCache filled to
-// sicMaskCacheMax by keys no block makes (quality above MaxQuality),
-// every two-valued block misses and is quantized without being stored,
-// and the encoder must still emit the reference's bytes.
+// emptyGlyphTable clears the glyph table and its count.
+func emptyGlyphTable() {
+	for i := range glyphTable {
+		glyphTable[i].Store(nil)
+	}
+	glyphCount.Store(0)
+}
+
+// TestSICFullGlyphCacheMatchesReference pins that the glyph table's
+// bounds change speed, never bytes. Two tables are planted before each
+// encode: one whose every slot holds an entry no block makes (a real
+// key's mask and values, from an encode with an empty table, at a
+// quality above MaxQuality, each real key's probe run first), with the
+// count at 0, so a miss finds its probe run full; and an empty one with
+// the count at glyphMax. Each planted entry holds zero coefficients, so
+// a lookup that returned a colliding key's entry would change the bytes.
+// Either way every two-valued block misses, is quantized without being
+// stored, and the encoder must emit the reference's bytes.
 func TestSICFullGlyphCacheMatchesReference(t *testing.T) {
-	// sync.Map.Clear needs go 1.23; go.mod says 1.22.
-	empty := func() {
-		sicMaskCache.Range(func(k, _ any) bool {
-			sicMaskCache.Delete(k)
-			return true
-		})
-		sicMaskCount.Store(0)
-	}
-	empty()
-	t.Cleanup(empty)
-	for i := range sicMaskCacheMax {
-		sicMaskCache.Store(sicMaskKey{mask: uint64(i), quality: MaxQuality + 1}, &sicMaskVal{})
-	}
-	sicMaskCount.Store(sicMaskCacheMax)
-	for name, src := range equivRasters() {
-		for _, q := range []int{10, 50} {
-			want, err := refEncodeSICv2(src, q)
-			if err != nil {
-				t.Fatalf("%s q=%d: ref: %v", name, q, err)
-			}
-			got, err := EncodeSICWorkers(src, q, 1)
-			if err != nil {
-				t.Fatalf("%s q=%d: %v", name, q, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s q=%d: encoded bytes with a full glyph cache differ from v2 reference (len %d vs %d)", name, q, len(got), len(want))
+	emptyGlyphTable()
+	t.Cleanup(emptyGlyphTable)
+	rasters := equivRasters()
+	qualities := []int{10, 50}
+	for _, src := range rasters {
+		for _, q := range qualities {
+			if _, err := EncodeSICWorkers(src, q, 1); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	n := 0
-	sicMaskCache.Range(func(k, _ any) bool {
-		if k.(sicMaskKey).quality <= MaxQuality {
-			t.Errorf("a full glyph cache stored a real block's key %+v", k)
+	var keys []sicMaskKey
+	for i := range glyphTable {
+		if e := glyphTable[i].Load(); e != nil {
+			keys = append(keys, e.key)
 		}
-		n++
-		return true
-	})
-	if n != sicMaskCacheMax || sicMaskCount.Load() != sicMaskCacheMax {
-		t.Errorf("glyph cache holds %d entries, count %d; want both %d", n, sicMaskCount.Load(), sicMaskCacheMax)
+	}
+	if len(keys) == 0 {
+		t.Fatal("the equivalence rasters stored no glyph")
+	}
+	twin := func(k sicMaskKey) *glyphEntry {
+		k.quality += MaxQuality + 1
+		return &glyphEntry{key: k}
+	}
+	plantFull := func() {
+		emptyGlyphTable()
+		for _, k := range keys {
+			h := k.slot()
+			for p := uint64(0); p < glyphProbes; p++ {
+				glyphTable[(h+p)&(glyphSlots-1)].CompareAndSwap(nil, twin(k))
+			}
+		}
+		for i := range glyphTable {
+			glyphTable[i].CompareAndSwap(nil, twin(keys[i%len(keys)]))
+		}
+	}
+	plantCapped := func() {
+		emptyGlyphTable()
+		glyphCount.Store(glyphMax)
+	}
+	for _, plant := range []struct {
+		name  string
+		fill  func()
+		count int32
+	}{{"every slot taken", plantFull, 0}, {"count at glyphMax", plantCapped, glyphMax}} {
+		for name, src := range rasters {
+			for _, q := range qualities {
+				want, err := refEncodeSICv2(src, q)
+				if err != nil {
+					t.Fatalf("%s q=%d: ref: %v", name, q, err)
+				}
+				plant.fill()
+				got, err := EncodeSICWorkers(src, q, 1)
+				if err != nil {
+					t.Fatalf("%s: %s q=%d: %v", plant.name, name, q, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: %s q=%d: encoded bytes differ from v2 reference (len %d vs %d)", plant.name, name, q, len(got), len(want))
+				}
+				for i := range glyphTable {
+					if e := glyphTable[i].Load(); e != nil && e.key.quality <= MaxQuality {
+						t.Fatalf("%s: %s q=%d: the table stored a real block's key %+v", plant.name, name, q, e.key)
+					}
+				}
+				if n := glyphCount.Load(); n != plant.count {
+					t.Fatalf("%s: %s q=%d: count %d after the encode, want %d", plant.name, name, q, n, plant.count)
+				}
+			}
+		}
 	}
 }
 

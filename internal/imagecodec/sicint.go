@@ -2,7 +2,6 @@ package imagecodec
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
@@ -146,15 +145,46 @@ func intFdctBlock(b *[64]int32) {
 // chroma). mask/a/b classify two-valued luma blocks (set when two is
 // true): bit i of mask is 1 where sample i equals b, 0 where it equals
 // a. st holds the filled samples' row statistics, whenever blk was
-// filled.
+// filled. class is what an interior luma block's load learned of its
+// RGB triples, for the chroma load over the same pixels.
 type intLoadInfo struct {
 	first int32
 	flat  bool
 	two   bool
+	class blockClass
 	mask  uint64
 	a, b  int32
 	st    blockStats
 }
+
+// blockClass is what loadLumaInt learned of an interior 8x8 block's RGB
+// triples (an edge block's class is 0). classOne marks a block of one triple, held in the low 24
+// bits; classColor marks a block with a pixel whose r, g and b differ;
+// classUnseen marks a block whose classification scan stopped before
+// every pixel and saw only gray triples. A class with no flag bit is a
+// block of gray triples, every one seen. A chroma region derives its
+// class from its four quadrants' (loadChromaPairInt), so the chroma
+// load re-reads pixels only behind classUnseen.
+type blockClass uint32
+
+const (
+	classOne blockClass = 1 << (24 + iota)
+	classColor
+	classUnseen
+)
+
+// tripleClass is the class of a block whose pixels are all the triple
+// (r, g, b).
+func tripleClass(r, g, b byte) blockClass {
+	c := classOne | blockClass(r)<<16 | blockClass(g)<<8 | blockClass(b)
+	if !gray(r, g, b) {
+		c |= classColor
+	}
+	return c
+}
+
+// gray reports whether the triple (r, g, b) is a gray level.
+func gray(r, g, b byte) bool { return r == g && r == b }
 
 // blockStats is what the DC-only test (planeQuant.dcOnly) reads of a
 // block's centered 16.16 samples, gathered one row at a time as the
@@ -233,14 +263,17 @@ func loadLumaInt(r *Raster, blk *[64]int32, info *intLoadInfo, bx, by int) {
 	base := 3 * (y0*w + x0)
 	// Solid blocks (the majority on web rasters) resolve via the
 	// vectorized row memcmps before the per-triple classification scan.
+	ta0, ta1, ta2 := pix[base], pix[base+1], pix[base+2]
 	if uniformRegion(pix, base, stride, 8, 8) {
-		*info = intLoadInfo{first: yFixR[pix[base]] + yFixG[pix[base+1]] + yFixB[pix[base+2]], flat: true}
+		*info = intLoadInfo{first: yFixR[ta0] + yFixG[ta1] + yFixB[ta2], flat: true, class: tripleClass(ta0, ta1, ta2)}
 		return
 	}
-	ta0, ta1, ta2 := pix[base], pix[base+1], pix[base+2]
+	// uniformRegion failed, so some pixel differs from the first: the
+	// scan always finds a second triple b.
 	var tb0, tb1, tb2 byte
 	haveB := false
 	two := true
+	var class blockClass
 	var mask uint64
 scan:
 	for y := 0; y < 8; y++ {
@@ -256,6 +289,10 @@ scan:
 				haveB = true
 			} else if p0 != tb0 || p1 != tb1 || p2 != tb2 {
 				two = false
+				class = classUnseen
+				if !gray(ta0, ta1, ta2) || !gray(tb0, tb1, tb2) || !gray(p0, p1, p2) {
+					class = classColor
+				}
 				break scan
 			}
 			mask |= 1 << (y*8 + x)
@@ -263,16 +300,15 @@ scan:
 	}
 	const center = 128 << lumaFixShift
 	if two {
-		va := yFixR[ta0] + yFixG[ta1] + yFixB[ta2]
-		if !haveB {
-			*info = intLoadInfo{first: va, flat: true}
-			return
+		if !gray(ta0, ta1, ta2) || !gray(tb0, tb1, tb2) {
+			class = classColor
 		}
 		*info = intLoadInfo{
-			two:  true,
-			mask: mask,
-			a:    va - center,
-			b:    yFixR[tb0] + yFixG[tb1] + yFixB[tb2] - center,
+			two:   true,
+			class: class,
+			mask:  mask,
+			a:     yFixR[ta0] + yFixG[ta1] + yFixB[ta2] - center,
+			b:     yFixR[tb0] + yFixG[tb1] + yFixB[tb2] - center,
 		}
 		return
 	}
@@ -289,27 +325,7 @@ scan:
 	// Not flat even if st says so: an interior luma block is flat only
 	// when its RGB triples are one, and one value drawn from distinct
 	// triples takes the DCT (here, the DC-only test).
-	*info = intLoadInfo{st: st}
-}
-
-// grayRegion reports whether every pixel of the region has r == g == b.
-// Grayscale regions have Cb = Cr = 128 up to coefficient rounding: the
-// chroma weights sum to zero, so both planes quantize to DC 0 and no AC
-// energy — exactly what the quad-sum path computes the long way around.
-// Text is the overwhelmingly common case: black-on-white glyph blocks
-// are gray but not uniform, and without this check each one paid 128
-// quad sums and a DCT to discover its chroma was empty.
-func grayRegion(pix []byte, off, stride, w, rows int) bool {
-	n := 3 * w
-	for y := 0; y < rows; y++ {
-		row := pix[off+y*stride : off+y*stride+n]
-		for x := 0; x < n; x += 3 {
-			if row[x] != row[x+1] || row[x] != row[x+2] {
-				return false
-			}
-		}
-	}
-	return true
+	*info = intLoadInfo{class: class, st: st}
 }
 
 // loadChromaIntEdge loads one chroma plane's block when its 16x16
@@ -364,9 +380,23 @@ func loadChromaIntEdge(r *Raster, cr bool, blk *[64]int32, info *intLoadInfo, bx
 }
 
 // loadChromaPairInt fills one Cb and one Cr block (16.16, centered) from
-// one pass over the shared source quads; regions overlapping the raster
-// edge take the clamped per-plane path.
-func loadChromaPairInt(r *Raster, cbBlk, crBlk *[64]int32, cb, cr *intLoadInfo, bx, by int) {
+// one pass over the shared source quads. q holds the classes the luma
+// load left for the 16x16 source region's 8x8 quadrants (top left, top
+// right, bottom left, bottom right): the region is uniform when all four
+// are one same triple, and gray when none saw a colored pixel and the
+// quadrants the luma scan left unfinished prove gray. A region that
+// overlaps the raster edge repeats its last real quadrant column and row
+// in q. It is uniform too when those quadrants are interior luma blocks
+// of one triple (the clamped path scales a partial quad's sum to the
+// 4-pixel range, so it would compute the same value); otherwise it takes
+// the clamped per-plane path.
+func loadChromaPairInt(r *Raster, cbBlk, crBlk *[64]int32, cb, cr *intLoadInfo, bx, by int, q *[4]blockClass) {
+	if c := q[0]; c&classOne != 0 && c == q[1] && c == q[2] && c == q[3] {
+		sr, sg, sb := 4*int(c>>16&0xff), 4*int(c>>8&0xff), 4*int(c&0xff)
+		*cb = intLoadInfo{first: cbFixR[sr] + cbFixG[sg] + cbFixB[sb], flat: true}
+		*cr = intLoadInfo{first: crFixR[sr] + crFixG[sg] + crFixB[sb], flat: true}
+		return
+	}
 	w, h := r.W, r.H
 	x0, y0 := bx*8, by*8
 	if 2*(x0+8) > w || 2*(y0+8) > h {
@@ -376,13 +406,12 @@ func loadChromaPairInt(r *Raster, cbBlk, crBlk *[64]int32, cb, cr *intLoadInfo, 
 	}
 	pix := r.Pix
 	i0 := 3 * (2*y0*w + 2*x0)
-	if uniformRegion(pix, i0, 3*w, 16, 16) {
-		sr, sg, sb := 4*int(pix[i0]), 4*int(pix[i0+1]), 4*int(pix[i0+2])
-		*cb = intLoadInfo{first: cbFixR[sr] + cbFixG[sg] + cbFixB[sb], flat: true}
-		*cr = intLoadInfo{first: crFixR[sr] + crFixG[sg] + crFixB[sb], flat: true}
-		return
-	}
-	if grayRegion(pix, i0, 3*w, 16, 16) {
+	// A gray region has Cb = Cr = 128 up to coefficient rounding: the
+	// chroma weights sum to zero, so both planes quantize to DC 0 and no
+	// AC energy, which is what the quad sums would compute the long way
+	// around. Text is the common case: black-on-white glyph blocks are
+	// gray but not uniform.
+	if all := q[0] | q[1] | q[2] | q[3]; all&classColor == 0 && (all&classUnseen == 0 || grayQuads(pix, i0, 3*w, q)) {
 		*cb = intLoadInfo{flat: true}
 		*cr = intLoadInfo{flat: true}
 		return
@@ -414,6 +443,26 @@ func loadChromaPairInt(r *Raster, cbBlk, crBlk *[64]int32, cb, cr *intLoadInfo, 
 	*cr = intLoadInfo{first: crBlk[0], flat: crSt.flat(), st: crSt}
 }
 
+// grayQuads reports whether the quadrants of the 16x16 region at off
+// that q marks classUnseen have r == g == b at every pixel.
+func grayQuads(pix []byte, off, stride int, q *[4]blockClass) bool {
+	for k, c := range q {
+		if c&classUnseen == 0 {
+			continue
+		}
+		o := off + (k>>1)*8*stride + (k&1)*24
+		for y := 0; y < 8; y++ {
+			row := pix[o+y*stride:][:24]
+			for x := 0; x < 24; x += 3 {
+				if !gray(row[x], row[x+1], row[x+2]) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
 // sicMaskKey identifies a two-valued block up to quantization: the
 // foreground mask, the two 16.16 sample values, and the quality that
 // selects the luma quantizer (only luma blocks classify as two-valued).
@@ -433,50 +482,104 @@ type sicMaskVal struct {
 	q  [64]int32
 }
 
-// sicMaskCache memoizes quantized two-valued blocks. Rendered text is a
-// small glyph alphabet stamped thousands of times per page, and every
+// The glyph table memoizes quantized two-valued blocks. Rendered text is
+// a small glyph alphabet stamped thousands of times per page, and every
 // repeat of a (mask, colors) pair runs the identical fixed-point
-// DCT+quantize — so the cache returns bit-identical coefficients while
-// skipping the transform entirely. Insertion stops at sicMaskCacheMax
-// (~2 MB); lookups keep hitting, and a miss just recomputes, so the
-// bound affects speed only, never bytes.
-var (
-	sicMaskCache sync.Map
-	sicMaskCount atomic.Int32
+// DCT+quantize — so the table returns bit-identical coefficients while
+// skipping the transform entirely. It is open-addressed over
+// glyphSlots atomic slots, probed at most glyphProbes deep from the
+// key's hash, and an entry, once stored, is never replaced, so a lookup
+// takes no lock and boxes nothing. Insertion stops at glyphMax entries
+// (~2 MB); lookups keep hitting, and a block that finds no room is
+// quantized in place, so the bound affects speed only, never bytes.
+const (
+	glyphBits   = 16
+	glyphSlots  = 1 << glyphBits
+	glyphProbes = 4
+	glyphMax    = 8192
 )
 
-const sicMaskCacheMax = 8192
+// glyphEntry is one stored block: its key and its quantization.
+type glyphEntry struct {
+	key sicMaskKey
+	val sicMaskVal
+}
+
+var (
+	glyphTable [glyphSlots]atomic.Pointer[glyphEntry]
+	glyphCount atomic.Int32 // entries stored, at most glyphMax
+)
+
+// slot returns the table index key's probe run starts at.
+func (k *sicMaskKey) slot() uint64 {
+	h := k.mask*0x9e3779b97f4a7c15 ^ (uint64(uint32(k.a))|uint64(uint32(k.b))<<32)*0xc2b2ae3d27d4eb4f ^ uint64(k.quality)
+	h ^= h >> 31
+	h *= 0xbf58476d1ce4e5b9
+	return h >> (64 - glyphBits)
+}
+
+// storeGlyph adds e to the table unless the table holds glyphMax entries
+// or e's probe run is full.
+func storeGlyph(e *glyphEntry, h uint64) {
+	if glyphCount.Add(1) > glyphMax {
+		glyphCount.Add(-1)
+		return
+	}
+	for p := uint64(0); p < glyphProbes; p++ {
+		s := &glyphTable[(h+p)&(glyphSlots-1)]
+		if s.CompareAndSwap(nil, e) {
+			return
+		}
+		if s.Load().key == e.key { // another worker stored it first
+			break
+		}
+	}
+	glyphCount.Add(-1)
+}
 
 // quantizeTwoValued quantizes a two-valued block through the glyph
-// cache. blk is scratch: the loader leaves it unfilled for two-valued
-// blocks, and on a cache miss the samples are reconstructed here from
-// the mask. The returned value is shared and must not be written.
-func quantizeTwoValued(blk *[64]int32, info *intLoadInfo, pq *planeQuant) *sicMaskVal {
+// table. blk is scratch: the loader leaves it unfilled for two-valued
+// blocks, and on a miss the samples are reconstructed here from the
+// mask. A hit or a stored miss leaves b's quantization in b.mv, which is
+// shared and must not be written; a block the full table cannot take is
+// quantized into b itself.
+func quantizeTwoValued(b *sicBlock, blk *[64]int32, info *intLoadInfo, pq *planeQuant) {
 	key := sicMaskKey{mask: info.mask, a: info.a, b: info.b, quality: pq.quality}
-	if v, ok := sicMaskCache.Load(key); ok {
-		return v.(*sicMaskVal)
+	h := key.slot()
+	for p := uint64(0); p < glyphProbes; p++ {
+		e := glyphTable[(h+p)&(glyphSlots-1)].Load()
+		if e == nil {
+			break
+		}
+		if e.key == key {
+			b.mv = &e.val
+			return
+		}
 	}
-	a, b, m := info.a, info.b, info.mask
+	a, c, m := info.a, info.b, info.mask
 	for i := 0; i < 64; i++ {
 		if m&(1<<i) != 0 {
-			blk[i] = b
+			blk[i] = c
 		} else {
 			blk[i] = a
 		}
 	}
-	v := &sicMaskVal{}
+	if glyphCount.Load() >= glyphMax {
+		b.mv = nil
+		dc, nz := quantizeIntBlock(blk, &b.q, pq)
+		b.flat, b.q[0] = nz == 0, int32(dc)
+		return
+	}
+	e := &glyphEntry{key: key}
+	v := &e.val
 	dc, nz := quantizeIntBlock(blk, &v.q, pq)
 	v.q[0] = int32(dc)
 	v.nz = int32(nz)
 	if nz > 0 {
 		v.ac = appendACv2(nil, &v.q)
 	}
-	if sicMaskCount.Load() < sicMaskCacheMax {
-		if _, loaded := sicMaskCache.LoadOrStore(key, v); !loaded {
-			sicMaskCount.Add(1)
-		}
-	}
-	return v
+	storeGlyph(e, h)
+	b.mv = v
 }
 
 // flatDCFix quantizes a flat block's DC from its 16.16 sample value:

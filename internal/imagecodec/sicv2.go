@@ -223,83 +223,83 @@ func quantizeBlock(b *sicBlock, blk *[64]int32, info *intLoadInfo, centered bool
 	}
 }
 
-// encodeLumaTokensV2 appends the luma plane's packed v2 token stream to
-// dst, one band of blocks at a time: workers load (straight from the RGB
-// raster, so no float plane is built), classify and quantize the band,
-// then the emitter walks it in scan order.
-func encodeLumaTokensV2(dst []byte, r *Raster, qt *[64]int, quality, workers int) []byte {
+// encodeTokensV2 appends the Y, Cb and Cr planes' packed v2 token
+// streams to y, cb and cr, one band of bandRows luma block rows at a
+// time. The workers take a band in macro rows: two luma block rows and
+// the chroma block row under them, which cover the same 16 pixel rows.
+// They load each block straight from the RGB raster (no float plane is
+// built), classify it and quantize it; the chroma load reads the classes
+// the macro row's luma loads left in their blocks, and Cb and Cr share
+// their source quads, so one load fills both. Then the emitters walk the
+// band in scan order, one plane after another.
+func encodeTokensV2(y, cb, cr []byte, r *Raster, quality, workers int) ([]byte, []byte, []byte) {
+	lumaQT, chromaQT := quantTable(lumaQBase, quality), quantTable(chromaQBase, quality)
+	lq, cq := newPlaneQuant(&lumaQT, quality), newPlaneQuant(&chromaQT, quality)
 	bw, bh := (r.W+7)/8, (r.H+7)/8
-	pq := newPlaneQuant(qt, quality)
-	e := v2Emitter{dst: dst}
-	bp := getBlocks(bandRows * bw)
-	var band []sicBlock
-	by0 := 0
+	cbw, cbh := ((r.W+1)/2+7)/8, ((r.H+1)/2+7)/8
+	ye, cbe, cre := v2Emitter{dst: y}, v2Emitter{dst: cb}, v2Emitter{dst: cr}
+	const bandMacroRows = bandRows / 2
+	bp := getBlocks(bandRows*bw + 2*bandMacroRows*cbw)
+	var yBand, cbBand, crBand []sicBlock
+	m0 := 0 // the band's first macro row
 	quantize := func(lo, hi int) {
-		var blk [64]int32
-		var info intLoadInfo
-		bx, by := lo%bw, by0+lo/bw
-		for i := lo; i < hi; i++ {
-			loadLumaInt(r, &blk, &info, bx, by)
-			if info.two {
-				band[i].mv = quantizeTwoValued(&blk, &info, &pq)
-			} else {
-				quantizeBlock(&band[i], &blk, &info, false, &pq)
+		var blk, crBlk [64]int32
+		var info, crInfo intLoadInfo
+		for m := lo; m < hi; m++ {
+			by0 := 2 * (m0 + m)
+			for by := by0; by < min(by0+2, bh); by++ {
+				row := yBand[(by-2*m0)*bw:][:bw]
+				for bx := range row {
+					b := &row[bx]
+					loadLumaInt(r, &blk, &info, bx, by)
+					b.class = info.class
+					if info.two {
+						quantizeTwoValued(b, &blk, &info, &lq)
+					} else {
+						quantizeBlock(b, &blk, &info, false, &lq)
+					}
+				}
 			}
-			if bx++; bx == bw {
-				bx, by = 0, by+1
+			// A region's quadrants are the luma blocks of this macro row
+			// under it; past the raster's edge the last real column and
+			// row stand in for the missing ones.
+			top := yBand[2*m*bw:][:bw]
+			bottom := top
+			if (2*m+2)*bw <= len(yBand) {
+				bottom = yBand[(2*m+1)*bw:][:bw]
 			}
-		}
-	}
-	for ; by0 < bh; by0 += bandRows {
-		band = (*bp)[:min(bandRows, bh-by0)*bw]
-		parallel.For(workers, len(band), minChunkBlocks, quantize)
-		for i := range band {
-			e.emitBlock(&band[i])
-		}
-	}
-	putBlocks(bp)
-	e.flushRun()
-	return e.dst
-}
-
-// encodeChromaTokensPairV2 appends the Cb and Cr token streams to cbDst
-// and crDst. The planes share their source quads, so one load per block
-// position fills a Cb band and a Cr band together.
-func encodeChromaTokensPairV2(cbDst, crDst []byte, r *Raster, qt *[64]int, quality, workers int) ([]byte, []byte) {
-	bw, bh := ((r.W+1)/2+7)/8, ((r.H+1)/2+7)/8
-	pq := newPlaneQuant(qt, quality)
-	cbE, crE := v2Emitter{dst: cbDst}, v2Emitter{dst: crDst}
-	bp := getBlocks(2 * bandRows * bw)
-	var cbBand, crBand []sicBlock
-	by0 := 0
-	quantize := func(lo, hi int) {
-		var cbBlk, crBlk [64]int32
-		var cbInfo, crInfo intLoadInfo
-		bx, by := lo%bw, by0+lo/bw
-		for i := lo; i < hi; i++ {
-			loadChromaPairInt(r, &cbBlk, &crBlk, &cbInfo, &crInfo, bx, by)
-			quantizeBlock(&cbBand[i], &cbBlk, &cbInfo, true, &pq)
-			quantizeBlock(&crBand[i], &crBlk, &crInfo, true, &pq)
-			if bx++; bx == bw {
-				bx, by = 0, by+1
+			for bx := 0; bx < cbw; bx++ {
+				lx, rx := 2*bx, min(2*bx+1, bw-1)
+				q := [4]blockClass{top[lx].class, top[rx].class, bottom[lx].class, bottom[rx].class}
+				i := m*cbw + bx
+				loadChromaPairInt(r, &blk, &crBlk, &info, &crInfo, bx, m0+m, &q)
+				quantizeBlock(&cbBand[i], &blk, &info, true, &cq)
+				quantizeBlock(&crBand[i], &crBlk, &crInfo, true, &cq)
 			}
 		}
 	}
-	for ; by0 < bh; by0 += bandRows {
-		n := min(bandRows, bh-by0) * bw
-		cbBand, crBand = (*bp)[:n], (*bp)[n:2*n]
-		parallel.For(workers, n, minChunkBlocks, quantize)
+	// A macro row is worth a goroutine only with minChunkBlocks blocks.
+	minChunk := (minChunkBlocks + 2*bw + cbw - 1) / (2*bw + cbw)
+	for ; m0 < cbh; m0 += bandMacroRows {
+		n := min(bandMacroRows, cbh-m0)
+		nY, nC := min(bandRows, bh-2*m0)*bw, n*cbw
+		yBand, cbBand, crBand = (*bp)[:nY], (*bp)[nY:nY+nC], (*bp)[nY+nC:nY+2*nC]
+		parallel.For(workers, n, minChunk, quantize)
+		for i := range yBand {
+			ye.emitBlock(&yBand[i])
+		}
 		for i := range cbBand {
-			cbE.emitBlock(&cbBand[i])
+			cbe.emitBlock(&cbBand[i])
 		}
 		for i := range crBand {
-			crE.emitBlock(&crBand[i])
+			cre.emitBlock(&crBand[i])
 		}
 	}
 	putBlocks(bp)
-	cbE.flushRun()
-	crE.flushRun()
-	return cbE.dst, crE.dst
+	ye.flushRun()
+	cbe.flushRun()
+	cre.flushRun()
+	return ye.dst, cbe.dst, cre.dst
 }
 
 // v2FlateWriterPool recycles DEFLATE compressors for the per-plane v2
@@ -334,12 +334,9 @@ func deflatePlaneV2(dst, tokens []byte) ([]byte, error) {
 }
 
 // encodeSICV2 is the v2 encoder behind EncodeSICWorkers: the three
-// planes' token streams (Y, then Cb and Cr together), then their flate
-// segments, one plane per worker.
+// planes' token streams, then their flate segments, one plane per
+// worker.
 func encodeSICV2(r *Raster, quality, workers int) ([]byte, error) {
-	lumaQT := quantTable(lumaQBase, quality)
-	chromaQT := quantTable(chromaQBase, quality)
-
 	var tok, comp [3]*[]byte
 	for i := range tok {
 		tok[i], comp[i] = getBytes(), getBytes()
@@ -350,8 +347,7 @@ func encodeSICV2(r *Raster, quality, workers int) ([]byte, error) {
 			putBytes(comp[i])
 		}
 	}()
-	*tok[0] = encodeLumaTokensV2((*tok[0])[:0], r, &lumaQT, quality, workers)
-	*tok[1], *tok[2] = encodeChromaTokensPairV2((*tok[1])[:0], (*tok[2])[:0], r, &chromaQT, quality, workers)
+	*tok[0], *tok[1], *tok[2] = encodeTokensV2((*tok[0])[:0], (*tok[1])[:0], (*tok[2])[:0], r, quality, workers)
 	var errs [3]error
 	parallel.For(workers, len(tok), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
