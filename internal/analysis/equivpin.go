@@ -19,7 +19,7 @@ import (
 // everything in a *_equiv_test.go or *parity* test file counts, and so
 // does any test or fuzz function whose name declares a comparison
 // against a reference (TestFFTPlanBitIdenticalToDirect,
-// TestFFTCorrelatorMatchesCrossCorrelate, ...). Either kind puts the
+// TestFFTConvolverMatchesFIRFilter, ...). Either kind puts the
 // package under the rule, so deleting a package's pin file leaves it
 // judged by the pin-named tests that remain. What a pin test refers
 // to is pinned, and so is what that refers to, transitively, within the

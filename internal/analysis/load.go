@@ -17,7 +17,6 @@ import (
 // Package is one loaded, type-checked package.
 type Package struct {
 	Path string // import path ("sonic/internal/fm")
-	Dir  string // absolute directory
 	Name string // package name
 
 	Files     []*ast.File // non-test files, type-checked
@@ -157,7 +156,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	}
 	sort.Strings(names)
 
-	pkg := &Package{Path: path, Dir: dir}
+	pkg := &Package{Path: path}
 	for _, name := range names {
 		file, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {

@@ -42,7 +42,6 @@ type Point struct {
 
 // Result is a finished simulation.
 type Result struct {
-	Config Config
 	Series []Point
 }
 
@@ -72,7 +71,7 @@ func Simulate(pipe *core.Pipeline, cfg Config) (*Result, error) {
 		queued int     // bytes in queue
 		onAir  float64 // seconds the head page has aired
 	)
-	res := &Result{Config: cfg}
+	res := &Result{}
 	const stepsPerHour = 60 / stepMinutes
 	for h := 0; h < cfg.Hours; h++ {
 		for _, p := range cfg.Pages {

@@ -17,7 +17,6 @@ import (
 // carousel implements that policy plus a flat baseline for the ablation.
 type Carousel struct {
 	entries []CarouselEntry
-	policy  CarouselPolicy
 	air     []float64 // per-entry air seconds; set by Instrument
 
 	// Telemetry (nil handles = off; see internal/telemetry).
@@ -74,7 +73,7 @@ func NewCarousel(entries []CarouselEntry, policy CarouselPolicy) (*Carousel, err
 	if len(entries) == 0 {
 		return nil, errors.New("broadcast: empty carousel")
 	}
-	c := &Carousel{entries: append([]CarouselEntry(nil), entries...), policy: policy}
+	c := &Carousel{entries: append([]CarouselEntry(nil), entries...)}
 	var total float64
 	for i := range c.entries {
 		e := &c.entries[i]

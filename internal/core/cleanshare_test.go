@@ -18,9 +18,10 @@ import (
 // of frames arrive as codewords (path metric 0), i.e. skip the trellis.
 //
 // The Viterbi-only reference is the soft decoder fed the hard decisions
-// as ±1: it never takes the fast path, on ±1 inputs its correlation
-// metric orders paths exactly as Hamming distance does (ties included),
-// and its sign-disagreement count is the Hamming path metric.
+// as ±1: it never takes the fast path, and on ±1 inputs its correlation
+// metric orders paths exactly as Hamming distance does (ties included).
+// A decode's path metric is the Hamming distance between the frame's
+// hard decisions and the encoding of the message it returned.
 //
 // The clean shares are the fast path's justification (ISSUE 16, DESIGN
 // §3): if a change to internal/fm or internal/modem moves them, the case
@@ -59,9 +60,12 @@ func TestCleanFrameShareMatchesViterbiReference(t *testing.T) {
 			for i := range soft {
 				soft[i] = float64(dem.Payload[i/8]>>uint(7-i%8)&1)*2 - 1
 			}
+			rx := fec.BytesToBits(dem.Payload)
 			for i := 0; (i+1)*cl <= len(dem.Payload); i++ {
-				got, metric, err := hardWs.Decode(dem.Payload[i*cl:(i+1)*cl], codedBits)
-				want, wantMetric, wantErr := softWs.DecodeSoft(soft[i*cl*8 : i*cl*8+codedBits])
+				got, err := hardWs.Decode(dem.Payload[i*cl:(i+1)*cl], codedBits)
+				metric := pathMetric(code, rx[i*cl*8:i*cl*8+codedBits], got)
+				want, wantErr := softWs.DecodeSoft(soft[i*cl*8 : i*cl*8+codedBits])
+				wantMetric := pathMetric(code, rx[i*cl*8:i*cl*8+codedBits], want)
 				if err != nil || wantErr != nil || metric != wantMetric || !bytes.Equal(got, want) {
 					t.Fatalf("%s frame %d: inner decode (metric %d, err %v) differs from Viterbi-only (metric %d, err %v)",
 						row.name, i, metric, err, wantMetric, wantErr)
@@ -85,4 +89,16 @@ func TestCleanFrameShareMatchesViterbiReference(t *testing.T) {
 				row.name, clean, nFrames, row.minClean, row.maxClean)
 		}
 	}
+}
+
+// pathMetric is the Hamming distance between the received coded bits rx
+// (one per byte) and the encoding of the decoded message bytes msg.
+func pathMetric(code *fec.ConvCode, rx, msg []byte) int {
+	d := 0
+	for i, b := range code.EncodeBits(fec.BytesToBits(msg)) {
+		if b != rx[i] {
+			d++
+		}
+	}
+	return d
 }

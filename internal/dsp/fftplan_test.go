@@ -245,75 +245,3 @@ func TestFFTPlanZeroAlloc(t *testing.T) {
 		t.Errorf("planned FFT round trip: %v allocs/run, want 0", n)
 	}
 }
-
-// CrossCorrelate is the direct O(N·len(needle)) reference for
-// FFTCorrelator: the sliding dot product of needle against
-// haystack. Index i of the result is the correlation of needle with
-// haystack[i : i+len(needle)]. Result length is
-// len(haystack)-len(needle)+1; returns nil if needle is longer than
-// haystack or either is empty.
-func CrossCorrelate(haystack, needle []float64) []float64 {
-	n := len(haystack) - len(needle) + 1
-	if n <= 0 || len(needle) == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var acc float64
-		for j, nv := range needle {
-			acc += nv * haystack[i+j]
-		}
-		out[i] = acc
-	}
-	return out
-}
-
-func TestFFTCorrelatorMatchesCrossCorrelate(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	needle := make([]float64, 337) // non-power-of-two needle
-	for i := range needle {
-		needle[i] = rng.NormFloat64()
-	}
-	c := NewFFTCorrelator(needle)
-	for _, hayLen := range []int{337, 500, 4096, 10000} {
-		hay := make([]float64, hayLen)
-		for i := range hay {
-			hay[i] = rng.NormFloat64()
-		}
-		want := CrossCorrelate(hay, needle)
-		got := c.Correlate(nil, hay)
-		if len(got) != len(want) {
-			t.Fatalf("hayLen=%d: %d outputs, want %d", hayLen, len(got), len(want))
-		}
-		for i := range got {
-			if d := math.Abs(got[i] - want[i]); d > 1e-9 {
-				t.Fatalf("hayLen=%d: output %d differs by %g", hayLen, i, d)
-			}
-		}
-	}
-	if c.Correlate(nil, make([]float64, 100)) != nil {
-		t.Fatal("Correlate with short haystack should return nil")
-	}
-	if NewFFTCorrelator(nil) != nil {
-		t.Fatal("NewFFTCorrelator(nil) should return nil")
-	}
-}
-
-func TestFFTCorrelatorReusesDst(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc counts are nondeterministic under the race detector (pool Puts randomly dropped)")
-	}
-	needle := []float64{1, 2, 3}
-	c := NewFFTCorrelator(needle)
-	hay := make([]float64, 4096)
-	for i := range hay {
-		hay[i] = float64(i % 13)
-	}
-	dst := c.Correlate(nil, hay)
-	// Warmed up: same-capacity reuse must not allocate.
-	if n := testing.AllocsPerRun(10, func() {
-		dst = c.Correlate(dst[:0], hay)
-	}); n != 0 {
-		t.Errorf("warmed Correlate: %v allocs/run, want 0", n)
-	}
-}

@@ -52,26 +52,38 @@ func Goertzel(x []float64, targetHz, sampleRate float64) float64 {
 
 func TestFFTConvolverMatchesConvolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, nt := range []int{1, 7, 33, 64} {
-		for _, nx := range []int{1, 50, 500} {
-			taps := make([]float64, nt)
-			for i := range taps {
-				taps[i] = rng.NormFloat64()
-			}
-			x := make([]float64, nx)
-			for i := range x {
-				x[i] = rng.NormFloat64()
-			}
-			// Zero-state FIR filtering is the first len(x) samples of the
-			// full linear convolution.
-			want := Convolve(taps, x)[:nx]
-			got := NewFFTConvolver(taps).Apply(nil, x)
-			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-					t.Fatalf("nt=%d nx=%d: sample %d = %g, Convolve reference %g", nt, nx, i, got[i], want[i])
-				}
+	check := func(nt, nx int, dst []float64) []float64 {
+		taps := make([]float64, nt)
+		for i := range taps {
+			taps[i] = rng.NormFloat64()
+		}
+		x := make([]float64, nx)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		// Zero-state FIR filtering is the first len(x) samples of the
+		// full linear convolution.
+		want := Convolve(taps, x)[:nx]
+		got := NewFFTConvolver(taps).Apply(dst, x)
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+				t.Fatalf("nt=%d nx=%d: sample %d = %g, Convolve reference %g", nt, nx, i, got[i], want[i])
 			}
 		}
+		return got
+	}
+	for _, nt := range []int{1, 7, 33, 64} {
+		for _, nx := range []int{1, 50, 500} {
+			check(nt, nx, nil)
+		}
+	}
+	// The modem's preamble search: a 2048-tap reversed chirp over one
+	// 65 536-lag window plus the chirp's tail, into a dst reused from
+	// the previous window (its stale samples must not leak through).
+	const syncTaps, syncWindow = 2048, 1<<16 + 2048 - 1
+	dst := check(syncTaps, syncWindow, nil)
+	if got := check(syncTaps, syncWindow, dst[:0]); &got[0] != &dst[0] {
+		t.Error("sync-shaped Apply reallocated a dst of sufficient capacity")
 	}
 }
 

@@ -35,9 +35,8 @@ import (
 
 // Fig4aPoint is one distance's loss distribution.
 type Fig4aPoint struct {
-	Label     string
-	DistanceM float64 // 0 = cable
-	Losses    []float64
+	Label  string
+	Losses []float64
 }
 
 // Fig4aConfig scales the experiment.
@@ -72,7 +71,7 @@ func RunFig4a(cfg Fig4aConfig) ([]Fig4aPoint, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var out []Fig4aPoint
 	for _, d := range Fig4aDistances {
-		pt := Fig4aPoint{Label: d.Label, DistanceM: d.D}
+		pt := Fig4aPoint{Label: d.Label}
 		for trial := 0; trial < cfg.Trials; trial++ {
 			link := fm.Chain{
 				&fm.FMLink{RSSI: -70, Rng: rand.New(rand.NewSource(rng.Int63()))},

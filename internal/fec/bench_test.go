@@ -40,7 +40,7 @@ func BenchmarkViterbiHardV29(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ws.decodeHardBits(coded); err != nil {
+		if _, err := ws.decodeHardBits(coded); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,7 +56,7 @@ func BenchmarkViterbiHardV29Clean(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ws.decodeHardBits(coded); err != nil {
+		if _, err := ws.decodeHardBits(coded); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func BenchmarkViterbiHardV27(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ws.decodeHardBits(coded); err != nil {
+		if _, err := ws.decodeHardBits(coded); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func BenchmarkViterbiSoftV29(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ws.decodeSoftBits(soft); err != nil {
+		if _, err := ws.decodeSoftBits(soft); err != nil {
 			b.Fatal(err)
 		}
 	}

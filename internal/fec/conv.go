@@ -135,13 +135,7 @@ func gf2Bezout(a, b uint32) (gcd, s, t uint32) {
 // output bits: the encoder is flushed with K-1 zero tail bits so the
 // decoder terminates in the zero state.
 func (c *ConvCode) EncodeBits(bits []byte) []byte {
-	out := make([]byte, 0, 2*(len(bits)+c.k-1))
-	return c.encodeBitsInto(out, bits)
-}
-
-// encodeBitsInto appends the coded stream for bits (plus tail flush) to
-// dst and returns it.
-func (c *ConvCode) encodeBitsInto(dst []byte, bits []byte) []byte {
+	dst := make([]byte, 0, 2*(len(bits)+c.k-1))
 	outPair := c.tables()
 	var sr uint32 // shift register, newest bit in LSB
 	mask := uint32(1<<uint(c.k)) - 1
@@ -183,10 +177,9 @@ func (c *ConvCode) EncodedBits(msgLen int) int {
 //
 // A Workspace decodes through one of two methods, one per input kind:
 // Decode takes packed hard decisions, DecodeSoft per-bit soft metrics.
-// Both return the message bytes and the same path metric. The returned
-// bytes alias the workspace's buffers and are valid only until the next
-// call; copy them to retain. A Workspace is not safe for concurrent use:
-// use one per goroutine.
+// Both return the message bytes, which alias the workspace's buffers and
+// are valid only until the next call; copy them to retain. A Workspace
+// is not safe for concurrent use: use one per goroutine.
 type Workspace struct {
 	c *ConvCode
 
@@ -200,7 +193,7 @@ type Workspace struct {
 
 	bits  []byte // decoded message bits
 	data  []byte // packed decoded bytes
-	coded []byte // unpacked coded bits (Decode), re-encoded winner (DecodeSoft)
+	coded []byte // unpacked coded bits (Decode)
 }
 
 // NewWorkspace returns a decoder workspace bound to the code. Callers
@@ -242,27 +235,26 @@ const hardInf = math.MaxInt32 / 4
 
 // decodeHardBits is the hard-decision kernel: it decodes a coded bit
 // stream (one bit per byte, as EncodeBits emits, possibly with bit
-// errors) to the maximum-likelihood message bits and the winning path
-// metric — the Hamming distance between the received stream and the
-// re-encoded message, i.e. how many channel bits Viterbi had to override.
-// A stream that is already a codeword skips the trellis (decodeClean).
-// The stream length must be even and at least 2*(K-1); the returned
-// slice aliases the workspace.
-func (w *Workspace) decodeHardBits(coded []byte) ([]byte, int, error) {
+// errors) to the maximum-likelihood message bits, those whose encoding
+// is the least Hamming distance from the received stream. A stream that
+// is already a codeword skips the trellis (decodeClean). The stream
+// length must be even and at least 2*(K-1); the returned slice aliases
+// the workspace.
+func (w *Workspace) decodeHardBits(coded []byte) ([]byte, error) {
 	c := w.c
 	if len(coded)%2 != 0 || len(coded) < 2*(c.k-1) {
-		return nil, 0, ErrBadCodeLength
+		return nil, ErrBadCodeLength
 	}
 	nSteps := len(coded) / 2
 	msgLen := nSteps - (c.k - 1)
 	if msgLen < 0 {
-		return nil, 0, ErrBadCodeLength
+		return nil, ErrBadCodeLength
 	}
 	nStates := 1 << uint(c.k-1)
 	c.tables() // ensure hardBM and the inverse are built
 	msg := w.growBits(nSteps)
 	if w.decodeClean(coded, msg) {
-		return msg[:msgLen], 0, nil
+		return msg[:msgLen], nil
 	}
 	surv := w.growSurv(nSteps)
 	stride := w.stride
@@ -335,7 +327,7 @@ func (w *Workspace) decodeHardBits(coded []byte) ([]byte, int, error) {
 		b := surv[step*stride+int(state>>6)] >> (state & 63) & 1
 		state = state>>1 | uint32(b)<<uint(c.k-2)
 	}
-	return msg[:msgLen], int(metric[0]), nil
+	return msg[:msgLen], nil
 }
 
 // decodeClean is the zero-syndrome fast path: it reports whether the
@@ -397,17 +389,15 @@ func gf2MulWord(cur, prev uint64, g uint32) (p uint64) {
 
 // decodeSoftBits is the soft-decision kernel: Viterbi over per-bit soft
 // metrics (positive value = bit 1, magnitude = reliability, as the
-// modem's DemapSoft produces), maximizing correlation. It returns the
-// message bits and a hard-equivalent path metric: the number of inputs
-// whose sign disagrees with the re-encoded winner, the Hamming distance
-// decodeHardBits reports for the sliced input. Soft decoding buys
-// roughly 2 dB over hard decisions on Gaussian channels, which is why
-// data-over-sound modems like Quiet feed their decoders soft values.
+// modem's DemapSoft produces), maximizing correlation, and returns the
+// message bits. Soft decoding buys roughly 2 dB over hard decisions on
+// Gaussian channels, which is why data-over-sound modems like Quiet
+// feed their decoders soft values.
 // The returned slice aliases the workspace.
-func (w *Workspace) decodeSoftBits(soft []float64) ([]byte, int, error) {
+func (w *Workspace) decodeSoftBits(soft []float64) ([]byte, error) {
 	c := w.c
 	if len(soft)%2 != 0 || len(soft) < 2*(c.k-1) {
-		return nil, 0, ErrBadCodeLength
+		return nil, ErrBadCodeLength
 	}
 	nSteps := len(soft) / 2
 	msgLen := nSteps - (c.k - 1)
@@ -484,32 +474,16 @@ func (w *Workspace) decodeSoftBits(soft []float64) ([]byte, int, error) {
 		b := surv[step*stride+int(state>>6)] >> (state & 63) & 1
 		state = state>>1 | uint32(b)<<uint(c.k-2)
 	}
-	msg = msg[:msgLen]
-
-	// Re-encode the winner into scratch (msg aliases w.bits, so w.coded)
-	// and count the inputs its signs disagree with; len(re) == len(soft).
-	if cap(w.coded) < len(soft) {
-		w.coded = make([]byte, 0, len(soft))
-	}
-	re := c.encodeBitsInto(w.coded[:0], msg)
-	w.coded = re[:0]
-	disagree := 0
-	for i, s := range soft {
-		if (re[i] == 1) != (s > 0) {
-			disagree++
-		}
-	}
-	return msg, disagree, nil
+	return msg[:msgLen], nil
 }
 
 // Decode decodes packed hard decisions: coded holds codedBits coded bits,
-// MSB first, as Encode emits them (possibly with bit errors). It returns
-// the message bytes and the path metric of decodeHardBits: a codeword is
-// inverted algebraically with metric 0, anything else walks the integer
-// trellis. The returned slice aliases the workspace.
-func (w *Workspace) Decode(coded []byte, codedBits int) ([]byte, int, error) {
+// MSB first, as Encode emits them (possibly with bit errors), and returns
+// the message bytes: a codeword is inverted algebraically, anything else
+// walks the integer trellis. The returned slice aliases the workspace.
+func (w *Workspace) Decode(coded []byte, codedBits int) ([]byte, error) {
 	if codedBits < 0 || codedBits > len(coded)*8 {
-		return nil, 0, ErrBadCodeLength
+		return nil, ErrBadCodeLength
 	}
 	if cap(w.coded) < codedBits {
 		w.coded = make([]byte, codedBits)
@@ -520,29 +494,27 @@ func (w *Workspace) Decode(coded []byte, codedBits int) ([]byte, int, error) {
 }
 
 // DecodeSoft decodes per-bit soft metrics, one per coded bit (positive =
-// bit 1), always on the float trellis. It returns the message bytes and
-// the path metric Decode reports: the Hamming distance from the sliced
-// input to the re-encoded winner. The returned slice aliases the
-// workspace.
-func (w *Workspace) DecodeSoft(soft []float64) ([]byte, int, error) {
+// bit 1), always on the float trellis, and returns the message bytes.
+// The returned slice aliases the workspace.
+func (w *Workspace) DecodeSoft(soft []float64) ([]byte, error) {
 	return w.packed(w.decodeSoftBits(soft))
 }
 
 // packed packs a kernel's decoded message bits into the workspace's byte
 // buffer; a message that is not a whole number of bytes is an error.
-func (w *Workspace) packed(msgBits []byte, metric int, err error) ([]byte, int, error) {
+func (w *Workspace) packed(msgBits []byte, err error) ([]byte, error) {
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if len(msgBits)%8 != 0 {
-		return nil, 0, fmt.Errorf("fec: decoded %d bits, not byte aligned", len(msgBits))
+		return nil, fmt.Errorf("fec: decoded %d bits, not byte aligned", len(msgBits))
 	}
 	if cap(w.data) < len(msgBits)/8 {
 		w.data = make([]byte, len(msgBits)/8)
 	}
 	w.data = w.data[:len(msgBits)/8]
 	packBitsInto(w.data, msgBits)
-	return w.data, metric, nil
+	return w.data, nil
 }
 
 // BytesToBits unpacks bytes into bits, MSB first.

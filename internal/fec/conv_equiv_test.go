@@ -191,14 +191,14 @@ func TestViterbiHardMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotMetric, err := ws.decodeHardBits(coded)
+			got, err := ws.decodeHardBits(coded)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("K=%d trial %d: decoded bits diverge from reference", c.k, trial)
 			}
-			if gotMetric != wantMetric {
+			if gotMetric := pathMetric(c, coded, got); gotMetric != wantMetric {
 				t.Fatalf("K=%d trial %d: path metric %d, reference %d", c.k, trial, gotMetric, wantMetric)
 			}
 		}
@@ -227,7 +227,7 @@ func TestViterbiSoftMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := ws.decodeSoftBits(soft)
+			got, err := ws.decodeSoftBits(soft)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,20 +238,36 @@ func TestViterbiSoftMatchesReference(t *testing.T) {
 	}
 }
 
+// pathMetric is the Viterbi winner's path metric: the Hamming distance
+// between the received hard decisions (bit 0 of each entry of coded)
+// and the encoding of the decoded message bits msg.
+func pathMetric(c *ConvCode, coded, msg []byte) int {
+	d := 0
+	for i, b := range c.EncodeBits(msg) {
+		if b != coded[i]&1 {
+			d++
+		}
+	}
+	return d
+}
+
 // checkHardMatchesReference decodes coded through the optimized kernel
 // and the frozen reference and requires the same bits, path metric and
 // error.
 func checkHardMatchesReference(t *testing.T, c *ConvCode, name string, coded []byte) {
 	t.Helper()
 	want, wantMetric, wantErr := refDecodeBitsMetric(c, coded)
-	got, gotMetric, gotErr := c.NewWorkspace().decodeHardBits(coded)
+	got, gotErr := c.NewWorkspace().decodeHardBits(coded)
 	if gotErr != wantErr {
 		t.Fatalf("K=%d %s: error %v, reference %v", c.k, name, gotErr, wantErr)
 	}
 	if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
 		t.Fatalf("K=%d %s: decoded bits diverge from reference", c.k, name)
 	}
-	if gotMetric != wantMetric {
+	if gotErr != nil {
+		return
+	}
+	if gotMetric := pathMetric(c, coded, got); gotMetric != wantMetric {
 		t.Fatalf("K=%d %s: path metric %d, reference %d", c.k, name, gotMetric, wantMetric)
 	}
 }
@@ -267,15 +283,24 @@ func checkSoftMatchesHard(t *testing.T, c *ConvCode, name string, coded []byte) 
 	for i, b := range coded {
 		soft[i] = float64(b&1)*2 - 1
 	}
-	want, wantMetric, wantErr := c.NewWorkspace().decodeHardBits(coded)
-	got, gotMetric, gotErr := c.NewWorkspace().decodeSoftBits(soft)
+	want, wantErr := c.NewWorkspace().decodeHardBits(coded)
+	got, gotErr := c.NewWorkspace().decodeSoftBits(soft)
 	if gotErr != wantErr {
 		t.Fatalf("K=%d %s: soft error %v, hard %v", c.k, name, gotErr, wantErr)
 	}
 	if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
 		t.Fatalf("K=%d %s: soft-decoded bits diverge from hard", c.k, name)
 	}
-	if gotMetric != wantMetric {
+	if gotErr != nil {
+		return
+	}
+	sliced := make([]byte, len(soft))
+	for i, v := range soft {
+		if v > 0 {
+			sliced[i] = 1
+		}
+	}
+	if gotMetric, wantMetric := pathMetric(c, sliced, got), pathMetric(c, coded, want); gotMetric != wantMetric {
 		t.Fatalf("K=%d %s: soft path metric %d, hard %d", c.k, name, gotMetric, wantMetric)
 	}
 }
@@ -305,8 +330,8 @@ func TestCleanFastPathMatchesReference(t *testing.T) {
 				t.Fatalf("K=%d msgLen=%d: clean codeword not taken by the fast path", c.k, msgLen)
 			}
 			checkHardMatchesReference(t, c, "clean", clean)
-			if got, metric, _ := c.NewWorkspace().decodeHardBits(clean); !bytes.Equal(got, msg) || metric != 0 {
-				t.Fatalf("K=%d msgLen=%d: clean decode changed the message (metric %d)", c.k, msgLen, metric)
+			if got, _ := c.NewWorkspace().decodeHardBits(clean); !bytes.Equal(got, msg) || pathMetric(c, clean, got) != 0 {
+				t.Fatalf("K=%d msgLen=%d: clean decode changed the message", c.k, msgLen)
 			}
 
 			// The decoder reads bit 0 of each entry only.
@@ -348,7 +373,7 @@ func TestCleanFastPathMatchesReference(t *testing.T) {
 		}
 		for _, n := range []int{0, 1, 2, 2*(c.k-1) - 2, 2*(c.k-1) - 1, 2*(c.k-1) + 1, 101} {
 			checkHardMatchesReference(t, c, "bad length", make([]byte, n))
-			if _, _, err := c.NewWorkspace().decodeHardBits(make([]byte, n)); err != ErrBadCodeLength {
+			if _, err := c.NewWorkspace().decodeHardBits(make([]byte, n)); err != ErrBadCodeLength {
 				t.Fatalf("K=%d len %d: error %v, want ErrBadCodeLength", c.k, n, err)
 			}
 		}
@@ -404,31 +429,33 @@ func TestViterbiWorkspaceZeroAlloc(t *testing.T) {
 	}
 	noisy := append([]byte(nil), coded...)
 	noisy[len(noisy)/2] ^= 0x10 // one channel error: the Viterbi path
+	if takesFastPath(c, BytesToBits(noisy)[:codedBits]) {
+		t.Fatal("the noisy word is a codeword")
+	}
 
 	ws := c.NewWorkspace()
 	// Warm up so the survivor memory has grown to steady state.
-	if _, _, err := ws.Decode(noisy, codedBits); err != nil {
+	if _, err := ws.Decode(noisy, codedBits); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ws.DecodeSoft(soft); err != nil {
+	if _, err := ws.DecodeSoft(soft); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, in := range []struct {
-		name   string
-		coded  []byte
-		metric int
-	}{{"clean (fast path)", coded, 0}, {"noisy (Viterbi)", noisy, 1}} {
+		name  string
+		coded []byte
+	}{{"clean (fast path)", coded}, {"noisy (Viterbi)", noisy}} {
 		if n := testing.AllocsPerRun(20, func() {
-			if _, metric, err := ws.Decode(in.coded, codedBits); err != nil || metric != in.metric {
-				t.Fatalf("%s: metric %d, err %v", in.name, metric, err)
+			if got, err := ws.Decode(in.coded, codedBits); err != nil || !bytes.Equal(got, msg) {
+				t.Fatalf("%s: decoded %d bytes, err %v", in.name, len(got), err)
 			}
 		}); n != 0 {
 			t.Errorf("Workspace.Decode, %s: %v allocs/run, want 0", in.name, n)
 		}
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if _, _, err := ws.DecodeSoft(soft); err != nil {
+		if _, err := ws.DecodeSoft(soft); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -451,7 +478,7 @@ func TestSharedCodeConcurrentDecode(t *testing.T) {
 		go func() {
 			ws := c.NewWorkspace()
 			for i := 0; i < 20; i++ {
-				got, _, err := ws.Decode(coded, codedBits)
+				got, err := ws.Decode(coded, codedBits)
 				if err != nil {
 					done <- err
 					return

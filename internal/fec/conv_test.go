@@ -48,7 +48,7 @@ func TestConvRoundTripClean(t *testing.T) {
 				bits[i] = byte(rng.Intn(2))
 			}
 			coded := c.EncodeBits(bits)
-			dec, _, err := c.NewWorkspace().decodeHardBits(coded)
+			dec, err := c.NewWorkspace().decodeHardBits(coded)
 			if err != nil {
 				t.Fatalf("K=%d n=%d: %v", c.k, n, err)
 			}
@@ -74,7 +74,7 @@ func TestConvCorrectsScatteredErrors(t *testing.T) {
 	for i := 20; i < len(coded); i += 40 {
 		coded[i] ^= 1
 	}
-	dec, _, err := c.NewWorkspace().decodeHardBits(coded)
+	dec, err := c.NewWorkspace().decodeHardBits(coded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestConvRandomBERRecovery(t *testing.T) {
 				coded[i] ^= 1
 			}
 		}
-		dec, _, err := c.NewWorkspace().decodeHardBits(coded)
+		dec, err := c.NewWorkspace().decodeHardBits(coded)
 		if err == nil && bytes.Equal(dec, bits) {
 			ok++
 		}
@@ -127,7 +127,7 @@ func TestConvV29OutperformsV27(t *testing.T) {
 					coded[i] ^= 1
 				}
 			}
-			dec, _, err := c.NewWorkspace().decodeHardBits(coded)
+			dec, err := c.NewWorkspace().decodeHardBits(coded)
 			if err == nil && bytes.Equal(dec, bits) {
 				ok++
 			}
@@ -144,13 +144,13 @@ func TestConvV29OutperformsV27(t *testing.T) {
 func TestConvDecodeBadLength(t *testing.T) {
 	c := NewV29()
 	ws := c.NewWorkspace()
-	if _, _, err := ws.decodeHardBits(make([]byte, 3)); err != ErrBadCodeLength {
+	if _, err := ws.decodeHardBits(make([]byte, 3)); err != ErrBadCodeLength {
 		t.Errorf("odd length err = %v", err)
 	}
-	if _, _, err := ws.decodeHardBits(make([]byte, 2)); err != ErrBadCodeLength {
+	if _, err := ws.decodeHardBits(make([]byte, 2)); err != ErrBadCodeLength {
 		t.Errorf("too-short err = %v", err)
 	}
-	if _, _, err := ws.Decode([]byte{0}, 100); err == nil {
+	if _, err := ws.Decode([]byte{0}, 100); err == nil {
 		t.Error("codedBits beyond buffer should fail")
 	}
 }
@@ -159,7 +159,7 @@ func TestConvByteAPIRoundTrip(t *testing.T) {
 	c := NewV29()
 	msg := []byte("SONIC frame payload: 100 bytes of webpage partition data....")
 	coded, nbits := c.Encode(msg)
-	dec, _, err := c.NewWorkspace().Decode(coded, nbits)
+	dec, err := c.NewWorkspace().Decode(coded, nbits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestConvQuickRoundTrip(t *testing.T) {
 			data = data[:64]
 		}
 		coded, nbits := c.Encode(data)
-		dec, _, err := ws.Decode(coded, nbits)
+		dec, err := ws.Decode(coded, nbits)
 		return err == nil && bytes.Equal(dec, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -222,7 +222,7 @@ func BenchmarkV29Decode100B(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ws.Decode(coded, nbits); err != nil {
+		if _, err := ws.Decode(coded, nbits); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,10 +22,9 @@ import (
 // exact, so outputs are byte-identical to the straightforward
 // implementation.
 type RS struct {
-	k      int    // data symbols per codeword
-	nroots int    // parity symbols per codeword
-	gen    []byte // generator polynomial, highest degree first
-	fcr    int    // first consecutive root exponent
+	k      int // data symbols per codeword
+	nroots int // parity symbols per codeword
+	fcr    int // first consecutive root exponent
 
 	// genTab[fb*nroots+i] = gfMul(fb, gen[i+1]): the parity feedback row
 	// for message byte feedback fb.
@@ -65,12 +64,12 @@ func NewRS(k int) (*RS, error) {
 		return nil, fmt.Errorf("fec: invalid RS k=%d", k)
 	}
 	r := &RS{k: k, nroots: rsN - k, fcr: rs8FCR}
-	// Generator polynomial: product of (x - alpha^(fcr+i)).
+	// Generator polynomial, highest degree first: product of
+	// (x - alpha^(fcr+i)).
 	g := []byte{1}
 	for i := 0; i < r.nroots; i++ {
 		g = polyMul(g, []byte{1, gfPow(r.fcr + i)})
 	}
-	r.gen = g
 
 	r.genTab = make([]byte, 256*r.nroots)
 	for fb := 1; fb < 256; fb++ {

@@ -20,6 +20,12 @@ func refEncodeBlock(r *RS, data []byte) ([]byte, error) {
 	if len(data) > r.k {
 		return nil, errTestOverlong
 	}
+	// Generator polynomial, highest degree first: product of
+	// (x - alpha^(fcr+i)).
+	gen := []byte{1}
+	for i := 0; i < r.nroots; i++ {
+		gen = polyMul(gen, []byte{1, gfPow(r.fcr + i)})
+	}
 	parity := make([]byte, r.nroots)
 	for _, d := range data {
 		fb := d ^ parity[0]
@@ -27,7 +33,7 @@ func refEncodeBlock(r *RS, data []byte) ([]byte, error) {
 		parity[r.nroots-1] = 0
 		if fb != 0 {
 			for i := 0; i < r.nroots; i++ {
-				parity[i] ^= gfMul(fb, r.gen[i+1])
+				parity[i] ^= gfMul(fb, gen[i+1])
 			}
 		}
 	}

@@ -173,7 +173,7 @@ func (c *Codec) decodeFrame(ws *fec.Workspace, coded []byte) (*Frame, error) {
 		return nil, ErrBadLength
 	}
 	if c.conv == nil {
-		return c.decodeTail(coded, 0, nil)
+		return c.decodeTail(coded, nil)
 	}
 	return c.decodeTail(ws.Decode(coded, c.codedBits))
 }
@@ -195,9 +195,9 @@ func (c *Codec) decodeFrameSoft(ws *fec.Workspace, soft []float64) (*Frame, erro
 
 // decodeTail is the per-frame receive path after the inner decoder, the
 // same for hard and soft input: it takes the inner decode as the
-// workspace returned it (buf, path metric, err; the coded frame itself
-// without an inner code), then runs the RS stage and the CRC.
-func (c *Codec) decodeTail(buf []byte, _ int, err error) (*Frame, error) {
+// workspace returned it (buf, err; the coded frame itself without an
+// inner code), then runs the RS stage and the CRC.
+func (c *Codec) decodeTail(buf []byte, err error) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}

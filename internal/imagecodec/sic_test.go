@@ -245,7 +245,10 @@ func flateBombStream(tb testing.TB, w, h, n int) []byte {
 // parse, a 16 KB bomb allocated 57 MB and a 65 KB one 135 MB, only to
 // fail at the first band. Both now stay under the declared raster's
 // w*h/2 bytes (a sixth of the raster), well below the ~35 MB a real
-// decode of it needs.
+// decode of it needs. TotalAlloc counts the whole process, so a reading
+// is the least of three cold decodes: a runtime allocation that lands
+// inside one window (~100 B, in about one run of a hundred) is not the
+// decoder's.
 func TestSICFlateBombAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation changes what is allocated")
@@ -254,16 +257,20 @@ func TestSICFlateBombAllocation(t *testing.T) {
 	var got [2]uint64
 	for i, n := range []int{16 << 20, 64 << 20} {
 		data := flateBombStream(t, w, h, n)
-		runtime.GC()
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := DecodeSICWorkers(data, 1)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatalf("%d-byte bomb decoded", len(data))
+		var err error
+		got[i] = math.MaxUint64
+		for range 3 {
+			runtime.GC()
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = DecodeSICWorkers(data, 1)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%d-byte bomb decoded", len(data))
+			}
+			got[i] = min(got[i], after.TotalAlloc-before.TotalAlloc)
 		}
-		got[i] = after.TotalAlloc - before.TotalAlloc
 		t.Logf("%d MiB of tokens in %d bytes: %.2f MB allocated (%v)", n>>20, len(data), float64(got[i])/1e6, err)
 		if limit := uint64(w * h / 2); got[i] > limit {
 			t.Errorf("%d-byte bomb allocated %d bytes, want <= w*h/2 = %d", len(data), got[i], limit)

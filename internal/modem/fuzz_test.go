@@ -115,14 +115,18 @@ func FuzzDemodulate(f *testing.F) {
 			}
 			return
 		}
-		if hard.Symbols != soft.Symbols || hard.StartIdx != soft.StartIdx || len(hard.Payload) != len(soft.Payload) || len(soft.Soft) != 8*len(soft.Payload) {
-			t.Fatalf("hard result (%d symbols at %d, %d bytes) and soft result (%d at %d, %d bytes, %d metrics) disagree",
-				hard.Symbols, hard.StartIdx, len(hard.Payload), soft.Symbols, soft.StartIdx, len(soft.Payload), len(soft.Soft))
+		if len(hard.Payload) != len(soft.Soft)/8 || len(soft.Soft)%8 != 0 {
+			t.Fatalf("hard result (%d bytes) and soft result (%d metrics) disagree", len(hard.Payload), len(soft.Soft))
 		}
-		if end := hard.StartIdx + prologue + (1+m.headerSymbols()+hard.Symbols)*symLen; hard.StartIdx < 0 || end > len(samples) {
-			t.Fatalf("result claims samples [%d, %d) of %d", hard.StartIdx, end, len(samples))
+		bh, err := m.openBurst(samples)
+		if err != nil {
+			t.Fatalf("openBurst: %v after Demodulate succeeded", err)
 		}
-		if !mutated && (!bytes.Equal(hard.Payload, payload) || !bytes.Equal(soft.Payload, payload)) {
+		start := bh.pos - prologue - (1+m.headerSymbols())*symLen
+		if end := bh.pos + bh.nSym*symLen; start < 0 || end > len(samples) || len(hard.Payload) != bh.payloadLen {
+			t.Fatalf("result claims samples [%d, %d) of %d, %d of %d bytes", start, end, len(samples), len(hard.Payload), bh.payloadLen)
+		}
+		if !mutated && (!bytes.Equal(hard.Payload, payload) || !bytes.Equal(hardDecisions(soft.Soft), payload)) {
 			t.Fatal("unmutated burst did not return its payload")
 		}
 	})

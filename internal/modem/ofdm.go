@@ -111,9 +111,9 @@ type OFDM struct {
 	header   *Constellation
 	plan     *dsp.FFTPlan // FFTSize transform
 
-	preambleEnergy float64            // sqrt(sum preamble^2), for sync normalization
-	corr           *dsp.FFTCorrelator // overlap-save preamble correlator
-	scratch        sync.Pool          // *ofdmScratch
+	preambleEnergy float64           // sqrt(sum preamble^2), for sync normalization
+	corr           *dsp.FFTConvolver // filters with the time-reversed preamble: correlates
+	scratch        sync.Pool         // *ofdmScratch
 }
 
 // ofdmScratch holds the per-call working buffers of one modulate or
@@ -125,7 +125,7 @@ type ofdmScratch struct {
 	spec  []complex128 // FFTSize FFT workspace
 	vals  []complex128 // len(bins) occupied-bin values, first symbol of a pair
 	valsB []complex128 // same, second symbol
-	cc    []float64    // preamble correlation outputs (one search window)
+	cc    []float64    // reversed-preamble convolution of one search window
 	bits  []byte       // padded final symbol chunk
 }
 
@@ -213,7 +213,11 @@ func NewOFDM(p Profile) (*OFDM, error) {
 		pe += v * v
 	}
 	m.preambleEnergy = math.Sqrt(pe)
-	m.corr = dsp.NewFFTCorrelator(m.preamble)
+	rev := make([]float64, len(m.preamble))
+	for i, v := range m.preamble {
+		rev[len(rev)-1-i] = v
+	}
+	m.corr = dsp.NewFFTConvolver(rev)
 	return m, nil
 }
 
@@ -471,12 +475,10 @@ func (m *OFDM) mapSymbol(dst []complex128, bits []byte, idx int, c *Constellatio
 	return dst
 }
 
-// DemodResult carries demodulation diagnostics alongside the payload.
+// DemodResult carries the payload and the link's pilot SNR estimate.
 type DemodResult struct {
-	Payload  []byte
-	SNRdB    float64 // average pilot SNR estimate
-	Symbols  int     // payload OFDM symbols consumed
-	StartIdx int     // sample index where the burst was found
+	Payload []byte
+	SNRdB   float64 // average pilot SNR estimate
 }
 
 // Errors returned by Demodulate.
@@ -487,7 +489,6 @@ var (
 
 // burstHeader is the decoded prologue of a received burst.
 type burstHeader struct {
-	start      int
 	pos        int // sample index of the first payload symbol
 	symLen     int
 	payloadLen int
@@ -550,7 +551,7 @@ func (m *OFDM) decodePrologue(samples []float64, sc *ofdmScratch) (*burstHeader,
 	}
 	bps := m.p.DataCarriers * c.Bits()
 	return &burstHeader{
-		start: start, pos: pos, symLen: symLen,
+		pos: pos, symLen: symLen,
 		payloadLen: payloadLen, c: c, h: h,
 		bps: bps, nSym: (payloadLen*8 + bps - 1) / bps,
 	}, nil
@@ -572,7 +573,7 @@ func (m *OFDM) Demodulate(samples []float64) (*DemodResult, error) {
 	if len(payload) > bh.payloadLen {
 		payload = payload[:bh.payloadLen]
 	}
-	return &DemodResult{Payload: payload, SNRdB: snr, Symbols: bh.nSym, StartIdx: bh.start}, nil
+	return &DemodResult{Payload: payload, SNRdB: snr}, nil
 }
 
 // openBurst decodes the prologue and checks that every payload symbol
@@ -622,14 +623,10 @@ func (m *OFDM) eqPayload(samples []float64, bh *burstHeader, emit func(s int, va
 const demodMinPairs = 2
 
 // SoftDemodResult carries the soft-decision payload: one signed metric
-// per payload bit (positive = 1) for a soft-decision FEC decoder, plus
-// the hard payload for callers that want both.
+// per payload bit (positive = 1) for a soft-decision FEC decoder.
 type SoftDemodResult struct {
-	Soft     []float64
-	Payload  []byte
-	SNRdB    float64
-	Symbols  int
-	StartIdx int
+	Soft  []float64
+	SNRdB float64
 }
 
 // DemodulateSoft is Demodulate with per-bit soft outputs (the header is
@@ -651,13 +648,7 @@ func (m *OFDM) DemodulateSoft(samples []float64) (*SoftDemodResult, error) {
 	if totalBits := bh.payloadLen * 8; len(soft) > totalBits {
 		soft = soft[:totalBits]
 	}
-	bits := make([]byte, len(soft))
-	for i, s := range soft {
-		if s > 0 {
-			bits[i] = 1
-		}
-	}
-	return &SoftDemodResult{Soft: soft, Payload: fec.BitsToBytes(bits), SNRdB: snr, Symbols: bh.nSym, StartIdx: bh.start}, nil
+	return &SoftDemodResult{Soft: soft, SNRdB: snr}, nil
 }
 
 // findPreamble locates the chirp preamble by normalized cross-correlation
@@ -666,10 +657,13 @@ func (m *OFDM) DemodulateSoft(samples []float64) (*SoftDemodResult, error) {
 // sidelobes are low, so a >=0.25 normalized peak is genuine sync), later
 // audio — usually megabytes of payload symbols — is never scanned.
 //
-// The correlation numerators come from the precomputed overlap-save FFT
-// correlator (O(N log N) instead of O(N * preamble)); the normalization
-// keeps the reference implementation's running window energy, threshold,
-// and first-maximum semantics, so the same peak is selected.
+// The correlation numerators come from the overlap-save FFT convolver
+// (O(N log N) instead of O(N * preamble)): correlating with the preamble
+// is convolving with it time-reversed, so output lp-1+i of filtering a
+// window is Σ_j preamble[j]·hay[i+j], the dot product at lag i. The
+// normalization keeps the reference implementation's running window
+// energy, threshold, and first-maximum semantics, so the same peak is
+// selected.
 func (m *OFDM) findPreamble(samples []float64, sc *ofdmScratch) int {
 	const (
 		window    = 1 << 16
@@ -681,16 +675,11 @@ func (m *OFDM) findPreamble(samples []float64, sc *ofdmScratch) int {
 		return -1
 	}
 	for off := 0; off < n; off += window {
-		end := off + window + lp - 1
-		if end > len(samples) {
-			end = len(samples)
-		}
+		// off < n, so the window holds at least one whole preamble.
+		end := min(off+window+lp-1, len(samples))
 		hay := samples[off:end]
-		sc.cc = m.corr.Correlate(sc.cc[:0], hay)
-		cc := sc.cc
-		if cc == nil {
-			continue
-		}
+		sc.cc = m.corr.Apply(sc.cc[:0], hay)
+		cc := sc.cc[lp-1:]
 		// Normalize by needle and running window energy, tracking the
 		// first maximum — exactly the reference search's
 		// normalizedCrossCorrelate + argMax (equiv_test.go).

@@ -132,8 +132,10 @@ func TestOFDMWithLeadingNoiseAndOffset(t *testing.T) {
 	if !bytes.Equal(res.Payload, payload) {
 		t.Fatal("payload mismatch after offset")
 	}
-	if res.StartIdx < 8900 || res.StartIdx > 9100 {
-		t.Errorf("StartIdx = %d, want ~9000", res.StartIdx)
+	sc := m.getScratch()
+	defer m.putScratch(sc)
+	if start := m.findPreamble(stream, sc); start < 8900 || start > 9100 {
+		t.Errorf("preamble found at %d, want ~9000", start)
 	}
 }
 

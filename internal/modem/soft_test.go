@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"sonic/internal/fec"
 )
 
 func TestDemapSoftSignsMatchHard(t *testing.T) {
@@ -55,6 +57,17 @@ func abs(v float64) float64 {
 	return v
 }
 
+// hardDecisions slices soft metrics (positive = 1) into packed bytes.
+func hardDecisions(soft []float64) []byte {
+	bits := make([]byte, len(soft))
+	for i, v := range soft {
+		if v > 0 {
+			bits[i] = 1
+		}
+	}
+	return fec.BitsToBytes(bits)
+}
+
 func TestDemodulateSoftMatchesHardOnCleanAudio(t *testing.T) {
 	m, _ := NewOFDM(Sonic92())
 	rng := rand.New(rand.NewSource(2))
@@ -69,13 +82,13 @@ func TestDemodulateSoftMatchesHardOnCleanAudio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(hard.Payload, soft.Payload) {
-		t.Fatal("soft hard-decision payload differs from hard path")
-	}
 	if len(soft.Soft) != len(payload)*8 {
 		t.Fatalf("soft has %d metrics, want %d", len(soft.Soft), len(payload)*8)
 	}
-	if !bytes.Equal(soft.Payload, payload) {
+	if !bytes.Equal(hardDecisions(soft.Soft), hard.Payload) {
+		t.Fatal("soft metrics' signs differ from the hard path's payload")
+	}
+	if !bytes.Equal(hard.Payload, payload) {
 		t.Fatal("payload mismatch")
 	}
 }

@@ -130,8 +130,8 @@ func TestAdmissionAttachToPending(t *testing.T) {
 	if head == nil {
 		t.Fatal("nothing queued on khi-1")
 	}
-	if head.Count != 2 {
-		t.Errorf("queued page carries %d requests, want 2", head.Count)
+	if len(head.Traces) != 2 {
+		t.Errorf("queued page carries %d requests' traces, want 2", len(head.Traces))
 	}
 	if got := reg.Snapshot().Counters["lifecycle_on_air_total"]; got != 2 {
 		t.Errorf("on-air traces = %d, want 2", got)

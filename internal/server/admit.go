@@ -135,7 +135,6 @@ func (s *Server) admitBatch(b admission.Batch) (time.Duration, error) {
 	tq := sh.queue(tx.ID)
 	airBytes := tq.bytes
 	if qp := tq.pending[b.URL]; qp != nil && qp.EffHour == b.EffHour {
-		qp.Count += b.Count
 		qp.Traces = append(qp.Traces, b.Traces...)
 	} else {
 		tq.push(&queuedPage{
@@ -145,7 +144,6 @@ func (s *Server) admitBatch(b admission.Batch) (time.Duration, error) {
 			Bytes:    blobLen,
 			EffHour:  b.EffHour,
 			Enqueued: b.Now,
-			Count:    b.Count,
 			Traces:   b.Traces,
 		})
 		airBytes += blobLen

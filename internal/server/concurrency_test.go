@@ -44,7 +44,7 @@ func TestConcurrentServerUse(t *testing.T) {
 			return false
 		}
 		countMu.Lock()
-		counted += head.Count
+		counted += len(head.Traces)
 		countMu.Unlock()
 		return true
 	}
@@ -92,8 +92,7 @@ func TestConcurrentServerUse(t *testing.T) {
 	}
 	// A request for a page still pending on the tower rides that
 	// broadcast instead of queueing a duplicate: the pages aired carry
-	// every request in their Count, and every request's trace went on air
-	// with the page it rode.
+	// every request's trace, and each went on air with the page it rode.
 	if counted != workers*20 {
 		t.Errorf("dequeued pages carry %d requests, want %d", counted, workers*20)
 	}

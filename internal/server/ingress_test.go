@@ -20,7 +20,7 @@ type queuedEntry struct {
 	PageID  uint16
 	EffHour int
 	Bytes   int
-	Count   int
+	Count   int // requests riding the entry: its lifecycle traces
 }
 
 // drainEntries pops a tower's queue to exhaustion.
@@ -31,7 +31,7 @@ func drainEntries(s *Server, txID string, at time.Time) []queuedEntry {
 		if head == nil {
 			return out
 		}
-		out = append(out, queuedEntry{head.URL, head.PageID, head.EffHour, head.Bytes, head.Count})
+		out = append(out, queuedEntry{head.URL, head.PageID, head.EffHour, head.Bytes, len(head.Traces)})
 	}
 }
 

@@ -56,9 +56,9 @@ func (t Transmitter) FrequencyCount() int {
 	return 1 + len(t.ExtraFreqsMHz)
 }
 
-// queuedPage is one pending broadcast. Count and Traces carry every
-// coalesced request riding on the single broadcast: N users asking for
-// the page get N lifecycle traces stamped off one queue entry.
+// queuedPage is one pending broadcast. Traces carry every coalesced
+// request riding on the single broadcast: N users asking for the page
+// get N lifecycle traces stamped off one queue entry.
 type queuedPage struct {
 	URL      string
 	PageID   uint16
@@ -66,7 +66,6 @@ type queuedPage struct {
 	Bytes    int
 	EffHour  int
 	Enqueued time.Time
-	Count    int
 	Traces   []*telemetry.Trace
 }
 
@@ -74,8 +73,6 @@ type queuedPage struct {
 type Config struct {
 	Number  string // the SONIC SMS number users text
 	Quality int    // SIC quality for rendered pages (paper: 10)
-	// PageTTL is the expiry the server stamps on broadcast pages (§3.1).
-	PageTTL time.Duration
 	// Epoch anchors simulation time to corpus hour 0.
 	Epoch time.Time
 	// Admission configures the batched admission stage (see
@@ -90,7 +87,6 @@ func DefaultConfig() Config {
 	return Config{
 		Number:  "+92300SONIC",
 		Quality: 10,
-		PageTTL: 24 * time.Hour,
 		Epoch:   time.Unix(0, 0),
 	}
 }
@@ -538,5 +534,8 @@ func (s *Server) HandleSMS(smsc *sms.SMSC) sms.Handler {
 	}
 }
 
-// PageTTL exposes the configured expiry for broadcast metadata.
-func (s *Server) PageTTL() time.Duration { return s.cfg.PageTTL }
+// pageTTL is the expiry the server stamps on broadcast pages (§3.1).
+const pageTTL = 24 * time.Hour
+
+// PageTTL exposes the expiry for broadcast metadata.
+func (s *Server) PageTTL() time.Duration { return pageTTL }

@@ -95,8 +95,8 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, s := range r.spans {
 		hs := histSnapshot(s.dur)
 		snap.Spans[k] = SpanSnapshot{
-			Count:        atomic.LoadInt64(&s.count),
-			TotalSeconds: s.dur.Sum(),
+			Count:        hs.Count,
+			TotalSeconds: hs.Sum,
 			SelfSeconds:  math.Float64frombits(atomic.LoadUint64(&s.selfBits)),
 			P50Seconds:   hs.P50,
 			P99Seconds:   hs.P99,

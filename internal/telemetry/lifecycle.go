@@ -160,7 +160,7 @@ func (lc *Lifecycle) BeginAt(url, from string, at time.Time) *Trace {
 		url: url,
 	}
 	tr.at[StageReceived] = at
-	tr.last, tr.lastAt = StageReceived, at
+	tr.lastAt = at
 
 	lc.mu.Lock()
 	lc.byURL[url] = append(lc.byURL[url], tr)
@@ -250,7 +250,6 @@ type Trace struct {
 
 	mu      sync.Mutex
 	at      [numStages]time.Time
-	last    Stage
 	lastAt  time.Time
 	evicted bool // removed from the URL index (delivered/aborted/evicted)
 }
@@ -276,7 +275,7 @@ func (t *Trace) StampAt(stage Stage, at time.Time) {
 	if wait < 0 {
 		wait = 0
 	}
-	t.last, t.lastAt = stage, at
+	t.lastAt = at
 	received := t.at[StageReceived]
 	t.mu.Unlock()
 

@@ -20,13 +20,11 @@ import (
 
 // spanStat is the shared accumulator for one span name.
 type spanStat struct {
-	count    int64 // atomic
 	dur      *Histogram
 	selfBits uint64 // atomic float64: cumulative self seconds
 }
 
 func (s *spanStat) observe(total, self time.Duration) {
-	atomic.AddInt64(&s.count, 1)
 	s.dur.Observe(total.Seconds())
 	for {
 		old := atomic.LoadUint64(&s.selfBits)

@@ -37,9 +37,8 @@ type Condition struct {
 
 // Screenshot is one of the study's stimuli with measured damage.
 type Screenshot struct {
-	PageIdx int
-	Cond    Condition
-	Damage  interp.DamageReport
+	Cond   Condition
+	Damage interp.DamageReport
 }
 
 // Perception model. Two effects are calibrated against Figure 5's
@@ -121,9 +120,8 @@ func BuildScreenshots(nPages, viewH int, seed int64) []Screenshot {
 				}
 				rep := interp.Damage(img, damaged, missing, rendered.TextRow)
 				shots = append(shots, Screenshot{
-					PageIdx: i,
-					Cond:    Condition{LossRate: lr, Interp: useInterp},
-					Damage:  rep,
+					Cond:   Condition{LossRate: lr, Interp: useInterp},
+					Damage: rep,
 				})
 			}
 		}

@@ -28,7 +28,6 @@ const (
 // classification the user-study metrics use to separate text readability
 // from overall content understanding (Fig. 5's two questions).
 type Rendered struct {
-	Page   *Page
 	Image  *imagecodec.Raster
 	Clicks *clickmap.Map
 	// Rows[y] is the kind of block that painted row y.
@@ -122,7 +121,7 @@ func RenderCropped(p *Page, maxH int) *Rendered {
 		}
 		y = next
 	}
-	return &Rendered{Page: p, Image: img, Clicks: clicks, Rows: rows, buf: buf}
+	return &Rendered{Image: img, Clicks: clicks, Rows: rows, buf: buf}
 }
 
 // measure computes the total rendered height and stores each block's

@@ -214,7 +214,7 @@ func refRender(p *Page) *Rendered {
 		}
 		y = next
 	}
-	return &Rendered{Page: p, Image: img, Clicks: clicks, Rows: rows}
+	return &Rendered{Image: img, Clicks: clicks, Rows: rows}
 }
 
 // --- helpers ---
